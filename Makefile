@@ -63,6 +63,7 @@ benchguard:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/rdma
+	$(GO) test -run '^$$' -fuzz '^FuzzLZ$$' -fuzztime $(FUZZTIME) ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
@@ -87,7 +88,8 @@ bench-smoke: bench-writeback
 	@cat BENCH_pipeline.json
 
 # bench-writeback runs the sync-vs-async dirty write-back sweep (real
-# TCP loopback with injected per-frame RTT) and records the table.
+# TCP loopback, RTT injected per server-side read burst) and records the
+# table.
 bench-writeback:
 	$(GO) run ./cmd/cardsbench -exp writeback -scale quick -json > BENCH_writeback.json
 	@cat BENCH_writeback.json
@@ -103,7 +105,7 @@ bench-replica:
 
 # bench-chase runs the server-side traversal-offload sweep (dependent
 # per-hop reads vs one CHASEBATCH per hop-budget window, real TCP
-# loopback with 200µs injected per-frame RTT, hop budgets 2..64) and
+# loopback with 200µs injected per-request RTT, hop budgets 2..64) and
 # records the table.
 bench-chase:
 	$(GO) run ./cmd/cardsbench -exp chase -scale quick -json > BENCH_chase.json

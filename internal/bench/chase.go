@@ -19,9 +19,11 @@ const (
 	// chaseRingObjs is the chain length; the walk wraps around the ring
 	// so any walk length exercises the same working set.
 	chaseRingObjs = 4096
-	// chaseNetLatency is injected into every server-side frame read:
-	// loopback alone is CPU-bound and would hide exactly the RTT that
-	// server-side traversal amortises across a whole path.
+	// chaseNetLatency is injected before every server-side socket read
+	// (one per request frame here: both modes are closed loops, and the
+	// server reads a whole frame per read). Loopback alone is CPU-bound
+	// and would hide exactly the RTT that server-side traversal
+	// amortises across a whole path.
 	chaseNetLatency = 200 * time.Microsecond
 	chaseDS         = 1
 )
@@ -31,7 +33,7 @@ const (
 var chaseDepths = []int{2, 4, 8, 16, 32, 64}
 
 // Chase measures dependent pointer chasing over a real TCP loopback
-// connection with injected per-frame service latency: the per-hop
+// connection with injected per-request service latency: the per-hop
 // baseline pays one READ round trip per object (pipelining cannot help
 // — each hop's address is inside the previous hop's bytes), while the
 // offloaded mode ships a traversal program to the server and gets the

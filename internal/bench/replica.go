@@ -25,7 +25,8 @@ var replicaCounts = []int{1, 2, 3}
 // replicaObjs is the striped working set per run.
 const replicaObjs = 256
 
-// replicaNetLatency is injected into every server-side op, the same
+// replicaNetLatency is injected before every server-side socket read
+// (once per request frame, or per burst of them under load), the same
 // RTT-dominant regime the shard sweep measures in — fan-out cost and
 // failover hiccups are both invisible on raw loopback.
 const replicaNetLatency = 200 * time.Microsecond

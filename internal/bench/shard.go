@@ -28,7 +28,8 @@ const shardWindow = 4
 const shardObjs = 256
 
 // shardNetLatency is injected into every server-side Read via the
-// faultnet wrapper, standing in for the far tier's network round trip.
+// faultnet wrapper (one Read per burst of request frames), standing in
+// for the far tier's network round trip.
 // Raw loopback is CPU-bound (a single-core box serializes client and
 // servers, flattening the sweep); with a real per-connection service
 // latency each backend's wait overlaps the others', which is exactly

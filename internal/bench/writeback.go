@@ -14,10 +14,12 @@ import (
 const (
 	// wbObjSize matches the runtime's page-sized object granularity.
 	wbObjSize = 4096
-	// wbNetLatency is injected into every server-side frame read,
-	// standing in for the far tier's network round trip: loopback alone
-	// is CPU-bound and would hide exactly the RTT the async pipeline
-	// exists to take off the eviction path.
+	// wbNetLatency is injected before every server-side socket read
+	// (one per burst of request frames — the server reads through a
+	// buffer), standing in for the far tier's network round trip:
+	// loopback alone is CPU-bound and would hide exactly the RTT the
+	// async pipeline exists to take off the eviction path. The sync path
+	// pays it once per WRITE; the async path once per doorbell.
 	wbNetLatency = 200 * time.Microsecond
 	// wbWorkingSet and wbCacheObjs size the dirty walk so every touch
 	// past warm-up is a miss that must evict a dirty object first.
@@ -33,7 +35,7 @@ const (
 // trip per eviction, on the deref critical path) against the
 // asynchronous batched pipeline (evictions staged to pooled buffers and
 // flushed as WRITEBATCH frames), over a real TCP loopback connection
-// with injected per-frame service latency.
+// with service latency injected per server-side read burst.
 func Writeback(cfg Config) (*Table, error) {
 	writes := int(cfg.WritebackWrites)
 	if writes <= 0 {

@@ -50,9 +50,16 @@ func TestOffloadExactCleanLink(t *testing.T) {
 // between the two remote runs. Offloaded chases ride the idempotent
 // read path, so a replayed CHASEBATCH must deliver exactly the bytes
 // the per-hop replay would have.
+//
+// The list is sized so the fault count clears its floor with room to
+// spare (1326-1432 over four runs): cuts are drawn per byte forwarded,
+// so they scale with the traffic, while corruptions are drawn per
+// forwarded chunk and both ends now move a frame in one chunk. The cut
+// interval cannot shrink instead: a full 16-hop chase reply is 16.5 KiB
+// and must fit the longest interval the schedule can draw (18 KiB).
 func TestOffloadExactUnderChaos(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
-	perhop, offload := Run(t, buildList(32768), Config{
+	perhop, offload := Run(t, buildList(45056), Config{
 		Spec:     "cut=12288,corrupt=0.01,seed=7",
 		RetryMax: 8,
 		Window:   8,

@@ -53,11 +53,17 @@ func (a *Arena) Free(off uint64, size int) {
 // Used returns the high-water byte usage (excluding freed frames).
 func (a *Arena) Used() uint64 { return a.brk }
 
+// ensure extends the slab to n bytes. Within capacity that is a
+// reslice: len only ever grows, so the bytes past it were never handed
+// out and still hold the zeros make gave them. Past capacity the slab
+// doubles, so n bump allocations cost O(log n) reallocations.
 func (a *Arena) ensure(n uint64) {
-	if uint64(len(a.mem)) < n {
-		grown := make([]byte, n, max(n*2, uint64(cap(a.mem))))
+	if n > uint64(cap(a.mem)) {
+		grown := make([]byte, n, n*2)
 		copy(grown, a.mem)
 		a.mem = grown
+	} else if n > uint64(len(a.mem)) {
+		a.mem = a.mem[:n]
 	}
 }
 

@@ -95,6 +95,46 @@ func TestArenaGrowth(t *testing.T) {
 	}
 }
 
+// TestArenaBumpAllocIsAmortized pins the cost of the per-node pinned
+// allocations a list build makes: 100k bump allocations reallocate the
+// slab O(log n) times (it used to be once per call, O(n^2) bytes
+// copied), every fresh region reads as zero, and data written before a
+// growth survives it.
+func TestArenaBumpAllocIsAmortized(t *testing.T) {
+	const n, size = 100_000, 24
+	a := NewArena(64)
+	grows, lastCap := 0, cap(a.mem)
+	offs := make([]uint64, n)
+	for i := range offs {
+		off := a.Alloc(size)
+		if c := cap(a.mem); c != lastCap {
+			grows, lastCap = grows+1, c
+		}
+		for w := uint64(0); w < size; w += 8 {
+			if a.Read8(off+w) != 0 {
+				t.Fatalf("alloc %d: fresh region not zero at +%d", i, w)
+			}
+		}
+		a.Write8(off, uint64(i)+1)
+		a.Write8(off+16, ^uint64(i))
+		offs[i] = off
+	}
+	// 64 B doubling to n*size bytes: log2(2.4 MB / 64 B) is about 16.
+	if grows > 20 {
+		t.Fatalf("%d bump allocations reallocated the slab %d times, want O(log n)", n, grows)
+	}
+	for i, off := range offs {
+		if a.Read8(off) != uint64(i)+1 || a.Read8(off+16) != ^uint64(i) {
+			t.Fatalf("alloc %d lost its contents across growth", i)
+		}
+	}
+	// A recycled frame is cleared even though the slab never shrinks.
+	a.Free(offs[7], size)
+	if off := a.Alloc(size); off != offs[7] || a.Read8(off) != 0 || a.Read8(off+16) != 0 {
+		t.Fatalf("recycled frame %d not zeroed", off)
+	}
+}
+
 func newTestRuntime(pinned, remotable uint64) *Runtime {
 	return New(Config{PinnedBudget: pinned, RemotableBudget: remotable})
 }

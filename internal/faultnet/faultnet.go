@@ -82,8 +82,12 @@ type Config struct {
 	// cuts the connection — a torn frame on the peer.
 	TruncateProb float64
 
-	// Latency delays every Read by Latency plus a uniform draw from
-	// [0, Jitter).
+	// Latency delays every Read call by Latency plus a uniform draw
+	// from [0, Jitter). The delay is per call, not per frame: a peer that
+	// reads through a buffer (the server and the pipelined client both
+	// do) issues one Read per burst of frames the transport holds, so a
+	// closed-loop caller pays it once per request and a deep pipeline
+	// once per doorbell's worth of frames.
 	Latency time.Duration
 	Jitter  time.Duration
 

@@ -3,6 +3,7 @@ package rdma
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // A small LZ77 block codec for the FeatCompress wire tier.
@@ -86,8 +87,18 @@ func LZCompress(dst, src []byte) (n int, ok bool) {
 			pos++
 			continue
 		}
-		// Extend the match forward.
+		// Extend the match forward, eight bytes per compare: the first
+		// differing byte is the lowest set byte of the XOR. cand < pos, so
+		// the bound on pos covers both loads.
 		mlen := lzMinMatch
+		for pos+mlen+8 <= len(src) {
+			x := binary.LittleEndian.Uint64(src[cand+mlen:]) ^ binary.LittleEndian.Uint64(src[pos+mlen:])
+			if x != 0 {
+				mlen += bits.TrailingZeros64(x) >> 3
+				break
+			}
+			mlen += 8
+		}
 		for pos+mlen < len(src) && src[cand+mlen] == src[pos+mlen] {
 			mlen++
 		}
@@ -206,12 +217,17 @@ func LZDecompress(dst, src []byte) error {
 		if off == 0 || off > out || out+mlen > len(dst) {
 			return ErrCorrupt
 		}
-		// Byte-wise copy: matches may overlap their own output
-		// (off < mlen encodes a repeating run).
-		for i := 0; i < mlen; i++ {
-			dst[out] = dst[out-off]
-			out++
+		// m[:off] is already decoded and m[off:] is the match. Each pass
+		// copies the decoded prefix m[:n] onto m[n:]: source and
+		// destination never overlap, n stays a multiple of off so the
+		// period is preserved, and the checks above keep m inside dst.
+		// off >= mlen finishes in one pass; a self-overlapping run
+		// (off < mlen) doubles its way there.
+		m := dst[out-off : out+mlen]
+		for n := off; n < len(m); n *= 2 {
+			copy(m[n:], m[:n])
 		}
+		out += mlen
 	}
 }
 

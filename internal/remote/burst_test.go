@@ -1,0 +1,381 @@
+package remote
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cards/internal/obs"
+	"cards/internal/rdma"
+	"cards/internal/testutil"
+)
+
+// Burst-buffered frame I/O, checked by counting calls on the
+// connection rather than timing them.
+
+// countConn counts the Read and Write calls one side issues on its
+// connection and remembers the smallest buffer it ever offered a Read.
+type countConn struct {
+	io.ReadWriteCloser
+	writes, dataReads atomic.Int64
+	minReadBuf        atomic.Int64
+}
+
+func newCountConn(c io.ReadWriteCloser) *countConn {
+	cc := &countConn{ReadWriteCloser: c}
+	cc.minReadBuf.Store(1 << 62)
+	return cc
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	// One goroutine reads a connection (the frame loop); the atomics only
+	// order it with the test goroutine's loads and resets.
+	if int64(len(p)) < c.minReadBuf.Load() {
+		c.minReadBuf.Store(int64(len(p)))
+	}
+	n, err := c.ReadWriteCloser.Read(p)
+	if n > 0 {
+		c.dataReads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.ReadWriteCloser.Write(p)
+}
+
+// TestSyncReadCostsOneWritePerSide: on a checksummed session a
+// synchronous ReadObj is one Write by the client (the doorbell) and one
+// Write by the server (header, payload and CRC trailer assembled in its
+// buffered writer), and neither side ever reads a frame field by field:
+// every Read offers the whole connection buffer, so it takes whatever
+// the transport has.
+func TestSyncReadCostsOneWritePerSide(t *testing.T) {
+	obj := make([]byte, 4096)
+	rand.New(rand.NewSource(9)).Read(obj) // incompressible: the reply carries all 4 KiB
+
+	run := func(t *testing.T, cconn, sconn *countConn, cl *PipelinedClient, exactReads bool) {
+		cl.mu.Lock()
+		crc := cl.crc
+		cl.mu.Unlock()
+		if !crc {
+			t.Fatal("session did not negotiate checksummed framing")
+		}
+		if err := cl.WriteObj(1, 1, obj); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(obj))
+		if err := cl.ReadObj(1, 1, got); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		// Negotiation reads the client's raw connection field by field
+		// (legacy framing, before the reader exists); count from here.
+		cconn.minReadBuf.Store(1 << 62)
+		cw, sw := cconn.writes.Load(), sconn.writes.Load()
+		cr, sr := cconn.dataReads.Load(), sconn.dataReads.Load()
+		const ops = 16
+		for i := 0; i < ops; i++ {
+			clear(got)
+			if err := cl.ReadObj(1, 1, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, obj) {
+				t.Fatalf("read %d returned wrong bytes", i)
+			}
+		}
+		if n := cconn.writes.Load() - cw; n != ops {
+			t.Errorf("client issued %d Writes for %d reads, want one each", n, ops)
+		}
+		if n := sconn.writes.Load() - sw; n != ops {
+			t.Errorf("server issued %d Writes for %d replies, want one each", n, ops)
+		}
+		if exactReads {
+			// net.Pipe hands a Write to the peer's Read whole, so a
+			// reader that takes all there is reads once per frame.
+			if n := cconn.dataReads.Load() - cr; n != ops {
+				t.Errorf("client needed %d Reads for %d replies, want one each", n, ops)
+			}
+			if n := sconn.dataReads.Load() - sr; n != ops {
+				t.Errorf("server needed %d Reads for %d requests, want one each", n, ops)
+			}
+		}
+		for side, c := range map[string]*countConn{"client": cconn, "server": sconn} {
+			if m := c.minReadBuf.Load(); m < connBufSize {
+				t.Errorf("%s offered a Read only %d bytes (a per-field read), want >= %d", side, m, connBufSize)
+			}
+		}
+	}
+
+	t.Run("pipe", func(t *testing.T) {
+		testutil.NoGoroutineLeaks(t)
+		c1, c2 := net.Pipe()
+		srv := NewServer()
+		sconn, cconn := newCountConn(c1), newCountConn(c2)
+		done := make(chan struct{})
+		go func() { defer close(done); srv.ServeConn(sconn) }()
+		cl, err := NewPipelined(cconn, PipelineOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, cconn, sconn, cl, true)
+		cl.Close()
+		<-done
+	})
+	t.Run("tcp", func(t *testing.T) {
+		testutil.NoGoroutineLeaks(t)
+		srv := NewServer()
+		wrapped := make(chan *countConn, 1) // one connection is accepted
+		srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+			cc := newCountConn(c)
+			wrapped <- cc
+			return cc
+		}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cconn := newCountConn(raw)
+		cl, err := NewPipelined(cconn, PipelineOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		run(t, cconn, <-wrapped, cl, false)
+	})
+}
+
+// TestReconnectDropsDeadGenerationBuffer cuts the link while the
+// client's read buffer holds two complete replies plus the first half
+// of a third. The complete replies are legitimate and complete their
+// reads; the torn one is replayed on the fresh connection; the
+// in-flight write surfaces as ErrUncertainWrite (DESIGN.md §7). What the
+// test pins is that the half frame dies with its connection: were the
+// old reader carried over, its bytes would be parsed ahead of the new
+// stream and the fresh session would fail its first checksum.
+func TestReconnectDropsDeadGenerationBuffer(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const size = 64
+	srvData := func(idx uint32) []byte { return bytes.Repeat([]byte{0xB0 | byte(idx)}, size) }
+	scriptData := func(idx uint32) []byte { return bytes.Repeat([]byte{0x50 | byte(idx)}, size) }
+
+	// The real server behind the redial holds different bytes than the
+	// scripted first hop returns, so each read shows who answered it.
+	srv := NewServer()
+	for idx := uint32(0); idx < 3; idx++ {
+		srv.Store.Write(1, idx, srvData(idx))
+	}
+	var served sync.WaitGroup
+	defer served.Wait()
+	var redials atomic.Int64
+	redial := func() (io.ReadWriteCloser, error) {
+		redials.Add(1)
+		s, c := net.Pipe()
+		served.Add(1)
+		go func() { defer served.Done(); srv.ServeConn(s) }()
+		return c, nil
+	}
+
+	c1, c2 := net.Pipe()
+	scriptErr := make(chan error, 1)
+	go func() {
+		scriptErr <- func() error {
+			defer c1.Close()
+			if _, err := rdma.ReadFrame(c1); err != nil {
+				return err
+			}
+			feats := rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch
+			if err := rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(feats)}); err != nil {
+				return err
+			}
+			// Three single-read batches and one write batch, in any order.
+			var replies [][]byte
+			for reads, writes := 0, 0; reads < 3 || writes < 1; {
+				f, err := rdma.ReadFrameOpts(c1, true, false)
+				if err != nil {
+					return err
+				}
+				switch f.Op {
+				case rdma.OpReadBatch:
+					reqs, err := rdma.DecodeReadBatch(f.Payload)
+					if err != nil || len(reqs) != 1 {
+						return errors.New("want single-read batches")
+					}
+					resp, err := rdma.EncodeDataBatch(f.Tag, [][]byte{scriptData(reqs[0].Idx)})
+					if err != nil {
+						return err
+					}
+					var b bytes.Buffer
+					rdma.WriteFrameCRC(&b, resp)
+					replies = append(replies, b.Bytes())
+					reads++
+				case rdma.OpWriteBatch:
+					writes++ // never acknowledged
+				default:
+					return errors.New("unexpected frame " + f.Op.String())
+				}
+			}
+			wire := append(append(append([]byte(nil), replies[0]...), replies[1]...), replies[2][:len(replies[2])/2]...)
+			if len(wire) >= connBufSize {
+				return errors.New("burst does not fit the client's read buffer")
+			}
+			// One Write: net.Pipe hands it to the client's Read whole, so
+			// all of it sits in the client's reader when the pipe closes.
+			_, err := c1.Write(wire)
+			return err
+		}()
+	}()
+
+	reg := obs.NewRegistry()
+	cl, err := NewPipelined(c2, PipelineOpts{
+		MaxBatch: 1, NoCompact: true, Obs: reg,
+		Redial: redial, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var wg sync.WaitGroup
+	dsts := [3][]byte{make([]byte, size), make([]byte, size), make([]byte, size)}
+	var rerrs [3]error
+	var werr error
+	wg.Add(4)
+	for i := range dsts {
+		i := i
+		cl.IssueRead(1, i, dsts[i], func(err error) { rerrs[i] = err; wg.Done() })
+	}
+	cl.IssueWrite(1, 9, bytes.Repeat([]byte{9}, size), func(err error) { werr = err; wg.Done() })
+	wg.Wait()
+	if err := <-scriptErr; err != nil {
+		t.Fatalf("scripted server: %v", err)
+	}
+
+	if !errors.Is(werr, ErrUncertainWrite) {
+		t.Errorf("in-flight write completed with %v, want ErrUncertainWrite", werr)
+	}
+	fromScript, fromServer := 0, 0
+	for i := range dsts {
+		switch {
+		case rerrs[i] != nil:
+			t.Errorf("read %d: %v", i, rerrs[i])
+		case bytes.Equal(dsts[i], scriptData(uint32(i))):
+			fromScript++
+		case bytes.Equal(dsts[i], srvData(uint32(i))):
+			fromServer++
+		default:
+			t.Errorf("read %d returned bytes neither server sent: %x", i, dsts[i][:4])
+		}
+	}
+	if fromScript != 2 || fromServer != 1 {
+		t.Errorf("%d reads answered from the buffered replies and %d replayed, want 2 and 1", fromScript, fromServer)
+	}
+	if n := redials.Load(); n != 1 {
+		t.Errorf("%d redials, want exactly 1 (the fresh stream must parse cleanly)", n)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[MetricClientReplayedReads]; got != 1 {
+		t.Errorf("%s = %d, want 1", MetricClientReplayedReads, got)
+	}
+	if got := snap.Counters[MetricClientUncertainWrites]; got != 1 {
+		t.Errorf("%s = %d, want 1", MetricClientUncertainWrites, got)
+	}
+}
+
+// gateConn holds every Write back while armed, until the gate opens.
+type gateConn struct {
+	io.ReadWriteCloser
+	armed   *atomic.Bool
+	blocked chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (g gateConn) Write(p []byte) (int, error) {
+	if g.armed.Load() {
+		select {
+		case g.blocked <- struct{}{}:
+		default:
+		}
+		<-g.gate
+	}
+	return g.ReadWriteCloser.Write(p)
+}
+
+// TestServerDrainDeliversStagedReplies: a reply that has been staged
+// (its batch served, its frame handed to send) when Drain starts still
+// reaches the client. Replies are flushed inside send, before the
+// request stops counting as in flight, so Drain cannot close a
+// connection with a reply sitting in the server's write buffer.
+func TestServerDrainDeliversStagedReplies(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	var armed atomic.Bool
+	blocked := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	const n = 8
+	srv := NewServer()
+	srv.BatchWorkers = n // however the flusher splits the reads, every batch gets served
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		return gateConn{ReadWriteCloser: c, armed: &armed, blocked: blocked, gate: gate}
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		srv.Store.Write(2, uint32(i), []byte{byte(i), 0xD7})
+	}
+	cl, err := DialPipelined(addr, PipelineOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	var wg sync.WaitGroup
+	var dsts [n][2]byte
+	var errs [n]error
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		i := i
+		cl.IssueRead(2, i, dsts[i][:], func(err error) { errs[i] = err; wg.Done() })
+	}
+	<-blocked // a reply is staged: its Write is parked at the gate
+	for reads, _ := srv.Counts(); reads < n; reads, _ = srv.Counts() {
+		time.Sleep(time.Millisecond) // the rest are served and queue behind it
+	}
+
+	drained := make(chan bool, 1)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	for started := false; !started; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		started = srv.closed
+		srv.mu.Unlock()
+	}
+	armed.Store(false)
+	close(gate)
+	if !<-drained {
+		t.Fatal("Drain timed out with replies staged")
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Errorf("read %d lost to the drain: %v", i, errs[i])
+		} else if dsts[i] != [2]byte{byte(i), 0xD7} {
+			t.Errorf("read %d returned %x", i, dsts[i])
+		}
+	}
+}

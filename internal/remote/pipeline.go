@@ -210,6 +210,7 @@ type PipelinedClient struct {
 	mu           sync.Mutex
 	conn         io.ReadWriteCloser // current connection; swapped on reconnect
 	bw           *bufio.Writer      // doorbell buffer for conn
+	br           *bufio.Reader      // reply buffer for conn; swapped with it, never reused
 	crc          bool               // session uses checksummed framing
 	wbatch       bool               // peer speaks WRITEBATCH/ACKBATCH
 	epochOK      bool               // peer speaks the epoch-stamped verbs
@@ -312,6 +313,7 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	c := &PipelinedClient{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
+		br:       bufio.NewReaderSize(conn, connBufSize),
 		crc:      feats&rdma.FeatCRC != 0,
 		wbatch:   feats&rdma.FeatWriteBatch != 0,
 		epochOK:  feats&rdma.FeatEpoch != 0,
@@ -724,6 +726,7 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 		}
 		c.conn = nc
 		c.bw = bufio.NewWriterSize(nc, 64<<10)
+		c.br = bufio.NewReaderSize(nc, connBufSize)
 		c.crc = feats&rdma.FeatCRC != 0
 		c.wbatch = feats&rdma.FeatWriteBatch != 0
 		c.epochOK = feats&rdma.FeatEpoch != 0
@@ -1121,6 +1124,7 @@ func (c *PipelinedClient) readLoop() {
 		}
 		gen := c.gen
 		conn := c.conn
+		br := c.br
 		crc := c.crc
 		trace := c.trace
 		c.mu.Unlock()
@@ -1130,7 +1134,7 @@ func (c *PipelinedClient) readLoop() {
 				dl.SetReadDeadline(time.Now().Add(d))
 			}
 		}
-		f, err := rdma.ReadFramePooledOpts(conn, crc, trace)
+		f, err := rdma.ReadFramePooledOpts(br, crc, trace)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// An idle connection hitting the read deadline is benign:

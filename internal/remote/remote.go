@@ -14,6 +14,7 @@
 package remote
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -66,11 +67,23 @@ func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) {
 
 // Write stores a copy of data.
 func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
+	s.mu.Lock()
+	s.putLocked([2]uint32{ds, idx}, data)
+	s.mu.Unlock()
+}
+
+// putLocked stores a copy of data under k (caller holds mu for
+// writing). A resident image of the same length is overwritten in
+// place: stored slices never leave the store — every reader copies out
+// under the lock — so only a size change needs a fresh allocation.
+func (s *ObjectStore) putLocked(k [2]uint32, data []byte) {
+	if obj, ok := s.m[k]; ok && len(obj) == len(data) {
+		copy(obj, data)
+		return
+	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	s.mu.Lock()
-	s.m[[2]uint32{ds, idx}] = cp
-	s.mu.Unlock()
+	s.m[k] = cp
 }
 
 // WriteEpoch stores a copy of data stamped with epoch iff epoch is at
@@ -87,9 +100,7 @@ func (s *ObjectStore) WriteEpoch(ds, idx uint32, epoch uint64, data []byte) bool
 	if epoch < s.ep[k] {
 		return false
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.m[k] = cp
+	s.putLocked(k, data)
 	s.ep[k] = epoch
 	return true
 }
@@ -167,6 +178,13 @@ type Server struct {
 
 // DefaultBatchWorkers is the per-connection READBATCH concurrency.
 const DefaultBatchWorkers = 4
+
+// connBufSize sizes the buffered reader each side puts under its frame
+// loop and the writer the server assembles replies in. It holds several
+// 4 KiB-object frames; a frame larger than the buffer bypasses it (bufio
+// reads and writes oversized spans directly), so it bounds memory per
+// connection, not frame size.
+const connBufSize = 32 << 10
 
 // ServerFeatures is the feature word the server answers to a feature
 // PING: this server speaks the tagged/batch extension (reads and
@@ -294,8 +312,17 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.metrics.conns.Add(1)
 	defer s.metrics.conns.Add(-1)
 
+	// Frame I/O goes through one buffered reader and one buffered writer
+	// per connection: a read drains whatever the kernel holds (a whole
+	// doorbell of request frames, not one header field), and a reply is
+	// assembled in bw and leaves as one write.
+	br := bufio.NewReaderSize(conn, connBufSize)
+	bw := bufio.NewWriterSize(conn, connBufSize)
+
 	// Batch workers reply concurrently with the inline loop: every
-	// response frame goes through send so frames never interleave.
+	// response frame goes through send so frames never interleave, and
+	// send flushes before it unlocks, so no reply ever waits in bw for a
+	// later one (Drain and the client's stall detector rely on that).
 	// crcOut/traceOut flip after the negotiation reply is sent; no batch
 	// can be in flight then (clients wait for the feature OK first), so
 	// each switch is ordered with every extended frame.
@@ -305,10 +332,14 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		s.metrics.bytesOut.Add(resp.WireSize())
+		writeFrame := rdma.WriteFrame
 		if crcOut.Load() {
-			return rdma.WriteFrameCRC(conn, resp)
+			writeFrame = rdma.WriteFrameCRC
 		}
-		return rdma.WriteFrame(conn, resp)
+		if err := writeFrame(bw, resp); err != nil {
+			return err
+		}
+		return bw.Flush()
 	}
 	workers := s.BatchWorkers
 	if workers <= 0 {
@@ -361,7 +392,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 
 	crcIn, traceIn := false, false
 	for {
-		f, err := rdma.ReadFramePooledOpts(conn, crcIn, traceIn)
+		f, err := rdma.ReadFramePooledOpts(br, crcIn, traceIn)
 		if err != nil {
 			return
 		}
