@@ -24,9 +24,9 @@ race:
 # suite under the race detector (exercises the concurrent remote server
 # and the obs tracer/registry), the differential-testing suite (oracle
 # vs per-hop vs offloaded traversal, byte-exact under seeded chaos), a
-# short fuzzing smoke pass over the wire-format decoders, the
-# distributed-tracing smoke, and the sweep regression guards against
-# the checked-in baselines.
+# short fuzzing smoke pass over the wire-format decoders and the live
+# server loop, the distributed-tracing smoke, and the sweep regression
+# guards against the checked-in baselines.
 check: fmt vet race difftest fuzz-smoke trace-smoke benchguard
 
 # difftest runs the differential harness verbosely: every traversal
@@ -64,17 +64,18 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzLZ$$' -fuzztime $(FUZZTIME) ./internal/rdma
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
 # proxy and the breaker outage demo (root), the transport's
-# cut/timeout/uncertain-write/reconnect tests (internal/remote), the
-# runtime breaker and async fault paths (internal/farmem), and the
-# injector itself (internal/faultnet). Schedules are seeded in the tests,
-# so a run is reproducible.
+# handshake/cut/timeout/uncertain-write/reconnect tests
+# (internal/remote), the runtime breaker and async fault paths
+# (internal/farmem), and the injector itself (internal/faultnet).
+# Schedules are seeded in the tests, so a run is reproducible.
 chaos:
 	$(GO) test -v -run 'TestChaos|TestBreaker' .
-	$(GO) test -v -run 'TestSerialClient|TestSerialWrite|TestPipelined|TestServerDrain|TestCRCSession' ./internal/remote
+	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestServerDrain|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
 	$(GO) test -v ./internal/faultnet
 

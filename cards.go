@@ -142,23 +142,23 @@ type Config struct {
 	BreakerThreshold int
 
 	// Compression controls adaptive per-object compression on the
-	// compact wire tier (negotiated with the server; legacy servers are
-	// unaffected): "" or "adaptive" compresses objects whose observed
-	// compressibility pays for the CPU, sampling incompressible
-	// structures only occasionally; "off" ships every object raw.
+	// compact wire tier: "" or "adaptive" compresses objects whose
+	// observed compressibility pays for the CPU, sampling
+	// incompressible structures only occasionally; "off" ships every
+	// object raw.
 	Compression string
 	// DirtyRangeWriteback ships only the modified byte ranges of a dirty
 	// object at eviction when the far tier speaks the compact range
 	// verb: the runtime tracks a per-object dirty rectangle from the
 	// write guards and the server splices the extents into its stored
-	// image. Falls back to full-object write-backs transparently (legacy
-	// servers, wide rectangles, unknown coverage). Only meaningful with
+	// image. Falls back to full-object write-backs transparently (wide
+	// rectangles, unknown coverage). Only meaningful with
 	// RemoteAddr/RemoteAddrs set.
 	DirtyRangeWriteback bool
 
 	// Trace enables cross-process distributed tracing. Span contexts
-	// ride the wire on every pipelined frame (negotiated with the
-	// server; legacy servers fall back transparently), the server stamps
+	// ride the wire on every tagged frame (the connection's hello asks
+	// for the extension), the server stamps
 	// each reply with its receive/dispatch/complete times, and every
 	// remote operation is decomposed into clock-offset-free client-queue
 	// / wire / server-queue / server-service components feeding the
@@ -192,10 +192,9 @@ type Runtime struct {
 // New creates a runtime. With Config{} all memory budgets are zero, so
 // pass real budgets for anything beyond toy use.
 //
-// With RemoteAddr set, the connection is pipelined when the server
-// supports tagged batches (prefetches then overlap: a whole lookahead
-// window rides one doorbell), falling back to the serial protocol
-// against legacy servers.
+// With RemoteAddr set, the connection is pipelined (prefetches overlap:
+// a whole lookahead window rides one doorbell). A server that speaks a
+// different protocol version is refused with remote.ErrProtoMismatch.
 func New(cfg Config) (*Runtime, error) {
 	fc := farmem.Config{
 		PinnedBudget:    cfg.PinnedMemory,

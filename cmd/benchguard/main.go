@@ -79,7 +79,7 @@ func main() {
 		name:      "pipeline",
 		baseline:  *pipeBase,
 		threshold: *pipeThresh,
-		ratioCol:  "vs serial",
+		ratioCol:  "vs depth 1",
 		rowKey:    "pipelined",
 		run:       func() (*bench.Table, error) { return bench.Pipeline(bench.Quick()) },
 	}}

@@ -1,12 +1,14 @@
 // Command cardsd is the remote memory node: it owns the far tier of
-// objects and serves the CaRDS wire protocol — serial READ/WRITE verbs
-// over length-prefixed TCP frames, plus the tagged pipelined verbs
-// (READBATCH scatter-gather reads, tagged writes) negotiated on PING,
-// and the epoch-stamped variants (WRITEEPOCHBATCH / READEPOCHBATCH,
-// feature bit FeatEpoch) the replicated client uses: writes carry a
+// objects and serves the CaRDS wire protocol — one version-checked
+// HELLO per connection, then tagged, checksummed batch verbs over
+// length-prefixed TCP frames (READBATCH scatter-gather reads,
+// WRITEBATCH writes, CHASEBATCH traversal programs, their compact
+// encodings), and the epoch-stamped variants (WRITEEPOCHBATCH /
+// READEPOCHBATCH) the replicated client uses: writes carry a
 // monotonically increasing per-object epoch and apply only when at
 // least as new as the stored image, so replica resync and reissued
-// write-backs are idempotent.
+// write-backs are idempotent. A peer speaking another protocol version
+// is refused with one ERR naming both.
 // Point a runtime at it with
 // cards.Config{RemoteAddr: ...} or run examples/cluster against it —
 // this is the "memory server machine" of the paper's two-node CloudLab

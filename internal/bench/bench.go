@@ -185,7 +185,7 @@ func Experiments() []Experiment {
 		{"hybrid", "Hybrid policy extension vs Mira (beyond the paper)", HybridExp},
 		{"netsweep", "Network sensitivity sweep (beyond the paper)", NetSweep},
 		{"guards", "Dynamic guard check census (paper §5.1 claim)", GuardCensus},
-		{"pipeline", "Pipelined vs serial remote reads × window depth, TCP loopback (beyond the paper)", Pipeline},
+		{"pipeline", "Pipelined remote reads × window depth, TCP loopback (beyond the paper)", Pipeline},
 		{"shard", "Sharded far-tier read bandwidth × backend count, TCP loopback (beyond the paper)", Shard},
 		{"writeback", "Sync vs async batched dirty write-back, TCP loopback with injected RTT (beyond the paper)", Writeback},
 		{"replica", "Replicated far-tier write amplification + failover latency, TCP loopback with injected RTT (beyond the paper)", Replica},

@@ -157,10 +157,6 @@ func runChaseOffload(addr string, walk, depth int) (*chaseResult, error) {
 		return nil, fmt.Errorf("chase: dial: %w", err)
 	}
 	defer c.Close()
-	if !c.ChaseCapable() {
-		return nil, fmt.Errorf("chase: server did not negotiate FeatChase")
-	}
-
 	r := &chaseResult{}
 	idx := 0
 	start := time.Now()

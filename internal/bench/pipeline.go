@@ -14,13 +14,13 @@ import (
 const pipelineObjSize = 4096
 
 // pipelineDepths are the in-flight windows the sweep measures. Depth 1
-// isolates the doorbell/demux overhead of the pipelined client itself
-// (one op in flight behaves like the serial client plus framing).
+// is the baseline: one op in flight is a synchronous round trip per
+// read, with the doorbell and demux machinery but no overlap.
 var pipelineDepths = []int{1, 2, 4, 8, 16, 32}
 
-// Pipeline measures remote read throughput of the serial client vs the
-// pipelined client across window depths, over a real TCP loopback
-// connection to an in-process server. Unlike the other experiments this
+// Pipeline measures remote read throughput of the pipelined client
+// across window depths, over a real TCP loopback connection to an
+// in-process server. Unlike the other experiments this
 // one runs on wall-clock time, not the virtual cycle clock: it measures
 // the real data path the simulated one models.
 func Pipeline(cfg Config) (*Table, error) {
@@ -31,14 +31,9 @@ func Pipeline(cfg Config) (*Table, error) {
 	return pipelineSweep(reads, pipelineObjSize, pipelineDepths, cfg.Chaos)
 }
 
-// PipelineSweep runs the depth sweep: `reads` remote reads of
-// `objSize`-byte objects, once with the serial client and once with the
-// pipelined client per depth. Rows report throughput and speedup over
-// the serial baseline.
-func PipelineSweep(reads, objSize int, depths []int) (*Table, error) {
-	return pipelineSweep(reads, objSize, depths, "")
-}
-
+// pipelineSweep runs the depth sweep: `reads` remote reads of
+// `objSize`-byte objects per depth, depth 1 first. Rows report
+// throughput and speedup over that first row.
 func pipelineSweep(reads, objSize int, depths []int, chaos string) (*Table, error) {
 	srv := remote.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -67,34 +62,27 @@ func pipelineSweep(reads, objSize int, depths []int, chaos string) (*Table, erro
 	// Seed the far tier so reads return real payloads.
 	nObjs := seedObjects(srv, objSize)
 
-	serial, err := runSerial(addr, reads, objSize, nObjs, chaos != "")
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		ID:     "pipeline",
 		Title:  fmt.Sprintf("Remote read throughput, %d reads x %dB over TCP loopback", reads, objSize),
-		Header: []string{"client", "depth", "reads/s", "MB/s", "vs serial"},
+		Header: []string{"client", "depth", "reads/s", "MB/s", "vs depth 1"},
 	}
-	row := func(name string, depth string, d time.Duration) {
-		rps := float64(reads) / d.Seconds()
-		mbs := rps * float64(objSize) / 1e6
-		t.Rows = append(t.Rows, []string{
-			name, depth,
-			fmt.Sprintf("%.0f", rps),
-			fmt.Sprintf("%.1f", mbs),
-			ratio(serial.Seconds() / d.Seconds()),
-		})
-	}
-	row("serial", "-", serial)
-
+	var base time.Duration
 	for _, depth := range depths {
 		d, err := runPipelined(addr, reads, objSize, nObjs, depth, chaos != "")
 		if err != nil {
 			return nil, err
 		}
-		row("pipelined", fmt.Sprintf("%d", depth), d)
+		if base == 0 {
+			base = d
+		}
+		rps := float64(reads) / d.Seconds()
+		t.Rows = append(t.Rows, []string{
+			"pipelined", fmt.Sprintf("%d", depth),
+			fmt.Sprintf("%.0f", rps),
+			fmt.Sprintf("%.1f", rps*float64(objSize)/1e6),
+			ratio(base.Seconds() / d.Seconds()),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"wall-clock over real sockets (not the virtual cycle clock); depth = bounded in-flight window",
@@ -105,18 +93,6 @@ func pipelineSweep(reads, objSize int, depths []int, chaos string) (*Table, erro
 			chaos, proxy.Cuts(), proxy.Corruptions(), proxy.Stalls(), proxy.Conns()))
 	}
 	return t, nil
-}
-
-// chaosDialTuning is the retry budget chaos-mode clients dial with: tight
-// backoff so throughput numbers stay meaningful, a deep enough reconnect
-// budget to outlast any reasonable cut schedule.
-func chaosClientOpts() remote.ClientOpts {
-	return remote.ClientOpts{
-		Timeout:   2 * time.Second,
-		RetryMax:  64,
-		RetryBase: time.Millisecond,
-		RetryCap:  20 * time.Millisecond,
-	}
 }
 
 // seedObjects writes a deterministic working set directly into the
@@ -133,39 +109,18 @@ func seedObjects(srv *remote.Server, objSize int) int {
 	return nObjs
 }
 
-func runSerial(addr string, reads, objSize, nObjs int, chaos bool) (time.Duration, error) {
-	var c *remote.Client
-	var err error
-	if chaos {
-		c, err = remote.DialOpts(addr, chaosClientOpts())
-	} else {
-		c, err = remote.Dial(addr)
-	}
-	if err != nil {
-		return 0, fmt.Errorf("pipeline: serial dial: %w", err)
-	}
-	defer c.Close()
-	dst := make([]byte, objSize)
-	start := time.Now()
-	for i := 0; i < reads; i++ {
-		if err := c.ReadObj(0, i%nObjs, dst); err != nil {
-			return 0, fmt.Errorf("pipeline: serial read: %w", err)
-		}
-	}
-	return time.Since(start), nil
-}
-
 func runPipelined(addr string, reads, objSize, nObjs, depth int, chaos bool) (time.Duration, error) {
-	// Compression is pinned off: the sweep isolates window-depth scaling
-	// against the serial client, which always ships raw bytes, and the
-	// seeded ramp objects are maximally compressible — adaptive LZ would
-	// turn the measurement into a CPU benchmark of the compressor. The
-	// wire ladder (bench -exp wire) measures that trade-off explicitly.
+	// Compression is pinned off: the sweep isolates window-depth
+	// scaling, and the seeded ramp objects are maximally compressible —
+	// adaptive LZ would turn the measurement into a CPU benchmark of the
+	// compressor. The wire ladder (bench -exp wire) measures that
+	// trade-off explicitly.
 	opts := remote.PipelineOpts{Window: depth, Compression: "off"}
 	if chaos {
-		co := chaosClientOpts()
-		opts.Timeout, opts.RetryMax = co.Timeout, co.RetryMax
-		opts.RetryBase, opts.RetryCap = co.RetryBase, co.RetryCap
+		// Tight backoff so throughput numbers stay meaningful, a deep
+		// enough reconnect budget to outlast any reasonable cut schedule.
+		opts.Timeout, opts.RetryMax = 2*time.Second, 64
+		opts.RetryBase, opts.RetryCap = time.Millisecond, 20*time.Millisecond
 		// Cap batch coalescing: a READBATCH response carrying the whole
 		// window (up to 128 KiB at depth 32) in one frame can exceed every
 		// possible cut budget of the schedule and replay forever. Four

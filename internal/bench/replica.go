@@ -105,7 +105,7 @@ func runReplicated(r, writes, objSize int) (d time.Duration, amp float64, failov
 		}
 		defer srv.Close()
 		servers[i] = srv
-		c, derr := remote.DialAutoOpts(addr, remote.DialConfig{
+		c, derr := remote.DialPipelined(addr, remote.PipelineOpts{
 			Timeout:   250 * time.Millisecond,
 			RetryMax:  1,
 			RetryBase: time.Millisecond,

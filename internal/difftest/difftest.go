@@ -121,14 +121,12 @@ func run(t testing.TB, build func() (*ir.Module, error), cfg Config, store farme
 	return res
 }
 
-// dialPipelined dials through the chaos proxy until the negotiation
-// yields the pipelined client (under corruption the handshake itself
-// can be garbled, in which case the serial fallback is closed and the
-// dial retried — the serial protocol has no CRC and must not carry
-// payloads across a corrupting link).
+// dialPipelined dials through the chaos proxy. The schedule can garble
+// the handshake itself; the dial retries it under the same budget as
+// later reconnects.
 func dialPipelined(t testing.TB, addr string, cfg Config) *remote.PipelinedClient {
 	t.Helper()
-	dc := remote.DialConfig{
+	c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 		Timeout:     300 * time.Millisecond,
 		RetryMax:    64,
 		RetryBase:   time.Millisecond,
@@ -136,19 +134,11 @@ func dialPipelined(t testing.TB, addr string, cfg Config) *remote.PipelinedClien
 		Window:      cfg.Window,
 		MaxBatch:    cfg.MaxBatch,
 		Compression: cfg.Compression,
+	})
+	if err != nil {
+		t.Fatalf("difftest: dial through the chaos proxy: %v", err)
 	}
-	for i := 0; i < 50; i++ {
-		c, err := remote.DialAutoOpts(addr, dc)
-		if err != nil {
-			continue
-		}
-		if pc, ok := c.(*remote.PipelinedClient); ok {
-			return pc
-		}
-		c.Close()
-	}
-	t.Fatal("difftest: could not negotiate a pipelined connection through the chaos proxy")
-	return nil
+	return c
 }
 
 // remoteMode runs the workload against a fresh server through a fresh

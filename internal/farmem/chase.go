@@ -2,7 +2,7 @@ package farmem
 
 import "cards/internal/rdma"
 
-// Server-side traversal offload (the FeatChase extension, paper §4.2's
+// Server-side traversal offload (the chase verbs, paper §4.2's
 // pointer-chase pattern taken to its logical end). A K-hop pointer chase
 // is the one access pattern a pipelined window cannot help: each hop's
 // address comes out of the previous object, so K hops cost K dependent

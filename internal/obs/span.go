@@ -9,7 +9,7 @@ import (
 // Distributed span plumbing. A trace is born at a root cause on the
 // client side — a guard miss, a prefetch issue, a staged write-back —
 // and its context (trace ID + parent span ID + sampled flag) rides the
-// wire on every tagged frame of a FeatTrace session, so the server and
+// wire on every tagged frame of a traced session, so the server and
 // the transport label their spans with the same trace ID. Layers run on
 // different timebases (the farmem runtime counts virtual cycles, the
 // transport wall clock), so the link between their spans is causal (the

@@ -83,7 +83,7 @@ func TestReadPathSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestTracedReadPathSteadyStateAllocFree is the same guard for a
-// FeatTrace session: the fixed 20-byte trace block — span context on
+// traced session: the fixed 20-byte trace block — span context on
 // the request, server stamp on the reply — must ride every tagged frame
 // without putting the heap back on the critical path. Tracing is always
 // on once negotiated (sampling only gates span *emission*), so an
@@ -166,7 +166,7 @@ func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestCompactReadPathSteadyStateAllocFree pins the zero-allocation
-// property of the FeatCompact read path: delta-encoded READBATCH-C,
+// property of the compact read path: delta-encoded READBATCH-C,
 // server-side gather through a reused DataBatchCBuilder (including the
 // LZ compression pass and its pooled hash table), and client-side
 // segment decode + decompression into a caller buffer. Compression must
@@ -273,7 +273,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 // extent bytes through pooled scratch, encodes a WRITEEPOCHBATCH-C
 // with range tuples, and the server decodes into reused scratch and
 // applies the ranges read-modify-write. This is the steady-state
-// eviction path under FeatCompact — one allocation here taxes every
+// eviction path of a compact session — one allocation here taxes every
 // dirty write-back.
 func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 	const objSize = 1024

@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,8 +39,7 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 }
 
 func TestUntaggedFramesUnchanged(t *testing.T) {
-	// Legacy frames must stay byte-identical to the original protocol:
-	// no tag on the wire for untagged opcodes.
+	// The control frames (HELLO, OK, ERR) carry no tag on the wire.
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Frame{Op: OpOK, Tag: 0xFFFFFFFF}); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestUntaggedFramesUnchanged(t *testing.T) {
 }
 
 func TestTaggedOpPredicate(t *testing.T) {
-	for _, op := range []Op{OpReadBatch, OpDataBatch, OpWriteTag, OpAckTag, OpErrTag} {
+	for _, op := range []Op{OpReadBatch, OpDataBatch, OpWriteBatch, OpAckBatch, OpErrTag} {
 		if !op.Tagged() {
 			t.Errorf("%s should be tagged", op)
 		}
@@ -62,7 +62,7 @@ func TestTaggedOpPredicate(t *testing.T) {
 			t.Errorf("missing name for tagged op %d", op)
 		}
 	}
-	for _, op := range []Op{OpRead, OpWrite, OpPing, OpData, OpOK, OpErr} {
+	for _, op := range []Op{OpHello, OpOK, OpErr} {
 		if op.Tagged() {
 			t.Errorf("%s should not be tagged", op)
 		}
@@ -71,7 +71,7 @@ func TestTaggedOpPredicate(t *testing.T) {
 
 func TestTaggedFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Op: OpAckTag, Tag: 7, Payload: nil})
+	WriteFrame(&buf, Frame{Op: OpErrTag, Tag: 7, Payload: nil})
 	raw := buf.Bytes()
 	// Cut inside the tag: header parses, tag read must fail.
 	if _, err := ReadFrame(bytes.NewReader(raw[:7])); err == nil {
@@ -187,20 +187,41 @@ func TestDataBatchSizeBudget(t *testing.T) {
 }
 
 func TestFeatureNegotiationCodec(t *testing.T) {
-	f := PingFeatures(FeatBatch)
-	if f.Op != OpPing {
-		t.Fatal("wrong op")
+	want := Hello{Version: ProtoVersion, Opts: OptTrace | OptCompact}
+	f := HelloFrame(OpHello, want)
+	if f.Op != OpHello || len(f.Payload) != HelloSize {
+		t.Fatalf("frame = %+v", f)
 	}
-	feats, ok := DecodeFeatures(f.Payload)
-	if !ok || feats != FeatBatch {
-		t.Fatalf("feats = %#x ok = %v", feats, ok)
+	got, err := DecodeHello(f.Payload)
+	if err != nil || got != want || !got.Valid() {
+		t.Fatalf("hello = %+v, %v", got, err)
 	}
-	// A legacy peer's empty payload decodes as "no features".
-	if _, ok := DecodeFeatures(nil); ok {
-		t.Fatal("empty payload should carry no features")
+	// The record checks itself: any flipped bit, and anything too short
+	// to be a record (the 4-byte feature word this replaced), is refused.
+	for i := 0; i < HelloSize*8; i++ {
+		bad := append([]byte(nil), f.Payload...)
+		bad[i/8] ^= 1 << (i % 8)
+		if _, err := DecodeHello(bad); !errors.Is(err, ErrHelloCheck) {
+			t.Fatalf("bit %d flipped: err = %v, want ErrHelloCheck", i, err)
+		}
 	}
-	if _, ok := DecodeFeatures([]byte{1, 2}); ok {
-		t.Fatal("short payload should carry no features")
+	if _, err := DecodeHello([]byte{0xFF, 0, 0, 0}); !errors.Is(err, ErrHelloCheck) {
+		t.Fatalf("short payload: err = %v", err)
+	}
+	// A refusal leads with the refuser's own record, then the message.
+	e := HelloErrFrame("no")
+	if h, err := DecodeHello(e.Payload); err != nil || h.Version != ProtoVersion ||
+		e.Op != OpErr || string(e.Payload[HelloSize:]) != "no" {
+		t.Fatalf("refusal = %+v (%v)", e, err)
+	}
+	for _, h := range []Hello{
+		{Version: ProtoVersion + 1},
+		{Version: ProtoVersion, Opts: 1 << 9},
+		{Version: ProtoVersion, Opts: OptCompress}, // compression needs the compact tier
+	} {
+		if h.Valid() {
+			t.Errorf("%+v should not be a runnable session", h)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package rdma
 
 import "fmt"
 
-// Bit-level encoding primitives for the FeatCompact wire tier.
+// Bit-level encoding primitives for the compact wire tier.
 //
 // Compact batch frames pack their per-tuple headers at bit granularity:
 // one-bit "same as previous" flags, two-bit compression schemes, and

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Traversal-offload verbs (the FeatChase extension). A K-hop pointer
-// chase is the one access pattern the pipelined window cannot help:
+// Traversal-offload verbs. A K-hop pointer chase is the one access
+// pattern the pipelined window cannot help:
 // each hop's address comes out of the previous reply, so K hops cost K
 // dependent round trips. CHASEBATCH ships a compact traversal program —
 // the next-pointer field offset, a hop budget, and an optional
@@ -29,8 +29,6 @@ import (
 // first unvisited node). The budget both sizes the reply and bounds the
 // walk, so a cyclic chain can never loop the server: it is cut off
 // after exactly hops nodes like any other deep chain.
-//
-// Sessions that did not negotiate FeatChase never carry these opcodes.
 
 // Chase result statuses.
 const (

@@ -2,7 +2,7 @@ package rdma
 
 import "fmt"
 
-// The FeatCompact wire tier: bit-packed batch headers, delta-encoded
+// The compact wire tier (hello option OptCompact): bit-packed batch headers, delta-encoded
 // tuples, per-segment compression schemes, and the WRITERANGE
 // sub-encoding for dirty-range write-back.
 //
@@ -56,19 +56,6 @@ const (
 	// OpAckBatchC acknowledges a compact write batch; its payload
 	// carries a per-tuple rejected bitmap (stale range bases only).
 	OpAckBatchC Op = TagBit | 0x11
-)
-
-// Feature bits for the compact tier.
-const (
-	// FeatCompact: the peer understands the compact batch verbs,
-	// including range-write tuples. Sessions without the bit use the
-	// fixed-width batch verbs — byte-identical to pre-compact peers.
-	FeatCompact uint32 = 1 << 6
-	// FeatCompress: the peer accepts SchemeLZ segments. Negotiated
-	// separately from FeatCompact so compression can be disabled (for
-	// benchmarking or CPU-bound deployments) while keeping the packed
-	// headers and range writes.
-	FeatCompress uint32 = 1 << 7
 )
 
 // Segment compression schemes (2 bits on the wire).

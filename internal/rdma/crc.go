@@ -3,7 +3,6 @@ package rdma
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -11,18 +10,13 @@ import (
 // Frame integrity. TCP's 16-bit checksum misses roughly one corrupted
 // segment in 65k, and a chaos transport (internal/faultnet) flips bytes
 // on purpose — either way a flipped payload byte would silently corrupt
-// far-memory objects. Peers that both advertise FeatCRC therefore
-// switch the session to checksummed framing right after feature
-// negotiation: every frame is followed by a u32 CRC32-C (Castagnoli,
-// the polynomial RDMA NICs and iSCSI use) computed over the opcode, the
-// tag (when present), and the payload. The length prefix is not
+// far-memory objects. Every frame after the hello exchange is therefore
+// followed by a u32 CRC32-C (Castagnoli, the polynomial RDMA NICs and
+// iSCSI use) computed over the opcode, the tag (when present), the
+// trace block (when present) and the payload. The length prefix is not
 // summed — a corrupted length desynchronizes the stream, which the
-// checksum then catches on the misframed bytes that follow.
-//
-// The negotiation PING and its OK reply are always sent in legacy
-// framing (they must be readable before the feature set is known), so
-// the switch happens atomically after that first exchange on both
-// sides.
+// checksum then catches on the misframed bytes that follow. The hello
+// and its reply are plain-framed and check themselves (hello.go).
 
 // ErrCRC reports a checksum mismatch: the frame (and everything after
 // it on this stream) cannot be trusted. The only safe recovery is to
@@ -68,19 +62,7 @@ func WriteFrameCRC(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrameCRC reads one checksummed frame and verifies its trailer,
-// returning ErrCRC (wrapped with the opcode) on mismatch.
-func ReadFrameCRC(r io.Reader) (Frame, error) {
-	f, err := ReadFrame(r)
-	if err != nil {
-		return Frame{}, err
-	}
-	var tr [crcSize]byte
-	if _, err := io.ReadFull(r, tr[:]); err != nil {
-		return Frame{}, err
-	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != frameCRC(f) {
-		return Frame{}, fmt.Errorf("%w (frame %s)", ErrCRC, f.Op)
-	}
-	return f, nil
-}
+// ReadFrameCRC reads one checksummed frame into a heap payload and
+// verifies its trailer, returning ErrCRC (wrapped with the opcode) on
+// mismatch.
+func ReadFrameCRC(r io.Reader) (Frame, error) { return ReadFrameOpts(r, true, false) }

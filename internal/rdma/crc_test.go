@@ -8,10 +8,10 @@ import (
 
 func TestCRCRoundTrip(t *testing.T) {
 	frames := []Frame{
-		{Op: OpPing},
-		{Op: OpRead, Payload: []byte{1, 2, 3}},
+		{Op: OpOK},
+		{Op: OpErr, Payload: []byte{1, 2, 3}},
 		{Op: OpReadBatch, Tag: 99, Payload: []byte{4, 5}},
-		{Op: OpAckTag, Tag: 7},
+		{Op: OpErrTag, Tag: 7},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -31,7 +31,7 @@ func TestCRCRoundTrip(t *testing.T) {
 }
 
 func TestCRCDetectsCorruption(t *testing.T) {
-	f := Frame{Op: OpWriteTag, Tag: 3, Payload: bytes.Repeat([]byte{0xAA}, 64)}
+	f := Frame{Op: OpWriteBatch, Tag: 3, Payload: bytes.Repeat([]byte{0xAA}, 64)}
 	var clean bytes.Buffer
 	if err := WriteFrameCRC(&clean, f); err != nil {
 		t.Fatal(err)

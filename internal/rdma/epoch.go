@@ -5,10 +5,9 @@ import (
 	"fmt"
 )
 
-// Epoch-stamped verbs (the FeatEpoch extension). The replication layer
-// versions every object with a monotonically increasing u64 epoch so a
-// backup can tell a stale image from a current one without comparing
-// bytes. The verbs mirror the batch verbs exactly — same doorbell
+// Epoch-stamped verbs. The replication layer versions every object
+// with a monotonically increasing u64 epoch so a backup can tell a
+// stale image from a current one without comparing bytes. The verbs mirror the batch verbs exactly — same doorbell
 // coalescing, same tag demux — with the epoch spliced into each tuple:
 //
 //	WRITEEPOCHBATCH: u32 count | count x (u32 ds | u32 idx | u64 epoch | u32 len | bytes)
@@ -18,8 +17,7 @@ import (
 //	DATAEPOCHBATCH:  u32 count | count x (u64 epoch | u32 len | bytes)
 //
 // A READEPOCHBATCH payload is byte-identical to READBATCH — only the
-// opcode (and therefore the reply shape) differs. Sessions that did not
-// negotiate FeatEpoch never carry these opcodes.
+// opcode (and therefore the reply shape) differs.
 
 // WriteEpochReq is one epoch-stamped write tuple.
 type WriteEpochReq struct {

@@ -36,16 +36,16 @@ func FuzzFrameDecode(f *testing.F) {
 	// Valid frames across the opcode space: untagged, tagged, empty and
 	// non-empty payloads, batch encodings.
 	seeds := []Frame{
-		EncodeRead(1, 2, 64),
-		EncodeWrite(3, 4, []byte("payload bytes")),
-		{Op: OpPing},
-		PingFeatures(FeatBatch | FeatCRC),
-		{Op: OpData, Payload: bytes.Repeat([]byte{0xAB}, 100)},
+		HelloFrame(OpHello, Hello{Version: ProtoVersion, Opts: OptCompact | OptCompress}),
+		HelloFrame(OpOK, Hello{Version: ProtoVersion, Opts: OptTrace}),
+		HelloErrFrame("server speaks protocol version 2: client speaks version 3"),
+		{Op: OpHello},
+		{Op: OpHello, Payload: []byte{0xFF, 0, 0, 0}}, // version 1's feature PING
+		HelloFrame(OpHello, Hello{Version: ProtoVersion + 1, Opts: 1 << 9}),
 		{Op: OpOK},
-		ErrFrame("remote store: no such object"),
+		{Op: OpErr, Payload: []byte("short")}, // an ERR too short to lead with a record
+		{Op: OpOK, Payload: bytes.Repeat([]byte{0xAB}, 100)},
 		EncodeReadBatch(7, []ReadReq{{DS: 1, Idx: 2, Size: 32}, {DS: 1, Idx: 3, Size: 32}}),
-		{Op: OpWriteTag, Tag: 9, Payload: EncodeWrite(1, 5, []byte("x")).Payload},
-		{Op: OpAckTag, Tag: 9},
 		ErrTagFrame(11, "boom"),
 		EncodeAckBatch(9, 2),
 	}
@@ -59,7 +59,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if db, err := EncodeDataBatch(7, [][]byte{[]byte("aaaa"), []byte("bb"), nil}); err == nil {
 		seeds = append(seeds, db)
 	}
-	// Epoch-stamped verbs (the FeatEpoch extension): write tuples with
+	// Epoch-stamped verbs: write tuples with
 	// the u64 stamp spliced in, the READBATCH-shaped request under its
 	// own opcode, and the stamped scatter-gather reply — including a
 	// zero-epoch (absent object) segment and an empty payload.
@@ -77,7 +77,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}); err == nil {
 		seeds = append(seeds, db)
 	}
-	// Traversal-offload verbs (the FeatChase extension): programs with
+	// Traversal-offload verbs: programs with
 	// and without field masks, and replies across the status space —
 	// multi-hop done, budget-exhausted, and an empty path.
 	seeds = append(seeds, EncodeChaseBatch(16, []ChaseReq{
@@ -95,7 +95,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}); err == nil {
 		seeds = append(seeds, cd)
 	}
-	// Compact-tier verbs (the FeatCompact/FeatCompress extension):
+	// Compact-tier verbs:
 	// delta-encoded read batches, mixed-scheme data batches, write
 	// batches with full, zero, compressed and range tuples, and the
 	// rejected-bitmap ack.
@@ -159,8 +159,8 @@ func FuzzFrameDecode(f *testing.F) {
 	// length prefix, tagged opcode with missing tag, trailing garbage.
 	f.Add([]byte{})
 	f.Add([]byte{0x0C, 0x00, 0x00})                                  // torn header
-	f.Add([]byte{0x0C, 0x00, 0x00, 0x00, byte(OpRead), 1, 2, 3})     // torn payload
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(OpData)})              // oversized length
+	f.Add([]byte{0x0C, 0x00, 0x00, 0x00, byte(OpHello), 1, 2, 3})    // torn payload
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(OpErr)})               // oversized length
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, byte(OpReadBatch)})         // tagged, no tag bytes
 	f.Add(append(frameBytes(f, Frame{Op: OpOK}, false), 0xDE, 0xAD)) // trailing garbage
 
@@ -216,16 +216,10 @@ func FuzzFrameDecode(f *testing.F) {
 		// Payload decoders: no panics, and success implies an identical
 		// re-encoding.
 		switch fr.Op {
-		case OpRead:
-			if r, err := DecodeRead(fr.Payload); err == nil {
-				if re := EncodeRead(r.DS, r.Idx, r.Size); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("READ re-encode mismatch")
-				}
-			}
-		case OpWrite, OpWriteTag:
-			if r, err := DecodeWrite(fr.Payload); err == nil {
-				if re := EncodeWrite(r.DS, r.Idx, r.Data); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITE re-encode mismatch")
+		case OpHello, OpOK, OpErr:
+			if h, err := DecodeHello(fr.Payload); err == nil {
+				if re := h.Append(nil); !bytes.Equal(re, fr.Payload[:HelloSize]) {
+					t.Fatalf("hello record re-encode mismatch")
 				}
 			}
 		case OpReadBatch:
@@ -309,8 +303,6 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("CHASEDATA re-encode mismatch")
 				}
 			}
-		case OpPing, OpOK:
-			DecodeFeatures(fr.Payload)
 		case OpReadBatchC:
 			// The compact encodings are non-canonical (a repeated DS may
 			// arrive as either the same-DS bit or an explicit varint), so

@@ -6,7 +6,7 @@ import (
 	"math/bits"
 )
 
-// A small LZ77 block codec for the FeatCompress wire tier.
+// A small LZ77 block codec for the compact wire tier (OptCompress).
 //
 // The format is the classic byte-oriented token stream (LZ4 block
 // style): each sequence is a token byte whose high nibble is the

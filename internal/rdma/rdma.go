@@ -2,34 +2,32 @@
 // and a remote memory server. The paper's systems run over DPDK/RDMA on
 // 25 Gb/s ConnectX-4 NICs; Go has no DPDK path, so this package provides
 // the closest portable equivalent: a compact binary framing for
-// one-sided-style READ/WRITE verbs over a reliable byte stream (TCP, or
-// net.Pipe in tests). The simulated-time experiments never touch this
-// code — they charge the netsim cost model instead — but the runtime can
-// run against a real cardsd server through internal/remote, which proves
-// the data path end to end.
+// one-sided-style batched read/write verbs over a reliable byte stream
+// (TCP, or net.Pipe in tests). The simulated-time experiments never
+// touch this code — they charge the netsim cost model instead — but the
+// runtime can run against a real cardsd server through internal/remote,
+// which proves the data path end to end.
 //
 // Frame layout (little endian):
 //
-//	u32 payloadLen | u8 op | payload                       (untagged ops)
-//	u32 payloadLen | u8 op | u32 tag | payload             (tagged ops)
+//	u32 payloadLen | u8 op | payload                       (control: HELLO, OK, ERR)
+//	u32 payloadLen | u8 op | u32 tag | [ext] | payload     (data verbs)
 //
 // Opcodes with the high bit (TagBit) set carry a u32 tag between the
-// opcode and the payload; payloadLen never includes the tag. Tags let a
-// pipelined client keep many requests in flight and demultiplex
-// completions arriving out of order.
+// opcode and the payload; payloadLen never includes the tag. Tags let
+// the client keep many requests in flight and demultiplex completions
+// arriving out of order. A connection opens with one plain-framed
+// HELLO/OK exchange (hello.go); every frame after it is followed by a
+// CRC32-C trailer (crc.go), and on a traced session every tagged frame
+// carries a fixed 20-byte trace block (trace.go) where [ext] stands.
 //
 // Payloads:
 //
-//	READ:      u32 ds | u32 idx | u32 size                 -> DATA frame
-//	WRITE:     u32 ds | u32 idx | u32 size | bytes         -> OK frame
-//	PING:      (empty) or u32 features                     -> OK frame
-//	DATA:      bytes
-//	OK:        (empty), or u32 features replying to a feature PING
-//	ERR:       utf-8 message
+//	HELLO:      12-byte self-checked hello record          -> OK or ERR
+//	OK:         the hello record, echoed
+//	ERR:        hello record of the refusing side | utf-8 message
 //	READBATCH:  u32 count | count x (u32 ds | u32 idx | u32 size)
 //	DATABATCH:  u32 count | count x (u32 len | bytes)      (request order)
-//	WRITETAG:   as WRITE                                   -> ACKTAG frame
-//	ACKTAG:     (empty)
 //	ERRTAG:     utf-8 message (tagged reply to a failed tagged request)
 //	WRITEBATCH: u32 count | count x (u32 ds | u32 idx | u32 len | bytes)
 //	ACKBATCH:   u32 count                                  (writes applied)
@@ -38,13 +36,7 @@
 //	CHASEDATA:  u32 count | count x (u32 status | u64 final | u32 hopCount |
 //	            hopCount x (u32 idx | u32 len | bytes))    (request order)
 //
-// Interoperability: untagged frames are byte-identical to the original
-// protocol. A client discovers whether its peer speaks the tagged/batch
-// extension by sending PING with a u32 feature word; a new server echoes
-// its own feature word in the OK payload, while a legacy server returns
-// an empty OK (its PING handler ignores the payload) — so new clients
-// fall back to the serial verbs and legacy clients never see a tagged
-// frame.
+// epoch.go and compact.go document the epoch-stamped and compact verbs.
 package rdma
 
 import (
@@ -56,30 +48,26 @@ import (
 // Op identifies a frame type.
 type Op uint8
 
-// Frame opcodes.
+// Control opcodes (untagged). The values 1, 2 and 4 are reserved:
+// protocol version 1 used them, and a stray frame from such a peer must
+// never decode as a live verb.
 const (
-	OpRead Op = iota + 1
-	OpWrite
-	OpPing
-	OpData
-	OpOK
-	OpErr
+	// OpHello opens a connection; see hello.go.
+	OpHello Op = 3
+	OpOK    Op = 5
+	OpErr   Op = 6
 )
 
 // TagBit marks opcodes whose frames carry a u32 tag after the opcode.
 const TagBit Op = 0x80
 
-// Tagged opcodes (the pipelined/batched extension).
+// Tagged opcodes. TagBit|0x03 and TagBit|0x04 are reserved likewise.
 const (
 	// OpReadBatch requests count reads in one frame; the reply is one
 	// OpDataBatch (same tag) with the payloads in request order.
 	OpReadBatch Op = TagBit | 0x01
 	// OpDataBatch is the scatter-gather reply to OpReadBatch.
 	OpDataBatch Op = TagBit | 0x02
-	// OpWriteTag is a tagged WRITE; acknowledged by OpAckTag.
-	OpWriteTag Op = TagBit | 0x03
-	// OpAckTag acknowledges a tagged write.
-	OpAckTag Op = TagBit | 0x04
 	// OpErrTag reports failure of the tagged request with the same tag.
 	OpErrTag Op = TagBit | 0x05
 	// OpWriteBatch carries count writes in one frame — the write-side
@@ -90,7 +78,7 @@ const (
 	// number of writes applied so the client can detect a torn batch.
 	OpAckBatch Op = TagBit | 0x07
 	// OpWriteEpochBatch is WRITEBATCH with a u64 epoch stamp per tuple
-	// (the replication extension — see epoch.go). Acked by OpAckBatch.
+	// (the replication verbs — see epoch.go). Acked by OpAckBatch.
 	OpWriteEpochBatch Op = TagBit | 0x08
 	// OpReadEpochBatch is READBATCH whose reply carries each object's
 	// stored epoch; answered by OpDataEpochBatch.
@@ -112,14 +100,8 @@ func (o Op) Tagged() bool { return o&TagBit != 0 }
 
 func (o Op) String() string {
 	switch o {
-	case OpRead:
-		return "READ"
-	case OpWrite:
-		return "WRITE"
-	case OpPing:
-		return "PING"
-	case OpData:
-		return "DATA"
+	case OpHello:
+		return "HELLO"
 	case OpOK:
 		return "OK"
 	case OpErr:
@@ -128,10 +110,6 @@ func (o Op) String() string {
 		return "READBATCH"
 	case OpDataBatch:
 		return "DATABATCH"
-	case OpWriteTag:
-		return "WRITETAG"
-	case OpAckTag:
-		return "ACKTAG"
 	case OpErrTag:
 		return "ERRTAG"
 	case OpWriteBatch:
@@ -168,7 +146,7 @@ const MaxFrame = 16 << 20
 
 // Frame is one decoded protocol message. Tag is meaningful only for
 // tagged opcodes (Op.Tagged) and is zero otherwise. HasExt marks a
-// tagged frame carrying the fixed trace block of a FeatTrace session
+// tagged frame carrying the fixed trace block of a traced session
 // (see trace.go); Ext is its raw bytes, decoded via TraceCtx or
 // ServerStamp. Both are value fields so the frame stays allocation-free.
 type Frame struct {
@@ -231,148 +209,25 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// ReadFrame reads and decodes one frame.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: oversized frame (%d bytes)", n)
-	}
-	f := Frame{Op: Op(hdr[4])}
-	if f.Op.Tagged() {
-		var tag [tagSize]byte
-		if _, err := io.ReadFull(r, tag[:]); err != nil {
-			return Frame{}, err
-		}
-		f.Tag = binary.LittleEndian.Uint32(tag[:])
-	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, err
-		}
-	}
-	return f, nil
-}
+// ReadFrame reads and decodes one plain frame (no trailer, no trace
+// block) into a heap payload: the handshake exchange, and tests.
+func ReadFrame(r io.Reader) (Frame, error) { return ReadFrameOpts(r, false, false) }
 
-// ReadReq is a decoded READ request.
+// ReadReq is one (ds, idx, size) read tuple.
 type ReadReq struct {
 	DS, Idx, Size uint32
 }
 
-// WriteReq is a decoded WRITE request.
+// WriteReq is one full-object write tuple.
 type WriteReq struct {
 	DS, Idx uint32
 	Data    []byte
 }
 
-// EncodeRead builds a READ frame.
-func EncodeRead(ds, idx, size uint32) Frame {
-	p := make([]byte, 12)
-	binary.LittleEndian.PutUint32(p[0:], ds)
-	binary.LittleEndian.PutUint32(p[4:], idx)
-	binary.LittleEndian.PutUint32(p[8:], size)
-	return Frame{Op: OpRead, Payload: p}
-}
-
-// DecodeRead parses a READ payload.
-func DecodeRead(p []byte) (ReadReq, error) {
-	if len(p) != 12 {
-		return ReadReq{}, fmt.Errorf("rdma: bad READ payload length %d", len(p))
-	}
-	return ReadReq{
-		DS:   binary.LittleEndian.Uint32(p[0:]),
-		Idx:  binary.LittleEndian.Uint32(p[4:]),
-		Size: binary.LittleEndian.Uint32(p[8:]),
-	}, nil
-}
-
-// EncodeWrite builds a WRITE frame.
-func EncodeWrite(ds, idx uint32, data []byte) Frame {
-	p := make([]byte, 12+len(data))
-	binary.LittleEndian.PutUint32(p[0:], ds)
-	binary.LittleEndian.PutUint32(p[4:], idx)
-	binary.LittleEndian.PutUint32(p[8:], uint32(len(data)))
-	copy(p[12:], data)
-	return Frame{Op: OpWrite, Payload: p}
-}
-
-// DecodeWrite parses a WRITE payload.
-func DecodeWrite(p []byte) (WriteReq, error) {
-	if len(p) < 12 {
-		return WriteReq{}, fmt.Errorf("rdma: bad WRITE payload length %d", len(p))
-	}
-	n := binary.LittleEndian.Uint32(p[8:])
-	if int(n) != len(p)-12 {
-		return WriteReq{}, fmt.Errorf("rdma: WRITE length mismatch: header %d, actual %d", n, len(p)-12)
-	}
-	return WriteReq{
-		DS:   binary.LittleEndian.Uint32(p[0:]),
-		Idx:  binary.LittleEndian.Uint32(p[4:]),
-		Data: p[12:],
-	}, nil
-}
-
-// ErrFrame builds an ERR frame carrying a message.
-func ErrFrame(msg string) Frame { return Frame{Op: OpErr, Payload: []byte(msg)} }
-
 // ErrTagFrame builds a tagged ERR frame so a pipelined peer can route the
 // failure to the request with the same tag.
 func ErrTagFrame(tag uint32, msg string) Frame {
 	return Frame{Op: OpErrTag, Tag: tag, Payload: []byte(msg)}
-}
-
-// Feature bits exchanged on PING (u32, little endian).
-const (
-	// FeatBatch: the peer understands tagged frames and the
-	// READBATCH/DATABATCH/WRITETAG verbs.
-	FeatBatch uint32 = 1 << 0
-	// FeatCRC: the peer can switch the session to checksummed framing
-	// (a CRC32-C trailer per frame — see crc.go). When both sides
-	// advertise it, every frame after the negotiation exchange carries
-	// the trailer.
-	FeatCRC uint32 = 1 << 1
-	// FeatWriteBatch: the peer understands the WRITEBATCH/ACKBATCH
-	// verbs. A client talking to a peer without this bit falls back to
-	// one WRITETAG frame per write — same wire bytes a legacy peer has
-	// always seen.
-	FeatWriteBatch uint32 = 1 << 2
-	// FeatEpoch: the peer understands the epoch-stamped verbs
-	// (WRITEEPOCHBATCH/READEPOCHBATCH/DATAEPOCHBATCH) that the
-	// replication layer uses to version whole-object images. Sessions
-	// without the bit never see an epoch frame, so legacy peers stay
-	// byte-identical. (FeatTrace = 1<<3 lives in trace.go.)
-	FeatEpoch uint32 = 1 << 4
-	// FeatChase: the peer understands the traversal-offload verbs
-	// (CHASEBATCH/CHASEDATA) that collapse a K-hop pointer chase into
-	// one round trip. Clients talking to peers without the bit fall back
-	// to per-hop reads — the same wire bytes a legacy peer has always
-	// seen.
-	FeatChase uint32 = 1 << 5
-)
-
-// EncodeFeatures packs a feature word into a PING/OK payload.
-func EncodeFeatures(feats uint32) []byte {
-	p := make([]byte, 4)
-	binary.LittleEndian.PutUint32(p, feats)
-	return p
-}
-
-// DecodeFeatures unpacks a feature word; ok is false when the payload
-// carries none (a legacy peer).
-func DecodeFeatures(p []byte) (feats uint32, ok bool) {
-	if len(p) < 4 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(p), true
-}
-
-// PingFeatures builds the feature-negotiation PING.
-func PingFeatures(feats uint32) Frame {
-	return Frame{Op: OpPing, Payload: EncodeFeatures(feats)}
 }
 
 // readReqSize is the wire size of one (ds, idx, size) read tuple.
@@ -492,9 +347,7 @@ func WriteBatchSize(reqs []WriteReq) int {
 }
 
 // EncodeWriteBatch builds a WRITEBATCH frame for the given tuples. The
-// payload is the tuples' WRITE payloads concatenated behind a count, so
-// batching changes framing only — each write's bytes are identical to
-// the WRITETAG fallback a legacy peer receives.
+// payload is the tuples concatenated behind a count.
 func EncodeWriteBatch(tag uint32, reqs []WriteReq) (Frame, error) {
 	n := WriteBatchSize(reqs)
 	if n > MaxFrame {

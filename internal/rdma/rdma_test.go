@@ -9,7 +9,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{Op: OpData, Payload: []byte("hello far memory")}
+	in := Frame{Op: OpErr, Payload: []byte("hello far memory")}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestEmptyPayload(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Op: OpData, Payload: make([]byte, MaxFrame+1)}); err == nil {
+	if err := WriteFrame(&buf, Frame{Op: OpErr, Payload: make([]byte, MaxFrame+1)}); err == nil {
 		t.Fatal("oversized write should fail")
 	}
 	// Forged oversized header.
-	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpData)}
+	forged := []byte{0xff, 0xff, 0xff, 0xff, byte(OpErr)}
 	if _, err := ReadFrame(bytes.NewReader(forged)); err == nil {
 		t.Fatal("oversized read should fail")
 	}
@@ -47,7 +47,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Op: OpData, Payload: []byte("abcdef")})
+	WriteFrame(&buf, Frame{Op: OpErr, Payload: []byte("abcdef")})
 	raw := buf.Bytes()
 	if _, err := ReadFrame(bytes.NewReader(raw[:3])); err == nil {
 		t.Fatal("truncated header should fail")
@@ -58,45 +58,48 @@ func TestTruncatedFrame(t *testing.T) {
 }
 
 func TestReadReqCodec(t *testing.T) {
-	f := EncodeRead(3, 77, 4096)
-	if f.Op != OpRead {
+	f := EncodeReadBatch(1, []ReadReq{{DS: 3, Idx: 77, Size: 4096}})
+	if f.Op != OpReadBatch {
 		t.Fatal("wrong op")
 	}
-	req, err := DecodeRead(f.Payload)
+	reqs, err := DecodeReadBatch(f.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.DS != 3 || req.Idx != 77 || req.Size != 4096 {
-		t.Fatalf("req = %+v", req)
+	if len(reqs) != 1 || reqs[0] != (ReadReq{DS: 3, Idx: 77, Size: 4096}) {
+		t.Fatalf("reqs = %+v", reqs)
 	}
-	if _, err := DecodeRead([]byte{1, 2}); err == nil {
+	if _, err := DecodeReadBatch([]byte{1, 2}); err == nil {
 		t.Fatal("short payload should fail")
 	}
 }
 
 func TestWriteReqCodec(t *testing.T) {
 	data := []byte{9, 8, 7, 6}
-	f := EncodeWrite(1, 2, data)
-	req, err := DecodeWrite(f.Payload)
+	f, err := EncodeWriteBatch(1, []WriteReq{{DS: 1, Idx: 2, Data: data}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.DS != 1 || req.Idx != 2 || !bytes.Equal(req.Data, data) {
-		t.Fatalf("req = %+v", req)
+	reqs, err := DecodeWriteBatch(f.Payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeWrite([]byte{0}); err == nil {
+	if len(reqs) != 1 || reqs[0].DS != 1 || reqs[0].Idx != 2 || !bytes.Equal(reqs[0].Data, data) {
+		t.Fatalf("reqs = %+v", reqs)
+	}
+	if _, err := DecodeWriteBatch([]byte{0}); err == nil {
 		t.Fatal("short payload should fail")
 	}
 	// Length mismatch.
 	bad := append([]byte(nil), f.Payload...)
 	bad = append(bad, 0xEE)
-	if _, err := DecodeWrite(bad); err == nil {
+	if _, err := DecodeWriteBatch(bad); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
 }
 
 func TestOpStrings(t *testing.T) {
-	for _, op := range []Op{OpRead, OpWrite, OpPing, OpData, OpOK, OpErr} {
+	for _, op := range []Op{OpHello, OpOK, OpErr} {
 		if strings.HasPrefix(op.String(), "op(") {
 			t.Errorf("missing name for op %d", op)
 		}
@@ -112,19 +115,20 @@ func TestWriteCodecProperty(t *testing.T) {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		fr := EncodeWrite(ds, idx, data)
+		fr, err := EncodeWriteBatch(7, []WriteReq{{DS: ds, Idx: idx, Data: data}})
 		var buf bytes.Buffer
-		if WriteFrame(&buf, fr) != nil {
+		if err != nil || WriteFrame(&buf, fr) != nil {
 			return false
 		}
 		got, err := ReadFrame(&buf)
 		if err != nil {
 			return false
 		}
-		req, err := DecodeWrite(got.Payload)
-		if err != nil {
+		reqs, err := DecodeWriteBatch(got.Payload)
+		if err != nil || len(reqs) != 1 {
 			return false
 		}
+		req := reqs[0]
 		return req.DS == ds && req.Idx == idx && bytes.Equal(req.Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

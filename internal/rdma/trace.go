@@ -6,13 +6,11 @@ import (
 	"io"
 )
 
-// Trace extension. Peers that both advertise FeatTrace switch the
-// session to extended tagged framing right after feature negotiation:
-// every tagged frame then carries a fixed traceExtSize-byte trace block
-// between the tag and the payload. Like the tag, the block is never
-// counted in payloadLen, and untagged frames (the negotiation exchange,
-// the serial verbs) never carry it — so a session without FeatTrace is
-// byte-identical to the legacy protocol by construction.
+// Trace extension. A session whose hello asked for OptTrace uses
+// extended tagged framing: every tagged frame carries a fixed
+// traceExtSize-byte trace block between the tag and the payload. Like
+// the tag, the block is never counted in payloadLen, and untagged
+// frames never carry it.
 //
 //	u32 payloadLen | u8 op | u32 tag | 20B trace ext | payload
 //
@@ -30,11 +28,6 @@ import (
 // server-queue / server-service without any clock synchronization.
 // Frames of an unsampled op carry an all-zero request block: keeping the
 // framing fixed-size means readers never branch on content.
-
-// FeatTrace: the peer understands extended tagged framing — a fixed
-// trace block on every tagged frame — and (server side) stamps replies
-// with receive/dispatch/complete timing.
-const FeatTrace uint32 = 1 << 3
 
 // traceExtSize is the fixed size of the trace block.
 const traceExtSize = 20
@@ -82,8 +75,8 @@ func (f *Frame) ServerStamp() (recvUS uint64, queueUS, serviceUS uint32) {
 	return
 }
 
-// ReadFrameOpts reads one frame under the session's negotiated framing:
-// crc selects the checksum trailer, trace the tagged-frame trace block.
+// ReadFrameOpts reads one frame under the session's framing: crc
+// selects the checksum trailer, trace the tagged-frame trace block.
 // The payload is heap-allocated; see ReadFramePooledOpts for the pooled
 // variant the data paths use.
 func ReadFrameOpts(r io.Reader, crc, trace bool) (Frame, error) {

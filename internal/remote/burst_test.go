@@ -51,8 +51,7 @@ func (c *countConn) Write(p []byte) (int, error) {
 	return c.ReadWriteCloser.Write(p)
 }
 
-// TestSyncReadCostsOneWritePerSide: on a checksummed session a
-// synchronous ReadObj is one Write by the client (the doorbell) and one
+// TestSyncReadCostsOneWritePerSide: a synchronous ReadObj is one Write by the client (the doorbell) and one
 // Write by the server (header, payload and CRC trailer assembled in its
 // buffered writer), and neither side ever reads a frame field by field:
 // every Read offers the whole connection buffer, so it takes whatever
@@ -62,12 +61,6 @@ func TestSyncReadCostsOneWritePerSide(t *testing.T) {
 	rand.New(rand.NewSource(9)).Read(obj) // incompressible: the reply carries all 4 KiB
 
 	run := func(t *testing.T, cconn, sconn *countConn, cl *PipelinedClient, exactReads bool) {
-		cl.mu.Lock()
-		crc := cl.crc
-		cl.mu.Unlock()
-		if !crc {
-			t.Fatal("session did not negotiate checksummed framing")
-		}
 		if err := cl.WriteObj(1, 1, obj); err != nil {
 			t.Fatal(err)
 		}
@@ -75,8 +68,8 @@ func TestSyncReadCostsOneWritePerSide(t *testing.T) {
 		if err := cl.ReadObj(1, 1, got); err != nil { // warm-up
 			t.Fatal(err)
 		}
-		// Negotiation reads the client's raw connection field by field
-		// (legacy framing, before the reader exists); count from here.
+		// The hello reads the client's raw connection field by field
+		// (plain framing, before the reader exists); count from here.
 		cconn.minReadBuf.Store(1 << 62)
 		cw, sw := cconn.writes.Load(), sconn.writes.Load()
 		cr, sr := cconn.dataReads.Load(), sconn.dataReads.Load()
@@ -192,11 +185,7 @@ func TestReconnectDropsDeadGenerationBuffer(t *testing.T) {
 	go func() {
 		scriptErr <- func() error {
 			defer c1.Close()
-			if _, err := rdma.ReadFrame(c1); err != nil {
-				return err
-			}
-			feats := rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch
-			if err := rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(feats)}); err != nil {
+			if _, err := stubHello(c1); err != nil {
 				return err
 			}
 			// Three single-read batches and one write batch, in any order.

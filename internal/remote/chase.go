@@ -2,26 +2,19 @@ package remote
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
-	"time"
 
-	"cards/internal/obs"
 	"cards/internal/rdma"
 )
 
-// Traversal offload (the FeatChase extension). A CHASEBATCH ships one or
-// more compact traversal programs to the server, which walks each chain
-// in its local store and answers with the whole path in one CHASEDATA —
-// collapsing K dependent round trips into one. Chases are read-only and
-// ride the ordinary read window: same doorbell coalescing, same tag
-// demux, and the same idempotent replay on reconnect as READBATCH.
-
-// ErrChaseUnsupported reports a chase issued against a peer (or through
-// a fallback client) that never negotiated rdma.FeatChase. It is
-// definitive for the current session: callers degrade to per-hop reads.
-var ErrChaseUnsupported = errors.New("remote: peer does not support traversal offload")
+// Traversal offload. A CHASEBATCH ships one or more compact traversal
+// programs to the server, which walks each chain in its local store and
+// answers with the whole path in one CHASEDATA — collapsing K dependent
+// round trips into one. Chases are read-only and ride the ordinary read
+// window: same doorbell coalescing, same tag demux, and the same
+// idempotent replay on reconnect as READBATCH. (farmem.ChaseStore is
+// the interface the runtime consumes them through.)
 
 // Wire overhead the flusher charges per chase program when bounding a
 // batch against rdma.MaxFrame: the reply's fixed result header
@@ -52,32 +45,12 @@ func chaseIssuable(req rdma.ChaseReq) error {
 	return nil
 }
 
-// ChaseStore is the synchronous traversal-offload client surface the
-// farmem runtime builds on.
-type ChaseStore interface {
-	// Chase runs one traversal program remotely and returns the visited
-	// path. Hop data is caller-owned (copied out of the reply frame).
-	Chase(req rdma.ChaseReq) (rdma.ChaseResult, error)
-}
+// ChaseCapable implements farmem.ChaseStore. The chase verbs are part
+// of the protocol, so a client offloads for as long as it lives.
+func (c *PipelinedClient) ChaseCapable() bool { return c.Alive() }
 
-// AsyncChaseStore is the pipelined traversal-offload surface: issue
-// without blocking, complete exactly once via the callback. The result
-// passed to done is caller-owned.
-type AsyncChaseStore interface {
-	IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error))
-}
-
-// ChaseCapable reports whether the live session negotiated the chase
-// verbs. A false result can flip true after a reconnect (and vice
-// versa); callers treat it as advisory and handle ErrChaseUnsupported.
-func (c *PipelinedClient) ChaseCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.chaseOK
-}
-
-// IssueChase implements AsyncChaseStore: the program is enqueued like a
-// read and done is invoked exactly once (possibly on the reader
+// IssueChase implements farmem.AsyncChaseStore: the program is enqueued
+// like a read and done is invoked exactly once (possibly on the reader
 // goroutine) with the decoded, caller-owned path. done must not block.
 func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
 	if err := chaseIssuable(req); err != nil {
@@ -89,7 +62,7 @@ func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResu
 	})
 }
 
-// Chase implements ChaseStore (issue + wait).
+// Chase implements farmem.ChaseStore (issue + wait).
 func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	if err := chaseIssuable(req); err != nil {
 		return rdma.ChaseResult{}, err
@@ -103,53 +76,34 @@ func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	return op.cres, err
 }
 
-// ChaseCapable reports whether the current underlying client speaks the
-// chase verbs (false when the fallback serial client is in use, or no
-// client can be dialed).
+// ChaseCapable implements farmem.ChaseStore: false only while no client
+// can be dialed.
 func (r *Resilient) ChaseCapable() bool {
 	c, err := r.client()
-	if err != nil {
-		return false
-	}
-	pc, ok := c.(*PipelinedClient)
-	return ok && pc.ChaseCapable()
+	return err == nil && c.Alive()
 }
 
-// Chase implements ChaseStore over the replaceable client.
+// Chase implements farmem.ChaseStore over the replaceable client.
 func (r *Resilient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	c, err := r.client()
 	if err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return rdma.ChaseResult{}, ErrChaseUnsupported
-	}
-	res, err := pc.Chase(req)
-	if err != nil && !errors.Is(err, ErrChaseUnsupported) {
-		r.retire(pc)
-	}
+	res, err := c.Chase(req)
+	r.retireOn(c, err)
 	return res, err
 }
 
-// IssueChase implements AsyncChaseStore over the replaceable client.
+// IssueChase implements farmem.AsyncChaseStore over the replaceable
+// client.
 func (r *Resilient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
 	c, err := r.client()
 	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(rdma.ChaseResult{}, ErrChaseUnsupported)
-		return
-	}
-	pc.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		if err != nil && !errors.Is(err, ErrChaseUnsupported) {
-			r.retire(pc)
-		}
+	c.IssueChase(req, func(res rdma.ChaseResult, err error) {
+		r.retireOn(c, err)
 		done(res, err)
 	})
 }
@@ -177,58 +131,33 @@ func copyChaseResult(res rdma.ChaseResult) rdma.ChaseResult {
 	return out
 }
 
-// serveChaseBatch handles one CHASEBATCH frame on a worker goroutine:
-// validate every program, then walk each chain directly into one pooled
-// CHASEDATA reply. The request scratch slice is returned for the worker
-// to reuse. Malformed programs are rejected with a definitive ERRTAG —
-// in particular a zero hop budget or an out-of-object next-pointer
-// offset never reaches the walk, and the walk itself is bounded by the
-// hop budget so an unterminated (cyclic) chain cannot loop the server.
-func (s *Server) serveChaseBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.ChaseReq) []rdma.ChaseReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	reqs, err := rdma.DecodeChaseBatchInto(f.Payload, scratch)
+// chaseBatch validates every program, then walks each chain directly
+// into one pooled CHASEDATA reply. Malformed programs are rejected with
+// a definitive ERRTAG — in particular a zero hop budget or an
+// out-of-object next-pointer offset never reaches the walk, and the walk
+// itself is bounded by the hop budget so an unterminated (cyclic) chain
+// cannot loop the server.
+func (s *Server) chaseBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeChaseBatchInto(f.Payload, w.chases)
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.chases = reqs
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {
-			s.metrics.errors.Inc()
-			resp := rdma.ErrTagFrame(f.Tag, err.Error())
-			s.stamp(&resp, trace, j.recv, start)
-			send(resp)
-			return reqs
+			return rdma.Frame{}, served{}, err
 		}
 	}
 	bound := rdma.ChaseReplyBound(reqs)
 	if bound > rdma.MaxFrame {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, "chase reply exceeds frame limit")
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return reqs
+		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
-	p := rdma.GetBuf(int(bound))
-	w := rdma.BeginChaseData(p, len(reqs))
+	cw := rdma.BeginChaseData(rdma.GetBuf(int(bound)), len(reqs))
 	hops := 0
 	for _, r := range reqs {
-		hops += s.chaseOne(&w, r)
+		hops += s.chaseOne(&cw, r)
 	}
-	s.observeChaseBatch(connID, len(reqs), hops, start, startUS, reqTrace(f))
-	resp := w.Frame(f.Tag)
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	rdma.PutBuf(p)
-	return reqs
+	return cw.Frame(f.Tag), served{family: rdma.OpChaseBatch, n: len(reqs), hops: hops}, nil
 }
 
 // chaseOne walks one validated program against the local store, gathers
@@ -274,29 +203,5 @@ func applyChaseMask(slot []byte, mask uint64) {
 				slot[i] = 0
 			}
 		}
-	}
-}
-
-// observeChaseBatch records one served CHASEBATCH: the batch counters,
-// the hops walked on the client's behalf, and one trace span carrying
-// the program count, hop total, and the distributed trace ID (0 when
-// the batch carried none).
-func (s *Server) observeChaseBatch(connID, n, hops int, start time.Time, startUS uint64, trace uint64) {
-	ns := uint64(time.Since(start).Nanoseconds())
-	s.metrics.chaseBatches.Inc()
-	s.metrics.chases.Add(uint64(n))
-	s.metrics.chaseHops.Add(uint64(hops))
-	s.metrics.chaseNS.Observe(ns)
-	if s.tracer != nil {
-		s.tracer.Emit(obs.TraceEvent{
-			TS:       startUS,
-			Dur:      ns / 1000,
-			Cat:      "remote",
-			Name:     rdma.OpChaseBatch.String(),
-			TID:      connID,
-			Trace:    trace,
-			Arg1Name: "chases", Arg1: int64(n),
-			Arg2Name: "hops", Arg2: int64(hops),
-		})
 	}
 }

@@ -1,6 +1,6 @@
 package remote
 
-// The FeatCompact wire tier, server side and shared policy: bit-packed
+// The compact wire tier, server side and shared policy: bit-packed
 // batch frames (rdma/compact.go), adaptive per-object compression, and
 // dirty-range write-back with read-modify-write application.
 //
@@ -25,14 +25,13 @@ package remote
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
 	"cards/internal/stats"
 )
 
-// Wire-efficiency series (the FeatCompact tier).
+// Wire-efficiency series (the compact tier).
 const (
 	// MetricWireBytes counts bytes on the wire per frame verb
 	// (label "verb"), both directions, payload framing included.
@@ -72,8 +71,7 @@ type wireMetrics struct {
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	ops := []rdma.Op{
-		rdma.OpReadBatch, rdma.OpDataBatch, rdma.OpWriteBatch, rdma.OpAckBatch,
-		rdma.OpWriteTag, rdma.OpAckTag,
+		rdma.OpReadBatch, rdma.OpDataBatch, rdma.OpWriteBatch, rdma.OpAckBatch, rdma.OpErrTag,
 		rdma.OpReadEpochBatch, rdma.OpDataEpochBatch, rdma.OpWriteEpochBatch,
 		rdma.OpChaseBatch, rdma.OpChaseData,
 		rdma.OpReadBatchC, rdma.OpDataBatchC, rdma.OpWriteBatchC,
@@ -229,38 +227,23 @@ func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Exte
 	}
 }
 
-// serveBatchC handles one READBATCH-C frame on a worker goroutine: the
-// compact twin of serveBatch. Each object is staged, classified (zero /
-// compressed / raw — compression only when the session negotiated
-// FeatCompress and the adaptive policy expects the DS to shrink), and
-// packed into one DATABATCH-C reply by the worker's pooled builder.
-func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error, trace, compress bool, scratch []rdma.ReadReq, cb *rdma.DataBatchCBuilder) []rdma.ReadReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
-	reqs, err := rdma.DecodeReadBatchCInto(f.Payload, scratch[:0])
+// readBatchC is the compact twin of readBatch. Each object is staged,
+// classified (zero / compressed / raw — compression only when the
+// session asked for it and the adaptive policy expects the DS to
+// shrink), and packed into one DATABATCH-C reply by the worker's pooled
+// builder.
+func (s *Server) readBatchC(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeReadBatchCInto(f.Payload, w.reads[:0])
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.reads = reqs
 	size := 6 + 13*len(reqs)
 	for _, r := range reqs {
 		size += int(r.Size)
 	}
 	if size > rdma.MaxFrame {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, "batch reply exceeds frame limit")
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return reqs
+		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
 	// A batch with no compression candidates takes the reserved-header
 	// layout: the staged object bytes become the frame payload directly,
@@ -274,6 +257,7 @@ func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error
 			}
 		}
 	}
+	cb := &w.cb
 	cb.Reset()
 	if !tryBatch {
 		cb.Begin(reqs)
@@ -291,19 +275,7 @@ func (s *Server) serveBatchC(j batchJob, connID int, send func(rdma.Frame) error
 		}
 	}
 	resp, err := cb.Frame(f.Tag)
-	if err != nil {
-		s.metrics.errors.Inc()
-		resp = rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return reqs
-	}
-	s.observeBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	rdma.PutBuf(resp.Payload)
-	return reqs
+	return resp, served{family: rdma.OpReadBatch, n: len(reqs)}, err
 }
 
 // compactWriteScratch is the per-worker reusable state of the compact
@@ -350,28 +322,17 @@ func (cw *compactWriteScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 	}
 }
 
-// serveWriteBatchC handles one WRITEBATCH-C / WRITEEPOCHBATCH-C frame
-// on a worker goroutine: tuples apply in batch order — full objects
-// through Write/WriteEpoch, range tuples spliced read-modify-write —
-// and the whole batch is acknowledged with one ACKBATCH-C whose bitmap
-// marks the epoch range tuples rejected for a stale base.
-func (s *Server) serveWriteBatchC(j batchJob, connID int, send func(rdma.Frame) error, trace, epoch bool, cw *compactWriteScratch) {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
+// writeBatchC applies one WRITEBATCH-C / WRITEEPOCHBATCH-C frame:
+// tuples apply in batch order — full objects through Write/WriteEpoch,
+// range tuples spliced read-modify-write — and the whole batch is
+// acknowledged with one ACKBATCH-C whose bitmap marks the epoch range
+// tuples rejected for a stale base.
+func (s *Server) writeBatchC(f rdma.Frame, w *workerScratch, epoch bool) (rdma.Frame, served, error) {
+	cw := &w.cw
 	reqs, exts, err := rdma.DecodeWriteBatchCInto(f.Payload, cw.reqs[:0], cw.exts[:0], epoch)
 	cw.reqs, cw.exts = reqs, exts
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return
+		return rdma.Frame{}, served{}, err
 	}
 	words := (len(reqs) + 63) / 64
 	if cap(cw.rej) < words {
@@ -387,11 +348,7 @@ func (s *Server) serveWriteBatchC(j batchJob, connID int, send func(rdma.Frame) 
 			// framing: reject the whole batch definitively. Earlier tuples
 			// have applied — the client's write-back layer reissues full
 			// objects on error, which is idempotent.
-			s.metrics.errors.Inc()
-			resp := rdma.ErrTagFrame(f.Tag, merr.Error())
-			s.stamp(&resp, trace, j.recv, start)
-			send(resp)
-			return
+			return rdma.Frame{}, served{}, merr
 		}
 		if r.Extents == nil {
 			if epoch {
@@ -414,21 +371,7 @@ func (s *Server) serveWriteBatchC(j batchJob, connID int, send func(rdma.Frame) 
 			s.Store.WriteRange(r.DS, r.Idx, r.ObjSize, r.Extents, raw)
 		}
 	}
-	s.observeWriteBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := rdma.EncodeAckBatchC(f.Tag, len(reqs), rej)
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	rdma.PutBuf(resp.Payload)
-}
-
-// RangeWriteStore is the asynchronous dirty-range write-back surface:
-// src is the full object image (the fallback when the session lacks
-// FeatCompact, and the base the extents index into), exts the modified
-// byte ranges, sorted and non-overlapping. src must stay valid until
-// done runs; done must not block.
-type RangeWriteStore interface {
-	IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error))
+	return rdma.EncodeAckBatchC(f.Tag, len(reqs), rej), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
 }
 
 // rangeWritable reports whether exts is a range set the wire tier can
@@ -445,12 +388,13 @@ func rangeWritable(src []byte, exts []rdma.Extent) bool {
 	return int(total) < len(src)
 }
 
-// IssueWriteRanges implements RangeWriteStore: the write rides the
-// pipeline like IssueWrite, but on a FeatCompact session only the
-// extents' bytes ship (spliced server-side read-modify-write). The
-// flusher falls back to the full object when the live session lacks
-// the feature — correctness never depends on negotiation. exts must
-// stay valid until done runs, like src.
+// IssueWriteRanges implements farmem.RangeWriteStore, the asynchronous
+// dirty-range write-back: src is the full object image, exts its
+// modified byte ranges, sorted and non-overlapping. The write rides the
+// pipeline like IssueWrite, but on a compact session only the extents'
+// bytes ship (spliced server-side read-modify-write); a NoCompact
+// session ships the full object. src and exts must stay valid until
+// done runs; done must not block.
 func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	if !rangeWritable(src, exts) {
 		c.IssueWrite(ds, idx, src, done)
@@ -478,53 +422,26 @@ func (c *PipelinedClient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src [
 	})
 }
 
-// IssueWriteRanges implements RangeWriteStore over the replaceable
-// client; a fallback serial client ships the full object.
+// IssueWriteRanges forwards over the replaceable client.
 func (r *Resilient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
-	c, err := r.client()
-	if err != nil {
-		done(err)
-		return
+	if c := r.clientOr(done); c != nil {
+		c.IssueWriteRanges(ds, idx, src, exts, r.retiring(c, done))
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueWriteRanges(ds, idx, src, exts, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	r.IssueWrite(ds, idx, src, done)
 }
 
-// IssueWriteRangesEpoch forwards the epoch-stamped range write over the
-// replaceable client. ErrStaleRangeBase is an application-level NAK
-// from a healthy session (the peer's base image missed an epoch), so it
-// does not retire the client; transport failures do.
+// IssueWriteRangesEpoch forwards over the replaceable client.
+// ErrStaleRangeBase is an application-level NAK from a healthy session
+// (the peer's base image missed an epoch), so it leaves the client in
+// place; transport failures retire it.
 func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
-	c, err := r.client()
-	if err != nil {
-		done(err)
-		return
+	if c := r.clientOr(done); c != nil {
+		c.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, r.retiring(c, done))
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(ErrEpochUnsupported)
-		return
-	}
-	pc.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, func(err error) {
-		if err != nil && !errors.Is(err, ErrStaleRangeBase) {
-			r.retire(pc)
-		}
-		done(err)
-	})
 }
 
 // compressInto applies the client-side compression decision to one
 // outgoing object: all-zero detection first, then — when compress is
-// set (the session negotiated FeatCompress) and the adaptive policy
+// set (the session asked for OptCompress) and the adaptive policy
 // expects the DS to shrink — an LZ pass into a pooled buffer. It
 // returns the scheme, the wire bytes (nil for SchemeZero; a pooled
 // buffer the caller must PutBuf for SchemeLZ; src itself for
@@ -586,12 +503,4 @@ func (c *PipelinedClient) compactWriteReq(op *pipeOp, compress bool, bufs *[][]b
 	r.RawLen = uint32(len(src))
 	r.Data = wire
 	return r
-}
-
-// CompactCapable reports whether the live session negotiated the
-// compact wire tier (advisory, like EpochCapable).
-func (c *PipelinedClient) CompactCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.compact
 }

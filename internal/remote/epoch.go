@@ -1,25 +1,14 @@
 package remote
 
-import (
-	"errors"
-	"time"
+import "cards/internal/rdma"
 
-	"cards/internal/rdma"
-)
-
-// Epoch-stamped operations (the FeatEpoch extension). The replication
-// layer versions whole-object images with a monotonically increasing
-// epoch so a replica can tell stale state from current without byte
-// comparison. The verbs ride the ordinary pipelined windows — same
-// doorbell coalescing, same tag demux, same ErrUncertainWrite fault
-// accounting — in their own frames, and only on sessions whose peer
-// advertised rdma.FeatEpoch.
-
-// ErrEpochUnsupported reports an epoch-stamped operation issued against
-// a peer (or through a fallback client) that never negotiated
-// rdma.FeatEpoch. It is definitive: retrying on the same session cannot
-// succeed.
-var ErrEpochUnsupported = errors.New("remote: peer does not support epoch-stamped verbs")
+// Epoch-stamped operations. The replication layer versions
+// whole-object images with a monotonically increasing epoch so a
+// replica can tell stale state from current without byte comparison.
+// The verbs ride the ordinary pipelined windows — same doorbell
+// coalescing, same tag demux, same ErrUncertainWrite fault accounting —
+// in their own frames. (replica.EpochBackend is the interface the
+// replication layer consumes them through.)
 
 // Wire overhead the flusher charges per epoch op when bounding a batch
 // against rdma.MaxFrame: the reply segment header of an epoch read
@@ -30,37 +19,6 @@ const (
 	epochTupleHdrSize = 20
 )
 
-// EpochStore is the synchronous epoch-stamped client surface the
-// replica layer builds on.
-type EpochStore interface {
-	// ReadObjEpoch fills dst and returns the object's stored epoch
-	// stamp (0 when absent or never epoch-stamped).
-	ReadObjEpoch(ds, idx int, dst []byte) (uint64, error)
-	// WriteObjEpoch stores src stamped with epoch. The server applies
-	// it only when epoch is at least the stored stamp, and acknowledges
-	// either way — a positive ack means "the object is at >= epoch",
-	// which is exactly the idempotent contract replayed write-backs
-	// need.
-	WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error
-}
-
-// AsyncEpochStore is the pipelined epoch-stamped surface: issue
-// without blocking, complete exactly once via the callback. src must
-// stay valid until done runs (the IssueWrite contract).
-type AsyncEpochStore interface {
-	IssueReadEpoch(ds, idx int, dst []byte, done func(epoch uint64, err error))
-	IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error))
-}
-
-// EpochCapable reports whether the live session negotiated the epoch
-// verbs. A false result can flip true after a reconnect (and vice
-// versa); callers treat it as advisory and handle ErrEpochUnsupported.
-func (c *PipelinedClient) EpochCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && c.epochOK
-}
-
 // IssueReadEpoch is IssueRead returning the object's stored epoch
 // stamp through done.
 func (c *PipelinedClient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
@@ -70,8 +28,11 @@ func (c *PipelinedClient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint
 	})
 }
 
-// IssueWriteEpoch is IssueWrite carrying an epoch stamp; see
-// EpochStore.WriteObjEpoch for the conditional-apply contract.
+// IssueWriteEpoch is IssueWrite carrying an epoch stamp. The server
+// applies the write only when epoch is at least the stored stamp, and
+// acknowledges either way — a positive ack means "the object is at >=
+// epoch", which is exactly the idempotent contract replayed write-backs
+// need.
 func (c *PipelinedClient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error)) {
 	c.enqueue(&pipeOp{
 		write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx),
@@ -79,7 +40,7 @@ func (c *PipelinedClient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte,
 	})
 }
 
-// ReadObjEpoch implements EpochStore (issue + wait).
+// ReadObjEpoch is IssueReadEpoch, waited for.
 func (c *PipelinedClient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
 	op := &pipeOp{
 		wantEp: true, ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)),
@@ -90,7 +51,7 @@ func (c *PipelinedClient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) 
 	return op.epoch, err
 }
 
-// WriteObjEpoch implements EpochStore (issue + wait).
+// WriteObjEpoch is IssueWriteEpoch, waited for.
 func (c *PipelinedClient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error {
 	op := &pipeOp{
 		write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx),
@@ -100,172 +61,77 @@ func (c *PipelinedClient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) e
 	return <-op.ch
 }
 
-// EpochCapable reports whether the current underlying client speaks the
-// epoch verbs (false when the fallback serial client is in use, or no
-// client can be dialed).
-func (r *Resilient) EpochCapable() bool {
-	c, err := r.client()
-	if err != nil {
-		return false
-	}
-	pc, ok := c.(*PipelinedClient)
-	return ok && pc.EpochCapable()
-}
-
-// ReadObjEpoch implements EpochStore over the replaceable client.
+// ReadObjEpoch forwards over the replaceable client.
 func (r *Resilient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
 	c, err := r.client()
 	if err != nil {
 		return 0, err
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return 0, ErrEpochUnsupported
-	}
-	epoch, err := pc.ReadObjEpoch(ds, idx, dst)
-	if err != nil {
-		r.retire(pc)
-	}
+	epoch, err := c.ReadObjEpoch(ds, idx, dst)
+	r.retireOn(c, err)
 	return epoch, err
 }
 
-// WriteObjEpoch implements EpochStore over the replaceable client.
+// WriteObjEpoch forwards over the replaceable client.
 func (r *Resilient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error {
-	c, err := r.client()
-	if err != nil {
-		return err
-	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		return ErrEpochUnsupported
-	}
-	if err := pc.WriteObjEpoch(ds, idx, epoch, src); err != nil {
-		r.retire(pc)
-		return err
-	}
-	return nil
+	return r.do(func(c *PipelinedClient) error { return c.WriteObjEpoch(ds, idx, epoch, src) })
 }
 
-// IssueReadEpoch implements AsyncEpochStore over the replaceable
-// client.
+// IssueReadEpoch forwards over the replaceable client.
 func (r *Resilient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
 	c, err := r.client()
 	if err != nil {
 		done(0, err)
 		return
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(0, ErrEpochUnsupported)
-		return
-	}
-	pc.IssueReadEpoch(ds, idx, dst, func(epoch uint64, err error) {
-		if err != nil {
-			r.retire(pc)
-		}
+	c.IssueReadEpoch(ds, idx, dst, func(epoch uint64, err error) {
+		r.retireOn(c, err)
 		done(epoch, err)
 	})
 }
 
-// IssueWriteEpoch implements AsyncEpochStore over the replaceable
-// client.
+// IssueWriteEpoch forwards over the replaceable client.
 func (r *Resilient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error)) {
-	c, err := r.client()
-	if err != nil {
-		done(err)
-		return
+	if c := r.clientOr(done); c != nil {
+		c.IssueWriteEpoch(ds, idx, epoch, src, r.retiring(c, done))
 	}
-	pc, ok := c.(*PipelinedClient)
-	if !ok {
-		r.retireFallback(c)
-		done(ErrEpochUnsupported)
-		return
-	}
-	pc.IssueWriteEpoch(ds, idx, epoch, src, func(err error) {
-		if err != nil {
-			r.retire(pc)
-		}
-		done(err)
-	})
 }
 
-// serveReadEpochBatch handles one READEPOCHBATCH frame on a worker
-// goroutine: gather every requested object and its stored epoch stamp
-// directly into one pooled DATAEPOCHBATCH reply. The request scratch
-// slice is returned for the worker to reuse.
-func (s *Server) serveReadEpochBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.ReadReq) []rdma.ReadReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	reqs, err := rdma.DecodeReadEpochBatchInto(f.Payload, scratch)
+// readEpochBatch gathers every requested object and its stored epoch
+// stamp directly into one pooled DATAEPOCHBATCH reply.
+func (s *Server) readEpochBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeReadEpochBatchInto(f.Payload, w.reads)
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.reads = reqs
 	size := rdma.DataEpochBatchSize(reqs)
 	if size > rdma.MaxFrame {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, "batch reply exceeds frame limit")
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return reqs
+		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
-	p := rdma.GetBuf(size)
-	w := rdma.BeginDataEpochBatch(p, len(reqs))
+	dw := rdma.BeginDataEpochBatch(rdma.GetBuf(size), len(reqs))
 	for _, r := range reqs {
 		// The copy and the stamp come from one lock acquisition, so each
 		// segment is a consistent (epoch, bytes) snapshot.
-		slot := w.NextDeferred(int(r.Size))
-		w.StampEpoch(s.Store.ReadEpochInto(r.DS, r.Idx, slot))
+		slot := dw.NextDeferred(int(r.Size))
+		dw.StampEpoch(s.Store.ReadEpochInto(r.DS, r.Idx, slot))
 	}
-	s.observeBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := w.Frame(f.Tag)
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	rdma.PutBuf(p)
-	return reqs
+	return dw.Frame(f.Tag), served{family: rdma.OpReadBatch, n: len(reqs)}, nil
 }
 
-// serveWriteEpochBatch handles one WRITEEPOCHBATCH frame on a worker
-// goroutine: conditionally apply every write in batch order (stale
-// epochs are dropped — see ObjectStore.WriteEpoch), then acknowledge
-// the whole batch with one ACKBATCH. A dropped stale write still
-// counts as acknowledged: the object is at an epoch at least as new,
-// which is what the sender's replay logic needs to know.
-func (s *Server) serveWriteEpochBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.WriteEpochReq) []rdma.WriteEpochReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
-	reqs, err := rdma.DecodeWriteEpochBatchInto(f.Payload, scratch)
+// writeEpochBatch conditionally applies every write in batch order
+// (stale epochs are dropped — see ObjectStore.WriteEpoch), then
+// acknowledges the whole batch with one ACKBATCH. A dropped stale write
+// still counts as acknowledged: the object is at an epoch at least as
+// new, which is what the sender's replay logic needs to know.
+func (s *Server) writeEpochBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeWriteEpochBatchInto(f.Payload, w.ewrites)
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.ewrites = reqs
 	for _, r := range reqs {
 		s.Store.WriteEpoch(r.DS, r.Idx, r.Epoch, r.Data)
 	}
-	s.observeWriteBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := rdma.EncodeAckBatch(f.Tag, len(reqs))
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	return reqs
+	return rdma.EncodeAckBatch(f.Tag, len(reqs)), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
 }

@@ -1,0 +1,147 @@
+package remote
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"cards/internal/rdma"
+	"cards/internal/testutil"
+)
+
+// FuzzServeConn feeds arbitrary bytes to a live Server.ServeConn over
+// net.Pipe and hangs up. Whatever arrives, the server must:
+//
+//   - return (no wedged read loop, no worker left behind — the goroutine
+//     count settles back), and never panic;
+//   - answer with a well-formed stream: a plain-framed OK or ERR first,
+//     then CRC-framed replies under the framing the hello asked for, each
+//     within rdma.MaxFrame — the frame reader on this end rejects
+//     anything oversized or with a bad trailer, so the only errors the
+//     stream may end in are those of the hang-up itself;
+//   - keep a refused connection away from the store.
+func FuzzServeConn(f *testing.F) {
+	stream := func(hello rdma.Frame, frames ...rdma.Frame) []byte {
+		var b bytes.Buffer
+		rdma.WriteFrame(&b, hello)
+		for _, fr := range frames {
+			rdma.WriteFrameCRC(&b, fr)
+		}
+		return b.Bytes()
+	}
+	hello := func(opts uint16) rdma.Frame {
+		return rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion, Opts: opts})
+	}
+	reads := []rdma.ReadReq{{DS: 1, Idx: 0, Size: 64}, {DS: 1, Idx: 1, Size: 64}}
+	wb, _ := rdma.EncodeWriteBatch(2, []rdma.WriteReq{{DS: 1, Idx: 0, Data: []byte("fuzz seed object")}})
+	web, _ := rdma.EncodeWriteEpochBatch(3, []rdma.WriteEpochReq{{DS: 1, Idx: 1, Epoch: 4, Data: []byte("stamped")}})
+	cw := []rdma.WriteReqC{
+		{DS: 1, Idx: 2, Epoch: 1, Scheme: rdma.SchemeZero, RawLen: 128},
+		{DS: 1, Idx: 0, Epoch: 5, ObjSize: 64, Scheme: rdma.SchemeRaw, RawLen: 4,
+			Extents: []rdma.Extent{{Off: 8, Len: 4}}, Data: []byte{1, 2, 3, 4}},
+	}
+	wbc, _ := rdma.EncodeWriteBatchCPooled(7, cw, false)
+	webc, _ := rdma.EncodeWriteBatchCPooled(8, cw, true)
+	// One frame of every verb the server serves, on a plain session…
+	f.Add(stream(hello(0),
+		wb, web, rdma.EncodeReadBatch(1, reads), rdma.EncodeReadEpochBatch(4, reads),
+		rdma.EncodeChaseBatch(5, []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 4}}),
+		rdma.EncodeReadBatchCPooled(6, reads), wbc, webc,
+		rdma.Frame{Op: rdma.OpErrTag, Tag: 9}, // a reply opcode sent as a request
+		hello(0),                              // and a second hello
+	))
+	// …and a compact, compressing one.
+	f.Add(stream(hello(rdma.OptCompact|rdma.OptCompress), wbc, rdma.EncodeReadBatchCPooled(6, reads)))
+	// A traced session: frames carry the trace block, and the same frame
+	// without one misparses.
+	traced := rdma.EncodeReadBatch(1, reads)
+	traced.SetTraceCtx(0xABCD, 0x1234, true)
+	f.Add(stream(hello(rdma.OptTrace), traced, rdma.EncodeReadBatch(2, reads)))
+	// An old 4-byte feature PING, a truncated hello, a hello with a bad
+	// CRC, a hello from the future, and a data verb with no hello at all.
+	f.Add(stream(rdma.Frame{Op: rdma.OpHello, Payload: []byte{0xFF, 0, 0, 0}}))
+	f.Add(stream(hello(0))[:9])
+	bad := stream(hello(0))
+	bad[len(bad)-1] ^= 0x40
+	f.Add(bad)
+	f.Add(stream(rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion + 1})))
+	f.Add(stream(rdma.EncodeReadBatch(1, reads)))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := runtime.NumGoroutine()
+		srv := NewServer()
+		c1, c2 := net.Pipe()
+		served := make(chan struct{})
+		go func() { defer close(served); srv.ServeConn(c1) }()
+
+		replies := make(chan error, 1)
+		go func() { replies <- readReplies(c2) }()
+		c2.Write(data) // fails midway if the server refused and hung up: fine
+		c2.Close()
+		select {
+		case <-served:
+		case <-time.After(20 * time.Second):
+			t.Fatal("ServeConn did not return after the client hung up")
+		}
+		if err := <-replies; err != nil {
+			t.Fatalf("server's reply stream is malformed: %v", err)
+		}
+		if h, err := firstHello(data); err != nil || !h.Valid() {
+			if r, w := srv.Counts(); r != 0 || w != 0 || srv.Store.Len() != 0 {
+				t.Fatalf("a connection without a valid hello reached the store: reads=%d writes=%d objects=%d",
+					r, w, srv.Store.Len())
+			}
+		}
+		testutil.CheckGoroutines(t, before)
+	})
+}
+
+// firstHello decodes the hello a byte stream opens with.
+func firstHello(data []byte) (rdma.Hello, error) {
+	f, err := rdma.ReadFrame(bytes.NewReader(data))
+	if err != nil {
+		return rdma.Hello{}, err
+	}
+	if f.Op != rdma.OpHello || len(f.Payload) != rdma.HelloSize {
+		return rdma.Hello{}, rdma.ErrHelloCheck
+	}
+	return rdma.DecodeHello(f.Payload)
+}
+
+// readReplies parses everything the server sends until the connection
+// ends. It returns nil when the stream was well-formed up to the hang-up
+// and the framing violation otherwise.
+func readReplies(conn net.Conn) error {
+	hungUp := func(err error) bool {
+		return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.ErrClosedPipe)
+	}
+	first, err := rdma.ReadFrame(conn)
+	if err != nil {
+		if hungUp(err) {
+			return nil
+		}
+		return err
+	}
+	h, herr := rdma.DecodeHello(first.Payload)
+	if herr != nil || (first.Op != rdma.OpOK && first.Op != rdma.OpErr) {
+		return errors.New("first reply is neither an OK nor an ERR led by a hello record: " + first.Op.String())
+	}
+	for {
+		f, err := rdma.ReadFramePooledOpts(conn, true, first.Op == rdma.OpOK && h.Opts&rdma.OptTrace != 0)
+		if err != nil {
+			if hungUp(err) {
+				return nil
+			}
+			return err
+		}
+		rdma.PutBuf(f.Payload)
+		if first.Op == rdma.OpErr {
+			return errors.New("server kept talking after refusing the hello: " + f.Op.String())
+		}
+	}
+}

@@ -13,11 +13,10 @@ import (
 // wall-clock (this layer runs on real sockets, unlike farmem's virtual
 // cycles), hence the _ns suffix.
 const (
-	// Server side: one histogram per verb, observed around the full
-	// handle (decode + store access + response encode).
+	// Server side: one histogram per verb family, observed around the
+	// full handle (decode + store access + response encode).
 	MetricReadNS  = "cards_remote_read_ns"
 	MetricWriteNS = "cards_remote_write_ns"
-	MetricPingNS  = "cards_remote_ping_ns"
 
 	MetricReads  = "cards_remote_reads_total"
 	MetricWrites = "cards_remote_writes_total"
@@ -37,12 +36,10 @@ const (
 	// ObsSnapshot.
 	MetricResidentObjects = "cards_remote_resident_objects"
 
-	// Client side mirrors of the verb latencies, measured around the
-	// whole round trip (request write + response read). On the pipelined
-	// client, read/write latencies span enqueue to completion.
+	// Client side mirrors of the verb latencies, spanning enqueue to
+	// completion.
 	MetricClientReadNS  = "cards_remote_client_read_ns"
 	MetricClientWriteNS = "cards_remote_client_write_ns"
-	MetricClientPingNS  = "cards_remote_client_ping_ns"
 
 	// Pipelined data path: batch frames served and their sizes (reads
 	// per READBATCH) on the server; in-flight window depth and doorbell
@@ -68,17 +65,15 @@ const (
 	MetricChaseHops    = "cards_remote_chase_hops_total"
 	MetricChaseNS      = "cards_remote_chase_ns"
 
-	// Fault tolerance (both clients): idempotent retries, successful
-	// redials, round trips that hit their deadline, writes whose outcome
-	// the transport could not determine, and reads replayed onto a fresh
-	// connection after a reconnect.
-	MetricClientRetries         = "cards_remote_client_retries_total"
+	// Fault tolerance: successful redials, stalled streams that hit the
+	// deadline, writes whose outcome the transport could not determine,
+	// and reads replayed onto a fresh connection after a reconnect.
 	MetricClientReconnects      = "cards_remote_client_reconnects_total"
 	MetricClientTimeouts        = "cards_remote_client_timeouts_total"
 	MetricClientUncertainWrites = "cards_remote_client_uncertain_writes_total"
 	MetricClientReplayedReads   = "cards_remote_client_replayed_reads_total"
 
-	// Latency attribution (FeatTrace sessions only). Every completed op
+	// Latency attribution (traced sessions only). Every completed op
 	// decomposes into four clock-offset-free durations — client queue
 	// (enqueue to doorbell), wire (RTT minus the server-reported busy
 	// time, both flight directions), server queue (receive to worker
@@ -109,7 +104,6 @@ type serverMetrics struct {
 	chases, chaseHops     *stats.Counter
 	inflight, conns       *stats.Gauge
 	readNS, writeNS       *stats.Histogram
-	pingNS                *stats.Histogram
 	batchReads            *stats.Histogram
 	batchWrites           *stats.Histogram
 	chaseNS               *stats.Histogram
@@ -133,7 +127,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		conns:        reg.Gauge(MetricConns),
 		readNS:       reg.Histogram(MetricReadNS),
 		writeNS:      reg.Histogram(MetricWriteNS),
-		pingNS:       reg.Histogram(MetricPingNS),
 		batchReads:   reg.Histogram(MetricBatchReads),
 		batchWrites:  reg.Histogram(MetricBatchWrites),
 		chaseNS:      reg.Histogram(MetricChaseNS),
@@ -155,119 +148,40 @@ func (s *Server) ObsSnapshot() *obs.Snapshot {
 	return s.reg.Snapshot()
 }
 
-// observeVerb records one served request: latency into the per-verb
-// histogram and a span into the trace ring (category "remote", one trace
-// thread per connection). trace, when non-zero, is the sampled
-// distributed trace ID the request carried; it links the server span to
-// the client's tree.
-func (s *Server) observeVerb(op rdma.Op, connID int, start time.Time, startUS uint64, ds, idx int64, trace uint64) {
+// observe records one served request: its family's counters and
+// latency histogram, and one span into the trace ring (category
+// "remote", one trace thread per connection) carrying the batch size
+// and the distributed trace ID (0 when the request carried none).
+func (s *Server) observe(connID int, sv served, start time.Time, startUS, trace uint64) {
 	ns := uint64(time.Since(start).Nanoseconds())
-	switch op {
-	case rdma.OpRead:
-		s.metrics.reads.Inc()
-		s.metrics.readNS.Observe(ns)
-	case rdma.OpWrite, rdma.OpWriteTag:
-		s.metrics.writes.Inc()
-		s.metrics.writeNS.Observe(ns)
-	case rdma.OpPing:
-		s.metrics.pingNS.Observe(ns)
+	m, n := s.metrics, uint64(sv.n)
+	ev := obs.TraceEvent{
+		TS: startUS, Dur: ns / 1000, Cat: "remote", Name: sv.family.String(),
+		TID: connID, Trace: trace, Arg1: int64(sv.n),
 	}
-	if s.tracer != nil {
-		s.tracer.Emit(obs.TraceEvent{
-			TS:       startUS,
-			Dur:      ns / 1000,
-			Cat:      "remote",
-			Name:     op.String(),
-			TID:      connID,
-			Trace:    trace,
-			Arg1Name: "ds", Arg1: ds,
-			Arg2Name: "obj", Arg2: idx,
-		})
-	}
-}
-
-// observeBatch records one served READBATCH: the batch-size histogram,
-// the per-read counters, and one trace span carrying the batch size and
-// the distributed trace ID (0 when the batch carried none).
-func (s *Server) observeBatch(connID, n int, start time.Time, startUS uint64, trace uint64) {
-	ns := uint64(time.Since(start).Nanoseconds())
-	s.metrics.readBatches.Inc()
-	s.metrics.batchReads.Observe(uint64(n))
-	s.metrics.reads.Add(uint64(n))
-	s.metrics.readNS.Observe(ns)
-	if s.tracer != nil {
-		s.tracer.Emit(obs.TraceEvent{
-			TS:       startUS,
-			Dur:      ns / 1000,
-			Cat:      "remote",
-			Name:     rdma.OpReadBatch.String(),
-			TID:      connID,
-			Trace:    trace,
-			Arg1Name: "reads", Arg1: int64(n),
-		})
-	}
-}
-
-// observeWriteBatch records one served WRITEBATCH: the batch-size
-// histogram, the per-write counters, and one trace span carrying the
-// batch size and the distributed trace ID (0 when the batch carried
-// none).
-func (s *Server) observeWriteBatch(connID, n int, start time.Time, startUS uint64, trace uint64) {
-	ns := uint64(time.Since(start).Nanoseconds())
-	s.metrics.writeBatches.Inc()
-	s.metrics.batchWrites.Observe(uint64(n))
-	s.metrics.writes.Add(uint64(n))
-	s.metrics.writeNS.Observe(ns)
-	if s.tracer != nil {
-		s.tracer.Emit(obs.TraceEvent{
-			TS:       startUS,
-			Dur:      ns / 1000,
-			Cat:      "remote",
-			Name:     rdma.OpWriteBatch.String(),
-			TID:      connID,
-			Trace:    trace,
-			Arg1Name: "writes", Arg1: int64(n),
-		})
-	}
-}
-
-// clientMetrics caches the client-side registry series.
-type clientMetrics struct {
-	readNS, writeNS, pingNS *stats.Histogram
-	bytesIn, bytesOut       *stats.Counter
-	retries, reconnects     *stats.Counter
-	timeouts                *stats.Counter
-	uncertainWrites         *stats.Counter
-}
-
-// SetObs attaches a registry to the client; round trips then observe
-// per-verb latencies and wire bytes. Call before issuing requests.
-func (c *Client) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		c.metrics = nil
-		return
-	}
-	c.metrics = &clientMetrics{
-		readNS:          reg.Histogram(MetricClientReadNS),
-		writeNS:         reg.Histogram(MetricClientWriteNS),
-		pingNS:          reg.Histogram(MetricClientPingNS),
-		bytesIn:         reg.Counter(MetricBytesIn),
-		bytesOut:        reg.Counter(MetricBytesOut),
-		retries:         reg.Counter(MetricClientRetries),
-		reconnects:      reg.Counter(MetricClientReconnects),
-		timeouts:        reg.Counter(MetricClientTimeouts),
-		uncertainWrites: reg.Counter(MetricClientUncertainWrites),
-	}
-}
-
-func (m *clientMetrics) observe(op rdma.Op, ns uint64) {
-	switch op {
-	case rdma.OpRead:
+	switch sv.family {
+	case rdma.OpReadBatch:
+		ev.Arg1Name = "reads"
+		m.readBatches.Inc()
+		m.batchReads.Observe(n)
+		m.reads.Add(n)
 		m.readNS.Observe(ns)
-	case rdma.OpWrite:
+	case rdma.OpWriteBatch:
+		ev.Arg1Name = "writes"
+		m.writeBatches.Inc()
+		m.batchWrites.Observe(n)
+		m.writes.Add(n)
 		m.writeNS.Observe(ns)
-	case rdma.OpPing:
-		m.pingNS.Observe(ns)
+	case rdma.OpChaseBatch:
+		// Each hop is a round trip the session did not pay.
+		ev.Arg1Name, ev.Arg2Name, ev.Arg2 = "chases", "hops", int64(sv.hops)
+		m.chaseBatches.Inc()
+		m.chases.Add(n)
+		m.chaseHops.Add(uint64(sv.hops))
+		m.chaseNS.Observe(ns)
+	}
+	if s.tracer != nil {
+		s.tracer.Emit(ev)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"cards/internal/obs"
+	"cards/internal/rdma"
 )
 
 // TestServerObsConcurrent drives a shared Server from many concurrent
@@ -36,7 +38,7 @@ func TestServerObsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialPipelined(addr, PipelineOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -113,20 +115,8 @@ func TestServerObsConcurrent(t *testing.T) {
 
 // TestClientObs checks the client-side mirror series.
 func TestClientObs(t *testing.T) {
-	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	reg := obs.NewRegistry()
-	cl.SetObs(reg)
-
+	_, cl := startPipelined(t, PipelineOpts{Obs: reg})
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +131,87 @@ func TestClientObs(t *testing.T) {
 		t.Fatalf("read back %q", dst)
 	}
 	snap := reg.Snapshot()
-	for _, m := range []string{MetricClientPingNS, MetricClientReadNS, MetricClientWriteNS} {
-		if got := snap.Histogram(m).Count; got != 1 {
-			t.Errorf("%s count = %d, want 1", m, got)
-		}
+	// The ping is an empty read batch: it rides the read series.
+	if got := snap.Histogram(MetricClientReadNS).Count; got != 2 {
+		t.Errorf("%s count = %d, want 2", MetricClientReadNS, got)
+	}
+	if got := snap.Histogram(MetricClientWriteNS).Count; got != 1 {
+		t.Errorf("%s count = %d, want 1", MetricClientWriteNS, got)
 	}
 	if snap.Counter(MetricBytesOut) == 0 || snap.Counter(MetricBytesIn) == 0 {
 		t.Error("client wire byte counters empty")
+	}
+}
+
+// TestWireAccountingCoversEveryVerb: cards_wire_bytes_total{verb=...}
+// accounts for every frame of a session, on both ends — one session per
+// encoding issues every verb family plus a rejected request, and the
+// per-verb counters must sum to bytes_in + bytes_out less the hello
+// exchange (the only frames with no verb of their own).
+func TestWireAccountingCoversEveryVerb(t *testing.T) {
+	const helloWire = 2 * (5 + rdma.HelloSize) // HELLO + OK, header included
+	for name, opts := range map[string]PipelineOpts{"compact": {}, "fixed-width": {NoCompact: true}} {
+		t.Run(name, func(t *testing.T) {
+			creg := obs.NewRegistry()
+			opts.Obs = creg
+			srv, cl := startPipelined(t, opts)
+
+			img := compressible(512)
+			if err := cl.WriteObj(1, 0, img); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.ReadObj(1, 0, make([]byte, 512)); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.WriteObjEpoch(2, 0, 1, img); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.ReadObjEpoch(2, 0, make([]byte, 512)); err != nil {
+				t.Fatal(err)
+			}
+			errCh := make(chan error, 1)
+			exts := []rdma.Extent{{Off: 8, Len: 8}}
+			cl.IssueWriteRanges(1, 0, img, exts, func(err error) { errCh <- err })
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			cl.IssueWriteRangesEpoch(2, 0, 2, img, exts, func(err error) { errCh <- err })
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Chase(rdma.ChaseReq{DS: 1, Start: 0, ObjSize: 512, NextOff: 8, Hops: 4}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.ReadObj(1, 0, make([]byte, rdma.MaxFrame)); err == nil {
+				t.Fatal("oversized read should be rejected with an ERRTAG")
+			}
+			cl.Close()
+			srv.Close()
+
+			for end, snap := range map[string]*obs.Snapshot{"client": creg.Snapshot(), "server": srv.ObsSnapshot()} {
+				var byVerb uint64
+				verbs := 0
+				for key, n := range snap.Counters {
+					if strings.HasPrefix(key, MetricWireBytes+"{") && n > 0 {
+						byVerb += n
+						verbs++
+					}
+				}
+				total := snap.Counter(MetricBytesIn) + snap.Counter(MetricBytesOut)
+				if byVerb != total-helloWire {
+					t.Errorf("%s: per-verb wire bytes sum to %d, bytes_in+bytes_out-hello = %d",
+						end, byVerb, total-helloWire)
+				}
+				if snap.Counter(MetricWireBytes, "verb", "other") != 0 {
+					t.Errorf("%s: %d bytes fell through to verb=other", end,
+						snap.Counter(MetricWireBytes, "verb", "other"))
+				}
+				// Request + reply of five families (plain/epoch read and
+				// write, chase) and the ERRTAG; acks share a verb.
+				if want := 10; verbs != want {
+					t.Errorf("%s: %d verbs carried bytes, want %d", end, verbs, want)
+				}
+			}
+		})
 	}
 }

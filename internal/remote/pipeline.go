@@ -16,13 +16,13 @@ import (
 	"cards/internal/rdma"
 )
 
-// Pipelining errors.
-var (
-	// ErrNoPipelining means the peer answered the feature PING without a
-	// feature word: a legacy server. The connection remains usable with
-	// the serial Client.
-	ErrNoPipelining = errors.New("remote: server does not support pipelined batches")
-)
+// ErrProtoMismatch reports a peer that completed the handshake exchange
+// intact — its reply passed its own checksum — but speaks a different
+// protocol version (or answered with a different session than was asked
+// for). It is definitive: no redial can change it, so neither the
+// initial-dial retry, nor the reconnect loop, nor Resilient spends any
+// budget on it.
+var ErrProtoMismatch = errors.New("remote: protocol mismatch")
 
 // DefaultReconnectAttempts bounds the redial loop after a connection
 // fault when PipelineOpts.RetryMax is unset.
@@ -48,7 +48,7 @@ type PipelineOpts struct {
 	Obs *obs.Registry
 
 	// Trace, when non-nil, turns on distributed tracing: the client
-	// requests the FeatTrace frame extension, stamps active span
+	// asks for the trace frame extension in its hello, stamps active span
 	// contexts onto outgoing tagged frames, decomposes every completed
 	// op into client-queue / wire / server-queue / server-service from
 	// the server's reply stamps, feeds the cards_attrib_* series (when
@@ -62,20 +62,18 @@ type PipelineOpts struct {
 	// label.
 	Shard string
 
-	// NoCompact disables the compact wire tier: the client never
-	// requests rdma.FeatCompact and keeps the fixed-width batch frames —
-	// the bench control knob, and an escape hatch. Default (false)
-	// negotiates compact framing whenever the peer offers it.
+	// NoCompact disables the compact wire tier: the session keeps the
+	// fixed-width batch frames and ships range writes as full objects —
+	// the bench control knob, and an escape hatch.
 	NoCompact bool
 
 	// Compression controls adaptive per-object compression on compact
-	// sessions: "" or "auto" requests rdma.FeatCompress and lets the
-	// per-DS policy decide online which objects to compress; "off"
-	// never requests the feature (objects ship raw inside compact
-	// frames). Ignored when the compact tier is off.
+	// sessions: "" or "auto" lets the per-DS policy decide online which
+	// objects to compress; "off" ships objects raw inside compact
+	// frames. Ignored when the compact tier is off.
 	Compression string
 
-	// Timeout bounds negotiation and, on deadline-capable connections,
+	// Timeout bounds the handshake and, on deadline-capable connections,
 	// detects a stalled stream: no reply within Timeout while operations
 	// are in flight abandons the connection. 0 disables.
 	Timeout time.Duration
@@ -119,8 +117,8 @@ func (o PipelineOpts) withDefaults() PipelineOpts {
 // exactly once: through done when set (async reads), else through ch.
 type pipeOp struct {
 	write         bool
-	wantEp        bool // ride the epoch-stamped verbs (FeatEpoch sessions)
-	chase         bool // ride the traversal-offload verbs (FeatChase sessions)
+	wantEp        bool // ride the epoch-stamped verbs
+	chase         bool // ride the traversal-offload verbs
 	probe         bool // liveness ping: not workload, kept out of tracing
 	ds, idx, size uint32
 	epoch         uint64           // write: stamp to apply; read: stamp received
@@ -168,15 +166,6 @@ func (op *pipeOp) readKind() int {
 	return 0
 }
 
-// unsupportedErr is the definitive error for an op doomed by a session
-// that lacks its verb family.
-func (op *pipeOp) unsupportedErr() error {
-	if op.chase {
-		return ErrChaseUnsupported
-	}
-	return ErrEpochUnsupported
-}
-
 // PipelinedClient is a farmem.Store/AsyncStore over one connection that
 // keeps a bounded window of tagged requests in flight.
 //
@@ -211,13 +200,6 @@ type PipelinedClient struct {
 	conn         io.ReadWriteCloser // current connection; swapped on reconnect
 	bw           *bufio.Writer      // doorbell buffer for conn
 	br           *bufio.Reader      // reply buffer for conn; swapped with it, never reused
-	crc          bool               // session uses checksummed framing
-	wbatch       bool               // peer speaks WRITEBATCH/ACKBATCH
-	epochOK      bool               // peer speaks the epoch-stamped verbs
-	chaseOK      bool               // peer speaks the traversal-offload verbs
-	trace        bool               // session carries the trace extension
-	compact      bool               // session uses the compact bit-packed batch frames
-	compress     bool               // session may ship LZ-compressed segments
 	gen          uint64             // connection generation
 	reconnecting bool               // a reconnect is in progress
 	lastWire     time.Time          // last successful wire activity
@@ -234,102 +216,91 @@ type PipelinedClient struct {
 	stop chan struct{} // closed by fail: aborts backoff sleeps
 	wg   sync.WaitGroup
 
+	// The session's shape, immutable after construction: every
+	// connection of this client opens with the same hello.
+	hello    rdma.Hello
+	trace    bool // tagged frames carry the trace extension
+	compact  bool // plain reads and all writes ride the compact verbs
+	compress bool // compact segments may be LZ-compressed
+
 	metrics *pipeMetrics
-	hub     *obs.TraceHub  // immutable after construction; nil = no tracing
+	hub     *obs.TraceHub  // nil = no tracing
 	shard   string         // attribution/slow-op shard label
-	featReq uint32         // feature word requested on every negotiation
 	attrib  *attribCache   // reader-goroutine-owned; nil without Obs+Trace
 	cpolicy compressPolicy // per-DS adaptive compression state (compact tier)
 }
 
-// negotiate runs the feature exchange on a fresh connection: request
-// the features in req, demand batching, and return the peer's feature
-// word (the caller derives checksummed framing, WRITEBATCH support, and
-// the trace extension from it). The exchange itself is always
-// legacy-framed; d bounds it when > 0.
-func negotiate(conn io.ReadWriteCloser, d time.Duration, req uint32) (feats uint32, err error) {
+// sayHello runs the client half of the handshake on a fresh connection
+// (rdma/hello.go), plain-framed and bounded by d when > 0. Only
+// checksummed evidence is definitive: a reply whose record passes its
+// self-check and differs from h is ErrProtoMismatch. Everything else —
+// an I/O error, a reply that fails its checksum, a refusal from a peer
+// of our own version (it did not see the hello we sent) — is a transport
+// fault, retried like any other.
+func sayHello(conn io.ReadWriteCloser, d time.Duration, h rdma.Hello, m *pipeMetrics) error {
 	g := guardIO(conn, d)
-	err = rdma.WriteFrame(conn, rdma.PingFeatures(req))
+	req := rdma.HelloFrame(rdma.OpHello, h)
+	err := rdma.WriteFrame(conn, req)
 	var resp rdma.Frame
 	if err == nil {
 		resp, err = rdma.ReadFrame(conn)
 	}
 	if err = g.finish(err); err != nil {
-		return 0, fmt.Errorf("remote: feature ping: %w", err)
+		return fmt.Errorf("remote: hello: %w", err)
 	}
-	if resp.Op != rdma.OpOK {
-		return 0, fmt.Errorf("remote: unexpected ping response %s", resp.Op)
+	if m != nil {
+		m.bytesOut.Add(req.WireSize())
+		m.bytesIn.Add(resp.WireSize())
 	}
-	feats, ok := rdma.DecodeFeatures(resp.Payload)
-	if !ok || feats&rdma.FeatBatch == 0 {
-		return 0, ErrNoPipelining
+	peer, err := rdma.DecodeHello(resp.Payload)
+	switch {
+	case err != nil:
+		return fmt.Errorf("remote: hello reply %s: %w", resp.Op, err)
+	case resp.Op == rdma.OpOK && peer == h:
+		return nil
+	case resp.Op == rdma.OpOK:
+		return fmt.Errorf("%w: asked for version %d options %#x, server answered version %d options %#x",
+			ErrProtoMismatch, h.Version, h.Opts, peer.Version, peer.Opts)
+	case resp.Op == rdma.OpErr && peer.Version != h.Version:
+		return fmt.Errorf("%w: client speaks version %d, server version %d: %s",
+			ErrProtoMismatch, h.Version, peer.Version, resp.Payload[rdma.HelloSize:])
 	}
-	return feats, nil
+	return fmt.Errorf("remote: hello refused (%s): %s", resp.Op, resp.Payload[rdma.HelloSize:])
 }
 
-// negotiateCRC asks the peer for checksummed framing only — no batching
-// requirement, so it suits the serial client. A legacy server's empty OK
-// decodes as "no features" and leaves the session on plain framing. The
-// exchange itself is always legacy-framed; d bounds it when > 0.
-func negotiateCRC(conn io.ReadWriteCloser, d time.Duration) (bool, error) {
-	g := guardIO(conn, d)
-	err := rdma.WriteFrame(conn, rdma.PingFeatures(rdma.FeatCRC))
-	var resp rdma.Frame
-	if err == nil {
-		resp, err = rdma.ReadFrame(conn)
-	}
-	if err = g.finish(err); err != nil {
-		return false, fmt.Errorf("remote: feature ping: %w", err)
-	}
-	if resp.Op != rdma.OpOK {
-		return false, fmt.Errorf("remote: unexpected ping response %s", resp.Op)
-	}
-	feats, ok := rdma.DecodeFeatures(resp.Payload)
-	return ok && feats&rdma.FeatCRC != 0, nil
-}
-
-// NewPipelined negotiates the batch feature on conn and, on success,
-// returns a running pipelined client. Returns ErrNoPipelining (with conn
-// still usable for a serial Client) when the peer is a legacy server.
+// NewPipelined says hello on conn and, once the server has echoed it,
+// returns a running pipelined client.
 func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient, error) {
-	req := rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch | rdma.FeatEpoch | rdma.FeatChase
+	h := rdma.Hello{Version: rdma.ProtoVersion}
 	if opts.Trace != nil {
-		req |= rdma.FeatTrace
+		h.Opts |= rdma.OptTrace
 	}
 	if !opts.NoCompact {
-		req |= rdma.FeatCompact
+		h.Opts |= rdma.OptCompact
 		if opts.Compression != "off" {
-			req |= rdma.FeatCompress
+			h.Opts |= rdma.OptCompress
 		}
 	}
-	feats, err := negotiate(conn, opts.Timeout, req)
-	if err != nil {
+	metrics := newPipeMetrics(opts.Obs)
+	if err := sayHello(conn, opts.Timeout, h, metrics); err != nil {
 		return nil, err
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	c := &PipelinedClient{
 		conn:     conn,
 		bw:       bufio.NewWriterSize(conn, 64<<10),
 		br:       bufio.NewReaderSize(conn, connBufSize),
-		crc:      feats&rdma.FeatCRC != 0,
-		wbatch:   feats&rdma.FeatWriteBatch != 0,
-		epochOK:  feats&rdma.FeatEpoch != 0,
-		chaseOK:  feats&rdma.FeatChase != 0,
-		trace:    opts.Trace != nil && feats&rdma.FeatTrace != 0,
-		compact:  req&rdma.FeatCompact != 0 && feats&rdma.FeatCompact != 0,
-		compress: req&rdma.FeatCompress != 0 && feats&rdma.FeatCompact != 0 && feats&rdma.FeatCompress != 0,
 		opts:     opts.withDefaults(),
 		lastWire: time.Now(),
 		pending:  make(map[uint32][]*pipeOp),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      newRng(opts.Seed),
 		stop:     make(chan struct{}),
-		metrics:  newPipeMetrics(opts.Obs),
+		hello:    h,
+		trace:    h.Opts&rdma.OptTrace != 0,
+		compact:  h.Opts&rdma.OptCompact != 0,
+		compress: h.Opts&rdma.OptCompress != 0,
+		metrics:  metrics,
 		hub:      opts.Trace,
 		shard:    opts.Shard,
-		featReq:  req,
 	}
 	if opts.Trace != nil {
 		c.attrib = newAttribCache(opts.Obs, opts.Shard)
@@ -341,16 +312,34 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	return c, nil
 }
 
-// DialPipelined connects to a server address and negotiates pipelining.
-// When fault handling is requested (Timeout or RetryMax set) and
-// opts.Redial is nil, it defaults to redialing addr.
+// DialPipelined connects to a server address and says hello. When fault
+// handling is requested (Timeout or RetryMax set) the initial dial and
+// handshake retry under the same backoff budget as later reconnects, so
+// a flaky link at startup is survived too, and opts.Redial defaults to
+// redialing addr. ErrProtoMismatch is never retried.
 func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+	rng := newRng(opts.Seed)
+	for attempt := 0; ; attempt++ {
+		c, err := dialOnce(addr, opts)
+		if err == nil {
+			return c, nil
+		}
+		if attempt >= opts.RetryMax || errors.Is(err, ErrProtoMismatch) {
+			return nil, err
+		}
+		time.Sleep(backoff(rng, opts.RetryBase, opts.RetryCap, attempt))
+	}
+}
+
+// dialOnce is one dial-and-hello attempt. With fault handling requested
+// and no Redial of the caller's, the client redials addr.
+func dialOnce(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+	if opts.Redial == nil && (opts.RetryMax > 0 || opts.Timeout > 0) {
+		opts.Redial = redialer(addr)
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	if opts.Redial == nil && (opts.RetryMax > 0 || opts.Timeout > 0) {
-		opts.Redial = redialer(addr)
 	}
 	c, err := NewPipelined(conn, opts)
 	if err != nil {
@@ -358,6 +347,15 @@ func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// newRng seeds a backoff jitter source; seed 0 uses a fixed default so
+// runs stay reproducible.
+func newRng(seed int64) *rand.Rand {
+	if seed == 0 {
+		seed = 1
+	}
+	return rand.New(rand.NewSource(seed))
 }
 
 // redialer builds a Redial function for a TCP address. The indirection
@@ -373,8 +371,8 @@ func redialer(addr string) func() (io.ReadWriteCloser, error) {
 	}
 }
 
-// StoreConn is the client surface shared by the serial and pipelined
-// clients (it satisfies farmem.Store).
+// StoreConn is the synchronous client surface PipelinedClient and
+// Resilient share (it satisfies farmem.Store).
 type StoreConn interface {
 	ReadObj(ds, idx int, dst []byte) error
 	WriteObj(ds, idx int, src []byte) error
@@ -382,13 +380,12 @@ type StoreConn interface {
 	Close() error
 }
 
-// DialConfig configures DialAutoOpts: pipeline shape plus the shared
-// fault-handling knobs applied to whichever client the negotiation
-// lands on.
+// DialConfig configures DialResilient: the subset of PipelineOpts a
+// deployment sets, applied to every client the Resilient dials.
 type DialConfig struct {
-	// Timeout bounds each round trip (serial) or stall detection
-	// (pipelined). RetryMax / RetryBase / RetryCap / Seed shape the
-	// retry and reconnect backoff; see ClientOpts and PipelineOpts.
+	// Timeout bounds the handshake and detects a stalled stream.
+	// RetryMax / RetryBase / RetryCap / Seed shape the reconnect
+	// backoff; see PipelineOpts.
 	Timeout   time.Duration
 	RetryMax  int
 	RetryBase time.Duration
@@ -401,94 +398,25 @@ type DialConfig struct {
 
 	Obs *obs.Registry
 
-	// Trace/Shard pass through to PipelineOpts. The serial fallback
-	// ignores them: only the pipelined client speaks the trace
-	// extension.
+	// Trace/Shard pass through to PipelineOpts.
 	Trace *obs.TraceHub
 	Shard string
 
 	// NoCompact / Compression pass through to PipelineOpts: the compact
-	// wire tier and its adaptive per-object compression knob. The
-	// serial fallback ignores them (it never speaks the batch verbs).
+	// wire tier and its adaptive per-object compression knob.
 	NoCompact   bool
 	Compression string
 }
 
-// faultTolerant reports whether the config asks for any fault handling,
-// which is what gates the default redialer.
-func (c DialConfig) faultTolerant() bool { return c.Timeout > 0 || c.RetryMax > 0 }
-
-// DialAuto connects to a server address and returns a pipelined client
-// when the server supports batching, falling back to the serial client
-// against legacy servers. No deadlines, no retries — the zero-config
-// path.
-func DialAuto(addr string) (StoreConn, error) {
-	return DialAutoOpts(addr, DialConfig{})
-}
-
-// DialAutoOpts is DialAuto with fault handling: the initial dial and
-// negotiation retry under the same backoff budget as later reconnects,
-// so a flaky link at startup is survived too.
-func DialAutoOpts(addr string, cfg DialConfig) (StoreConn, error) {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		sc, err := dialAutoOnce(addr, cfg)
-		if err == nil {
-			return sc, nil
-		}
-		lastErr = err
-		if !cfg.faultTolerant() || attempt >= cfg.RetryMax {
-			return nil, lastErr
-		}
-		time.Sleep(backoff(rng, cfg.RetryBase, cfg.RetryCap, attempt))
-	}
-}
-
-func dialAutoOnce(addr string, cfg DialConfig) (StoreConn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	popts := PipelineOpts{
+// pipelineOpts expands the config into client options.
+func (cfg DialConfig) pipelineOpts() PipelineOpts {
+	return PipelineOpts{
 		Window: cfg.Window, MaxBatch: cfg.MaxBatch, Obs: cfg.Obs,
 		Trace: cfg.Trace, Shard: cfg.Shard,
 		NoCompact: cfg.NoCompact, Compression: cfg.Compression,
 		Timeout: cfg.Timeout, RetryMax: cfg.RetryMax,
 		RetryBase: cfg.RetryBase, RetryCap: cfg.RetryCap, Seed: cfg.Seed,
 	}
-	if cfg.faultTolerant() {
-		popts.Redial = redialer(addr)
-	}
-	c, err := NewPipelined(conn, popts)
-	if err == nil {
-		return c, nil
-	}
-	if errors.Is(err, ErrNoPipelining) {
-		copts := ClientOpts{
-			Timeout: cfg.Timeout, RetryMax: cfg.RetryMax,
-			RetryBase: cfg.RetryBase, RetryCap: cfg.RetryCap, Seed: cfg.Seed,
-		}
-		if cfg.faultTolerant() {
-			copts.Redial = redialer(addr)
-		}
-		sc := NewClientConnOpts(conn, copts)
-		// The fallback conn stays on plain framing (the peer answered the
-		// feature ping without FeatCRC), but any redial renegotiates: a
-		// garbled handshake against a CRC-capable server recovers on the
-		// first fresh connection.
-		sc.wantCRC = cfg.faultTolerant()
-		if cfg.Obs != nil {
-			sc.SetObs(cfg.Obs)
-		}
-		return sc, nil
-	}
-	conn.Close()
-	return nil, err
 }
 
 // enqueue hands an operation to the flusher (never blocks on the wire).
@@ -712,9 +640,12 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 			lastErr = err
 			continue
 		}
-		feats, err := negotiate(nc, c.opts.Timeout, c.featReq)
-		if err != nil {
+		if err := sayHello(nc, c.opts.Timeout, c.hello, c.metrics); err != nil {
 			nc.Close()
+			if errors.Is(err, ErrProtoMismatch) {
+				c.fail(err) // the server was replaced by one we cannot talk to
+				return
+			}
 			lastErr = err
 			continue
 		}
@@ -727,13 +658,6 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 		c.conn = nc
 		c.bw = bufio.NewWriterSize(nc, 64<<10)
 		c.br = bufio.NewReaderSize(nc, connBufSize)
-		c.crc = feats&rdma.FeatCRC != 0
-		c.wbatch = feats&rdma.FeatWriteBatch != 0
-		c.epochOK = feats&rdma.FeatEpoch != 0
-		c.chaseOK = feats&rdma.FeatChase != 0
-		c.trace = c.hub != nil && feats&rdma.FeatTrace != 0
-		c.compact = c.featReq&rdma.FeatCompact != 0 && feats&rdma.FeatCompact != 0
-		c.compress = c.featReq&rdma.FeatCompress != 0 && feats&rdma.FeatCompact != 0 && feats&rdma.FeatCompress != 0
 		c.gen++
 		c.reconnecting = false
 		c.lastWire = time.Now()
@@ -792,11 +716,10 @@ func (c *PipelinedClient) flushable() bool {
 
 // flushLoop is the doorbell: it waits for queued work and window space,
 // moves as much of both queues as fits onto the wire as tagged frames —
-// reads coalesced into READBATCH, writes into WRITEBATCH (or one
-// WRITETAG each against a legacy peer) — and flushes the buffered
-// writer once per wakeup. It parks while a reconnect is in progress and
-// resumes against the fresh connection. Frame payloads come from the
-// rdma buffer pool and return to it once written.
+// reads coalesced into READBATCH, writes into WRITEBATCH — and flushes
+// the buffered writer once per wakeup. It parks while a reconnect is in
+// progress and resumes against the fresh connection. Frame payloads
+// come from the rdma buffer pool and return to it once written.
 func (c *PipelinedClient) flushLoop() {
 	defer c.wg.Done()
 	var reqs []rdma.ReadReq        // scratch, reused across wakeups
@@ -806,7 +729,7 @@ func (c *PipelinedClient) flushLoop() {
 	var cwreqs []rdma.WriteReqC    // scratch, reused across wakeups (compact sessions)
 	var cbufs [][]byte             // pooled gather/compress buffers, released after encode
 	var frames []rdma.Frame        // scratch, reused across wakeups
-	var doomed []*pipeOp           // epoch/chase ops against a peer without the verbs
+	trace, compact, compress := c.trace, c.compact, c.compress
 	for {
 		c.mu.Lock()
 		for c.err == nil && (c.reconnecting || !c.flushable()) {
@@ -818,16 +741,11 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		gen := c.gen
 		bw := c.bw
-		crc := c.crc
-		trace := c.trace
-		compact := c.compact
-		compress := c.compress
 		var now time.Time
 		if trace {
 			now = time.Now() // doorbell timestamp shared by this wakeup's ops
 		}
 		frames = frames[:0]
-		doomed = doomed[:0]
 		space := c.opts.Window - c.inflight
 		for space > 0 && len(c.queue) > 0 {
 			// Coalesce the run of reads at the head of the queue. Epoch
@@ -839,14 +757,6 @@ func (c *PipelinedClient) flushLoop() {
 			replySize := 4
 			for space > 0 && len(c.queue) > 0 && len(ops) < c.opts.MaxBatch {
 				op := c.queue[0]
-				if (op.wantEp && !c.epochOK) || (op.chase && !c.chaseOK) {
-					// The session never negotiated the op's verbs (a legacy
-					// peer, possibly after a reconnect): fail definitively
-					// rather than send a frame the peer cannot parse.
-					doomed = append(doomed, op)
-					c.queue = c.queue[1:]
-					continue
-				}
 				var seg int
 				switch {
 				case op.chase:
@@ -876,9 +786,6 @@ func (c *PipelinedClient) flushLoop() {
 				c.queue = c.queue[1:]
 				space--
 			}
-			if len(ops) == 0 {
-				continue // everything inspected was doomed
-			}
 			tag := c.tagFor(ops, false)
 			var f rdma.Frame
 			switch {
@@ -904,35 +811,12 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		wspace := c.opts.WriteWindow - c.inflightW
 		for wspace > 0 && len(c.wqueue) > 0 {
-			if !c.wbatch {
-				// Legacy peer: one WRITETAG frame per write — byte-identical
-				// to what such a peer has always received. Such a peer has no
-				// epoch verbs either, so epoch writes fail definitively.
-				op := c.wqueue[0]
-				c.wqueue = c.wqueue[1:]
-				wspace--
-				if op.wantEp {
-					doomed = append(doomed, op)
-					continue
-				}
-				ops := []*pipeOp{op}
-				tag := c.tagFor(ops, true)
-				f := rdma.Frame{
-					Op: rdma.OpWriteTag, Tag: tag,
-					Payload: rdma.EncodeWrite(op.ds, op.idx, op.data).Payload,
-				}
-				if trace {
-					stampTraceFrame(&f, ops, now)
-				}
-				frames = append(frames, f)
-				continue
-			}
 			// Coalesce writes into one WRITEBATCH (or WRITEEPOCHBATCH —
 			// never mixed), bounded by MaxBatch and the frame limit. On a
 			// compact session both families ride the compact tuples
 			// instead, with per-object compression and range sub-encoding;
-			// against any other peer a range op falls back to its full
-			// object image (op.data always carries it).
+			// on a NoCompact session a range op ships its full object image
+			// (op.data always carries it).
 			wreqs = wreqs[:0]
 			ereqs = ereqs[:0]
 			cwreqs = cwreqs[:0]
@@ -940,11 +824,6 @@ func (c *PipelinedClient) flushLoop() {
 			frameSize := 4
 			for wspace > 0 && len(c.wqueue) > 0 && len(ops) < c.opts.MaxBatch {
 				op := c.wqueue[0]
-				if op.wantEp && !c.epochOK {
-					doomed = append(doomed, op)
-					c.wqueue = c.wqueue[1:]
-					continue
-				}
 				var tupleBound int
 				if compact {
 					dataLen := len(op.data)
@@ -978,9 +857,6 @@ func (c *PipelinedClient) flushLoop() {
 				ops = append(ops, op)
 				c.wqueue = c.wqueue[1:]
 				wspace--
-			}
-			if len(ops) == 0 {
-				continue // everything inspected was doomed
 			}
 			tag := c.tagFor(ops, true)
 			var f rdma.Frame
@@ -1023,18 +899,10 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		c.mu.Unlock()
 
-		for _, op := range doomed {
-			op.complete(op.unsupportedErr())
-		}
-
-		writeFrame := rdma.WriteFrame
-		if crc {
-			writeFrame = rdma.WriteFrameCRC
-		}
 		var werr error
 		for _, f := range frames {
 			if werr == nil {
-				werr = writeFrame(bw, f)
+				werr = rdma.WriteFrameCRC(bw, f)
 			}
 			if werr == nil {
 				if m := c.metrics; m != nil {
@@ -1060,9 +928,9 @@ func (c *PipelinedClient) flushLoop() {
 	}
 }
 
-// stampTraceFrame stamps an outgoing tagged frame of a FeatTrace
-// session with its batch's span context and records each op's doorbell
-// time. Every tagged frame of such a session carries the fixed-size
+// stampTraceFrame stamps an outgoing tagged frame of a traced session
+// with its batch's span context and records each op's doorbell time.
+// Every tagged frame of such a session carries the fixed-size
 // extension — an all-zero context when nothing in the batch is traced —
 // so both sides' framing stays deterministic. When the batch mixes
 // traces, the first sampled op's context wins (the server can label its
@@ -1113,6 +981,7 @@ func (c *PipelinedClient) readLoop() {
 	var cress []rdma.ChaseResult // scratch, reused across frames
 	var csegs []rdma.DataSegC    // scratch, reused across frames (compact sessions)
 	var ackScratch []uint64      // ACKBATCH-C reject bitmap scratch
+	trace := c.trace
 	for {
 		c.mu.Lock()
 		for c.err == nil && c.reconnecting {
@@ -1125,8 +994,6 @@ func (c *PipelinedClient) readLoop() {
 		gen := c.gen
 		conn := c.conn
 		br := c.br
-		crc := c.crc
-		trace := c.trace
 		c.mu.Unlock()
 
 		if d := c.opts.Timeout; d > 0 {
@@ -1134,7 +1001,7 @@ func (c *PipelinedClient) readLoop() {
 				dl.SetReadDeadline(time.Now().Add(d))
 			}
 		}
-		f, err := rdma.ReadFramePooledOpts(br, crc, trace)
+		f, err := rdma.ReadFramePooledOpts(br, true, trace)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// An idle connection hitting the read deadline is benign:
@@ -1339,10 +1206,6 @@ func (c *PipelinedClient) readLoop() {
 				c.finishOp(op, stamped, sQueueUS, sServiceUS)
 				op.complete(nil)
 			}
-		case rdma.OpAckTag:
-			rdma.PutBuf(f.Payload)
-			c.finishOp(ops[0], stamped, sQueueUS, sServiceUS)
-			ops[0].complete(nil)
 		case rdma.OpErrTag:
 			// Definitive server-level rejection: the connection is fine
 			// and the answer is final — never retried.
@@ -1411,7 +1274,7 @@ const (
 )
 
 // finishOp accounts one successfully completed op. Beyond the latency
-// histograms, on a FeatTrace session with a stamped reply it decomposes
+// histograms, on a traced session with a stamped reply it decomposes
 // the op into its four clock-offset-free components —
 //
 //	total        = complete − enqueue

@@ -21,23 +21,6 @@ func benchServerTCP(b *testing.B) string {
 	return addr
 }
 
-func BenchmarkSerialReadTCP(b *testing.B) {
-	addr := benchServerTCP(b)
-	cl, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	dst := make([]byte, benchObjSize)
-	b.SetBytes(benchObjSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cl.ReadObj(0, 0, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchPipelinedRead(b *testing.B, cl *PipelinedClient) {
 	b.Helper()
 	dsts := make([][]byte, 64)
@@ -70,23 +53,6 @@ func BenchmarkPipelinedReadTCP(b *testing.B) {
 			defer cl.Close()
 			benchPipelinedRead(b, cl)
 		})
-	}
-}
-
-func BenchmarkSerialReadPipe(b *testing.B) {
-	srv := NewServer()
-	srv.Store.Write(0, 0, make([]byte, benchObjSize))
-	c1, c2 := net.Pipe()
-	go srv.ServeConn(c1)
-	cl := NewClientConn(c2)
-	defer cl.Close()
-	dst := make([]byte, benchObjSize)
-	b.SetBytes(benchObjSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cl.ReadObj(0, 0, dst); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

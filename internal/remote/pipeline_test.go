@@ -3,8 +3,10 @@ package remote
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,7 +113,7 @@ func TestPipelinedManyAsyncReads(t *testing.T) {
 
 func TestPipelinedMixedReadWrite(t *testing.T) {
 	_, cl := startPipelined(t, PipelineOpts{Window: 8, MaxBatch: 3})
-	// Interleave writes and reads so the flusher alternates WRITETAG
+	// Interleave writes and reads so the flusher alternates WRITEBATCH
 	// frames with READBATCH runs; read-your-write holds because WriteObj
 	// blocks until the ack.
 	for i := 0; i < 50; i++ {
@@ -129,8 +131,8 @@ func TestPipelinedMixedReadWrite(t *testing.T) {
 	}
 }
 
-// TestPipelinedOutOfOrderCompletions hand-crafts a batch-capable server
-// that answers two read batches in reverse order: the tag demux must
+// TestPipelinedOutOfOrderCompletions hand-crafts a server that answers
+// two read batches in reverse order: the tag demux must
 // route each completion to the right caller.
 func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 	c1, c2 := net.Pipe()
@@ -138,23 +140,13 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 	srvErr := make(chan error, 1)
 	go func() {
 		srvErr <- func() error {
-			// Feature negotiation.
-			f, err := rdma.ReadFrame(c1)
-			if err != nil {
-				return err
-			}
-			if f.Op != rdma.OpPing {
-				return errors.New("want feature ping first")
-			}
-			// Echo batching only: this hand-rolled server speaks legacy
-			// framing, so it must not accept the CRC feature.
-			if err := rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(rdma.FeatBatch)}); err != nil {
+			if _, err := stubHello(c1); err != nil {
 				return err
 			}
 			// Collect two single-read batches, then answer in REVERSE.
 			var frames []rdma.Frame
 			for len(frames) < 2 {
-				f, err := rdma.ReadFrame(c1)
+				f, err := rdma.ReadFrameCRC(c1)
 				if err != nil {
 					return err
 				}
@@ -176,7 +168,7 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := rdma.WriteFrame(c1, resp); err != nil {
+				if err := rdma.WriteFrameCRC(c1, resp); err != nil {
 					return err
 				}
 			}
@@ -184,8 +176,9 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 		}()
 	}()
 
-	// MaxBatch 1 forces each read into its own batch frame.
-	cl, err := NewPipelined(c2, PipelineOpts{Window: 2, MaxBatch: 1})
+	// MaxBatch 1 forces each read into its own batch frame; NoCompact
+	// keeps them in the fixed-width encoding the stub decodes.
+	cl, err := NewPipelined(c2, PipelineOpts{Window: 2, MaxBatch: 1, NoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,45 +209,11 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 	}
 }
 
-// legacyServe answers the pre-batch protocol: empty OK to every PING
-// (ignoring any payload), serial READ/WRITE, no tagged verbs.
-func legacyServe(conn net.Conn, store *ObjectStore) {
-	defer conn.Close()
-	for {
-		f, err := rdma.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		var resp rdma.Frame
-		switch f.Op {
-		case rdma.OpPing:
-			resp = rdma.Frame{Op: rdma.OpOK}
-		case rdma.OpRead:
-			req, err := rdma.DecodeRead(f.Payload)
-			if err != nil {
-				resp = rdma.ErrFrame(err.Error())
-				break
-			}
-			resp = rdma.Frame{Op: rdma.OpData, Payload: store.Read(req.DS, req.Idx, req.Size)}
-		case rdma.OpWrite:
-			req, err := rdma.DecodeWrite(f.Payload)
-			if err != nil {
-				resp = rdma.ErrFrame(err.Error())
-				break
-			}
-			store.Write(req.DS, req.Idx, req.Data)
-			resp = rdma.Frame{Op: rdma.OpOK}
-		default:
-			resp = rdma.ErrFrame("unexpected op")
-		}
-		if rdma.WriteFrame(conn, resp) != nil {
-			return
-		}
-	}
-}
-
-func TestPipelinedLegacyFallback(t *testing.T) {
-	store := NewObjectStore()
+// TestPipelinedRefusesLegacyServer: a server from before the hello
+// answers opcode 3 (its PING) with an OK carrying a 4-byte feature
+// word. That is not a hello record, so the dial fails — there is no
+// fallback client to land on.
+func TestPipelinedRefusesLegacyServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -266,69 +225,93 @@ func TestPipelinedLegacyFallback(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go legacyServe(conn, store)
+			go func() {
+				defer conn.Close()
+				if _, err := rdma.ReadFrame(conn); err == nil {
+					rdma.WriteFrame(conn, rdma.Frame{Op: rdma.OpOK, Payload: []byte{0xFF, 0, 0, 0}})
+				}
+			}()
 		}
 	}()
-
-	// Direct negotiation: a legacy peer yields ErrNoPipelining and the
-	// connection stays usable for the serial client.
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPipelined(conn, PipelineOpts{}); !errors.Is(err, ErrNoPipelining) {
-		t.Fatalf("err = %v, want ErrNoPipelining", err)
-	}
-	serial := NewClientConn(conn)
-	defer serial.Close()
-	if err := serial.WriteObj(1, 2, []byte{0x5A}); err != nil {
-		t.Fatalf("conn unusable after failed negotiation: %v", err)
-	}
-
-	// DialAuto falls back to the serial client transparently.
-	sc, err := DialAuto(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if _, ok := sc.(*Client); !ok {
-		t.Fatalf("DialAuto against legacy server = %T, want *Client", sc)
-	}
-	buf := make([]byte, 1)
-	if err := sc.ReadObj(1, 2, buf); err != nil || buf[0] != 0x5A {
-		t.Fatalf("fallback read = %v, %v", buf, err)
+	_, err = DialPipelined(ln.Addr().String(), PipelineOpts{})
+	if !errors.Is(err, rdma.ErrHelloCheck) {
+		t.Fatalf("dial against a pre-hello server = %v, want a failed hello self-check", err)
 	}
 }
 
-func TestDialAutoPipelined(t *testing.T) {
+// TestDialPipelinedRetriesInitialDial: with fault handling configured
+// the first dial retries under the reconnect backoff budget, so a link
+// that is flaky at startup is survived; without it the first failure is
+// returned.
+func TestDialPipelinedRetriesInitialDial(t *testing.T) {
 	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	sc, err := DialAuto(addr)
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if accepted.Add(1)%3 != 0 {
+				conn.Close() // two of every three connections die before the hello
+				continue
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+	if _, err := DialPipelined(ln.Addr().String(), PipelineOpts{}); err == nil {
+		t.Fatal("zero-config dial must return the first failure")
+	}
+	cl, err := DialPipelined(ln.Addr().String(), PipelineOpts{RetryMax: 6, RetryBase: time.Millisecond})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dial with a retry budget: %v", err)
 	}
-	defer sc.Close()
-	if _, ok := sc.(*PipelinedClient); !ok {
-		t.Fatalf("DialAuto against new server = %T, want *PipelinedClient", sc)
+	defer cl.Close()
+	if n := accepted.Load(); n != 3 {
+		t.Fatalf("server saw %d connections, want 3 (the zero-config dial, one more slammed, one served)", n)
 	}
-	if err := sc.Ping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyClientAgainstNewServer covers the other interop direction:
-// the serial client's plain PING must still get a working session.
-func TestLegacyClientAgainstNewServer(t *testing.T) {
-	_, cl := startServer(t)
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.WriteObj(0, 0, []byte{1}); err != nil {
-		t.Fatal(err)
+}
+
+// TestLegacyClientAgainstNewServer is the other direction: whatever a
+// pre-hello client opens with — its 4-byte feature PING, or a data verb
+// straight away — is answered with one ERR naming the server's version,
+// and the connection is closed.
+func TestLegacyClientAgainstNewServer(t *testing.T) {
+	srv, _ := startServer(t)
+	for name, first := range map[string]rdma.Frame{
+		"feature ping": {Op: rdma.OpHello, Payload: []byte{0xFF, 0, 0, 0}},
+		"data verb":    rdma.EncodeReadBatch(1, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}),
+	} {
+		conn, err := net.Dial("tcp", srv.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := rdma.WriteFrame(conn, first); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rdma.ReadFrame(conn)
+		if err != nil || resp.Op != rdma.OpErr {
+			t.Fatalf("%s: reply = %+v, %v; want ERR", name, resp, err)
+		}
+		if h, err := rdma.DecodeHello(resp.Payload); err != nil || h.Version != rdma.ProtoVersion {
+			t.Fatalf("%s: ERR does not lead with the server's hello record: %+v, %v", name, h, err)
+		}
+		t.Logf("%s: %s", name, resp.Payload[rdma.HelloSize:])
+		if _, err := rdma.ReadFrame(conn); err == nil {
+			t.Fatalf("%s: connection still open after the refusal", name)
+		}
+	}
+	if r, w := srv.Counts(); r != 0 || w != 0 {
+		t.Fatalf("a refused connection reached the store: reads=%d writes=%d", r, w)
 	}
 }
 
@@ -351,21 +334,13 @@ func TestPipelinedPerRequestServerError(t *testing.T) {
 }
 
 func TestPipelinedCloseUnblocksInflight(t *testing.T) {
-	// A server that negotiates features, then goes silent: in-flight and
-	// queued operations must be failed by Close, not stuck forever.
+	// A server that says hello, then goes silent: in-flight and queued
+	// operations must be failed by Close, not stuck forever.
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	go func() {
-		f, err := rdma.ReadFrame(c1)
-		if err != nil || f.Op != rdma.OpPing {
-			return
-		}
-		rdma.WriteFrame(c1, rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(rdma.FeatBatch)})
-		// Swallow whatever arrives, never reply.
-		for {
-			if _, err := rdma.ReadFrame(c1); err != nil {
-				return
-			}
+		if _, err := stubHello(c1); err == nil {
+			io.Copy(io.Discard, c1) // swallow whatever arrives, never reply
 		}
 	}()
 	cl, err := NewPipelined(c2, PipelineOpts{Window: 2})
@@ -443,81 +418,19 @@ func TestPipelinedMetrics(t *testing.T) {
 	}
 }
 
-// TestSerialClientStalledServer is the satellite regression: Close must
-// never wait behind an in-flight round trip, and the unblocked caller
-// gets ErrClientClosed — as do all later calls.
-func TestSerialClientStalledServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
+// TestPipelinedBrokenStreamFailsFast: without a Redial a transport
+// failure is permanent — the in-flight op fails, and later calls fail
+// fast instead of touching the dead stream.
+func TestPipelinedBrokenStreamFailsFast(t *testing.T) {
+	c1, c2 := net.Pipe()
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		// Say hello, read one request, then slam the connection.
+		if _, err := stubHello(c1); err == nil {
+			rdma.ReadFrameCRC(c1)
 		}
-		defer conn.Close()
-		// Read the request, never answer.
-		rdma.ReadFrame(conn)
-		<-stop
+		c1.Close()
 	}()
-
-	cl, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	readDone := make(chan error, 1)
-	go func() {
-		readDone <- cl.ReadObj(0, 0, make([]byte, 8))
-	}()
-	// Give the round trip time to get stuck waiting for the response.
-	time.Sleep(50 * time.Millisecond)
-
-	closeDone := make(chan struct{})
-	go func() {
-		cl.Close()
-		close(closeDone)
-	}()
-	select {
-	case <-closeDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked behind the stalled round trip")
-	}
-	select {
-	case err := <-readDone:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Fatalf("stalled read = %v, want ErrClientClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stalled read never unblocked")
-	}
-	if err := cl.Ping(); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("post-close ping = %v, want ErrClientClosed", err)
-	}
-}
-
-// TestSerialClientBrokenStreamFailsFast: after a mid-flight transport
-// failure the client must refuse new round trips instead of pairing them
-// with stale bytes from the desynchronized stream.
-func TestSerialClientBrokenStreamFailsFast(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Read one request, then slam the connection.
-		rdma.ReadFrame(conn)
-		conn.Close()
-	}()
-	cl, err := Dial(ln.Addr().String())
+	cl, err := NewPipelined(c2, PipelineOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +438,9 @@ func TestSerialClientBrokenStreamFailsFast(t *testing.T) {
 	if err := cl.ReadObj(0, 0, make([]byte, 8)); err == nil {
 		t.Fatal("read against slammed connection should fail")
 	}
-	// The sticky error keeps later calls from touching the stream.
+	if cl.Alive() {
+		t.Fatal("client without a Redial must not outlive its connection")
+	}
 	if err := cl.Ping(); err == nil {
 		t.Fatal("ping after transport failure should fail fast")
 	}

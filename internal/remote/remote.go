@@ -5,12 +5,13 @@
 // server on one, application on the other.
 //
 // The server is concurrency-safe (one goroutine per connection, plus a
-// per-connection worker pool answering READBATCH frames out of order).
-// Two clients are provided: Client serializes one round trip at a time
-// (the synchronous fault path of the runtime), while PipelinedClient
-// keeps a bounded window of tagged requests in flight, coalesces queued
-// frames into single doorbell writes, and implements farmem.AsyncStore
-// so prefetchers can issue a whole lookahead window without blocking.
+// per-connection worker pool answering batch frames out of order). The
+// client, PipelinedClient, keeps a bounded window of tagged requests in
+// flight, coalesces queued operations into single doorbell writes, and
+// implements farmem.AsyncStore so prefetchers can issue a whole
+// lookahead window without blocking; its synchronous ReadObj/WriteObj
+// are issue-and-wait over the same pipeline. Resilient wraps it so a
+// restarted server is picked up without restarting the process.
 package remote
 
 import (
@@ -18,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -29,11 +29,11 @@ import (
 )
 
 // ObjectStore is the server-side keyed object storage. Every object
-// optionally carries a u64 epoch stamp (the FeatEpoch replication
-// extension): epoch-stamped writes apply conditionally so a resync
-// replaying stale images can never clobber a newer write, and
-// epoch-stamped reads report the stored stamp so a client can tell a
-// current image from a stale backup.
+// optionally carries a u64 epoch stamp (the replication verbs):
+// epoch-stamped writes apply conditionally so a resync replaying stale
+// images can never clobber a newer write, and epoch-stamped reads
+// report the stored stamp so a client can tell a current image from a
+// stale backup.
 type ObjectStore struct {
 	mu sync.RWMutex
 	m  map[[2]uint32][]byte
@@ -186,16 +186,6 @@ const DefaultBatchWorkers = 4
 // connection, not frame size.
 const connBufSize = 32 << 10
 
-// ServerFeatures is the feature word the server answers to a feature
-// PING: this server speaks the tagged/batch extension (reads and
-// writes), can switch the session to checksummed frames, can carry
-// the trace extension (span context in, server timestamps out) on every
-// tagged frame, serves the epoch-stamped verbs the replication layer
-// uses, executes offloaded pointer-chase traversal programs, accepts
-// the compact bit-packed batch frames (including range write-back),
-// and will compress reply segments for sessions that ask for it.
-const ServerFeatures = rdma.FeatBatch | rdma.FeatCRC | rdma.FeatWriteBatch | rdma.FeatTrace | rdma.FeatEpoch | rdma.FeatChase | rdma.FeatCompact | rdma.FeatCompress
-
 // NewServer creates a server with an empty store and a private metric
 // registry.
 func NewServer() *Server { return NewServerWith(nil, nil) }
@@ -216,28 +206,12 @@ func NewServerWith(reg *obs.Registry, tr *obs.Tracer) *Server {
 	}
 }
 
-// batchJob carries one READBATCH/WRITEBATCH frame to the worker pool
-// together with its socket receive time, so the reply stamp can split
-// queue wait (receive to worker pickup) from service time.
+// batchJob carries one tagged request to the worker pool together with
+// its socket receive time, so the reply stamp can split queue wait
+// (receive to worker pickup) from service time.
 type batchJob struct {
 	f    rdma.Frame
 	recv time.Time
-}
-
-// stamp fills a tagged reply's trace extension with the server-side
-// timestamps when the session negotiated FeatTrace (no-op otherwise).
-// Every tagged reply of such a session must carry the fixed-size
-// extension — the client's framing depends on it — so error replies get
-// stamped too.
-func (s *Server) stamp(resp *rdma.Frame, trace bool, recv, dispatch time.Time) {
-	if !trace {
-		return
-	}
-	resp.SetServerStamp(
-		uint64(recv.Sub(s.epoch).Microseconds()),
-		uint32(dispatch.Sub(recv).Microseconds()),
-		uint32(time.Since(dispatch).Microseconds()),
-	)
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:0") and returns the
@@ -294,17 +268,17 @@ func (s *Server) trackConn(conn io.ReadWriteCloser, add bool) {
 // ServeConn handles one connection until EOF or error. Exported so tests
 // and in-process pairs (net.Pipe) can drive it directly.
 //
-// Serial verbs are handled inline, in arrival order. READBATCH and
-// WRITEBATCH frames are dispatched to a small per-connection worker
-// pool and answered whenever they complete — possibly out of order
-// relative to each other and to later serial verbs; the tag routes each
-// reply. Callers that need write-then-read ordering for an object get
-// it from the write acknowledgement: ACKBATCH/ACKTAG/OK is sent only
-// after the store mutation, so a read issued after the ack observes it.
-// Symmetrically, two batches carrying writes to the same object may be
-// applied in either order — clients must not have two unacknowledged
-// writes to one object in flight (the pipelined client's runtime caller
-// serializes per-object write-backs).
+// The first frame must be a HELLO this server can run (rdma/hello.go);
+// anything else is answered with ERR and the connection closed. After
+// it only tagged verbs exist: each is handed to a small per-connection
+// worker pool and answered whenever it completes — possibly out of
+// order; the tag routes each reply. Callers that need write-then-read
+// ordering for an object get it from the write acknowledgement:
+// ACKBATCH is sent only after the store mutation, so a read issued
+// after the ack observes it. Symmetrically, two batches carrying writes
+// to the same object may be applied in either order — clients must not
+// have two unacknowledged writes to one object in flight (the pipelined
+// client's runtime caller serializes per-object write-backs).
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	connID := int(s.nextCon.Add(1))
@@ -319,70 +293,30 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 
-	// Batch workers reply concurrently with the inline loop: every
-	// response frame goes through send so frames never interleave, and
-	// send flushes before it unlocks, so no reply ever waits in bw for a
-	// later one (Drain and the client's stall detector rely on that).
-	// crcOut/traceOut flip after the negotiation reply is sent; no batch
-	// can be in flight then (clients wait for the feature OK first), so
-	// each switch is ordered with every extended frame.
-	var wmu sync.Mutex
-	var crcOut, traceOut atomic.Bool
-	send := func(resp rdma.Frame) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		s.metrics.bytesOut.Add(resp.WireSize())
-		writeFrame := rdma.WriteFrame
-		if crcOut.Load() {
-			writeFrame = rdma.WriteFrameCRC
-		}
-		if err := writeFrame(bw, resp); err != nil {
-			return err
-		}
-		return bw.Flush()
+	h, ok := s.acceptHello(br, bw)
+	if !ok {
+		return
+	}
+	// The session's shape is fixed here, before any worker exists.
+	c := &srvConn{
+		s: s, id: connID, bw: bw,
+		trace:    h.Opts&rdma.OptTrace != 0,
+		compress: h.Opts&rdma.OptCompress != 0,
 	}
 	workers := s.BatchWorkers
 	if workers <= 0 {
 		workers = DefaultBatchWorkers
 	}
-	var compressOut atomic.Bool
 	jobs := make(chan batchJob)
 	var bwg sync.WaitGroup
 	bwg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer bwg.Done()
-			// Per-worker scratch keeps the steady-state batch path free of
-			// per-frame allocations (the request slices are reused; reply
-			// payloads come from the frame buffer pool).
-			var rscratch []rdma.ReadReq
-			var wscratch []rdma.WriteReq
-			var escratch []rdma.WriteEpochReq
-			var cscratch []rdma.ChaseReq
-			var cb rdma.DataBatchCBuilder
-			defer cb.Release()
-			var cwscratch compactWriteScratch
-			defer cwscratch.release()
+			var w workerScratch
+			defer w.release()
 			for j := range jobs {
-				trace := traceOut.Load()
-				switch j.f.Op {
-				case rdma.OpWriteBatch:
-					wscratch = s.serveWriteBatch(j, connID, send, trace, wscratch)
-				case rdma.OpWriteEpochBatch:
-					escratch = s.serveWriteEpochBatch(j, connID, send, trace, escratch)
-				case rdma.OpReadEpochBatch:
-					rscratch = s.serveReadEpochBatch(j, connID, send, trace, rscratch)
-				case rdma.OpChaseBatch:
-					cscratch = s.serveChaseBatch(j, connID, send, trace, cscratch)
-				case rdma.OpReadBatchC:
-					rscratch = s.serveBatchC(j, connID, send, trace, compressOut.Load(), rscratch, &cb)
-				case rdma.OpWriteBatchC:
-					s.serveWriteBatchC(j, connID, send, trace, false, &cwscratch)
-				case rdma.OpWriteEpochBatchC:
-					s.serveWriteBatchC(j, connID, send, trace, true, &cwscratch)
-				default:
-					rscratch = s.serveBatch(j, connID, send, trace, rscratch)
-				}
+				c.serve(j, &w)
 				rdma.PutBuf(j.f.Payload)
 			}
 		}()
@@ -390,109 +324,168 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	defer bwg.Wait()
 	defer close(jobs)
 
-	crcIn, traceIn := false, false
 	for {
-		f, err := rdma.ReadFramePooledOpts(br, crcIn, traceIn)
+		f, err := rdma.ReadFramePooledOpts(br, true, c.trace)
 		if err != nil {
 			return
 		}
 		s.metrics.bytesIn.Add(f.WireSize())
-		if f.Op == rdma.OpReadBatch || f.Op == rdma.OpWriteBatch ||
-			f.Op == rdma.OpReadEpochBatch || f.Op == rdma.OpWriteEpochBatch ||
-			f.Op == rdma.OpChaseBatch || f.Op == rdma.OpReadBatchC ||
-			f.Op == rdma.OpWriteBatchC || f.Op == rdma.OpWriteEpochBatchC {
-			s.metrics.inflight.Add(1)
-			jobs <- batchJob{f: f, recv: time.Now()} // reply sent by a worker, possibly out of order
-			continue
-		}
-		s.metrics.inflight.Add(1)
-		start := time.Now()
-		var startUS uint64
-		if s.tracer != nil {
-			startUS = s.tracer.Now()
-		}
-		var resp rdma.Frame
-		var ds, idx int64
-		enableCRC, enableTrace := false, false
-		switch f.Op {
-		case rdma.OpPing:
-			if feats, ok := rdma.DecodeFeatures(f.Payload); ok {
-				// Feature negotiation: answer with our feature word. A
-				// legacy client never sends one and gets the empty OK. The
-				// reply itself is always legacy-framed; checksummed and
-				// trace framing start with the next frame in each direction.
-				resp = rdma.Frame{Op: rdma.OpOK, Payload: rdma.EncodeFeatures(ServerFeatures)}
-				enableCRC = feats&rdma.FeatCRC != 0
-				enableTrace = feats&rdma.FeatTrace != 0
-				// Reply segments may be compressed only when the client
-				// asked for both the compact tier and compression — the
-				// flip is ordered like crcOut/traceOut (no compact batch
-				// can be in flight before the feature OK lands).
-				compressOut.Store(feats&rdma.FeatCompact != 0 && feats&rdma.FeatCompress != 0)
-			} else {
-				resp = rdma.Frame{Op: rdma.OpOK}
-			}
-		case rdma.OpRead:
-			req, err := rdma.DecodeRead(f.Payload)
-			if err != nil {
-				resp = rdma.ErrFrame(err.Error())
-				break
-			}
-			ds, idx = int64(req.DS), int64(req.Idx)
-			out := rdma.GetBuf(int(req.Size))
-			s.Store.ReadInto(req.DS, req.Idx, out)
-			resp = rdma.Frame{Op: rdma.OpData, Payload: out}
-		case rdma.OpWrite, rdma.OpWriteTag:
-			req, err := rdma.DecodeWrite(f.Payload)
-			if err != nil {
-				if f.Op == rdma.OpWriteTag {
-					resp = rdma.ErrTagFrame(f.Tag, err.Error())
-				} else {
-					resp = rdma.ErrFrame(err.Error())
-				}
-				break
-			}
-			ds, idx = int64(req.DS), int64(req.Idx)
-			s.Store.Write(req.DS, req.Idx, req.Data)
-			if f.Op == rdma.OpWriteTag {
-				resp = rdma.Frame{Op: rdma.OpAckTag, Tag: f.Tag}
-			} else {
-				resp = rdma.Frame{Op: rdma.OpOK}
-			}
-		default:
-			msg := fmt.Sprintf("unexpected op %s", f.Op)
-			if f.Op.Tagged() {
-				resp = rdma.ErrTagFrame(f.Tag, msg)
-			} else {
-				resp = rdma.ErrFrame(msg)
-			}
-		}
-		if resp.Op == rdma.OpErr || resp.Op == rdma.OpErrTag {
+		if !f.Op.Tagged() {
+			// Past the hello there is no untagged verb — a second HELLO
+			// included — and no tag to route a per-request error by.
 			s.metrics.errors.Inc()
-		} else {
-			s.observeVerb(f.Op, connID, start, startUS, ds, idx, reqTrace(f))
-		}
-		s.metrics.inflight.Add(-1)
-		rdma.PutBuf(f.Payload) // request fully consumed (Store.Write copies)
-		if resp.Op.Tagged() {
-			// Inline verbs dispatch immediately: receive == dispatch, the
-			// whole handle is service time.
-			s.stamp(&resp, traceOut.Load(), start, start)
-		}
-		err = send(resp)
-		rdma.PutBuf(resp.Payload)
-		if err != nil {
+			s.metrics.wire.add(f.Op, f.WireSize())
+			resp := rdma.HelloErrFrame(fmt.Sprintf("unexpected %s mid-session", f.Op))
+			s.metrics.wire.add(resp.Op, resp.WireSize())
+			c.send(resp)
+			rdma.PutBuf(f.Payload)
 			return
 		}
-		if enableCRC {
-			crcIn = true
-			crcOut.Store(true)
-		}
-		if enableTrace {
-			traceIn = true
-			traceOut.Store(true)
-		}
+		s.metrics.inflight.Add(1)
+		jobs <- batchJob{f: f, recv: time.Now()} // reply sent by a worker, possibly out of order
 	}
+}
+
+// acceptHello runs the server half of the handshake on a fresh
+// connection: read the first frame, answer OK (echoing the hello) or
+// ERR, both plain-framed. It reports whether the session is up.
+func (s *Server) acceptHello(br *bufio.Reader, bw *bufio.Writer) (rdma.Hello, bool) {
+	f, err := rdma.ReadFramePooledOpts(br, false, false)
+	if err != nil {
+		return rdma.Hello{}, false
+	}
+	defer rdma.PutBuf(f.Payload)
+	s.metrics.bytesIn.Add(f.WireSize())
+	h, herr := rdma.DecodeHello(f.Payload)
+	var refusal string
+	switch {
+	case f.Op != rdma.OpHello || len(f.Payload) != rdma.HelloSize:
+		refusal = fmt.Sprintf("connection opened with %s (%d bytes), not a HELLO", f.Op, len(f.Payload))
+	case herr != nil:
+		refusal = herr.Error()
+	case !h.Valid():
+		refusal = fmt.Sprintf("client speaks version %d, options %#x", h.Version, h.Opts)
+	}
+	var resp rdma.Frame
+	if refusal == "" {
+		resp = rdma.HelloFrame(rdma.OpOK, h)
+	} else {
+		s.metrics.errors.Inc()
+		resp = rdma.HelloErrFrame(fmt.Sprintf("server speaks protocol version %d: %s", rdma.ProtoVersion, refusal))
+	}
+	s.metrics.bytesOut.Add(resp.WireSize())
+	if rdma.WriteFrame(bw, resp) != nil || bw.Flush() != nil {
+		return h, false
+	}
+	return h, refusal == ""
+}
+
+// srvConn is one served connection's session state, fixed by its hello.
+type srvConn struct {
+	s        *Server
+	id       int
+	trace    bool // every tagged frame carries the trace block
+	compress bool // compact replies may carry LZ segments
+
+	// Workers reply concurrently: every response goes through send so
+	// frames never interleave, and send flushes before it unlocks, so no
+	// reply ever waits in bw for a later one (Drain and the client's
+	// stall detector rely on that).
+	wmu sync.Mutex
+	bw  *bufio.Writer
+}
+
+func (c *srvConn) send(resp rdma.Frame) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.s.metrics.bytesOut.Add(resp.WireSize())
+	if err := rdma.WriteFrameCRC(c.bw, resp); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// workerScratch keeps a worker's steady-state path free of per-frame
+// allocations: decoded request slices are reused across frames, and
+// reply payloads come from the frame buffer pool.
+type workerScratch struct {
+	reads   []rdma.ReadReq
+	writes  []rdma.WriteReq
+	ewrites []rdma.WriteEpochReq
+	chases  []rdma.ChaseReq
+	cb      rdma.DataBatchCBuilder
+	cw      compactWriteScratch
+}
+
+func (w *workerScratch) release() {
+	w.cb.Release()
+	w.cw.release()
+}
+
+// served is what one request did, for the counters and the span. Every
+// encoding of a verb family (plain, epoch, compact) shares the family's
+// series, named by its fixed-width request opcode.
+type served struct {
+	family  rdma.Op // OpReadBatch, OpWriteBatch or OpChaseBatch
+	n, hops int     // tuples served; hops walked (chases only)
+}
+
+// serve answers one tagged request on a worker goroutine. It is the one
+// envelope around every verb: pickup time, per-verb wire accounting of
+// request and reply, a failed body (undecodable request, oversized
+// reply, unknown verb) turned into a definitive ERRTAG, the reply's
+// trace stamp, and the send. Every tagged reply of a traced session
+// carries the fixed-size block — the client's framing depends on it —
+// so error replies are stamped too.
+func (c *srvConn) serve(j batchJob, w *workerScratch) {
+	s, f := c.s, j.f
+	defer s.metrics.inflight.Add(-1)
+	start := time.Now()
+	var startUS uint64
+	if s.tracer != nil {
+		startUS = s.tracer.Now()
+	}
+	s.metrics.wire.add(f.Op, f.WireSize())
+	resp, sv, err := c.handle(f, w)
+	if err != nil {
+		s.metrics.errors.Inc()
+		resp = rdma.ErrTagFrame(f.Tag, err.Error())
+	} else {
+		s.observe(c.id, sv, start, startUS, reqTrace(f))
+	}
+	s.metrics.wire.add(resp.Op, resp.WireSize())
+	if c.trace {
+		resp.SetServerStamp(
+			uint64(j.recv.Sub(s.epoch).Microseconds()),
+			uint32(start.Sub(j.recv).Microseconds()),
+			uint32(time.Since(start).Microseconds()),
+		)
+	}
+	c.send(resp)
+	rdma.PutBuf(resp.Payload)
+}
+
+// handle runs the per-verb body: decode, touch the store, build the
+// reply (its payload pooled; serve releases it).
+func (c *srvConn) handle(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	s := c.s
+	switch f.Op {
+	case rdma.OpReadBatch:
+		return s.readBatch(f, w)
+	case rdma.OpReadEpochBatch:
+		return s.readEpochBatch(f, w)
+	case rdma.OpReadBatchC:
+		return s.readBatchC(f, w, c.compress)
+	case rdma.OpChaseBatch:
+		return s.chaseBatch(f, w)
+	case rdma.OpWriteBatch:
+		return s.writeBatch(f, w)
+	case rdma.OpWriteEpochBatch:
+		return s.writeEpochBatch(f, w)
+	case rdma.OpWriteBatchC, rdma.OpWriteEpochBatchC:
+		return s.writeBatchC(f, w, f.Op == rdma.OpWriteEpochBatchC)
+	}
+	return rdma.Frame{}, served{}, fmt.Errorf("unexpected op %s", f.Op)
 }
 
 // reqTrace extracts the sampled trace ID riding a request's trace
@@ -508,78 +501,42 @@ func reqTrace(f rdma.Frame) uint64 {
 	return traceID
 }
 
-// serveBatch handles one READBATCH frame on a worker goroutine: gather
-// every requested object directly into one pooled DATABATCH reply. The
-// request scratch slice is returned for the worker to reuse.
-func (s *Server) serveBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.ReadReq) []rdma.ReadReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
-	reqs, err := rdma.DecodeReadBatchInto(f.Payload, scratch)
+// errReplyTooLarge fails a read or chase batch whose reply would not fit
+// a frame.
+var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
+
+// readBatch gathers every requested object directly into one pooled
+// DATABATCH reply.
+func (s *Server) readBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeReadBatchInto(f.Payload, w.reads)
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.reads = reqs
 	size := rdma.DataBatchSize(reqs)
 	if size > rdma.MaxFrame {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, "batch reply exceeds frame limit")
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return reqs
+		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
-	p := rdma.GetBuf(size)
-	w := rdma.BeginDataBatch(p, len(reqs))
+	dw := rdma.BeginDataBatch(rdma.GetBuf(size), len(reqs))
 	for _, r := range reqs {
-		s.Store.ReadInto(r.DS, r.Idx, w.Next(int(r.Size)))
+		s.Store.ReadInto(r.DS, r.Idx, dw.Next(int(r.Size)))
 	}
-	s.observeBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := w.Frame(f.Tag)
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	rdma.PutBuf(p)
-	return reqs
+	return dw.Frame(f.Tag), served{family: rdma.OpReadBatch, n: len(reqs)}, nil
 }
 
-// serveWriteBatch handles one WRITEBATCH frame on a worker goroutine:
-// apply every write in batch order, then acknowledge the whole batch
-// with one ACKBATCH. Writes within a batch are ordered; two batches may
-// be applied in either order (see the ServeConn contract).
-func (s *Server) serveWriteBatch(j batchJob, connID int, send func(rdma.Frame) error, trace bool, scratch []rdma.WriteReq) []rdma.WriteReq {
-	f := j.f
-	defer s.metrics.inflight.Add(-1)
-	start := time.Now()
-	var startUS uint64
-	if s.tracer != nil {
-		startUS = s.tracer.Now()
-	}
-	s.metrics.wire.add(f.Op, f.WireSize())
-	reqs, err := rdma.DecodeWriteBatchInto(f.Payload, scratch)
+// writeBatch applies every write in batch order, then acknowledges the
+// whole batch with one ACKBATCH. Writes within a batch are ordered; two
+// batches may be applied in either order (see the ServeConn contract).
+func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
+	reqs, err := rdma.DecodeWriteBatchInto(f.Payload, w.writes)
 	if err != nil {
-		s.metrics.errors.Inc()
-		resp := rdma.ErrTagFrame(f.Tag, err.Error())
-		s.stamp(&resp, trace, j.recv, start)
-		send(resp)
-		return scratch
+		return rdma.Frame{}, served{}, err
 	}
+	w.writes = reqs
 	for _, r := range reqs {
 		s.Store.Write(r.DS, r.Idx, r.Data)
 	}
-	s.observeWriteBatch(connID, len(reqs), start, startUS, reqTrace(f))
-	resp := rdma.EncodeAckBatch(f.Tag, len(reqs))
-	s.metrics.wire.add(resp.Op, resp.WireSize())
-	s.stamp(&resp, trace, j.recv, start)
-	send(resp)
-	return reqs
+	return rdma.EncodeAckBatch(f.Tag, len(reqs)), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
 }
 
 // Counts returns (reads, writes) served. The values are the registry's
@@ -645,300 +602,6 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	return drained
 }
 
-// ClientOpts configures the serial client's fault handling. The zero
-// value reproduces the historical behavior exactly: no deadline, no
-// retries, no redial — a broken connection stays broken.
-type ClientOpts struct {
-	// Timeout bounds each round trip (request write + response read).
-	// Expiry returns ErrTimeout and abandons the connection: the reply
-	// may still arrive later and would desynchronize the stream.
-	Timeout time.Duration
-
-	// RetryMax is the number of retries (beyond the first attempt) for
-	// idempotent verbs (PING, READ) and for any verb whose request never
-	// reached the wire. Writes that fail mid round trip are never
-	// silently retried — callers get ErrUncertainWrite.
-	RetryMax int
-
-	// RetryBase/RetryCap shape the capped exponential backoff between
-	// attempts (defaults 2ms / 250ms). Seed makes the jitter
-	// deterministic for tests; 0 uses a fixed default seed.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	Seed      int64
-
-	// Redial reopens the transport after a failure. Nil disables
-	// reconnects (and with them all retries that need a fresh conn).
-	Redial func() (io.ReadWriteCloser, error)
-}
-
-// Client is a farmem.Store backed by a protocol connection. Round trips
-// are serialized; Close is safe to call concurrently with an in-flight
-// round trip (it unblocks the stalled network I/O rather than waiting
-// behind it). After a transport failure the client abandons the
-// connection — with a Redial it reopens one and retries idempotent
-// verbs under capped backoff; without, it fails fast as before.
-type Client struct {
-	mu      sync.Mutex // serializes round trips; never held by Close
-	connMu  sync.Mutex // guards the conn pointer swap vs Close
-	conn    io.ReadWriteCloser
-	opts    ClientOpts
-	rng     *rand.Rand // jitter source; guarded by mu
-	closed  atomic.Bool
-	broken  error // sticky transport error; guarded by mu
-	wantCRC bool  // negotiate checksummed framing on every fresh conn
-	crc     bool  // CRC active on the current conn; guarded by mu
-	metrics *clientMetrics
-}
-
 // ErrClientClosed is returned by calls made after (or unblocked by)
 // Close.
 var ErrClientClosed = errors.New("remote: client closed")
-
-// Dial connects to a server address with zero-value options (no
-// deadline, no retries).
-func Dial(addr string) (*Client, error) {
-	return DialOpts(addr, ClientOpts{})
-}
-
-// DialOpts connects to a server address with fault handling configured.
-// When opts.Redial is nil it defaults to redialing addr.
-func DialOpts(addr string, opts ClientOpts) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	faultTolerant := opts.RetryMax > 0 || opts.Timeout > 0
-	if opts.Redial == nil && faultTolerant {
-		opts.Redial = func() (io.ReadWriteCloser, error) {
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return c, nil
-		}
-	}
-	c := NewClientConnOpts(conn, opts)
-	if faultTolerant {
-		// A fault-tolerant session needs checksummed framing: without it a
-		// corrupted request decodes as garbage server-side and comes back
-		// as a definitive ERR reply, which is never retried. Legacy servers
-		// answer the feature ping with an empty OK and the session stays on
-		// plain framing. If the handshake itself is garbled, the conn is
-		// marked broken so the first operation redials and renegotiates
-		// under the normal retry budget.
-		c.wantCRC = true
-		if crc, err := negotiateCRC(conn, opts.Timeout); err != nil {
-			c.broken = err
-		} else {
-			c.crc = crc
-		}
-	}
-	return c, nil
-}
-
-// NewClientConn wraps an existing connection (e.g. one end of net.Pipe).
-func NewClientConn(conn io.ReadWriteCloser) *Client { return &Client{conn: conn} }
-
-// NewClientConnOpts wraps an existing connection with fault handling.
-func NewClientConnOpts(conn io.ReadWriteCloser, opts ClientOpts) *Client {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &Client{conn: conn, opts: opts, rng: rand.New(rand.NewSource(seed))}
-}
-
-// roundTrip sends a request and reads the response, redialing and
-// retrying per ClientOpts. Server ERR replies are definitive and never
-// retried; transport failures on non-idempotent verbs surface as
-// ErrUncertainWrite unless the request provably never hit the wire.
-func (c *Client) roundTrip(req rdma.Frame) (rdma.Frame, error) {
-	if c.closed.Load() {
-		return rdma.Frame{}, ErrClientClosed
-	}
-	idempotent := req.Op == rdma.OpPing || req.Op == rdma.OpRead
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if c.closed.Load() {
-			return rdma.Frame{}, ErrClientClosed
-		}
-		sent := false
-		resp, err := c.attemptLocked(req, &sent)
-		if err == nil {
-			return resp, nil
-		}
-		if errors.Is(err, ErrClientClosed) {
-			return rdma.Frame{}, ErrClientClosed
-		}
-		if c.broken == nil {
-			// The connection survived: this is a definitive server-level
-			// error (ERR reply), not a transport fault. Never retried.
-			return rdma.Frame{}, err
-		}
-		if !idempotent && sent {
-			// The request may have reached the server; replaying could
-			// apply the mutation twice. Surface the uncertainty instead.
-			if m := c.metrics; m != nil {
-				m.uncertainWrites.Inc()
-			}
-			return rdma.Frame{}, uncertain(err)
-		}
-		if attempt >= c.opts.RetryMax || c.opts.Redial == nil {
-			return rdma.Frame{}, err
-		}
-		if m := c.metrics; m != nil {
-			m.retries.Inc()
-		}
-		time.Sleep(backoff(c.rng, c.opts.RetryBase, c.opts.RetryCap, attempt))
-	}
-}
-
-// attemptLocked performs one round-trip attempt (caller holds mu),
-// redialing first when the previous connection broke. *sent reports
-// whether the request may have reached the wire.
-func (c *Client) attemptLocked(req rdma.Frame, sent *bool) (rdma.Frame, error) {
-	if c.broken != nil {
-		if c.opts.Redial == nil {
-			return rdma.Frame{}, fmt.Errorf("remote: connection broken: %w", c.broken)
-		}
-		if err := c.redialLocked(); err != nil {
-			return rdma.Frame{}, err
-		}
-	}
-	*sent = true
-	conn := c.conn
-	writeFrame, readFrame := rdma.WriteFrame, rdma.ReadFrame
-	if c.crc {
-		writeFrame, readFrame = rdma.WriteFrameCRC, rdma.ReadFrameCRC
-	}
-	g := guardIO(conn, c.opts.Timeout)
-	start := time.Now()
-	err := writeFrame(conn, req)
-	var resp rdma.Frame
-	if err == nil {
-		resp, err = readFrame(conn)
-	}
-	if err = g.finish(err); err != nil {
-		if errors.Is(err, ErrTimeout) {
-			if m := c.metrics; m != nil {
-				m.timeouts.Inc()
-			}
-		}
-		return rdma.Frame{}, c.breakConn(err)
-	}
-	if m := c.metrics; m != nil {
-		m.bytesOut.Add(req.WireSize())
-		m.bytesIn.Add(resp.WireSize())
-		m.observe(req.Op, uint64(time.Since(start).Nanoseconds()))
-	}
-	if resp.Op == rdma.OpErr {
-		return rdma.Frame{}, fmt.Errorf("remote: server error: %s", resp.Payload)
-	}
-	return resp, nil
-}
-
-// redialLocked replaces the broken connection with a fresh one (caller
-// holds mu). The swap is guarded against a concurrent Close: if the
-// client closed while dialing, the new conn is closed and the client
-// stays closed.
-func (c *Client) redialLocked() error {
-	conn, err := c.opts.Redial()
-	if err != nil {
-		// The dial itself failed: nothing reached the wire, so even
-		// writes may retry this. c.broken stays set.
-		return fmt.Errorf("remote: redial: %w", err)
-	}
-	c.connMu.Lock()
-	if c.closed.Load() {
-		c.connMu.Unlock()
-		conn.Close()
-		return ErrClientClosed
-	}
-	old := c.conn
-	c.conn = conn
-	c.connMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	c.broken = nil
-	c.crc = false
-	if c.wantCRC {
-		// Re-negotiate checksummed framing on the fresh stream. A failure
-		// here happens before the caller's request touches the wire, so
-		// even writes may retry it.
-		crc, err := negotiateCRC(conn, c.opts.Timeout)
-		if err != nil {
-			return c.breakConn(err)
-		}
-		c.crc = crc
-	}
-	if m := c.metrics; m != nil {
-		m.reconnects.Inc()
-	}
-	return nil
-}
-
-// breakConn marks the stream unusable after a transport error (caller
-// holds mu) and maps errors caused by a concurrent Close to
-// ErrClientClosed.
-func (c *Client) breakConn(err error) error {
-	if c.closed.Load() {
-		err = ErrClientClosed
-	}
-	c.broken = err
-	return err
-}
-
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	resp, err := c.roundTrip(rdma.Frame{Op: rdma.OpPing})
-	if err != nil {
-		return err
-	}
-	if resp.Op != rdma.OpOK {
-		return fmt.Errorf("remote: unexpected ping response %s", resp.Op)
-	}
-	return nil
-}
-
-// ReadObj implements farmem.Store.
-func (c *Client) ReadObj(ds, idx int, dst []byte) error {
-	resp, err := c.roundTrip(rdma.EncodeRead(uint32(ds), uint32(idx), uint32(len(dst))))
-	if err != nil {
-		return err
-	}
-	if resp.Op != rdma.OpData {
-		return fmt.Errorf("remote: unexpected read response %s", resp.Op)
-	}
-	copy(dst, resp.Payload)
-	return nil
-}
-
-// WriteObj implements farmem.Store.
-func (c *Client) WriteObj(ds, idx int, src []byte) error {
-	resp, err := c.roundTrip(rdma.EncodeWrite(uint32(ds), uint32(idx), src))
-	if err != nil {
-		return err
-	}
-	if resp.Op != rdma.OpOK {
-		return fmt.Errorf("remote: unexpected write response %s", resp.Op)
-	}
-	return nil
-}
-
-// Close closes the underlying connection. It never waits behind an
-// in-flight round trip: closing the current connection unblocks any
-// goroutine stalled in network I/O, which then returns ErrClientClosed.
-// A concurrent redial observes the closed flag under connMu and closes
-// its fresh connection too. Close is idempotent and safe for concurrent
-// use.
-func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	return c.conn.Close()
-}

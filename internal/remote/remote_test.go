@@ -13,20 +13,9 @@ import (
 	"cards/internal/workloads"
 )
 
-func startServer(t *testing.T) (*Server, *Client) {
+func startServer(t *testing.T) (*Server, *PipelinedClient) {
 	t.Helper()
-	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return srv, cl
+	return startPipelined(t, PipelineOpts{})
 }
 
 func TestPing(t *testing.T) {
@@ -88,7 +77,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
+			cl, err := DialPipelined(addr, PipelineOpts{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -122,7 +111,10 @@ func TestPipeTransport(t *testing.T) {
 	srv := NewServer()
 	c1, c2 := net.Pipe()
 	go srv.ServeConn(c1)
-	cl := NewClientConn(c2)
+	cl, err := NewPipelined(c2, PipelineOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cl.Close()
 	if err := cl.WriteObj(1, 1, []byte{42}); err != nil {
 		t.Fatal(err)

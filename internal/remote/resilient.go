@@ -16,29 +16,33 @@ import "sync"
 // Each replacement dial is a single attempt that fails fast; pacing
 // retries across the outage is the caller's job (the farmem breaker
 // probes on its own clock).
+//
+// Every method has one shape: take the live client, forward, and retire
+// the client if the operation failed because it died.
 type Resilient struct {
 	addr string
-	cfg  DialConfig
+	opts PipelineOpts
 
 	mu     sync.Mutex
-	cur    StoreConn
+	cur    *PipelinedClient
 	closed bool
 }
 
-// DialResilient connects like DialAutoOpts (the initial dial uses the
+// DialResilient connects like DialPipelined (the initial dial uses the
 // config's full retry budget) and keeps the connection replaceable
 // across permanent client failures.
 func DialResilient(addr string, cfg DialConfig) (*Resilient, error) {
-	c, err := DialAutoOpts(addr, cfg)
+	opts := cfg.pipelineOpts()
+	c, err := DialPipelined(addr, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Resilient{addr: addr, cfg: cfg, cur: c}, nil
+	return &Resilient{addr: addr, opts: opts, cur: c}, nil
 }
 
 // client returns the live client, dialing a replacement if the previous
 // one was retired.
-func (r *Resilient) client() (StoreConn, error) {
+func (r *Resilient) client() (*PipelinedClient, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -47,7 +51,7 @@ func (r *Resilient) client() (StoreConn, error) {
 	if r.cur != nil {
 		return r.cur, nil
 	}
-	c, err := dialAutoOnce(r.addr, r.cfg)
+	c, err := dialOnce(r.addr, r.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +59,23 @@ func (r *Resilient) client() (StoreConn, error) {
 	return c, nil
 }
 
-// retire drops c if it can no longer serve operations. The serial
-// client redials lazily on its own and is never retired; a pipelined
-// client is retired once its reconnect budget is spent.
-func (r *Resilient) retire(c StoreConn) {
-	pc, ok := c.(*PipelinedClient)
-	if !ok || pc.Alive() {
+// clientOr is client for the async methods: a dial failure completes
+// done and yields nil.
+func (r *Resilient) clientOr(done func(error)) *PipelinedClient {
+	c, err := r.client()
+	if err != nil {
+		done(err)
+		return nil
+	}
+	return c
+}
+
+// retireOn drops c after an operation on it returned err, if c can no
+// longer serve: its reconnect budget is spent. Any other error (a
+// server-level rejection, a stale range base) came from a healthy
+// session and leaves the client in place.
+func (r *Resilient) retireOn(c *PipelinedClient, err error) {
+	if err == nil || c.Alive() {
 		return
 	}
 	r.mu.Lock()
@@ -70,95 +85,59 @@ func (r *Resilient) retire(c StoreConn) {
 	r.mu.Unlock()
 	// The client has already failed permanently: its connection is closed
 	// and its loops are exiting, so Close only waits for them. That wait
-	// must not run inline — retire is reached from async completion
+	// must not run inline — retireOn is reached from async completion
 	// callbacks that fail() invokes on the dying client's own reader
 	// goroutine, where a synchronous Close would wait on itself.
 	go c.Close()
 }
 
-// retireFallback drops a serial fallback client because the caller
-// needs the epoch verbs only a pipelined session carries. The serial
-// fallback exists for legacy peers, but it is also where a garbled
-// feature handshake lands against a fully capable server — a state a
-// redial fixes and staying put never does. The epoch caller's retry
-// (after ErrEpochUnsupported) then renegotiates on a fresh connection.
-func (r *Resilient) retireFallback(c StoreConn) {
-	r.mu.Lock()
-	if r.cur == c {
-		r.cur = nil
+// retiring wraps an async completion so a failure retires c first: the
+// caller's reissue then finds a fresh connection.
+func (r *Resilient) retiring(c *PipelinedClient, done func(error)) func(error) {
+	return func(err error) {
+		r.retireOn(c, err)
+		done(err)
 	}
-	r.mu.Unlock()
-	go c.Close()
 }
 
-func (r *Resilient) do(op func(StoreConn) error) error {
+func (r *Resilient) do(op func(*PipelinedClient) error) error {
 	c, err := r.client()
 	if err != nil {
 		return err
 	}
-	if err := op(c); err != nil {
-		r.retire(c)
-		return err
-	}
-	return nil
+	err = op(c)
+	r.retireOn(c, err)
+	return err
 }
 
 // ReadObj implements StoreConn.
 func (r *Resilient) ReadObj(ds, idx int, dst []byte) error {
-	return r.do(func(c StoreConn) error { return c.ReadObj(ds, idx, dst) })
+	return r.do(func(c *PipelinedClient) error { return c.ReadObj(ds, idx, dst) })
 }
 
 // WriteObj implements StoreConn.
 func (r *Resilient) WriteObj(ds, idx int, src []byte) error {
-	return r.do(func(c StoreConn) error { return c.WriteObj(ds, idx, src) })
+	return r.do(func(c *PipelinedClient) error { return c.WriteObj(ds, idx, src) })
 }
 
 // Ping implements StoreConn; it is the usual path that detects a
 // recovered server and triggers the replacement dial.
 func (r *Resilient) Ping() error {
-	return r.do(func(c StoreConn) error { return c.Ping() })
+	return r.do((*PipelinedClient).Ping)
 }
 
-// IssueRead preserves the async prefetch path when the underlying
-// client is pipelined, falling back to a synchronous read otherwise.
+// IssueRead implements farmem.AsyncStore.
 func (r *Resilient) IssueRead(ds, idx int, dst []byte, done func(error)) {
-	c, err := r.client()
-	if err != nil {
-		done(err)
-		return
+	if c := r.clientOr(done); c != nil {
+		c.IssueRead(ds, idx, dst, r.retiring(c, done))
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueRead(ds, idx, dst, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	done(r.do(func(sc StoreConn) error { return sc.ReadObj(ds, idx, dst) }))
 }
 
-// IssueWrite preserves the async write-back path when the underlying
-// client is pipelined, falling back to a synchronous write otherwise.
-// A failed async write retires the dead client like any other failure,
-// so the caller's reissue finds a fresh connection.
+// IssueWrite implements farmem.AsyncWriteStore.
 func (r *Resilient) IssueWrite(ds, idx int, src []byte, done func(error)) {
-	c, err := r.client()
-	if err != nil {
-		done(err)
-		return
+	if c := r.clientOr(done); c != nil {
+		c.IssueWrite(ds, idx, src, r.retiring(c, done))
 	}
-	if pc, ok := c.(*PipelinedClient); ok {
-		pc.IssueWrite(ds, idx, src, func(err error) {
-			if err != nil {
-				r.retire(pc)
-			}
-			done(err)
-		})
-		return
-	}
-	done(r.do(func(sc StoreConn) error { return sc.WriteObj(ds, idx, src) }))
 }
 
 // Close implements StoreConn.
