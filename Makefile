@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race chaos bench bench-smoke bench-shard bench-writeback bench-replica bench-chase bench-wire benchguard difftest fuzz-smoke trace-smoke
+.PHONY: build test check fmt vet race chaos bench bench-smoke bench-shard bench-writeback bench-replica bench-chase bench-wire benchguard difftest fuzz-smoke trace-smoke loc
 
 build:
 	$(GO) build ./...
+
+# loc prints the tracked size of the transport: non-test lines of
+# internal/remote + internal/rdma (ROADMAP's "should go down" number).
+loc:
+	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -52,7 +57,7 @@ trace-smoke:
 # BENCH_chase.json / BENCH_wire.json baselines (the guarded values are
 # in-run ratios, so host speed cancels out; the chase gate pins the
 # hop-budget-16 speedup, the wire gate pins the analytics workload's
-# bytes-per-op reduction over the legacy protocol). Pass or fail, it
+# "bytes vs raw" reduction on the +lz+range rung). Pass or fail, it
 # prints the per-row measured-vs-baseline delta tables.
 benchguard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_pipeline.json -writeback-baseline BENCH_writeback.json -replica-baseline BENCH_replica.json -chase-baseline BENCH_chase.json -wire-baseline BENCH_wire.json
@@ -112,10 +117,11 @@ bench-chase:
 	$(GO) run ./cmd/cardsbench -exp chase -scale quick -json > BENCH_chase.json
 	@cat BENCH_chase.json
 
-# bench-wire runs the wire-efficiency ladder (legacy tagged batches →
-# compact encoding → +adaptive LZ compression → +compiler-aided
-# dirty-range write-back) over a bandwidth-shaped TCP loopback and
-# records bytes-on-wire per op and end-to-end throughput per rung.
+# bench-wire runs the wire-efficiency ladder (objects shipped raw →
+# +adaptive LZ compression → +compiler-aided dirty-range write-back,
+# each rung's checksum held against an in-process run) over a
+# bandwidth-shaped TCP loopback and records bytes-on-wire per op and
+# end-to-end throughput per rung, as ratios over the raw rung.
 bench-wire:
 	$(GO) run ./cmd/cardsbench -exp wire -scale quick -json > BENCH_wire.json
 	@cat BENCH_wire.json

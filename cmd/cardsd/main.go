@@ -1,13 +1,12 @@
 // Command cardsd is the remote memory node: it owns the far tier of
 // objects and serves the CaRDS wire protocol — one version-checked
-// HELLO per connection, then tagged, checksummed batch verbs over
-// length-prefixed TCP frames (READBATCH scatter-gather reads,
-// WRITEBATCH writes, CHASEBATCH traversal programs, their compact
-// encodings), and the epoch-stamped variants (WRITEEPOCHBATCH /
-// READEPOCHBATCH) the replicated client uses: writes carry a
-// monotonically increasing per-object epoch and apply only when at
-// least as new as the stored image, so replica resync and reissued
-// write-backs are idempotent. A peer speaking another protocol version
+// HELLO per connection, then tagged, checksummed, bit-packed batch verbs
+// over length-prefixed TCP frames (READBATCH-C scatter-gather reads,
+// WRITEBATCH-C writes, CHASEBATCH traversal programs), and the epoch
+// modifier on reads and writes that the replicated client uses: stamped
+// writes carry a monotonically increasing per-object epoch and apply
+// only when at least as new as the stored image, so replica resync and
+// reissued write-backs are idempotent. A peer speaking another protocol version
 // is refused with one ERR naming both.
 // Point a runtime at it with
 // cards.Config{RemoteAddr: ...} or run examples/cluster against it —
@@ -56,7 +55,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7770", "address to serve on")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /stats (JSON) and /debug/pprof/* on this address")
 	batchWorkers := flag.Int("batch-workers", remote.DefaultBatchWorkers,
-		"concurrent READBATCH handlers per connection (replies may be reordered)")
+		"concurrent request handlers per connection (replies may be reordered)")
 	chaos := flag.String("chaos", "", "inject faults on every connection, e.g. cut=65536,corrupt=0.01,seed=7 (see internal/faultnet)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests")
 	verbose := flag.Bool("v", false, "log periodic statistics")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cards/internal/core"
+	"cards/internal/farmem"
 	"cards/internal/faultnet"
 	"cards/internal/ir"
 	"cards/internal/obs"
@@ -25,27 +26,26 @@ const (
 // wireMode is one rung of the wire-efficiency feature ladder.
 type wireMode struct {
 	name        string
-	noCompact   bool
 	compression string
 	rangeWB     bool
 }
 
 var wireModes = []wireMode{
-	{"legacy", true, "off", false},
-	{"compact", false, "off", false},
-	{"compact+lz", false, "", false},
-	{"compact+lz+range", false, "", true},
+	{"raw", "off", false},
+	{"+lz", "", false},
+	{"+lz+range", "", true},
 }
 
 // Wire measures bytes-on-wire per remote operation and end-to-end run
-// time at a fixed simulated link bandwidth, across the wire-tier
-// feature ladder: legacy tagged batches, the bit-packed compact
-// encoding, compact plus adaptive per-object LZ compression, and
-// compact plus compression plus compiler-aided dirty-range write-back.
-// Two compiled workloads cover the two traffic shapes: the analytics
-// table scan (bulk column reads and writes, highly compressible ramp
-// data) and the pointer chase (small dependent reads, header-dominated
-// frames).
+// time at a fixed simulated link bandwidth, across the wire-efficiency
+// feature ladder: the bit-packed batch encoding shipping objects raw,
+// plus adaptive per-object LZ compression, plus compiler-aided
+// dirty-range write-back. Two compiled workloads cover the two traffic
+// shapes: the analytics table scan (bulk column reads and writes,
+// highly compressible ramp data) and the pointer chase (small dependent
+// reads, header-dominated frames). Every rung's result is checked
+// against the same module run on an in-process store: a reference with
+// no wire in it.
 func Wire(cfg Config) (*Table, error) {
 	works := []struct {
 		name  string
@@ -66,22 +66,30 @@ func Wire(cfg Config) (*Table, error) {
 
 	t := &Table{
 		ID: "wire",
-		Title: fmt.Sprintf("Wire efficiency across the compact/compression/range ladder, %d MiB/s simulated link",
+		Title: fmt.Sprintf("Wire efficiency across the compression/range ladder, %d MiB/s simulated link",
 			wireBandwidth>>20),
-		Header: []string{"workload", "mode", "KB/op", "wire MB", "ops", "wall", "bytes vs legacy", "tput vs legacy"},
+		Header: []string{"workload", "mode", "KB/op", "wire MB", "ops", "wall", "bytes vs raw", "tput vs raw"},
 	}
 	for _, w := range works {
-		var legacy *wireResult
+		// The reference checksum has no wire in it: the same module over
+		// an in-process map store.
+		ref, _, err := wireRun(w.build, farmem.NewMapStore(), false)
+		if err != nil {
+			return nil, fmt.Errorf("wire %s/reference: %w", w.name, err)
+		}
+		want := ref.MainResult
+		var raw *wireResult
 		for _, mode := range wireModes {
 			r, err := runWire(w.build, mode)
 			if err != nil {
 				return nil, fmt.Errorf("wire %s/%s: %w", w.name, mode.name, err)
 			}
-			if mode.name == "legacy" {
-				legacy = r
-			} else if r.checksum != legacy.checksum {
-				return nil, fmt.Errorf("wire %s/%s: checksum %#x != legacy %#x — the wire tier changed the program's result",
-					w.name, mode.name, r.checksum, legacy.checksum)
+			if r.checksum != want {
+				return nil, fmt.Errorf("wire %s/%s: checksum %#x != in-process %#x — the wire changed the program's result",
+					w.name, mode.name, r.checksum, want)
+			}
+			if raw == nil {
+				raw = r
 			}
 			t.Rows = append(t.Rows, []string{
 				w.name, mode.name,
@@ -89,16 +97,16 @@ func Wire(cfg Config) (*Table, error) {
 				fmt.Sprintf("%.2f", float64(r.wireBytes)/(1<<20)),
 				fmt.Sprintf("%d", r.ops),
 				r.elapsed.Round(time.Millisecond).String(),
-				ratio(legacy.perOp() / r.perOp()),
-				ratio(legacy.elapsed.Seconds() / r.elapsed.Seconds()),
+				ratio(raw.perOp() / r.perOp()),
+				ratio(raw.elapsed.Seconds() / r.elapsed.Seconds()),
 			})
 		}
 	}
 	t.Notes = append(t.Notes,
-		"every mode runs the same compiled workload to the same checksum; only the wire tier differs",
+		"every mode runs the same compiled workload to the checksum an in-process store gives; only the session options differ",
 		"KB/op = total frame bytes both directions / (remote fetches + write-backs); wall-clock includes the final drain",
-		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs legacy' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
-		"legacy = compact tier disabled (the pre-compact protocol, byte-identical to older servers); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
+		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs raw' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
+		"raw = Compression off (zero objects still elided); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
 	return t, nil
 }
 
@@ -117,8 +125,30 @@ func (r *wireResult) perOp() float64 {
 	return float64(r.wireBytes) / float64(r.ops)
 }
 
+// wireRun compiles a fresh module and runs it against store under the
+// ladder's memory budget, timing the run alone.
+func wireRun(build func() (*ir.Module, error), store farmem.Store, rangeWB bool) (*core.RunResult, time.Duration, error) {
+	m, err := build()
+	if err != nil {
+		return nil, 0, err
+	}
+	c, err := core.Compile(m, core.CompileOptions{})
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	res, err := c.Run(core.RunConfig{
+		Policy:          policy.AllRemotable,
+		PinnedBudget:    0,
+		RemotableBudget: 8 * 4096,
+		Store:           store,
+		RangeWriteback:  rangeWB,
+	})
+	return res, time.Since(start), err
+}
+
 // runWire executes one compiled workload over a fresh bandwidth-shaped
-// server with the mode's wire features and returns the traffic tally.
+// server with the mode's session options and returns the traffic tally.
 func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, error) {
 	srv := remote.NewServer()
 	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
@@ -133,7 +163,6 @@ func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, erro
 	reg := obs.NewRegistry()
 	cl, err := remote.DialPipelined(addr, remote.PipelineOpts{
 		Obs:         reg,
-		NoCompact:   mode.noCompact,
 		Compression: mode.compression,
 	})
 	if err != nil {
@@ -141,26 +170,10 @@ func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, erro
 	}
 	defer cl.Close()
 
-	m, err := build()
+	res, elapsed, err := wireRun(build, cl, mode.rangeWB)
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.Compile(m, core.CompileOptions{})
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := c.Run(core.RunConfig{
-		Policy:          policy.AllRemotable,
-		PinnedBudget:    0,
-		RemotableBudget: 8 * 4096,
-		Store:           cl,
-		RangeWriteback:  mode.rangeWB,
-	})
-	if err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
 
 	var wire uint64
 	prefix := remote.MetricWireBytes + "{"

@@ -5,81 +5,116 @@ import (
 	"testing"
 )
 
-// TestReadPathSteadyStateAllocFree pins the zero-allocation property of
-// the pooled data path: once the frame buffer pool and wire buffers are
-// warm, a full READBATCH round trip — client encode, checksummed
-// framing both ways, server decode + in-place DATABATCH gather, client
-// segment decode — must not touch the heap. A regression here puts the
-// GC back on the per-frame critical path, which is exactly the
-// bandwidth tax the pool exists to remove.
-func TestReadPathSteadyStateAllocFree(t *testing.T) {
-	reqs := []ReadReq{
-		{DS: 1, Idx: 0, Size: 256},
-		{DS: 1, Idx: 1, Size: 256},
-		{DS: 2, Idx: 7, Size: 64},
+// stampedReadRoundTrip is one full epoch-stamped read round trip over
+// in-memory wire buffers — client encode, checksummed framing both
+// ways, server decode + staged gather + stamp, client segment decode —
+// with or without the trace block of a traced session.
+type stampedReadRoundTrip struct {
+	t        *testing.T
+	traced   bool
+	reqs     []ReadReq
+	obj      []byte
+	c2s, s2c bytes.Buffer
+	rd       bytes.Reader
+	decReqs  []ReadReq
+	segs     []DataSegC
+	b        DataBatchCBuilder
+}
+
+func (r *stampedReadRoundTrip) iter() {
+	t := r.t
+	// Client: issue a stamped READBATCH-C.
+	req := EncodeReadBatchCPooled(42, r.reqs)
+	req.Op |= EpochBit
+	if r.traced {
+		req.SetTraceCtx(0xA11CE, 0xB0B, true)
 	}
-	obj := bytes.Repeat([]byte{0xCD}, 256)
-
-	var c2s, s2c bytes.Buffer // wire bytes, one buffer per direction
-	var rd bytes.Reader
-	decReqs := make([]ReadReq, 0, len(reqs))
-	segs := make([][]byte, 0, len(reqs))
-
-	iter := func() {
-		// Client: issue a READBATCH.
-		req := EncodeReadBatchPooled(42, reqs)
-		c2s.Reset()
-		if err := WriteFrameCRC(&c2s, req); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(req.Payload)
-
-		// Server: decode the batch and gather the reply in place.
-		rd.Reset(c2s.Bytes())
-		fr, err := ReadFrameCRCPooled(&rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		decReqs, err = DecodeReadBatchInto(fr.Payload, decReqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reply := GetBuf(DataBatchSize(decReqs))
-		w := BeginDataBatch(reply, len(decReqs))
-		for _, r := range decReqs {
-			copy(w.Next(int(r.Size)), obj)
-		}
-		PutBuf(fr.Payload)
-		s2c.Reset()
-		if err := WriteFrameCRC(&s2c, w.Frame(fr.Tag)); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(reply)
-
-		// Client: decode the reply segments.
-		rd.Reset(s2c.Bytes())
-		fr, err = ReadFrameCRCPooled(&rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs, err = DecodeDataBatchInto(fr.Payload, segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) != len(reqs) || len(segs[0]) != 256 {
-			t.Fatalf("bad reply: %d segments", len(segs))
-		}
-		PutBuf(fr.Payload)
+	r.c2s.Reset()
+	if err := WriteFrameCRC(&r.c2s, req); err != nil {
+		t.Fatal(err)
 	}
+	PutBuf(req.Payload)
 
+	// Server: decode the batch, gather and stamp the reply.
+	r.rd.Reset(r.c2s.Bytes())
+	fr, err := ReadFramePooledOpts(&r.rd, true, r.traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _, sampled := fr.TraceCtx(); r.traced && (id != 0xA11CE || !sampled) {
+		t.Fatalf("trace ctx lost on the wire: id %#x sampled %v", id, sampled)
+	}
+	if r.decReqs, err = DecodeReadBatchCInto(fr.Payload, r.decReqs); err != nil {
+		t.Fatal(err)
+	}
+	r.b.Reset()
+	r.b.BeginEpoch()
+	for i, q := range r.decReqs {
+		s := r.b.Stage(int(q.Size))
+		copy(s, r.obj)
+		r.b.Add(s, false)
+		r.b.Stamp(uint64(100 + i))
+	}
+	PutBuf(fr.Payload)
+	out, err := r.b.Frame(fr.Tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.traced {
+		out.SetServerStamp(123456, 3, 17)
+	}
+	r.s2c.Reset()
+	if err := WriteFrameCRC(&r.s2c, out); err != nil {
+		t.Fatal(err)
+	}
+	PutBuf(out.Payload)
+
+	// Client: decode the stamped reply.
+	r.rd.Reset(r.s2c.Bytes())
+	if fr, err = ReadFramePooledOpts(&r.rd, true, r.traced); err != nil {
+		t.Fatal(err)
+	}
+	if _, q, sv := fr.ServerStamp(); r.traced && (q != 3 || sv != 17) {
+		t.Fatalf("server stamp lost on the wire: queue %d service %d", q, sv)
+	}
+	if r.segs, err = DecodeDataSegsInto(fr.Payload, r.segs, fr.Op&EpochBit != 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.segs) != len(r.reqs) || r.segs[0].RawLen != 256 || r.segs[2].Epoch != 102 {
+		t.Fatalf("bad reply: %d segments, %+v", len(r.segs), r.segs)
+	}
+	PutBuf(fr.Payload)
+}
+
+func (r *stampedReadRoundTrip) check(what string) {
+	defer r.b.Release()
 	// Warm the size-class free lists and grow the wire buffers before
 	// measuring — first-use allocations are expected and amortized.
 	for i := 0; i < 8; i++ {
-		iter()
+		r.iter()
 	}
-	if avg := testing.AllocsPerRun(200, iter); avg >= 1 {
-		t.Fatalf("steady-state read path allocates %.2f times per round trip, want ~0", avg)
+	if avg := testing.AllocsPerRun(200, r.iter); avg >= 1 {
+		r.t.Fatalf("steady-state %s allocates %.2f times per round trip, want ~0", what, avg)
 	}
+}
+
+func newStampedReadRoundTrip(t *testing.T, traced bool) *stampedReadRoundTrip {
+	return &stampedReadRoundTrip{
+		t: t, traced: traced,
+		reqs: []ReadReq{{DS: 1, Idx: 0, Size: 256}, {DS: 1, Idx: 1, Size: 256}, {DS: 2, Idx: 7, Size: 64}},
+		obj:  bytes.Repeat([]byte{0xCD}, 256),
+	}
+}
+
+// TestReadPathSteadyStateAllocFree pins the zero-allocation property of
+// the pooled data path for replicated reads: once the frame buffer pool
+// and wire buffers are warm, a full stamped READBATCH-C round trip must
+// not touch the heap — the epoch modifier rides the same pooled builder
+// and decoder as a plain read. A regression here puts the GC back on
+// the per-frame critical path, which is exactly the bandwidth tax the
+// pool exists to remove.
+func TestReadPathSteadyStateAllocFree(t *testing.T) {
+	newStampedReadRoundTrip(t, false).check("stamped read path")
 }
 
 // TestTracedReadPathSteadyStateAllocFree is the same guard for a
@@ -89,80 +124,7 @@ func TestReadPathSteadyStateAllocFree(t *testing.T) {
 // on once negotiated (sampling only gates span *emission*), so an
 // allocation here taxes every op, not just the sampled ones.
 func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
-	reqs := []ReadReq{
-		{DS: 1, Idx: 0, Size: 256},
-		{DS: 1, Idx: 1, Size: 256},
-		{DS: 2, Idx: 7, Size: 64},
-	}
-	obj := bytes.Repeat([]byte{0xCD}, 256)
-
-	var c2s, s2c bytes.Buffer
-	var rd bytes.Reader
-	decReqs := make([]ReadReq, 0, len(reqs))
-	segs := make([][]byte, 0, len(reqs))
-
-	iter := func() {
-		// Client: issue a READBATCH stamped with the op's span context.
-		req := EncodeReadBatchPooled(42, reqs)
-		req.SetTraceCtx(0xA11CE, 0xB0B, true)
-		c2s.Reset()
-		if err := WriteFrameCRC(&c2s, req); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(req.Payload)
-
-		// Server: decode under trace framing, gather, stamp the reply.
-		rd.Reset(c2s.Bytes())
-		fr, err := ReadFramePooledOpts(&rd, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id, _, sampled := fr.TraceCtx(); id != 0xA11CE || !sampled {
-			t.Fatalf("trace ctx lost on the wire: id %#x sampled %v", id, sampled)
-		}
-		decReqs, err = DecodeReadBatchInto(fr.Payload, decReqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reply := GetBuf(DataBatchSize(decReqs))
-		w := BeginDataBatch(reply, len(decReqs))
-		for _, r := range decReqs {
-			copy(w.Next(int(r.Size)), obj)
-		}
-		PutBuf(fr.Payload)
-		out := w.Frame(fr.Tag)
-		out.SetServerStamp(123456, 3, 17)
-		s2c.Reset()
-		if err := WriteFrameCRC(&s2c, out); err != nil {
-			t.Fatal(err)
-		}
-		PutBuf(reply)
-
-		// Client: decode the stamped reply.
-		rd.Reset(s2c.Bytes())
-		fr, err = ReadFramePooledOpts(&rd, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, q, sv := fr.ServerStamp(); q != 3 || sv != 17 {
-			t.Fatalf("server stamp lost on the wire: queue %d service %d", q, sv)
-		}
-		segs, err = DecodeDataBatchInto(fr.Payload, segs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) != len(reqs) || len(segs[0]) != 256 {
-			t.Fatalf("bad reply: %d segments", len(segs))
-		}
-		PutBuf(fr.Payload)
-	}
-
-	for i := 0; i < 8; i++ {
-		iter()
-	}
-	if avg := testing.AllocsPerRun(200, iter); avg >= 1 {
-		t.Fatalf("steady-state traced read path allocates %.2f times per round trip, want ~0", avg)
-	}
+	newStampedReadRoundTrip(t, true).check("traced read path")
 }
 
 // TestCompactReadPathSteadyStateAllocFree pins the zero-allocation
@@ -270,11 +232,10 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 
 // TestRangeWritePathSteadyStateAllocFree pins the zero-allocation
 // property of the dirty-range write-back path: the client compresses
-// extent bytes through pooled scratch, encodes a WRITEEPOCHBATCH-C
+// extent bytes through pooled scratch, encodes a stamped WRITEBATCH-C
 // with range tuples, and the server decodes into reused scratch and
 // applies the ranges read-modify-write. This is the steady-state
-// eviction path of a compact session — one allocation here taxes every
-// dirty write-back.
+// eviction path — one allocation here taxes every dirty write-back.
 func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 	const objSize = 1024
 	stored := make([]byte, objSize)

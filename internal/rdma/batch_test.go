@@ -11,7 +11,7 @@ import (
 
 func TestTaggedFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Frame{Op: OpDataBatch, Tag: 0xDEADBEEF, Payload: []byte{4, 0, 0, 0}}
+	in := Frame{Op: OpDataBatchC | EpochBit, Tag: 0xDEADBEEF, Payload: []byte{4, 0, 0, 0}}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(raw[0:4]); got != uint32(len(in.Payload)) {
 		t.Fatalf("payloadLen on wire = %d, want %d (must exclude the tag)", got, len(in.Payload))
 	}
-	if Op(raw[4]) != OpDataBatch {
+	if Op(raw[4]) != OpDataBatchC|EpochBit {
 		t.Fatalf("op on wire = %d", raw[4])
 	}
 	if got := binary.LittleEndian.Uint32(raw[5:9]); got != in.Tag {
@@ -54,7 +54,10 @@ func TestUntaggedFramesUnchanged(t *testing.T) {
 }
 
 func TestTaggedOpPredicate(t *testing.T) {
-	for _, op := range []Op{OpReadBatch, OpDataBatch, OpWriteBatch, OpAckBatch, OpErrTag} {
+	for _, op := range []Op{
+		OpReadBatchC, OpDataBatchC, OpWriteBatchC, OpAckBatchC, OpChaseBatch, OpChaseData, OpErrTag,
+		OpReadBatchC | EpochBit, OpDataBatchC | EpochBit, OpWriteBatchC | EpochBit,
+	} {
 		if !op.Tagged() {
 			t.Errorf("%s should be tagged", op)
 		}
@@ -65,6 +68,13 @@ func TestTaggedOpPredicate(t *testing.T) {
 	for _, op := range []Op{OpHello, OpOK, OpErr} {
 		if op.Tagged() {
 			t.Errorf("%s should not be tagged", op)
+		}
+	}
+	// The modifier names nothing on its own: opcodes it does not apply
+	// to, and the values older protocol versions used, have no name.
+	for _, op := range []Op{OpAckBatchC | EpochBit, OpChaseBatch | EpochBit, TagBit | 0x06, TagBit | 0x10} {
+		if !strings.HasPrefix(op.String(), "op(") {
+			t.Errorf("op %#x should have no name, got %s", uint8(op), op)
 		}
 	}
 }
@@ -79,32 +89,24 @@ func TestTaggedFrameTruncation(t *testing.T) {
 	}
 }
 
+// TestReadBatchCodec pins the reference READBATCH layout the ladder
+// measures against: u32 count, then fixed-width (ds, idx, size) tuples.
 func TestReadBatchCodec(t *testing.T) {
 	reqs := []ReadReq{{DS: 1, Idx: 2, Size: 64}, {DS: 3, Idx: 9, Size: 4096}}
-	f := EncodeReadBatch(42, reqs)
+	f := EncodeReadBatchPooled(42, reqs)
+	defer PutBuf(f.Payload)
 	if f.Op != OpReadBatch || f.Tag != 42 {
 		t.Fatalf("frame = %+v", f)
 	}
-	got, err := DecodeReadBatch(f.Payload)
-	if err != nil {
-		t.Fatal(err)
+	if len(f.Payload) != 4+readReqSize*len(reqs) || binary.LittleEndian.Uint32(f.Payload) != 2 {
+		t.Fatalf("payload is %d bytes, count %d", len(f.Payload), binary.LittleEndian.Uint32(f.Payload))
 	}
-	if len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
-		t.Fatalf("got %+v", got)
-	}
-
-	if _, err := DecodeReadBatch([]byte{1, 2}); err == nil {
-		t.Fatal("short payload should fail")
-	}
-	// Truncated tuple list: count says 2, payload carries 1.
-	trunc := f.Payload[:4+readReqSize]
-	if _, err := DecodeReadBatch(trunc); err == nil {
-		t.Fatal("truncated batch should fail")
-	}
-	// Trailing garbage.
-	long := append(append([]byte(nil), f.Payload...), 0xAA)
-	if _, err := DecodeReadBatch(long); err == nil {
-		t.Fatal("trailing garbage should fail")
+	for i, r := range reqs {
+		p := f.Payload[4+i*readReqSize:]
+		got := ReadReq{binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:]), binary.LittleEndian.Uint32(p[8:])}
+		if got != r {
+			t.Fatalf("tuple %d on the wire = %+v, want %+v", i, got, r)
+		}
 	}
 }
 
@@ -117,7 +119,7 @@ func TestDataBatchCodec(t *testing.T) {
 	if f.Op != OpDataBatch || f.Tag != 7 {
 		t.Fatalf("frame = %+v", f)
 	}
-	got, err := DecodeDataBatch(f.Payload)
+	got, err := DecodeDataBatchInto(f.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,21 +136,21 @@ func TestDataBatchCodec(t *testing.T) {
 func TestDataBatchTruncation(t *testing.T) {
 	f, _ := EncodeDataBatch(1, [][]byte{[]byte("payload")})
 	p := f.Payload
-	if _, err := DecodeDataBatch(p[:2]); err == nil {
+	if _, err := DecodeDataBatchInto(p[:2], nil); err == nil {
 		t.Fatal("short header should fail")
 	}
-	if _, err := DecodeDataBatch(p[:6]); err == nil {
+	if _, err := DecodeDataBatchInto(p[:6], nil); err == nil {
 		t.Fatal("cut inside segment length should fail")
 	}
-	if _, err := DecodeDataBatch(p[:len(p)-2]); err == nil {
+	if _, err := DecodeDataBatchInto(p[:len(p)-2], nil); err == nil {
 		t.Fatal("cut inside segment bytes should fail")
 	}
-	if _, err := DecodeDataBatch(append(append([]byte(nil), p...), 0)); err == nil {
+	if _, err := DecodeDataBatchInto(append(append([]byte(nil), p...), 0), nil); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
 	// Forged count far beyond the payload must not drive the allocation.
 	forged := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := DecodeDataBatch(forged); err == nil {
+	if _, err := DecodeDataBatchInto(forged, nil); err == nil {
 		t.Fatal("forged count should fail")
 	}
 }
@@ -169,25 +171,8 @@ func TestDataBatchOversized(t *testing.T) {
 	}
 }
 
-func TestDataBatchSizeBudget(t *testing.T) {
-	reqs := []ReadReq{{Size: 100}, {Size: 0}, {Size: 4096}}
-	want := 4 + (4 + 100) + (4 + 0) + (4 + 4096)
-	if got := DataBatchSize(reqs); got != want {
-		t.Fatalf("DataBatchSize = %d, want %d", got, want)
-	}
-	// The budget must equal what EncodeDataBatch actually produces.
-	segs := [][]byte{make([]byte, 100), nil, make([]byte, 4096)}
-	f, err := EncodeDataBatch(1, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Payload) != want {
-		t.Fatalf("encoded payload = %d bytes, budget said %d", len(f.Payload), want)
-	}
-}
-
 func TestFeatureNegotiationCodec(t *testing.T) {
-	want := Hello{Version: ProtoVersion, Opts: OptTrace | OptCompact}
+	want := Hello{Version: ProtoVersion, Opts: OptTrace | OptCompress}
 	f := HelloFrame(OpHello, want)
 	if f.Op != OpHello || len(f.Payload) != HelloSize {
 		t.Fatalf("frame = %+v", f)
@@ -216,8 +201,9 @@ func TestFeatureNegotiationCodec(t *testing.T) {
 	}
 	for _, h := range []Hello{
 		{Version: ProtoVersion + 1},
+		{Version: ProtoVersion - 1, Opts: OptTrace}, // the version that still had a second wire tier
 		{Version: ProtoVersion, Opts: 1 << 9},
-		{Version: ProtoVersion, Opts: OptCompress}, // compression needs the compact tier
+		{Version: ProtoVersion, Opts: 1 << 2}, // version 2's third option bit
 	} {
 		if h.Valid() {
 			t.Errorf("%+v should not be a runnable session", h)
@@ -232,22 +218,30 @@ func TestErrTagFrame(t *testing.T) {
 	}
 }
 
-// Property: arbitrary read batches roundtrip through frame + codec.
+// Property: arbitrary read batches, stamped or not, roundtrip through
+// frame + codec with the modifier intact.
 func TestReadBatchProperty(t *testing.T) {
-	f := func(tag uint32, tuples []ReadReq) bool {
+	f := func(tag uint32, stamped bool, tuples []ReadReq) bool {
 		if len(tuples) > 1024 {
 			tuples = tuples[:1024]
 		}
-		fr := EncodeReadBatch(tag, tuples)
+		for i := range tuples {
+			tuples[i].Size %= MaxFrame + 1
+		}
+		fr := EncodeReadBatchCPooled(tag, tuples)
+		defer PutBuf(fr.Payload)
+		if stamped {
+			fr.Op |= EpochBit
+		}
 		var buf bytes.Buffer
 		if WriteFrame(&buf, fr) != nil {
 			return false
 		}
 		got, err := ReadFrame(&buf)
-		if err != nil || got.Tag != tag || got.Op != OpReadBatch {
+		if err != nil || got.Tag != tag || got.Op != fr.Op || (got.Op&EpochBit != 0) != stamped {
 			return false
 		}
-		reqs, err := DecodeReadBatch(got.Payload)
+		reqs, err := DecodeReadBatchCInto(got.Payload, nil)
 		if err != nil || len(reqs) != len(tuples) {
 			return false
 		}

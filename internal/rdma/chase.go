@@ -151,22 +151,10 @@ func ChaseReplyBound(reqs []ChaseReq) uint64 {
 	return n
 }
 
-// EncodeChaseBatch builds a CHASEBATCH frame.
-func EncodeChaseBatch(tag uint32, reqs []ChaseReq) Frame {
-	p := make([]byte, ChaseBatchSize(reqs))
-	encodeChaseBatchInto(p, reqs)
-	return Frame{Op: OpChaseBatch, Tag: tag, Payload: p}
-}
-
-// EncodeChaseBatchPooled is EncodeChaseBatch with a pooled payload; the
-// caller should PutBuf it after the frame is written.
+// EncodeChaseBatchPooled builds a CHASEBATCH frame with a pooled
+// payload; the caller should PutBuf it after the frame is written.
 func EncodeChaseBatchPooled(tag uint32, reqs []ChaseReq) Frame {
 	p := GetBuf(ChaseBatchSize(reqs))
-	encodeChaseBatchInto(p, reqs)
-	return Frame{Op: OpChaseBatch, Tag: tag, Payload: p}
-}
-
-func encodeChaseBatchInto(p []byte, reqs []ChaseReq) {
 	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
 	off := 4
 	for _, r := range reqs {
@@ -178,15 +166,11 @@ func encodeChaseBatchInto(p []byte, reqs []ChaseReq) {
 		binary.LittleEndian.PutUint64(p[off+20:], r.Mask)
 		off += chaseReqSize
 	}
+	return Frame{Op: OpChaseBatch, Tag: tag, Payload: p}
 }
 
-// DecodeChaseBatch parses a CHASEBATCH payload.
-func DecodeChaseBatch(p []byte) ([]ChaseReq, error) {
-	return DecodeChaseBatchInto(p, nil)
-}
-
-// DecodeChaseBatchInto is DecodeChaseBatch appending into a
-// caller-owned slice, letting a steady-state server reuse one across
+// DecodeChaseBatchInto parses a CHASEBATCH payload, appending into a
+// caller-owned slice so a steady-state server reuses one across
 // batches. It checks framing only; program invariants are the server's
 // per-program Validate call (so one bad program fails its batch with a
 // precise message, not a generic decode error).
@@ -292,14 +276,9 @@ func EncodeChaseData(tag uint32, results []ChaseResult) (Frame, error) {
 	return w.Frame(tag), nil
 }
 
-// DecodeChaseData parses a CHASEDATA payload.
-func DecodeChaseData(p []byte) ([]ChaseResult, error) {
-	return DecodeChaseDataInto(p, nil)
-}
-
-// DecodeChaseDataInto is DecodeChaseData appending into a caller-owned
-// slice, reusing both the result slice and each result's hop slice so
-// a steady-state client decodes without touching the heap. Hop Data
+// DecodeChaseDataInto parses a CHASEDATA payload, appending into a
+// caller-owned slice and reusing both it and each result's hop slice,
+// so a steady-state client decodes without touching the heap. Hop Data
 // fields are subslices of p — valid while p is.
 func DecodeChaseDataInto(p []byte, res []ChaseResult) ([]ChaseResult, error) {
 	if len(p) < 4 {

@@ -46,14 +46,14 @@ func TestChaseBatchRoundTrip(t *testing.T) {
 		{DS: 7, Start: 1023, ObjSize: 256, NextOff: 248, Hops: 1, Mask: 0x8001},
 		{DS: 0x7FFF, Start: 1 << 30, ObjSize: 8, NextOff: 0, Hops: 1 << 20, Mask: ^uint64(0)},
 	}
-	fr := EncodeChaseBatch(42, reqs)
+	fr := EncodeChaseBatchPooled(42, reqs)
 	if fr.Op != OpChaseBatch || fr.Tag != 42 {
 		t.Fatalf("frame header: op %v tag %d", fr.Op, fr.Tag)
 	}
 	if len(fr.Payload) != ChaseBatchSize(reqs) {
 		t.Fatalf("payload %d bytes, ChaseBatchSize says %d", len(fr.Payload), ChaseBatchSize(reqs))
 	}
-	got, err := DecodeChaseBatch(fr.Payload)
+	got, err := DecodeChaseBatchInto(fr.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,15 @@ func TestChaseBatchRoundTrip(t *testing.T) {
 	}
 
 	// Framing rejections: torn header, count/length mismatch both ways.
-	if _, err := DecodeChaseBatch(fr.Payload[:3]); err == nil {
+	if _, err := DecodeChaseBatchInto(fr.Payload[:3], nil); err == nil {
 		t.Error("torn header accepted")
 	}
-	if _, err := DecodeChaseBatch(fr.Payload[:len(fr.Payload)-1]); err == nil {
+	if _, err := DecodeChaseBatchInto(fr.Payload[:len(fr.Payload)-1], nil); err == nil {
 		t.Error("truncated tuple accepted")
 	}
 	forged := append([]byte(nil), fr.Payload...)
 	binary.LittleEndian.PutUint32(forged, uint32(len(reqs)+1))
-	if _, err := DecodeChaseBatch(forged); err == nil {
+	if _, err := DecodeChaseBatchInto(forged, nil); err == nil {
 		t.Error("forged count accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestChaseDataRoundTrip(t *testing.T) {
 	if fr.Op != OpChaseData || fr.Tag != 7 {
 		t.Fatalf("frame header: op %v tag %d", fr.Op, fr.Tag)
 	}
-	got, err := DecodeChaseData(fr.Payload)
+	got, err := DecodeChaseDataInto(fr.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestChaseDataWriterBackpatch(t *testing.T) {
 	w.FinishResult(ChaseHops, chaseAddrTagBit|42)
 	fr := w.Frame(5)
 
-	res, err := DecodeChaseData(fr.Payload)
+	res, err := DecodeChaseDataInto(fr.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,23 +160,23 @@ func TestChaseDataDecodeRejections(t *testing.T) {
 	}
 	valid := fr.Payload
 
-	if _, err := DecodeChaseData(valid[:2]); err == nil {
+	if _, err := DecodeChaseDataInto(valid[:2], nil); err == nil {
 		t.Error("torn header accepted")
 	}
 	forged := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(forged, 1<<30) // forged result count
-	if _, err := DecodeChaseData(forged); err == nil {
+	if _, err := DecodeChaseDataInto(forged, nil); err == nil {
 		t.Error("forged result count accepted")
 	}
 	forged = append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(forged[16:], 1<<30) // forged hop count
-	if _, err := DecodeChaseData(forged); err == nil {
+	if _, err := DecodeChaseDataInto(forged, nil); err == nil {
 		t.Error("forged hop count accepted")
 	}
-	if _, err := DecodeChaseData(valid[:len(valid)-3]); err == nil {
+	if _, err := DecodeChaseDataInto(valid[:len(valid)-3], nil); err == nil {
 		t.Error("truncated hop bytes accepted")
 	}
-	if _, err := DecodeChaseData(append(append([]byte(nil), valid...), 0xEE)); err == nil {
+	if _, err := DecodeChaseDataInto(append(append([]byte(nil), valid...), 0xEE), nil); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }

@@ -2,26 +2,27 @@ package rdma
 
 import "fmt"
 
-// The compact wire tier (hello option OptCompact): bit-packed batch headers, delta-encoded
-// tuples, per-segment compression schemes, and the WRITERANGE
-// sub-encoding for dirty-range write-back.
+// The batch encoding: bit-packed batch headers, delta-encoded tuples,
+// per-segment compression schemes, and the range sub-encoding for
+// dirty-range write-back.
 //
-// Compact frames keep the outer framing (u32 len | u8 op | u32 tag, CRC
-// trailer and trace extension unchanged) and re-encode only the batch
-// payloads. Tuple headers ride a bit stream (see bitio.go): repeated DS
-// ids collapse to one bit, object indices are zigzag deltas off the
-// previous tuple (a sequential scan costs 5 bits per index), and sizes
-// repeat as one bit when unchanged. Object payloads follow the headers
-// byte-aligned, each tagged with a two-bit scheme:
+// Batch payloads ride the outer framing unchanged (u32 len | u8 op |
+// u32 tag, CRC trailer, trace extension). Tuple headers are a bit
+// stream (see bitio.go): repeated DS ids collapse to one bit, object
+// indices are zigzag deltas off the previous tuple (a sequential scan
+// costs 5 bits per index), and sizes repeat as one bit when unchanged.
+// Object payloads follow the headers byte-aligned, each tagged with a
+// two-bit scheme:
 //
 //	SchemeRaw  — verbatim bytes
 //	SchemeLZ   — an LZ block (lz.go); decompressed length from the header
 //	SchemeZero — all-zero object, no bytes at all
 //
-// Compact payloads (after the bit-stream header, A = byte alignment):
+// Payloads (after the bit-stream header, A = byte alignment; [epoch] is
+// a u64 varint present iff the opcode carries EpochBit):
 //
 //	READBATCH-C:  count | tuples(ds?,Δidx,size?)                    | A
-//	DATABATCH-C:  count | segs(scheme,rawLen[,compLen])             | A | blobs
+//	DATABATCH-C:  count | segs(scheme,rawLen[,compLen][,epoch])     | A | blobs
 //	WRITEBATCH-C: count | tuples(ds?,Δidx[,epoch],kind,
 //	              [objSize,extents],scheme[,lens])                  | A | blobs
 //	ACKBATCH-C:   count | count rejected bits                       | A
@@ -33,30 +34,17 @@ import "fmt"
 // concatenated bytes form the tuple's blob. The server applies ranges
 // read-modify-write; every extent is validated against objSize at
 // decode time, so a forged offset can never write outside the object.
-// WRITEEPOCHBATCH-C adds a u64 epoch varint per tuple, and its
-// ACKBATCH-C reply's bitmap marks tuples the server rejected because
-// the range's base image was stale (see internal/remote: the client
-// treats a set bit as a failed write and lets the replica layer mark
-// the member divergent).
-
-// Compact opcodes.
-const (
-	// OpReadBatchC is READBATCH with a compact payload; answered by
-	// OpDataBatchC.
-	OpReadBatchC Op = TagBit | 0x0D
-	// OpDataBatchC is the compact scatter-gather reply: per-segment
-	// compression schemes ahead of the concatenated blobs.
-	OpDataBatchC Op = TagBit | 0x0E
-	// OpWriteBatchC is WRITEBATCH with compact tuples, each either a
-	// full object or a dirty-range write. Acked by OpAckBatchC.
-	OpWriteBatchC Op = TagBit | 0x0F
-	// OpWriteEpochBatchC is OpWriteBatchC with a per-tuple epoch stamp
-	// (the replication path). Acked by OpAckBatchC.
-	OpWriteEpochBatchC Op = TagBit | 0x10
-	// OpAckBatchC acknowledges a compact write batch; its payload
-	// carries a per-tuple rejected bitmap (stale range bases only).
-	OpAckBatchC Op = TagBit | 0x11
-)
+//
+// The epoch modifier is how the replication layer versions objects: a
+// stamped READBATCH-C has the plain payload and is answered by a
+// stamped DATABATCH-C whose segments report each object's stored epoch
+// (0 when absent; a zero-length read is a pure epoch probe); a stamped
+// WRITEBATCH-C applies each tuple only if its epoch is not older than
+// the stored one, and its ACKBATCH-C bitmap marks range tuples the
+// server rejected because their base image was stale (see
+// internal/remote: the client treats a set bit as a failed write and
+// lets the replica layer mark the member divergent). ACKBATCH-C itself
+// is never stamped.
 
 // Segment compression schemes (2 bits on the wire).
 const (
@@ -75,8 +63,8 @@ type Extent struct {
 // fall back to full-object writes before hitting it.
 const MaxExtents = 512
 
-// maxCompactCount rejects forged tuple counts before decoding: every
-// compact tuple costs at least one bit, so a count beyond 8x the
+// compactCountOK rejects forged tuple counts before decoding: every
+// tuple costs at least one bit, so a count beyond 8x the
 // payload length cannot be satisfied.
 func compactCountOK(count uint64, p []byte) bool {
 	return count <= uint64(len(p))*8
@@ -88,8 +76,9 @@ func compactCountOK(count uint64, p []byte) bool {
 // (count varint + full-width ds/idx/size varints per tuple).
 func readBatchCBound(n int) int { return 6 + 16*n }
 
-// EncodeReadBatchCPooled builds a compact READBATCH frame with a pooled
-// payload; the caller should PutBuf it after the frame is written.
+// EncodeReadBatchCPooled builds a READBATCH-C frame with a pooled
+// payload; the caller should PutBuf it after the frame is written. An
+// epoch read is the same frame with EpochBit set on its Op.
 func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
 	w := NewBitWriter(GetBuf(readBatchCBound(len(reqs))))
 	w.Uvarint(uint64(len(reqs)))
@@ -125,7 +114,7 @@ func EncodeReadBatchCPooled(tag uint32, reqs []ReadReq) Frame {
 	return Frame{Op: OpReadBatchC, Tag: tag, Payload: p}
 }
 
-// DecodeReadBatchCInto parses a compact READBATCH payload, appending
+// DecodeReadBatchCInto parses a READBATCH-C payload, appending
 // into a caller-owned slice.
 func DecodeReadBatchCInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
 	r := NewBitReader(p)
@@ -176,18 +165,26 @@ func DecodeReadBatchCInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
 
 // --- DATABATCH-C ---
 
-// DataSegC is one decoded segment of a compact DATABATCH: the scheme,
-// the decompressed length, and the wire bytes (a subslice of the
-// payload; empty for SchemeZero).
+// DataSegC is one decoded segment of a DATABATCH-C: the scheme, the
+// decompressed length, the wire bytes (a subslice of the payload; empty
+// for SchemeZero) and, on a stamped reply, the object's stored epoch.
 type DataSegC struct {
 	Scheme uint8
 	RawLen uint32
+	Epoch  uint64
 	Data   []byte
 }
 
-// DecodeDataBatchCInto parses a compact DATABATCH payload, appending
-// into a caller-owned slice (Data fields remain subslices of p).
+// DecodeDataBatchCInto parses an un-stamped DATABATCH-C payload,
+// appending into a caller-owned slice (Data fields remain subslices of
+// p).
 func DecodeDataBatchCInto(p []byte, segs []DataSegC) ([]DataSegC, error) {
+	return DecodeDataSegsInto(p, segs, false)
+}
+
+// DecodeDataSegsInto is DecodeDataBatchCInto for either form of the
+// reply: epoch says whether the frame carried EpochBit.
+func DecodeDataSegsInto(p []byte, segs []DataSegC, epoch bool) ([]DataSegC, error) {
 	r := NewBitReader(p)
 	count := r.Uvarint()
 	if !compactCountOK(count, p) {
@@ -213,6 +210,9 @@ func DecodeDataBatchCInto(p []byte, segs []DataSegC) ([]DataSegC, error) {
 			s.Data = p[:comp:comp]
 		default:
 			return nil, fmt.Errorf("rdma: DATABATCH-C segment %d bad scheme", i)
+		}
+		if epoch {
+			s.Epoch = r.Uvarint()
 		}
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("rdma: truncated DATABATCH-C at segment %d", i)
@@ -244,9 +244,10 @@ type dataSegMeta struct {
 	scheme  uint8
 	rawLen  uint32
 	wireLen uint32
+	epoch   uint64
 }
 
-// DataBatchCBuilder assembles a compact DATABATCH reply. The server
+// DataBatchCBuilder assembles a DATABATCH-C reply. The server
 // stages each object read into Stage — a slot carved in place out of
 // the blob region — classifies it with Add (zero probe, optional
 // compression), and emits the frame once per batch. Raw staged objects
@@ -260,11 +261,15 @@ type dataSegMeta struct {
 // header region is reserved inside the blob buffer and Frame emits the
 // payload without copy-assembling it — the staged object bytes ARE the
 // frame payload.
+//
+// A batch answering a stamped read starts with BeginEpoch instead and
+// follows every Add with Stamp.
 type DataBatchCBuilder struct {
 	metas   []dataSegMeta
 	data    []byte // accumulated wire blobs
 	dlen    int
 	hdr     int    // reserved header prefix length; 0 = copy mode
+	epoch   bool   // stamped reply: segment headers carry epochs
 	scratch []byte // LZ bounce buffer for staged-in-place segments
 }
 
@@ -273,7 +278,16 @@ func (b *DataBatchCBuilder) Reset() {
 	b.metas = b.metas[:0]
 	b.dlen = 0
 	b.hdr = 0
+	b.epoch = false
 }
+
+// BeginEpoch makes the batch a stamped reply: Frame emits
+// DATABATCH-C|EpochBit and every segment header carries the epoch its
+// Stamp call gave (0 without one).
+func (b *DataBatchCBuilder) BeginEpoch() { b.epoch = true }
+
+// Stamp records the stored epoch of the segment most recently added.
+func (b *DataBatchCBuilder) Stamp(epoch uint64) { b.metas[len(b.metas)-1].epoch = epoch }
 
 // uvarintBits is the exact bit cost of Uvarint(v): 5 bits per group.
 func uvarintBits(v uint64) int {
@@ -307,10 +321,7 @@ func (b *DataBatchCBuilder) Begin(reqs []ReadReq) {
 func (b *DataBatchCBuilder) Release() {
 	PutBuf(b.data)
 	PutBuf(b.scratch)
-	b.data, b.scratch = nil, nil
-	b.metas = nil
-	b.dlen = 0
-	b.hdr = 0
+	*b = DataBatchCBuilder{}
 }
 
 // Stage returns an n-byte staging slot for the next object's raw bytes.
@@ -391,7 +402,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	return SchemeRaw, len(src)
 }
 
-// Frame assembles the compact DATABATCH reply with a pooled payload;
+// Frame assembles the DATABATCH-C reply with a pooled payload;
 // the caller should PutBuf the payload after writing the frame. A
 // Begin batch hands off the blob buffer itself — the header bits are
 // written into the reserved prefix and the staged bytes ship as-is.
@@ -421,6 +432,11 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		return Frame{Op: OpDataBatchC, Tag: tag, Payload: p}, nil
 	}
 	hdrBound := 6 + 13*len(b.metas)
+	op := OpDataBatchC
+	if b.epoch {
+		hdrBound += 10 * len(b.metas)
+		op |= EpochBit
+	}
 	if hdrBound+b.dlen > MaxFrame {
 		return Frame{}, fmt.Errorf("rdma: DATABATCH-C too large (%d bytes)", hdrBound+b.dlen)
 	}
@@ -432,6 +448,9 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		if m.scheme == SchemeLZ {
 			w.Uvarint(uint64(m.wireLen))
 		}
+		if b.epoch {
+			w.Uvarint(m.epoch)
+		}
 	}
 	w.Align()
 	copy(w.Bytes(b.dlen), b.data[:b.dlen])
@@ -439,12 +458,12 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	return Frame{Op: OpDataBatchC, Tag: tag, Payload: p}, nil
+	return Frame{Op: op, Tag: tag, Payload: p}, nil
 }
 
-// --- WRITEBATCH-C / WRITEEPOCHBATCH-C ---
+// --- WRITEBATCH-C ---
 
-// WriteReqC is one tuple of a compact write batch. A nil Extents means
+// WriteReqC is one tuple of a write batch. A nil Extents means
 // a full-object write of RawLen bytes; otherwise the tuple is a range
 // write over an ObjSize-byte object and Data carries the extents'
 // bytes concatenated. Data always holds the wire form (compressed when
@@ -452,7 +471,7 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 // decompressed length.
 type WriteReqC struct {
 	DS, Idx uint32
-	Epoch   uint64 // epoch batches only
+	Epoch   uint64 // stamped batches only
 	ObjSize uint32 // range tuples only
 	Extents []Extent
 	Scheme  uint8
@@ -486,8 +505,9 @@ func WriteBatchCSize(reqs []WriteReqC, epoch bool) int {
 	return n
 }
 
-// EncodeWriteBatchCPooled builds a compact WRITEBATCH (or, with epoch
-// set, WRITEEPOCHBATCH) frame with a pooled payload.
+// EncodeWriteBatchCPooled builds a WRITEBATCH-C frame (with epoch set,
+// the stamped form: EpochBit on the Op, an epoch per tuple) with a
+// pooled payload.
 func EncodeWriteBatchCPooled(tag uint32, reqs []WriteReqC, epoch bool) (Frame, error) {
 	bound := WriteBatchCSize(reqs, epoch)
 	if bound > MaxFrame+64 {
@@ -554,12 +574,12 @@ func EncodeWriteBatchCPooled(tag uint32, reqs []WriteReqC, epoch bool) (Frame, e
 	}
 	op := OpWriteBatchC
 	if epoch {
-		op = OpWriteEpochBatchC
+		op |= EpochBit
 	}
 	return Frame{Op: op, Tag: tag, Payload: p}, nil
 }
 
-// DecodeWriteBatchCInto parses a compact write batch, appending tuples
+// DecodeWriteBatchCInto parses a write batch payload, appending tuples
 // into reqs and extents into the exts arena (tuples' Extents fields
 // are subslices of the returned arena; Data fields are subslices of
 // p). Every range extent is validated against its tuple's object size.
@@ -680,7 +700,7 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 
 // --- ACKBATCH-C ---
 
-// EncodeAckBatchC builds the compact ACKBATCH reply: the tuple count
+// EncodeAckBatchC builds the ACKBATCH-C reply: the tuple count
 // plus one rejected bit per tuple (rejected is a bitmap in uint64
 // words; nil means none rejected). The payload is pooled.
 func EncodeAckBatchC(tag uint32, count int, rejected []uint64) Frame {
@@ -700,7 +720,7 @@ func EncodeAckBatchC(tag uint32, count int, rejected []uint64) Frame {
 	return Frame{Op: OpAckBatchC, Tag: tag, Payload: p}
 }
 
-// DecodeAckBatchC parses a compact ACKBATCH payload into the tuple
+// DecodeAckBatchC parses an ACKBATCH-C payload into the tuple
 // count and the rejected bitmap, appending words into a caller-owned
 // scratch slice (returned grown for reuse); any reports whether at
 // least one tuple was rejected.

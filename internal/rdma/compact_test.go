@@ -264,6 +264,67 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDataBatchCBuilderStampedRoundTrip: a BeginEpoch batch comes out
+// as DATABATCH-C|EpochBit, every segment reports the epoch it was
+// stamped with (0 without a Stamp call, and on a zero-length probe),
+// the bytes survive every scheme, and the two reply forms do not parse
+// as each other.
+func TestDataBatchCBuilderStampedRoundTrip(t *testing.T) {
+	var b DataBatchCBuilder
+	defer b.Release()
+	text := bytes.Repeat([]byte("compressible body "), 100)
+	objs := [][]byte{make([]byte, 512), text, {1, 2, 3}, nil, text}
+	epochs := []uint64{7, 1<<63 + 5, 0, 42, 9}
+	b.Reset()
+	b.BeginEpoch()
+	for i, o := range objs {
+		b.Add(o, i != 4)
+		if epochs[i] != 0 {
+			b.Stamp(epochs[i])
+		}
+	}
+	fr, err := b.Frame(4)
+	if err != nil {
+		t.Fatalf("frame: %v", err)
+	}
+	defer PutBuf(fr.Payload)
+	if fr.Op != OpDataBatchC|EpochBit {
+		t.Fatalf("stamped batch encoded as %s", fr.Op)
+	}
+	segs, err := DecodeDataSegsInto(fr.Payload, nil, true)
+	if err != nil || len(segs) != len(objs) {
+		t.Fatalf("decode: %d segments, %v", len(segs), err)
+	}
+	for i, s := range segs {
+		out := make([]byte, s.RawLen)
+		switch s.Scheme {
+		case SchemeRaw:
+			copy(out, s.Data)
+		case SchemeLZ:
+			if err := LZDecompress(out, s.Data); err != nil {
+				t.Fatalf("seg %d decompress: %v", i, err)
+			}
+		}
+		if s.Epoch != epochs[i] || !bytes.Equal(out, objs[i]) {
+			t.Fatalf("seg %d: epoch %d (want %d), %d bytes, match=%v", i, s.Epoch, epochs[i], len(out), bytes.Equal(out, objs[i]))
+		}
+	}
+	if _, err := DecodeDataBatchCInto(fr.Payload, nil); err == nil {
+		t.Fatal("a stamped payload parsed as an un-stamped one")
+	}
+	// Reset returns the builder to the plain form.
+	b.Reset()
+	b.Add(text, false)
+	plain, err := b.Frame(5)
+	if err != nil || plain.Op != OpDataBatchC {
+		t.Fatalf("after Reset: %s, %v", plain.Op, err)
+	}
+	defer PutBuf(plain.Payload)
+	if _, err := DecodeDataSegsInto(plain.Payload, nil, true); err == nil {
+		t.Fatal("an un-stamped payload parsed as a stamped one")
+	}
+}
+
 func TestWriteBatchCRoundTrip(t *testing.T) {
 	body := bytes.Repeat([]byte("epoch body "), 40)
 	comp := make([]byte, CompressBound(len(body)))
@@ -288,7 +349,7 @@ func TestWriteBatchCRoundTrip(t *testing.T) {
 		}
 		wantOp := OpWriteBatchC
 		if epoch {
-			wantOp = OpWriteEpochBatchC
+			wantOp |= EpochBit
 		}
 		if fr.Op != wantOp {
 			t.Fatalf("op %v != %v", fr.Op, wantOp)

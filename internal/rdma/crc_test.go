@@ -10,7 +10,7 @@ func TestCRCRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Op: OpOK},
 		{Op: OpErr, Payload: []byte{1, 2, 3}},
-		{Op: OpReadBatch, Tag: 99, Payload: []byte{4, 5}},
+		{Op: OpReadBatchC | EpochBit, Tag: 99, Payload: []byte{4, 5}},
 		{Op: OpErrTag, Tag: 7},
 	}
 	var buf bytes.Buffer
@@ -31,7 +31,7 @@ func TestCRCRoundTrip(t *testing.T) {
 }
 
 func TestCRCDetectsCorruption(t *testing.T) {
-	f := Frame{Op: OpWriteBatch, Tag: 3, Payload: bytes.Repeat([]byte{0xAA}, 64)}
+	f := Frame{Op: OpWriteBatchC, Tag: 3, Payload: bytes.Repeat([]byte{0xAA}, 64)}
 	var clean bytes.Buffer
 	if err := WriteFrameCRC(&clean, f); err != nil {
 		t.Fatal(err)

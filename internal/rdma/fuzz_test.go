@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 )
@@ -34,53 +35,55 @@ func frameBytes(t *testing.F, f Frame, crc bool) []byte {
 //     re-encode byte-identically.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid frames across the opcode space: untagged, tagged, empty and
-	// non-empty payloads, batch encodings.
+	// non-empty payloads, batch encodings. The order is load-bearing:
+	// seed#N names are positions in it, so retired verbs keep their slot
+	// as raw frames on their reserved opcodes — streams an old peer could
+	// send, which must frame-decode and re-encode like any other and have
+	// no payload decoder left to reach.
+	retired := func(op Op, tag uint32, payloadHex string) Frame {
+		p, err := hex.DecodeString(payloadHex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return Frame{Op: TagBit | op, Tag: tag, Payload: p}
+	}
+	reads := []ReadReq{{DS: 2, Idx: 7, Size: 16}, {DS: 2, Idx: 8, Size: 0}}
+	readEpoch := EncodeReadBatchPooled(13, reads) // READEPOCHBATCH had READBATCH's payload
+	readEpoch.Op = TagBit | 0x09
 	seeds := []Frame{
-		HelloFrame(OpHello, Hello{Version: ProtoVersion, Opts: OptCompact | OptCompress}),
+		HelloFrame(OpHello, Hello{Version: ProtoVersion, Opts: OptCompress}),
 		HelloFrame(OpOK, Hello{Version: ProtoVersion, Opts: OptTrace}),
-		HelloErrFrame("server speaks protocol version 2: client speaks version 3"),
+		HelloErrFrame("server speaks protocol version 3: client speaks version 2"),
 		{Op: OpHello},
 		{Op: OpHello, Payload: []byte{0xFF, 0, 0, 0}}, // version 1's feature PING
 		HelloFrame(OpHello, Hello{Version: ProtoVersion + 1, Opts: 1 << 9}),
 		{Op: OpOK},
 		{Op: OpErr, Payload: []byte("short")}, // an ERR too short to lead with a record
 		{Op: OpOK, Payload: bytes.Repeat([]byte{0xAB}, 100)},
-		EncodeReadBatch(7, []ReadReq{{DS: 1, Idx: 2, Size: 32}, {DS: 1, Idx: 3, Size: 32}}),
+		EncodeReadBatchPooled(7, []ReadReq{{DS: 1, Idx: 2, Size: 32}, {DS: 1, Idx: 3, Size: 32}}), // READBATCH
 		ErrTagFrame(11, "boom"),
-		EncodeAckBatch(9, 2),
-	}
-	if wb, err := EncodeWriteBatch(8, []WriteReq{
-		{DS: 1, Idx: 2, Data: []byte("first object")},
-		{DS: 1, Idx: 3, Data: nil},
-		{DS: 2, Idx: 0, Data: bytes.Repeat([]byte{0x5A}, 64)},
-	}); err == nil {
-		seeds = append(seeds, wb)
+		retired(0x07, 9, "02000000"), // ACKBATCH
+		// WRITEBATCH: three tuples, one empty.
+		retired(0x06, 8, "0300000001000000020000000c0000006669727374206f626a656374010000000300000000000000"+
+			"0200000000000000400000005a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a"+
+			"5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a"),
 	}
 	if db, err := EncodeDataBatch(7, [][]byte{[]byte("aaaa"), []byte("bb"), nil}); err == nil {
-		seeds = append(seeds, db)
+		seeds = append(seeds, db) // DATABATCH
 	}
-	// Epoch-stamped verbs: write tuples with
-	// the u64 stamp spliced in, the READBATCH-shaped request under its
-	// own opcode, and the stamped scatter-gather reply — including a
-	// zero-epoch (absent object) segment and an empty payload.
-	seeds = append(seeds, EncodeReadEpochBatch(13, []ReadReq{{DS: 2, Idx: 7, Size: 16}, {DS: 2, Idx: 8, Size: 0}}))
-	if wb, err := EncodeWriteEpochBatch(14, []WriteEpochReq{
-		{DS: 1, Idx: 2, Epoch: 1, Data: []byte("epoch one")},
-		{DS: 1, Idx: 3, Epoch: 1<<63 + 42, Data: nil},
-		{DS: 3, Idx: 0, Epoch: 7, Data: bytes.Repeat([]byte{0xC3}, 48)},
-	}); err == nil {
-		seeds = append(seeds, wb)
-	}
-	if db, err := EncodeDataEpochBatch(15, []EpochSeg{
-		{Epoch: 9, Data: []byte("stamped")},
-		{Epoch: 0, Data: nil},
-	}); err == nil {
-		seeds = append(seeds, db)
-	}
+	seeds = append(seeds,
+		readEpoch,
+		// WRITEEPOCHBATCH: u64 stamps spliced into fixed-width tuples.
+		retired(0x08, 14, "03000000010000000200000001000000000000000900000065706f6368206f6e6501000000030000002a"+
+			"00000000000080000000000300000000000000070000000000000030000000c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3"+
+			"c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3"),
+		// DATAEPOCHBATCH: a stamped segment and a zero-epoch (absent) one.
+		retired(0x0A, 15, "020000000900000000000000070000007374616d706564000000000000000000000000"),
+	)
 	// Traversal-offload verbs: programs with
 	// and without field masks, and replies across the status space —
 	// multi-hop done, budget-exhausted, and an empty path.
-	seeds = append(seeds, EncodeChaseBatch(16, []ChaseReq{
+	seeds = append(seeds, EncodeChaseBatchPooled(16, []ChaseReq{
 		{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 16},
 		{DS: 2, Start: 7, ObjSize: 32, NextOff: 24, Hops: 1, Mask: 0x9},
 	}))
@@ -95,10 +98,9 @@ func FuzzFrameDecode(f *testing.F) {
 	}); err == nil {
 		seeds = append(seeds, cd)
 	}
-	// Compact-tier verbs:
-	// delta-encoded read batches, mixed-scheme data batches, write
-	// batches with full, zero, compressed and range tuples, and the
-	// rejected-bitmap ack.
+	// The data verbs: delta-encoded read batches, mixed-scheme data
+	// batches, write batches with full, zero, compressed and range
+	// tuples, and the rejected-bitmap ack.
 	seeds = append(seeds, EncodeReadBatchCPooled(18, []ReadReq{
 		{DS: 2, Idx: 100, Size: 4096}, {DS: 2, Idx: 101, Size: 4096},
 		{DS: 5, Idx: 3, Size: 64}, {DS: 5, Idx: 1, Size: 0},
@@ -127,6 +129,9 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		for _, epoch := range []bool{false, true} {
 			if wb, err := EncodeWriteBatchCPooled(20, reqs, epoch); err == nil {
+				if epoch {
+					wb.Op = TagBit | 0x10 // WRITEEPOCHBATCH-C; the live form is appended below
+				}
 				seeds = append(seeds, wb)
 			}
 		}
@@ -145,7 +150,7 @@ func FuzzFrameDecode(f *testing.F) {
 	if wb, err := EncodeWriteBatchCPooled(23, []WriteReqC{
 		{DS: 9, Idx: 9, Scheme: SchemeRaw, RawLen: 64, Data: make([]byte, 64)},
 	}, true); err == nil {
-		seeds = append(seeds, Frame{Op: wb.Op, Tag: wb.Tag, Payload: wb.Payload[:3]})
+		seeds = append(seeds, Frame{Op: TagBit | 0x10, Tag: wb.Tag, Payload: wb.Payload[:3]})
 	}
 	{
 		rb := EncodeReadBatchCPooled(24, []ReadReq{{DS: 1, Idx: 2, Size: 3}, {DS: 1, Idx: 9, Size: 3}})
@@ -163,6 +168,43 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(OpErr)})               // oversized length
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, byte(OpReadBatch)})         // tagged, no tag bytes
 	f.Add(append(frameBytes(f, Frame{Op: OpOK}, false), 0xDE, 0xAD)) // trailing garbage
+
+	// The epoch modifier (seeds past #59, so the numbering above stands):
+	// a stamped read, a stamped DATA reply whose first segment is a
+	// zero-length epoch probe, a stamped write batch, one cut mid-header,
+	// and a stamped range write whose extent lies outside its object.
+	stamped := []Frame{EncodeReadBatchCPooled(25, reads)}
+	stamped[0].Op |= EpochBit
+	{
+		var b DataBatchCBuilder
+		b.BeginEpoch()
+		b.Add(nil, true)
+		b.Stamp(1<<63 + 9)
+		b.Add(bytes.Repeat([]byte("compressible seed "), 32), true)
+		b.Stamp(3)
+		b.Add(make([]byte, 64), true) // absent object: zero bytes, epoch 0
+		if db, err := b.Frame(26); err == nil {
+			stamped = append(stamped, db)
+		}
+		b.Release()
+	}
+	if wb, err := EncodeWriteBatchCPooled(27, []WriteReqC{
+		{DS: 1, Idx: 40, Epoch: 6, Scheme: SchemeRaw, RawLen: 8, Data: []byte("8 bytes!")},
+		{DS: 3, Idx: 2, Epoch: 8, ObjSize: 4096, Scheme: SchemeRaw, RawLen: 20,
+			Extents: []Extent{{Off: 0, Len: 16}, {Off: 128, Len: 4}}, Data: make([]byte, 20)},
+	}, true); err == nil {
+		stamped = append(stamped, wb, Frame{Op: wb.Op, Tag: wb.Tag, Payload: wb.Payload[:3]})
+	}
+	if wb, err := EncodeWriteBatchCPooled(28, []WriteReqC{{
+		DS: 1, Idx: 0, Epoch: 2, ObjSize: 32, Scheme: SchemeRaw, RawLen: 16,
+		Extents: []Extent{{Off: 24, Len: 16}}, Data: make([]byte, 16),
+	}}, true); err == nil {
+		stamped = append(stamped, wb)
+	}
+	for _, fr := range stamped {
+		f.Add(frameBytes(f, fr, false))
+		f.Add(frameBytes(f, fr, true))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The CRC decoder must tolerate the same arbitrary inputs; its
@@ -222,14 +264,9 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("hello record re-encode mismatch")
 				}
 			}
-		case OpReadBatch:
-			if reqs, err := DecodeReadBatch(fr.Payload); err == nil {
-				if re := EncodeReadBatch(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("READBATCH re-encode mismatch")
-				}
-			}
 		case OpDataBatch:
-			if segs, err := DecodeDataBatch(fr.Payload); err == nil {
+			// The reference codec (refcodec.go) is canonical.
+			if segs, err := DecodeDataBatchInto(fr.Payload, nil); err == nil {
 				re, err := EncodeDataBatch(fr.Tag, segs)
 				if err != nil {
 					t.Fatalf("DATABATCH re-encode: %v", err)
@@ -238,51 +275,9 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("DATABATCH re-encode mismatch")
 				}
 			}
-		case OpWriteBatch:
-			if reqs, err := DecodeWriteBatch(fr.Payload); err == nil {
-				re, err := EncodeWriteBatch(fr.Tag, reqs)
-				if err != nil {
-					t.Fatalf("WRITEBATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITEBATCH re-encode mismatch")
-				}
-			}
-		case OpWriteEpochBatch:
-			if reqs, err := DecodeWriteEpochBatch(fr.Payload); err == nil {
-				re, err := EncodeWriteEpochBatch(fr.Tag, reqs)
-				if err != nil {
-					t.Fatalf("WRITEEPOCHBATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("WRITEEPOCHBATCH re-encode mismatch")
-				}
-			}
-		case OpReadEpochBatch:
-			if reqs, err := DecodeReadEpochBatch(fr.Payload); err == nil {
-				if re := EncodeReadEpochBatch(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("READEPOCHBATCH re-encode mismatch")
-				}
-			}
-		case OpDataEpochBatch:
-			if segs, err := DecodeDataEpochBatch(fr.Payload); err == nil {
-				re, err := EncodeDataEpochBatch(fr.Tag, segs)
-				if err != nil {
-					t.Fatalf("DATAEPOCHBATCH re-encode: %v", err)
-				}
-				if !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("DATAEPOCHBATCH re-encode mismatch")
-				}
-			}
-		case OpAckBatch:
-			if n, err := DecodeAckBatch(fr.Payload); err == nil {
-				if re := EncodeAckBatch(fr.Tag, n); !bytes.Equal(re.Payload, fr.Payload) {
-					t.Fatalf("ACKBATCH re-encode mismatch")
-				}
-			}
 		case OpChaseBatch:
-			if reqs, err := DecodeChaseBatch(fr.Payload); err == nil {
-				if re := EncodeChaseBatch(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
+			if reqs, err := DecodeChaseBatchInto(fr.Payload, nil); err == nil {
+				if re := EncodeChaseBatchPooled(fr.Tag, reqs); !bytes.Equal(re.Payload, fr.Payload) {
 					t.Fatalf("CHASEBATCH re-encode mismatch")
 				}
 				// Programs a server would run must survive Validate without
@@ -294,7 +289,7 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			}
 		case OpChaseData:
-			if res, err := DecodeChaseData(fr.Payload); err == nil {
+			if res, err := DecodeChaseDataInto(fr.Payload, nil); err == nil {
 				re, err := EncodeChaseData(fr.Tag, res)
 				if err != nil {
 					t.Fatalf("CHASEDATA re-encode: %v", err)
@@ -303,8 +298,8 @@ func FuzzFrameDecode(f *testing.F) {
 					t.Fatalf("CHASEDATA re-encode mismatch")
 				}
 			}
-		case OpReadBatchC:
-			// The compact encodings are non-canonical (a repeated DS may
+		case OpReadBatchC, OpReadBatchC | EpochBit:
+			// The bit-packed encodings are non-canonical (a repeated DS may
 			// arrive as either the same-DS bit or an explicit varint), so
 			// the invariant is semantic: decode → encode → decode is an
 			// identity on the decoded form.
@@ -324,8 +319,8 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 				PutBuf(re.Payload)
 			}
-		case OpDataBatchC:
-			if segs, err := DecodeDataBatchCInto(fr.Payload, nil); err == nil {
+		case OpDataBatchC, OpDataBatchC | EpochBit:
+			if segs, err := DecodeDataSegsInto(fr.Payload, nil, fr.Op&EpochBit != 0); err == nil {
 				for i, s := range segs {
 					if s.Scheme == SchemeLZ {
 						// Accepted compressed segments must decompress to
@@ -337,8 +332,8 @@ func FuzzFrameDecode(f *testing.F) {
 					}
 				}
 			}
-		case OpWriteBatchC, OpWriteEpochBatchC:
-			epoch := fr.Op == OpWriteEpochBatchC
+		case OpWriteBatchC, OpWriteBatchC | EpochBit:
+			epoch := fr.Op&EpochBit != 0
 			if reqs, _, err := DecodeWriteBatchCInto(fr.Payload, nil, nil, epoch); err == nil {
 				for i := range reqs {
 					r := &reqs[i]

@@ -15,33 +15,33 @@ import (
 // The server answers OK echoing the record and the session is up —
 // every later frame in both directions carries the CRC32-C trailer
 // (crc.go), tagged frames carry the trace block when OptTrace was asked
-// for (trace.go), and batches use the compact encoding / LZ segments
-// when OptCompact / OptCompress were (compact.go). Or it answers ERR —
+// for (trace.go), and batch segments may be LZ-compressed when
+// OptCompress was (compact.go). Or it answers ERR —
 // its own record followed by a UTF-8 message naming both versions — and
 // closes. The exchange itself is plain-framed: it has to be readable
 // before anything is agreed, which is why the record checks itself.
 //
-// There is nothing to intersect: tagged batches, checksummed framing,
-// write batches, the epoch verbs and the chase verbs are the protocol,
-// and the three options are the client's to choose. A peer therefore
+// There is nothing to intersect: tagged bit-packed batches, checksummed
+// framing, the epoch modifier and the chase verbs are the protocol, and
+// the two options are the client's to choose. A peer therefore
 // either speaks this version or is refused; a record that fails its own
 // checksum proves nothing about the peer and is a transport fault like
 // any other corrupted frame.
 
 // ProtoVersion is the wire protocol version this package speaks.
-// Version 1 was the unversioned feature-bit PING it replaces.
-const ProtoVersion uint16 = 2
+// Version 1 was the unversioned feature-bit PING; version 2 still
+// carried the fixed-width and epoch verb families beside the bit-packed
+// one and a hello option to choose between them.
+const ProtoVersion uint16 = 3
 
 // Session options a client may ask for in its hello.
 const (
 	// OptTrace: every tagged frame carries the fixed trace block.
 	OptTrace uint16 = 1 << iota
-	// OptCompact: plain reads and all writes ride the compact batch verbs.
-	OptCompact
-	// OptCompress: compact segments may be LZ-compressed (needs OptCompact).
+	// OptCompress: batch segments may be LZ-compressed.
 	OptCompress
 
-	optMask = OptTrace | OptCompact | OptCompress
+	optMask = OptTrace | OptCompress
 )
 
 const helloMagic = 0x53445243 // "CRDS" on the wire
@@ -60,11 +60,8 @@ type Hello struct {
 }
 
 // Valid reports whether h is a session this package can run: its own
-// version, known option bits, compression only on the compact tier.
-func (h Hello) Valid() bool {
-	return h.Version == ProtoVersion && h.Opts&^optMask == 0 &&
-		(h.Opts&OptCompress == 0 || h.Opts&OptCompact != 0)
-}
+// version and known option bits.
+func (h Hello) Valid() bool { return h.Version == ProtoVersion && h.Opts&^optMask == 0 }
 
 // Append appends h's self-checked record to p.
 func (h Hello) Append(p []byte) []byte {

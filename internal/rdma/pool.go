@@ -1,8 +1,6 @@
 package rdma
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"math/bits"
 )
@@ -98,113 +96,4 @@ func ReadFramePooled(r io.Reader) (Frame, error) {
 // ReadFramePooled for the ownership rule.
 func ReadFrameCRCPooled(r io.Reader) (Frame, error) {
 	return ReadFramePooledOpts(r, true, false)
-}
-
-// EncodeReadBatchPooled is EncodeReadBatch with the payload drawn from
-// the pool; the caller should PutBuf it after the frame is written.
-func EncodeReadBatchPooled(tag uint32, reqs []ReadReq) Frame {
-	p := GetBuf(4 + readReqSize*len(reqs))
-	binary.LittleEndian.PutUint32(p[0:], uint32(len(reqs)))
-	for i, r := range reqs {
-		off := 4 + i*readReqSize
-		binary.LittleEndian.PutUint32(p[off:], r.DS)
-		binary.LittleEndian.PutUint32(p[off+4:], r.Idx)
-		binary.LittleEndian.PutUint32(p[off+8:], r.Size)
-	}
-	return Frame{Op: OpReadBatch, Tag: tag, Payload: p}
-}
-
-// EncodeWriteBatchPooled is EncodeWriteBatch with a pooled payload;
-// same ownership rule as EncodeReadBatchPooled.
-func EncodeWriteBatchPooled(tag uint32, reqs []WriteReq) (Frame, error) {
-	n := WriteBatchSize(reqs)
-	if n > MaxFrame {
-		return Frame{}, fmt.Errorf("rdma: WRITEBATCH too large (%d bytes)", n)
-	}
-	p := GetBuf(n)
-	encodeWriteBatchInto(p, reqs)
-	return Frame{Op: OpWriteBatch, Tag: tag, Payload: p}, nil
-}
-
-// DecodeReadBatchInto is DecodeReadBatch appending into a caller-owned
-// slice, letting a steady-state server reuse one across batches.
-func DecodeReadBatchInto(p []byte, reqs []ReadReq) ([]ReadReq, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad READBATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	if uint64(len(p)) != 4+uint64(count)*readReqSize {
-		return nil, fmt.Errorf("rdma: READBATCH length mismatch: header %d tuples, payload %d bytes",
-			count, len(p))
-	}
-	reqs = reqs[:0]
-	for i := 0; i < int(count); i++ {
-		off := 4 + i*readReqSize
-		reqs = append(reqs, ReadReq{
-			DS:   binary.LittleEndian.Uint32(p[off:]),
-			Idx:  binary.LittleEndian.Uint32(p[off+4:]),
-			Size: binary.LittleEndian.Uint32(p[off+8:]),
-		})
-	}
-	return reqs, nil
-}
-
-// DecodeDataBatchInto is DecodeDataBatch appending into a caller-owned
-// slice (segments remain subslices of p).
-func DecodeDataBatchInto(p []byte, segs [][]byte) ([][]byte, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rdma: bad DATABATCH payload length %d", len(p))
-	}
-	count := binary.LittleEndian.Uint32(p)
-	if uint64(count) > uint64(len(p)-4)/4 {
-		return nil, fmt.Errorf("rdma: DATABATCH count %d exceeds payload", count)
-	}
-	segs = segs[:0]
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+4 > len(p) {
-			return nil, fmt.Errorf("rdma: truncated DATABATCH at segment %d", i)
-		}
-		n := int(binary.LittleEndian.Uint32(p[off:]))
-		off += 4
-		if off+n > len(p) {
-			return nil, fmt.Errorf("rdma: truncated DATABATCH segment %d (%d bytes)", i, n)
-		}
-		segs = append(segs, p[off:off+n])
-		off += n
-	}
-	if off != len(p) {
-		return nil, fmt.Errorf("rdma: DATABATCH trailing garbage (%d bytes)", len(p)-off)
-	}
-	return segs, nil
-}
-
-// DataBatchWriter assembles a DATABATCH payload in place, letting a
-// server gather each object read directly into the (typically pooled)
-// reply buffer — no per-segment staging copies.
-type DataBatchWriter struct {
-	p   []byte
-	off int
-}
-
-// BeginDataBatch starts a batch of count segments over p, which must
-// hold exactly DataBatchSize of the requests being answered.
-func BeginDataBatch(p []byte, count int) DataBatchWriter {
-	binary.LittleEndian.PutUint32(p[0:], uint32(count))
-	return DataBatchWriter{p: p, off: 4}
-}
-
-// Next reserves the next segment's n-byte slot and returns it for the
-// caller to fill.
-func (w *DataBatchWriter) Next(n int) []byte {
-	binary.LittleEndian.PutUint32(w.p[w.off:], uint32(n))
-	w.off += 4
-	s := w.p[w.off : w.off+n : w.off+n]
-	w.off += n
-	return s
-}
-
-// Frame returns the assembled DATABATCH frame.
-func (w *DataBatchWriter) Frame(tag uint32) Frame {
-	return Frame{Op: OpDataBatch, Tag: tag, Payload: w.p[:w.off]}
 }

@@ -58,43 +58,50 @@ func TestTruncatedFrame(t *testing.T) {
 }
 
 func TestReadReqCodec(t *testing.T) {
-	f := EncodeReadBatch(1, []ReadReq{{DS: 3, Idx: 77, Size: 4096}})
-	if f.Op != OpReadBatch {
+	f := EncodeReadBatchCPooled(1, []ReadReq{{DS: 3, Idx: 77, Size: 4096}})
+	defer PutBuf(f.Payload)
+	if f.Op != OpReadBatchC {
 		t.Fatal("wrong op")
 	}
-	reqs, err := DecodeReadBatch(f.Payload)
+	reqs, err := DecodeReadBatchCInto(f.Payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reqs) != 1 || reqs[0] != (ReadReq{DS: 3, Idx: 77, Size: 4096}) {
 		t.Fatalf("reqs = %+v", reqs)
 	}
-	if _, err := DecodeReadBatch([]byte{1, 2}); err == nil {
+	if _, err := DecodeReadBatchCInto(f.Payload[:2], nil); err == nil {
 		t.Fatal("short payload should fail")
 	}
 }
 
 func TestWriteReqCodec(t *testing.T) {
 	data := []byte{9, 8, 7, 6}
-	f, err := EncodeWriteBatch(1, []WriteReq{{DS: 1, Idx: 2, Data: data}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := DecodeWriteBatch(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 1 || reqs[0].DS != 1 || reqs[0].Idx != 2 || !bytes.Equal(reqs[0].Data, data) {
-		t.Fatalf("reqs = %+v", reqs)
-	}
-	if _, err := DecodeWriteBatch([]byte{0}); err == nil {
-		t.Fatal("short payload should fail")
-	}
-	// Length mismatch.
-	bad := append([]byte(nil), f.Payload...)
-	bad = append(bad, 0xEE)
-	if _, err := DecodeWriteBatch(bad); err == nil {
-		t.Fatal("length mismatch should fail")
+	for _, stamped := range []bool{false, true} {
+		f, err := EncodeWriteBatchCPooled(1, []WriteReqC{{DS: 1, Idx: 2, Epoch: 5, RawLen: 4, Data: data}}, stamped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (f.Op&EpochBit != 0) != stamped || f.Op&^EpochBit != OpWriteBatchC {
+			t.Fatalf("stamped=%v encoded as %s", stamped, f.Op)
+		}
+		reqs, _, err := DecodeWriteBatchCInto(f.Payload, nil, nil, stamped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reqs) != 1 || reqs[0].DS != 1 || reqs[0].Idx != 2 || !bytes.Equal(reqs[0].Data, data) ||
+			(reqs[0].Epoch == 5) != stamped {
+			t.Fatalf("reqs = %+v", reqs)
+		}
+		if _, _, err := DecodeWriteBatchCInto([]byte{0x21}, nil, nil, stamped); err == nil {
+			t.Fatal("short payload should fail")
+		}
+		// Length mismatch.
+		bad := append(append([]byte(nil), f.Payload...), 0xEE)
+		if _, _, err := DecodeWriteBatchCInto(bad, nil, nil, stamped); err == nil {
+			t.Fatal("length mismatch should fail")
+		}
+		PutBuf(f.Payload)
 	}
 }
 
@@ -109,27 +116,29 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
-// Property: arbitrary write-request payloads roundtrip through the codec.
+// Property: arbitrary write-request payloads, stamped or not, roundtrip
+// through frame + codec.
 func TestWriteCodecProperty(t *testing.T) {
-	f := func(ds, idx uint32, data []byte) bool {
+	f := func(ds, idx uint32, epoch uint64, stamped bool, data []byte) bool {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		fr, err := EncodeWriteBatch(7, []WriteReq{{DS: ds, Idx: idx, Data: data}})
+		fr, err := EncodeWriteBatchCPooled(7, []WriteReqC{{DS: ds, Idx: idx, Epoch: epoch, RawLen: uint32(len(data)), Data: data}}, stamped)
 		var buf bytes.Buffer
 		if err != nil || WriteFrame(&buf, fr) != nil {
 			return false
 		}
+		PutBuf(fr.Payload)
 		got, err := ReadFrame(&buf)
-		if err != nil {
+		if err != nil || got.Op != fr.Op {
 			return false
 		}
-		reqs, err := DecodeWriteBatch(got.Payload)
+		reqs, _, err := DecodeWriteBatchCInto(got.Payload, nil, nil, stamped)
 		if err != nil || len(reqs) != 1 {
 			return false
 		}
 		req := reqs[0]
-		return req.DS == ds && req.Idx == idx && bytes.Equal(req.Data, data)
+		return req.DS == ds && req.Idx == idx && bytes.Equal(req.Data, data) && (!stamped || req.Epoch == epoch)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

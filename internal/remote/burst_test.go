@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -196,20 +197,17 @@ func TestReconnectDropsDeadGenerationBuffer(t *testing.T) {
 					return err
 				}
 				switch f.Op {
-				case rdma.OpReadBatch:
-					reqs, err := rdma.DecodeReadBatch(f.Payload)
-					if err != nil || len(reqs) != 1 {
-						return errors.New("want single-read batches")
-					}
-					resp, err := rdma.EncodeDataBatch(f.Tag, [][]byte{scriptData(reqs[0].Idx)})
-					if err != nil {
-						return err
+				case rdma.OpReadBatchC:
+					n := 0
+					resp, err := stubDataReply(f, func(r rdma.ReadReq) []byte { n++; return scriptData(r.Idx) })
+					if err != nil || n != 1 {
+						return fmt.Errorf("want single-read batches, got %d reads (%v)", n, err)
 					}
 					var b bytes.Buffer
 					rdma.WriteFrameCRC(&b, resp)
 					replies = append(replies, b.Bytes())
 					reads++
-				case rdma.OpWriteBatch:
+				case rdma.OpWriteBatchC:
 					writes++ // never acknowledged
 				default:
 					return errors.New("unexpected frame " + f.Op.String())
@@ -228,7 +226,7 @@ func TestReconnectDropsDeadGenerationBuffer(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	cl, err := NewPipelined(c2, PipelineOpts{
-		MaxBatch: 1, NoCompact: true, Obs: reg,
+		MaxBatch: 1, Obs: reg,
 		Redial: redial, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // answers with the whole path in one CHASEDATA — collapsing K dependent
 // round trips into one. Chases are read-only and ride the ordinary read
 // window: same doorbell coalescing, same tag demux, and the same
-// idempotent replay on reconnect as READBATCH. (farmem.ChaseStore is
+// idempotent replay on reconnect as a read. (farmem.ChaseStore is
 // the interface the runtime consumes them through.)
 
 // Wire overhead the flusher charges per chase program when bounding a
@@ -67,12 +67,8 @@ func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	if err := chaseIssuable(req); err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	op := &pipeOp{
-		chase: true, ds: req.DS, idx: req.Start, creq: req,
-		ch: make(chan error, 1),
-	}
-	c.enqueue(op)
-	err := <-op.ch
+	op := &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}
+	err := c.wait(op)
 	return op.cres, err
 }
 

@@ -1,8 +1,9 @@
 package remote
 
-// The compact wire tier, server side and shared policy: bit-packed
-// batch frames (rdma/compact.go), adaptive per-object compression, and
-// dirty-range write-back with read-modify-write application.
+// The data verbs, server side, and the policy both ends share:
+// bit-packed batch frames (rdma/compact.go), adaptive per-object
+// compression, and dirty-range write-back with read-modify-write
+// application.
 //
 // Compression is decided online, per data structure: both endpoints
 // track an EWMA of the observed wire/raw ratio and stop attempting
@@ -15,12 +16,8 @@ package remote
 // server splices them into the stored image under the store lock. A
 // plain range write is unconditional (the farmem runtime serializes
 // write-backs per object, and reissue after an uncertain ack is a full
-// object). An epoch-stamped range write is conditional: it needs the
-// stored image to be the immediate predecessor of the epoch it stamps —
-// a replica that missed an epoch has a stale base, and splicing into it
-// would manufacture an image that never existed. Those tuples are
-// rejected via the ACKBATCH-C bitmap; the sender marks the member
-// divergent and lets anti-entropy resync repair it with full objects.
+// object); a stamped one is conditional on its base image — see
+// WriteRangeEpoch and ErrStaleRangeBase.
 
 import (
 	"errors"
@@ -31,7 +28,7 @@ import (
 	"cards/internal/stats"
 )
 
-// Wire-efficiency series (the compact tier).
+// Wire-efficiency series.
 const (
 	// MetricWireBytes counts bytes on the wire per frame verb
 	// (label "verb"), both directions, payload framing included.
@@ -70,12 +67,11 @@ type wireMetrics struct {
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
+	// The seven verbs, plus the three the epoch modifier applies to.
 	ops := []rdma.Op{
-		rdma.OpReadBatch, rdma.OpDataBatch, rdma.OpWriteBatch, rdma.OpAckBatch, rdma.OpErrTag,
-		rdma.OpReadEpochBatch, rdma.OpDataEpochBatch, rdma.OpWriteEpochBatch,
-		rdma.OpChaseBatch, rdma.OpChaseData,
-		rdma.OpReadBatchC, rdma.OpDataBatchC, rdma.OpWriteBatchC,
-		rdma.OpWriteEpochBatchC, rdma.OpAckBatchC,
+		rdma.OpReadBatchC, rdma.OpDataBatchC, rdma.OpWriteBatchC, rdma.OpAckBatchC,
+		rdma.OpChaseBatch, rdma.OpChaseData, rdma.OpErrTag,
+		rdma.OpReadBatchC | rdma.EpochBit, rdma.OpDataBatchC | rdma.EpochBit, rdma.OpWriteBatchC | rdma.EpochBit,
 	}
 	m := &wireMetrics{
 		byVerb:       make(map[rdma.Op]*stats.Counter, len(ops)),
@@ -227,18 +223,27 @@ func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Exte
 	}
 }
 
-// readBatchC is the compact twin of readBatch. Each object is staged,
-// classified (zero / compressed / raw — compression only when the
-// session asked for it and the adaptive policy expects the DS to
-// shrink), and packed into one DATABATCH-C reply by the worker's pooled
-// builder.
-func (s *Server) readBatchC(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
+// errReplyTooLarge fails a read or chase batch whose reply would not fit
+// a frame.
+var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
+
+// readBatch answers one READBATCH-C. Each object is staged, classified
+// (zero / compressed / raw — compression only when the session asked
+// for it and the adaptive policy expects the DS to shrink), and packed
+// into one DATABATCH-C reply by the worker's pooled builder. A stamped
+// request gets a stamped reply: every segment carries the object's
+// stored epoch, read under the same lock hold as its bytes.
+func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
 	reqs, err := rdma.DecodeReadBatchCInto(f.Payload, w.reads[:0])
 	if err != nil {
 		return rdma.Frame{}, served{}, err
 	}
 	w.reads = reqs
-	size := 6 + 13*len(reqs)
+	epoch := f.Op&rdma.EpochBit != 0
+	size := 6 + 13*len(reqs) // worst-case segment headers
+	if epoch {
+		size += 10 * len(reqs)
+	}
 	for _, r := range reqs {
 		size += int(r.Size)
 	}
@@ -247,7 +252,8 @@ func (s *Server) readBatchC(f rdma.Frame, w *workerScratch, compress bool) (rdma
 	}
 	// A batch with no compression candidates takes the reserved-header
 	// layout: the staged object bytes become the frame payload directly,
-	// skipping the copy-assembly of the LZ-capable path.
+	// skipping the copy-assembly of the LZ-capable path. (A stamped
+	// reply's header size depends on the epochs, so it never does.)
 	tryBatch := false
 	if compress {
 		for _, r := range reqs {
@@ -259,14 +265,25 @@ func (s *Server) readBatchC(f rdma.Frame, w *workerScratch, compress bool) (rdma
 	}
 	cb := &w.cb
 	cb.Reset()
-	if !tryBatch {
+	switch {
+	case epoch:
+		cb.BeginEpoch()
+	case !tryBatch:
 		cb.Begin(reqs)
 	}
 	for _, r := range reqs {
 		buf := cb.Stage(int(r.Size))
-		s.Store.ReadInto(r.DS, r.Idx, buf)
+		var stamp uint64
+		if epoch {
+			stamp = s.Store.ReadEpochInto(r.DS, r.Idx, buf)
+		} else {
+			s.Store.ReadInto(r.DS, r.Idx, buf)
+		}
 		try := tryBatch && s.cpolicy.shouldCompress(r.DS)
 		scheme, wireLen := cb.Add(buf, try)
+		if epoch {
+			cb.Stamp(stamp)
+		}
 		if try && scheme != rdma.SchemeZero {
 			s.cpolicy.observe(r.DS, len(buf), wireLen)
 			if len(buf) > 0 {
@@ -275,13 +292,13 @@ func (s *Server) readBatchC(f rdma.Frame, w *workerScratch, compress bool) (rdma
 		}
 	}
 	resp, err := cb.Frame(f.Tag)
-	return resp, served{family: rdma.OpReadBatch, n: len(reqs)}, err
+	return resp, served{family: rdma.OpReadBatchC, n: len(reqs)}, err
 }
 
-// compactWriteScratch is the per-worker reusable state of the compact
-// write path: decoded tuples, the shared extent arena, the reject
-// bitmap, and materialization buffers (one zeroed, one for LZ output).
-type compactWriteScratch struct {
+// writeScratch is the per-worker reusable state of the write path:
+// decoded tuples, the shared extent arena, the reject bitmap, and
+// materialization buffers (one zeroed, one for LZ output).
+type writeScratch struct {
 	reqs []rdma.WriteReqC
 	exts []rdma.Extent
 	rej  []uint64
@@ -289,7 +306,7 @@ type compactWriteScratch struct {
 	zero []byte // kept all-zero for SchemeZero tuples
 }
 
-func (cw *compactWriteScratch) release() {
+func (cw *writeScratch) release() {
 	rdma.PutBuf(cw.lz)
 	rdma.PutBuf(cw.zero)
 	cw.lz, cw.zero = nil, nil
@@ -297,7 +314,7 @@ func (cw *compactWriteScratch) release() {
 
 // materialize returns tuple r's raw bytes, decompressing or zero-
 // extending into the worker's scratch as the scheme demands.
-func (cw *compactWriteScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
+func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 	n := int(r.RawLen)
 	switch r.Scheme {
 	case rdma.SchemeZero:
@@ -322,13 +339,18 @@ func (cw *compactWriteScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 	}
 }
 
-// writeBatchC applies one WRITEBATCH-C / WRITEEPOCHBATCH-C frame:
-// tuples apply in batch order — full objects through Write/WriteEpoch,
-// range tuples spliced read-modify-write — and the whole batch is
-// acknowledged with one ACKBATCH-C whose bitmap marks the epoch range
-// tuples rejected for a stale base.
-func (s *Server) writeBatchC(f rdma.Frame, w *workerScratch, epoch bool) (rdma.Frame, served, error) {
+// writeBatch applies one WRITEBATCH-C frame, stamped or not: tuples
+// apply in batch order — full objects through Write/WriteEpoch, range
+// tuples spliced read-modify-write — and the whole batch is
+// acknowledged with one ACKBATCH-C whose bitmap marks the stamped range
+// tuples rejected for a stale base. Writes within a batch are ordered;
+// two batches may be applied in either order (see the ServeConn
+// contract). A stamped full-object write older than the stored image is
+// dropped but still acknowledged: the object is at an epoch at least as
+// new, which is what the sender's replay logic needs to know.
+func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
 	cw := &w.cw
+	epoch := f.Op&rdma.EpochBit != 0
 	reqs, exts, err := rdma.DecodeWriteBatchCInto(f.Payload, cw.reqs[:0], cw.exts[:0], epoch)
 	cw.reqs, cw.exts = reqs, exts
 	if err != nil {
@@ -371,29 +393,30 @@ func (s *Server) writeBatchC(f rdma.Frame, w *workerScratch, epoch bool) (rdma.F
 			s.Store.WriteRange(r.DS, r.Idx, r.ObjSize, r.Extents, raw)
 		}
 	}
-	return rdma.EncodeAckBatchC(f.Tag, len(reqs), rej), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
+	return rdma.EncodeAckBatchC(f.Tag, len(reqs), rej), served{family: rdma.OpWriteBatchC, n: len(reqs)}, nil
 }
 
 // rangeWritable reports whether exts is a range set the wire tier can
 // ship — bounded extent count, and at least one extent strictly
 // smaller than the object (otherwise a full write is never worse).
 func rangeWritable(src []byte, exts []rdma.Extent) bool {
-	if len(exts) == 0 || len(exts) > rdma.MaxExtents {
-		return false
-	}
-	total := uint32(0)
+	return len(exts) > 0 && len(exts) <= rdma.MaxExtents && extentBytes(exts) < len(src)
+}
+
+// extentBytes is the number of object bytes a range write ships.
+func extentBytes(exts []rdma.Extent) int {
+	n := 0
 	for _, e := range exts {
-		total += e.Len
+		n += int(e.Len)
 	}
-	return int(total) < len(src)
+	return n
 }
 
 // IssueWriteRanges implements farmem.RangeWriteStore, the asynchronous
 // dirty-range write-back: src is the full object image, exts its
 // modified byte ranges, sorted and non-overlapping. The write rides the
-// pipeline like IssueWrite, but on a compact session only the extents'
-// bytes ship (spliced server-side read-modify-write); a NoCompact
-// session ships the full object. src and exts must stay valid until
+// pipeline like IssueWrite, but only the extents' bytes ship (spliced
+// server-side read-modify-write). src and exts must stay valid until
 // done runs; done must not block.
 func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	if !rangeWritable(src, exts) {
@@ -440,19 +463,18 @@ func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte,
 }
 
 // compressInto applies the client-side compression decision to one
-// outgoing object: all-zero detection first, then — when compress is
-// set (the session asked for OptCompress) and the adaptive policy
-// expects the DS to shrink — an LZ pass into a pooled buffer. It
-// returns the scheme, the wire bytes (nil for SchemeZero; a pooled
-// buffer the caller must PutBuf for SchemeLZ; src itself for
-// SchemeRaw) and whether the returned slice is pooled. Called by the
-// flusher with c.mu held — it must not touch the lock.
-func (c *PipelinedClient) compressInto(ds uint32, src []byte, compress bool) (scheme uint8, wire []byte, pooled bool) {
+// outgoing object: all-zero detection first, then — when the session
+// asked for OptCompress and the adaptive policy expects the DS to
+// shrink — an LZ pass into a pooled buffer. It returns the scheme and
+// the wire bytes: nil for SchemeZero, src itself for SchemeRaw, a
+// pooled buffer the caller must PutBuf for SchemeLZ. The policy is
+// atomic: nothing here needs mu.
+func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wire []byte) {
 	if rdma.IsAllZero(src) {
-		return rdma.SchemeZero, nil, false
+		return rdma.SchemeZero, nil
 	}
-	if !compress || !c.cpolicy.shouldCompress(ds) {
-		return rdma.SchemeRaw, src, false
+	if !c.compress || !c.cpolicy.shouldCompress(ds) {
+		return rdma.SchemeRaw, src
 	}
 	buf := rdma.GetBuf(rdma.CompressBound(len(src)))
 	n, ok := rdma.LZCompress(buf, src)
@@ -462,45 +484,46 @@ func (c *PipelinedClient) compressInto(ds uint32, src []byte, compress bool) (sc
 		if m := c.metrics; m != nil && len(src) > 0 {
 			m.wire.observeRatio(1000)
 		}
-		return rdma.SchemeRaw, src, false
+		return rdma.SchemeRaw, src
 	}
 	c.cpolicy.observe(ds, len(src), n)
 	if m := c.metrics; m != nil {
 		m.wire.observeRatio(uint64(n) * 1000 / uint64(len(src)))
 	}
-	return rdma.SchemeLZ, buf[:n], true
+	return rdma.SchemeLZ, buf[:n]
 }
 
-// compactWriteReq builds one compact write tuple from a queued op:
-// range ops first gather their extents' bytes out of the full image,
-// then the compression decision runs on whatever ships. Pooled buffers
-// are appended to *bufs; the caller releases them once the batch is
-// encoded (the encoder copies every blob into the frame payload).
-// Called by the flusher with c.mu held.
-func (c *PipelinedClient) compactWriteReq(op *pipeOp, compress bool, bufs *[][]byte) rdma.WriteReqC {
-	r := rdma.WriteReqC{DS: op.ds, Idx: op.idx, Epoch: op.epoch}
-	src := op.data
-	if op.exts != nil {
-		r.ObjSize = uint32(len(op.data))
-		r.Extents = op.exts
-		raw := 0
-		for _, e := range op.exts {
-			raw += int(e.Len)
+// encodeWrites is the write family's encoder (see encode): per op,
+// range writes first gather their extents' bytes out of the full image,
+// then the compression decision runs on whatever ships. The batch
+// encoder copies every blob into the frame payload, so the pooled
+// gather/compress buffers go home as soon as it returns.
+func (c *PipelinedClient) encodeWrites(p plannedFrame, sc *flushScratch) (rdma.Frame, error) {
+	sc.writes = sc.writes[:0]
+	for _, op := range p.ops {
+		r := rdma.WriteReqC{DS: op.ds, Idx: op.idx, Epoch: op.epoch}
+		src := op.data
+		if op.exts != nil {
+			r.ObjSize = uint32(len(op.data))
+			r.Extents = op.exts
+			src = rdma.GetBuf(extentBytes(op.exts))
+			sc.bufs = append(sc.bufs, src)
+			off := 0
+			for _, e := range op.exts {
+				off += copy(src[off:], op.data[e.Off:e.Off+e.Len])
+			}
 		}
-		g := rdma.GetBuf(raw)
-		*bufs = append(*bufs, g)
-		off := 0
-		for _, e := range op.exts {
-			off += copy(g[off:off+int(e.Len)], op.data[e.Off:e.Off+e.Len])
+		r.Scheme, r.Data = c.compressInto(op.ds, src)
+		if r.Scheme == rdma.SchemeLZ {
+			sc.bufs = append(sc.bufs, r.Data)
 		}
-		src = g[:raw]
+		r.RawLen = uint32(len(src))
+		sc.writes = append(sc.writes, r)
 	}
-	scheme, wire, pooled := c.compressInto(op.ds, src, compress)
-	if pooled {
-		*bufs = append(*bufs, wire)
+	f, err := rdma.EncodeWriteBatchCPooled(p.tag, sc.writes, p.ops[0].wantEp)
+	for _, b := range sc.bufs {
+		rdma.PutBuf(b)
 	}
-	r.Scheme = scheme
-	r.RawLen = uint32(len(src))
-	r.Data = wire
-	return r
+	sc.bufs = sc.bufs[:0]
+	return f, err
 }

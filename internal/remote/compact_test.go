@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
@@ -31,8 +30,8 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	reg := obs.NewRegistry()
 	srv, cl := startPipelined(t, PipelineOpts{Obs: reg})
-	if !cl.compact || !cl.compress {
-		t.Fatal("a default session should ask for the compact tier and compression")
+	if !cl.compress {
+		t.Fatal("a default session should ask for compression")
 	}
 
 	objs := map[[2]int][]byte{
@@ -255,37 +254,5 @@ func TestCompactRangeWriteEpoch(t *testing.T) {
 	}
 	if got := srv.Store.Read(4, 1, 512); !bytes.Equal(got, newer) {
 		t.Fatal("obsolete range write must not clobber the newer image")
-	}
-}
-
-// TestCompactRangeWriteDowngradeFallsBackToFullObject: a range write
-// issued on a NoCompact session must transparently ship the full object
-// image — the fixed-width verbs have no range tuple.
-func TestCompactRangeWriteDowngradeFallsBackToFullObject(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
-	srv, cl := startPipelined(t, PipelineOpts{Timeout: time.Second, NoCompact: true})
-	if cl.compact {
-		t.Fatal("a NoCompact session must not use the compact tier")
-	}
-	img := compressible(256)
-	img[30] = 0x77
-	errCh := make(chan error, 1)
-	cl.IssueWriteRanges(2, 2, img, []rdma.Extent{{Off: 30, Len: 1}}, func(err error) { errCh <- err })
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 256)
-	if err := cl.ReadObj(2, 2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, img) {
-		t.Fatal("fallback full-object write must land the whole image")
-	}
-	snap := srv.ObsSnapshot()
-	if n := snap.Counter(MetricRangeWrites); n != 0 {
-		t.Fatalf("server applied %d range tuples on a NoCompact session", n)
-	}
-	if snap.Counter(MetricWireBytes, "verb", "WRITEBATCH") == 0 {
-		t.Fatal("the full object should have shipped in a WRITEBATCH")
 	}
 }

@@ -1,23 +1,14 @@
 package remote
 
-import "cards/internal/rdma"
-
 // Epoch-stamped operations. The replication layer versions
 // whole-object images with a monotonically increasing epoch so a
 // replica can tell stale state from current without byte comparison.
-// The verbs ride the ordinary pipelined windows — same doorbell
-// coalescing, same tag demux, same ErrUncertainWrite fault accounting —
-// in their own frames. (replica.EpochBackend is the interface the
-// replication layer consumes them through.)
-
-// Wire overhead the flusher charges per epoch op when bounding a batch
-// against rdma.MaxFrame: the reply segment header of an epoch read
-// (u64 epoch | u32 len) and the tuple header of an epoch write
-// (u32 ds | u32 idx | u64 epoch | u32 len).
-const (
-	epochRespHdrSize  = 12
-	epochTupleHdrSize = 20
-)
+// A stamped op is an ordinary read or write with rdma.EpochBit on its
+// frames: same windows, same doorbell coalescing, same tag demux, same
+// encoding (zero elision and LZ included), same ErrUncertainWrite fault
+// accounting — it only never shares a frame with un-stamped ops.
+// (replica.EpochBackend is the interface the replication layer consumes
+// them through.)
 
 // IssueReadEpoch is IssueRead returning the object's stored epoch
 // stamp through done.
@@ -42,23 +33,14 @@ func (c *PipelinedClient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte,
 
 // ReadObjEpoch is IssueReadEpoch, waited for.
 func (c *PipelinedClient) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
-	op := &pipeOp{
-		wantEp: true, ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)),
-		dst: dst, ch: make(chan error, 1),
-	}
-	c.enqueue(op)
-	err := <-op.ch
+	op := &pipeOp{wantEp: true, ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)), dst: dst}
+	err := c.wait(op)
 	return op.epoch, err
 }
 
 // WriteObjEpoch is IssueWriteEpoch, waited for.
 func (c *PipelinedClient) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error {
-	op := &pipeOp{
-		write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx),
-		epoch: epoch, data: src, ch: make(chan error, 1),
-	}
-	c.enqueue(op)
-	return <-op.ch
+	return c.wait(&pipeOp{write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx), epoch: epoch, data: src})
 }
 
 // ReadObjEpoch forwards over the replaceable client.
@@ -95,43 +77,4 @@ func (r *Resilient) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done 
 	if c := r.clientOr(done); c != nil {
 		c.IssueWriteEpoch(ds, idx, epoch, src, r.retiring(c, done))
 	}
-}
-
-// readEpochBatch gathers every requested object and its stored epoch
-// stamp directly into one pooled DATAEPOCHBATCH reply.
-func (s *Server) readEpochBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
-	reqs, err := rdma.DecodeReadEpochBatchInto(f.Payload, w.reads)
-	if err != nil {
-		return rdma.Frame{}, served{}, err
-	}
-	w.reads = reqs
-	size := rdma.DataEpochBatchSize(reqs)
-	if size > rdma.MaxFrame {
-		return rdma.Frame{}, served{}, errReplyTooLarge
-	}
-	dw := rdma.BeginDataEpochBatch(rdma.GetBuf(size), len(reqs))
-	for _, r := range reqs {
-		// The copy and the stamp come from one lock acquisition, so each
-		// segment is a consistent (epoch, bytes) snapshot.
-		slot := dw.NextDeferred(int(r.Size))
-		dw.StampEpoch(s.Store.ReadEpochInto(r.DS, r.Idx, slot))
-	}
-	return dw.Frame(f.Tag), served{family: rdma.OpReadBatch, n: len(reqs)}, nil
-}
-
-// writeEpochBatch conditionally applies every write in batch order
-// (stale epochs are dropped — see ObjectStore.WriteEpoch), then
-// acknowledges the whole batch with one ACKBATCH. A dropped stale write
-// still counts as acknowledged: the object is at an epoch at least as
-// new, which is what the sender's replay logic needs to know.
-func (s *Server) writeEpochBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
-	reqs, err := rdma.DecodeWriteEpochBatchInto(f.Payload, w.ewrites)
-	if err != nil {
-		return rdma.Frame{}, served{}, err
-	}
-	w.ewrites = reqs
-	for _, r := range reqs {
-		s.Store.WriteEpoch(r.DS, r.Idx, r.Epoch, r.Data)
-	}
-	return rdma.EncodeAckBatch(f.Tag, len(reqs)), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
 }

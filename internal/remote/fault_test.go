@@ -1,15 +1,20 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cards/internal/faultnet"
+	"cards/internal/obs"
+	"cards/internal/rdma"
 	"cards/internal/testutil"
 )
 
@@ -373,4 +378,253 @@ func TestPipelinedWriteOnlyStall(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("write unblocked only after %v: stall detector ignored the write window", d)
 	}
+}
+
+// faultyConn fails — and closes — on every failEvery-th Write and
+// every failEvery-th Read, each counted across all the connections of
+// one test, maxFails times per direction. A failed Write is the flusher
+// finding the fault itself; a failed Read is the reader finding it
+// while the flusher may be mid-encode.
+type faultyConn struct {
+	net.Conn
+	writes, reads, wfails, rfails *atomic.Int64
+	failEvery, maxFails           int64
+}
+
+func (c faultyConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1)%c.failEvery == 0 && c.wfails.Add(1) <= c.maxFails {
+		c.Conn.Close()
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(p)
+}
+
+func (c faultyConn) Read(p []byte) (int, error) {
+	if c.reads.Add(1)%c.failEvery == 0 && c.rfails.Add(1) <= c.maxFails {
+		c.Conn.Close()
+		return 0, errors.New("injected read failure")
+	}
+	return c.Conn.Read(p)
+}
+
+// TestRegisterThenEncodeWindowIsSafe: the flusher registers a batch
+// under its tag first and gathers, compresses and bit-packs it outside
+// the client lock afterwards, so a connection fault can now harvest an
+// op whose frame does not exist yet. Here the doorbell Write fails,
+// repeatedly, and so does the reader's Read, while concurrent
+// goroutines issue reads, full writes and range writes and scribble
+// over their write buffers the moment each completion hands them back
+// (under -race, an encoder still reading one would be caught). Every op must complete exactly once —
+// reads replayed to the right bytes, harvested writes as
+// ErrUncertainWrite, each reported to exactly one caller — no pooled
+// gather/compress buffer may come back twice, and nothing may leak.
+func TestRegisterThenEncodeWindowIsSafe(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	const (
+		objSize   = 1024
+		perKind   = 4 // goroutines each of readers, writers, range writers
+		rounds    = 40
+		failEvery = 7
+		maxFails  = 12
+	)
+	srv := NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(ds, idx, version int) []byte {
+		b := compressible(objSize)
+		for off := 0; off < objSize; off += 128 {
+			b[off], b[off+1], b[off+2] = byte(ds), byte(idx), byte(version)
+		}
+		return b
+	}
+	for idx := 0; idx < perKind; idx++ {
+		srv.Store.Write(1, uint32(idx), image(1, idx, 0))
+	}
+
+	var writes, reads, wfails, rfails atomic.Int64
+	dial := func() (io.ReadWriteCloser, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return faultyConn{Conn: conn, writes: &writes, reads: &reads, wfails: &wfails, rfails: &rfails,
+			failEvery: failEvery, maxFails: maxFails}, nil
+	}
+	conn, _ := dial()
+	reg := obs.NewRegistry()
+	cl, err := NewPipelined(conn, PipelineOpts{
+		Window: 8, MaxBatch: 4, Obs: reg, Redial: dial,
+		RetryMax: 50, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var issued, completed, doubled, uncertain atomic.Int64
+	// run issues one op and waits for its completion, counting both and
+	// any completion beyond the first.
+	run := func(issue func(done func(error))) error {
+		var calls atomic.Int32
+		ch := make(chan error, 4)
+		issued.Add(1)
+		issue(func(err error) {
+			if calls.Add(1) > 1 {
+				doubled.Add(1)
+			} else {
+				completed.Add(1)
+			}
+			ch <- err
+		})
+		return <-ch
+	}
+	var wg sync.WaitGroup
+	worker := func(body func(g, round int) error) {
+		for g := 0; g < perKind; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for round := 1; round <= rounds; round++ {
+					if err := body(g, round); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+	}
+	// write reissues until acknowledged: an uncertain completion returns
+	// the buffer, unchanged, for another go.
+	write := func(issue func(done func(error))) error {
+		for {
+			switch err := run(issue); {
+			case err == nil:
+				return nil
+			case errors.Is(err, ErrUncertainWrite):
+				uncertain.Add(1)
+			default:
+				return err
+			}
+		}
+	}
+	worker(func(g, round int) error { // readers
+		dst := make([]byte, objSize)
+		if err := run(func(done func(error)) { cl.IssueRead(1, g, dst, done) }); err != nil {
+			return fmt.Errorf("read ds1[%d]: %w (reads must be replayed, not failed)", g, err)
+		}
+		if !bytes.Equal(dst, image(1, g, 0)) {
+			return fmt.Errorf("read ds1[%d] returned the wrong bytes", g)
+		}
+		return nil
+	})
+	fullBufs, rangeBufs := make([][]byte, perKind), make([][]byte, perKind)
+	exts := []rdma.Extent{{Off: 0, Len: 3}, {Off: 512, Len: 3}}
+	for g := range fullBufs {
+		fullBufs[g], rangeBufs[g] = make([]byte, objSize), image(3, g, 0)
+		srv.Store.Write(3, uint32(g), rangeBufs[g])
+	}
+	worker(func(g, round int) error { // full writers
+		for off, b := range image(2, g, round) { // scribbles on the buffer the last op used
+			fullBufs[g][off] = b
+		}
+		return write(func(done func(error)) { cl.IssueWrite(2, g, fullBufs[g], done) })
+	})
+	worker(func(g, round int) error { // range writers
+		rangeBufs[g][2], rangeBufs[g][514] = byte(round), byte(round)
+		return write(func(done func(error)) { cl.IssueWriteRanges(3, g, rangeBufs[g], exts, done) })
+	})
+	wg.Wait()
+
+	// The window itself, held open: one write big enough that its LZ pass
+	// outlasts everything else here, and the connection closed under the
+	// reader as soon as the flusher has registered it. The harvest must
+	// wait for the encoder before the completion hands the buffer back to
+	// be scribbled on.
+	big := bytes.Repeat(compressible(objSize), 4096)
+	// What a caller reusing its buffer does. (Plain stores: the race
+	// detector does not check a bulk clear or copy of this size against
+	// concurrent reads.)
+	scribble := func() {
+		for i := 0; i < len(big); i += 512 {
+			big[i]++
+		}
+	}
+	registered := func() bool {
+		cl.mu.Lock()
+		defer cl.mu.Unlock()
+		return cl.inflightW > 0
+	}
+	cut := false
+	err = write(func(done func(error)) {
+		cl.IssueWrite(4, 0, big, func(err error) { scribble(); done(err) })
+		for ; !cut; runtime.Gosched() {
+			if cut = registered(); cut {
+				cl.mu.Lock()
+				conn := cl.conn
+				cl.mu.Unlock()
+				conn.Close()
+			}
+		}
+	})
+	if err != nil {
+		t.Errorf("write across a harvest mid-encode: %v", err)
+	}
+	// Close mid-encode takes the same care before it fails the op.
+	err = run(func(done func(error)) {
+		cl.IssueWrite(4, 1, big, func(err error) { scribble(); done(err) })
+		for !registered() {
+			runtime.Gosched()
+		}
+		cl.Close()
+	})
+	if err != nil && !errors.Is(err, ErrClientClosed) {
+		t.Errorf("write across a Close mid-encode: %v", err)
+	}
+	cl.Close()
+	srv.Close()
+
+	if i, c, d := issued.Load(), completed.Load(), doubled.Load(); c != i || d != 0 {
+		t.Fatalf("%d ops issued, %d completed, %d completed twice", i, c, d)
+	}
+	for g := 0; g < perKind; g++ {
+		if !bytes.Equal(srv.Store.Read(2, uint32(g), objSize), image(2, g, rounds)) {
+			t.Errorf("ds2[%d]: the last acknowledged full write is not what the server stores", g)
+		}
+		want := image(3, g, 0)
+		want[2], want[514] = rounds, rounds
+		if !bytes.Equal(srv.Store.Read(3, uint32(g), objSize), want) {
+			t.Errorf("ds3[%d]: the last acknowledged range write is not what the server stores", g)
+		}
+	}
+	snap := reg.Snapshot()
+	if wfails.Load() < maxFails || rfails.Load() < maxFails || snap.Counters[MetricClientReconnects] == 0 {
+		t.Fatalf("%d write and %d read failures injected of %d each, %d reconnects: the fault path was not exercised",
+			wfails.Load(), rfails.Load(), maxFails, snap.Counters[MetricClientReconnects])
+	}
+	harvested := snap.Counters[MetricClientUncertainWrites] + snap.Counters[MetricClientReplayedReads]
+	if harvested == 0 {
+		t.Fatal("a failed doorbell write always strands the batch it carried, yet nothing was harvested")
+	}
+	if got, want := uint64(uncertain.Load()), snap.Counters[MetricClientUncertainWrites]; got != want {
+		t.Fatalf("callers saw %d uncertain writes, the client harvested %d: each must reach exactly one caller", got, want)
+	}
+	// A buffer put back twice sits in its free list twice: draining more
+	// than a list holds would hand the same backing array out again.
+	seen := make(map[*byte]bool)
+	for size := 64; size <= 4*objSize; size *= 2 {
+		var held [][]byte
+		for i := 0; i < 200; i++ {
+			b := rdma.GetBuf(size)
+			if seen[&b[0]] {
+				t.Fatalf("the %d-byte class hands out one buffer twice: it was returned to the pool twice", size)
+			}
+			seen[&b[0]] = true
+			held = append(held, b)
+		}
+		for _, b := range held {
+			rdma.PutBuf(b)
+		}
+	}
+	testutil.CheckGoroutines(t, goroutines)
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -36,9 +37,23 @@ func FuzzServeConn(f *testing.F) {
 	hello := func(opts uint16) rdma.Frame {
 		return rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion, Opts: opts})
 	}
+	// retired builds a frame on an opcode older protocol versions used:
+	// the server must answer it with ERRTAG and never decode it.
+	retired := func(op rdma.Op, tag uint32, payloadHex string) rdma.Frame {
+		p, err := hex.DecodeString(payloadHex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rdma.Frame{Op: rdma.TagBit | op, Tag: tag, Payload: p}
+	}
 	reads := []rdma.ReadReq{{DS: 1, Idx: 0, Size: 64}, {DS: 1, Idx: 1, Size: 64}}
-	wb, _ := rdma.EncodeWriteBatch(2, []rdma.WriteReq{{DS: 1, Idx: 0, Data: []byte("fuzz seed object")}})
-	web, _ := rdma.EncodeWriteEpochBatch(3, []rdma.WriteEpochReq{{DS: 1, Idx: 1, Epoch: 4, Data: []byte("stamped")}})
+	fixedReads := func(op rdma.Op, tag uint32) rdma.Frame { // READBATCH / READEPOCHBATCH
+		fr := rdma.EncodeReadBatchPooled(tag, reads)
+		fr.Op = rdma.TagBit | op
+		return fr
+	}
+	wb := retired(0x06, 2, "0100000001000000000000001000000066757a7a2073656564206f626a656374") // WRITEBATCH
+	web := retired(0x08, 3, "0100000001000000010000000400000000000000070000007374616d706564")  // WRITEEPOCHBATCH
 	cw := []rdma.WriteReqC{
 		{DS: 1, Idx: 2, Epoch: 1, Scheme: rdma.SchemeZero, RawLen: 128},
 		{DS: 1, Idx: 0, Epoch: 5, ObjSize: 64, Scheme: rdma.SchemeRaw, RawLen: 4,
@@ -46,21 +61,24 @@ func FuzzServeConn(f *testing.F) {
 	}
 	wbc, _ := rdma.EncodeWriteBatchCPooled(7, cw, false)
 	webc, _ := rdma.EncodeWriteBatchCPooled(8, cw, true)
-	// One frame of every verb the server serves, on a plain session…
+	webcOld := webc
+	webcOld.Op = rdma.TagBit | 0x10 // WRITEEPOCHBATCH-C
+	// One frame of every verb a version-2 server served — the retired
+	// ones now on reserved opcodes — on a plain session…
 	f.Add(stream(hello(0),
-		wb, web, rdma.EncodeReadBatch(1, reads), rdma.EncodeReadEpochBatch(4, reads),
-		rdma.EncodeChaseBatch(5, []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 4}}),
-		rdma.EncodeReadBatchCPooled(6, reads), wbc, webc,
+		wb, web, fixedReads(0x01, 1), fixedReads(0x09, 4),
+		rdma.EncodeChaseBatchPooled(5, []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 4}}),
+		rdma.EncodeReadBatchCPooled(6, reads), wbc, webcOld,
 		rdma.Frame{Op: rdma.OpErrTag, Tag: 9}, // a reply opcode sent as a request
 		hello(0),                              // and a second hello
 	))
-	// …and a compact, compressing one.
-	f.Add(stream(hello(rdma.OptCompact|rdma.OptCompress), wbc, rdma.EncodeReadBatchCPooled(6, reads)))
+	// …and a compressing one.
+	f.Add(stream(hello(rdma.OptCompress), wbc, rdma.EncodeReadBatchCPooled(6, reads)))
 	// A traced session: frames carry the trace block, and the same frame
 	// without one misparses.
-	traced := rdma.EncodeReadBatch(1, reads)
+	traced := rdma.EncodeReadBatchCPooled(1, reads)
 	traced.SetTraceCtx(0xABCD, 0x1234, true)
-	f.Add(stream(hello(rdma.OptTrace), traced, rdma.EncodeReadBatch(2, reads)))
+	f.Add(stream(hello(rdma.OptTrace), traced, rdma.EncodeReadBatchCPooled(2, reads)))
 	// An old 4-byte feature PING, a truncated hello, a hello with a bad
 	// CRC, a hello from the future, and a data verb with no hello at all.
 	f.Add(stream(rdma.Frame{Op: rdma.OpHello, Payload: []byte{0xFF, 0, 0, 0}}))
@@ -69,8 +87,22 @@ func FuzzServeConn(f *testing.F) {
 	bad[len(bad)-1] ^= 0x40
 	f.Add(bad)
 	f.Add(stream(rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion + 1})))
-	f.Add(stream(rdma.EncodeReadBatch(1, reads)))
+	f.Add(stream(rdma.EncodeReadBatchCPooled(1, reads)))
 	f.Add([]byte{})
+	// The epoch modifier (past seed#8, so the numbering above stands): a
+	// stamped write and range write, a stamped read of what they stored
+	// plus a zero-length probe, a stamped range write whose extent lies
+	// outside its object, and the modifier on verbs it does not apply to.
+	stampedReads := rdma.EncodeReadBatchCPooled(10, append(reads[:2:2], rdma.ReadReq{DS: 1, Idx: 2, Size: 0}))
+	stampedReads.Op |= rdma.EpochBit
+	forged, _ := rdma.EncodeWriteBatchCPooled(11, []rdma.WriteReqC{{
+		DS: 1, Idx: 0, Epoch: 6, ObjSize: 32, Scheme: rdma.SchemeRaw, RawLen: 16,
+		Extents: []rdma.Extent{{Off: 24, Len: 16}}, Data: make([]byte, 16),
+	}}, true)
+	chase := rdma.EncodeChaseBatchPooled(12, []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 4}})
+	chase.Op |= rdma.EpochBit
+	f.Add(stream(hello(rdma.OptCompress), webc, stampedReads, forged, chase,
+		rdma.Frame{Op: rdma.OpAckBatchC | rdma.EpochBit, Tag: 13}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := runtime.NumGoroutine()

@@ -33,6 +33,21 @@ func stubHello(conn io.ReadWriter) (rdma.Hello, error) {
 	return h, rdma.WriteFrame(conn, rdma.HelloFrame(rdma.OpOK, h))
 }
 
+// stubDataReply answers a READBATCH-C the way a hand-rolled test server
+// does: decode the tuples, ask data for each object's bytes, ship them
+// raw.
+func stubDataReply(req rdma.Frame, data func(rdma.ReadReq) []byte) (rdma.Frame, error) {
+	reqs, err := rdma.DecodeReadBatchCInto(req.Payload, nil)
+	if req.Op != rdma.OpReadBatchC || err != nil {
+		return rdma.Frame{}, fmt.Errorf("stub server: want READBATCH-C, got %s (%v)", req.Op, err)
+	}
+	var b rdma.DataBatchCBuilder
+	for _, r := range reqs {
+		b.Add(data(r), false)
+	}
+	return b.Frame(req.Tag)
+}
+
 // futureServer accepts connections and refuses every hello the way a
 // server one protocol version ahead would: an ERR led by its own,
 // checksummed, record. It counts the connections it saw.
@@ -133,9 +148,10 @@ func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	}
 }
 
-// flipProxy forwards TCP connections to backend, flipping one bit of the
-// first chunk — the handshake frame — in the direction plan names for
-// that connection ("c2s", "s2c", anything else forwards clean).
+// flipProxy forwards TCP connections to backend, flipping one bit of
+// stream byte 10 — inside the handshake frame's record, however the
+// stream happens to be chunked — in the direction plan names for that
+// connection ("c2s", "s2c", anything else forwards clean).
 func flipProxy(t *testing.T, backend string, plan ...string) (addr string, conns *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -146,13 +162,15 @@ func flipProxy(t *testing.T, backend string, plan ...string) (addr string, conns
 	conns = new(atomic.Int32)
 	forward := func(dst, src net.Conn, flip bool) {
 		defer dst.Close()
+		const flipAt = 10 // stream offset of a byte of the hello record
 		buf := make([]byte, 64<<10)
-		for first := true; ; first = false {
+		for off := 0; ; {
 			n, err := src.Read(buf)
 			if n > 0 {
-				if first && flip {
-					buf[10] ^= 0x10 // a byte of the hello record
+				if flip && off <= flipAt && flipAt < off+n {
+					buf[flipAt-off] ^= 0x10
 				}
+				off += n
 				if _, werr := dst.Write(buf[:n]); werr != nil {
 					return
 				}
@@ -212,13 +230,12 @@ func TestHandshakeCorruptHelloIsRetried(t *testing.T) {
 	if n := conns.Load(); n != 3 {
 		t.Fatalf("proxy saw %d connections, want 3 (corrupt hello, corrupt reply, clean)", n)
 	}
-	want := rdma.Hello{Version: rdma.ProtoVersion, Opts: rdma.OptTrace | rdma.OptCompact}
-	if cl.hello != want || !cl.trace || !cl.compact || cl.compress {
-		t.Fatalf("session = %+v trace=%v compact=%v compress=%v, want %+v",
-			cl.hello, cl.trace, cl.compact, cl.compress, want)
+	want := rdma.Hello{Version: rdma.ProtoVersion, Opts: rdma.OptTrace}
+	if cl.hello != want || !cl.trace || cl.compress {
+		t.Fatalf("session = %+v trace=%v compress=%v, want %+v", cl.hello, cl.trace, cl.compress, want)
 	}
-	// Both ends run that session: a traced, compact, uncompressed round
-	// trip works and is attributed.
+	// Both ends run that session: a traced, uncompressed round trip works
+	// and is attributed.
 	img := compressible(512)
 	if err := cl.WriteObj(1, 1, img); err != nil {
 		t.Fatal(err)
@@ -228,9 +245,8 @@ func TestHandshakeCorruptHelloIsRetried(t *testing.T) {
 		t.Fatalf("round trip on the retried session: %v", err)
 	}
 	ssnap := srv.ObsSnapshot()
-	if ssnap.Counter(MetricWireBytes, "verb", "READBATCH-C") == 0 ||
-		ssnap.Counter(MetricWireBytes, "verb", "READBATCH") != 0 {
-		t.Fatal("server did not see the compact session the client asked for")
+	if ssnap.Counter(MetricWireBytes, "verb", "READBATCH-C") == 0 {
+		t.Fatal("server did not see the session's read")
 	}
 	if ssnap.Histogram(MetricWireCompressRatio).Count != 0 {
 		t.Fatal("server compressed on a session that asked for Compression off")
@@ -258,8 +274,8 @@ func TestHandshakeSecondHelloRefused(t *testing.T) {
 		t.Fatalf("hello reply = %+v, %v; want OK echoing the record", resp, err)
 	}
 	// The session works...
-	rdma.WriteFrameCRC(conn, rdma.EncodeReadBatch(7, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}))
-	if resp, err := rdma.ReadFrameCRC(conn); err != nil || resp.Op != rdma.OpDataBatch || resp.Tag != 7 {
+	rdma.WriteFrameCRC(conn, rdma.EncodeReadBatchCPooled(7, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}))
+	if resp, err := rdma.ReadFrameCRC(conn); err != nil || resp.Op != rdma.OpDataBatchC || resp.Tag != 7 {
 		t.Fatalf("read on the fresh session = %+v, %v", resp, err)
 	}
 	// ...until a second hello tries to renegotiate it.
@@ -327,11 +343,10 @@ func (r recordConn) Write(p []byte) (int, error) {
 	return r.Conn.Write(p)
 }
 
-// recordedSession runs ops on a client of the real server dialed with
-// opts and returns every frame each side sent after the handshake,
-// parsed under the framing an untraced session must have — CRC trailer,
-// no trace block. A stray extension byte anywhere fails the parse.
-func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)) (c2s, s2c []rdma.Frame) {
+// recordedStreams runs ops on a client of the real server dialed with
+// opts and returns the raw bytes each side sent after its handshake
+// frame (HELLO one way, OK the other).
+func recordedStreams(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)) (c2s, s2c []byte) {
 	t.Helper()
 	srv := NewServer()
 	rec := recordConn{mu: new(sync.Mutex), in: new(bytes.Buffer), out: new(bytes.Buffer)}
@@ -351,11 +366,25 @@ func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)
 	cl.Close()
 	srv.Close() // the server goroutine has drained the stream
 
-	parse := func(dir string, stream []byte, first rdma.Op) []rdma.Frame {
+	afterHello := func(dir string, stream []byte, first rdma.Op) []byte {
 		r := bytes.NewReader(stream)
 		if f, err := rdma.ReadFrame(r); err != nil || f.Op != first {
 			t.Fatalf("%s stream opens with %s (%v), want %s", dir, f.Op, err, first)
 		}
+		return stream[len(stream)-r.Len():]
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return afterHello("client", rec.in.Bytes(), rdma.OpHello), afterHello("server", rec.out.Bytes(), rdma.OpOK)
+}
+
+// recordedSession is recordedStreams parsed under the framing an
+// untraced session must have — CRC trailer, no trace block. A stray
+// extension byte anywhere fails the parse.
+func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)) (c2s, s2c []rdma.Frame) {
+	t.Helper()
+	parse := func(dir string, stream []byte) []rdma.Frame {
+		r := bytes.NewReader(stream)
 		var frames []rdma.Frame
 		for r.Len() > 0 {
 			f, err := rdma.ReadFrameOpts(r, true, false)
@@ -366,15 +395,14 @@ func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)
 		}
 		return frames
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return parse("client", rec.in.Bytes(), rdma.OpHello), parse("server", rec.out.Bytes(), rdma.OpOK)
+	in, out := recordedStreams(t, opts, ops)
+	return parse("client", in), parse("server", out)
 }
 
 // TestSessionOptionsShapeTheWire pins what each hello option keeps off
 // the wire when it is not asked for: an untraced session carries no
-// trace block, a NoCompact session no compact verb, a Compression "off"
-// session no LZ segment — in either direction, whatever the data.
+// trace block, a Compression "off" session no LZ segment — in either
+// direction, whatever the data.
 func TestSessionOptionsShapeTheWire(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	img := compressible(4096)
@@ -401,17 +429,12 @@ func TestSessionOptionsShapeTheWire(t *testing.T) {
 		return strings.Join(s, " ")
 	}
 
-	c2s, s2c := recordedSession(t, PipelineOpts{NoCompact: true}, ops)
-	if got, want := verbs(c2s), "WRITEBATCH WRITEBATCH READBATCH"; got != want {
-		t.Fatalf("NoCompact client sent %q, want %q", got, want)
-	}
-	if got, want := verbs(s2c), "ACKBATCH ACKBATCH DATABATCH"; got != want {
-		t.Fatalf("server answered a NoCompact session with %q, want %q", got, want)
-	}
-
-	c2s, s2c = recordedSession(t, PipelineOpts{Compression: "off"}, ops)
+	c2s, s2c := recordedSession(t, PipelineOpts{Compression: "off"}, ops)
 	if got, want := verbs(c2s), "WRITEBATCH-C WRITEBATCH-C READBATCH-C"; got != want {
-		t.Fatalf("compact client sent %q, want %q", got, want)
+		t.Fatalf("client sent %q, want %q", got, want)
+	}
+	if got, want := verbs(s2c), "ACKBATCH-C ACKBATCH-C DATABATCH-C"; got != want {
+		t.Fatalf("server answered %q, want %q", got, want)
 	}
 	for _, f := range c2s[:2] {
 		reqs, _, err := rdma.DecodeWriteBatchCInto(f.Payload, nil, nil, false)

@@ -42,14 +42,14 @@ const (
 	MetricClientWriteNS = "cards_remote_client_write_ns"
 
 	// Pipelined data path: batch frames served and their sizes (reads
-	// per READBATCH) on the server; in-flight window depth and doorbell
+	// per READBATCH-C) on the server; in-flight window depth and doorbell
 	// batch sizes on the client.
 	MetricReadBatches     = "cards_remote_read_batches_total"
 	MetricBatchReads      = "cards_remote_batch_reads"
 	MetricClientInflight  = "cards_remote_client_inflight_ops"
 	MetricClientBatchSize = "cards_remote_client_batch_reads"
 
-	// Write-back pipeline: WRITEBATCH frames served and their sizes
+	// Write-back pipeline: WRITEBATCH-C frames served and their sizes
 	// (writes per batch) on the server; the client's write-window depth
 	// and per-doorbell write batch sizes.
 	MetricWriteBatches         = "cards_remote_write_batches_total"
@@ -160,13 +160,13 @@ func (s *Server) observe(connID int, sv served, start time.Time, startUS, trace 
 		TID: connID, Trace: trace, Arg1: int64(sv.n),
 	}
 	switch sv.family {
-	case rdma.OpReadBatch:
+	case rdma.OpReadBatchC:
 		ev.Arg1Name = "reads"
 		m.readBatches.Inc()
 		m.batchReads.Observe(n)
 		m.reads.Add(n)
 		m.readNS.Observe(ns)
-	case rdma.OpWriteBatch:
+	case rdma.OpWriteBatchC:
 		ev.Arg1Name = "writes"
 		m.writeBatches.Inc()
 		m.batchWrites.Observe(n)

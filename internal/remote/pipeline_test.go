@@ -150,21 +150,10 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if f.Op != rdma.OpReadBatch {
-					return errors.New("want READBATCH")
-				}
 				frames = append(frames, f)
 			}
 			for i := len(frames) - 1; i >= 0; i-- {
-				reqs, err := rdma.DecodeReadBatch(frames[i].Payload)
-				if err != nil {
-					return err
-				}
-				segs := make([][]byte, len(reqs))
-				for j, r := range reqs {
-					segs[j] = []byte{byte(r.Idx)}
-				}
-				resp, err := rdma.EncodeDataBatch(frames[i].Tag, segs)
+				resp, err := stubDataReply(frames[i], func(r rdma.ReadReq) []byte { return []byte{byte(r.Idx)} })
 				if err != nil {
 					return err
 				}
@@ -176,9 +165,8 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 		}()
 	}()
 
-	// MaxBatch 1 forces each read into its own batch frame; NoCompact
-	// keeps them in the fixed-width encoding the stub decodes.
-	cl, err := NewPipelined(c2, PipelineOpts{Window: 2, MaxBatch: 1, NoCompact: true})
+	// MaxBatch 1 forces each read into its own batch frame.
+	cl, err := NewPipelined(c2, PipelineOpts{Window: 2, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +276,7 @@ func TestLegacyClientAgainstNewServer(t *testing.T) {
 	srv, _ := startServer(t)
 	for name, first := range map[string]rdma.Frame{
 		"feature ping": {Op: rdma.OpHello, Payload: []byte{0xFF, 0, 0, 0}},
-		"data verb":    rdma.EncodeReadBatch(1, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}),
+		"data verb":    rdma.EncodeReadBatchCPooled(1, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}),
 	} {
 		conn, err := net.Dial("tcp", srv.ln.Addr().String())
 		if err != nil {

@@ -152,7 +152,7 @@ type Server struct {
 	Store *ObjectStore
 
 	// BatchWorkers is the number of goroutines per connection handling
-	// READBATCH frames; batches are served concurrently and may be
+	// request frames; batches are served concurrently and may be
 	// answered out of order (tags route the replies). <= 0 uses
 	// DefaultBatchWorkers. Set before Listen/ServeConn.
 	BatchWorkers int
@@ -171,12 +171,12 @@ type Server struct {
 	reg     *obs.Registry
 	tracer  *obs.Tracer
 	metrics *serverMetrics
-	cpolicy compressPolicy // per-DS adaptive compression state (compact tier)
+	cpolicy compressPolicy // per-DS adaptive compression state
 	nextCon atomic.Int64
 	epoch   time.Time // base for the RecvUS server stamps
 }
 
-// DefaultBatchWorkers is the per-connection READBATCH concurrency.
+// DefaultBatchWorkers is the per-connection request concurrency.
 const DefaultBatchWorkers = 4
 
 // connBufSize sizes the buffered reader each side puts under its frame
@@ -274,7 +274,7 @@ func (s *Server) trackConn(conn io.ReadWriteCloser, add bool) {
 // worker pool and answered whenever it completes — possibly out of
 // order; the tag routes each reply. Callers that need write-then-read
 // ordering for an object get it from the write acknowledgement:
-// ACKBATCH is sent only after the store mutation, so a read issued
+// ACKBATCH-C is sent only after the store mutation, so a read issued
 // after the ack observes it. Symmetrically, two batches carrying writes
 // to the same object may be applied in either order — clients must not
 // have two unacknowledged writes to one object in flight (the pipelined
@@ -385,7 +385,7 @@ type srvConn struct {
 	s        *Server
 	id       int
 	trace    bool // every tagged frame carries the trace block
-	compress bool // compact replies may carry LZ segments
+	compress bool // replies may carry LZ segments
 
 	// Workers reply concurrently: every response goes through send so
 	// frames never interleave, and send flushes before it unlocks, so no
@@ -409,12 +409,10 @@ func (c *srvConn) send(resp rdma.Frame) error {
 // allocations: decoded request slices are reused across frames, and
 // reply payloads come from the frame buffer pool.
 type workerScratch struct {
-	reads   []rdma.ReadReq
-	writes  []rdma.WriteReq
-	ewrites []rdma.WriteEpochReq
-	chases  []rdma.ChaseReq
-	cb      rdma.DataBatchCBuilder
-	cw      compactWriteScratch
+	reads  []rdma.ReadReq
+	chases []rdma.ChaseReq
+	cb     rdma.DataBatchCBuilder
+	cw     writeScratch
 }
 
 func (w *workerScratch) release() {
@@ -422,11 +420,11 @@ func (w *workerScratch) release() {
 	w.cw.release()
 }
 
-// served is what one request did, for the counters and the span. Every
-// encoding of a verb family (plain, epoch, compact) shares the family's
-// series, named by its fixed-width request opcode.
+// served is what one request did, for the counters and the span. A
+// stamped request shares its family's series, named by the un-stamped
+// request opcode.
 type served struct {
-	family  rdma.Op // OpReadBatch, OpWriteBatch or OpChaseBatch
+	family  rdma.Op // OpReadBatchC, OpWriteBatchC or OpChaseBatch
 	n, hops int     // tuples served; hops walked (chases only)
 }
 
@@ -466,26 +464,21 @@ func (c *srvConn) serve(j batchJob, w *workerScratch) {
 }
 
 // handle runs the per-verb body: decode, touch the store, build the
-// reply (its payload pooled; serve releases it).
+// reply (its payload pooled; serve releases it). Three requests exist,
+// two of them with or without the epoch modifier; everything else —
+// reserved opcodes of older protocol versions included — is refused
+// undecoded.
 func (c *srvConn) handle(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
-	s := c.s
 	switch f.Op {
-	case rdma.OpReadBatch:
-		return s.readBatch(f, w)
-	case rdma.OpReadEpochBatch:
-		return s.readEpochBatch(f, w)
-	case rdma.OpReadBatchC:
-		return s.readBatchC(f, w, c.compress)
+	case rdma.OpReadBatchC, rdma.OpReadBatchC | rdma.EpochBit:
+		return c.s.readBatch(f, w, c.compress)
+	case rdma.OpWriteBatchC, rdma.OpWriteBatchC | rdma.EpochBit:
+		return c.s.writeBatch(f, w)
 	case rdma.OpChaseBatch:
-		return s.chaseBatch(f, w)
-	case rdma.OpWriteBatch:
-		return s.writeBatch(f, w)
-	case rdma.OpWriteEpochBatch:
-		return s.writeEpochBatch(f, w)
-	case rdma.OpWriteBatchC, rdma.OpWriteEpochBatchC:
-		return s.writeBatchC(f, w, f.Op == rdma.OpWriteEpochBatchC)
+		return c.s.chaseBatch(f, w)
+	default:
+		return rdma.Frame{}, served{}, fmt.Errorf("unexpected op %s", f.Op)
 	}
-	return rdma.Frame{}, served{}, fmt.Errorf("unexpected op %s", f.Op)
 }
 
 // reqTrace extracts the sampled trace ID riding a request's trace
@@ -499,44 +492,6 @@ func reqTrace(f rdma.Frame) uint64 {
 		return 0
 	}
 	return traceID
-}
-
-// errReplyTooLarge fails a read or chase batch whose reply would not fit
-// a frame.
-var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
-
-// readBatch gathers every requested object directly into one pooled
-// DATABATCH reply.
-func (s *Server) readBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
-	reqs, err := rdma.DecodeReadBatchInto(f.Payload, w.reads)
-	if err != nil {
-		return rdma.Frame{}, served{}, err
-	}
-	w.reads = reqs
-	size := rdma.DataBatchSize(reqs)
-	if size > rdma.MaxFrame {
-		return rdma.Frame{}, served{}, errReplyTooLarge
-	}
-	dw := rdma.BeginDataBatch(rdma.GetBuf(size), len(reqs))
-	for _, r := range reqs {
-		s.Store.ReadInto(r.DS, r.Idx, dw.Next(int(r.Size)))
-	}
-	return dw.Frame(f.Tag), served{family: rdma.OpReadBatch, n: len(reqs)}, nil
-}
-
-// writeBatch applies every write in batch order, then acknowledges the
-// whole batch with one ACKBATCH. Writes within a batch are ordered; two
-// batches may be applied in either order (see the ServeConn contract).
-func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served, error) {
-	reqs, err := rdma.DecodeWriteBatchInto(f.Payload, w.writes)
-	if err != nil {
-		return rdma.Frame{}, served{}, err
-	}
-	w.writes = reqs
-	for _, r := range reqs {
-		s.Store.Write(r.DS, r.Idx, r.Data)
-	}
-	return rdma.EncodeAckBatch(f.Tag, len(reqs)), served{family: rdma.OpWriteBatch, n: len(reqs)}, nil
 }
 
 // Counts returns (reads, writes) served. The values are the registry's
