@@ -32,10 +32,7 @@ func rowByName(t *testing.T, tab *Table, name string) int {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := Table1(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "table1")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -65,10 +62,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig4MaxUsePinsHotStructure(t *testing.T) {
-	tab, err := Fig4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig4")
 	mu := rowByName(t, tab, "max-use")
 	ar := rowByName(t, tab, "all-remotable")
 	muTime := cellF(t, tab, mu, 1)
@@ -87,10 +81,7 @@ func TestFig4MaxUsePinsHotStructure(t *testing.T) {
 }
 
 func TestFig5LinearRobustOnBFS(t *testing.T) {
-	tab, err := Fig5(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig5")
 	lin := rowByName(t, tab, "linear")
 	ar := rowByName(t, tab, "all-remotable")
 	// "The Linear policy consistently outperforms other policies" and is
@@ -108,10 +99,7 @@ func TestFig5LinearRobustOnBFS(t *testing.T) {
 }
 
 func TestFig6MaxUseStrongOnAnalytics(t *testing.T) {
-	tab, err := Fig6(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig6")
 	mu := rowByName(t, tab, "max-use")
 	ar := rowByName(t, tab, "all-remotable")
 	for col := 1; col <= 4; col++ {
@@ -122,10 +110,7 @@ func TestFig6MaxUseStrongOnAnalytics(t *testing.T) {
 }
 
 func TestFig7SelectiveRemotingWins(t *testing.T) {
-	tab, err := Fig7(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig7")
 	ar := rowByName(t, tab, "all-remotable")
 	arTime := cellF(t, tab, ar, 2)
 	// Paper: Linear/MaxReach reach ~4x over all-remotable on ftfdapml;
@@ -142,10 +127,7 @@ func TestFig7SelectiveRemotingWins(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tab, err := Fig8(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig8")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -167,10 +149,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9PointerChasersFavourCaRDS(t *testing.T) {
-	tab, err := Fig9(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := paperTable(t, "fig9")
 	speedups := map[string]float64{}
 	for i, r := range tab.Rows {
 		speedups[r[0]] = cellF(t, tab, i, 3)
@@ -231,10 +210,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestDeterministicExperiments(t *testing.T) {
-	a, err := Fig4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := paperTable(t, "fig4")
 	b, err := Fig4(Quick())
 	if err != nil {
 		t.Fatal(err)

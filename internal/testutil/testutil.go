@@ -3,6 +3,9 @@
 package testutil
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -38,4 +41,34 @@ func NoGoroutineLeaks(t testing.TB) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	t.Cleanup(func() { CheckGoroutines(t, before) })
+}
+
+// Golden compares got with the golden file at path line by line and
+// reports every line that differs. With update set it rewrites the file
+// from got instead (the caller owns the -update-golden flag, since flag
+// names are per test binary).
+func Golden(t testing.TB, path string, got []byte, update bool) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	if len(gl) != len(wl) {
+		t.Errorf("%s: %d lines rendered, golden has %d", path, len(gl), len(wl))
+	}
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Errorf("%s line %d moved:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
+	}
 }
