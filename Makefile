@@ -84,6 +84,13 @@ chaos:
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
 	$(GO) test -v ./internal/faultnet
 
+# bench runs the root package's benchmarks: one per paper artifact, the
+# BenchmarkGuard* primitives, and the two the benchmark/ ladder is blind
+# to — BenchmarkGuardHitStridedPrefetch (a guard hit with the compiler's
+# prefetcher and the production breaker installed; the ladder's
+# farmem.guard_hit_ns rung installs neither) and
+# BenchmarkInterpLoopNsPerInstr (the analytics histogram kernel over
+# local memory: dispatch, operand and call cost per IR instruction).
 bench:
 	$(GO) test -bench . -benchtime 2s -run '^$$' .
 

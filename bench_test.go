@@ -12,7 +12,10 @@ import (
 
 	"cards/internal/bench"
 	"cards/internal/farmem"
+	"cards/internal/interp"
+	"cards/internal/ir"
 	"cards/internal/netsim"
+	"cards/internal/prefetch"
 	"cards/internal/stats"
 )
 
@@ -74,6 +77,88 @@ func BenchmarkGuardFastPathPinned(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGuardHitStridedPrefetch is the guard hit as a compiled
+// strided scan pays it: every object resident, but with the prefetcher
+// the compiler's hints select and the production breaker threshold
+// installed — the two things the bare BenchmarkGuardLocalHit* rungs (and
+// benchmark/'s farmem.guard_hit_ns) leave out, and where a hit's time
+// actually went.
+func BenchmarkGuardHitStridedPrefetch(b *testing.B) {
+	const obj, size = 4096, 1 << 20
+	rt := farmem.New(farmem.Config{
+		PinnedBudget:     1 << 20,
+		RemotableBudget:  4 * size,
+		BreakerThreshold: 8,
+	})
+	defer rt.Close()
+	rt.RegisterDS(0, farmem.DSMeta{Name: "scan", ObjSize: obj, ElemSize: 8, Stride: 8, Pattern: farmem.PatternStrided})
+	rt.SetPlacement(0, farmem.PlaceRemotable)
+	rt.SetPrefetcher(0, prefetch.Select(prefetch.Hints{Pattern: farmem.PatternStrided, ElemSize: 8, Stride: 8, ObjSize: obj}))
+	addr, err := rt.DSAlloc(0, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for off := uint64(0); off < size; off += obj {
+		if _, err := rt.Guard(addr+off, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.Guard(addr+uint64(i)*8%size, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInterpLoopNsPerInstr runs the analytics workload's histogram
+// kernel (hist[(col[i]/div) % buckets]++) over plain local memory: no
+// guards, no far tier, only the interpreter's dispatch, operand and
+// call costs. One op is one 1024-row kernel call; ns/instr is the
+// figure to compare with benchmark/'s interp.local_ns_per_instr.
+func BenchmarkInterpLoopNsPerInstr(b *testing.B) {
+	const rows = 1024
+	i64 := ir.I64()
+	m := ir.NewModule("histogram")
+	hist := m.NewFunc("histogram", ir.Void(),
+		ir.P("col", ir.Ptr(i64)), ir.P("hist", ir.Ptr(i64)), ir.P("n", i64),
+		ir.P("div", i64), ir.P("buckets", i64))
+	{
+		hb := ir.NewBuilder(hist)
+		loop := hb.CountedLoop("i", ir.CI(0), hist.Params[2], ir.CI(1))
+		v := hb.Load(i64, hb.Idx(hist.Params[0], loop.IV))
+		slot := hb.Idx(hist.Params[1], hb.Rem(hb.Div(v, hist.Params[3]), hist.Params[4]))
+		hb.Store(i64, hb.Add(hb.Load(i64, slot), ir.CI(1)), slot)
+		hb.CloseLoop(loop)
+		hb.Ret(nil)
+	}
+	mb := ir.NewBuilder(m.NewFunc("main", ir.Void()))
+	col := mb.Alloc(i64, ir.CI(rows))
+	fill := mb.CountedLoop("fill", ir.CI(0), ir.CI(rows), ir.CI(1))
+	mb.Store(i64, mb.Mul(fill.IV, ir.CI(37)), mb.Idx(col, fill.IV))
+	mb.CloseLoop(fill)
+	buckets := mb.Alloc(i64, ir.CI(24))
+	reps := mb.CountedLoop("reps", ir.CI(0), ir.CI(int64(b.N)), ir.CI(1))
+	mb.Call(hist, col, buckets, ir.CI(rows), ir.CI(60), ir.CI(24))
+	mb.CloseLoop(reps)
+	mb.Ret(nil)
+	m.AssignSites()
+	ir.MustVerify(m)
+
+	rt := farmem.New(farmem.Config{PinnedBudget: 1 << 20, RemotableBudget: 1 << 20})
+	mach, err := interp.New(m, rt, interp.Options{MaxSteps: 1 << 62})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := mach.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mach.Stats().Instructions), "ns/instr")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

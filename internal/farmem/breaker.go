@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -94,16 +95,20 @@ func (s BreakerState) String() string {
 
 // breaker holds the state machine. It is shared between the
 // single-threaded runtime and the background prober goroutine, hence
-// the mutex; every transition is cheap and rare.
+// the mutex: every transition happens under it and is cheap and rare.
+// The state itself is additionally readable without the lock (State),
+// because the runtime asks "is the tier degraded?" on paths that run
+// per prefetch hint and per eviction, where a mutex round trip per
+// question was the largest single cost of a guard hit.
 type breaker struct {
 	threshold  int
 	probeEvery time.Duration
 	hasPinger  bool
 
 	mu       sync.Mutex
-	state    BreakerState
-	consec   int       // consecutive failures while closed
-	openedAt time.Time // wall clock of the last trip
+	state    atomic.Int32 // BreakerState; written only under mu
+	consec   int          // consecutive failures while closed
+	openedAt time.Time    // wall clock of the last trip
 }
 
 // gate is consulted before a store operation. It returns false when the
@@ -112,11 +117,11 @@ type breaker struct {
 func (b *breaker) gate() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != BreakerOpen {
+	if b.State() != BreakerOpen {
 		return true
 	}
 	if !b.hasPinger && time.Since(b.openedAt) >= b.probeEvery {
-		b.state = BreakerHalfOpen
+		b.setState(BreakerHalfOpen)
 		return true
 	}
 	return false
@@ -129,10 +134,10 @@ func (b *breaker) onSuccess() (recovered bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consec = 0
-	if b.state == BreakerClosed {
+	if b.State() == BreakerClosed {
 		return false
 	}
-	b.state = BreakerClosed
+	b.setState(BreakerClosed)
 	return true
 }
 
@@ -143,13 +148,13 @@ func (b *breaker) onFailure() (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consec++
-	switch b.state {
+	switch b.State() {
 	case BreakerHalfOpen:
-		b.state = BreakerOpen
+		b.setState(BreakerOpen)
 		b.openedAt = time.Now()
 	case BreakerClosed:
 		if b.consec >= b.threshold {
-			b.state = BreakerOpen
+			b.setState(BreakerOpen)
 			b.openedAt = time.Now()
 			return true
 		}
@@ -161,18 +166,19 @@ func (b *breaker) onFailure() (tripped bool) {
 // successful ping); the next store operation is the trial.
 func (b *breaker) armHalfOpen() {
 	b.mu.Lock()
-	if b.state == BreakerOpen {
-		b.state = BreakerHalfOpen
+	if b.State() == BreakerOpen {
+		b.setState(BreakerHalfOpen)
 	}
 	b.mu.Unlock()
 }
 
-// State returns the current state.
-func (b *breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
+// State returns the current state: one atomic load, no lock. A reader
+// that must also act on the state atomically with a transition (gate,
+// onSuccess, onFailure, armHalfOpen) holds mu around it.
+func (b *breaker) State() BreakerState { return BreakerState(b.state.Load()) }
+
+// setState publishes a transition; the caller holds mu.
+func (b *breaker) setState(s BreakerState) { b.state.Store(int32(s)) }
 
 // isOpen is the hot-path check the allocator and evictor use.
 func (r *Runtime) breakerIsOpen() bool {

@@ -309,3 +309,73 @@ func TestDegradedDerefDoesNotLeakBudget(t *testing.T) {
 		t.Fatalf("remotable used %d -> %d: failed fetches leaked frames", used, r.RemotableUsed())
 	}
 }
+
+// reachableDeadStore answers pings but fails every data operation while
+// failing is set: the prober keeps arming half-open and every trial
+// re-opens, so the breaker flips open <-> half-open for as long as the
+// test runs.
+type reachableDeadStore struct{ *toggleStore }
+
+func (reachableDeadStore) Ping() error { return nil }
+
+// TestBreakerStateLockFreeUnderProber hammers the runtime-side readers
+// of the breaker state (PrefetchObj, evictOne, BreakerState — all plain
+// atomic loads now) while the prober goroutine and failing trials flip
+// the state under the mutex. Once tripped, with no operation ever
+// succeeding, the only states the state machine publishes are open and
+// half-open: a reader must never see closed (a torn or stale read would
+// let a prefetch through), and under -race the unlocked read must not
+// race the locked writes.
+func TestBreakerStateLockFreeUnderProber(t *testing.T) {
+	ts := &toggleStore{inner: NewMapStore()}
+	r, addr := breakerRuntime(t, reachableDeadStore{ts}, 100*time.Microsecond)
+	writeWorkingSet(t, r, addr, 8) // 2 resident, 6 evicted to the store
+	d := r.DSByID(0)
+	remote := -1
+	for i := range d.objs {
+		if d.objs[i].state == objRemote {
+			remote = i
+			break
+		}
+	}
+	if remote < 0 {
+		t.Fatal("no remote object to aim at")
+	}
+
+	ts.setFailing(true)
+	for r.BreakerState() == BreakerClosed {
+		if _, err := r.Guard(addr+uint64(remote*4096), false); err == nil {
+			t.Fatal("deref of a remote object succeeded against a dead store")
+		}
+	}
+	issuedBefore := d.Stats().PrefetchIssued
+
+	var sawOpen, sawHalfOpen int
+	deadline := time.Now().Add(5 * time.Second)
+	for (sawOpen < 50 || sawHalfOpen < 50) && time.Now().Before(deadline) {
+		for i := 0; i < 100; i++ {
+			if !r.PrefetchObj(d, remote) {
+				t.Fatal("remote object reported not remote")
+			}
+			r.evictOne() // clean victims go, dirty ones stay pinned; either way it reads the state
+			switch st := r.BreakerState(); st {
+			case BreakerOpen:
+				sawOpen++
+			case BreakerHalfOpen:
+				sawHalfOpen++
+				// The trial: fails, and re-opens the breaker.
+				if _, err := r.Guard(addr+uint64(remote*4096), false); err == nil {
+					t.Fatal("half-open trial succeeded against a dead store")
+				}
+			default:
+				t.Fatalf("observed breaker state %v after the trip; only open and half-open were ever published", st)
+			}
+		}
+	}
+	if sawOpen < 50 || sawHalfOpen < 50 {
+		t.Fatalf("breaker did not keep flipping: saw open %d times, half-open %d times", sawOpen, sawHalfOpen)
+	}
+	if got := d.Stats().PrefetchIssued; got != issuedBefore {
+		t.Fatalf("%d prefetches issued while the breaker was never closed", got-issuedBefore)
+	}
+}

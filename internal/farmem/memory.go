@@ -433,6 +433,19 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	if wasDirty {
 		d.chaseGen++
 	}
+	r.release(d, obj)
+	d.stats.Evictions++
+	r.stats.Evictions++
+	r.removeRingEntry(ringPos)
+	r.endRoot(rootMine)
+	return nil
+}
+
+// release gives a resident (or in-flight) object's frame back and marks
+// it remote; bumping the epoch makes its CLOCK ring entry stale. These
+// are the only transitions INTO objRemote, which is what RemoteGen
+// counts.
+func (r *Runtime) release(d *DS, obj *FarObj) {
 	r.arena.Free(obj.frame, d.Meta.ObjSize)
 	r.remotableUsed -= uint64(d.Meta.ObjSize)
 	obj.state = objRemote
@@ -440,12 +453,15 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	obj.rect = dirtyRect{}
 	obj.ref = false
 	obj.epoch++
-	d.stats.Evictions++
-	r.stats.Evictions++
-	r.removeRingEntry(ringPos)
-	r.endRoot(rootMine)
-	return nil
+	r.remoteGen++
 }
+
+// RemoteGen is a generation counter that advances whenever any object
+// becomes remote (eviction, failed prefetch). PrefetchObj acts only on
+// remote objects, so a prefetcher whose last window reported no remote
+// object may skip re-walking the same window while the generation
+// stands still: nothing it would hint at can have become fetchable.
+func (r *Runtime) RemoteGen() uint64 { return r.remoteGen }
 
 func (r *Runtime) removeRingEntry(pos int) {
 	last := len(r.ring) - 1
@@ -464,14 +480,25 @@ func (r *Runtime) removeRingEntry(pos int) {
 }
 
 // PrefetchObj issues an asynchronous localization of object idx of d, if
-// it is remote and capacity allows. Called by prefetchers.
-func (r *Runtime) PrefetchObj(d *DS, idx int) {
+// it is remote and capacity allows. Called by prefetchers. It reports
+// whether the object was remote, i.e. whether the hint had anything to
+// act on — issued or not (see RemoteGen).
+func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 	if idx < 0 || idx >= len(d.objs) {
-		return
+		return false
+	}
+	// Every check down to allocFrame is free of side effects, so their
+	// order is free too. The object's state goes first: on a scan whose
+	// lookahead window is already resident or in flight it is the one
+	// that answers, and it costs a byte load where the breaker and the
+	// budget limits cost a dozen.
+	obj := &d.objs[idx]
+	if obj.state != objRemote {
+		return false
 	}
 	// No speculation while the remote tier is degraded (or on trial).
 	if r.breakerIsOpen() {
-		return
+		return true
 	}
 	// Never let in-flight prefetches occupy more than half the remotable
 	// budget (across ALL structures — several prefetchers share the one
@@ -482,31 +509,27 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		lim = halfBudget
 	}
 	if d.inflight >= lim {
-		return
+		return true
 	}
 	if r.inflightBytes+uint64(d.Meta.ObjSize) > r.remotableBudget/2 {
-		return
-	}
-	obj := &d.objs[idx]
-	if obj.state != objRemote {
-		return
+		return true
 	}
 	// An object with a staged write-back must be served from its staging
 	// buffer (read-your-writes), never speculatively re-fetched: the
 	// remote copy may still be stale.
 	if _, ok := r.wbPending[wbKey{d.ID, idx}]; ok {
-		return
+		return true
 	}
 	// A chase already delivered this object's bytes; the deref path
 	// consumes them without a round trip.
 	if _, ok := r.chaseStaged[wbKey{d.ID, idx}]; ok {
-		return
+		return true
 	}
 	rootMine := r.beginRoot()
 	frame, err := r.allocFrame(d, idx)
 	if err != nil {
 		r.endRoot(rootMine)
-		return // no capacity: drop the hint
+		return true // no capacity: drop the hint
 	}
 	if r.astore != nil {
 		// Truly asynchronous issue: the read starts filling a private
@@ -516,18 +539,15 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		// harvest time (Deref or CLOCK settle) — the frame itself cannot
 		// be the destination because the arena slab may move (grow) while
 		// the read is in flight.
-		p := &pendingFetch{
-			buf:  make([]byte, d.Meta.ObjSize),
-			done: make(chan error, 1),
-		}
-		r.astore.IssueRead(d.ID, idx, p.buf, func(err error) { p.done <- err })
+		p := r.getFetch(d.Meta.ObjSize)
+		r.astore.IssueRead(d.ID, idx, p.buf, p.complete)
 		obj.pending = p
 	} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 		r.arena.Free(frame, d.Meta.ObjSize)
 		r.remotableUsed -= uint64(d.Meta.ObjSize)
 		obj.epoch++
 		r.endRoot(rootMine)
-		return
+		return true
 	}
 	obj.frame = frame
 	obj.readyAt = r.link.FetchAsync(d.Meta.ObjSize)
@@ -538,6 +558,32 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	d.stats.PrefetchIssued++
 	r.emit(EvPrefetch, d.ID, idx, false)
 	r.endRoot(rootMine)
+	return true
+}
+
+// getFetch takes a pendingFetch for an object of the given size from the
+// free list, or makes one. Staging buffer, completion channel and the
+// completion callback handed to the store are all reused: a prefetch
+// issue allocates nothing once the lookahead window has been filled
+// once.
+func (r *Runtime) getFetch(size int) *pendingFetch {
+	if l := r.pfFree[size]; len(l) > 0 {
+		p := l[len(l)-1]
+		r.pfFree[size] = l[:len(l)-1]
+		return p
+	}
+	p := &pendingFetch{buf: make([]byte, size), done: make(chan error, 1)}
+	p.complete = func(err error) { p.done <- err }
+	return p
+}
+
+// putFetch recycles p. Only harvest calls it, and only after p.wait()
+// returned: the store invokes complete exactly once, after its last
+// access to buf, so a received completion — success or failure — is the
+// proof that nobody else still holds the buffer.
+func (r *Runtime) putFetch(p *pendingFetch) {
+	p.err, p.settled = nil, false
+	r.pfFree[len(p.buf)] = append(r.pfFree[len(p.buf)], p)
 }
 
 // harvest consumes the pending async completion of an in-flight object,
@@ -552,29 +598,27 @@ func (r *Runtime) harvest(d *DS, idx int) error {
 		return nil
 	}
 	obj.pending = nil
-	if err := p.wait(); err == nil {
+	perr := p.wait()
+	if perr == nil {
 		copy(r.arena.Bytes(obj.frame, d.Meta.ObjSize), p.buf)
+	}
+	r.putFetch(p)
+	if perr == nil {
 		return nil
 	}
 	// The async read failed: record it against the breaker — unless the
 	// failure is a contained per-shard degradation, which must not trip
 	// the global breaker — then reissue synchronously under the retry
 	// budget.
-	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.onFailure() {
+	if r.breaker != nil && !errors.Is(perr, ErrDegraded) && r.breaker.onFailure() {
 		r.stats.BreakerTrips++
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}
 	if err := r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err == nil {
 		return nil
 	}
-	r.arena.Free(obj.frame, d.Meta.ObjSize)
-	r.remotableUsed -= uint64(d.Meta.ObjSize)
-	obj.state = objRemote
-	obj.dirty = false
-	obj.rect = dirtyRect{}
-	obj.ref = false
-	obj.epoch++
-	return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, p.err)
+	r.release(d, obj)
+	return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, perr)
 }
 
 // AllLocal answers the cards_all_local check of Listing 3: true iff every

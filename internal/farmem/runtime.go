@@ -105,11 +105,17 @@ type FarObj struct {
 // The payload lands in buf — a private staging buffer, not the arena
 // frame — because the arena slab may be reallocated (grown) while the
 // read is in flight, which would invalidate any slice into it.
+//
+// A pendingFetch outlives its read: harvest returns it to the runtime's
+// per-size free list (getFetch/putFetch in memory.go), so buf, done and
+// complete — the callback handed to the store, bound once — are made
+// once per lookahead slot, not once per prefetch.
 type pendingFetch struct {
-	buf     []byte
-	done    chan error
-	err     error
-	settled bool
+	buf      []byte
+	done     chan error
+	complete func(error)
+	err      error
+	settled  bool
 }
 
 // wait blocks until the read completes and returns its error.
@@ -192,6 +198,13 @@ type DS struct {
 
 // Stats returns a copy of the structure's counters.
 func (d *DS) Stats() DSStats { return d.stats }
+
+// PrefetchCounts returns the issued and hit prefetch tallies alone: the
+// adaptive prefetch monitor reads them on every access, where copying
+// the whole DSStats showed up in profiles.
+func (d *DS) PrefetchCounts() (issued, hits uint64) {
+	return d.stats.PrefetchIssued, d.stats.PrefetchHits
+}
 
 // Placement returns the structure's configured placement.
 func (d *DS) Placement() Placement { return d.placement }
@@ -390,7 +403,8 @@ type Runtime struct {
 	link   *netsim.Link
 	arena  *Arena
 	store  Store
-	astore AsyncStore // non-nil iff store supports IssueRead
+	astore AsyncStore              // non-nil iff store supports IssueRead
+	pfFree map[int][]*pendingFetch // recycled async-read staging, by size
 
 	// Asynchronous write-back pipeline (writeback.go).
 	rwstore   RangeWriteStore // non-nil iff range write-back is on and supported
@@ -421,6 +435,7 @@ type Runtime struct {
 	trackFM            bool
 	defaultMaxInflight int
 	accessSeq          uint64
+	remoteGen          uint64 // see RemoteGen
 	inflightBytes      uint64
 	hook               EventHook
 	tracer             *obs.Tracer
@@ -503,6 +518,7 @@ func New(cfg Config) *Runtime {
 	}
 	if as, ok := store.(AsyncStore); ok {
 		r.astore = as
+		r.pfFree = make(map[int][]*pendingFetch)
 	}
 	if aw, ok := store.(AsyncWriteStore); ok {
 		r.awstore = aw

@@ -11,6 +11,12 @@
 // address that did not pass through a guard aborts execution with
 // ErrUnsafeAccess. Compiler bugs surface as hard failures, not silent
 // corruption.
+//
+// New pre-decodes every function once into a flat program (decode.go):
+// operands are frame-slot indices, branch targets are pcs, callees and
+// ROI markers are resolved. Executing an instruction then touches no
+// ir.Value interface, no map and no allocator; what it charges to the
+// virtual clock, and when, is exactly what walking the ir.Instr would.
 package interp
 
 import (
@@ -19,6 +25,7 @@ import (
 
 	"cards/internal/farmem"
 	"cards/internal/ir"
+	"cards/internal/netsim"
 )
 
 // Options tunes execution.
@@ -51,16 +58,24 @@ const (
 
 // Machine executes one program against one runtime.
 type Machine struct {
-	mod      *ir.Module
-	rt       *farmem.Runtime
-	opts     Options
+	rt    *farmem.Runtime
+	clock *netsim.Clock
+	model *netsim.CostModel
+	opts  Options
+	main  *function // nil when the module has none
+
+	// stack holds every live activation's frame back to back; a call
+	// places the callee's frame directly above the caller's.
+	stack []uint64
+
 	stats    Stats
 	depth    int
 	roiStart uint64
 	inROI    bool
 }
 
-// New creates a machine. The module must verify.
+// New creates a machine. The module must verify. The program is decoded
+// here, once: changes made to the module afterwards are not seen by Run.
 func New(mod *ir.Module, rt *farmem.Runtime, opts Options) (*Machine, error) {
 	if err := ir.Verify(mod); err != nil {
 		return nil, fmt.Errorf("interp: module does not verify: %w", err)
@@ -71,7 +86,11 @@ func New(mod *ir.Module, rt *farmem.Runtime, opts Options) (*Machine, error) {
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = 10_000
 	}
-	return &Machine{mod: mod, rt: rt, opts: opts}, nil
+	main, err := decode(mod)
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{rt: rt, clock: rt.Clock(), model: rt.Model(), opts: opts, main: main}, nil
 }
 
 // Stats returns execution statistics.
@@ -81,190 +100,152 @@ func (m *Machine) Stats() Stats { return m.stats }
 // void main). Workload programs return checksums here so correctness can
 // be asserted across policies and baselines.
 func (m *Machine) Run() (uint64, error) {
-	main := m.mod.Main()
-	if main == nil {
+	if m.main == nil {
 		return 0, fmt.Errorf("interp: module has no main")
 	}
-	if len(main.Params) != 0 {
-		return 0, fmt.Errorf("interp: main must take no parameters (has %d)", len(main.Params))
+	if n := len(m.main.params); n != 0 {
+		return 0, fmt.Errorf("interp: main must take no parameters (has %d)", n)
 	}
-	return m.call(main, nil)
+	return m.call(m.main, 0, nil, 0)
 }
 
-// frame is one activation record: the register file.
-type frame struct {
-	regs []uint64
-}
-
-func (fr *frame) get(v ir.Value) uint64 {
-	switch vv := v.(type) {
-	case *ir.Reg:
-		return fr.regs[vv.ID]
-	case ir.IntConst:
-		return uint64(vv.V)
-	case ir.FloatConst:
-		return math.Float64bits(vv.V)
-	}
-	panic(fmt.Sprintf("interp: unknown value %T", v))
-}
-
-func (fr *frame) set(r *ir.Reg, v uint64) { fr.regs[r.ID] = v }
-
-// call executes one function and returns its result bits.
-func (m *Machine) call(f *ir.Function, args []uint64) (uint64, error) {
+// call activates f with its frame at stack[bp:], taking the arguments
+// from the caller's slots args (relative to the caller's frame at from),
+// and returns its result bits.
+func (m *Machine) call(f *function, bp int, args []int32, from int) (uint64, error) {
 	m.depth++
 	if m.depth > m.opts.MaxDepth {
 		m.depth--
-		return 0, fmt.Errorf("interp: call depth exceeded in @%s", f.Name)
+		return 0, fmt.Errorf("interp: call depth exceeded in @%s", f.name)
 	}
 	if m.depth > m.stats.MaxDepthSeen {
 		m.stats.MaxDepthSeen = m.depth
 	}
 	m.stats.Calls++
-	defer func() { m.depth-- }()
 
-	fr := &frame{regs: make([]uint64, len(f.Regs()))}
-	for i, p := range f.Params {
-		fr.set(p, args[i])
+	if top := bp + f.frame; top > len(m.stack) {
+		grown := make([]uint64, 2*top)
+		copy(grown, m.stack[:bp])
+		m.stack = grown
 	}
+	fr := m.stack[bp : bp+f.frame]
+	clear(fr[:f.poolAt])
+	copy(fr[f.poolAt:], f.pool)
+	for i, a := range args {
+		fr[f.params[i]] = m.stack[from+int(a)]
+	}
+	ret, err := m.exec(f, bp)
+	m.depth--
+	return ret, err
+}
 
-	blk := f.Entry()
-	idx := 0
+// exec runs f's code over the frame at stack[bp:].
+func (m *Machine) exec(f *function, bp int) (uint64, error) {
+	fr, code := m.stack[bp:bp+f.frame], f.code
+	pc := 0
 	for {
-		if idx >= len(blk.Instrs) {
-			return 0, fmt.Errorf("interp: fell off block %s in @%s", blk.Name, f.Name)
-		}
-		in := blk.Instrs[idx]
+		in := &code[pc]
+		pc++
 		m.stats.Instructions++
 		if m.stats.Instructions > m.opts.MaxSteps {
 			return 0, fmt.Errorf("interp: step limit (%d) exceeded", m.opts.MaxSteps)
 		}
-		m.rt.Clock().Advance(m.rt.Model().Instr)
+		m.clock.Advance(m.model.Instr)
 
-		switch in.Op {
-		case ir.OpConst:
-			if in.IsFloat {
-				fr.set(in.Dst, math.Float64bits(in.FloatVal))
-			} else {
-				fr.set(in.Dst, uint64(in.IntVal))
-			}
+		switch in.op {
+		case opMove:
+			fr[in.dst] = fr[in.a]
 
-		case ir.OpBin:
-			v, err := evalBin(in.Kind, fr.get(in.X), fr.get(in.Y))
+		case opBin:
+			v, err := evalBin(in.kind, fr[in.a], fr[in.b])
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.Name, in, err)
+				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
 			}
-			fr.set(in.Dst, v)
+			fr[in.dst] = v
 
-		case ir.OpCopy:
-			fr.set(in.Dst, fr.get(in.Src))
-
-		case ir.OpAlloc:
-			elemSize := int64(in.Elem.Size())
-			count := int64(fr.get(in.Count))
+		case opAlloc, opDSAlloc:
+			count := int64(fr[in.a])
 			if count < 0 {
-				return 0, fmt.Errorf("interp: @%s: negative alloc count %d", f.Name, count)
+				return 0, fmt.Errorf("interp: @%s: negative alloc count %d", f.name, count)
 			}
 			var addr uint64
 			var err error
-			if in.DSHandle != nil {
-				ds := int64(fr.get(in.DSHandle))
-				addr, err = m.rt.DSAlloc(int(ds), count*elemSize)
+			if in.op == opDSAlloc {
+				addr, err = m.rt.DSAlloc(int(int64(fr[in.b])), count*in.x)
 			} else {
-				addr, err = m.rt.AllocLocal(count * elemSize)
+				addr, err = m.rt.AllocLocal(count * in.x)
 			}
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s alloc: %w", f.Name, err)
+				return 0, fmt.Errorf("interp: @%s alloc: %w", f.name, err)
 			}
-			fr.set(in.Dst, addr)
+			fr[in.dst] = addr
 
-		case ir.OpLoad:
-			v, err := m.rt.ReadWord(fr.get(in.Addr))
+		case opLoad:
+			v, err := m.rt.ReadWord(fr[in.a])
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.Name, in, err)
+				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
 			}
-			fr.set(in.Dst, v)
+			fr[in.dst] = v
 
-		case ir.OpStore:
-			if err := m.rt.WriteWord(fr.get(in.Addr), fr.get(in.Src)); err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.Name, in, err)
+		case opStore:
+			if err := m.rt.WriteWord(fr[in.a], fr[in.b]); err != nil {
+				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
 			}
 
-		case ir.OpGEP:
-			base := fr.get(in.Base)
-			var off uint64
-			if in.Index != nil {
-				off = fr.get(in.Index) * uint64(in.ElemSize)
-			}
-			fr.set(in.Dst, base+off+uint64(in.ConstOff))
+		case opGEP:
+			fr[in.dst] = fr[in.a] + fr[in.b]*uint64(in.x) + uint64(in.y)
 
-		case ir.OpGuard:
-			p, err := m.rt.GuardSpan(fr.get(in.Addr), in.IsWrite, in.GLo, in.GHi)
+		case opGuardR, opGuardW:
+			p, err := m.rt.GuardSpan(fr[in.a], in.op == opGuardW, int(in.x), int(in.y))
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.Name, in, err)
+				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
 			}
-			fr.set(in.Dst, p)
+			fr[in.dst] = p
 
-		case ir.OpAllLocal:
-			if m.rt.AllLocal(in.DSRefs) {
-				fr.set(in.Dst, 1)
-			} else {
-				fr.set(in.Dst, 0)
+		case opAllLocal:
+			fr[in.dst] = 0
+			if m.rt.AllLocal(in.src.DSRefs) {
+				fr[in.dst] = 1
 			}
 
-		case ir.OpPrefetch:
-			m.rt.Prefetch(fr.get(in.Addr))
+		case opPrefetch:
+			m.rt.Prefetch(fr[in.a])
 
-		case ir.OpCall:
-			switch in.Callee {
-			case ROIBegin:
-				m.roiStart = m.rt.Clock().Now()
-				m.inROI = true
-				idx++
-				continue
-			case ROIEnd:
-				if m.inROI {
-					m.stats.ROICycles += m.rt.Clock().Now() - m.roiStart
-					m.inROI = false
-				}
-				idx++
-				continue
-			}
-			callee := m.mod.FuncByName(in.Callee)
-			args := make([]uint64, len(in.Args))
-			for i, a := range in.Args {
-				args[i] = fr.get(a)
-			}
-			ret, err := m.call(callee, args)
+		case opCall:
+			ret, err := m.call(in.callee, bp+f.frame, in.args, bp)
 			if err != nil {
 				return 0, err
 			}
-			if in.Dst != nil {
-				fr.set(in.Dst, ret)
+			// The callee may have grown (moved) the stack.
+			fr = m.stack[bp : bp+f.frame]
+			fr[in.dst] = ret
+
+		case opROIBegin:
+			m.roiStart = m.clock.Now()
+			m.inROI = true
+
+		case opROIEnd:
+			if m.inROI {
+				m.stats.ROICycles += m.clock.Now() - m.roiStart
+				m.inROI = false
 			}
 
-		case ir.OpRet:
-			if in.Src != nil {
-				return fr.get(in.Src), nil
-			}
-			return 0, nil
+		case opRet:
+			return fr[in.a], nil
 
-		case ir.OpBr:
-			if fr.get(in.Cond) != 0 {
-				blk, idx = in.Then, 0
+		case opBr:
+			if fr[in.a] != 0 {
+				pc = int(in.x)
 			} else {
-				blk, idx = in.Else, 0
+				pc = int(in.y)
 			}
-			continue
 
-		case ir.OpJmp:
-			blk, idx = in.Target, 0
-			continue
+		case opJmp:
+			pc = int(in.x)
 
 		default:
-			return 0, fmt.Errorf("interp: @%s: unexecutable op %s", f.Name, in.Op)
+			return 0, fmt.Errorf("interp: @%s: unexecutable op %s", f.name, in.src.Op)
 		}
-		idx++
 	}
 }
 

@@ -110,12 +110,20 @@ func TestStepLimit(t *testing.T) {
 	b.Jmp(loop)
 	m.AssignSites()
 	ir.MustVerify(m)
-	mach, err := New(m, newRT(), Options{MaxSteps: 1000})
+	rt := newRT()
+	mach, err := New(m, rt, Options{MaxSteps: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mach.Run(); err == nil || !strings.Contains(err.Error(), "step limit") {
+	if _, err := mach.Run(); err == nil || err.Error() != "interp: step limit (1000) exceeded" {
 		t.Fatalf("err = %v, want step limit", err)
+	}
+	// The 1001st instruction is counted, then refused before it is charged.
+	if n := mach.Stats().Instructions; n != 1001 {
+		t.Fatalf("tripped after %d instructions, want 1001", n)
+	}
+	if clock := rt.Clock().Now(); clock != 1000*rt.Model().Instr {
+		t.Fatalf("clock %d at the trip, want 1000 instructions' worth", clock)
 	}
 }
 
@@ -135,8 +143,13 @@ func TestRecursionDepthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mach.Run(); err == nil || !strings.Contains(err.Error(), "depth") {
+	if _, err := mach.Run(); err == nil || err.Error() != "interp: call depth exceeded in @f" {
 		t.Fatalf("err = %v, want depth exceeded", err)
+	}
+	// main's call, then add+call in each of the 63 activations of f that
+	// fit under main; the 64th is refused before it runs anything.
+	if st := mach.Stats(); st.Instructions != 1+2*63 || st.Calls != 64 || st.MaxDepthSeen != 64 {
+		t.Fatalf("stats at the trip = %+v", st)
 	}
 }
 

@@ -26,6 +26,19 @@ const Depth = 8
 // Stride is the majority stride-based prefetcher. It watches the deltas
 // between consecutive object indices; once a delta wins a majority vote
 // over a small history window, it prefetches along that delta.
+//
+// An access costs O(1) unless something changed. The vote is recomputed
+// only when the history does (a new nonzero delta), and the lookahead
+// window is re-walked only when it could issue something it did not
+// issue last time: Runtime.PrefetchObj acts on remote objects alone, so
+// after a walk from (d, idx, delta) on which every hint found its object
+// resident, in flight, untouched or out of range, the same walk stays a
+// no-op until some object next becomes remote — which Runtime.RemoteGen
+// counts. A walk that met even one remote object (issued, or dropped by
+// a limit that may since have lifted) is never skipped. A scan therefore
+// walks once per object it enters rather than once per element, and
+// issues exactly the prefetches, at exactly the virtual instants, that
+// walking on every access would.
 type Stride struct {
 	depth    int
 	last     int
@@ -33,6 +46,23 @@ type Stride struct {
 	history  [8]int
 	histLen  int
 	histPos  int
+
+	// delta/ok cache majority() over the current history.
+	delta int
+	ok    bool
+
+	// quiet is the last window walk, valid while quietOK: it met no
+	// remote object.
+	quiet   walk
+	quietOK bool
+}
+
+// walk identifies one lookahead walk and the residency generation it ran
+// under.
+type walk struct {
+	d          *farmem.DS
+	idx, delta int
+	gen        uint64
 }
 
 // NewStride creates a stride prefetcher with the given lookahead depth.
@@ -49,25 +79,34 @@ func (*Stride) Name() string { return "stride" }
 // OnAccess implements farmem.Prefetcher.
 func (s *Stride) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
 	if s.haveLast {
-		delta := idx - s.last
-		if delta != 0 {
+		if delta := idx - s.last; delta != 0 {
 			s.history[s.histPos] = delta
 			s.histPos = (s.histPos + 1) % len(s.history)
 			if s.histLen < len(s.history) {
 				s.histLen++
 			}
+			s.delta, s.ok = s.majority()
 		}
 	}
 	s.last = idx
 	s.haveLast = true
 
-	delta, ok := s.majority()
-	if !ok {
+	if !s.ok {
 		return
 	}
-	for i := 1; i <= s.depth; i++ {
-		r.PrefetchObj(d, idx+i*delta)
+	w := walk{d, idx, s.delta, r.RemoteGen()}
+	if s.quietOK && s.quiet == w {
+		return
 	}
+	sawRemote := false
+	for i := 1; i <= s.depth; i++ {
+		if r.PrefetchObj(d, idx+i*s.delta) {
+			sawRemote = true
+		}
+	}
+	// A quiet walk evicted nothing (only an issue allocates a frame), so
+	// the generation read before it still stands after it.
+	s.quiet, s.quietOK = w, !sawRemote
 }
 
 // majority returns the winning delta if one delta holds a strict majority
@@ -260,7 +299,7 @@ func (a *Adaptive) Name() string { return "adaptive(" + a.Inner.Name() + ")" }
 
 // OnAccess implements farmem.Prefetcher.
 func (a *Adaptive) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
-	st := d.Stats()
+	nowIssued, nowHits := d.PrefetchCounts()
 	a.observed++
 	if a.disabledUntil > 0 {
 		if a.observed < a.disabledUntil {
@@ -268,17 +307,17 @@ func (a *Adaptive) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool)
 		}
 		// Back-off expired: retry.
 		a.disabledUntil = 0
-		a.lastIssued, a.lastHits = st.PrefetchIssued, st.PrefetchHits
+		a.lastIssued, a.lastHits = nowIssued, nowHits
 	}
-	issued := st.PrefetchIssued - a.lastIssued
+	issued := nowIssued - a.lastIssued
 	if issued >= a.Window {
-		hits := st.PrefetchHits - a.lastHits
+		hits := nowHits - a.lastHits
 		if stats.Ratio(hits, issued) < a.MinAccuracy {
 			// Poor accuracy: pause for 4 windows of accesses.
 			a.disabledUntil = a.observed + 4*a.Window
 			return
 		}
-		a.lastIssued, a.lastHits = st.PrefetchIssued, st.PrefetchHits
+		a.lastIssued, a.lastHits = nowIssued, nowHits
 	}
 	a.Inner.OnAccess(r, d, idx, miss)
 }

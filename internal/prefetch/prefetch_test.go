@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"math/rand"
 	"testing"
 
 	"cards/internal/farmem"
@@ -337,4 +338,135 @@ func name(p farmem.Prefetcher) string {
 		return "<nil>"
 	}
 	return p.Name()
+}
+
+// alwaysWalkStride is the reference the memoised Stride is held to: the
+// same detector, re-voting its history and walking the whole lookahead
+// window on every single access (what Stride did before it learned to
+// skip walks that cannot issue anything).
+type alwaysWalkStride struct{ s Stride }
+
+func (*alwaysWalkStride) Name() string { return "stride-reference" }
+
+func (a *alwaysWalkStride) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
+	s := &a.s
+	if s.haveLast {
+		if delta := idx - s.last; delta != 0 {
+			s.history[s.histPos] = delta
+			s.histPos = (s.histPos + 1) % len(s.history)
+			if s.histLen < len(s.history) {
+				s.histLen++
+			}
+		}
+	}
+	s.last, s.haveLast = idx, true
+	delta, ok := s.majority()
+	if !ok {
+		return
+	}
+	for i := 1; i <= s.depth; i++ {
+		r.PrefetchObj(d, idx+i*delta)
+	}
+}
+
+// TestStrideMemoNeverSuppressesAnIssue drives two identical runtimes in
+// lockstep through seeded random schedules — strided runs in both
+// directions with several touches per object, repeats, jumps, explicit
+// prefetch hints, and traffic on a second structure that evicts out of
+// the first one's lookahead window — under cache budgets and in-flight
+// limits small enough that hints are regularly dropped and must be
+// re-offered later. One runtime has the memoised Stride, the other the
+// reference that walks on every access. Every runtime event (prefetch,
+// fetch, eviction, prefetch hit...) must be identical in kind, object
+// and virtual cycle, and the clocks and counters must agree at the end.
+func TestStrideMemoNeverSuppressesAnIssue(t *testing.T) {
+	const (
+		dataObjs, fillObjs = 64, 32
+		elem               = 512 // 8 touches per object on a unit-stride run
+		steps              = 4000
+	)
+	type world struct {
+		r      *farmem.Runtime
+		events []farmem.Event
+		base   [2]uint64
+	}
+	build := func(pf farmem.Prefetcher, budgetObjs, maxInflight int) *world {
+		w := &world{}
+		w.r = farmem.New(farmem.Config{
+			PinnedBudget:    1 << 20,
+			RemotableBudget: uint64(budgetObjs * objSize),
+			MaxInflight:     maxInflight,
+		})
+		for id, n := range []int{dataObjs, fillObjs} {
+			if _, err := w.r.RegisterDS(id, farmem.DSMeta{ObjSize: objSize}); err != nil {
+				t.Fatal(err)
+			}
+			w.r.SetPlacement(id, farmem.PlaceRemotable)
+			addr, err := w.r.DSAlloc(id, int64(n*objSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.base[id] = addr
+		}
+		w.r.SetPrefetcher(0, pf)
+		w.r.SetEventHook(func(e farmem.Event) { w.events = append(w.events, e) })
+		return w
+	}
+
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		budget := 10 + rng.Intn(30)
+		maxInflight := 1 + rng.Intn(10)
+		memo := build(NewStride(Depth), budget, maxInflight)
+		ref := build(&alwaysWalkStride{s: *NewStride(Depth)}, budget, maxInflight)
+
+		pos, dir := 0, 1
+		for step := 0; step < steps; step++ {
+			var do func(w *world) error
+			switch p := rng.Intn(100); {
+			case p < 60: // continue the run
+				pos += dir
+			case p < 70: // touch the same element again
+			case p < 75: // turn around
+				dir = -dir
+				pos += dir
+			case p < 82: // jump
+				pos = rng.Intn(dataObjs * objSize / elem)
+			case p < 86: // explicit hint somewhere ahead
+				off := uint64(rng.Intn(dataObjs * objSize))
+				do = func(w *world) error { w.r.Prefetch(w.base[0] + off); return nil }
+			default: // the other structure wants frames
+				off, write := uint64(rng.Intn(fillObjs*objSize))&^7, rng.Intn(2) == 0
+				do = func(w *world) error { _, err := w.r.Guard(w.base[1]+off, write); return err }
+			}
+			if do == nil {
+				pos = (pos + dataObjs*objSize/elem) % (dataObjs * objSize / elem)
+				off, write := uint64(pos*elem), rng.Intn(4) == 0
+				do = func(w *world) error { _, err := w.r.Guard(w.base[0]+off, write); return err }
+			}
+			if err := do(memo); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if err := do(ref); err != nil {
+				t.Fatalf("seed %d step %d (reference): %v", seed, step, err)
+			}
+			if a, b := memo.r.Clock().Now(), ref.r.Clock().Now(); a != b {
+				t.Fatalf("seed %d step %d: clock %d with the memo, %d walking every access", seed, step, a, b)
+			}
+		}
+		if len(memo.events) != len(ref.events) {
+			t.Fatalf("seed %d: %d events with the memo, %d walking every access", seed, len(memo.events), len(ref.events))
+		}
+		for i := range ref.events {
+			if memo.events[i] != ref.events[i] {
+				t.Fatalf("seed %d: event %d is %v with the memo, %v walking every access", seed, i, memo.events[i], ref.events[i])
+			}
+		}
+		if a, b := memo.r.DSByID(0).Stats(), ref.r.DSByID(0).Stats(); a != b {
+			t.Fatalf("seed %d: counters %+v with the memo, %+v walking every access", seed, a, b)
+		}
+		if memo.r.DSByID(0).Stats().PrefetchIssued == 0 {
+			t.Fatalf("seed %d: schedule issued no prefetch at all", seed)
+		}
+	}
 }
