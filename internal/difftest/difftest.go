@@ -23,6 +23,7 @@ import (
 	"cards/internal/farmem"
 	"cards/internal/faultnet"
 	"cards/internal/ir"
+	"cards/internal/obs"
 	"cards/internal/policy"
 	"cards/internal/remote"
 )
@@ -34,6 +35,11 @@ type Outcome struct {
 	Stats       farmem.RuntimeStats
 	Cuts        int64
 	Corruptions int64
+	// WriteBackPermille is the mean wire/raw ratio over the write-backs
+	// the session tried to compress (0: it tried none). Well below 1000
+	// means the server was handed LZ tuples, so the reads and chases of
+	// this run were served from compressed images.
+	WriteBackPermille float64
 }
 
 // Config shapes one differential run.
@@ -124,9 +130,10 @@ func run(t testing.TB, build func() (*ir.Module, error), cfg Config, store farme
 // dialPipelined dials through the chaos proxy. The schedule can garble
 // the handshake itself; the dial retries it under the same budget as
 // later reconnects.
-func dialPipelined(t testing.TB, addr string, cfg Config) *remote.PipelinedClient {
+func dialPipelined(t testing.TB, addr string, cfg Config, reg *obs.Registry) *remote.PipelinedClient {
 	t.Helper()
 	c, err := remote.DialPipelined(addr, remote.PipelineOpts{
+		Obs:         reg,
 		Timeout:     300 * time.Millisecond,
 		RetryMax:    64,
 		RetryBase:   time.Millisecond,
@@ -164,7 +171,8 @@ func remoteMode(t testing.TB, build func() (*ir.Module, error), cfg Config, offl
 	}
 	defer proxy.Close()
 
-	cl := dialPipelined(t, proxy.Addr(), cfg)
+	reg := obs.NewRegistry()
+	cl := dialPipelined(t, proxy.Addr(), cfg, reg)
 	defer cl.Close()
 
 	var store farmem.Store = cl
@@ -177,6 +185,8 @@ func remoteMode(t testing.TB, build func() (*ir.Module, error), cfg Config, offl
 		Stats:       res.Runtime,
 		Cuts:        proxy.Cuts(),
 		Corruptions: proxy.Corruptions(),
+
+		WriteBackPermille: reg.Snapshot().Histogram(remote.MetricWireCompressRatio).Mean,
 	}
 }
 

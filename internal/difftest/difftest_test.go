@@ -24,7 +24,9 @@ func buildList(n int64) func() (*ir.Module, error) {
 // derefs served from the staging area. The list is built in traversal
 // order and is far longer than one hop budget, so exactness here also
 // covers the continuation path (budget-bounded programs resumed from
-// the ChaseHops resume address).
+// the ChaseHops resume address). The session compresses adaptively and
+// list nodes shrink, so the list is written back as LZ tuples and every
+// CHASEBATCH hop walks a node the server holds in that form.
 func TestOffloadExactCleanLink(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	_, offload := Run(t, buildList(4096), Config{})
@@ -37,6 +39,9 @@ func TestOffloadExactCleanLink(t *testing.T) {
 	}
 	if st.ChaseStagingHits == 0 {
 		t.Fatal("no derefs served from chase staging: offload did useful no work")
+	}
+	if r := offload.WriteBackPermille; r == 0 || r >= 900 {
+		t.Fatalf("list write-backs went out at %.0f permille of raw: the chases did not walk compressed nodes", r)
 	}
 	t.Logf("clean link: %d programs, %d hops staged, %d staging hits, %d stale, %d fallbacks",
 		st.ChasesIssued, st.ChaseHopsStaged, st.ChaseStagingHits, st.ChaseStale, st.ChaseFallbacks)

@@ -339,3 +339,26 @@ func TestRangeWritePathSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("range apply corrupted the object")
 	}
 }
+
+// TestLZCodecSteadyStateAllocFree pins the codec itself: once the table
+// pool is warm, compressing and decompressing any shipped object shape —
+// the one the compressor declines included — touches no heap.
+func TestLZCodecSteadyStateAllocFree(t *testing.T) {
+	for _, sh := range lzShapes() {
+		comp := make([]byte, CompressBound(len(sh.obj)))
+		out := make([]byte, len(sh.obj))
+		iter := func() {
+			n, ok := LZCompress(comp, sh.obj)
+			if !ok {
+				return
+			}
+			if err := LZDecompress(out, comp[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		iter()
+		if n := testing.AllocsPerRun(200, iter); n != 0 {
+			t.Fatalf("%s: LZCompress+LZDecompress allocate %.1f times per object, want 0", sh.name, n)
+		}
+	}
+}

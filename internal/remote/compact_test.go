@@ -149,6 +149,49 @@ func TestCompressPolicyAdapts(t *testing.T) {
 	}
 }
 
+// TestServerReprobesIncompressibleDS: a DS the server has classed
+// incompressible is still probed every probePeriod-th object, so when
+// its data turns compressible the replies turn LZ again. (The verdict
+// used to be drawn twice per request — once to pick the reply layout,
+// once to compress — and the first draw consumed every probe.)
+func TestServerReprobesIncompressibleDS(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	sess := dialRaw(t, srv, rdma.OptCompress)
+	const ds, n, size = 9, 64, 1024
+	readScheme := func(i int) uint8 {
+		sess.read(false, rdma.ReadReq{DS: ds, Idx: uint32(i % n), Size: size})
+		return sess.segs[0].Scheme
+	}
+	for i := 0; i < n; i++ {
+		srv.Store.Write(ds, uint32(i), incompressible(size, int64(i)))
+	}
+	for i := 0; i < n; i++ {
+		if sc := readScheme(i); sc != rdma.SchemeRaw {
+			t.Fatalf("noise object %d came back under scheme %d", i, sc)
+		}
+	}
+	if ewma := srv.cpolicy.slot(ds).Load() & 0xFFFF; ewma < compressPermille {
+		t.Fatalf("after %d incompressible objects the policy EWMA is %d, want >= %d", n, ewma, compressPermille)
+	}
+	ramp := make([]byte, size)
+	for i := range ramp {
+		ramp[i] = byte(i)
+	}
+	for i := 0; i < n; i++ {
+		srv.Store.Write(ds, uint32(i), ramp)
+	}
+	lz := 0
+	for i := 0; i < 400; i++ {
+		if readScheme(i) == rdma.SchemeLZ {
+			lz++
+		} else if i >= 200 {
+			t.Fatalf("read %d of the now-compressible DS still came back raw (%d LZ replies so far, policy EWMA %d)",
+				i, lz, srv.cpolicy.slot(ds).Load()&0xFFFF)
+		}
+	}
+}
+
 // TestCompactRangeWriteRMW exercises the dirty-range sub-encoding end
 // to end: only the extents' bytes ship, the server splices them into
 // the stored image, and untouched bytes survive.

@@ -2,8 +2,17 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"cards/internal/rdma"
+	"cards/internal/testutil"
 )
 
 // TestObjectStoreWriteInPlace pins the same-size overwrite path: a
@@ -96,4 +105,387 @@ func TestObjectStoreInPlaceWriteIsAtomic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// flatModel is the oracle the store is held to: one raw image and one
+// epoch per key, with the store's documented rules (DESIGN.md §11/§13)
+// written out the obvious way.
+type flatModel struct {
+	img map[[2]uint32][]byte
+	ep  map[[2]uint32]uint64
+}
+
+// read is ReadInto's contract: the image's prefix, zero-filled to size.
+func (m *flatModel) read(k [2]uint32, size uint32) []byte {
+	out := make([]byte, size)
+	copy(out, m.img[k])
+	return out
+}
+
+func (m *flatModel) write(k [2]uint32, img []byte) {
+	m.img[k] = append([]byte(nil), img...)
+}
+
+// writeEpoch applies iff the stamp is not older than the stored one.
+func (m *flatModel) writeEpoch(k [2]uint32, epoch uint64, img []byte) bool {
+	if epoch < m.ep[k] {
+		return false
+	}
+	m.write(k, img)
+	m.ep[k] = epoch
+	return true
+}
+
+// splice is the read-modify-write of a range tuple: the base resized to
+// objSize, the extents' bytes laid over it.
+func (m *flatModel) splice(k [2]uint32, objSize uint32, exts []rdma.Extent, raw []byte) {
+	base := m.read(k, objSize)
+	off := uint32(0)
+	for _, e := range exts {
+		copy(base[e.Off:e.Off+e.Len], raw[off:off+e.Len])
+		off += e.Len
+	}
+	m.img[k] = base
+}
+
+// spliceEpoch: a newer stored image drops the tuple (positive ack), a
+// base that missed an epoch rejects it, anything else applies.
+func (m *flatModel) spliceEpoch(k [2]uint32, epoch uint64, objSize uint32, exts []rdma.Extent, raw []byte) (rejected bool) {
+	stored := m.ep[k]
+	if stored > epoch {
+		return false
+	}
+	if stored+1 < epoch {
+		return true
+	}
+	m.splice(k, objSize, exts, raw)
+	m.ep[k] = epoch
+	return false
+}
+
+// chase is chaseOne over the model.
+func (m *flatModel) chase(r rdma.ChaseReq) rdma.ChaseResult {
+	var res rdma.ChaseResult
+	shift := uint(bits.TrailingZeros32(r.ObjSize))
+	idx := r.Start
+	for hop := uint32(0); ; hop++ {
+		node := m.read([2]uint32{r.DS, idx}, r.ObjSize)
+		res.Hops = append(res.Hops, rdma.ChaseHop{Idx: idx, Data: node})
+		word := binary.LittleEndian.Uint64(node[r.NextOff:])
+		if !rdma.ChaseAddrTagged(word) || rdma.ChaseAddrDS(word) != r.DS {
+			res.Status, res.Final = rdma.ChaseDone, word
+			return res
+		}
+		if hop+1 == r.Hops {
+			res.Status, res.Final = rdma.ChaseHops, word
+			return res
+		}
+		idx = uint32(rdma.ChaseAddrOff(word) >> shift)
+	}
+}
+
+// TestObjectStoreMatchesFlatModel drives seeded random histories through
+// every way an image reaches or leaves the store — direct Write /
+// WriteEpoch / WriteRange(Epoch), full-object tuples in all three wire
+// schemes and range tuples (plain and stamped) over a session that asked
+// for compression and one that did not, reads at matching and
+// mismatched sizes through both, stamped reads, chase programs — and
+// holds every byte that comes back, every ack bit, and Keys / Len /
+// Epoch to the flat model. Whatever form the store keeps an image in is
+// invisible here by construction: that is the test. Two readers hammer
+// the same keys throughout so the race detector sees every overlap.
+func TestObjectStoreMatchesFlatModel(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const (
+		chaseDS, mixedDS = 1, 2
+		nIdx             = 10
+		nodeSize         = 512
+		steps            = 1500
+	)
+	for seed := int64(1); seed <= 4; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			srv := NewServer()
+			sessions := []*rawSession{dialRaw(t, srv, rdma.OptCompress), dialRaw(t, srv, 0)}
+			model := &flatModel{img: map[[2]uint32][]byte{}, ep: map[[2]uint32]uint64{}}
+
+			// Concurrent readers: one straight at the store, one through its
+			// own compressing session, each doing a short burst per step of
+			// the history. They check nothing but that a read comes back; the
+			// writers below are what they race with.
+			kicks := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+			var readers sync.WaitGroup
+			readerSess := dialRaw(t, srv, rdma.OptCompress)
+			readers.Add(2)
+			go func() {
+				defer readers.Done()
+				buf := make([]byte, nodeSize)
+				i := uint32(0)
+				for range kicks[0] {
+					for n := 0; n < 4; n, i = n+1, i+1 {
+						srv.Store.ReadInto(1+i%2, i%nIdx, buf)
+						srv.Store.ReadEpochInto(1+i%2, i%nIdx, buf[:300])
+					}
+				}
+			}()
+			go func() {
+				defer readers.Done()
+				i := uint32(0)
+				for range kicks[1] {
+					readerSess.read(i%3 == 0, rdma.ReadReq{DS: 1 + i%2, Idx: i % nIdx, Size: nodeSize})
+					i++
+				}
+			}()
+			defer func() {
+				close(kicks[0])
+				close(kicks[1])
+				readers.Wait()
+			}()
+
+			// image draws an object: sparse small ints (LZ shrinks them), noise
+			// (it does not) or zeros; a chaseDS node also gets a successor word.
+			image := func(ds uint32) []byte {
+				size := nodeSize
+				if ds == mixedDS || rng.Intn(8) == 0 {
+					size = []int{64, 256, 300, 512, 1024, 4096}[rng.Intn(6)]
+				}
+				var img []byte
+				switch rng.Intn(5) {
+				case 0:
+					img = make([]byte, size)
+				case 1:
+					img = make([]byte, size)
+					rng.Read(img)
+				default:
+					img = sparseInt64(size, rng)
+				}
+				if ds == chaseDS && rng.Intn(4) != 0 {
+					next := uint64(0xDEAD0000 + rng.Intn(16)) // untagged: terminal
+					if rng.Intn(5) != 0 {
+						next = 1<<63 | uint64(chaseDS)<<48 | uint64(rng.Intn(nIdx+2))*nodeSize
+					}
+					binary.LittleEndian.PutUint64(img[8:], next)
+				}
+				return img
+			}
+			// stamp draws an epoch around the stored one: stale, equal, the
+			// successor, or a gap.
+			stamp := func(k [2]uint32) uint64 {
+				cur := model.ep[k]
+				switch d := rng.Intn(6); {
+				case d == 0 && cur > 0:
+					return cur - 1
+				case d == 1:
+					return cur
+				case d == 2:
+					return cur + 2 + uint64(rng.Intn(3))
+				default:
+					return cur + 1
+				}
+			}
+			extents := func(objSize uint32) (exts []rdma.Extent, raw []byte) {
+				off := uint32(0)
+				for n := 1 + rng.Intn(3); n > 0 && off+2 < objSize; n-- {
+					off += uint32(rng.Intn(int(objSize-off) / 2))
+					l := 1 + uint32(rng.Intn(int(min(objSize-off, 40))))
+					exts = append(exts, rdma.Extent{Off: off, Len: l})
+					off += l
+				}
+				raw = make([]byte, extentBytes(exts))
+				if rng.Intn(3) != 0 { // some splices write zeros, some compressible bytes
+					for i := range raw {
+						raw[i] = byte(rng.Intn(3))
+					}
+				}
+				return exts, raw
+			}
+			check := func(what string, k [2]uint32, got, want []byte) {
+				t.Helper()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("step %s: key %v reads %d bytes that differ from the model (first at %d)",
+						what, k, len(got), firstDiff(got, want))
+				}
+			}
+
+			for step := 0; step < steps; step++ {
+				ds := uint32(1 + rng.Intn(2))
+				k := [2]uint32{ds, uint32(rng.Intn(nIdx))}
+				sess := sessions[rng.Intn(2)]
+				what := fmt.Sprintf("%d", step)
+				for _, kick := range kicks {
+					select {
+					case kick <- struct{}{}:
+					default:
+					}
+				}
+				switch op := rng.Intn(12); op {
+				case 0: // direct raw write
+					img := image(ds)
+					srv.Store.Write(k[0], k[1], img)
+					model.write(k, img)
+				case 1: // direct stamped write
+					img, e := image(ds), stamp(k)
+					if got, want := srv.Store.WriteEpoch(k[0], k[1], e, img), model.writeEpoch(k, e, img); got != want {
+						t.Fatalf("step %s: WriteEpoch(%v, %d) applied=%v, model says %v", what, k, e, got, want)
+					}
+				case 2, 3: // full-object tuple, any scheme, plain
+					img := image(ds)
+					if _, err := sess.write(false, fullTuple(k[0], k[1], 0, img, rng.Intn(3) != 0)); err != nil {
+						t.Fatalf("step %s: %v", what, err)
+					}
+					model.write(k, img)
+				case 4: // full-object tuple, any scheme, stamped
+					img, e := image(ds), stamp(k)
+					if _, err := sess.write(true, fullTuple(k[0], k[1], e, img, rng.Intn(3) != 0)); err != nil {
+						t.Fatalf("step %s: %v", what, err)
+					}
+					model.writeEpoch(k, e, img)
+				case 5: // plain range tuple, objSize free to grow or shrink the object
+					objSize := uint32([]int{256, 512, 512, 1024}[rng.Intn(4)])
+					exts, raw := extents(objSize)
+					if rng.Intn(2) == 0 {
+						srv.Store.WriteRange(k[0], k[1], objSize, exts, raw)
+					} else {
+						r := fullTuple(k[0], k[1], 0, raw, rng.Intn(2) == 0)
+						r.ObjSize, r.Extents = objSize, exts
+						if _, err := sess.write(false, r); err != nil {
+							t.Fatalf("step %s: %v", what, err)
+						}
+					}
+					model.splice(k, objSize, exts, raw)
+				case 6: // stamped range tuple
+					objSize := uint32([]int{256, 512, 512, 1024}[rng.Intn(4)])
+					exts, raw := extents(objSize)
+					e := stamp(k)
+					want := model.spliceEpoch(k, e, objSize, exts, raw)
+					r := fullTuple(k[0], k[1], e, raw, rng.Intn(2) == 0)
+					r.ObjSize, r.Extents = objSize, exts
+					rej, err := sess.write(true, r)
+					if err != nil {
+						t.Fatalf("step %s: %v", what, err)
+					}
+					if got := rej[0]&1 != 0; got != want {
+						t.Fatalf("step %s: stamped splice of %v at epoch %d rejected=%v, model says %v", what, k, e, got, want)
+					}
+				case 7: // chase across whatever forms the nodes are in
+					req := rdma.ChaseReq{DS: chaseDS, Start: uint32(rng.Intn(nIdx)), ObjSize: nodeSize, NextOff: 8, Hops: uint32(1 + rng.Intn(6))}
+					got, want := sess.chase(req), model.chase(req)
+					if got.Status != want.Status || got.Final != want.Final || len(got.Hops) != len(want.Hops) {
+						t.Fatalf("step %s: chase %+v = status %d final %#x over %d hops, model %d %#x %d",
+							what, req, got.Status, got.Final, len(got.Hops), want.Status, want.Final, len(want.Hops))
+					}
+					for i := range want.Hops {
+						if got.Hops[i].Idx != want.Hops[i].Idx {
+							t.Fatalf("step %s: chase hop %d visited %d, model %d", what, i, got.Hops[i].Idx, want.Hops[i].Idx)
+						}
+						check(what+" (chase hop)", [2]uint32{chaseDS, want.Hops[i].Idx}, got.Hops[i].Data, want.Hops[i].Data)
+					}
+				case 8: // direct read, any size
+					size := uint32([]int{0, 8, 256, 300, 512, 1024, 4096}[rng.Intn(7)])
+					check(what+" (Store.Read)", k, srv.Store.Read(k[0], k[1], size), model.read(k, size))
+				default: // session read: two keys in one batch, the stored size or another
+					k2 := [2]uint32{uint32(1 + rng.Intn(2)), uint32(rng.Intn(nIdx + 2))}
+					size := func(k [2]uint32) uint32 {
+						if n := len(model.img[k]); n > 0 && rng.Intn(3) != 0 {
+							return uint32(n)
+						}
+						return uint32([]int{8, 256, 300, 512, 1024, 4096}[rng.Intn(6)])
+					}
+					reqs := []rdma.ReadReq{{DS: k[0], Idx: k[1], Size: size(k)}, {DS: k2[0], Idx: k2[1], Size: size(k2)}}
+					stamped := rng.Intn(3) == 0
+					objs, eps := sess.read(stamped, reqs...)
+					for i, r := range reqs {
+						rk := [2]uint32{r.DS, r.Idx}
+						check(what+" (session read)", rk, objs[i], model.read(rk, r.Size))
+						if stamped && eps[i] != model.ep[rk] {
+							t.Fatalf("step %s: stamped read of %v reports epoch %d, model %d", what, rk, eps[i], model.ep[rk])
+						}
+					}
+				}
+			}
+
+			// The store holds exactly the model's keys, images and epochs.
+			keys := srv.Store.Keys()
+			sort.Slice(keys, func(i, j int) bool {
+				return keys[i][0] < keys[j][0] || keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1]
+			})
+			var want [][2]uint32
+			for k := range model.img {
+				want = append(want, k)
+			}
+			sort.Slice(want, func(i, j int) bool {
+				return want[i][0] < want[j][0] || want[i][0] == want[j][0] && want[i][1] < want[j][1]
+			})
+			if fmt.Sprint(keys) != fmt.Sprint(want) || srv.Store.Len() != len(want) {
+				t.Fatalf("store keys %v (Len %d), model %v", keys, srv.Store.Len(), want)
+			}
+			for _, k := range want {
+				check("final", k, srv.Store.Read(k[0], k[1], uint32(len(model.img[k]))+8), model.read(k, uint32(len(model.img[k]))+8))
+				if got := srv.Store.Epoch(k[0], k[1]); got != model.ep[k] {
+					t.Fatalf("key %v at epoch %d, model %d", k, got, model.ep[k])
+				}
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestForgedLZTupleStoresNothing: a write batch whose CRC is good but
+// whose second tuple carries a corrupt LZ block is refused with a
+// definitive ERRTAG. The tuple before it has applied (write-back reissue
+// is idempotent), the forged one and everything behind it stored
+// nothing, and no reader on any session is ever shown the block.
+func TestForgedLZTupleStoresNothing(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	writer, reader := dialRaw(t, srv, rdma.OptCompress), dialRaw(t, srv, rdma.OptCompress)
+
+	rng := rand.New(rand.NewSource(5))
+	good, victim, after := sparseInt64(4096, rng), sparseInt64(4096, rng), sparseInt64(4096, rng)
+	forged := fullTuple(7, 2, 0, victim, true)
+	if forged.Scheme != rdma.SchemeLZ {
+		t.Fatal("the victim image did not compress")
+	}
+	// Corrupt the block until it no longer decodes to 4096 bytes (a flip
+	// inside a literal run would still decode, to the wrong image — that
+	// is the CRC's job to catch, not the codec's).
+	forged.Data = append([]byte(nil), forged.Data...)
+	for i := 0; rdma.LZDecompress(make([]byte, 4096), forged.Data) == nil; i++ {
+		if i == len(forged.Data) {
+			t.Fatal("no single-byte corruption makes the block undecodable")
+		}
+		forged.Data[i] = 0xFF
+	}
+	_, err := writer.write(false,
+		fullTuple(7, 1, 0, good, true), forged, fullTuple(7, 3, 0, after, false))
+	if err == nil || !strings.Contains(err.Error(), rdma.ErrCorrupt.Error()) {
+		t.Fatalf("forged batch answered with %v, want an ERRTAG naming the corrupt block", err)
+	}
+
+	if got := srv.Store.Read(7, 1, 4096); !bytes.Equal(got, good) {
+		t.Fatal("the tuple ahead of the forged one did not apply")
+	}
+	if srv.Store.Len() != 1 {
+		t.Fatalf("store holds %v after the refusal, want only {7 1}", srv.Store.Keys())
+	}
+	objs, _ := reader.read(false, rdma.ReadReq{DS: 7, Idx: 2, Size: 4096}, rdma.ReadReq{DS: 7, Idx: 3, Size: 4096}, rdma.ReadReq{DS: 7, Idx: 1, Size: 4096})
+	if !rdma.IsAllZero(objs[0]) || !rdma.IsAllZero(objs[1]) || !bytes.Equal(objs[2], good) {
+		t.Fatal("a reader on another session saw something other than {absent, absent, the good image}")
+	}
+	// The writer's session survived, and its reissue lands.
+	if _, err := writer.write(false, fullTuple(7, 2, 0, victim, true)); err != nil {
+		t.Fatal(err)
+	}
+	if objs, _ := reader.read(false, rdma.ReadReq{DS: 7, Idx: 2, Size: 4096}); !bytes.Equal(objs[0], victim) {
+		t.Fatal("reissued write did not land")
+	}
 }

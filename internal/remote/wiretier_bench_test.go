@@ -1,9 +1,11 @@
 package remote
 
 import (
+	"math/rand"
 	"testing"
 
 	"cards/internal/obs"
+	"cards/internal/rdma"
 )
 
 func benchServerRamp(b *testing.B) string {
@@ -59,4 +61,37 @@ func BenchmarkWireTierReadTCP(b *testing.B) {
 			b.ReportMetric(float64(wire)/float64(b.N), "wireB/op")
 		})
 	}
+}
+
+// BenchmarkServerReadStoredLZ prices what cardsd does for one demand
+// fault of a bfs-shaped object its client wrote back compressed: a 4 KiB
+// sparse-int64 image goes in once as an LZ tuple and is then read in a
+// closed loop over net.Pipe by a hand-driven session that only frames
+// the request and discards the reply, so nearly all of ns/op is the
+// server's read path (decode, store lookup, reply assembly, CRC).
+func BenchmarkServerReadStoredLZ(b *testing.B) {
+	srv := NewServer()
+	sess := dialRaw(b, srv, rdma.OptCompress)
+	img := sparseInt64(benchObjSize, rand.New(rand.NewSource(1)))
+	tuple := fullTuple(0, 0, 0, img, true)
+	if tuple.Scheme != rdma.SchemeLZ {
+		b.Fatal("the bfs-shaped image did not compress")
+	}
+	if _, err := sess.write(false, tuple); err != nil {
+		b.Fatal(err)
+	}
+	reqs := []rdma.ReadReq{{DS: 0, Idx: 0, Size: benchObjSize}}
+	b.SetBytes(benchObjSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wire int
+	for i := 0; i < b.N; i++ {
+		resp := sess.call(rdma.EncodeReadBatchCPooled(0, reqs))
+		if resp.Op != rdma.OpDataBatchC {
+			b.Fatalf("read answered with %s", resp.Op)
+		}
+		wire = len(resp.Payload)
+		rdma.PutBuf(resp.Payload)
+	}
+	b.ReportMetric(float64(wire), "replyB")
 }
