@@ -130,20 +130,36 @@ func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
 // TestCompactReadPathSteadyStateAllocFree pins the zero-allocation
 // property of the compact read path: delta-encoded READBATCH-C,
 // server-side gather through a reused DataBatchCBuilder (including the
-// LZ compression pass and its pooled hash table), and client-side
-// segment decode + decompression into a caller buffer. Compression must
-// not put the heap back on the per-frame critical path.
+// LZ compression pass and its pooled hash table, and the verbatim
+// append of images the store already holds in wire form), and
+// client-side segment decode + decompression into a caller buffer.
+// Compression must not put the heap back on the per-frame critical path.
 func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 	reqs := []ReadReq{
 		{DS: 1, Idx: 10, Size: 256},
 		{DS: 1, Idx: 11, Size: 256},
 		{DS: 2, Idx: 7, Size: 256},
+		{DS: 2, Idx: 8, Size: 256},
+		{DS: 2, Idx: 9, Size: 256},
 	}
 	objs := [][]byte{
 		bytes.Repeat([]byte{0xCD}, 256),              // compressible
 		make([]byte, 256),                            // zero
 		bytes.Repeat([]byte("ab4kZ!dDqR91_xw."), 16), // mildly compressible
+		bytes.Repeat([]byte("stored as a block"), 16)[:256],
+		make([]byte, 256),
 	}
+	// The last two come out of the store in wire form: an LZ block and a
+	// zero image, appended without a compression or zero-detection pass.
+	block := make([]byte, CompressBound(256))
+	bn, ok := LZCompress(block, objs[3])
+	if !ok {
+		t.Fatal("stored image did not compress")
+	}
+	stored := map[int]struct {
+		scheme uint8
+		wire   []byte
+	}{3: {SchemeLZ, block[:bn]}, 4: {SchemeZero, nil}}
 
 	var c2s, s2c bytes.Buffer
 	var rd bytes.Reader
@@ -176,6 +192,10 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		b.Reset()
 		for i, r := range decReqs {
 			s := b.Stage(int(r.Size))
+			if st, ok := stored[i]; ok {
+				b.AddWire(st.scheme, int(r.Size), s[:copy(s, st.wire)])
+				continue
+			}
 			copy(s, objs[i])
 			b.Add(s, true)
 		}

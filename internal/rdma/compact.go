@@ -402,6 +402,20 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	return SchemeRaw, len(src)
 }
 
+// AddWire appends one segment that is already in wire form: the LZ block
+// of a rawLen-byte object, or — SchemeZero, wire empty — an all-zero one.
+// The bytes are trusted (the server validated the block when it was
+// written) and not looked at; a block sitting in the last Stage slot is
+// committed in place. A Begin batch cannot carry an LZ segment.
+func (b *DataBatchCBuilder) AddWire(scheme uint8, rawLen int, wire []byte) {
+	if !b.stagedInPlace(wire) {
+		b.ensureData(len(wire))
+		copy(b.data[b.dlen:], wire)
+	}
+	b.dlen += len(wire)
+	b.metas = append(b.metas, dataSegMeta{scheme: scheme, rawLen: uint32(rawLen), wireLen: uint32(len(wire))})
+}
+
 // Frame assembles the DATABATCH-C reply with a pooled payload;
 // the caller should PutBuf the payload after writing the frame. A
 // Begin batch hands off the blob buffer itself — the header bits are
@@ -414,6 +428,9 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		w := NewBitWriter(b.data[:b.hdr])
 		w.Uvarint(uint64(len(b.metas)))
 		for _, m := range b.metas {
+			if m.scheme == SchemeLZ {
+				return Frame{}, fmt.Errorf("rdma: DATABATCH-C LZ segment in a reserved-header batch (Begin/AddWire mismatch)")
+			}
 			w.WriteBits(uint64(m.scheme), 2)
 			w.Uvarint(uint64(m.rawLen))
 		}

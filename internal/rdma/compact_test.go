@@ -230,6 +230,14 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	if s, _ := b.Add(text, false); s != SchemeRaw {
 		t.Fatalf("compression-off add got scheme %d", s)
 	}
+	// Images already in wire form: a block handed over from elsewhere, a
+	// block sitting in the Stage slot, and a zero image.
+	block := make([]byte, CompressBound(len(text)))
+	bn, _ := LZCompress(block, text)
+	b.AddWire(SchemeLZ, len(text), block[:bn])
+	slot := b.Stage(len(text))
+	b.AddWire(SchemeLZ, len(text), slot[:copy(slot, block[:bn])])
+	b.AddWire(SchemeZero, len(zero), nil)
 
 	fr, err := b.Frame(4)
 	if err != nil {
@@ -240,10 +248,10 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(segs) != 4 {
+	if len(segs) != 7 {
 		t.Fatalf("got %d segments", len(segs))
 	}
-	for i, want := range [][]byte{zero, text, noise, text} {
+	for i, want := range [][]byte{zero, text, noise, text, text, text, zero} {
 		s := segs[i]
 		if int(s.RawLen) != len(want) {
 			t.Fatalf("seg %d rawLen %d != %d", i, s.RawLen, len(want))
@@ -261,6 +269,36 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 		if !bytes.Equal(out, want) {
 			t.Fatalf("seg %d data mismatch", i)
 		}
+	}
+}
+
+// TestDataBatchCBuilderBeginRefusesLZ: the reserved-header layout has no
+// room for a block's length, so a Begin batch handed an LZ image fails at
+// Frame instead of emitting a payload that cannot be parsed; a zero image
+// costs the same header bits as a raw one and is fine.
+func TestDataBatchCBuilderBeginRefusesLZ(t *testing.T) {
+	var b DataBatchCBuilder
+	defer b.Release()
+	reqs := []ReadReq{{DS: 1, Idx: 0, Size: 64}, {DS: 1, Idx: 1, Size: 64}}
+	b.Reset()
+	b.Begin(reqs)
+	b.AddWire(SchemeZero, 64, nil)
+	b.Add(bytes.Repeat([]byte{7}, 64), false)
+	fr, err := b.Frame(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := DecodeDataBatchCInto(fr.Payload, nil); err != nil || len(segs) != 2 || segs[0].Scheme != SchemeZero {
+		t.Fatalf("zero image in a Begin batch: %d segments, %v", len(segs), err)
+	}
+	PutBuf(fr.Payload)
+
+	b.Reset()
+	b.Begin(reqs)
+	b.AddWire(SchemeLZ, 64, []byte{0x1F, 7, 1, 0, 44, 0})
+	b.Add(bytes.Repeat([]byte{7}, 64), false)
+	if _, err := b.Frame(2); err == nil {
+		t.Fatal("a Begin batch carrying an LZ segment produced a frame")
 	}
 }
 

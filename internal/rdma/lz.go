@@ -91,11 +91,12 @@ func lzHash(v uint32) uint32 {
 //
 // The parse is LZ4's fast one: hash the four bytes at pos, look up and
 // replace the table entry, and on a miss step ahead by a stride that
-// grows with the length of the miss run. A hit is first extended
-// backwards over the literals still pending (recovering what the sparse
-// inserts lose), then forwards eight bytes per compare. A match inserts
+// grows with the length of the miss run. A hit is extended forwards
+// eight bytes per compare, then backwards over the literals still
+// pending (which a stride past 1 may have stepped over). A match inserts
 // one position behind its end instead of every byte it covers.
 func LZCompress(dst, src []byte) (n int, ok bool) {
+	// Nothing larger than a frame ships, and table positions are uint32.
 	if len(src) < 16 || len(dst) < CompressBound(len(src)) || len(src) > MaxFrame {
 		return 0, false
 	}

@@ -343,11 +343,7 @@ func FuzzLZ(f *testing.F) {
 		}
 	}
 	join := func(seqs ...[]byte) []byte { return bytes.Join(seqs, nil) }
-	for _, s := range []struct {
-		stream []byte
-		dlen   uint16
-		valid  bool
-	}{
+	for _, s := range []lzSeed{
 		{join(lzSeq([]byte("A"), 1, 100), lzSeq(nil, 0, 0)), 101, true},               // off=1, match ends exactly at len(dst)
 		{join(lzSeq([]byte("abc"), 3, 50), lzSeq([]byte("tail"), 0, 0)), 57, true},    // off < mlen, period 3
 		{join(lzSeq([]byte("sevenby"), 7, 1000), lzSeq(nil, 0, 0)), 1007, true},       // long self-overlap, period 7

@@ -8,7 +8,7 @@ package remote
 // Compression is decided online, per data structure: both endpoints
 // track an EWMA of the observed wire/raw ratio and stop attempting
 // compression for a DS whose objects do not shrink, re-probing every
-// probeEvery objects so a workload whose data turns compressible is
+// probePeriod objects so a workload whose data turns compressible is
 // noticed. The decision is a heuristic — correctness never depends on
 // it (every scheme is self-describing on the wire).
 //
@@ -132,7 +132,8 @@ func (p *compressPolicy) slot(ds uint32) *atomic.Uint64 {
 
 // shouldCompress reports whether the next object of ds is worth a
 // compression attempt: always while unseen or historically shrinking,
-// every probePeriod-th object otherwise.
+// every probePeriod-th object otherwise. A call counts an object, so
+// each object gets exactly one.
 func (p *compressPolicy) shouldCompress(ds uint32) bool {
 	s := p.slot(ds)
 	v := s.Load()
@@ -208,13 +209,16 @@ func (s *ObjectStore) WriteRangeEpoch(ds, idx uint32, epoch uint64, objSize uint
 	return false
 }
 
+// spliceLocked lays the extents over the stored object. A base that is
+// not already objSize raw bytes — another size, a compressed or zero
+// image, absent — is first materialised as one; the result stays raw.
 func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Extent, raw []byte) {
-	obj := s.m[k]
-	if uint32(len(obj)) != objSize {
-		nb := make([]byte, objSize)
-		copy(nb, obj)
-		obj = nb
-		s.m[k] = obj
+	im := s.m[k]
+	obj := im.data
+	if im.scheme != rdma.SchemeRaw || uint32(len(obj)) != objSize {
+		obj = make([]byte, objSize)
+		im.expand(obj)
+		s.m[k] = image{scheme: rdma.SchemeRaw, rawLen: objSize, data: obj}
 	}
 	off := uint32(0)
 	for _, e := range exts {
@@ -227,12 +231,15 @@ func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Exte
 // a frame.
 var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
 
-// readBatch answers one READBATCH-C. Each object is staged, classified
-// (zero / compressed / raw — compression only when the session asked
-// for it and the adaptive policy expects the DS to shrink), and packed
-// into one DATABATCH-C reply by the worker's pooled builder. A stamped
-// request gets a stamped reply: every segment carries the object's
-// stored epoch, read under the same lock hold as its bytes.
+// readBatch answers one READBATCH-C. Each object is gathered from the
+// store in the cheapest form this reply can carry — a stored zero image
+// as a zero segment, a stored LZ block verbatim when the session asked
+// for compression and the adaptive policy expects the DS to shrink, raw
+// bytes otherwise, which are then classified (zero / compressed / raw)
+// as they always were — and packed into one DATABATCH-C by the worker's
+// pooled builder. A stamped request gets a stamped reply: every segment
+// carries the object's stored epoch, read under the same lock hold as
+// its bytes.
 func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
 	reqs, err := rdma.DecodeReadBatchCInto(f.Payload, w.reads[:0])
 	if err != nil {
@@ -250,19 +257,21 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 	if size > rdma.MaxFrame {
 		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
+	// One compression verdict per request, drawn once: the policy counts
+	// draws to pace its re-probes of an incompressible DS, so the layout
+	// decision below and the per-object step must share them.
+	try := w.try[:0]
+	tryBatch := false
+	for _, r := range reqs {
+		t := compress && s.cpolicy.shouldCompress(r.DS)
+		try = append(try, t)
+		tryBatch = tryBatch || t
+	}
+	w.try = try
 	// A batch with no compression candidates takes the reserved-header
 	// layout: the staged object bytes become the frame payload directly,
 	// skipping the copy-assembly of the LZ-capable path. (A stamped
 	// reply's header size depends on the epochs, so it never does.)
-	tryBatch := false
-	if compress {
-		for _, r := range reqs {
-			if s.cpolicy.shouldCompress(r.DS) {
-				tryBatch = true
-				break
-			}
-		}
-	}
 	cb := &w.cb
 	cb.Reset()
 	switch {
@@ -271,20 +280,18 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 	case !tryBatch:
 		cb.Begin(reqs)
 	}
-	for _, r := range reqs {
+	for i, r := range reqs {
 		buf := cb.Stage(int(r.Size))
-		var stamp uint64
-		if epoch {
-			stamp = s.Store.ReadEpochInto(r.DS, r.Idx, buf)
+		scheme, wireLen, stamp := s.Store.readWire(r.DS, r.Idx, buf, try[i])
+		if scheme == rdma.SchemeRaw {
+			scheme, wireLen = cb.Add(buf, try[i])
 		} else {
-			s.Store.ReadInto(r.DS, r.Idx, buf)
+			cb.AddWire(scheme, len(buf), buf[:wireLen])
 		}
-		try := tryBatch && s.cpolicy.shouldCompress(r.DS)
-		scheme, wireLen := cb.Add(buf, try)
 		if epoch {
 			cb.Stamp(stamp)
 		}
-		if try && scheme != rdma.SchemeZero {
+		if try[i] && scheme != rdma.SchemeZero {
 			s.cpolicy.observe(r.DS, len(buf), wireLen)
 			if len(buf) > 0 {
 				s.metrics.wire.observeRatio(uint64(wireLen) * 1000 / uint64(len(buf)))
@@ -340,8 +347,10 @@ func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 }
 
 // writeBatch applies one WRITEBATCH-C frame, stamped or not: tuples
-// apply in batch order — full objects through Write/WriteEpoch, range
-// tuples spliced read-modify-write — and the whole batch is
+// apply in batch order — full objects stored in the wire form they came
+// in (an LZ block after one validating decode into the worker's
+// scratch), range tuples spliced read-modify-write — and the whole
+// batch is
 // acknowledged with one ACKBATCH-C whose bitmap marks the stamped range
 // tuples rejected for a stale base. Writes within a batch are ordered;
 // two batches may be applied in either order (see the ServeConn
@@ -364,6 +373,8 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 	clear(rej)
 	for i := range reqs {
 		r := &reqs[i]
+		// For a full object this is the validating decode of an LZ block
+		// (raw and zero tuples cost nothing here); only range tuples use raw.
 		raw, merr := cw.materialize(r)
 		if merr != nil {
 			// A tuple that passed CRC but fails decompression is corrupt
@@ -374,9 +385,9 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 		}
 		if r.Extents == nil {
 			if epoch {
-				s.Store.WriteEpoch(r.DS, r.Idx, r.Epoch, raw)
+				s.Store.writeWireEpoch(r.DS, r.Idx, r.Epoch, r.Scheme, r.RawLen, r.Data)
 			} else {
-				s.Store.Write(r.DS, r.Idx, raw)
+				s.Store.writeWire(r.DS, r.Idx, r.Scheme, r.RawLen, r.Data)
 			}
 			continue
 		}

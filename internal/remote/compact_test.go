@@ -53,7 +53,7 @@ func TestCompactSessionRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, v) {
 			t.Fatalf("roundtrip mismatch for %v", k)
 		}
-		// The server stored the decompressed image, not the wire form.
+		// Whatever form the server kept it in, Store.Read expands it.
 		if stored := srv.Store.Read(uint32(k[0]), uint32(k[1]), uint32(len(v))); !bytes.Equal(stored, v) {
 			t.Fatalf("server stored corrupted bytes for %v", k)
 		}

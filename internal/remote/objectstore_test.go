@@ -406,17 +406,16 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 			}
 
 			// The store holds exactly the model's keys, images and epochs.
+			byKey := func(ks [][2]uint32) {
+				sort.Slice(ks, func(i, j int) bool { return ks[i][0] < ks[j][0] || ks[i][0] == ks[j][0] && ks[i][1] < ks[j][1] })
+			}
 			keys := srv.Store.Keys()
-			sort.Slice(keys, func(i, j int) bool {
-				return keys[i][0] < keys[j][0] || keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1]
-			})
 			var want [][2]uint32
 			for k := range model.img {
 				want = append(want, k)
 			}
-			sort.Slice(want, func(i, j int) bool {
-				return want[i][0] < want[j][0] || want[i][0] == want[j][0] && want[i][1] < want[j][1]
-			})
+			byKey(keys)
+			byKey(want)
 			if fmt.Sprint(keys) != fmt.Sprint(want) || srv.Store.Len() != len(want) {
 				t.Fatalf("store keys %v (Len %d), model %v", keys, srv.Store.Len(), want)
 			}

@@ -34,15 +34,54 @@ import (
 // images can never clobber a newer write, and epoch-stamped reads
 // report the stored stamp so a client can tell a current image from a
 // stale backup.
+//
+// Each object is held once, in the wire form it arrived in (see image):
+// a write-back its client compressed stays compressed, and a read on a
+// session that takes LZ segments gets those bytes back verbatim. Every
+// exported method speaks raw bytes and expands on the way out.
 type ObjectStore struct {
 	mu sync.RWMutex
-	m  map[[2]uint32][]byte
+	m  map[[2]uint32]image
 	ep map[[2]uint32]uint64
+}
+
+// image is one stored object as the (scheme, rawLen, bytes) triple a
+// WRITEBATCH-C tuple or DATABATCH-C segment carries it in: SchemeRaw
+// holds the rawLen bytes themselves, SchemeLZ an LZ block that decoded
+// to rawLen bytes when the server validated it on arrival, SchemeZero
+// nothing. An absent object reads as image's zero value: raw, no bytes.
+type image struct {
+	scheme uint8
+	rawLen uint32
+	data   []byte
+}
+
+// expand fills dst with the image's raw bytes under ReadInto's contract:
+// the object's prefix, zero-filled when it is shorter than dst.
+func (im image) expand(dst []byte) {
+	n := 0
+	switch {
+	case len(dst) == 0:
+	case im.scheme == rdma.SchemeRaw:
+		n = copy(dst, im.data)
+	case im.scheme == rdma.SchemeLZ:
+		// A block only decodes whole: straight into dst when it fits,
+		// through a temporary for a read shorter than the object.
+		raw := dst
+		if n = int(im.rawLen); n > len(dst) {
+			raw = make([]byte, n)
+		}
+		if err := rdma.LZDecompress(raw[:n], im.data); err != nil {
+			panic(fmt.Sprintf("remote: stored LZ image no longer decodes: %v", err)) // validated on arrival
+		}
+		n = copy(dst, raw[:n])
+	}
+	clear(dst[n:])
 }
 
 // NewObjectStore creates an empty store.
 func NewObjectStore() *ObjectStore {
-	return &ObjectStore{m: make(map[[2]uint32][]byte), ep: make(map[[2]uint32]uint64)}
+	return &ObjectStore{m: make(map[[2]uint32]image), ep: make(map[[2]uint32]uint64)}
 }
 
 // Read copies the object into a fresh buffer of the requested size
@@ -55,35 +94,65 @@ func (s *ObjectStore) Read(ds, idx, size uint32) []byte {
 
 // ReadInto copies the object into dst (zero-filling the tail when the
 // object is absent or shorter) — the allocation-free gather path the
-// batch workers use to fill reply buffers in place.
+// chase walk uses to fill reply buffers in place.
 func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) {
 	s.mu.RLock()
-	n := copy(dst, s.m[[2]uint32{ds, idx}])
+	s.m[[2]uint32{ds, idx}].expand(dst)
 	s.mu.RUnlock()
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
+}
+
+// readWire is the batch workers' gather: it copies the object into dst
+// (len(dst) is the size the client asked for) in the cheapest form the
+// caller takes, and says which, with the stored epoch stamp read under
+// the same lock hold.
+//
+//   - SchemeZero: the object is absent or stored as zeros; dst is untouched.
+//   - SchemeLZ (only when lz is set): dst[:n] holds the stored block, which
+//     expands to exactly len(dst) bytes.
+//   - SchemeRaw: dst holds the raw bytes as ReadInto leaves them; n is
+//     len(dst).
+func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, lz bool) (scheme uint8, n int, epoch uint64) {
+	k := [2]uint32{ds, idx}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	im, ok := s.m[k]
+	epoch = s.ep[k]
+	switch {
+	case !ok || im.scheme == rdma.SchemeZero:
+		return rdma.SchemeZero, 0, epoch
+	case lz && im.scheme == rdma.SchemeLZ && int(im.rawLen) == len(dst):
+		return rdma.SchemeLZ, copy(dst, im.data), epoch
 	}
+	im.expand(dst)
+	return rdma.SchemeRaw, len(dst), epoch
 }
 
 // Write stores a copy of data.
 func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
+	s.writeWire(ds, idx, rdma.SchemeRaw, uint32(len(data)), data)
+}
+
+// writeWire stores a copy of a full-object image in wire form. An LZ
+// block must already have been decoded once to rawLen bytes: the store
+// trusts it from here on.
+func (s *ObjectStore) writeWire(ds, idx uint32, scheme uint8, rawLen uint32, wire []byte) {
 	s.mu.Lock()
-	s.putLocked([2]uint32{ds, idx}, data)
+	s.putLocked([2]uint32{ds, idx}, scheme, rawLen, wire)
 	s.mu.Unlock()
 }
 
-// putLocked stores a copy of data under k (caller holds mu for
-// writing). A resident image of the same length is overwritten in
-// place: stored slices never leave the store — every reader copies out
-// under the lock — so only a size change needs a fresh allocation.
-func (s *ObjectStore) putLocked(k [2]uint32, data []byte) {
-	if obj, ok := s.m[k]; ok && len(obj) == len(data) {
-		copy(obj, data)
-		return
+// putLocked stores a copy of wire under k (caller holds mu for
+// writing). The resident image's buffer is reused when the new bytes
+// fit it without leaving more than half of it idle — a same-size
+// overwrite allocates nothing, and a block that replaces a raw image
+// does not pin the raw image's footprint. Stored slices never leave the
+// store: every reader copies out under the lock.
+func (s *ObjectStore) putLocked(k [2]uint32, scheme uint8, rawLen uint32, wire []byte) {
+	buf := s.m[k].data[:0]
+	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
+		buf = nil
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.m[k] = cp
+	s.m[k] = image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...)}
 }
 
 // WriteEpoch stores a copy of data stamped with epoch iff epoch is at
@@ -94,13 +163,18 @@ func (s *ObjectStore) putLocked(k [2]uint32, data []byte) {
 // live write and a concurrent anti-entropy replay serialize correctly
 // whichever order they arrive.
 func (s *ObjectStore) WriteEpoch(ds, idx uint32, epoch uint64, data []byte) bool {
+	return s.writeWireEpoch(ds, idx, epoch, rdma.SchemeRaw, uint32(len(data)), data)
+}
+
+// writeWireEpoch is WriteEpoch for an image in wire form (see writeWire).
+func (s *ObjectStore) writeWireEpoch(ds, idx uint32, epoch uint64, scheme uint8, rawLen uint32, wire []byte) bool {
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if epoch < s.ep[k] {
 		return false
 	}
-	s.putLocked(k, data)
+	s.putLocked(k, scheme, rawLen, wire)
 	s.ep[k] = epoch
 	return true
 }
@@ -112,13 +186,9 @@ func (s *ObjectStore) WriteEpoch(ds, idx uint32, epoch uint64, data []byte) bool
 func (s *ObjectStore) ReadEpochInto(ds, idx uint32, dst []byte) uint64 {
 	k := [2]uint32{ds, idx}
 	s.mu.RLock()
-	n := copy(dst, s.m[k])
-	epoch := s.ep[k]
-	s.mu.RUnlock()
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return epoch
+	defer s.mu.RUnlock()
+	s.m[k].expand(dst)
+	return s.ep[k]
 }
 
 // Epoch returns the stored epoch stamp for an object (0 when absent).
@@ -410,6 +480,7 @@ func (c *srvConn) send(resp rdma.Frame) error {
 // reply payloads come from the frame buffer pool.
 type workerScratch struct {
 	reads  []rdma.ReadReq
+	try    []bool // per read: attempt compression (one policy verdict each)
 	chases []rdma.ChaseReq
 	cb     rdma.DataBatchCBuilder
 	cw     writeScratch
