@@ -69,6 +69,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzLZ$$' -fuzztime $(FUZZTIME) ./internal/rdma
+	$(GO) test -run '^$$' -fuzz '^FuzzWords$$' -fuzztime $(FUZZTIME) ./internal/rdma
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 

@@ -382,3 +382,29 @@ func TestLZCodecSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestWordsCodecSteadyStateAllocFree is the same pin for the lane-packed
+// codec: scanning, packing, checking and unpacking touch no heap, on the
+// shapes that pack and (the scan alone) on those that do not.
+func TestWordsCodecSteadyStateAllocFree(t *testing.T) {
+	for _, sh := range append(lzShapes(), wordsShapes()...) {
+		block := make([]byte, WordsBound(len(sh.obj)))
+		out := make([]byte, len(sh.obj))
+		iter := func() {
+			lo, w := ScanWords(sh.obj)
+			if w < 1 {
+				return
+			}
+			n := PackWords(block, sh.obj, lo, w)
+			if !CheckWords(block[:n], len(out)) {
+				t.Fatal("packed block refused")
+			}
+			if err := UnpackWords(out, block[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(200, iter); n != 0 {
+			t.Fatalf("%s: scan+pack+check+unpack allocate %.1f times per object, want 0", sh.name, n)
+		}
+	}
+}

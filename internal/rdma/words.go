@@ -1,0 +1,165 @@
+package rdma
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// Lane-packed words (SchemeWords): the codec for what the far tier mostly
+// holds — arrays of 8-byte words carrying small numbers. Such an object
+// uses a few adjacent byte lanes of its words and leaves many words zero;
+// a byte-oriented match finder spends microseconds rediscovering that,
+// word by word. This codec states it once:
+//
+//	lo:u8 | w:u8 | bitmap[rawLen/64] | popcount(bitmap) × w bytes
+//
+// lo is the lowest occupied byte lane, w in 1..4 the number of lanes kept
+// (lo+w <= 8). Bit j of bitmap byte g is set iff word 8g+j is present;
+// each present word follows as (word >> 8·lo) in w little-endian bytes,
+// in order. Absent words are zero.
+//
+// An object is eligible iff its length is a positive multiple of 64 and
+// every set bit of every word lies in lanes [lo, lo+w) for some w <= 4.
+// The block is then at most WordsBound bytes, always less than the
+// object.
+//
+// A block is valid for rawLen (CheckWords) iff rawLen is a positive
+// multiple of 64, the header is in range and
+//
+//	len(block) == 2 + rawLen/64 + popcount(bitmap)·w.
+//
+// That equation is the whole validity argument: decoding reads the
+// bitmap's rawLen/64 bytes and then exactly w bytes per set bit, so it
+// ends on the block's last byte, and it stores one word per bitmap bit,
+// so it writes every byte of dst. Nothing after the check can fail. A
+// set bit over a zero word, or lanes wider than the data needs, is legal
+// and merely not what PackWords emits.
+
+const wordsHdr = 2 // lo, w
+
+// WordsBound is the size of the largest block PackWords emits for an
+// n-byte object, and the room its dst must have.
+func WordsBound(n int) int { return wordsHdr + n/64 + n/2 }
+
+// ScanWords classifies an object in one pass, 64 bytes at a time:
+//
+//	w == 0       every byte is zero (any length, the empty object included)
+//	1 <= w <= 4  eligible: PackWords(dst, src, lo, w) applies
+//	w < 0        neither
+//
+// It gives up in the group where the occupied lanes first span more than
+// four — the first cache line of noise, text or a full-width word — so
+// an object that will not pack costs one line, not a pass.
+func ScanWords(src []byte) (lo, w int) {
+	var acc uint64
+	b := src
+	for ; len(b) >= 64; b = b[64:] {
+		g := b[:64]
+		acc |= binary.LittleEndian.Uint64(g) | binary.LittleEndian.Uint64(g[8:]) |
+			binary.LittleEndian.Uint64(g[16:]) | binary.LittleEndian.Uint64(g[24:]) |
+			binary.LittleEndian.Uint64(g[32:]) | binary.LittleEndian.Uint64(g[40:]) |
+			binary.LittleEndian.Uint64(g[48:]) | binary.LittleEndian.Uint64(g[56:])
+		if acc != 0 {
+			lo = bits.TrailingZeros64(acc) >> 3
+			w = 8 - bits.LeadingZeros64(acc)>>3 - lo
+			if w > 4 {
+				return 0, -1
+			}
+		}
+	}
+	if len(b) > 0 {
+		// Not whole groups: only the zero verdict is on offer.
+		for _, c := range b {
+			acc |= uint64(c)
+		}
+		if acc != 0 {
+			return 0, -1
+		}
+	}
+	return lo, w
+}
+
+// PackWords encodes src, which ScanWords found eligible at lanes
+// [lo, lo+w), into dst and returns the block's length. dst must have
+// room for WordsBound(len(src)) bytes and must not overlap src.
+func PackWords(dst, src []byte, lo, w int) int {
+	groups := len(src) / 64
+	dst[0], dst[1] = byte(lo), byte(w)
+	bitmap := dst[wordsHdr : wordsHdr+groups]
+	out := wordsHdr + groups
+	shift := uint(8 * lo)
+	for g := range bitmap {
+		grp := src[64*g : 64*g+64]
+		var present byte
+		for j := 0; j < 8; j++ {
+			v := binary.LittleEndian.Uint64(grp[8*j:])
+			if v == 0 {
+				continue
+			}
+			present |= 1 << j
+			// A four-byte store whatever w is; the next word, or nothing,
+			// overwrites the excess. It stays inside WordsBound: with k of
+			// the n/8 words stored, out+4 = 2+n/64+k·w+4 <= 2+n/64+(n/8)·4.
+			binary.LittleEndian.PutUint32(dst[out:], uint32(v>>shift))
+			out += w
+		}
+		bitmap[g] = present
+	}
+	return out
+}
+
+// CheckWords reports whether block is a valid lane-packed image of a
+// rawLen-byte object. It reads the header and the bitmap only.
+func CheckWords(block []byte, rawLen int) bool {
+	groups := rawLen / 64
+	if rawLen <= 0 || rawLen%64 != 0 || len(block) < wordsHdr+groups {
+		return false
+	}
+	lo, w := int(block[0]), int(block[1])
+	if w < 1 || w > 4 || lo+w > 8 {
+		return false
+	}
+	bitmap := block[wordsHdr : wordsHdr+groups]
+	present := 0
+	for ; len(bitmap) >= 8; bitmap = bitmap[8:] {
+		present += bits.OnesCount64(binary.LittleEndian.Uint64(bitmap))
+	}
+	for _, b := range bitmap {
+		present += bits.OnesCount8(b)
+	}
+	return len(block) == wordsHdr+groups+present*w
+}
+
+// UnpackWords expands block into dst, which must be exactly the original
+// length. A block CheckWords refuses is ErrCorrupt and leaves dst
+// untouched; any other fills all of dst.
+func UnpackWords(dst, block []byte) error {
+	if !CheckWords(block, len(dst)) {
+		return ErrCorrupt
+	}
+	groups := len(dst) / 64
+	w := int(block[1])
+	shift := uint(8 * block[0])
+	mask := uint64(1)<<(8*w) - 1
+	in := wordsHdr + groups
+	for g, present := range block[wordsHdr:in] {
+		grp := dst[64*g : 64*g+64]
+		for j := 0; j < 8; j++ {
+			var v uint64
+			if present>>j&1 != 0 {
+				if in+4 <= len(block) {
+					v = uint64(binary.LittleEndian.Uint32(block[in:])) & mask
+				} else {
+					// The last word or so of a w < 4 block: a four-byte load
+					// would read past the end.
+					for k := w - 1; k >= 0; k-- {
+						v = v<<8 | uint64(block[in+k])
+					}
+				}
+				in += w
+			}
+			binary.LittleEndian.PutUint64(grp[8*j:], v<<shift)
+		}
+	}
+	return nil
+}

@@ -1,0 +1,243 @@
+package rdma
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+)
+
+// refUnpackWords is the format written out byte by byte: one bitmap bit
+// per word, w bytes per set bit landing in lanes lo.., nothing else. It
+// checks only what it must to stay in bounds.
+func refUnpackWords(block []byte, rawLen int) ([]byte, bool) {
+	groups := rawLen / 64
+	if rawLen <= 0 || rawLen%64 != 0 || len(block) < 2+groups {
+		return nil, false
+	}
+	lo, w := int(block[0]), int(block[1])
+	if w < 1 || w > 4 || lo+w > 8 {
+		return nil, false
+	}
+	out := make([]byte, rawLen)
+	in := 2 + groups
+	for word := 0; word < rawLen/8; word++ {
+		if block[2+word/8]>>(word%8)&1 == 0 {
+			continue
+		}
+		if in+w > len(block) {
+			return nil, false
+		}
+		copy(out[8*word+lo:], block[in:in+w])
+		in += w
+	}
+	return out, in == len(block)
+}
+
+// refScanWords is ScanWords' contract a byte at a time.
+func refScanWords(src []byte) (lo, w int) {
+	minLane, maxLane := 8, -1
+	for i, c := range src {
+		if c != 0 {
+			minLane, maxLane = min(minLane, i%8), max(maxLane, i%8)
+		}
+	}
+	switch {
+	case maxLane < 0:
+		return 0, 0
+	case len(src)%64 != 0 || maxLane-minLane >= 4:
+		return 0, -1
+	}
+	return minLane, maxLane - minLane + 1
+}
+
+// wordsSeed is one hand-built block, the object size it claims to expand
+// to, and whether the format accepts the pair.
+type wordsSeed struct {
+	name   string
+	block  []byte
+	rawLen uint32
+	valid  bool
+}
+
+// wordsEdgeSeeds sit on every edge of CheckWords' verdict and of the
+// decoder's four-byte-load guard.
+func wordsEdgeSeeds() []wordsSeed {
+	blk := func(lo, w byte, bitmap []byte, words ...byte) []byte {
+		return append(append([]byte{lo, w}, bitmap...), words...)
+	}
+	seq := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(0xA0 + i)
+		}
+		return b
+	}
+	return []wordsSeed{
+		{"w=0", blk(0, 0, []byte{0x00}), 64, false},
+		{"w=0 with a set bit", blk(0, 0, []byte{0x01}), 64, false},
+		{"w=1", blk(0, 1, []byte{0x01}, 0xAB), 64, true},
+		{"w=4", blk(0, 4, []byte{0x80}, 1, 2, 3, 4), 64, true},
+		{"w=5", blk(0, 5, []byte{0x01}, 1, 2, 3, 4, 5), 64, false},
+		{"lo+w=8, lanes 4-7 (short-mantissa float64s)", blk(4, 4, []byte{0x11}, seq(8)...), 64, true},
+		{"lo+w=8, top lane only (tagged handles)", blk(7, 1, []byte{0xFF}, seq(8)...), 64, true},
+		{"lo+w=9", blk(5, 4, []byte{0x01}, 1, 2, 3, 4), 64, false},
+		{"lo=8", blk(8, 1, []byte{0x01}, 1), 64, false},
+		{"lo=255", blk(255, 1, []byte{0x01}, 1), 64, false},
+		{"rawLen=0", blk(0, 1, nil), 0, false},
+		{"rawLen=56", blk(0, 1, nil, 1), 56, false},
+		{"rawLen=72", blk(0, 1, []byte{0x01}, 1), 72, false},
+		{"rawLen=MaxFrame, block far too short for the bitmap", blk(0, 1, []byte{0x01}, 1), MaxFrame, false},
+		{"empty bitmap", blk(0, 2, []byte{0x00}), 64, true},
+		{"header only", []byte{0, 1}, 64, false},
+		{"one byte", []byte{0}, 64, false},
+		{"popcount one more than the word area holds", blk(0, 2, []byte{0x03}, 1, 2), 64, false},
+		{"popcount one fewer than the word area holds", blk(0, 2, []byte{0x01}, 1, 2, 3, 4), 64, false},
+		{"word area one byte short", blk(0, 3, []byte{0x03}, 1, 2, 3, 4, 5), 64, false},
+		{"all-ones bitmap, w=4", blk(0, 4, []byte{0xFF, 0xFF}, seq(64)...), 128, true},
+		{"set bit over a zero word (legal, not canonical)", blk(0, 2, []byte{0x05}, 0, 0, 0x34, 0x12), 64, true},
+		{"lanes wider than the data (legal, not canonical)", blk(0, 4, []byte{0x02}, 7, 0, 0, 0), 64, true},
+		// The block ends on the last word's last byte: a four-byte load of
+		// any of the last words of a w < 4 block would pass it.
+		{"w=1 tail", blk(2, 1, []byte{0xFF}, seq(8)...), 64, true},
+		{"w=2 tail", blk(1, 2, []byte{0xFF}, seq(16)...), 64, true},
+		{"w=3 tail", blk(0, 3, []byte{0xFF}, seq(24)...), 64, true},
+		{"w=3, one word, at the very end", blk(5, 3, []byte{0x00, 0x80}, 0xC5, 0xC5, 0xC5), 128, true},
+	}
+}
+
+// checkWordsBlock holds CheckWords and UnpackWords to each other and to
+// the reference on one (block, rawLen) pair, and returns the verdict.
+func checkWordsBlock(t testing.TB, block []byte, rawLen int) bool {
+	t.Helper()
+	orig := append([]byte(nil), block...)
+	want, valid := refUnpackWords(block, rawLen)
+	if ok := CheckWords(block, rawLen); ok != valid {
+		t.Fatalf("CheckWords = %v, reference says %v", ok, valid)
+	}
+	got, intact := guarded(rawLen) // pre-filled with 0xC5
+	err := UnpackWords(got, block)
+	if (err == nil) != valid {
+		t.Fatalf("UnpackWords = %v, CheckWords says valid=%v", err, valid)
+	}
+	if !intact() {
+		t.Fatal("UnpackWords wrote outside dst")
+	}
+	if !bytes.Equal(block, orig) {
+		t.Fatal("UnpackWords modified the block")
+	}
+	if !valid {
+		if !bytes.Equal(got, bytes.Repeat([]byte{0xC5}, rawLen)) {
+			t.Fatal("UnpackWords refused the block but wrote to dst")
+		}
+		return false
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("UnpackWords differs from the reference")
+	}
+	// Every byte of dst is written: a second dst that started out
+	// different ends up the same.
+	again := bytes.Repeat([]byte{0x3A}, rawLen)
+	if err := UnpackWords(again, block); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("UnpackWords left bytes of dst as it found them (err=%v)", err)
+	}
+	return true
+}
+
+// checkWordsPack holds ScanWords to its byte-wise contract on src and, if
+// src is eligible, PackWords to the block properties.
+func checkWordsPack(t testing.TB, src []byte) {
+	t.Helper()
+	orig := append([]byte(nil), src...)
+	lo, w := ScanWords(src)
+	if wantLo, wantW := refScanWords(src); lo != wantLo || w != wantW {
+		t.Fatalf("ScanWords = lanes [%d,+%d), byte-wise reference [%d,+%d)", lo, w, wantLo, wantW)
+	}
+	if w < 1 {
+		return // zero, a word outside a four-lane window, or not whole groups
+	}
+	dst, intact := guarded(WordsBound(len(src)))
+	n := PackWords(dst, src, lo, w)
+	if !intact() {
+		t.Fatal("PackWords wrote outside dst")
+	}
+	if !bytes.Equal(src, orig) {
+		t.Fatal("PackWords modified src")
+	}
+	if n >= len(src) || n > WordsBound(len(src)) {
+		t.Fatalf("PackWords emitted %d bytes for %d in (bound %d)", n, len(src), WordsBound(len(src)))
+	}
+	if back, ok := refUnpackWords(dst[:n], len(src)); !ok || !bytes.Equal(back, src) {
+		t.Fatalf("PackWords output does not unpack under the reference to the input (valid=%v)", ok)
+	}
+	if !checkWordsBlock(t, dst[:n], len(src)) {
+		t.Fatal("PackWords output fails CheckWords")
+	}
+}
+
+// wordsShapes are the lzShapes that pack, plus one whose live lanes are
+// the top four (float64s with short mantissas).
+func wordsShapes() []lzShape {
+	var out []lzShape
+	for _, sh := range lzShapes() {
+		if _, w := ScanWords(sh.obj); w > 0 {
+			out = append(out, sh)
+		}
+	}
+	floats := make([]byte, 4096)
+	for i := 0; i < 512; i += 3 {
+		binary.LittleEndian.PutUint64(floats[8*i:], 0x4059000000000000+uint64(i)<<36)
+	}
+	return append(out, lzShape{"float64-short", floats})
+}
+
+// FuzzWords holds the lane-packed codec to its format:
+//
+//   - data as a (possibly forged) block for a rawLen-byte object:
+//     CheckWords and UnpackWords reach the reference's verdict; a refused
+//     block leaves dst untouched, an accepted one fills it with the
+//     reference's bytes; nothing is written outside dst;
+//   - data as an object: ScanWords answers what a byte-wise scan answers,
+//     and an eligible object packs — inside a dst of WordsBound, without
+//     touching src — to a shorter block that passes CheckWords and
+//     unpacks to the object.
+func FuzzWords(f *testing.F) {
+	for _, s := range wordsEdgeSeeds() {
+		f.Add(s.block, s.rawLen)
+	}
+	for _, sh := range wordsShapes() {
+		f.Add(sh.obj, uint32(len(sh.obj)))
+		dst := make([]byte, WordsBound(len(sh.obj)))
+		lo, w := ScanWords(sh.obj)
+		f.Add(dst[:PackWords(dst, sh.obj, lo, w)], uint32(len(sh.obj)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rawLen uint32) {
+		// Objects of any size share one code path; keep the fuzzer's dst small.
+		checkWordsBlock(t, data, int(rawLen%(1<<17)))
+		checkWordsPack(t, data)
+	})
+}
+
+// TestWordsEdgeSeeds checks each hand-built block is what its name says
+// — at the size it names, MaxFrame included — and that every shape that
+// should pack does.
+func TestWordsEdgeSeeds(t *testing.T) {
+	for _, s := range wordsEdgeSeeds() {
+		t.Run(s.name, func(t *testing.T) {
+			if got := checkWordsBlock(t, s.block, int(s.rawLen)); got != s.valid {
+				t.Fatalf("block % x for %d bytes: valid=%v, want %v", s.block, s.rawLen, got, s.valid)
+			}
+			checkWordsPack(t, s.block)
+		})
+	}
+	shapes := wordsShapes()
+	if len(shapes) != 3 {
+		t.Fatalf("%d shapes pack, want int64-sparse, taxi-column and float64-short", len(shapes))
+	}
+	for _, sh := range shapes {
+		checkWordsPack(t, sh.obj)
+	}
+	for _, sh := range lzShapes() {
+		checkWordsPack(t, sh.obj)
+		checkWordsPack(t, sh.obj[:len(sh.obj)-8]) // not whole groups
+	}
+}
