@@ -92,17 +92,22 @@ chaos:
 # farmem.guard_hit_ns rung installs neither) and
 # BenchmarkInterpLoopNsPerInstr (the analytics histogram kernel over
 # local memory: dispatch, operand and call cost per IR instruction).
-# Two more live beside the code they price, where the ladder's
+# The rest live beside the code they price, where the ladder's
 # rdma.lz_* rungs (one byte ramp, cleared at GB/s) see nothing:
-# BenchmarkLZShapes (internal/rdma: the block codec on the 4 KiB object
-# shapes bfs, analytics, array-read and store-fanin ship, MB/s and
-# ratio each way) and BenchmarkServerReadStoredLZ (internal/remote:
-# cardsd's whole read path for a bfs-shaped object its client wrote
-# back compressed).
+# BenchmarkLZShapes (internal/rdma: both block codecs on the 4 KiB
+# object shapes bfs, analytics, array-read and store-fanin ship — LZ
+# compress/decompress MB/s and ratio on all of them, words/scan, pack,
+# unpack and check with the block size on those that lane-pack, and
+# scan/bail, which fails if giving up on a noise or byte-ramp object
+# takes more than the first 64 bytes), BenchmarkServerReadStoredLZ and
+# BenchmarkServerReadStoredWords (internal/remote: cardsd's whole read
+# path for a bfs-shaped object its client wrote back compressed, per
+# scheme) and BenchmarkServerWriteAdmit (cardsd taking that write-back:
+# an LZ tuple's validating decode against a words tuple's CheckWords).
 bench:
 	$(GO) test -bench . -benchtime 2s -run '^$$' .
 	$(GO) test -bench 'LZShapes' -benchtime 1s -run '^$$' ./internal/rdma
-	$(GO) test -bench 'ServerReadStoredLZ' -benchtime 1s -run '^$$' ./internal/remote
+	$(GO) test -bench 'ServerReadStored|ServerWriteAdmit' -benchtime 1s -run '^$$' ./internal/remote
 
 # bench-smoke runs the real-socket sweeps briefly (TCP loopback) and
 # records their tables for trend tracking.

@@ -141,6 +141,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		{DS: 2, Idx: 7, Size: 256},
 		{DS: 2, Idx: 8, Size: 256},
 		{DS: 2, Idx: 9, Size: 256},
+		{DS: 2, Idx: 10, Size: 256},
 	}
 	objs := [][]byte{
 		bytes.Repeat([]byte{0xCD}, 256),              // compressible
@@ -148,6 +149,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		bytes.Repeat([]byte("ab4kZ!dDqR91_xw."), 16), // mildly compressible
 		bytes.Repeat([]byte("stored as a block"), 16)[:256],
 		make([]byte, 256),
+		lzShapes()[0].obj[:256], // small int64s: lane-packed
 	}
 	// The last two come out of the store in wire form: an LZ block and a
 	// zero image, appended without a compression or zero-detection pass.
@@ -232,6 +234,10 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 				copy(d, s.Data)
 			case SchemeLZ:
 				if err := LZDecompress(d, s.Data); err != nil {
+					t.Fatal(err)
+				}
+			case SchemeWords:
+				if err := UnpackWords(d, s.Data); err != nil {
 					t.Fatal(err)
 				}
 			}

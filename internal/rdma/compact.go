@@ -14,9 +14,10 @@ import "fmt"
 // Object payloads follow the headers byte-aligned, each tagged with a
 // two-bit scheme:
 //
-//	SchemeRaw  — verbatim bytes
-//	SchemeLZ   — an LZ block (lz.go); decompressed length from the header
-//	SchemeZero — all-zero object, no bytes at all
+//	SchemeRaw   — verbatim bytes
+//	SchemeLZ    — an LZ block (lz.go); decompressed length from the header
+//	SchemeZero  — all-zero object, no bytes at all
+//	SchemeWords — a lane-packed word block (words.go); likewise
 //
 // Payloads (after the bit-stream header, A = byte alignment; [epoch] is
 // a u64 varint present iff the opcode carries EpochBit):
@@ -48,10 +49,15 @@ import "fmt"
 
 // Segment compression schemes (2 bits on the wire).
 const (
-	SchemeRaw  uint8 = 0
-	SchemeLZ   uint8 = 1
-	SchemeZero uint8 = 2
+	SchemeRaw   uint8 = 0
+	SchemeLZ    uint8 = 1
+	SchemeZero  uint8 = 2
+	SchemeWords uint8 = 3
 )
+
+// schemePacked reports whether a scheme's bytes are a compressed block,
+// whose length the header carries beside the raw one.
+func schemePacked(scheme uint8) bool { return scheme == SchemeLZ || scheme == SchemeWords }
 
 // Extent is one modified byte range of an object, used by range-write
 // tuples. Extents in a tuple are sorted by Off and non-overlapping.
@@ -199,17 +205,13 @@ func DecodeDataSegsInto(p []byte, segs []DataSegC, epoch bool) ([]DataSegC, erro
 			return nil, fmt.Errorf("rdma: DATABATCH-C segment %d rawLen %d exceeds MaxFrame", i, raw)
 		}
 		s.RawLen = uint32(raw)
-		switch s.Scheme {
-		case SchemeRaw, SchemeZero:
-		case SchemeLZ:
+		if schemePacked(s.Scheme) {
 			comp := r.Uvarint()
 			if comp == 0 || comp >= raw || comp > uint64(len(p)) {
 				return nil, fmt.Errorf("rdma: DATABATCH-C segment %d bad compressed length %d/%d", i, comp, raw)
 			}
 			// Stash the wire length until the blob pass below.
 			s.Data = p[:comp:comp]
-		default:
-			return nil, fmt.Errorf("rdma: DATABATCH-C segment %d bad scheme", i)
 		}
 		if epoch {
 			s.Epoch = r.Uvarint()
@@ -221,12 +223,9 @@ func DecodeDataSegsInto(p []byte, segs []DataSegC, epoch bool) ([]DataSegC, erro
 	}
 	r.Align()
 	for i := range segs {
-		var n int
-		switch segs[i].Scheme {
-		case SchemeRaw:
+		n := len(segs[i].Data) // a packed block's stashed length; else 0
+		if segs[i].Scheme == SchemeRaw {
 			n = int(segs[i].RawLen)
-		case SchemeLZ:
-			n = len(segs[i].Data)
 		}
 		segs[i].Data = r.Bytes(n)
 		if r.Err() != nil {
@@ -255,7 +254,7 @@ type dataSegMeta struct {
 // All internal buffers are pooled and reused across batches, so a
 // per-connection builder is allocation-free in steady state.
 //
-// A batch that will carry no LZ segments can additionally start with
+// A batch that will carry no packed segments can additionally start with
 // Begin: the bit-packed header's size is then exact up front (scheme
 // and rawLen cost the same bits for raw and zero segments), so the
 // header region is reserved inside the blob buffer and Frame emits the
@@ -270,7 +269,7 @@ type DataBatchCBuilder struct {
 	dlen    int
 	hdr     int    // reserved header prefix length; 0 = copy mode
 	epoch   bool   // stamped reply: segment headers carry epochs
-	scratch []byte // LZ bounce buffer for staged-in-place segments
+	scratch []byte // encoder bounce buffer for staged-in-place segments
 }
 
 // Reset drops the previous batch's segments (buffers are retained).
@@ -354,13 +353,14 @@ func (b *DataBatchCBuilder) ensureData(n int) {
 }
 
 // Add appends one segment holding src's bytes, choosing the cheapest
-// scheme: all-zero objects ship no bytes, and when tryCompress is set
-// an LZ pass keeps the compressed form only if it is strictly smaller.
-// It returns the chosen scheme and the segment's wire length (the
+// scheme: all-zero objects ship no bytes, and when tryCompress is set an
+// object of small words is lane-packed and any other gets an LZ pass,
+// which keeps the compressed form only if it is strictly smaller. It
+// returns the chosen scheme and the segment's wire length (the
 // compressibility signal the adaptive policy feeds on).
 func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wireLen int) {
 	// The reserved-header layout (Begin) fixed the header size on the
-	// assumption of raw/zero segments only; an LZ segment would grow it.
+	// assumption of raw/zero segments only; a packed segment would grow it.
 	tryCompress = tryCompress && b.hdr == 0
 	staged := b.stagedInPlace(src)
 	if isAllZero(src) {
@@ -369,28 +369,34 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 		return SchemeZero, 0
 	}
 	if tryCompress {
+		// Neither encoder may overlap its input, and a staged src occupies
+		// the blob region at dlen: its block goes to scratch and only the
+		// (smaller) result is copied back. CompressBound covers WordsBound.
+		bound := CompressBound(len(src))
+		var out []byte
 		if staged {
-			// src occupies the blob region at dlen, so LZ output cannot go
-			// there directly (the compressor must not overlap its input);
-			// compress into scratch and copy back only the (smaller) result.
-			bound := CompressBound(len(src))
 			if cap(b.scratch) < bound {
 				PutBuf(b.scratch)
 				b.scratch = GetBuf(bound)
 			}
-			if n, ok := LZCompress(b.scratch[:bound], src); ok && n < len(src) {
-				copy(b.data[b.dlen:], b.scratch[:n])
-				b.metas = append(b.metas, dataSegMeta{scheme: SchemeLZ, rawLen: uint32(len(src)), wireLen: uint32(n)})
-				b.dlen += n
-				return SchemeLZ, n
-			}
+			out = b.scratch[:bound]
 		} else {
-			b.ensureData(CompressBound(len(src)))
-			if n, ok := LZCompress(b.data[b.dlen:b.dlen+CompressBound(len(src))], src); ok && n < len(src) {
-				b.metas = append(b.metas, dataSegMeta{scheme: SchemeLZ, rawLen: uint32(len(src)), wireLen: uint32(n)})
-				b.dlen += n
-				return SchemeLZ, n
+			b.ensureData(bound)
+			out = b.data[b.dlen : b.dlen+bound]
+		}
+		n := 0
+		if lo, w := ScanWords(src); w > 0 {
+			scheme, n = SchemeWords, PackWords(out, src, lo, w)
+		} else if m, ok := LZCompress(out, src); ok && m < len(src) {
+			scheme, n = SchemeLZ, m
+		}
+		if n > 0 {
+			if staged {
+				copy(b.data[b.dlen:], out[:n])
 			}
+			b.metas = append(b.metas, dataSegMeta{scheme: scheme, rawLen: uint32(len(src)), wireLen: uint32(n)})
+			b.dlen += n
+			return scheme, n
 		}
 	}
 	if !staged {
@@ -402,11 +408,12 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	return SchemeRaw, len(src)
 }
 
-// AddWire appends one segment that is already in wire form: the LZ block
-// of a rawLen-byte object, or — SchemeZero, wire empty — an all-zero one.
-// The bytes are trusted (the server validated the block when it was
-// written) and not looked at; a block sitting in the last Stage slot is
-// committed in place. A Begin batch cannot carry an LZ segment.
+// AddWire appends one segment that is already in wire form: the LZ or
+// lane-packed block of a rawLen-byte object, or — SchemeZero, wire empty
+// — an all-zero one. The bytes are trusted (the server validated the
+// block when it was written) and not looked at; a block sitting in the
+// last Stage slot is committed in place. A Begin batch cannot carry a
+// packed segment.
 func (b *DataBatchCBuilder) AddWire(scheme uint8, rawLen int, wire []byte) {
 	if !b.stagedInPlace(wire) {
 		b.ensureData(len(wire))
@@ -428,8 +435,8 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		w := NewBitWriter(b.data[:b.hdr])
 		w.Uvarint(uint64(len(b.metas)))
 		for _, m := range b.metas {
-			if m.scheme == SchemeLZ {
-				return Frame{}, fmt.Errorf("rdma: DATABATCH-C LZ segment in a reserved-header batch (Begin/AddWire mismatch)")
+			if schemePacked(m.scheme) {
+				return Frame{}, fmt.Errorf("rdma: DATABATCH-C packed segment in a reserved-header batch (Begin/AddWire mismatch)")
 			}
 			w.WriteBits(uint64(m.scheme), 2)
 			w.Uvarint(uint64(m.rawLen))
@@ -462,7 +469,7 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 	for _, m := range b.metas {
 		w.WriteBits(uint64(m.scheme), 2)
 		w.Uvarint(uint64(m.rawLen))
-		if m.scheme == SchemeLZ {
+		if schemePacked(m.scheme) {
 			w.Uvarint(uint64(m.wireLen))
 		}
 		if b.epoch {
@@ -484,8 +491,8 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 // a full-object write of RawLen bytes; otherwise the tuple is a range
 // write over an ObjSize-byte object and Data carries the extents'
 // bytes concatenated. Data always holds the wire form (compressed when
-// Scheme is SchemeLZ, absent when SchemeZero); RawLen is the
-// decompressed length.
+// Scheme is SchemeLZ or SchemeWords, absent when SchemeZero); RawLen is
+// the decompressed length.
 type WriteReqC struct {
 	DS, Idx uint32
 	Epoch   uint64 // stamped batches only
@@ -571,7 +578,7 @@ func EncodeWriteBatchCPooled(tag uint32, reqs []WriteReqC, epoch bool) (Frame, e
 			}
 			w.WriteBits(uint64(r.Scheme), 2)
 		}
-		if r.Scheme == SchemeLZ {
+		if schemePacked(r.Scheme) {
 			w.Uvarint(uint64(len(r.Data)))
 		}
 	}
@@ -668,9 +675,7 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 			}
 			req.RawLen = uint32(raw)
 		}
-		switch req.Scheme {
-		case SchemeRaw, SchemeZero:
-		case SchemeLZ:
+		if schemePacked(req.Scheme) {
 			comp := r.Uvarint()
 			if comp == 0 || comp >= uint64(req.RawLen) || comp > uint64(len(p)) {
 				return nil, exts, fmt.Errorf("rdma: WRITEBATCH-C tuple %d bad compressed length %d/%d",
@@ -678,8 +683,6 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 			}
 			// Stash the wire length until the blob pass below.
 			req.Data = p[:comp:comp]
-		default:
-			return nil, exts, fmt.Errorf("rdma: WRITEBATCH-C tuple %d bad scheme", i)
 		}
 		if err := r.Err(); err != nil {
 			return nil, exts, fmt.Errorf("rdma: truncated WRITEBATCH-C at tuple %d", i)
@@ -688,12 +691,9 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 	}
 	r.Align()
 	for i := range reqs {
-		var n int
-		switch reqs[i].Scheme {
-		case SchemeRaw:
+		n := len(reqs[i].Data) // a packed block's stashed length; else 0
+		if reqs[i].Scheme == SchemeRaw {
 			n = int(reqs[i].RawLen)
-		case SchemeLZ:
-			n = len(reqs[i].Data)
 		}
 		reqs[i].Data = r.Bytes(n)
 		if r.Err() != nil {

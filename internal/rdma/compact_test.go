@@ -230,6 +230,18 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	if s, _ := b.Add(text, false); s != SchemeRaw {
 		t.Fatalf("compression-off add got scheme %d", s)
 	}
+	ints := lzShapes()[0].obj[:1024] // small int64s: lane-packed, from anywhere or from the Stage slot
+	if s, _ := b.Add(ints, true); s != SchemeWords {
+		t.Fatalf("small ints got scheme %d", s)
+	}
+	staged := b.Stage(len(ints))
+	copy(staged, ints)
+	if s, _ := b.Add(staged, true); s != SchemeWords {
+		t.Fatalf("staged small ints got scheme %d", s)
+	}
+	if s, _ := b.Add(ints, false); s != SchemeRaw {
+		t.Fatalf("compression-off add of small ints got scheme %d", s)
+	}
 	// Images already in wire form: a block handed over from elsewhere, a
 	// block sitting in the Stage slot, and a zero image.
 	block := make([]byte, CompressBound(len(text)))
@@ -238,6 +250,8 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	slot := b.Stage(len(text))
 	b.AddWire(SchemeLZ, len(text), slot[:copy(slot, block[:bn])])
 	b.AddWire(SchemeZero, len(zero), nil)
+	lo, w := ScanWords(ints)
+	b.AddWire(SchemeWords, len(ints), block[:PackWords(block, ints, lo, w)])
 
 	fr, err := b.Frame(4)
 	if err != nil {
@@ -248,10 +262,10 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(segs) != 7 {
+	if len(segs) != 11 {
 		t.Fatalf("got %d segments", len(segs))
 	}
-	for i, want := range [][]byte{zero, text, noise, text, text, text, zero} {
+	for i, want := range [][]byte{zero, text, noise, text, ints, ints, ints, text, text, zero, ints} {
 		s := segs[i]
 		if int(s.RawLen) != len(want) {
 			t.Fatalf("seg %d rawLen %d != %d", i, s.RawLen, len(want))
@@ -265,6 +279,10 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 			if err := LZDecompress(out, s.Data); err != nil {
 				t.Fatalf("seg %d decompress: %v", i, err)
 			}
+		case SchemeWords:
+			if err := UnpackWords(out, s.Data); err != nil {
+				t.Fatalf("seg %d unpack: %v", i, err)
+			}
 		}
 		if !bytes.Equal(out, want) {
 			t.Fatalf("seg %d data mismatch", i)
@@ -273,9 +291,10 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 }
 
 // TestDataBatchCBuilderBeginRefusesLZ: the reserved-header layout has no
-// room for a block's length, so a Begin batch handed an LZ image fails at
-// Frame instead of emitting a payload that cannot be parsed; a zero image
-// costs the same header bits as a raw one and is fine.
+// room for a block's length, so a Begin batch handed an LZ or lane-packed
+// image fails at Frame instead of emitting a payload that cannot be
+// parsed; a zero image costs the same header bits as a raw one and is
+// fine.
 func TestDataBatchCBuilderBeginRefusesLZ(t *testing.T) {
 	var b DataBatchCBuilder
 	defer b.Release()
@@ -293,12 +312,14 @@ func TestDataBatchCBuilderBeginRefusesLZ(t *testing.T) {
 	}
 	PutBuf(fr.Payload)
 
-	b.Reset()
-	b.Begin(reqs)
-	b.AddWire(SchemeLZ, 64, []byte{0x1F, 7, 1, 0, 44, 0})
-	b.Add(bytes.Repeat([]byte{7}, 64), false)
-	if _, err := b.Frame(2); err == nil {
-		t.Fatal("a Begin batch carrying an LZ segment produced a frame")
+	for scheme, block := range map[uint8][]byte{SchemeLZ: {0x1F, 7, 1, 0, 44, 0}, SchemeWords: {0, 1, 0x01, 7}} {
+		b.Reset()
+		b.Begin(reqs)
+		b.AddWire(scheme, 64, block)
+		b.Add(bytes.Repeat([]byte{7}, 64), false)
+		if _, err := b.Frame(2); err == nil {
+			t.Fatalf("a Begin batch carrying a scheme-%d segment produced a frame", scheme)
+		}
 	}
 }
 
@@ -380,6 +401,11 @@ func TestWriteBatchCRoundTrip(t *testing.T) {
 			{DS: 2, Idx: 1, Epoch: 2, ObjSize: 4096, Scheme: SchemeRaw, RawLen: 12,
 				Extents: []Extent{{Off: 8, Len: 4}, {Off: 96, Len: 8}},
 				Data:    []byte("rangedbytes!")},
+			{DS: 2, Idx: 2, Epoch: 4, Scheme: SchemeWords, RawLen: 128,
+				Data: []byte{0, 2, 0x81, 0x00, 1, 2, 3, 4}},
+			{DS: 2, Idx: 3, Epoch: 5, ObjSize: 4096, Scheme: SchemeWords, RawLen: 64,
+				Extents: []Extent{{Off: 640, Len: 64}},
+				Data:    []byte{3, 1, 0x10, 9}},
 		}
 		fr, err := EncodeWriteBatchCPooled(77, reqs, epoch)
 		if err != nil {

@@ -321,14 +321,15 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		case OpDataBatchC, OpDataBatchC | EpochBit:
 			if segs, err := DecodeDataSegsInto(fr.Payload, nil, fr.Op&EpochBit != 0); err == nil {
-				for i, s := range segs {
-					if s.Scheme == SchemeLZ {
-						// Accepted compressed segments must decompress to
-						// exactly RawLen bytes or fail cleanly — no panic,
-						// no out-of-bounds write.
-						out := make([]byte, s.RawLen)
+				for _, s := range segs {
+					// Accepted compressed segments must expand to exactly
+					// RawLen bytes or fail cleanly — no panic, no
+					// out-of-bounds write.
+					switch out := make([]byte, s.RawLen); s.Scheme {
+					case SchemeLZ:
 						_ = LZDecompress(out, s.Data)
-						_ = i
+					case SchemeWords:
+						_ = UnpackWords(out, s.Data)
 					}
 				}
 			}
@@ -343,9 +344,11 @@ func FuzzFrameDecode(f *testing.F) {
 							t.Fatalf("WRITEBATCH-C accepted extent outside object: %+v objSize=%d", e, r.ObjSize)
 						}
 					}
-					if r.Scheme == SchemeLZ {
-						out := make([]byte, r.RawLen)
+					switch out := make([]byte, r.RawLen); r.Scheme {
+					case SchemeLZ:
 						_ = LZDecompress(out, r.Data)
+					case SchemeWords:
+						_ = UnpackWords(out, r.Data)
 					}
 				}
 				re, err := EncodeWriteBatchCPooled(fr.Tag, reqs, epoch)

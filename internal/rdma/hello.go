@@ -15,7 +15,7 @@ import (
 // The server answers OK echoing the record and the session is up —
 // every later frame in both directions carries the CRC32-C trailer
 // (crc.go), tagged frames carry the trace block when OptTrace was asked
-// for (trace.go), and batch segments may be LZ-compressed when
+// for (trace.go), and batch segments may come compressed when
 // OptCompress was (compact.go). Or it answers ERR —
 // its own record followed by a UTF-8 message naming both versions — and
 // closes. The exchange itself is plain-framed: it has to be readable
@@ -31,14 +31,16 @@ import (
 // ProtoVersion is the wire protocol version this package speaks.
 // Version 1 was the unversioned feature-bit PING; version 2 still
 // carried the fixed-width and epoch verb families beside the bit-packed
-// one and a hello option to choose between them.
-const ProtoVersion uint16 = 3
+// one and a hello option to choose between them; version 3 knew three
+// payload schemes and answered the fourth, SchemeWords, with a decode
+// error mid-session.
+const ProtoVersion uint16 = 4
 
 // Session options a client may ask for in its hello.
 const (
 	// OptTrace: every tagged frame carries the fixed trace block.
 	OptTrace uint16 = 1 << iota
-	// OptCompress: batch segments may be LZ-compressed.
+	// OptCompress: batch segments may be compressed (SchemeLZ, SchemeWords).
 	OptCompress
 
 	optMask = OptTrace | OptCompress

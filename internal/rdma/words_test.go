@@ -241,3 +241,78 @@ func TestWordsEdgeSeeds(t *testing.T) {
 		checkWordsPack(t, sh.obj[:len(sh.obj)-8]) // not whole groups
 	}
 }
+
+// TestSchemeChoiceBytes bounds the byte trade DataBatchCBuilder.Add — the
+// decision point both ends share — makes by lane-packing whatever scans
+// as small words instead of running LZ over it too and keeping the
+// smaller: on the bfs and analytics shapes the packed block is well under
+// the LZ block; on the shapes that do not scan as small words the segment
+// is byte for byte what LZ alone produced (or raw, where LZ declined);
+// and on the one shape where packing loses — a long run of one small
+// constant, which LZ folds into a single match — the block is still
+// within WordsBound, a seventh of the object.
+func TestSchemeChoiceBytes(t *testing.T) {
+	constant := make([]byte, 4096)
+	for i := 0; i < 4096; i += 8 {
+		constant[i] = 42
+	}
+	shapes := map[string][]byte{"small-constant": constant}
+	for _, sh := range lzShapes() {
+		shapes[sh.name] = sh.obj
+	}
+	for _, tc := range []struct {
+		shape    string
+		scheme   uint8
+		vsLZ     float64 // packed block <= vsLZ x the LZ block; 0 = no bound
+		lzBetter bool
+	}{
+		{"int64-sparse", SchemeWords, 0.6, false},
+		{"taxi-column", SchemeWords, 0.95, false},
+		{"byte-ramp", SchemeLZ, 0, false},
+		{"one-word", SchemeLZ, 0, false},
+		{"mostly-zero", SchemeLZ, 0, false},
+		{"xorshift-noise", SchemeRaw, 0, false},
+		{"small-constant", SchemeWords, 0, true},
+	} {
+		obj := shapes[tc.shape]
+		lz := make([]byte, CompressBound(len(obj)))
+		lzLen, lzOK := LZCompress(lz, obj)
+
+		var b DataBatchCBuilder
+		scheme, wireLen := b.Add(obj, true)
+		fr, err := b.Frame(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := DecodeDataBatchCInto(fr.Payload, nil)
+		if err != nil || len(segs) != 1 || segs[0].Scheme != scheme || len(segs[0].Data) != wireLen {
+			t.Fatalf("%s: segment does not round-trip: %v", tc.shape, err)
+		}
+		if scheme != tc.scheme {
+			t.Fatalf("%s: chose scheme %d, want %d", tc.shape, scheme, tc.scheme)
+		}
+		t.Logf("%-15s scheme %d, %4d B on the wire; LZ alone %4d B (ok=%v)", tc.shape, scheme, wireLen, lzLen, lzOK)
+		switch scheme {
+		case SchemeWords:
+			if wireLen > WordsBound(len(obj)) || !CheckWords(segs[0].Data, len(obj)) {
+				t.Fatalf("%s: %d-byte block is invalid or over WordsBound %d", tc.shape, wireLen, WordsBound(len(obj)))
+			}
+			if tc.vsLZ > 0 && (!lzOK || float64(wireLen) > tc.vsLZ*float64(lzLen)) {
+				t.Fatalf("%s: packed block %d B, LZ %d B: want at most x%.2f", tc.shape, wireLen, lzLen, tc.vsLZ)
+			}
+			if tc.lzBetter && !(lzOK && lzLen < wireLen) {
+				t.Fatalf("%s: expected LZ (%d B, ok=%v) to beat the packed block (%d B) here", tc.shape, lzLen, lzOK, wireLen)
+			}
+		case SchemeLZ:
+			if !lzOK || !bytes.Equal(segs[0].Data, lz[:lzLen]) {
+				t.Fatalf("%s: LZ segment differs from what LZCompress alone emits", tc.shape)
+			}
+		case SchemeRaw:
+			if lzOK || !bytes.Equal(segs[0].Data, obj) {
+				t.Fatalf("%s: raw segment, but LZ alone would have compressed (ok=%v)", tc.shape, lzOK)
+			}
+		}
+		PutBuf(fr.Payload)
+		b.Release()
+	}
+}

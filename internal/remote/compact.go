@@ -233,13 +233,13 @@ var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
 
 // readBatch answers one READBATCH-C. Each object is gathered from the
 // store in the cheapest form this reply can carry — a stored zero image
-// as a zero segment, a stored LZ block verbatim when the session asked
-// for compression and the adaptive policy expects the DS to shrink, raw
-// bytes otherwise, which are then classified (zero / compressed / raw)
-// as they always were — and packed into one DATABATCH-C by the worker's
-// pooled builder. A stamped request gets a stamped reply: every segment
-// carries the object's stored epoch, read under the same lock hold as
-// its bytes.
+// as a zero segment, a stored LZ or lane-packed block verbatim when the
+// session asked for compression and the adaptive policy expects the DS to
+// shrink, raw bytes otherwise, which are then classified (zero /
+// compressed / raw) as they always were — and packed into one DATABATCH-C
+// by the worker's pooled builder. A stamped request gets a stamped reply:
+// every segment carries the object's stored epoch, read under the same
+// lock hold as its bytes.
 func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
 	reqs, err := rdma.DecodeReadBatchCInto(f.Payload, w.reads[:0])
 	if err != nil {
@@ -304,12 +304,12 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 
 // writeScratch is the per-worker reusable state of the write path:
 // decoded tuples, the shared extent arena, the reject bitmap, and
-// materialization buffers (one zeroed, one for LZ output).
+// materialization buffers (one zeroed, one for decoder output).
 type writeScratch struct {
 	reqs []rdma.WriteReqC
 	exts []rdma.Extent
 	rej  []uint64
-	lz   []byte // LZ decompression target
+	lz   []byte // LZDecompress / UnpackWords target
 	zero []byte // kept all-zero for SchemeZero tuples
 }
 
@@ -331,13 +331,17 @@ func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 			clear(cw.zero[:cap(cw.zero)])
 		}
 		return cw.zero[:n], nil
-	case rdma.SchemeLZ:
+	case rdma.SchemeLZ, rdma.SchemeWords:
 		if cap(cw.lz) < n {
 			rdma.PutBuf(cw.lz)
 			cw.lz = rdma.GetBuf(n)
 		}
 		dst := cw.lz[:n]
-		if err := rdma.LZDecompress(dst, r.Data); err != nil {
+		unpack := rdma.LZDecompress
+		if r.Scheme == rdma.SchemeWords {
+			unpack = rdma.UnpackWords
+		}
+		if err := unpack(dst, r.Data); err != nil {
 			return nil, err
 		}
 		return dst, nil
@@ -349,8 +353,8 @@ func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 // writeBatch applies one WRITEBATCH-C frame, stamped or not: tuples
 // apply in batch order — full objects stored in the wire form they came
 // in (an LZ block after one validating decode into the worker's
-// scratch), range tuples spliced read-modify-write — and the whole
-// batch is
+// scratch, a lane-packed block after rdma.CheckWords, which needs
+// none), range tuples spliced read-modify-write — and the whole batch is
 // acknowledged with one ACKBATCH-C whose bitmap marks the stamped range
 // tuples rejected for a stale base. Writes within a batch are ordered;
 // two batches may be applied in either order (see the ServeConn
@@ -373,9 +377,18 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 	clear(rej)
 	for i := range reqs {
 		r := &reqs[i]
-		// For a full object this is the validating decode of an LZ block
+		// For a full object this is admission — the validating decode of an
+		// LZ block, the header-and-bitmap check that proves a lane-packed one
 		// (raw and zero tuples cost nothing here); only range tuples use raw.
-		raw, merr := cw.materialize(r)
+		var raw []byte
+		var merr error
+		if r.Extents == nil && r.Scheme == rdma.SchemeWords {
+			if !rdma.CheckWords(r.Data, int(r.RawLen)) {
+				merr = rdma.ErrCorrupt
+			}
+		} else {
+			raw, merr = cw.materialize(r)
+		}
 		if merr != nil {
 			// A tuple that passed CRC but fails decompression is corrupt
 			// framing: reject the whole batch definitively. Earlier tuples
@@ -476,9 +489,10 @@ func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte,
 // compressInto applies the client-side compression decision to one
 // outgoing object: all-zero detection first, then — when the session
 // asked for OptCompress and the adaptive policy expects the DS to
-// shrink — an LZ pass into a pooled buffer. It returns the scheme and
-// the wire bytes: nil for SchemeZero, src itself for SchemeRaw, a
-// pooled buffer the caller must PutBuf for SchemeLZ. The policy is
+// shrink — an object of small words is lane-packed and any other gets an
+// LZ pass, into a pooled buffer. It returns the scheme and the wire
+// bytes: nil for SchemeZero, src itself for SchemeRaw, a pooled buffer
+// the caller must PutBuf for SchemeLZ and SchemeWords. The policy is
 // atomic: nothing here needs mu.
 func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wire []byte) {
 	if rdma.IsAllZero(src) {
@@ -487,21 +501,22 @@ func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wir
 	if !c.compress || !c.cpolicy.shouldCompress(ds) {
 		return rdma.SchemeRaw, src
 	}
-	buf := rdma.GetBuf(rdma.CompressBound(len(src)))
-	n, ok := rdma.LZCompress(buf, src)
-	if !ok || n >= len(src) {
-		rdma.PutBuf(buf)
-		c.cpolicy.observe(ds, len(src), len(src))
-		if m := c.metrics; m != nil && len(src) > 0 {
-			m.wire.observeRatio(1000)
-		}
-		return rdma.SchemeRaw, src
+	buf := rdma.GetBuf(rdma.CompressBound(len(src))) // covers WordsBound
+	scheme, n := rdma.SchemeRaw, len(src)
+	if lo, w := rdma.ScanWords(src); w > 0 {
+		scheme, n = rdma.SchemeWords, rdma.PackWords(buf, src, lo, w)
+	} else if m, ok := rdma.LZCompress(buf, src); ok && m < len(src) {
+		scheme, n = rdma.SchemeLZ, m
 	}
 	c.cpolicy.observe(ds, len(src), n)
-	if m := c.metrics; m != nil {
+	if m := c.metrics; m != nil && len(src) > 0 {
 		m.wire.observeRatio(uint64(n) * 1000 / uint64(len(src)))
 	}
-	return rdma.SchemeLZ, buf[:n]
+	if scheme == rdma.SchemeRaw {
+		rdma.PutBuf(buf)
+		return rdma.SchemeRaw, src
+	}
+	return scheme, buf[:n]
 }
 
 // encodeWrites is the write family's encoder (see encode): per op,
@@ -525,7 +540,7 @@ func (c *PipelinedClient) encodeWrites(p plannedFrame, sc *flushScratch) (rdma.F
 			}
 		}
 		r.Scheme, r.Data = c.compressInto(op.ds, src)
-		if r.Scheme == rdma.SchemeLZ {
+		if r.Scheme == rdma.SchemeLZ || r.Scheme == rdma.SchemeWords {
 			sc.bufs = append(sc.bufs, r.Data)
 		}
 		r.RawLen = uint32(len(src))

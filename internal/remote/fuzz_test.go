@@ -103,6 +103,17 @@ func FuzzServeConn(f *testing.F) {
 	chase.Op |= rdma.EpochBit
 	f.Add(stream(hello(rdma.OptCompress), webc, stampedReads, forged, chase,
 		rdma.Frame{Op: rdma.OpAckBatchC | rdma.EpochBit, Tag: 13}))
+	// Lane-packed words: a 64-byte object of one small word as a full
+	// tuple, a read that is served the stored block, a chase hop that
+	// expands it, and a tuple whose bitmap promises a word the block does
+	// not hold.
+	words := func(tag uint32, block ...byte) rdma.Frame {
+		fr, _ := rdma.EncodeWriteBatchCPooled(tag, []rdma.WriteReqC{{DS: 1, Idx: 0, Scheme: rdma.SchemeWords, RawLen: 64, Data: block}}, false)
+		return fr
+	}
+	f.Add(stream(hello(rdma.OptCompress), words(14, 0, 2, 0x02, 0x34, 0x12), rdma.EncodeReadBatchCPooled(15, reads),
+		rdma.EncodeChaseBatchPooled(16, []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 4}}),
+		words(17, 0, 2, 0x03, 0x34, 0x12)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := runtime.NumGoroutine()

@@ -18,17 +18,34 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plain_ses
 
 const (
 	plainSessionGolden = "testdata/plain_session.golden"
-	// The same script recorded from the last build whose compressor
-	// parsed greedily (insert every byte). Never rewritten.
+	// Earlier recordings, never rewritten: the script as it stood (without
+	// its last step, the lane-packed object) from the last build whose
+	// compressor parsed greedily (insert every byte), and from the last
+	// build of protocol version 3, which had three payload schemes.
 	greedyParseGolden = "testdata/plain_session_greedy_parse.golden"
+	protoV3Golden     = "testdata/plain_session_v3.golden"
 )
 
+// wordsObject is the script's lane-packed object: 128 bytes of small
+// int64s, every third one zero.
+func wordsObject() []byte {
+	b := make([]byte, 128)
+	for i := 0; i < 16; i++ {
+		if i%3 != 0 {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(300*i+7))
+		}
+	}
+	return b
+}
+
 // plainScript is the fixed un-stamped session the golden pins: full
-// writes under every scheme (LZ, raw, zero), a two-extent range write,
-// three reads coalesced into one frame (a same-DS delta, a DS switch, a
-// size change; an LZ, a zero and a raw segment back), and a two-hop
-// chase. Every step waits for its reply, so both streams are
-// deterministic down to the tags.
+// writes under LZ, raw and zero, a two-extent range write, three reads
+// coalesced into one frame (a same-DS delta, a DS switch, a size change;
+// an LZ, a zero and a raw segment back), a two-hop chase, and last — it
+// was added with the scheme, and the older recordings end before it — a
+// lane-packed write and the read that is served the stored block. Every
+// step waits for its reply, so both streams are deterministic down to
+// the tags.
 func plainScript(t *testing.T, cl *PipelinedClient) {
 	t.Helper()
 	node := compressible(512)
@@ -74,16 +91,26 @@ func plainScript(t *testing.T, cl *PipelinedClient) {
 	if err != nil || res.Status != rdma.ChaseDone || len(res.Hops) != 2 || !bytes.Equal(res.Hops[0].Data, node) {
 		t.Fatalf("chase: %+v hops, status %d, err %v", len(res.Hops), res.Status, err)
 	}
+
+	words := wordsObject()
+	if err := cl.WriteObj(3, 0, words); err != nil {
+		t.Fatal(err)
+	}
+	if got := make([]byte, len(words)); cl.ReadObj(3, 0, got) != nil || !bytes.Equal(got, words) {
+		t.Fatal("the lane-packed object did not read back")
+	}
 }
 
 // TestPlainFramesAreByteStable pins the un-stamped encoding: the script
 // above, on an untraced default session, must put exactly the bytes on
 // the wire — both directions, everything after the hello exchange —
 // that the golden holds. A diff here is a wire change to plain frames.
-// The golden has been re-recorded once since the protocol-version-3
-// collapse, when the LZ compressor's parse changed: LZ blocks (and the
-// lengths that announce them) moved, nothing else did —
-// TestGoldenDiffIsConfinedToLZBlocks holds the two recordings together.
+// The golden has been re-recorded twice since the protocol-version-3
+// collapse: when the LZ compressor's parse changed — LZ blocks (and the
+// lengths that announce them) moved, nothing else did — and for protocol
+// version 4, when the script gained its lane-packed step and nothing
+// recorded before it moved at all. TestGoldenDiffIsConfinedToPackedBlocks
+// holds the recordings together.
 func TestPlainFramesAreByteStable(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	c2s, s2c := recordedStreams(t, PipelineOpts{}, func(cl *PipelinedClient) { plainScript(t, cl) })
@@ -115,27 +142,50 @@ func TestPlainFramesAreByteStable(t *testing.T) {
 	t.Fatal("recorded streams differ from the golden")
 }
 
+// refUnpackWords is the lane-packed format (rdma/words.go) written out
+// byte by byte, independent of rdma.UnpackWords: lo, w, one bitmap bit
+// per word, then w bytes per set bit landing in lanes lo.. of that word.
+func refUnpackWords(t *testing.T, rawLen uint32, block []byte) []byte {
+	t.Helper()
+	out := make([]byte, rawLen)
+	lo, w, in := int(block[0]), int(block[1]), 2+int(rawLen)/64
+	for word := 0; word < int(rawLen)/8; word++ {
+		if block[2+word/8]>>(word%8)&1 != 0 {
+			copy(out[8*word+lo:8*word+lo+w], block[in:in+w])
+			in += w
+		}
+	}
+	if rawLen%64 != 0 || w < 1 || w > 4 || lo+w > 8 || in != len(block) {
+		t.Fatalf("recorded lane-packed block is malformed: lo=%d w=%d, %d of %d bytes used for %d raw", lo, w, in, len(block), rawLen)
+	}
+	return out
+}
+
 // canonicalFrames parses one recorded direction into a line per frame in
-// which every LZ block is replaced by the plaintext it decodes to, so two
-// recordings that differ only in how a compressor parsed its input
-// canonicalise to the same lines. (rdma.LZDecompress is the decoder
-// here; rdma's FuzzLZ holds it verdict for verdict to the byte-wise
-// reference decoder that defines the format.)
+// which every compressed block is replaced by the plaintext it decodes
+// to and its scheme by "packed", so two recordings that differ only in
+// how an object was compressed canonicalise to the same lines.
+// (rdma.LZDecompress is the LZ decoder here; rdma's FuzzLZ holds it
+// verdict for verdict to the byte-wise reference decoder that defines the
+// format.)
 func canonicalFrames(t *testing.T, hexStream string) []string {
 	t.Helper()
 	stream, err := hex.DecodeString(hexStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := func(scheme uint8, rawLen uint32, data []byte) []byte {
-		if scheme != rdma.SchemeLZ {
-			return data
+	plain := func(scheme uint8, rawLen uint32, data []byte) string {
+		switch scheme {
+		case rdma.SchemeLZ:
+			out := make([]byte, rawLen)
+			if err := rdma.LZDecompress(out, data); err != nil {
+				t.Fatalf("recorded LZ block does not decode: %v", err)
+			}
+			return fmt.Sprintf("scheme=packed raw=%d %x", rawLen, out)
+		case rdma.SchemeWords:
+			return fmt.Sprintf("scheme=packed raw=%d %x", rawLen, refUnpackWords(t, rawLen, data))
 		}
-		out := make([]byte, rawLen)
-		if err := rdma.LZDecompress(out, data); err != nil {
-			t.Fatalf("recorded LZ block does not decode: %v", err)
-		}
-		return out
+		return fmt.Sprintf("scheme=%d raw=%d %x", scheme, rawLen, data)
 	}
 	var lines []string
 	for r := bytes.NewReader(stream); r.Len() > 0; {
@@ -151,8 +201,7 @@ func canonicalFrames(t *testing.T, hexStream string) []string {
 				t.Fatal(err)
 			}
 			for _, q := range reqs {
-				line += fmt.Sprintf(" {%d/%d obj=%d ext=%v scheme=%d raw=%d %x}",
-					q.DS, q.Idx, q.ObjSize, q.Extents, q.Scheme, q.RawLen, plain(q.Scheme, q.RawLen, q.Data))
+				line += fmt.Sprintf(" {%d/%d obj=%d ext=%v %s}", q.DS, q.Idx, q.ObjSize, q.Extents, plain(q.Scheme, q.RawLen, q.Data))
 			}
 		case rdma.OpDataBatchC:
 			segs, err := rdma.DecodeDataBatchCInto(f.Payload, nil)
@@ -160,7 +209,7 @@ func canonicalFrames(t *testing.T, hexStream string) []string {
 				t.Fatal(err)
 			}
 			for _, sg := range segs {
-				line += fmt.Sprintf(" {scheme=%d raw=%d %x}", sg.Scheme, sg.RawLen, plain(sg.Scheme, sg.RawLen, sg.Data))
+				line += fmt.Sprintf(" {%s}", plain(sg.Scheme, sg.RawLen, sg.Data))
 			}
 		default:
 			line += fmt.Sprintf(" %x", f.Payload)
@@ -170,12 +219,16 @@ func canonicalFrames(t *testing.T, hexStream string) []string {
 	return lines
 }
 
-// TestGoldenDiffIsConfinedToLZBlocks: the current golden and the one
-// recorded before the compressor's parse changed carry the same frames,
-// tuples, schemes, lengths and plaintext in the same order. The only
-// bytes that differ between them are inside LZ blocks (and the varint
-// that gives each block's length).
-func TestGoldenDiffIsConfinedToLZBlocks(t *testing.T) {
+// TestGoldenDiffIsConfinedToPackedBlocks: the current golden and each
+// earlier recording carry the same frames, tuples, lengths and plaintext
+// in the same order for as long as the earlier one runs — the only bytes
+// that may differ between them are inside compressed blocks (and the
+// scheme and length that announce each). What the current golden has
+// beyond that is the script's last step, frame for frame: the
+// lane-packed object written as one packed tuple and acknowledged, then
+// read and served as one packed segment. (The hello exchange is not part
+// of any recording; TestHandshakeMismatchIsDefinitive owns the version.)
+func TestGoldenDiffIsConfinedToPackedBlocks(t *testing.T) {
 	load := func(path string) map[string][]string {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -191,14 +244,28 @@ func TestGoldenDiffIsConfinedToLZBlocks(t *testing.T) {
 		}
 		return dirs
 	}
-	now, then := load(plainSessionGolden), load(greedyParseGolden)
-	for _, dir := range []string{"c2s", "s2c"} {
-		if len(now[dir]) == 0 || len(now[dir]) != len(then[dir]) {
-			t.Fatalf("%s: %d frames now, %d in the greedy-parse recording", dir, len(now[dir]), len(then[dir]))
-		}
-		for i := range now[dir] {
-			if now[dir][i] != then[dir][i] {
-				t.Fatalf("%s frame %d differs beyond its LZ blocks:\n now  %s\n then %s", dir, i, now[dir][i], then[dir][i])
+	now := load(plainSessionGolden)
+	words := fmt.Sprintf("scheme=packed raw=128 %x", wordsObject())
+	lastStep := map[string][]string{
+		"c2s": {"WRITEBATCH-C tag=7 {3/0 obj=0 ext=[] " + words + "}", "READBATCH-C tag=8 "},
+		"s2c": {"ACKBATCH-C tag=7 ", "DATABATCH-C tag=8 {" + words + "}"},
+	}
+	for _, path := range []string{greedyParseGolden, protoV3Golden} {
+		then := load(path)
+		for _, dir := range []string{"c2s", "s2c"} {
+			n := len(then[dir])
+			if n == 0 || len(now[dir]) != n+len(lastStep[dir]) {
+				t.Fatalf("%s: %d frames now, %d in %s", dir, len(now[dir]), n, path)
+			}
+			for i := range then[dir] {
+				if now[dir][i] != then[dir][i] {
+					t.Fatalf("%s frame %d differs from %s beyond its compressed blocks:\n now  %s\n then %s", dir, i, path, now[dir][i], then[dir][i])
+				}
+			}
+			for i, want := range lastStep[dir] {
+				if got := now[dir][n+i]; !strings.HasPrefix(got, want) {
+					t.Fatalf("%s frame %d is not the script's last step:\n got  %s\n want %s…", dir, n+i, got, want)
+				}
 			}
 		}
 	}

@@ -186,7 +186,7 @@ func (m *flatModel) chase(r rdma.ChaseReq) rdma.ChaseResult {
 
 // TestObjectStoreMatchesFlatModel drives seeded random histories through
 // every way an image reaches or leaves the store — direct Write /
-// WriteEpoch / WriteRange(Epoch), full-object tuples in all three wire
+// WriteEpoch / WriteRange(Epoch), full-object tuples in all four wire
 // schemes and range tuples (plain and stamped) over a session that asked
 // for compression and one that did not, reads at matching and
 // mismatched sizes through both, stamped reads, chase programs — and
@@ -243,8 +243,10 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 				readers.Wait()
 			}()
 
-			// image draws an object: sparse small ints (LZ shrinks them), noise
-			// (it does not) or zeros; a chaseDS node also gets a successor word.
+			// image draws an object: sparse small ints (they lane-pack, and LZ
+			// shrinks them), noise (neither) or zeros; a chaseDS node also gets
+			// a successor word — a tagged one spans all eight lanes, so only
+			// terminal nodes stay lane-packable.
 			image := func(ds uint32) []byte {
 				size := nodeSize
 				if ds == mixedDS || rng.Intn(8) == 0 {
@@ -269,6 +271,11 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 				}
 				return img
 			}
+			// anyScheme draws the form a tuple is asked to travel in (fullTuple
+			// falls back where the bytes do not admit it).
+			anyScheme := func() uint8 {
+				return []uint8{rdma.SchemeRaw, rdma.SchemeLZ, rdma.SchemeWords}[rng.Intn(3)]
+			}
 			// stamp draws an epoch around the stored one: stale, equal, the
 			// successor, or a gap.
 			stamp := func(k [2]uint32) uint64 {
@@ -285,6 +292,9 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 				}
 			}
 			extents := func(objSize uint32) (exts []rdma.Extent, raw []byte) {
+				if rng.Intn(4) == 0 { // one 64-byte run of small words: a gather that lane-packs
+					return []rdma.Extent{{Off: uint32(rng.Intn(int(objSize)-64)) &^ 7, Len: 64}}, sparseInt64(64, rng)
+				}
 				off := uint32(0)
 				for n := 1 + rng.Intn(3); n > 0 && off+2 < objSize; n-- {
 					off += uint32(rng.Intn(int(objSize-off) / 2))
@@ -331,13 +341,13 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 					}
 				case 2, 3: // full-object tuple, any scheme, plain
 					img := image(ds)
-					if _, err := sess.write(false, fullTuple(k[0], k[1], 0, img, rng.Intn(3) != 0)); err != nil {
+					if _, err := sess.write(false, fullTuple(k[0], k[1], 0, img, anyScheme())); err != nil {
 						t.Fatalf("step %s: %v", what, err)
 					}
 					model.write(k, img)
 				case 4: // full-object tuple, any scheme, stamped
 					img, e := image(ds), stamp(k)
-					if _, err := sess.write(true, fullTuple(k[0], k[1], e, img, rng.Intn(3) != 0)); err != nil {
+					if _, err := sess.write(true, fullTuple(k[0], k[1], e, img, anyScheme())); err != nil {
 						t.Fatalf("step %s: %v", what, err)
 					}
 					model.writeEpoch(k, e, img)
@@ -347,7 +357,7 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						srv.Store.WriteRange(k[0], k[1], objSize, exts, raw)
 					} else {
-						r := fullTuple(k[0], k[1], 0, raw, rng.Intn(2) == 0)
+						r := fullTuple(k[0], k[1], 0, raw, anyScheme())
 						r.ObjSize, r.Extents = objSize, exts
 						if _, err := sess.write(false, r); err != nil {
 							t.Fatalf("step %s: %v", what, err)
@@ -359,7 +369,7 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 					exts, raw := extents(objSize)
 					e := stamp(k)
 					want := model.spliceEpoch(k, e, objSize, exts, raw)
-					r := fullTuple(k[0], k[1], e, raw, rng.Intn(2) == 0)
+					r := fullTuple(k[0], k[1], e, raw, anyScheme())
 					r.ObjSize, r.Extents = objSize, exts
 					rej, err := sess.write(true, r)
 					if err != nil {
@@ -438,53 +448,174 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// TestForgedLZTupleStoresNothing: a write batch whose CRC is good but
-// whose second tuple carries a corrupt LZ block is refused with a
-// definitive ERRTAG. The tuple before it has applied (write-back reissue
-// is idempotent), the forged one and everything behind it stored
-// nothing, and no reader on any session is ever shown the block.
-func TestForgedLZTupleStoresNothing(t *testing.T) {
-	testutil.NoGoroutineLeaks(t)
+// forgedTupleStoresNothing sends {a good tuple, victim's tuple in scheme
+// after forge has corrupted it, another good tuple} as one batch with a
+// valid CRC and holds the server to DESIGN.md §13: a definitive ERRTAG;
+// when the batch decodes (the forgery is inside the block), the tuple
+// ahead of it has applied — write-back reissue is idempotent — and when
+// it does not, nothing has; the forged tuple and everything behind it
+// stored nothing; no reader on any session is ever shown the block; the
+// writer's session survives and its honest reissue lands.
+func forgedTupleStoresNothing(t *testing.T, victim []byte, scheme uint8, forge func(*rdma.WriteReqC), decodes bool) {
+	t.Helper()
 	srv := NewServer()
 	writer, reader := dialRaw(t, srv, rdma.OptCompress), dialRaw(t, srv, rdma.OptCompress)
-
 	rng := rand.New(rand.NewSource(5))
-	good, victim, after := sparseInt64(4096, rng), sparseInt64(4096, rng), sparseInt64(4096, rng)
-	forged := fullTuple(7, 2, 0, victim, true)
-	if forged.Scheme != rdma.SchemeLZ {
-		t.Fatal("the victim image did not compress")
+	good, after := sparseInt64(4096, rng), sparseInt64(4096, rng)
+	honest := fullTuple(7, 2, 0, victim, scheme)
+	if honest.Scheme != scheme {
+		t.Fatalf("the victim image travels as scheme %d, want %d", honest.Scheme, scheme)
 	}
-	// Corrupt the block until it no longer decodes to 4096 bytes (a flip
-	// inside a literal run would still decode, to the wrong image — that
-	// is the CRC's job to catch, not the codec's).
-	forged.Data = append([]byte(nil), forged.Data...)
-	for i := 0; rdma.LZDecompress(make([]byte, 4096), forged.Data) == nil; i++ {
-		if i == len(forged.Data) {
-			t.Fatal("no single-byte corruption makes the block undecodable")
-		}
-		forged.Data[i] = 0xFF
-	}
-	_, err := writer.write(false,
-		fullTuple(7, 1, 0, good, true), forged, fullTuple(7, 3, 0, after, false))
-	if err == nil || !strings.Contains(err.Error(), rdma.ErrCorrupt.Error()) {
-		t.Fatalf("forged batch answered with %v, want an ERRTAG naming the corrupt block", err)
-	}
+	forged := honest
+	forged.Data = append([]byte(nil), honest.Data...)
+	forge(&forged)
 
-	if got := srv.Store.Read(7, 1, 4096); !bytes.Equal(got, good) {
-		t.Fatal("the tuple ahead of the forged one did not apply")
+	_, err := writer.write(false,
+		fullTuple(7, 1, 0, good, rdma.SchemeLZ), forged, fullTuple(7, 3, 0, after, rdma.SchemeRaw))
+	if err == nil || decodes && !strings.Contains(err.Error(), rdma.ErrCorrupt.Error()) {
+		t.Fatalf("forged batch answered with %v, want an ERRTAG (naming the corrupt block if the batch decodes)", err)
 	}
-	if srv.Store.Len() != 1 {
-		t.Fatalf("store holds %v after the refusal, want only {7 1}", srv.Store.Keys())
+	absent := make([]byte, 4096)
+	ahead, stored := absent, 0
+	if decodes {
+		ahead, stored = good, 1
+	}
+	if srv.Store.Len() != stored {
+		t.Fatalf("store holds %v after the refusal, want %d objects", srv.Store.Keys(), stored)
 	}
 	objs, _ := reader.read(false, rdma.ReadReq{DS: 7, Idx: 2, Size: 4096}, rdma.ReadReq{DS: 7, Idx: 3, Size: 4096}, rdma.ReadReq{DS: 7, Idx: 1, Size: 4096})
-	if !rdma.IsAllZero(objs[0]) || !rdma.IsAllZero(objs[1]) || !bytes.Equal(objs[2], good) {
-		t.Fatal("a reader on another session saw something other than {absent, absent, the good image}")
+	if !bytes.Equal(objs[0], absent) || !bytes.Equal(objs[1], absent) || !bytes.Equal(objs[2], ahead) {
+		t.Fatal("a reader on another session saw something other than {absent, absent, the tuple ahead of the forged one}")
 	}
-	// The writer's session survived, and its reissue lands.
-	if _, err := writer.write(false, fullTuple(7, 2, 0, victim, true)); err != nil {
+	if _, err := writer.write(false, honest); err != nil {
 		t.Fatal(err)
 	}
 	if objs, _ := reader.read(false, rdma.ReadReq{DS: 7, Idx: 2, Size: 4096}); !bytes.Equal(objs[0], victim) {
 		t.Fatal("reissued write did not land")
+	}
+}
+
+// TestForgedLZTupleStoresNothing: a write batch whose CRC is good but
+// whose second tuple carries a corrupt LZ block (forgedTupleStoresNothing).
+func TestForgedLZTupleStoresNothing(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	victim := sparseInt64(4096, rand.New(rand.NewSource(6)))
+	forgedTupleStoresNothing(t, victim, rdma.SchemeLZ, func(r *rdma.WriteReqC) {
+		// Corrupt the block until it no longer decodes to 4096 bytes (a flip
+		// inside a literal run would still decode, to the wrong image — that
+		// is the CRC's job to catch, not the codec's).
+		for i := 0; rdma.LZDecompress(make([]byte, 4096), r.Data) == nil; i++ {
+			if i == len(r.Data) {
+				t.Fatal("no single-byte corruption makes the block undecodable")
+			}
+			r.Data[i] = 0xFF
+		}
+	}, true)
+}
+
+// TestForgedWordsTupleStoresNothing is the same contract for every way a
+// lane-packed block can be wrong: admission is rdma.CheckWords, and what
+// it refuses is refused exactly as an LZ block that fails to decode is.
+func TestForgedWordsTupleStoresNothing(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	victim := sparseInt64(4096, rand.New(rand.NewSource(6))) // lanes 0-1: lo 0, w 2
+	bitmap := func(r *rdma.WriteReqC) []byte { return r.Data[2 : 2+64] }
+	flipFirst := func(r *rdma.WriteReqC, set bool) {
+		for i, b := range bitmap(r) {
+			for j := 0; j < 8; j++ {
+				if (b>>j&1 != 0) == set {
+					bitmap(r)[i] ^= 1 << j
+					return
+				}
+			}
+		}
+		t.Fatal("bitmap has no such bit")
+	}
+	for _, tc := range []struct {
+		name    string
+		forge   func(*rdma.WriteReqC)
+		decodes bool
+	}{
+		{"popcount one more than the word area holds", func(r *rdma.WriteReqC) { flipFirst(r, false) }, true},
+		{"popcount one fewer than the word area holds", func(r *rdma.WriteReqC) { flipFirst(r, true) }, true},
+		{"word area one byte short", func(r *rdma.WriteReqC) { r.Data = r.Data[:len(r.Data)-1] }, true},
+		{"w=0", func(r *rdma.WriteReqC) { r.Data[1] = 0 }, true},
+		{"w=5", func(r *rdma.WriteReqC) { r.Data[1] = 5 }, true},
+		{"lo+w=9", func(r *rdma.WriteReqC) { r.Data[0] = 7 }, true},
+		{"rawLen not whole groups", func(r *rdma.WriteReqC) { r.RawLen -= 8 }, true},
+		{"rawLen another multiple of 64", func(r *rdma.WriteReqC) { r.RawLen += 64 }, true},
+		// A block no shorter than its object never reaches CheckWords: the
+		// tuple decoder refuses the length, and with it the whole batch.
+		{"block as long as the object", func(r *rdma.WriteReqC) { r.RawLen = uint32(len(r.Data)) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forgedTupleStoresNothing(t, victim, rdma.SchemeWords, tc.forge, tc.decodes)
+		})
+	}
+}
+
+// TestPackedWriteTuplesOnPlainSession pins what OptCompress governs: what
+// the server sends, not what it takes. A session that did not ask for it
+// may still write LZ and lane-packed tuples — full objects and range
+// gathers — which are validated and stored exactly as on a compressing
+// session (and refused exactly so when forged); it is never sent a
+// compressed segment back (rawSession.read fails the test on one), while
+// a compressing session reading the same objects gets the stored blocks.
+func TestPackedWriteTuplesOnPlainSession(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	plain, packed := dialRaw(t, srv, 0), dialRaw(t, srv, rdma.OptCompress)
+	rng := rand.New(rand.NewSource(9))
+	img := sparseInt64(4096, rng)
+	schemes := []uint8{rdma.SchemeLZ, rdma.SchemeWords}
+	var reqs []rdma.ReadReq
+	for i, scheme := range schemes {
+		tuple := fullTuple(9, uint32(i), 0, img, scheme)
+		if tuple.Scheme != scheme {
+			t.Fatalf("the image travels as scheme %d, want %d", tuple.Scheme, scheme)
+		}
+		if _, err := plain.write(false, tuple); err != nil {
+			t.Fatalf("scheme-%d tuple on a plain session: %v", scheme, err)
+		}
+		forged := tuple
+		forged.Idx += 10
+		forged.Data = tuple.Data[:8] // too short to hold 4 KiB under either scheme
+		if _, err := plain.write(false, forged); err == nil || !strings.Contains(err.Error(), rdma.ErrCorrupt.Error()) {
+			t.Fatalf("forged scheme-%d tuple on a plain session answered with %v", scheme, err)
+		}
+		reqs = append(reqs, rdma.ReadReq{DS: 9, Idx: uint32(i), Size: 4096})
+	}
+	if srv.Store.Len() != len(schemes) {
+		t.Fatalf("store holds %v, want the two honest objects", srv.Store.Keys())
+	}
+	for _, sess := range []*rawSession{plain, packed} {
+		objs, _ := sess.read(false, reqs...)
+		for i, scheme := range schemes {
+			if !bytes.Equal(objs[i], img) {
+				t.Fatalf("object written as scheme %d reads back wrong (compress=%v)", scheme, sess.compress)
+			}
+			if got := sess.segs[i].Scheme; sess.compress && got != scheme {
+				t.Fatalf("object stored as scheme %d was served to a compressing session as scheme %d", scheme, got)
+			}
+		}
+	}
+
+	// A range tuple whose 64-byte gather lane-packs, spliced onto the
+	// lane-packed image.
+	gather := sparseInt64(64, rng)
+	r := fullTuple(9, 1, 0, gather, rdma.SchemeWords)
+	if r.Scheme != rdma.SchemeWords {
+		t.Fatalf("the gather travels as scheme %d", r.Scheme)
+	}
+	r.ObjSize, r.Extents = 4096, []rdma.Extent{{Off: 128, Len: 64}}
+	if _, err := plain.write(false, r); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), img...)
+	copy(want[128:], gather)
+	for _, sess := range []*rawSession{plain, packed} {
+		if objs, _ := sess.read(false, reqs[1]); !bytes.Equal(objs[0], want) {
+			t.Fatalf("lane-packed range tuple spliced wrong (compress=%v)", sess.compress)
+		}
 	}
 }

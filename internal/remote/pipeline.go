@@ -1089,6 +1089,10 @@ func (c *PipelinedClient) deliverData(f *rdma.Frame, ops []*pipeOp, sc *replyScr
 			if err := rdma.LZDecompress(op.dst, seg.Data); err != nil {
 				return i, err
 			}
+		case rdma.SchemeWords:
+			if err := rdma.UnpackWords(op.dst, seg.Data); err != nil {
+				return i, err
+			}
 		default:
 			copy(op.dst, seg.Data)
 		}

@@ -90,7 +90,7 @@ func (s *rawSession) write(epoch bool, reqs ...rdma.WriteReqC) (rejected []uint6
 // read sends one READBATCH-C (stamped when epoch is set) and returns
 // each object expanded to raw bytes, plus the stored epochs of a stamped
 // read. A session that did not ask for compression must never be sent
-// an LZ segment.
+// a compressed segment, LZ or lane-packed.
 func (s *rawSession) read(epoch bool, reqs ...rdma.ReadReq) (objs [][]byte, epochs []uint64) {
 	s.tb.Helper()
 	f := rdma.EncodeReadBatchCPooled(0, reqs)
@@ -114,12 +114,16 @@ func (s *rawSession) read(epoch bool, reqs ...rdma.ReadReq) (objs [][]byte, epoc
 		switch sg.Scheme {
 		case rdma.SchemeRaw:
 			copy(out, sg.Data)
-		case rdma.SchemeLZ:
+		case rdma.SchemeLZ, rdma.SchemeWords:
 			if !s.compress {
-				s.tb.Fatalf("segment %d is LZ on a session that did not ask for compression", i)
+				s.tb.Fatalf("segment %d is compressed (scheme %d) on a session that did not ask for compression", i, sg.Scheme)
 			}
-			if err := rdma.LZDecompress(out, sg.Data); err != nil {
-				s.tb.Fatalf("segment %d: %v", i, err)
+			unpack := rdma.LZDecompress
+			if sg.Scheme == rdma.SchemeWords {
+				unpack = rdma.UnpackWords
+			}
+			if err := unpack(out, sg.Data); err != nil {
+				s.tb.Fatalf("segment %d (scheme %d): %v", i, sg.Scheme, err)
 			}
 		}
 		objs = append(objs, out)
@@ -141,15 +145,19 @@ func (s *rawSession) chase(req rdma.ChaseReq) rdma.ChaseResult {
 	return copyChaseResult(res[0])
 }
 
-// fullTuple builds a full-object write tuple for img in the cheapest
-// form among those allowed: SchemeZero for an all-zero image, SchemeLZ
-// when lz is set and the image shrinks, SchemeRaw otherwise.
-func fullTuple(ds, idx uint32, epoch uint64, img []byte, lz bool) rdma.WriteReqC {
+// fullTuple builds a full-object write tuple for img: SchemeZero for an
+// all-zero image; otherwise in the scheme asked for where img admits it
+// — SchemeWords an image of small words, else (and for SchemeLZ) an LZ
+// block if that is shorter — and SchemeRaw where it does not.
+func fullTuple(ds, idx uint32, epoch uint64, img []byte, scheme uint8) rdma.WriteReqC {
 	r := rdma.WriteReqC{DS: ds, Idx: idx, Epoch: epoch, RawLen: uint32(len(img)), Scheme: rdma.SchemeRaw, Data: img}
-	if rdma.IsAllZero(img) {
+	comp := make([]byte, rdma.CompressBound(len(img)))
+	switch lo, w := rdma.ScanWords(img); {
+	case w == 0:
 		r.Scheme, r.Data = rdma.SchemeZero, nil
-	} else if lz {
-		comp := make([]byte, rdma.CompressBound(len(img)))
+	case scheme == rdma.SchemeWords && w > 0:
+		r.Scheme, r.Data = rdma.SchemeWords, comp[:rdma.PackWords(comp, img, lo, w)]
+	case scheme != rdma.SchemeRaw:
 		if n, ok := rdma.LZCompress(comp, img); ok && n < len(img) {
 			r.Scheme, r.Data = rdma.SchemeLZ, comp[:n]
 		}

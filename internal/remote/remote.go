@@ -37,8 +37,8 @@ import (
 //
 // Each object is held once, in the wire form it arrived in (see image):
 // a write-back its client compressed stays compressed, and a read on a
-// session that takes LZ segments gets those bytes back verbatim. Every
-// exported method speaks raw bytes and expands on the way out.
+// session that takes compressed segments gets those bytes back verbatim.
+// Every exported method speaks raw bytes and expands on the way out.
 type ObjectStore struct {
 	mu sync.RWMutex
 	m  map[[2]uint32]image
@@ -48,8 +48,10 @@ type ObjectStore struct {
 // image is one stored object as the (scheme, rawLen, bytes) triple a
 // WRITEBATCH-C tuple or DATABATCH-C segment carries it in: SchemeRaw
 // holds the rawLen bytes themselves, SchemeLZ an LZ block that decoded
-// to rawLen bytes when the server validated it on arrival, SchemeZero
-// nothing. An absent object reads as image's zero value: raw, no bytes.
+// to rawLen bytes when the server validated it on arrival, SchemeWords a
+// lane-packed block that passed rdma.CheckWords for rawLen then,
+// SchemeZero nothing. An absent object reads as image's zero value: raw,
+// no bytes.
 type image struct {
 	scheme uint8
 	rawLen uint32
@@ -64,15 +66,19 @@ func (im image) expand(dst []byte) {
 	case len(dst) == 0:
 	case im.scheme == rdma.SchemeRaw:
 		n = copy(dst, im.data)
-	case im.scheme == rdma.SchemeLZ:
+	case im.scheme != rdma.SchemeZero:
 		// A block only decodes whole: straight into dst when it fits,
 		// through a temporary for a read shorter than the object.
 		raw := dst
 		if n = int(im.rawLen); n > len(dst) {
 			raw = make([]byte, n)
 		}
-		if err := rdma.LZDecompress(raw[:n], im.data); err != nil {
-			panic(fmt.Sprintf("remote: stored LZ image no longer decodes: %v", err)) // validated on arrival
+		unpack := rdma.LZDecompress
+		if im.scheme == rdma.SchemeWords {
+			unpack = rdma.UnpackWords
+		}
+		if err := unpack(raw[:n], im.data); err != nil {
+			panic(fmt.Sprintf("remote: stored scheme-%d image no longer decodes: %v", im.scheme, err)) // validated on arrival
 		}
 		n = copy(dst, raw[:n])
 	}
@@ -107,11 +113,11 @@ func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) {
 // the same lock hold.
 //
 //   - SchemeZero: the object is absent or stored as zeros; dst is untouched.
-//   - SchemeLZ (only when lz is set): dst[:n] holds the stored block, which
-//     expands to exactly len(dst) bytes.
+//   - SchemeLZ, SchemeWords (only when packed is set): dst[:n] holds the
+//     stored block, which expands to exactly len(dst) bytes.
 //   - SchemeRaw: dst holds the raw bytes as ReadInto leaves them; n is
 //     len(dst).
-func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, lz bool) (scheme uint8, n int, epoch uint64) {
+func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme uint8, n int, epoch uint64) {
 	k := [2]uint32{ds, idx}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -120,8 +126,8 @@ func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, lz bool) (scheme uint
 	switch {
 	case !ok || im.scheme == rdma.SchemeZero:
 		return rdma.SchemeZero, 0, epoch
-	case lz && im.scheme == rdma.SchemeLZ && int(im.rawLen) == len(dst):
-		return rdma.SchemeLZ, copy(dst, im.data), epoch
+	case packed && im.scheme != rdma.SchemeRaw && int(im.rawLen) == len(dst):
+		return im.scheme, copy(dst, im.data), epoch
 	}
 	im.expand(dst)
 	return rdma.SchemeRaw, len(dst), epoch
@@ -132,9 +138,10 @@ func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
 	s.writeWire(ds, idx, rdma.SchemeRaw, uint32(len(data)), data)
 }
 
-// writeWire stores a copy of a full-object image in wire form. An LZ
-// block must already have been decoded once to rawLen bytes: the store
-// trusts it from here on.
+// writeWire stores a copy of a full-object image in wire form. A block
+// must already have been validated for rawLen bytes — an LZ one decoded
+// once, a lane-packed one through rdma.CheckWords: the store trusts it
+// from here on.
 func (s *ObjectStore) writeWire(ds, idx uint32, scheme uint8, rawLen uint32, wire []byte) {
 	s.mu.Lock()
 	s.putLocked([2]uint32{ds, idx}, scheme, rawLen, wire)
@@ -455,7 +462,7 @@ type srvConn struct {
 	s        *Server
 	id       int
 	trace    bool // every tagged frame carries the trace block
-	compress bool // replies may carry LZ segments
+	compress bool // replies may carry compressed segments
 
 	// Workers reply concurrently: every response goes through send so
 	// frames never interleave, and send flushes before it unlocks, so no

@@ -63,21 +63,28 @@ func BenchmarkWireTierReadTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkServerReadStoredLZ prices what cardsd does for one demand
-// fault of a bfs-shaped object its client wrote back compressed: a 4 KiB
-// sparse-int64 image goes in once as an LZ tuple and is then read in a
-// closed loop over net.Pipe by a hand-driven session that only frames
-// the request and discards the reply, so nearly all of ns/op is the
-// server's read path (decode, store lookup, reply assembly, CRC).
-func BenchmarkServerReadStoredLZ(b *testing.B) {
+// bfsTuple is the write-back of one bfs-shaped object — a 4 KiB image of
+// small int64s, most of them zero — as a full-object tuple in the given
+// scheme.
+func bfsTuple(b *testing.B, scheme uint8) rdma.WriteReqC {
+	b.Helper()
+	tuple := fullTuple(0, 0, 0, sparseInt64(benchObjSize, rand.New(rand.NewSource(1))), scheme)
+	if tuple.Scheme != scheme {
+		b.Fatalf("the bfs-shaped image travels as scheme %d, want %d", tuple.Scheme, scheme)
+	}
+	return tuple
+}
+
+// benchServerReadStored prices what cardsd does for one demand fault of
+// a bfs-shaped object its client wrote back compressed: the image goes in
+// once as a tuple of the given scheme and is then read in a closed loop
+// over net.Pipe by a hand-driven session that only frames the request and
+// discards the reply, so nearly all of ns/op is the server's read path
+// (decode, store lookup, reply assembly, CRC).
+func benchServerReadStored(b *testing.B, scheme uint8) {
 	srv := NewServer()
 	sess := dialRaw(b, srv, rdma.OptCompress)
-	img := sparseInt64(benchObjSize, rand.New(rand.NewSource(1)))
-	tuple := fullTuple(0, 0, 0, img, true)
-	if tuple.Scheme != rdma.SchemeLZ {
-		b.Fatal("the bfs-shaped image did not compress")
-	}
-	if _, err := sess.write(false, tuple); err != nil {
+	if _, err := sess.write(false, bfsTuple(b, scheme)); err != nil {
 		b.Fatal(err)
 	}
 	reqs := []rdma.ReadReq{{DS: 0, Idx: 0, Size: benchObjSize}}
@@ -94,4 +101,39 @@ func BenchmarkServerReadStoredLZ(b *testing.B) {
 		rdma.PutBuf(resp.Payload)
 	}
 	b.ReportMetric(float64(wire), "replyB")
+}
+
+func BenchmarkServerReadStoredLZ(b *testing.B)    { benchServerReadStored(b, rdma.SchemeLZ) }
+func BenchmarkServerReadStoredWords(b *testing.B) { benchServerReadStored(b, rdma.SchemeWords) }
+
+// BenchmarkServerWriteAdmit prices what cardsd does to take one
+// compressed write-back of a bfs-shaped object: the same tuple written in
+// a closed loop over net.Pipe, as an LZ block — admitted by a full
+// validating decode into scratch — and as a lane-packed block — admitted
+// by rdma.CheckWords. Either way the bytes are stored as they arrived.
+func BenchmarkServerWriteAdmit(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		scheme uint8
+	}{{"lz", rdma.SchemeLZ}, {"words", rdma.SchemeWords}} {
+		b.Run(tc.name, func(b *testing.B) {
+			sess := dialRaw(b, NewServer(), rdma.OptCompress)
+			tuples := []rdma.WriteReqC{bfsTuple(b, tc.scheme)}
+			b.SetBytes(benchObjSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, err := rdma.EncodeWriteBatchCPooled(0, tuples, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp := sess.call(f)
+				if resp.Op != rdma.OpAckBatchC {
+					b.Fatalf("write answered with %s", resp.Op)
+				}
+				rdma.PutBuf(resp.Payload)
+			}
+			b.ReportMetric(float64(len(tuples[0].Data)), "blockB")
+		})
+	}
 }
