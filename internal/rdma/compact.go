@@ -248,7 +248,7 @@ type dataSegMeta struct {
 
 // DataBatchCBuilder assembles a DATABATCH-C reply. The server
 // stages each object read into Stage — a slot carved in place out of
-// the blob region — classifies it with Add (zero probe, optional
+// the blob region — classifies it with Add (one scan, optional
 // compression), and emits the frame once per batch. Raw staged objects
 // commit with no copy; only compressed ones bounce through scratch.
 // All internal buffers are pooled and reused across batches, so a
@@ -363,7 +363,8 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	// assumption of raw/zero segments only; a packed segment would grow it.
 	tryCompress = tryCompress && b.hdr == 0
 	staged := b.stagedInPlace(src)
-	if isAllZero(src) {
+	lo, w := ScanWords(src) // the one pass that classifies src: zero, small words, or neither
+	if w == 0 {
 		// dlen does not advance: a staged slot is simply abandoned.
 		b.metas = append(b.metas, dataSegMeta{scheme: SchemeZero, rawLen: uint32(len(src))})
 		return SchemeZero, 0
@@ -385,7 +386,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 			out = b.data[b.dlen : b.dlen+bound]
 		}
 		n := 0
-		if lo, w := ScanWords(src); w > 0 {
+		if w > 0 {
 			scheme, n = SchemeWords, PackWords(out, src, lo, w)
 		} else if m, ok := LZCompress(out, src); ok && m < len(src) {
 			scheme, n = SchemeLZ, m

@@ -153,14 +153,21 @@ func TestLZDecompressRejectsForgedInput(t *testing.T) {
 	}
 }
 
+// TestIsAllZero: ScanWords' zero verdict, which is what stands between an
+// object and SchemeZero, at whole-group and odd sizes.
 func TestIsAllZero(t *testing.T) {
-	if !isAllZero(make([]byte, 4096)) || !isAllZero(nil) {
-		t.Fatalf("zero buffer not detected")
-	}
-	b := make([]byte, 4096)
-	b[4095] = 1
-	if isAllZero(b) {
-		t.Fatalf("trailing non-zero missed")
+	isAllZero := func(b []byte) bool { _, w := ScanWords(b); return w == 0 }
+	for _, n := range []int{0, 1, 63, 64, 100, 4096} {
+		b := make([]byte, n)
+		if !isAllZero(b) {
+			t.Fatalf("zero buffer of %d bytes not detected", n)
+		}
+		if n > 0 {
+			b[n-1] = 1
+			if isAllZero(b) {
+				t.Fatalf("trailing non-zero missed at %d bytes", n)
+			}
+		}
 	}
 }
 

@@ -360,26 +360,3 @@ func lzExt(src []byte, in, v int) (int, int, error) {
 		}
 	}
 }
-
-// isAllZero reports whether b contains only zero bytes (the fast path
-// for freshly-materialized or cleared objects, which compress to a
-// two-bit scheme code and no payload at all).
-func isAllZero(b []byte) bool {
-	for len(b) >= 8 {
-		if binary.LittleEndian.Uint64(b) != 0 {
-			return false
-		}
-		b = b[8:]
-	}
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsAllZero reports whether b contains only zero bytes — exported for
-// the client-side compression decision, which classifies objects before
-// they reach a builder.
-func IsAllZero(b []byte) bool { return isAllZero(b) }

@@ -487,15 +487,16 @@ func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte,
 }
 
 // compressInto applies the client-side compression decision to one
-// outgoing object: all-zero detection first, then — when the session
-// asked for OptCompress and the adaptive policy expects the DS to
-// shrink — an object of small words is lane-packed and any other gets an
-// LZ pass, into a pooled buffer. It returns the scheme and the wire
+// outgoing object. One scan classifies it — all zero, small words, or
+// neither; then, when the session asked for OptCompress and the adaptive
+// policy expects the DS to shrink, an object of small words is
+// lane-packed and any other gets an LZ pass, into a pooled buffer. It returns the scheme and the wire
 // bytes: nil for SchemeZero, src itself for SchemeRaw, a pooled buffer
 // the caller must PutBuf for SchemeLZ and SchemeWords. The policy is
 // atomic: nothing here needs mu.
 func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wire []byte) {
-	if rdma.IsAllZero(src) {
+	lo, w := rdma.ScanWords(src)
+	if w == 0 {
 		return rdma.SchemeZero, nil
 	}
 	if !c.compress || !c.cpolicy.shouldCompress(ds) {
@@ -503,7 +504,7 @@ func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wir
 	}
 	buf := rdma.GetBuf(rdma.CompressBound(len(src))) // covers WordsBound
 	scheme, n := rdma.SchemeRaw, len(src)
-	if lo, w := rdma.ScanWords(src); w > 0 {
+	if w > 0 {
 		scheme, n = rdma.SchemeWords, rdma.PackWords(buf, src, lo, w)
 	} else if m, ok := rdma.LZCompress(buf, src); ok && m < len(src) {
 		scheme, n = rdma.SchemeLZ, m

@@ -263,7 +263,7 @@ type PipelinedClient struct {
 	// connection of this client opens with the same hello.
 	hello    rdma.Hello
 	trace    bool // tagged frames carry the trace extension
-	compress bool // batch segments may be LZ-compressed
+	compress bool // batch segments may be compressed (LZ, lane-packed words)
 
 	metrics *pipeMetrics
 	hub     *obs.TraceHub  // nil = no tracing
@@ -757,7 +757,7 @@ type plannedFrame struct {
 // It parks while a reconnect is in progress and resumes against the
 // fresh connection.
 //
-// Under mu it only plans. Gathering extents, zero detection, LZ and
+// Under mu it only plans. Gathering extents, the scan, compression and
 // bit-packing happen outside it (under flushMu), so enqueue and
 // takePending never wait on a compressor. Registering a batch before
 // its frame exists changes nothing a fault can observe: connFail
