@@ -30,8 +30,9 @@ import (
 //
 // That equation is the whole validity argument: decoding reads the
 // bitmap's rawLen/64 bytes and then exactly w bytes per set bit, so it
-// ends on the block's last byte, and it stores one word per bitmap bit,
-// so it writes every byte of dst. Nothing after the check can fail. A
+// ends on the block's last byte, and it zeroes one 64-byte group per
+// bitmap byte before storing that group's present words, so it writes
+// every byte of dst. Nothing after the check can fail. A
 // set bit over a zero word, or lanes wider than the data needs, is legal
 // and merely not what PackWords emits.
 
@@ -144,21 +145,22 @@ func UnpackWords(dst, block []byte) error {
 	in := wordsHdr + groups
 	for g, present := range block[wordsHdr:in] {
 		grp := dst[64*g : 64*g+64]
-		for j := 0; j < 8; j++ {
+		// Zero the group, then visit its set bits, lowest first: the only
+		// data-dependent branch is the one that leaves the group.
+		clear(grp)
+		for ; present != 0; present &= present - 1 {
 			var v uint64
-			if present>>j&1 != 0 {
-				if in+4 <= len(block) {
-					v = uint64(binary.LittleEndian.Uint32(block[in:])) & mask
-				} else {
-					// The last word or so of a w < 4 block: a four-byte load
-					// would read past the end.
-					for k := w - 1; k >= 0; k-- {
-						v = v<<8 | uint64(block[in+k])
-					}
+			if in+4 <= len(block) {
+				v = uint64(binary.LittleEndian.Uint32(block[in:])) & mask
+			} else {
+				// The last word or so of a w < 4 block: a four-byte load
+				// would read past the end.
+				for k := w - 1; k >= 0; k-- {
+					v = v<<8 | uint64(block[in+k])
 				}
-				in += w
 			}
-			binary.LittleEndian.PutUint64(grp[8*j:], v<<shift)
+			in += w
+			binary.LittleEndian.PutUint64(grp[8*bits.TrailingZeros8(present):], v<<shift)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"strings"
@@ -401,26 +402,10 @@ func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)
 
 // TestSessionOptionsShapeTheWire pins what each hello option keeps off
 // the wire when it is not asked for: an untraced session carries no
-// trace block, a Compression "off" session no LZ segment — in either
-// direction, whatever the data.
+// trace block, a Compression "off" session no compressed segment, LZ or
+// lane-packed — in either direction, whatever the data.
 func TestSessionOptionsShapeTheWire(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
-	img := compressible(4096)
-	ops := func(cl *PipelinedClient) {
-		t.Helper()
-		if err := cl.WriteObj(1, 1, img); err != nil {
-			t.Fatal(err)
-		}
-		errCh := make(chan error, 1)
-		cl.IssueWriteRanges(1, 1, img, []rdma.Extent{{Off: 64, Len: 8}}, func(err error) { errCh <- err })
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(img))
-		if err := cl.ReadObj(1, 1, got); err != nil || !bytes.Equal(got, img) {
-			t.Fatalf("read back: %v", err)
-		}
-	}
 	verbs := func(frames []rdma.Frame) string {
 		var s []string
 		for _, f := range frames {
@@ -428,28 +413,55 @@ func TestSessionOptionsShapeTheWire(t *testing.T) {
 		}
 		return strings.Join(s, " ")
 	}
-
-	c2s, s2c := recordedSession(t, PipelineOpts{Compression: "off"}, ops)
-	if got, want := verbs(c2s), "WRITEBATCH-C WRITEBATCH-C READBATCH-C"; got != want {
-		t.Fatalf("client sent %q, want %q", got, want)
-	}
-	if got, want := verbs(s2c), "ACKBATCH-C ACKBATCH-C DATABATCH-C"; got != want {
-		t.Fatalf("server answered %q, want %q", got, want)
-	}
-	for _, f := range c2s[:2] {
-		reqs, _, err := rdma.DecodeWriteBatchCInto(f.Payload, nil, nil, false)
-		if err != nil || len(reqs) != 1 || reqs[0].Scheme != rdma.SchemeRaw {
-			t.Fatalf("Compression off: write tuple %+v (%v), want one raw tuple", reqs, err)
+	for _, tc := range []struct {
+		img    []byte
+		scheme uint8 // what a default session sends it as
+	}{
+		{compressible(4096), rdma.SchemeLZ},
+		{sparseInt64(4096, rand.New(rand.NewSource(3))), rdma.SchemeWords},
+	} {
+		img := tc.img
+		ops := func(cl *PipelinedClient) {
+			t.Helper()
+			if err := cl.WriteObj(1, 1, img); err != nil {
+				t.Fatal(err)
+			}
+			errCh := make(chan error, 1)
+			cl.IssueWriteRanges(1, 1, img, []rdma.Extent{{Off: 64, Len: 64}}, func(err error) { errCh <- err })
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(img))
+			if err := cl.ReadObj(1, 1, got); err != nil || !bytes.Equal(got, img) {
+				t.Fatalf("read back: %v", err)
+			}
 		}
-	}
-	segs, err := rdma.DecodeDataBatchCInto(s2c[2].Payload, nil)
-	if err != nil || len(segs) != 1 || segs[0].Scheme != rdma.SchemeRaw {
-		t.Fatalf("Compression off: reply segment %+v (%v), want one raw segment", segs, err)
-	}
 
-	// The control: the same ops on a default session do compress.
-	c2s, _ = recordedSession(t, PipelineOpts{}, ops)
-	if reqs, _, err := rdma.DecodeWriteBatchCInto(c2s[0].Payload, nil, nil, false); err != nil || reqs[0].Scheme != rdma.SchemeLZ {
-		t.Fatalf("default session should LZ a compressible object: %+v (%v)", reqs, err)
+		c2s, s2c := recordedSession(t, PipelineOpts{Compression: "off"}, ops)
+		if got, want := verbs(c2s), "WRITEBATCH-C WRITEBATCH-C READBATCH-C"; got != want {
+			t.Fatalf("client sent %q, want %q", got, want)
+		}
+		if got, want := verbs(s2c), "ACKBATCH-C ACKBATCH-C DATABATCH-C"; got != want {
+			t.Fatalf("server answered %q, want %q", got, want)
+		}
+		for _, f := range c2s[:2] {
+			reqs, _, err := rdma.DecodeWriteBatchCInto(f.Payload, nil, nil, false)
+			if err != nil || len(reqs) != 1 || reqs[0].Scheme != rdma.SchemeRaw {
+				t.Fatalf("Compression off: write tuple %+v (%v), want one raw tuple", reqs, err)
+			}
+		}
+		segs, err := rdma.DecodeDataBatchCInto(s2c[2].Payload, nil)
+		if err != nil || len(segs) != 1 || segs[0].Scheme != rdma.SchemeRaw {
+			t.Fatalf("Compression off: reply segment %+v (%v), want one raw segment", segs, err)
+		}
+
+		// The control: the same ops on a default session do compress.
+		c2s, s2c = recordedSession(t, PipelineOpts{}, ops)
+		if reqs, _, err := rdma.DecodeWriteBatchCInto(c2s[0].Payload, nil, nil, false); err != nil || reqs[0].Scheme != tc.scheme {
+			t.Fatalf("default session should send the object as scheme %d: %+v (%v)", tc.scheme, reqs, err)
+		}
+		if segs, err := rdma.DecodeDataBatchCInto(s2c[2].Payload, nil); err != nil || segs[0].Scheme == rdma.SchemeRaw {
+			t.Fatalf("default session should be answered with a compressed segment: %+v (%v)", segs, err)
+		}
 	}
 }
