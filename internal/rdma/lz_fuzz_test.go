@@ -204,8 +204,11 @@ type lzShape struct {
 	obj  []byte
 }
 
-func lzShapes() []lzShape {
-	x := uint64(0x9E3779B97F4A7C15)
+func lzShapes() []lzShape { return lzShapesFrom(0x9E3779B97F4A7C15) }
+
+// lzShapesFrom draws the shapes from another point of the generator: the
+// same kinds of object, different bytes.
+func lzShapesFrom(x uint64) []lzShape {
 	next := func() uint64 {
 		x ^= x << 13
 		x ^= x >> 7

@@ -91,20 +91,22 @@ func PackWords(dst, src []byte, lo, w int) int {
 	shift := uint(8 * lo)
 	for g := range bitmap {
 		grp := src[64*g : 64*g+64]
-		var present byte
+		var present uint
 		for j := 0; j < 8; j++ {
 			v := binary.LittleEndian.Uint64(grp[8*j:])
-			if v == 0 {
-				continue
-			}
-			present |= 1 << j
-			// A four-byte store whatever w is; the next word, or nothing,
-			// overwrites the excess. It stays inside WordsBound: with k of
-			// the n/8 words stored, out+4 = 2+n/64+k·w+4 <= 2+n/64+(n/8)·4.
+			// No branch on v: whether a word is zero is a coin toss in the
+			// objects this codec is for, and a mispredicted branch costs more
+			// than the word. Store four bytes of it whatever it and w are,
+			// and step past w of them only if it was non-zero; the next
+			// store, or nothing, overwrites the rest. That stays inside
+			// WordsBound: with k of the n/8 words kept so far,
+			// out+4 = 2+n/64+k·w+4 <= 2+n/64+(n/8)·4.
 			binary.LittleEndian.PutUint32(dst[out:], uint32(v>>shift))
-			out += w
+			nz := uint((v | -v) >> 63) // 1 iff v != 0
+			present |= nz << j
+			out += w & -int(nz)
 		}
-		bitmap[g] = present
+		bitmap[g] = byte(present)
 	}
 	return out
 }
