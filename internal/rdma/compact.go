@@ -55,9 +55,18 @@ const (
 	SchemeWords uint8 = 3
 )
 
-// schemePacked reports whether a scheme's bytes are a compressed block,
+// SchemePacked reports whether a scheme's bytes are a compressed block,
 // whose length the header carries beside the raw one.
-func schemePacked(scheme uint8) bool { return scheme == SchemeLZ || scheme == SchemeWords }
+func SchemePacked(scheme uint8) bool { return scheme == SchemeLZ || scheme == SchemeWords }
+
+// UnpackBlock expands a compressed block of the given scheme into dst,
+// which must be exactly the original length.
+func UnpackBlock(scheme uint8, dst, block []byte) error {
+	if scheme == SchemeWords {
+		return UnpackWords(dst, block)
+	}
+	return LZDecompress(dst, block)
+}
 
 // Extent is one modified byte range of an object, used by range-write
 // tuples. Extents in a tuple are sorted by Off and non-overlapping.
@@ -205,7 +214,7 @@ func DecodeDataSegsInto(p []byte, segs []DataSegC, epoch bool) ([]DataSegC, erro
 			return nil, fmt.Errorf("rdma: DATABATCH-C segment %d rawLen %d exceeds MaxFrame", i, raw)
 		}
 		s.RawLen = uint32(raw)
-		if schemePacked(s.Scheme) {
+		if SchemePacked(s.Scheme) {
 			comp := r.Uvarint()
 			if comp == 0 || comp >= raw || comp > uint64(len(p)) {
 				return nil, fmt.Errorf("rdma: DATABATCH-C segment %d bad compressed length %d/%d", i, comp, raw)
@@ -436,7 +445,7 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		w := NewBitWriter(b.data[:b.hdr])
 		w.Uvarint(uint64(len(b.metas)))
 		for _, m := range b.metas {
-			if schemePacked(m.scheme) {
+			if SchemePacked(m.scheme) {
 				return Frame{}, fmt.Errorf("rdma: DATABATCH-C packed segment in a reserved-header batch (Begin/AddWire mismatch)")
 			}
 			w.WriteBits(uint64(m.scheme), 2)
@@ -470,7 +479,7 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 	for _, m := range b.metas {
 		w.WriteBits(uint64(m.scheme), 2)
 		w.Uvarint(uint64(m.rawLen))
-		if schemePacked(m.scheme) {
+		if SchemePacked(m.scheme) {
 			w.Uvarint(uint64(m.wireLen))
 		}
 		if b.epoch {
@@ -579,7 +588,7 @@ func EncodeWriteBatchCPooled(tag uint32, reqs []WriteReqC, epoch bool) (Frame, e
 			}
 			w.WriteBits(uint64(r.Scheme), 2)
 		}
-		if schemePacked(r.Scheme) {
+		if SchemePacked(r.Scheme) {
 			w.Uvarint(uint64(len(r.Data)))
 		}
 	}
@@ -676,7 +685,7 @@ func DecodeWriteBatchCInto(p []byte, reqs []WriteReqC, exts []Extent, epoch bool
 			}
 			req.RawLen = uint32(raw)
 		}
-		if schemePacked(req.Scheme) {
+		if SchemePacked(req.Scheme) {
 			comp := r.Uvarint()
 			if comp == 0 || comp >= uint64(req.RawLen) || comp > uint64(len(p)) {
 				return nil, exts, fmt.Errorf("rdma: WRITEBATCH-C tuple %d bad compressed length %d/%d",

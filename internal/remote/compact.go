@@ -337,11 +337,7 @@ func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 			cw.lz = rdma.GetBuf(n)
 		}
 		dst := cw.lz[:n]
-		unpack := rdma.LZDecompress
-		if r.Scheme == rdma.SchemeWords {
-			unpack = rdma.UnpackWords
-		}
-		if err := unpack(dst, r.Data); err != nil {
+		if err := rdma.UnpackBlock(r.Scheme, dst, r.Data); err != nil {
 			return nil, err
 		}
 		return dst, nil
@@ -490,10 +486,10 @@ func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte,
 // outgoing object. One scan classifies it — all zero, small words, or
 // neither; then, when the session asked for OptCompress and the adaptive
 // policy expects the DS to shrink, an object of small words is
-// lane-packed and any other gets an LZ pass, into a pooled buffer. It returns the scheme and the wire
-// bytes: nil for SchemeZero, src itself for SchemeRaw, a pooled buffer
-// the caller must PutBuf for SchemeLZ and SchemeWords. The policy is
-// atomic: nothing here needs mu.
+// lane-packed and any other gets an LZ pass, into a pooled buffer. It
+// returns the scheme and the wire bytes: nil for SchemeZero, src itself
+// for SchemeRaw, a pooled buffer the caller must PutBuf for SchemeLZ and
+// SchemeWords. The policy is atomic: nothing here needs mu.
 func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wire []byte) {
 	lo, w := rdma.ScanWords(src)
 	if w == 0 {
@@ -541,7 +537,7 @@ func (c *PipelinedClient) encodeWrites(p plannedFrame, sc *flushScratch) (rdma.F
 			}
 		}
 		r.Scheme, r.Data = c.compressInto(op.ds, src)
-		if r.Scheme == rdma.SchemeLZ || r.Scheme == rdma.SchemeWords {
+		if rdma.SchemePacked(r.Scheme) {
 			sc.bufs = append(sc.bufs, r.Data)
 		}
 		r.RawLen = uint32(len(src))

@@ -1085,12 +1085,8 @@ func (c *PipelinedClient) deliverData(f *rdma.Frame, ops []*pipeOp, sc *replyScr
 		switch seg.Scheme {
 		case rdma.SchemeZero:
 			clear(op.dst)
-		case rdma.SchemeLZ:
-			if err := rdma.LZDecompress(op.dst, seg.Data); err != nil {
-				return i, err
-			}
-		case rdma.SchemeWords:
-			if err := rdma.UnpackWords(op.dst, seg.Data); err != nil {
+		case rdma.SchemeLZ, rdma.SchemeWords:
+			if err := rdma.UnpackBlock(seg.Scheme, op.dst, seg.Data); err != nil {
 				return i, err
 			}
 		default:

@@ -118,11 +118,7 @@ func (s *rawSession) read(epoch bool, reqs ...rdma.ReadReq) (objs [][]byte, epoc
 			if !s.compress {
 				s.tb.Fatalf("segment %d is compressed (scheme %d) on a session that did not ask for compression", i, sg.Scheme)
 			}
-			unpack := rdma.LZDecompress
-			if sg.Scheme == rdma.SchemeWords {
-				unpack = rdma.UnpackWords
-			}
-			if err := unpack(out, sg.Data); err != nil {
+			if err := rdma.UnpackBlock(sg.Scheme, out, sg.Data); err != nil {
 				s.tb.Fatalf("segment %d (scheme %d): %v", i, sg.Scheme, err)
 			}
 		}

@@ -66,18 +66,14 @@ func (im image) expand(dst []byte) {
 	case len(dst) == 0:
 	case im.scheme == rdma.SchemeRaw:
 		n = copy(dst, im.data)
-	case im.scheme != rdma.SchemeZero:
+	case rdma.SchemePacked(im.scheme):
 		// A block only decodes whole: straight into dst when it fits,
 		// through a temporary for a read shorter than the object.
 		raw := dst
 		if n = int(im.rawLen); n > len(dst) {
 			raw = make([]byte, n)
 		}
-		unpack := rdma.LZDecompress
-		if im.scheme == rdma.SchemeWords {
-			unpack = rdma.UnpackWords
-		}
-		if err := unpack(raw[:n], im.data); err != nil {
+		if err := rdma.UnpackBlock(im.scheme, raw[:n], im.data); err != nil {
 			panic(fmt.Sprintf("remote: stored scheme-%d image no longer decodes: %v", im.scheme, err)) // validated on arrival
 		}
 		n = copy(dst, raw[:n])
@@ -126,7 +122,7 @@ func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme 
 	switch {
 	case !ok || im.scheme == rdma.SchemeZero:
 		return rdma.SchemeZero, 0, epoch
-	case packed && im.scheme != rdma.SchemeRaw && int(im.rawLen) == len(dst):
+	case packed && rdma.SchemePacked(im.scheme) && int(im.rawLen) == len(dst):
 		return im.scheme, copy(dst, im.data), epoch
 	}
 	im.expand(dst)
