@@ -5,10 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# loc prints the tracked size of the transport: non-test lines of
-# internal/remote + internal/rdma (ROADMAP's "should go down" number).
+# loc prints the two tracked sizes, non-test lines each: the transport
+# (internal/remote + internal/rdma, ROADMAP's "should go down" number),
+# then the whole far tier (farmem + shardmap + replica + remote + rdma).
 loc:
 	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
+	@ls internal/farmem/*.go internal/shardmap/*.go internal/replica/*.go internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -75,13 +77,14 @@ fuzz-smoke:
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
 # proxy and the breaker outage demo (root), the transport's
-# handshake/cut/timeout/uncertain-write/reconnect tests
-# (internal/remote), the runtime breaker and async fault paths
+# handshake/cut/timeout/uncertain-write/reconnect tests and the
+# down-and-resume outage cycle (internal/remote), the runtime breaker
+# and async fault paths
 # (internal/farmem), and the injector itself (internal/faultnet).
 # Schedules are seeded in the tests, so a run is reproducible.
 chaos:
 	$(GO) test -v -run 'TestChaos|TestBreaker' .
-	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestServerDrain|TestCRCSession' ./internal/remote
+	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
 	$(GO) test -v ./internal/faultnet
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"cards/internal/farmem"
@@ -182,7 +181,7 @@ type policyStore interface {
 // Runtime is a far-memory runtime instance.
 type Runtime struct {
 	rt       *farmem.Runtime
-	client   remote.StoreConn
+	client   io.Closer
 	policies policyStore         // non-nil in multi-backend mode
 	tracer   *obs.Tracer         // non-nil iff Config.Trace
 	recorder *obs.FlightRecorder // non-nil iff Config.Trace
@@ -231,7 +230,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		addrs = []string{cfg.RemoteAddr}
 	}
-	var client remote.StoreConn
+	var client io.Closer
 	var policies policyStore
 	if cfg.Replicas > 1 && len(addrs) < cfg.Replicas {
 		return nil, fmt.Errorf("cards: Replicas=%d needs at least that many RemoteAddrs (have %d)",
@@ -256,89 +255,55 @@ func New(cfg Config) (*Runtime, error) {
 		} else if threshold < 0 {
 			threshold = 0
 		}
-		dcfg := remote.DialConfig{
+		fc.RangeWriteback = cfg.DirtyRangeWriteback
+		if len(addrs) > 1 && reg == nil {
+			reg = obs.NewRegistry() // the per-shard series need one
+		}
+		// One pipelined client per address. Each redials by itself, so a
+		// restarted server resumes remoting without restarting this process
+		// (once the reconnect budget is spent, the breaker's Ping probes buy
+		// the redials). All must answer at construction — a fleet that
+		// starts degraded is a deployment error, not an outage.
+		clients, err := remote.DialFleet(addrs, remote.PipelineOpts{
 			Timeout: timeout, RetryMax: retries, Obs: reg, Trace: hub,
 			Compression: cfg.Compression,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("cards: connecting %w", err)
 		}
-		fc.RangeWriteback = cfg.DirtyRangeWriteback
-		if len(addrs) == 1 {
-			// The resilient dialer replaces a client whose reconnect budget
-			// ran out during a long outage, so a restarted server resumes
-			// remoting without restarting this process (the breaker's Ping
-			// probes trigger the replacement dial).
-			c, err := remote.DialResilient(addrs[0], dcfg)
+		backends := make([]farmem.Store, len(clients))
+		for i, c := range clients {
+			backends[i] = c
+		}
+		switch {
+		case len(clients) == 1:
+			fc.Store, client = clients[0], clients[0]
+		case cfg.Replicas > 1:
+			rs, err := replica.New(backends, replica.Options{
+				Replicas:         cfg.Replicas,
+				WriteQuorum:      cfg.WriteQuorum,
+				BreakerThreshold: threshold,
+				Obs:              reg,
+				Trace:            hub,
+			})
 			if err != nil {
-				return nil, fmt.Errorf("cards: connecting far tier: %w", err)
+				remote.CloseFleet(clients)
+				return nil, fmt.Errorf("cards: far-tier replica groups: %w", err)
 			}
-			if err := c.Ping(); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("cards: far tier not responding: %w", err)
+			fc.Store, fc.Obs, client, policies = rs, reg, rs, rs
+		default:
+			// The sharded store adds per-shard breakers on top, so one dead
+			// server degrades only its keys.
+			ss, err := shardmap.NewSharded(backends, shardmap.Options{
+				BreakerThreshold: threshold,
+				Obs:              reg,
+			})
+			if err != nil {
+				remote.CloseFleet(clients)
+				return nil, fmt.Errorf("cards: far-tier shards: %w", err)
 			}
-			fc.Store = c
-			client = c
-		} else {
-			// Multi-backend mode: every shard gets its own resilient
-			// pipelined connection, and the sharded store adds per-shard
-			// breakers on top so one dead server degrades only its keys.
-			// All shards must answer at construction — a fleet that starts
-			// degraded is a deployment error, not an outage.
-			if reg == nil {
-				reg = obs.NewRegistry()
-			}
-			backends := make([]farmem.Store, 0, len(addrs))
-			closeAll := func() {
-				for _, b := range backends {
-					b.(*remote.Resilient).Close()
-				}
-			}
-			for i, addr := range addrs {
-				scfg := dcfg
-				scfg.Obs = reg
-				// Label each shard's attribution series and slow-op
-				// records with its index.
-				scfg.Shard = strconv.Itoa(i)
-				c, err := remote.DialResilient(addr, scfg)
-				if err != nil {
-					closeAll()
-					return nil, fmt.Errorf("cards: connecting far-tier shard %s: %w", addr, err)
-				}
-				if err := c.Ping(); err != nil {
-					c.Close()
-					closeAll()
-					return nil, fmt.Errorf("cards: far-tier shard %s not responding: %w", addr, err)
-				}
-				backends = append(backends, c)
-			}
-			if cfg.Replicas > 1 {
-				rs, err := replica.New(backends, replica.Options{
-					Replicas:         cfg.Replicas,
-					WriteQuorum:      cfg.WriteQuorum,
-					BreakerThreshold: threshold,
-					Obs:              reg,
-					Trace:            hub,
-				})
-				if err != nil {
-					closeAll()
-					return nil, fmt.Errorf("cards: far-tier replica groups: %w", err)
-				}
-				fc.Store = rs
-				fc.Obs = reg
-				client = rs
-				policies = rs
-			} else {
-				ss, err := shardmap.NewSharded(backends, shardmap.Options{
-					BreakerThreshold: threshold,
-					Obs:              reg,
-				})
-				if err != nil {
-					closeAll()
-					return nil, fmt.Errorf("cards: far-tier shards: %w", err)
-				}
-				fc.Store = ss
-				fc.Obs = reg // runtime + per-shard series in one registry
-				client = ss
-				policies = ss
-			}
+			// runtime + per-shard series in one registry
+			fc.Store, fc.Obs, client, policies = ss, reg, ss, ss
 		}
 		// The transport never silently retries an unacknowledged write
 		// (it cannot know whether the server applied it); the runtime

@@ -75,7 +75,7 @@ func TestChaseOffloadSurvivesBackendKillMidRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := remote.DialResilient(addr, remote.DialConfig{
+				c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 					Timeout:   250 * time.Millisecond,
 					RetryMax:  1,
 					RetryBase: time.Millisecond,
@@ -184,7 +184,7 @@ func TestChaseFailoverOnPrimaryKillMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := remote.DialResilient(addr, remote.DialConfig{
+		c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 			Timeout:   250 * time.Millisecond,
 			RetryMax:  1,
 			RetryBase: time.Millisecond,

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -189,9 +188,9 @@ func main() {
 }
 
 // dialRemote connects the far tier for -run: one address yields a
-// resilient pipelined client, several yield a sharded store with one
-// client and one breaker per backend — or, with replicas > 1, a
-// replicated store fanning each object across R backends.
+// pipelined client, several yield a sharded store with one client and
+// one breaker per backend — or, with replicas > 1, a replicated store
+// fanning each object across R backends.
 func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs.TraceHub) (farmem.Store, func(), error) {
 	list := strings.Split(addrs, ",")
 	for i := range list {
@@ -200,35 +199,19 @@ func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs
 	if retryMax <= 0 {
 		retryMax = 6
 	}
-	dcfg := remote.DialConfig{Timeout: 2 * time.Second, RetryMax: retryMax, Trace: hub}
-	backends := make([]farmem.Store, 0, len(list))
-	closeAll := func() {
-		for _, b := range backends {
-			b.(*remote.Resilient).Close()
-		}
+	if replicas > 1 && len(list) == 1 {
+		return nil, nil, fmt.Errorf("-replicas=%d needs at least that many -remote addresses", replicas)
 	}
-	for i, addr := range list {
-		scfg := dcfg
-		if len(list) > 1 {
-			scfg.Shard = strconv.Itoa(i)
-		}
-		c, err := remote.DialResilient(addr, scfg)
-		if err == nil {
-			err = c.Ping()
-		}
-		if err != nil {
-			closeAll()
-			return nil, nil, fmt.Errorf("far-tier shard %s: %w", addr, err)
-		}
-		backends = append(backends, c)
+	clients, err := remote.DialFleet(list, remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: retryMax, Trace: hub})
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(backends) == 1 {
-		if replicas > 1 {
-			closeAll()
-			return nil, nil, fmt.Errorf("-replicas=%d needs at least that many -remote addresses", replicas)
-		}
-		b := backends[0]
-		return b, func() { b.(*remote.Resilient).Close() }, nil
+	if len(clients) == 1 {
+		return clients[0], func() { clients[0].Close() }, nil
+	}
+	backends := make([]farmem.Store, len(clients))
+	for i, c := range clients {
+		backends[i] = c
 	}
 	if replicas > 1 {
 		rs, err := replica.New(backends, replica.Options{
@@ -237,14 +220,14 @@ func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs
 			Trace:            hub,
 		})
 		if err != nil {
-			closeAll()
+			remote.CloseFleet(clients)
 			return nil, nil, err
 		}
 		return rs, func() { rs.Close() }, nil
 	}
 	ss, err := shardmap.NewSharded(backends, shardmap.Options{BreakerThreshold: breakerThreshold})
 	if err != nil {
-		closeAll()
+		remote.CloseFleet(clients)
 		return nil, nil, err
 	}
 	return ss, func() { ss.Close() }, nil

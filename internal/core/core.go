@@ -142,7 +142,7 @@ type RunConfig struct {
 
 	// TraceHub, when non-nil, makes the runtime open distributed root
 	// spans on misses/prefetches/write-backs; share it with the far-tier
-	// clients (remote.DialConfig.Trace) so their wire spans join the
+	// clients (remote.PipelineOpts.Trace) so their wire spans join the
 	// same traces.
 	TraceHub *obs.TraceHub
 

@@ -32,10 +32,10 @@ import "cards/internal/rdma"
 // that for general derefs, so it never filters.
 
 // ChaseStore is the synchronous traversal-offload surface of a far tier
-// (remote.Resilient, shardmap.ShardedStore, replica.Store). Capability
-// is advisory and session-scoped: it can flip after a reconnect or
-// failover, so callers must still handle errors by degrading to per-hop
-// reads.
+// (remote.PipelinedClient, shardmap.ShardedStore, replica.Store).
+// Capability is advisory and session-scoped: it can flip after a
+// reconnect or failover, so callers must still handle errors by
+// degrading to per-hop reads.
 type ChaseStore interface {
 	ChaseCapable() bool
 	Chase(req rdma.ChaseReq) (rdma.ChaseResult, error)

@@ -255,6 +255,28 @@ type AsyncStore interface {
 	IssueRead(ds, idx int, dst []byte, done func(error))
 }
 
+// Surfaces is every optional capability of a Store, detected once by
+// type assertion: a nil field is a surface the store lacks. The layers
+// that route per backend (the runtime, shardmap, replica) each keep one
+// per store instead of their own assertion ladder.
+type Surfaces struct {
+	Async      AsyncStore
+	AsyncWrite AsyncWriteStore
+	RangeWrite RangeWriteStore
+	Chase      AsyncChaseStore
+	Pinger     Pinger
+}
+
+// SurfacesOf detects the optional surfaces of s.
+func SurfacesOf(s Store) (c Surfaces) {
+	c.Async, _ = s.(AsyncStore)
+	c.AsyncWrite, _ = s.(AsyncWriteStore)
+	c.RangeWrite, _ = s.(RangeWriteStore)
+	c.Chase, _ = s.(AsyncChaseStore)
+	c.Pinger, _ = s.(Pinger)
+	return c
+}
+
 // MapStore is the in-process remote store used by simulations and tests.
 // It is safe for concurrent use: async completions and concurrent
 // runtimes may touch the map from different goroutines.
@@ -516,16 +538,13 @@ func New(cfg Config) *Runtime {
 		hub:                 cfg.TraceHub,
 		retryMax:            cfg.RetryMax,
 	}
-	if as, ok := store.(AsyncStore); ok {
-		r.astore = as
+	caps := SurfacesOf(store)
+	if r.astore = caps.Async; r.astore != nil {
 		r.pfFree = make(map[int][]*pendingFetch)
 	}
-	if aw, ok := store.(AsyncWriteStore); ok {
-		r.awstore = aw
+	if r.awstore = caps.AsyncWrite; r.awstore != nil {
 		if cfg.RangeWriteback {
-			if rw, ok := store.(RangeWriteStore); ok {
-				r.rwstore = rw
-			}
+			r.rwstore = caps.RangeWrite
 		}
 		r.wbPending = make(map[wbKey]*pendingWB)
 		r.wbFree = make(map[int][][]byte)
@@ -534,8 +553,7 @@ func New(cfg Config) *Runtime {
 			r.wbBudget = cfg.RemotableBudget / 4
 		}
 	}
-	if cs, ok := store.(AsyncChaseStore); ok {
-		r.chaser = cs
+	if r.chaser = caps.Chase; r.chaser != nil {
 		r.chaseStaged = make(map[wbKey][]byte)
 		r.chaseStarts = make(map[wbKey]*pendingChase)
 	}
@@ -559,15 +577,14 @@ func New(cfg Config) *Runtime {
 		if probe <= 0 {
 			probe = 250 * time.Millisecond
 		}
-		p, hasPinger := store.(Pinger)
 		r.breaker = &breaker{
 			threshold:  cfg.BreakerThreshold,
 			probeEvery: probe,
-			hasPinger:  hasPinger,
+			hasPinger:  caps.Pinger != nil,
 		}
-		if hasPinger {
+		if caps.Pinger != nil {
 			r.breakerStop = make(chan struct{})
-			go r.probeLoop(p)
+			go r.probeLoop(caps.Pinger)
 		}
 	}
 	return r

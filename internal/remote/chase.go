@@ -46,8 +46,13 @@ func chaseIssuable(req rdma.ChaseReq) error {
 }
 
 // ChaseCapable implements farmem.ChaseStore. The chase verbs are part
-// of the protocol, so a client offloads for as long as it lives.
-func (c *PipelinedClient) ChaseCapable() bool { return c.Alive() }
+// of the protocol, so a client offloads whenever it has a session: not
+// while down, not once closed.
+func (c *PipelinedClient) ChaseCapable() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err == nil && !c.down
+}
 
 // IssueChase implements farmem.AsyncChaseStore: the program is enqueued
 // like a read and done is invoked exactly once (possibly on the reader
@@ -70,38 +75,6 @@ func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	op := &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}
 	err := c.wait(op)
 	return op.cres, err
-}
-
-// ChaseCapable implements farmem.ChaseStore: false only while no client
-// can be dialed.
-func (r *Resilient) ChaseCapable() bool {
-	c, err := r.client()
-	return err == nil && c.Alive()
-}
-
-// Chase implements farmem.ChaseStore over the replaceable client.
-func (r *Resilient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	c, err := r.client()
-	if err != nil {
-		return rdma.ChaseResult{}, err
-	}
-	res, err := c.Chase(req)
-	r.retireOn(c, err)
-	return res, err
-}
-
-// IssueChase implements farmem.AsyncChaseStore over the replaceable
-// client.
-func (r *Resilient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	c, err := r.client()
-	if err != nil {
-		done(rdma.ChaseResult{}, err)
-		return
-	}
-	c.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		r.retireOn(c, err)
-		done(res, err)
-	})
 }
 
 // copyChaseResult deep-copies a decoded result out of a pooled reply

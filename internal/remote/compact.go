@@ -435,13 +435,18 @@ func extentBytes(exts []rdma.Extent) int {
 // IssueWriteRanges implements farmem.RangeWriteStore, the asynchronous
 // dirty-range write-back: src is the full object image, exts its
 // modified byte ranges, sorted and non-overlapping. The write rides the
-// pipeline like IssueWrite, but only the extents' bytes ship (spliced
-// server-side read-modify-write). src and exts must stay valid until
-// done runs; done must not block.
+// pipeline and only the extents' bytes ship (spliced server-side
+// read-modify-write); extents the wire tier cannot ship, nil included,
+// mean the full object. src and exts must stay valid and unmodified
+// until done runs; done is invoked exactly once (possibly on the reader
+// goroutine) when the server has acknowledged the write or it failed,
+// and must not block. A connection fault before the ack completes the
+// write with ErrUncertainWrite — the transport never silently replays a
+// write that may already have been applied; the caller reissues if (as
+// with full-object write-backs) the write is idempotent.
 func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	if !rangeWritable(src, exts) {
-		c.IssueWrite(ds, idx, src, done)
-		return
+		exts = nil
 	}
 	c.enqueue(&pipeOp{
 		write: true, ds: uint32(ds), idx: uint32(idx),
@@ -449,37 +454,22 @@ func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.
 	})
 }
 
-// IssueWriteRangesEpoch is IssueWriteRanges with an epoch stamp: the
-// peer applies the splice only onto the immediate-predecessor image
-// (see ObjectStore.WriteRangeEpoch); a stale base completes done with
-// ErrStaleRangeBase so the replication layer can mark the member
-// divergent and schedule a full-object resync.
+// IssueWriteRangesEpoch is IssueWriteRanges with an epoch stamp. The
+// server applies a full object only when epoch is at least the stored
+// stamp, and acknowledges either way — a positive ack means "the object
+// is at >= epoch", which is exactly the idempotent contract replayed
+// write-backs need. It applies a splice only onto the
+// immediate-predecessor image (see ObjectStore.WriteRangeEpoch); a stale
+// base completes done with ErrStaleRangeBase so the replication layer
+// can mark the member divergent and schedule a full-object resync.
 func (c *PipelinedClient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
 	if !rangeWritable(src, exts) {
-		c.IssueWriteEpoch(ds, idx, epoch, src, done)
-		return
+		exts = nil
 	}
 	c.enqueue(&pipeOp{
 		write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx),
 		epoch: epoch, data: src, exts: exts, done: done,
 	})
-}
-
-// IssueWriteRanges forwards over the replaceable client.
-func (r *Resilient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
-	if c := r.clientOr(done); c != nil {
-		c.IssueWriteRanges(ds, idx, src, exts, r.retiring(c, done))
-	}
-}
-
-// IssueWriteRangesEpoch forwards over the replaceable client.
-// ErrStaleRangeBase is an application-level NAK from a healthy session
-// (the peer's base image missed an epoch), so it leaves the client in
-// place; transport failures retire it.
-func (r *Resilient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
-	if c := r.clientOr(done); c != nil {
-		c.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, r.retiring(c, done))
-	}
 }
 
 // compressInto applies the client-side compression decision to one

@@ -82,9 +82,9 @@ func futureServer(t *testing.T) (addr string, dials *atomic.Int32) {
 
 // TestHandshakeMismatchIsDefinitive: a version mismatch is refused with
 // one ERR naming both versions, and on the client side it is a typed,
-// definitive error — the initial-dial retry loop, Resilient, and the
-// reconnect loop each give up after exactly one dial instead of
-// spending their backoff budget on a peer no redial can change.
+// definitive error — the initial-dial retry loop and the reconnect loop
+// each give up after exactly one dial instead of spending their backoff
+// budget on a peer no redial can change.
 func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 
@@ -121,18 +121,12 @@ func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("DialPipelined dialed %d times against a mismatched server, want 1", n)
 	}
-	_, err = DialResilient(addr, DialConfig{RetryMax: 6, RetryBase: time.Millisecond, Timeout: time.Second})
-	if !errors.Is(err, ErrProtoMismatch) {
-		t.Fatalf("DialResilient = %v, want ErrProtoMismatch", err)
-	}
-	if n := dials.Load(); n != 2 {
-		t.Fatalf("DialResilient dialed %d times, want 1", n-1)
-	}
 
-	// A live client whose server is replaced by a mismatched one fails
-	// for good on its first redial.
+	// A live client whose server is replaced by a mismatched one goes
+	// down on its first redial, and each later op spends one more dial
+	// on finding the same mismatch.
 	cl.mu.Lock()
-	cl.opts.Redial = redialer(addr)
+	cl.opts.Redial = redialer(addr, time.Second)
 	cl.opts.RetryMax = 6
 	cl.opts.RetryBase = time.Millisecond
 	old := cl.conn
@@ -141,11 +135,14 @@ func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	if err := cl.ReadObj(0, 0, make([]byte, 8)); !errors.Is(err, ErrProtoMismatch) {
 		t.Fatalf("read across a redial into a mismatched server = %v, want ErrProtoMismatch", err)
 	}
-	if n := dials.Load(); n != 3 {
-		t.Fatalf("reconnect loop dialed %d times, want 1", n-2)
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("reconnect loop dialed %d times, want 1", n-1)
 	}
-	if cl.Alive() {
-		t.Fatal("client must not outlive a protocol mismatch")
+	if err := cl.Ping(); !errors.Is(err, ErrProtoMismatch) {
+		t.Fatalf("ping on a client down on a mismatch = %v, want ErrProtoMismatch", err)
+	}
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("the ping cost %d dials, want 1", n-2)
 	}
 }
 

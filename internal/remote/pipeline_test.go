@@ -426,7 +426,7 @@ func TestPipelinedBrokenStreamFailsFast(t *testing.T) {
 	if err := cl.ReadObj(0, 0, make([]byte, 8)); err == nil {
 		t.Fatal("read against slammed connection should fail")
 	}
-	if cl.Alive() {
+	if cl.ChaseCapable() {
 		t.Fatal("client without a Redial must not outlive its connection")
 	}
 	if err := cl.Ping(); err == nil {

@@ -10,8 +10,8 @@
 // flight, coalesces queued operations into single doorbell writes, and
 // implements farmem.AsyncStore so prefetchers can issue a whole
 // lookahead window without blocking; its synchronous ReadObj/WriteObj
-// are issue-and-wait over the same pipeline. Resilient wraps it so a
-// restarted server is picked up without restarting the process.
+// are issue-and-wait over the same pipeline, and it redials by itself,
+// so a restarted server is picked up without restarting the process.
 package remote
 
 import (

@@ -72,8 +72,8 @@ const (
 )
 
 // EpochBackend is what each backend must provide: the plain store
-// surface plus the epoch-stamped verbs (remote.Resilient over a
-// pipelined session satisfies it).
+// surface plus the epoch-stamped verbs (remote.PipelinedClient
+// satisfies it).
 type EpochBackend interface {
 	farmem.Store
 	ReadObjEpoch(ds, idx int, dst []byte) (uint64, error)
@@ -255,15 +255,9 @@ func New(backends []farmem.Store, opts Options) (*Store, error) {
 			stateGauge:  reg.Gauge(MetricReplicaState, "backend", l),
 			insyncGauge: reg.Gauge(MetricReplicaInSync, "backend", l),
 		}
-		if cs, ok := b.(farmem.AsyncChaseStore); ok {
-			m.chaser = cs
-		}
-		if rw, ok := b.(RangeEpochBackend); ok {
-			m.reb = rw
-		}
-		if p, ok := b.(farmem.Pinger); ok {
-			m.pinger = p
-		}
+		caps := farmem.SurfacesOf(b)
+		m.chaser, m.pinger = caps.Chase, caps.Pinger
+		m.reb, _ = b.(RangeEpochBackend)
 		m.inSync.Store(true)
 		m.insyncGauge.Set(1)
 		s.members = append(s.members, m)
@@ -491,48 +485,23 @@ func (j *writeJoin) finish() {
 	}
 }
 
-// IssueWrite implements farmem.AsyncWriteStore: stamp the next epoch,
-// fan the image out to every reachable group member, and complete once
-// all sub-writes finished — with success iff at least W acked. Members
-// skipped while gated are marked divergent (they will miss this
-// epoch); the resync sweep brings them back.
+// IssueWrite implements farmem.AsyncWriteStore: a range write with no
+// extents.
 func (s *Store) IssueWrite(ds, idx int, src []byte, done func(error)) {
-	j := writeJoinPool.Get().(*writeJoin)
-	j.s = s
-	j.done = done
-	j.acks.Store(0)
-	group := s.groupFor(ds, idx, j.group[:0])
-	epoch := s.stampWrite(ds, idx, len(src))
-	n := 0
-	for _, gi := range group {
-		m := s.members[gi]
-		if !m.gate(s.opts.ProbeEvery) {
-			s.markDivergent(m)
-			continue
-		}
-		j.slots[n].m = m
-		n++
-	}
-	j.issued = int32(n)
-	if n == 0 {
-		j.remaining.Store(1)
-		j.subDoneNone()
-		return
-	}
-	j.remaining.Store(int32(n))
-	for i := 0; i < n; i++ {
-		j.slots[i].m.eb.IssueWriteEpoch(ds, idx, epoch, src, j.slots[i].fn)
-	}
+	s.IssueWriteRanges(ds, idx, src, nil, done)
 }
 
-// IssueWriteRanges implements farmem.RangeWriteStore: the group write
-// of IssueWrite, but each member that speaks the range-epoch verb
-// receives only the modified extents (the rest get the full image).
-// A member whose base image missed an epoch NAKs the splice with
-// remote.ErrStaleRangeBase; subDone then marks it divergent exactly
-// like a failed full write, and the anti-entropy resync repairs it
-// with whole objects — range writes can therefore never wedge a
-// replica in a silently-diverged state.
+// IssueWriteRanges implements farmem.RangeWriteStore: stamp the next
+// epoch, fan the image out to every reachable group member, and
+// complete once all sub-writes finished — with success iff at least W
+// acked. Members skipped while gated are marked divergent (they will
+// miss this epoch); the resync sweep brings them back. With extents,
+// each member that speaks the range-epoch verb receives only those (the
+// rest get the full image). A member whose base image missed an epoch
+// NAKs the splice with remote.ErrStaleRangeBase; subDone then marks it
+// divergent exactly like a failed full write, and the anti-entropy
+// resync repairs it with whole objects — range writes can therefore
+// never wedge a replica in a silently-diverged state.
 func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	j := writeJoinPool.Get().(*writeJoin)
 	j.s = s
@@ -552,25 +521,17 @@ func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, do
 	}
 	j.issued = int32(n)
 	if n == 0 {
-		j.remaining.Store(1)
-		j.subDoneNone()
+		j.finish() // nowhere to issue: the quorum is unreachable
 		return
 	}
 	j.remaining.Store(int32(n))
 	for i := 0; i < n; i++ {
 		m := j.slots[i].m
-		if m.reb != nil {
+		if exts != nil && m.reb != nil {
 			m.reb.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, j.slots[i].fn)
 		} else {
 			m.eb.IssueWriteEpoch(ds, idx, epoch, src, j.slots[i].fn)
 		}
-	}
-}
-
-// subDoneNone completes a write that could not be issued anywhere.
-func (j *writeJoin) subDoneNone() {
-	if j.remaining.Add(-1) == 0 {
-		j.finish()
 	}
 }
 
@@ -700,29 +661,10 @@ func (j *readJoin) finish(err error) {
 	done(err)
 }
 
-// Ping implements farmem.Pinger at group-fleet scope: it succeeds
-// while at least one backend answers — the runtime's global breaker
-// models total outage; partial outages are the members' breakers' job.
+// Ping implements farmem.Pinger at group-fleet scope (see
+// shardmap.PingAny).
 func (s *Store) Ping() error {
-	var firstErr error
-	alive := false
-	for i, m := range s.members {
-		if m.pinger == nil {
-			alive = true
-			continue
-		}
-		if err := m.pinger.Ping(); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("replica: backend %d ping: %w", i, err)
-			}
-			continue
-		}
-		alive = true
-	}
-	if alive {
-		return nil
-	}
-	return firstErr
+	return shardmap.PingAny("replica: backend", len(s.members), func(i int) farmem.Pinger { return s.members[i].pinger })
 }
 
 // Close stops the maintenance loop and closes every backend that

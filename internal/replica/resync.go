@@ -40,11 +40,7 @@ func (s *Store) maintLoop() {
 					s.wg.Add(1)
 					go func(m *member) {
 						defer s.wg.Done()
-						err := m.pinger.Ping()
-						m.dom.ProbeDone()
-						if err == nil {
-							m.dom.ArmHalfOpen()
-						}
+						m.dom.ProbeDone(m.pinger.Ping())
 					}(m)
 				}
 				if !m.inSync.Load() && m.dom.State() != farmem.BreakerOpen &&

@@ -73,16 +73,6 @@ func (d *Domain) OnFailure(threshold int) (tripped bool) {
 	return false
 }
 
-// ArmHalfOpen moves open -> half-open (called by a prober after a
-// successful ping); the next operation is the recovery trial.
-func (d *Domain) ArmHalfOpen() {
-	d.mu.Lock()
-	if d.state == farmem.BreakerOpen {
-		d.state = farmem.BreakerHalfOpen
-	}
-	d.mu.Unlock()
-}
-
 // State returns the current breaker state.
 func (d *Domain) State() farmem.BreakerState {
 	d.mu.Lock()
@@ -102,9 +92,14 @@ func (d *Domain) TryProbe() bool {
 	return true
 }
 
-// ProbeDone releases the probe slot claimed by TryProbe.
-func (d *Domain) ProbeDone() {
+// ProbeDone releases the probe slot claimed by TryProbe with the ping's
+// outcome: an answer moves open -> half-open, so the next operation is
+// the recovery trial.
+func (d *Domain) ProbeDone(err error) {
 	d.mu.Lock()
 	d.probing = false
+	if err == nil && d.state == farmem.BreakerOpen {
+		d.state = farmem.BreakerHalfOpen
+	}
 	d.mu.Unlock()
 }

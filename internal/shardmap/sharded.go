@@ -48,12 +48,8 @@ type Options struct {
 // breaker/probe state machine shared with the replica layer) and metric
 // series. One dead backend degrades exactly the keys it owns.
 type shard struct {
-	store   farmem.Store
-	astore  farmem.AsyncStore      // non-nil iff the backend supports IssueRead
-	awstore farmem.AsyncWriteStore // non-nil iff the backend supports IssueWrite
-	rwstore farmem.RangeWriteStore // non-nil iff the backend supports IssueWriteRanges
-	chaser  farmem.AsyncChaseStore // non-nil iff the backend supports IssueChase
-	pinger  farmem.Pinger          // non-nil iff the backend supports Ping
+	store farmem.Store
+	caps  farmem.Surfaces // the optional surfaces store has; nil ones are served synchronously or refused
 
 	dom Domain
 
@@ -70,12 +66,6 @@ type shard struct {
 	trips, recoveries                *stats.Counter
 	objGauge, stateGauge             *stats.Gauge
 }
-
-func (s *shard) gate(probeEvery time.Duration) bool {
-	return s.dom.Gate(probeEvery, s.pinger != nil)
-}
-
-func (s *shard) breakerState() farmem.BreakerState { return s.dom.State() }
 
 // ShardedStore multiplexes farmem store traffic across N backends using
 // rendezvous placement (see Map). It implements farmem.Store,
@@ -131,6 +121,7 @@ func NewSharded(backends []farmem.Store, opts Options) (*ShardedStore, error) {
 		l := strconv.Itoa(i)
 		s := &shard{
 			store:      b,
+			caps:       farmem.SurfacesOf(b),
 			objects:    make(map[uint64]struct{}),
 			reads:      reg.Counter(MetricShardReads, "shard", l),
 			writes:     reg.Counter(MetricShardWrites, "shard", l),
@@ -143,22 +134,7 @@ func NewSharded(backends []farmem.Store, opts Options) (*ShardedStore, error) {
 			objGauge:   reg.Gauge(MetricShardObjects, "shard", l),
 			stateGauge: reg.Gauge(MetricShardState, "shard", l),
 		}
-		if as, ok := b.(farmem.AsyncStore); ok {
-			s.astore = as
-		}
-		if aw, ok := b.(farmem.AsyncWriteStore); ok {
-			s.awstore = aw
-		}
-		if rw, ok := b.(farmem.RangeWriteStore); ok {
-			s.rwstore = rw
-		}
-		if cs, ok := b.(farmem.AsyncChaseStore); ok {
-			s.chaser = cs
-		}
-		if p, ok := b.(farmem.Pinger); ok {
-			s.pinger = p
-			anyPinger = true
-		}
+		anyPinger = anyPinger || s.caps.Pinger != nil
 		ss.shards = append(ss.shards, s)
 	}
 	if opts.BreakerThreshold > 0 && anyPinger {
@@ -197,7 +173,7 @@ func (ss *ShardedStore) ShardOf(ds, idx int) int {
 
 // ShardState reports one shard's breaker state.
 func (ss *ShardedStore) ShardState(i int) farmem.BreakerState {
-	return ss.shards[i].breakerState()
+	return ss.shards[i].dom.State()
 }
 
 // RecoveryEpoch implements farmem.Recoverable: it advances once per
@@ -205,15 +181,32 @@ func (ss *ShardedStore) ShardState(i int) farmem.BreakerState {
 // drain write-backs stranded while that shard was down.
 func (ss *ShardedStore) RecoveryEpoch() uint64 { return ss.recoveryEpoch.Load() }
 
-// degradedErr is the fail-fast error for a tripped shard; it wraps
-// farmem.ErrDegraded so the runtime can tell a contained shard outage
-// from a transport failure (no retries, no global breaker accounting).
-func (ss *ShardedStore) degradedErr(i int) error {
-	ss.shards[i].degraded.Inc()
-	return fmt.Errorf("shardmap: shard %d: %w", i, farmem.ErrDegraded)
+// enter is the one gated route onto shard i: the shard to forward to,
+// or, while its breaker refuses traffic, the fail-fast error. That error
+// wraps farmem.ErrDegraded so the runtime can tell a contained shard
+// outage from a transport failure (no retries, no global breaker
+// accounting).
+func (ss *ShardedStore) enter(i int) (*shard, error) {
+	s := ss.shards[i]
+	if !s.dom.Gate(ss.opts.ProbeEvery, s.caps.Pinger != nil) {
+		s.degraded.Inc()
+		return nil, fmt.Errorf("shardmap: shard %d: %w", i, farmem.ErrDegraded)
+	}
+	return s, nil
 }
 
-func (ss *ShardedStore) ok(s *shard) {
+// settle closes an operation enter let through: its outcome feeds the
+// shard's breaker, and a failure comes back naming the shard and verb.
+func (ss *ShardedStore) settle(i int, verb string, err error) error {
+	s := ss.shards[i]
+	if err != nil {
+		s.failures.Inc()
+		if s.dom.OnFailure(ss.opts.BreakerThreshold) {
+			s.trips.Inc()
+		}
+		s.stateGauge.Set(int64(s.dom.State()))
+		return fmt.Errorf("shardmap: shard %d %s: %w", i, verb, err)
+	}
 	if s.dom.OnSuccess() {
 		s.recoveries.Inc()
 		// Stamp before publishing the epoch advance: when the runtime
@@ -223,14 +216,7 @@ func (ss *ShardedStore) ok(s *shard) {
 		ss.recoveryEpoch.Add(1)
 	}
 	s.stateGauge.Set(int64(farmem.BreakerClosed))
-}
-
-func (ss *ShardedStore) fail(s *shard) {
-	s.failures.Inc()
-	if s.dom.OnFailure(ss.opts.BreakerThreshold) {
-		s.trips.Inc()
-	}
-	s.stateGauge.Set(int64(s.breakerState()))
+	return nil
 }
 
 // ShouldDrain implements farmem.DrainScoper: after observing a
@@ -239,59 +225,56 @@ func (ss *ShardedStore) fail(s *shard) {
 // again — not every dirty object in the cache.
 func (ss *ShardedStore) ShouldDrain(ds, idx int, sinceEpoch uint64) bool {
 	s := ss.shards[ss.ShardOf(ds, idx)]
-	return s.lastRecovery.Load() > sinceEpoch && s.breakerState() == farmem.BreakerClosed
+	return s.lastRecovery.Load() > sinceEpoch && s.dom.State() == farmem.BreakerClosed
 }
 
 // Stranded implements farmem.DrainScoper: the owning shard is still
 // refusing traffic, so the object must stay pinned for a future
 // recovery epoch rather than be drained now.
 func (ss *ShardedStore) Stranded(ds, idx int) bool {
-	return ss.shards[ss.ShardOf(ds, idx)].breakerState() != farmem.BreakerClosed
+	return ss.shards[ss.ShardOf(ds, idx)].dom.State() != farmem.BreakerClosed
 }
 
 // ReadObj implements farmem.Store, routing to the owning shard.
 func (ss *ShardedStore) ReadObj(ds, idx int, dst []byte) error {
 	i := ss.ShardOf(ds, idx)
-	s := ss.shards[i]
-	if !s.gate(ss.opts.ProbeEvery) {
-		return ss.degradedErr(i)
+	s, err := ss.enter(i)
+	if err == nil {
+		if err = ss.settle(i, "read", s.store.ReadObj(ds, idx, dst)); err == nil {
+			s.didRead(len(dst))
+		}
 	}
-	if err := s.store.ReadObj(ds, idx, dst); err != nil {
-		ss.fail(s)
-		return fmt.Errorf("shardmap: shard %d read: %w", i, err)
-	}
-	ss.ok(s)
-	s.reads.Inc()
-	s.bytesIn.Add(uint64(len(dst)))
-	return nil
+	return err
 }
 
 // WriteObj implements farmem.Store, routing to the owning shard.
 func (ss *ShardedStore) WriteObj(ds, idx int, src []byte) error {
 	i := ss.ShardOf(ds, idx)
-	s := ss.shards[i]
-	if !s.gate(ss.opts.ProbeEvery) {
-		return ss.degradedErr(i)
+	s, err := ss.enter(i)
+	if err == nil {
+		if err = ss.settle(i, "write", s.store.WriteObj(ds, idx, src)); err == nil {
+			s.didWrite(ds, idx, len(src))
+		}
 	}
-	if err := s.store.WriteObj(ds, idx, src); err != nil {
-		ss.fail(s)
-		return fmt.Errorf("shardmap: shard %d write: %w", i, err)
-	}
-	ss.ok(s)
-	s.writes.Inc()
-	s.bytesOut.Add(uint64(len(src)))
-	s.noteObject(ds, idx)
-	return nil
+	return err
 }
 
-// noteObject maintains the objects-per-shard gauge (distinct keys ever
-// written through this store).
-func (s *shard) noteObject(ds, idx int) {
+func (s *shard) didRead(n int) {
+	s.reads.Inc()
+	s.bytesIn.Add(uint64(n))
+}
+
+// didWrite counts one write of n bytes and maintains the
+// objects-per-shard gauge (distinct keys ever written through this
+// store).
+func (s *shard) didWrite(ds, idx, n int) {
+	s.writes.Inc()
+	s.bytesOut.Add(uint64(n))
 	key := uint64(ds)<<32 | uint64(uint32(idx))
 	s.mu.Lock()
-	n := len(s.objects)
+	before := len(s.objects)
 	s.objects[key] = struct{}{}
-	grew := len(s.objects) != n
+	grew := len(s.objects) != before
 	s.mu.Unlock()
 	if grew {
 		s.objGauge.Add(1)
@@ -304,92 +287,68 @@ func (s *shard) noteObject(ds, idx int) {
 // the read synchronously before returning.
 func (ss *ShardedStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	i := ss.ShardOf(ds, idx)
-	s := ss.shards[i]
-	if !s.gate(ss.opts.ProbeEvery) {
-		done(ss.degradedErr(i))
+	s, err := ss.enter(i)
+	if err != nil {
+		done(err)
 		return
 	}
 	finish := func(err error) {
-		if err != nil {
-			ss.fail(s)
-			done(fmt.Errorf("shardmap: shard %d read: %w", i, err))
-			return
+		if err = ss.settle(i, "read", err); err == nil {
+			s.didRead(len(dst))
 		}
-		ss.ok(s)
-		s.reads.Inc()
-		s.bytesIn.Add(uint64(len(dst)))
-		done(nil)
+		done(err)
 	}
-	if s.astore != nil {
-		s.astore.IssueRead(ds, idx, dst, finish)
+	if s.caps.Async != nil {
+		s.caps.Async.IssueRead(ds, idx, dst, finish)
 		return
 	}
 	finish(s.store.ReadObj(ds, idx, dst))
 }
 
-// IssueWrite implements farmem.AsyncWriteStore, fanning staged
-// write-backs out to each shard's own pipelined write window. A tripped
-// shard fails fast — the runtime parks the staged payload until this
-// shard's recovery epoch — and a backend without async support serves
-// the write synchronously before returning.
+// IssueWrite implements farmem.AsyncWriteStore: a range write with no
+// extents.
 func (ss *ShardedStore) IssueWrite(ds, idx int, src []byte, done func(error)) {
-	i := ss.ShardOf(ds, idx)
-	s := ss.shards[i]
-	if !s.gate(ss.opts.ProbeEvery) {
-		done(ss.degradedErr(i))
-		return
-	}
-	finish := func(err error) {
-		if err != nil {
-			ss.fail(s)
-			done(fmt.Errorf("shardmap: shard %d write: %w", i, err))
-			return
-		}
-		ss.ok(s)
-		s.writes.Inc()
-		s.bytesOut.Add(uint64(len(src)))
-		s.noteObject(ds, idx)
-		done(nil)
-	}
-	if s.awstore != nil {
-		s.awstore.IssueWrite(ds, idx, src, finish)
-		return
-	}
-	finish(s.store.WriteObj(ds, idx, src))
+	ss.IssueWriteRanges(ds, idx, src, nil, done)
 }
 
-// IssueWriteRanges implements farmem.RangeWriteStore: route the range
-// write to the owning shard. A shard whose backend lacks the range verb
-// — or a degraded one past its gate — transparently falls back to a
-// full-object write (src always carries the whole image).
+// IssueWriteRanges implements farmem.RangeWriteStore, fanning staged
+// write-backs out to each shard's own pipelined write window. A tripped
+// shard fails fast — the runtime parks the staged payload until this
+// shard's recovery epoch. Without extents, or on a shard whose backend
+// lacks the range verb, the full object is written (src always carries
+// the whole image); a backend without async support serves that write
+// synchronously before returning.
 func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	i := ss.ShardOf(ds, idx)
-	s := ss.shards[i]
-	if s.rwstore == nil {
-		ss.IssueWrite(ds, idx, src, done)
+	s, err := ss.enter(i)
+	if err != nil {
+		done(err)
 		return
 	}
-	if !s.gate(ss.opts.ProbeEvery) {
-		done(ss.degradedErr(i))
-		return
+	verb, shipped := "write", len(src)
+	if s.caps.RangeWrite == nil {
+		exts = nil
 	}
-	shipped := 0
-	for _, e := range exts {
-		shipped += int(e.Len)
+	if exts != nil {
+		verb, shipped = "range write", 0
+		for _, e := range exts {
+			shipped += int(e.Len)
+		}
 	}
 	finish := func(err error) {
-		if err != nil {
-			ss.fail(s)
-			done(fmt.Errorf("shardmap: shard %d range write: %w", i, err))
-			return
+		if err = ss.settle(i, verb, err); err == nil {
+			s.didWrite(ds, idx, shipped)
 		}
-		ss.ok(s)
-		s.writes.Inc()
-		s.bytesOut.Add(uint64(shipped))
-		s.noteObject(ds, idx)
-		done(nil)
+		done(err)
 	}
-	s.rwstore.IssueWriteRanges(ds, idx, src, exts, finish)
+	switch {
+	case exts != nil:
+		s.caps.RangeWrite.IssueWriteRanges(ds, idx, src, exts, finish)
+	case s.caps.AsyncWrite != nil:
+		s.caps.AsyncWrite.IssueWrite(ds, idx, src, finish)
+	default:
+		finish(s.store.WriteObj(ds, idx, src))
+	}
 }
 
 // ChaseCapable implements farmem.ChaseStore. A traversal program walks
@@ -400,115 +359,94 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 // which shard a structure happened to hash to.
 func (ss *ShardedStore) ChaseCapable() bool {
 	for _, s := range ss.shards {
-		if s.chaser == nil || !s.chaser.ChaseCapable() {
+		if s.caps.Chase == nil || !s.caps.Chase.ChaseCapable() {
 			return false
 		}
 	}
 	return true
 }
 
-// chaseShard resolves the single shard a traversal program may run on:
-// the walk follows pointers server-side, so every object of the
-// structure must live on that shard — true for PolicyPin structures
+// enterChase is enter for a traversal program, on the single shard it
+// may run on: the walk follows pointers server-side, so every object of
+// the structure must live on that shard — true for PolicyPin structures
 // (and trivially for a one-shard fleet). Striped structures are
 // refused: their successors live on other shards, and the serving shard
 // would zero-fill them mid-walk.
-func (ss *ShardedStore) chaseShard(ds int) (int, error) {
-	if ss.m.Shards() == 1 {
-		return ss.ShardOf(ds, 0), nil
-	}
+func (ss *ShardedStore) enterChase(ds int) (int, *shard, error) {
 	ss.policyMu.RLock()
 	p := ss.policy[ds]
 	ss.policyMu.RUnlock()
-	if p != PolicyPin {
-		return 0, fmt.Errorf("shardmap: chase on striped ds%d (traversal programs need a pinned structure)", ds)
+	if p != PolicyPin && ss.m.Shards() > 1 {
+		return 0, nil, fmt.Errorf("shardmap: chase on striped ds%d (traversal programs need a pinned structure)", ds)
 	}
-	return ss.m.OwnerDS(ds), nil
+	i := ss.m.OwnerDS(ds)
+	if ss.shards[i].caps.Chase == nil {
+		return 0, nil, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", i)
+	}
+	s, err := ss.enter(i)
+	return i, s, err
+}
+
+// settleChase is settle for a traversal: the path's bytes count as one
+// read.
+func (ss *ShardedStore) settleChase(i int, res rdma.ChaseResult, err error) error {
+	if err = ss.settle(i, "chase", err); err == nil {
+		n := 0
+		for _, h := range res.Hops {
+			n += len(h.Data)
+		}
+		ss.shards[i].didRead(n)
+	}
+	return err
 }
 
 // Chase implements farmem.ChaseStore, routing the whole program to the
 // pinned owner of its structure.
 func (ss *ShardedStore) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	i, err := ss.chaseShard(int(req.DS))
+	i, s, err := ss.enterChase(int(req.DS))
 	if err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	s := ss.shards[i]
-	if s.chaser == nil {
-		return rdma.ChaseResult{}, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", i)
-	}
-	if !s.gate(ss.opts.ProbeEvery) {
-		return rdma.ChaseResult{}, ss.degradedErr(i)
-	}
-	res, err := s.chaser.Chase(req)
-	if err != nil {
-		ss.fail(s)
-		return res, fmt.Errorf("shardmap: shard %d chase: %w", i, err)
-	}
-	ss.ok(s)
-	s.reads.Inc()
-	for _, h := range res.Hops {
-		s.bytesIn.Add(uint64(len(h.Data)))
-	}
-	return res, nil
+	res, err := s.caps.Chase.Chase(req)
+	return res, ss.settleChase(i, res, err)
 }
 
 // IssueChase implements farmem.AsyncChaseStore, riding the pinned
 // shard's own pipelined chase window.
 func (ss *ShardedStore) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	i, err := ss.chaseShard(int(req.DS))
+	i, s, err := ss.enterChase(int(req.DS))
 	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	s := ss.shards[i]
-	if s.chaser == nil {
-		done(rdma.ChaseResult{}, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", i))
-		return
-	}
-	if !s.gate(ss.opts.ProbeEvery) {
-		done(ss.degradedChaseErr(i))
-		return
-	}
-	s.chaser.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		if err != nil {
-			ss.fail(s)
-			done(res, fmt.Errorf("shardmap: shard %d chase: %w", i, err))
-			return
-		}
-		ss.ok(s)
-		s.reads.Inc()
-		for _, h := range res.Hops {
-			s.bytesIn.Add(uint64(len(h.Data)))
-		}
-		done(res, nil)
+	s.caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
+		done(res, ss.settleChase(i, res, err))
 	})
 }
 
-// degradedChaseErr adapts degradedErr to the chase completion shape.
-func (ss *ShardedStore) degradedChaseErr(i int) (rdma.ChaseResult, error) {
-	return rdma.ChaseResult{}, ss.degradedErr(i)
+// Ping implements farmem.Pinger at cluster scope (see PingAny).
+func (ss *ShardedStore) Ping() error {
+	return PingAny("shardmap: shard", len(ss.shards), func(i int) farmem.Pinger { return ss.shards[i].caps.Pinger })
 }
 
-// Ping implements farmem.Pinger at cluster scope: it succeeds while at
-// least one shard answers, because the runtime's *global* breaker
-// models total outage — partial outages are the per-shard breakers'
-// job. Backends without a Ping method count as alive.
-func (ss *ShardedStore) Ping() error {
+// PingAny pings all n backends of a fleet and succeeds while at least
+// one answers, because the runtime's *global* breaker models total
+// outage — partial outages are the per-backend breakers' job. A nil
+// pinger is a backend without a Ping method and counts as alive; what
+// names a backend in the error.
+func PingAny(what string, n int, pinger func(i int) farmem.Pinger) error {
 	var firstErr error
 	alive := false
-	for i, s := range ss.shards {
-		if s.pinger == nil {
+	for i := 0; i < n; i++ {
+		var err error
+		if p := pinger(i); p != nil {
+			err = p.Ping()
+		}
+		if err == nil {
 			alive = true
-			continue
+		} else if firstErr == nil {
+			firstErr = fmt.Errorf("%s %d ping: %w", what, i, err)
 		}
-		if err := s.pinger.Ping(); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shardmap: shard %d ping: %w", i, err)
-			}
-			continue
-		}
-		alive = true
 	}
 	if alive {
 		return nil
@@ -531,17 +469,13 @@ func (ss *ShardedStore) probeLoop() {
 			return
 		case <-t.C:
 			for _, s := range ss.shards {
-				if s.pinger == nil || !s.dom.TryProbe() {
+				if s.caps.Pinger == nil || !s.dom.TryProbe() {
 					continue
 				}
 				ss.wg.Add(1)
 				go func(s *shard) {
 					defer ss.wg.Done()
-					err := s.pinger.Ping()
-					s.dom.ProbeDone()
-					if err == nil {
-						s.dom.ArmHalfOpen()
-					}
+					s.dom.ProbeDone(s.caps.Pinger.Ping())
 				}(s)
 			}
 		}

@@ -93,7 +93,7 @@ func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 			t.Fatal(err)
 		}
 		addrs[i] = addr
-		c, err := remote.DialResilient(addr, remote.DialConfig{
+		c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 			Timeout:   250 * time.Millisecond,
 			RetryMax:  1,
 			RetryBase: time.Millisecond,
@@ -246,7 +246,7 @@ func TestReplicaKillAnyBackendMidRun(t *testing.T) {
 							t.Fatal(err)
 						}
 						addrs[i] = addr
-						c, err := remote.DialResilient(addr, remote.DialConfig{
+						c, err := remote.DialPipelined(addr, remote.PipelineOpts{
 							Timeout:   250 * time.Millisecond,
 							RetryMax:  1,
 							RetryBase: time.Millisecond,

@@ -371,8 +371,8 @@ func TestReplicaKillRestartSequenceUnderCorruption(t *testing.T) {
 	addrs := make([]string, nBackends)
 	proxies := make([]*faultnet.Proxy, nBackends)
 	backends := make([]farmem.Store, nBackends)
-	dial := func(i int) *remote.Resilient {
-		c, err := remote.DialResilient(proxies[i].Addr(), remote.DialConfig{
+	dial := func(i int) *remote.PipelinedClient {
+		c, err := remote.DialPipelined(proxies[i].Addr(), remote.PipelineOpts{
 			Timeout:   300 * time.Millisecond,
 			RetryMax:  8,
 			RetryBase: time.Millisecond,
