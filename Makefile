@@ -5,12 +5,14 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# loc prints the two tracked sizes, non-test lines each: the transport
+# loc prints the three tracked sizes, non-test lines each: the transport
 # (internal/remote + internal/rdma, ROADMAP's "should go down" number),
-# then the whole far tier (farmem + shardmap + replica + remote + rdma).
+# the whole far tier (farmem + shardmap + replica + remote + rdma), and
+# the two entry points that assemble it (cards.go + cmd/cardsc/main.go).
 loc:
 	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@ls internal/farmem/*.go internal/shardmap/*.go internal/replica/*.go internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
+	@cat cards.go cmd/cardsc/main.go | wc -l
 
 test:
 	$(GO) test ./...
@@ -76,16 +78,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
-# proxy and the breaker outage demo (root), the transport's
+# proxy, the breaker outage demo and the sharded / replicated / chase
+# kill-and-restart runs (root), the transport's
 # handshake/cut/timeout/uncertain-write/reconnect tests and the
-# down-and-resume outage cycle (internal/remote), the runtime breaker
-# and async fault paths
-# (internal/farmem), and the injector itself (internal/faultnet).
-# Schedules are seeded in the tests, so a run is reproducible.
+# down-and-resume outage cycle (internal/remote), the breaker, prober and
+# async fault paths (internal/farmem), the per-backend fault domains
+# over them (internal/shardmap, internal/replica), and the injector
+# itself (internal/faultnet). Schedules are seeded in the tests, so a run
+# is reproducible.
 chaos:
-	$(GO) test -v -run 'TestChaos|TestBreaker' .
+	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
+	$(GO) test -v ./internal/shardmap ./internal/replica
 	$(GO) test -v ./internal/faultnet
 
 # bench runs the root package's benchmarks: one per paper artifact, the

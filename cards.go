@@ -232,11 +232,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	var client io.Closer
 	var policies policyStore
-	if cfg.Replicas > 1 && len(addrs) < cfg.Replicas {
-		return nil, fmt.Errorf("cards: Replicas=%d needs at least that many RemoteAddrs (have %d)",
-			cfg.Replicas, len(addrs))
-	}
-	if len(addrs) > 0 {
+	if len(addrs) > 0 || cfg.Replicas > 1 {
 		timeout := cfg.RemoteTimeout
 		if timeout == 0 {
 			timeout = 2 * time.Second
@@ -262,49 +258,23 @@ func New(cfg Config) (*Runtime, error) {
 		// One pipelined client per address. Each redials by itself, so a
 		// restarted server resumes remoting without restarting this process
 		// (once the reconnect budget is spent, the breaker's Ping probes buy
-		// the redials). All must answer at construction — a fleet that
-		// starts degraded is a deployment error, not an outage.
-		clients, err := remote.DialFleet(addrs, remote.PipelineOpts{
+		// the redials). Several addresses get per-backend breakers on top.
+		tier, err := replica.Dial(addrs, remote.PipelineOpts{
 			Timeout: timeout, RetryMax: retries, Obs: reg, Trace: hub,
 			Compression: cfg.Compression,
+		}, replica.Options{
+			Replicas:         cfg.Replicas,
+			WriteQuorum:      cfg.WriteQuorum,
+			BreakerThreshold: threshold,
+			Obs:              reg,
+			Trace:            hub,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cards: connecting %w", err)
 		}
-		backends := make([]farmem.Store, len(clients))
-		for i, c := range clients {
-			backends[i] = c
-		}
-		switch {
-		case len(clients) == 1:
-			fc.Store, client = clients[0], clients[0]
-		case cfg.Replicas > 1:
-			rs, err := replica.New(backends, replica.Options{
-				Replicas:         cfg.Replicas,
-				WriteQuorum:      cfg.WriteQuorum,
-				BreakerThreshold: threshold,
-				Obs:              reg,
-				Trace:            hub,
-			})
-			if err != nil {
-				remote.CloseFleet(clients)
-				return nil, fmt.Errorf("cards: far-tier replica groups: %w", err)
-			}
-			fc.Store, fc.Obs, client, policies = rs, reg, rs, rs
-		default:
-			// The sharded store adds per-shard breakers on top, so one dead
-			// server degrades only its keys.
-			ss, err := shardmap.NewSharded(backends, shardmap.Options{
-				BreakerThreshold: threshold,
-				Obs:              reg,
-			})
-			if err != nil {
-				remote.CloseFleet(clients)
-				return nil, fmt.Errorf("cards: far-tier shards: %w", err)
-			}
-			// runtime + per-shard series in one registry
-			fc.Store, fc.Obs, client, policies = ss, reg, ss, ss
-		}
+		// runtime + per-backend series in one registry
+		fc.Store, fc.Obs, client = tier, reg, tier
+		policies, _ = tier.(policyStore)
 		// The transport never silently retries an unacknowledged write
 		// (it cannot know whether the server applied it); the runtime
 		// reissues instead — full-object write-backs are idempotent.

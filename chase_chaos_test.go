@@ -21,6 +21,7 @@ import (
 	"cards/internal/ir"
 	"cards/internal/obs"
 	"cards/internal/policy"
+	"cards/internal/prefetch"
 	"cards/internal/rdma"
 	"cards/internal/remote"
 	"cards/internal/replica"
@@ -268,6 +269,109 @@ func TestChaseFailoverOnPrimaryKillMidStream(t *testing.T) {
 	}
 	t.Logf("victim %d: %d hops re-served by the survivor, %d chase failovers", victim, len(post.Hops), failovers)
 
+	rs.Close()
+	for _, srv := range srvs {
+		srv.Close()
+	}
+	checkGoroutines(t, before)
+}
+
+// TestReplicaChaseRefusesStripedStructure: with more backends than R, a
+// structure left at the default stripe policy has each object on its
+// own replica group, so the member serving a traversal program holds
+// few of the successors and would zero-fill the rest — zeros the
+// runtime then stages as object bytes. The replicated store must refuse
+// such a program (as the sharded store always has), and the traversal
+// must degrade to per-hop reads and still see every byte.
+func TestReplicaChaseRefusesStripedStructure(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const (
+		nBackends = 4
+		nObjs     = 64
+		objSize   = 4096
+	)
+	srvs := make([]*remote.Server, nBackends)
+	addrs := make([]string, nBackends)
+	for i := range srvs {
+		srvs[i] = remote.NewServer()
+		var err error
+		if addrs[i], err = srvs[i].Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tier, err := replica.Dial(addrs, remote.PipelineOpts{Timeout: time.Second},
+		replica.Options{Replicas: 2, BreakerThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := tier.(*replica.Store)
+
+	// A recursive single-successor structure over the replicated tier,
+	// with the traversal-offload prefetcher and no SetPolicy: striped.
+	r := farmem.New(farmem.Config{RemotableBudget: 8 * objSize, Store: rs})
+	if _, err := r.RegisterDS(0, farmem.DSMeta{
+		Name: "chain", ObjSize: objSize, ElemSize: objSize,
+		Pattern: farmem.PatternPointerChase, Recursive: true, PtrOffsets: []int{0},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.SetPlacement(0, farmem.PlaceRemotable)
+	r.SetPrefetcher(0, prefetch.NewChase(8, nil))
+	head, err := r.DSAlloc(0, nObjs*objSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(addr uint64, write bool, v uint64) uint64 {
+		t.Helper()
+		p, err := r.Guard(addr, write)
+		if err != nil {
+			t.Fatalf("guard %#x: %v", addr, err)
+		}
+		if write {
+			r.WriteWord(p, v)
+			return v
+		}
+		v, _ = r.ReadWord(p)
+		return v
+	}
+	for i := 0; i < nObjs; i++ {
+		obj := head + uint64(i*objSize)
+		next := uint64(0xDEAD_BEEF) // untagged: end of chain
+		if i < nObjs-1 {
+			next = obj + objSize
+		}
+		word(obj, true, next)
+		word(obj+8, true, uint64(1000+i))
+	}
+	if err := r.DrainWriteBacks(); err != nil {
+		t.Fatal(err)
+	}
+
+	if !rs.ChaseCapable() {
+		t.Fatal("the fleet speaks the chase verbs; offload should be on offer")
+	}
+	if res, err := rs.Chase(rdma.ChaseReq{DS: 0, Start: 0, ObjSize: objSize, NextOff: 0, Hops: 8}); err == nil {
+		t.Fatalf("a chase on a striped structure over %d backends with R=2 was served (%d hops): its successors live on other groups",
+			nBackends, len(res.Hops))
+	}
+
+	visited := 0
+	for cur := head; farmem.IsTagged(cur); cur = word(cur, false, 0) {
+		if got, want := word(cur+8, false, 0), uint64(1000+visited); got != want {
+			t.Fatalf("object %d of the chain holds %d, want %d", visited, got, want)
+		}
+		visited++
+	}
+	if visited != nObjs {
+		t.Fatalf("the walk visited %d of %d objects", visited, nObjs)
+	}
+	st := r.Stats()
+	if st.ChasesIssued == 0 || st.ChaseFallbacks != st.ChasesIssued || st.ChaseHopsStaged != 0 {
+		t.Fatalf("%d chases issued, %d fell back, %d hops staged: every program should have been refused and the walk served per hop",
+			st.ChasesIssued, st.ChaseFallbacks, st.ChaseHopsStaged)
+	}
+
+	r.Close()
 	rs.Close()
 	for _, srv := range srvs {
 		srv.Close()

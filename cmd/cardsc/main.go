@@ -34,7 +34,6 @@ import (
 	"cards/internal/policy"
 	"cards/internal/remote"
 	"cards/internal/replica"
-	"cards/internal/shardmap"
 	"cards/internal/workloads"
 )
 
@@ -187,10 +186,9 @@ func main() {
 	}
 }
 
-// dialRemote connects the far tier for -run: one address yields a
-// pipelined client, several yield a sharded store with one client and
-// one breaker per backend — or, with replicas > 1, a replicated store
-// fanning each object across R backends.
+// dialRemote connects the far tier for -run (see replica.Dial: one
+// address yields a pipelined client, several a sharded store — or, with
+// replicas > 1, a replicated one).
 func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs.TraceHub) (farmem.Store, func(), error) {
 	list := strings.Split(addrs, ",")
 	for i := range list {
@@ -199,38 +197,13 @@ func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs
 	if retryMax <= 0 {
 		retryMax = 6
 	}
-	if replicas > 1 && len(list) == 1 {
-		return nil, nil, fmt.Errorf("-replicas=%d needs at least that many -remote addresses", replicas)
-	}
-	clients, err := remote.DialFleet(list, remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: retryMax, Trace: hub})
+	tier, err := replica.Dial(list,
+		remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: retryMax, Trace: hub},
+		replica.Options{Replicas: replicas, BreakerThreshold: breakerThreshold, Trace: hub})
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(clients) == 1 {
-		return clients[0], func() { clients[0].Close() }, nil
-	}
-	backends := make([]farmem.Store, len(clients))
-	for i, c := range clients {
-		backends[i] = c
-	}
-	if replicas > 1 {
-		rs, err := replica.New(backends, replica.Options{
-			Replicas:         replicas,
-			BreakerThreshold: breakerThreshold,
-			Trace:            hub,
-		})
-		if err != nil {
-			remote.CloseFleet(clients)
-			return nil, nil, err
-		}
-		return rs, func() { rs.Close() }, nil
-	}
-	ss, err := shardmap.NewSharded(backends, shardmap.Options{BreakerThreshold: breakerThreshold})
-	if err != nil {
-		remote.CloseFleet(clients)
-		return nil, nil, err
-	}
-	return ss, func() { ss.Close() }, nil
+	return tier, func() { tier.Close() }, nil
 }
 
 // writeTrace dumps the ring as Chrome trace_event JSON.

@@ -2,10 +2,132 @@ package farmem
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"cards/internal/testutil"
 )
+
+// pingFunc adapts a function to Pinger.
+type pingFunc func() error
+
+func (f pingFunc) Ping() error { return f() }
+
+// TestBreakerStateMachine walks the one breaker every fault domain uses
+// (runtime, shard, replica member) through its whole transition table,
+// for both ways of leaving the open state — a prober's ping (pingable)
+// and elapsed time in Gate (self-arming) — and for thresholds that never
+// trip (0), trip at once (1) and trip at the n-th consecutive failure.
+func TestBreakerStateMachine(t *testing.T) {
+	for _, pingable := range []bool{true, false} {
+		for _, n := range []int{0, 1, 4} {
+			kind := map[bool]string{true: "pingable", false: "self-arming"}[pingable]
+			t.Run(fmt.Sprintf("%s/threshold=%d", kind, n), func(t *testing.T) {
+				var ping Pinger
+				if pingable {
+					ping = pingFunc(func() error { return nil })
+				}
+				b := NewBreaker(n, time.Hour, ping)
+				want := func(when string, st BreakerState, gate bool) {
+					t.Helper()
+					if got := b.State(); got != st {
+						t.Fatalf("%s: state %v, want %v", when, got, st)
+					}
+					if got := b.Gate(); got != gate {
+						t.Fatalf("%s: Gate() = %v, want %v", when, got, gate)
+					}
+				}
+				failN := func(when string, k int) {
+					t.Helper()
+					for i := 0; i < k; i++ {
+						if b.OnFailure() {
+							t.Fatalf("%s: failure %d of %d tripped", when, i+1, k)
+						}
+					}
+				}
+				// arm leaves the open state the way this kind of breaker does.
+				arm := func() {
+					t.Helper()
+					if pingable {
+						if !b.TryProbe() {
+							t.Fatal("TryProbe refused on an open breaker with a free slot")
+						}
+						b.ProbeDone(nil)
+					} else {
+						b.openedAt = b.openedAt.Add(-b.probeEvery) // the probe window elapses
+						if !b.Gate() {
+							t.Fatal("Gate still refuses after the probe window")
+						}
+					}
+					want("armed", BreakerHalfOpen, true)
+				}
+
+				if n == 0 {
+					failN("threshold 0", 100)
+					want("threshold 0 after 100 failures", BreakerClosed, true)
+					if b.TryProbe() {
+						t.Fatal("TryProbe claimed a slot on a closed breaker")
+					}
+					return
+				}
+
+				// Trip exactly at n; a success in the closed state resets the count.
+				failN("below threshold", n-1)
+				if b.OnSuccess() {
+					t.Fatal("OnSuccess on a closed breaker reported a recovery")
+				}
+				failN("after the reset", n-1)
+				want("one short of the threshold", BreakerClosed, true)
+				b.ProbeDone(nil)
+				want("ProbeDone(nil) on a closed breaker", BreakerClosed, true)
+				if !b.OnFailure() {
+					t.Fatalf("failure %d did not trip", n)
+				}
+				want("tripped", BreakerOpen, false)
+
+				// The probe slot is exclusive, and a failed ping arms nothing.
+				if !b.TryProbe() || b.TryProbe() {
+					t.Fatal("TryProbe must claim the slot once, and only once")
+				}
+				b.ProbeDone(errInjected)
+				want("after a failed ping", BreakerOpen, false)
+
+				// A half-open trial failure re-opens without a second trip.
+				arm()
+				if b.TryProbe() {
+					t.Fatal("TryProbe claimed a slot on a half-open breaker")
+				}
+				b.ProbeDone(nil)
+				want("ProbeDone(nil) on a half-open breaker", BreakerHalfOpen, true)
+				if b.OnFailure() {
+					t.Fatal("a failed half-open trial reported a second trip")
+				}
+				want("re-opened", BreakerOpen, false)
+
+				// A successful trial recovers, once, and resets the count.
+				arm()
+				if !b.OnSuccess() || b.OnSuccess() {
+					t.Fatal("the half-open trial's success must report the recovery, once")
+				}
+				failN("after the recovery", n-1)
+				want("recovered", BreakerClosed, true)
+
+				// So does a success that lands while open (an operation
+				// admitted before the trip).
+				if !b.OnFailure() {
+					t.Fatal("the n-th failure after the recovery did not trip")
+				}
+				if !b.OnSuccess() {
+					t.Fatal("a success on an open breaker did not report the recovery")
+				}
+				failN("after the late success", n-1)
+				want("closed by the late success", BreakerClosed, true)
+			})
+		}
+	}
+}
 
 // toggleStore injects failures under a flag that tests flip to simulate
 // a far tier dying and coming back. The mutex makes the flag safe to
@@ -194,6 +316,7 @@ func TestBreakerTripsAndDegrades(t *testing.T) {
 }
 
 func TestBreakerRecoveryViaProberDrainsDirty(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
 	ts := &pingToggleStore{&toggleStore{inner: NewMapStore()}}
 	r, addr := breakerRuntime(t, ts, 2*time.Millisecond)
 	writeWorkingSet(t, r, addr, 6)
@@ -246,6 +369,55 @@ func TestBreakerRecoveryViaProberDrainsDirty(t *testing.T) {
 	}
 }
 
+// slowPingStore's Ping announces itself on entered and then blocks until
+// release is closed: a probe stuck on a black-holed backend.
+type slowPingStore struct {
+	*toggleStore
+	entered, release chan struct{}
+}
+
+func (s *slowPingStore) Ping() error {
+	s.entered <- struct{}{}
+	<-s.release
+	return errInjected
+}
+
+// TestBreakerCloseJoinsProber: Close must not return while the prober is
+// inside Ping — the caller closes the store next (cards.Runtime.Close
+// does) — and must return as soon as that ping does, which the
+// transport bounds by its Timeout.
+func TestBreakerCloseJoinsProber(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	ts := &slowPingStore{&toggleStore{inner: NewMapStore()}, make(chan struct{}), make(chan struct{})}
+	r, addr := breakerRuntime(t, ts, time.Millisecond)
+	writeWorkingSet(t, r, addr, 6)
+	ts.setFailing(true)
+	for i := 0; i < 2; i++ {
+		r.Guard(addr, false)
+	}
+	if r.BreakerState() != BreakerOpen {
+		t.Fatal("breaker should be open")
+	}
+	<-ts.entered // the prober is now inside Ping
+
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a ping still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(ts.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the ping did")
+	}
+}
+
 func TestBreakerHalfOpenByElapsedTimeWithoutPinger(t *testing.T) {
 	ts := &toggleStore{inner: NewMapStore()} // no Ping method
 	r, addr := breakerRuntime(t, ts, 5*time.Millisecond)
@@ -269,28 +441,6 @@ func TestBreakerHalfOpenByElapsedTimeWithoutPinger(t *testing.T) {
 	}
 	if r.Stats().BreakerRecoveries != 1 {
 		t.Fatalf("BreakerRecoveries = %d, want 1", r.Stats().BreakerRecoveries)
-	}
-}
-
-func TestBreakerHalfOpenTrialFailureReopens(t *testing.T) {
-	ts := &toggleStore{inner: NewMapStore()}
-	r, addr := breakerRuntime(t, ts, 5*time.Millisecond)
-	writeWorkingSet(t, r, addr, 6)
-	ts.setFailing(true)
-	for i := 0; i < 2; i++ {
-		r.Guard(addr, false)
-	}
-	time.Sleep(10 * time.Millisecond)
-	// Probe window elapsed but the store is still down: the trial fails
-	// and the breaker re-opens without another trip being counted.
-	if _, err := r.Guard(addr, false); err == nil || errors.Is(err, ErrDegraded) {
-		t.Fatalf("trial should fail with the store error, got %v", err)
-	}
-	if r.BreakerState() != BreakerOpen {
-		t.Fatalf("state = %v, want re-opened", r.BreakerState())
-	}
-	if got := r.Stats().BreakerTrips; got != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1 (re-open is not a new trip)", got)
 	}
 }
 

@@ -224,7 +224,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 		}
 		// Fail fast while degraded — and BEFORE allocFrame, so refused
 		// derefs cannot erode the clean resident set through evictions.
-		if r.breaker != nil && !r.breaker.gate() {
+		if !r.breaker.Gate() {
 			r.stats.DegradedOps++
 			return 0, errDegradedDeref(d.ID, idx)
 		}
@@ -274,10 +274,8 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 func (r *Runtime) allocFrame(d *DS, idx int) (uint64, error) {
 	sz := uint64(d.Meta.ObjSize)
 	for r.remotableUsed+sz > r.remotableBudget {
-		if r.growBudgetFor(sz) {
-			// Degraded mode: grow the budget (up to the ceiling) instead
-			// of evicting — see breaker.go.
-			break
+		if r.breakerIsOpen() && r.growBudget(sz) {
+			break // degraded mode: grow instead of evicting
 		}
 		if err := r.evictOne(); err != nil {
 			if errors.Is(err, ErrDegraded) && r.growBudget(sz) {
@@ -606,14 +604,9 @@ func (r *Runtime) harvest(d *DS, idx int) error {
 	if perr == nil {
 		return nil
 	}
-	// The async read failed: record it against the breaker — unless the
-	// failure is a contained per-shard degradation, which must not trip
-	// the global breaker — then reissue synchronously under the retry
-	// budget.
-	if r.breaker != nil && !errors.Is(perr, ErrDegraded) && r.breaker.onFailure() {
-		r.stats.BreakerTrips++
-		r.emit(EvBreakerTrip, -1, 0, false)
-	}
+	// The async read failed: record it against the breaker, then reissue
+	// synchronously under the retry budget.
+	r.noteFault(perr)
 	if err := r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err == nil {
 		return nil
 	}

@@ -475,10 +475,10 @@ type Runtime struct {
 	// Fault tolerance (breaker.go). baseRemotableBudget is the configured
 	// budget the breaker restores after degraded-mode growth.
 	retryMax            int
-	breaker             *breaker
+	breaker             *Breaker // never nil; threshold 0 never trips
+	prober              *Prober  // nil unless the breaker can trip and the store pings
 	breakerCeiling      uint64
 	baseRemotableBudget uint64
-	breakerStop         chan struct{}
 	closeOnce           sync.Once
 
 	// Per-shard fault domains (sharded stores; see Recoverable).
@@ -557,12 +557,9 @@ func New(cfg Config) *Runtime {
 		r.chaseStaged = make(map[wbKey][]byte)
 		r.chaseStarts = make(map[wbKey]*pendingChase)
 	}
-	if rec, ok := store.(Recoverable); ok {
-		r.recoverable = rec
-		r.lastRecoveryEpoch = rec.RecoveryEpoch()
-		if sc, ok := store.(DrainScoper); ok {
-			r.drainScoper = sc
-		}
+	if r.recoverable, _ = store.(Recoverable); r.recoverable != nil {
+		r.lastRecoveryEpoch = r.recoverable.RecoveryEpoch()
+		r.drainScoper, _ = store.(DrainScoper)
 	}
 	r.defaultMaxInflight = mi
 	// The ceiling caps degraded-mode budget growth. It applies both to
@@ -572,21 +569,8 @@ func New(cfg Config) *Runtime {
 	if r.breakerCeiling == 0 {
 		r.breakerCeiling = 4 * cfg.RemotableBudget
 	}
-	if cfg.BreakerThreshold > 0 {
-		probe := cfg.BreakerProbe
-		if probe <= 0 {
-			probe = 250 * time.Millisecond
-		}
-		r.breaker = &breaker{
-			threshold:  cfg.BreakerThreshold,
-			probeEvery: probe,
-			hasPinger:  caps.Pinger != nil,
-		}
-		if caps.Pinger != nil {
-			r.breakerStop = make(chan struct{})
-			go r.probeLoop(caps.Pinger)
-		}
-	}
+	r.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, caps.Pinger)
+	r.prober = StartProber([]*Breaker{r.breaker}, nil)
 	return r
 }
 

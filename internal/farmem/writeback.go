@@ -1,10 +1,6 @@
 package farmem
 
-import (
-	"errors"
-
-	"cards/internal/rdma"
-)
+import "cards/internal/rdma"
 
 // Asynchronous batched write-back pipeline.
 //
@@ -154,10 +150,7 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 		r.releaseWB(p)
 		return true
 	}
-	if r.breaker != nil && !errors.Is(p.err, ErrDegraded) && r.breaker.onFailure() {
-		r.stats.BreakerTrips++
-		r.emit(EvBreakerTrip, -1, 0, false)
-	}
+	r.noteFault(p.err)
 	r.stats.WriteBackReissues++
 	if err := r.storeWrite(p.d, p.idx, p.buf); err == nil {
 		r.link.WriteBack(p.size)
@@ -175,7 +168,7 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 //
 // The wbBusy guard makes order-list scans non-reentrant: settleWB's
 // synchronous reissue runs through storeOp, whose recovery hooks call
-// drainParkedWB — which must not rebuild wbOrder under an active scan.
+// drainParked — which must not rebuild wbOrder under an active scan.
 func (r *Runtime) harvestWriteBacks() {
 	if r.wbBusy {
 		return
@@ -313,21 +306,10 @@ func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 	return true, nil
 }
 
-// drainParkedWB reissues every parked staged write (called once a
-// recovery epoch says their shards may be back). Returns true when some
-// entries are still refused and remain parked.
-func (r *Runtime) drainParkedWB() (remain bool) {
-	return r.drainParked(nil, 0)
-}
-
-// drainParkedWBScoped is drainParkedWB restricted by the store's
-// DrainScoper (when it has one): only entries whose owning slice
-// recovered after sinceEpoch are reissued; the rest stay parked
-// without a fail-fast attempt.
-func (r *Runtime) drainParkedWBScoped(sinceEpoch uint64) (remain bool) {
-	return r.drainParked(r.drainScoper, sinceEpoch)
-}
-
+// drainParked is drainDirty's second half: it reissues the parked
+// staged writes — under a scope only those whose owning slice recovered
+// after sinceEpoch; the rest stay parked without a fail-fast attempt.
+// Returns true when some entries remain parked.
 func (r *Runtime) drainParked(scope DrainScoper, sinceEpoch uint64) (remain bool) {
 	if r.wbBusy {
 		// An order-list scan is active above us; leave its list alone and

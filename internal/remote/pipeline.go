@@ -10,7 +10,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -388,37 +387,6 @@ func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
 			return nil, err
 		}
 		time.Sleep(backoff(rng, opts.RetryBase, opts.RetryCap, attempt))
-	}
-}
-
-// DialFleet dials one client per address, labelled with its shard index
-// when there are several, and pings it. All of them must answer: on the
-// first failure it closes the clients already open.
-func DialFleet(addrs []string, opts PipelineOpts) ([]*PipelinedClient, error) {
-	clients := make([]*PipelinedClient, 0, len(addrs))
-	for i, addr := range addrs {
-		if len(addrs) > 1 {
-			opts.Shard = strconv.Itoa(i)
-		}
-		c, err := DialPipelined(addr, opts)
-		if err == nil {
-			if err = c.Ping(); err != nil {
-				c.Close()
-			}
-		}
-		if err != nil {
-			CloseFleet(clients)
-			return nil, fmt.Errorf("far tier %s: %w", addr, err)
-		}
-		clients = append(clients, c)
-	}
-	return clients, nil
-}
-
-// CloseFleet closes every client of a fleet.
-func CloseFleet(clients []*PipelinedClient) {
-	for _, c := range clients {
-		c.Close()
 	}
 }
 

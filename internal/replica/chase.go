@@ -22,7 +22,7 @@ import (
 // in-sync member speaks the chase verbs on its live session.
 func (s *Store) ChaseCapable() bool {
 	for _, m := range s.members {
-		if m.chaser != nil && m.inSync.Load() && m.chaser.ChaseCapable() {
+		if m.Caps.Chase != nil && m.inSync.Load() && m.Caps.Chase.ChaseCapable() {
 			return true
 		}
 	}
@@ -45,10 +45,11 @@ func (s *Store) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 // the replica ranking of its (pinned) structure, promoted to the
 // next-ranked in-sync member mid-op when the serving one fails.
 func (s *Store) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	var gbuf [MaxReplicas]int
-	group := s.groupFor(int(req.DS), int(req.Start), gbuf[:0])
-	ranked := make([]int, len(group))
-	copy(ranked, group)
+	ranked, err := s.ChaseGroup(int(req.DS), int(req.Start))
+	if err != nil {
+		done(rdma.ChaseResult{}, err)
+		return
+	}
 	s.chaseNext(req, ranked, 0, done)
 }
 
@@ -59,21 +60,18 @@ func (s *Store) chaseNext(req rdma.ChaseReq, ranked []int, next int, done func(r
 	for next < len(ranked) {
 		m := s.members[ranked[next]]
 		next++
-		if m.chaser == nil || !m.inSync.Load() {
-			continue
-		}
-		if !m.gate(s.opts.ProbeEvery) {
+		if m.Caps.Chase == nil || !m.inSync.Load() || !m.Breaker.Gate() {
 			continue
 		}
 		cont := next
-		m.chaser.IssueChase(req, func(res rdma.ChaseResult, err error) {
+		m.Caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
 			if err != nil {
-				s.fail(m)
+				m.Fail()
 				s.chaseFailovers.Inc()
 				s.chaseNext(req, ranked, cont, done)
 				return
 			}
-			s.ok(m)
+			m.OK()
 			m.reads.Inc()
 			done(res, nil)
 		})

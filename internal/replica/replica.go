@@ -25,10 +25,7 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,36 +116,21 @@ type Options struct {
 	Trace *obs.TraceHub
 }
 
-// member is one backend plus its private fault domain (the same
-// breaker/probe state machine the sharded store runs per shard) and
-// its replication state: whether it is in the read set, and a
-// divergence generation that invalidates an in-flight resync when the
-// member misses further writes mid-sweep.
+// member is one fleet backend plus its replication state: whether it is
+// in the read set, and a divergence generation that invalidates an
+// in-flight resync when the member misses further writes mid-sweep.
 type member struct {
-	eb     EpochBackend
-	reb    RangeEpochBackend      // non-nil iff the backend supports range-epoch writes
-	chaser farmem.AsyncChaseStore // non-nil iff the backend supports IssueChase
-	pinger farmem.Pinger          // non-nil iff the backend supports Ping
-	label  string
-
-	dom shardmap.Domain
+	*shardmap.Backend
+	eb  EpochBackend
+	reb RangeEpochBackend // non-nil iff the backend supports range-epoch writes
 
 	inSync     atomic.Bool
 	divergeGen atomic.Uint64
 	resyncing  atomic.Bool
 
-	// lastRecovery is the RecoveryEpoch value stamped when this member
-	// last recovered; see Store.ShouldDrain.
-	lastRecovery atomic.Uint64
-
-	reads, writes, failures *stats.Counter
-	trips, recoveries       *stats.Counter
-	divergences, resyncs    *stats.Counter
-	stateGauge, insyncGauge *stats.Gauge
-}
-
-func (m *member) gate(probeEvery time.Duration) bool {
-	return m.dom.Gate(probeEvery, m.pinger != nil)
+	reads, writes        *stats.Counter
+	divergences, resyncs *stats.Counter
+	insyncGauge          *stats.Gauge
 }
 
 // objMeta is the client-side authority record for one object: the
@@ -163,15 +145,10 @@ type objMeta struct {
 // farmem.AsyncStore, farmem.AsyncWriteStore, farmem.Pinger,
 // farmem.Recoverable and farmem.DrainScoper.
 type Store struct {
-	m       *shardmap.Map
+	*shardmap.Fleet
 	members []*member
-	r, w    int
-	opts    Options
-	reg     *obs.Registry
+	w       int
 	hub     *obs.TraceHub
-
-	policyMu sync.RWMutex
-	policy   map[int]shardmap.Policy
 
 	// epochs is the per-object epoch authority and resync inventory:
 	// the runtime above is the single writer per object, so the counter
@@ -183,177 +160,100 @@ type Store struct {
 	failovers, quorumFailures   *stats.Counter
 	resyncedObjs, resyncSkipped *stats.Counter
 	chaseFailovers              *stats.Counter
-
-	recoveryEpoch atomic.Uint64
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // New builds a replicated Store over the given backends. Every backend
 // must speak the epoch-stamped verbs (EpochBackend); liveness probing
 // is detected per backend by type assertion.
 func New(backends []farmem.Store, opts Options) (*Store, error) {
-	if len(backends) == 0 {
-		return nil, errors.New("replica: no backends")
-	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = 2
 	}
-	if opts.Replicas > MaxReplicas {
-		opts.Replicas = MaxReplicas
+	opts.Replicas = min(opts.Replicas, MaxReplicas, max(len(backends), 1))
+	opts.WriteQuorum = min(max(opts.WriteQuorum, 1), opts.Replicas)
+	f, err := shardmap.NewFleet(backends, opts.Replicas, opts.BreakerThreshold, opts.ProbeEvery, opts.Obs, shardmap.Series{
+		Pkg: "replica", Label: "backend", Failures: MetricReplicaFailures,
+		Trips: MetricReplicaTrips, Recoveries: MetricReplicaRecoveries, State: MetricReplicaState,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.Replicas > len(backends) {
-		opts.Replicas = len(backends)
-	}
-	if opts.WriteQuorum <= 0 {
-		opts.WriteQuorum = 1
-	}
-	if opts.WriteQuorum > opts.Replicas {
-		opts.WriteQuorum = opts.Replicas
-	}
-	if opts.ProbeEvery <= 0 {
-		opts.ProbeEvery = 250 * time.Millisecond
-	}
-	reg := opts.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := f.Obs()
 	s := &Store{
-		m:              shardmap.NewMap(len(backends)),
-		r:              opts.Replicas,
+		Fleet:          f,
 		w:              opts.WriteQuorum,
-		opts:           opts,
-		reg:            reg,
 		hub:            opts.Trace,
-		policy:         make(map[int]shardmap.Policy),
 		epochs:         make(map[uint64]objMeta),
 		failovers:      reg.Counter(MetricReplicaFailovers),
 		quorumFailures: reg.Counter(MetricReplicaQuorumFailures),
 		resyncedObjs:   reg.Counter(MetricReplicaResyncedObjs),
 		resyncSkipped:  reg.Counter(MetricReplicaResyncSkipped),
 		chaseFailovers: reg.Counter(MetricChaseFailovers),
-		stop:           make(chan struct{}),
 	}
-	for i, b := range backends {
-		eb, ok := b.(EpochBackend)
+	for i, b := range f.Backends() {
+		eb, ok := b.Store.(EpochBackend)
 		if !ok {
 			return nil, fmt.Errorf("replica: backend %d does not speak the epoch verbs", i)
 		}
-		l := strconv.Itoa(i)
 		m := &member{
+			Backend:     b,
 			eb:          eb,
-			label:       l,
-			reads:       reg.Counter(MetricReplicaReads, "backend", l),
-			writes:      reg.Counter(MetricReplicaWrites, "backend", l),
-			failures:    reg.Counter(MetricReplicaFailures, "backend", l),
-			trips:       reg.Counter(MetricReplicaTrips, "backend", l),
-			recoveries:  reg.Counter(MetricReplicaRecoveries, "backend", l),
-			divergences: reg.Counter(MetricReplicaDivergences, "backend", l),
-			resyncs:     reg.Counter(MetricReplicaResyncs, "backend", l),
-			stateGauge:  reg.Gauge(MetricReplicaState, "backend", l),
-			insyncGauge: reg.Gauge(MetricReplicaInSync, "backend", l),
+			reads:       reg.Counter(MetricReplicaReads, "backend", b.Label),
+			writes:      reg.Counter(MetricReplicaWrites, "backend", b.Label),
+			divergences: reg.Counter(MetricReplicaDivergences, "backend", b.Label),
+			resyncs:     reg.Counter(MetricReplicaResyncs, "backend", b.Label),
+			insyncGauge: reg.Gauge(MetricReplicaInSync, "backend", b.Label),
 		}
-		caps := farmem.SurfacesOf(b)
-		m.chaser, m.pinger = caps.Chase, caps.Pinger
-		m.reb, _ = b.(RangeEpochBackend)
+		m.reb, _ = b.Store.(RangeEpochBackend)
 		m.inSync.Store(true)
 		m.insyncGauge.Set(1)
 		s.members = append(s.members, m)
 	}
-	s.wg.Add(1)
-	go s.maintLoop()
+	f.Start(s.resyncTick)
 	return s, nil
 }
 
-// Obs returns the registry the replica series are published into.
-func (s *Store) Obs() *obs.Registry { return s.reg }
-
-// NumBackends returns the number of backends.
-func (s *Store) NumBackends() int { return len(s.members) }
-
-// Replicas returns the group size R.
-func (s *Store) Replicas() int { return s.r }
-
 // MemberState reports one backend's breaker state.
-func (s *Store) MemberState(i int) farmem.BreakerState { return s.members[i].dom.State() }
+func (s *Store) MemberState(i int) farmem.BreakerState { return s.members[i].Breaker.State() }
 
 // MemberInSync reports whether one backend is currently in the read
 // set.
 func (s *Store) MemberInSync(i int) bool { return s.members[i].inSync.Load() }
 
-// SetPolicy installs the placement rule for one data structure (the
-// same pin/stripe semantics as the sharded store, applied to the whole
-// replica group). Must be called before the structure's objects are
-// written.
-func (s *Store) SetPolicy(ds int, p shardmap.Policy) {
-	s.policyMu.Lock()
-	s.policy[ds] = p
-	s.policyMu.Unlock()
-}
-
-// GroupOf appends the replica group (ranked backend indices) for one
-// object into dst.
-func (s *Store) GroupOf(ds, idx int, dst []int) []int {
-	return s.groupFor(ds, idx, dst)
-}
-
-func (s *Store) groupFor(ds, idx int, dst []int) []int {
-	s.policyMu.RLock()
-	p := s.policy[ds]
-	s.policyMu.RUnlock()
-	if p == shardmap.PolicyPin {
-		return s.m.OwnersDS(ds, s.r, dst)
+// available counts the members of one object's group whose breaker is
+// not open, and reports whether any of them recovered after since.
+func (s *Store) available(ds, idx int, since uint64) (avail int, recovered bool) {
+	var gbuf [MaxReplicas]int
+	for _, gi := range s.GroupOf(ds, idx, gbuf[:0]) {
+		m := s.members[gi]
+		if m.Breaker.State() != farmem.BreakerOpen {
+			avail++
+		}
+		recovered = recovered || m.RecoveredSince(since)
 	}
-	return s.m.OwnersObj(ds, idx, s.r, dst)
+	return avail, recovered
 }
-
-// RecoveryEpoch implements farmem.Recoverable: it advances once per
-// member breaker recovery, signalling the runtime to drain write-backs
-// parked while the group could not meet its write quorum.
-func (s *Store) RecoveryEpoch() uint64 { return s.recoveryEpoch.Load() }
 
 // ShouldDrain implements farmem.DrainScoper: a parked write-back is
 // worth reissuing when some member of the object's group recovered
 // after sinceEpoch and enough members are reachable to meet the write
 // quorum.
 func (s *Store) ShouldDrain(ds, idx int, sinceEpoch uint64) bool {
-	var gbuf [MaxReplicas]int
-	group := s.groupFor(ds, idx, gbuf[:0])
-	recovered, avail := false, 0
-	for _, gi := range group {
-		m := s.members[gi]
-		if m.dom.State() != farmem.BreakerOpen {
-			avail++
-		}
-		if m.lastRecovery.Load() > sinceEpoch {
-			recovered = true
-		}
-	}
+	avail, recovered := s.available(ds, idx, sinceEpoch)
 	return recovered && avail >= s.w
 }
 
 // Stranded implements farmem.DrainScoper: the object's group cannot
 // currently meet the write quorum, so its write-back must stay parked.
 func (s *Store) Stranded(ds, idx int) bool {
-	var gbuf [MaxReplicas]int
-	group := s.groupFor(ds, idx, gbuf[:0])
-	avail := 0
-	for _, gi := range group {
-		if s.members[gi].dom.State() != farmem.BreakerOpen {
-			avail++
-		}
-	}
+	avail, _ := s.available(ds, idx, 0)
 	return avail < s.w
 }
-
-func objKey(ds, idx int) uint64 { return uint64(ds)<<32 | uint64(uint32(idx)) }
 
 // stampWrite assigns the next epoch for one object and records the
 // image size for the resync inventory.
 func (s *Store) stampWrite(ds, idx, size int) uint64 {
-	k := objKey(ds, idx)
+	k := shardmap.ObjKey(ds, idx)
 	s.epMu.Lock()
 	meta := s.epochs[k]
 	meta.epoch++
@@ -368,28 +268,9 @@ func (s *Store) stampWrite(ds, idx, size int) uint64 {
 // is acceptable then).
 func (s *Store) authority(ds, idx int) uint64 {
 	s.epMu.Lock()
-	e := s.epochs[objKey(ds, idx)].epoch
+	e := s.epochs[shardmap.ObjKey(ds, idx)].epoch
 	s.epMu.Unlock()
 	return e
-}
-
-func (s *Store) ok(m *member) {
-	if m.dom.OnSuccess() {
-		m.recoveries.Inc()
-		// Stamp before publishing the advance so ShouldDrain sees the
-		// recovered member as soon as the runtime sees the new epoch.
-		m.lastRecovery.Store(s.recoveryEpoch.Load() + 1)
-		s.recoveryEpoch.Add(1)
-	}
-	m.stateGauge.Set(int64(farmem.BreakerClosed))
-}
-
-func (s *Store) fail(m *member) {
-	m.failures.Inc()
-	if m.dom.OnFailure(s.opts.BreakerThreshold) {
-		m.trips.Inc()
-	}
-	m.stateGauge.Set(int64(m.dom.State()))
 }
 
 // markDivergent takes a member out of the read set: it missed (or may
@@ -447,11 +328,11 @@ func (j *writeJoin) subDone(sl *writeSlot, err error) {
 	s := j.s
 	if err == nil {
 		j.acks.Add(1)
-		s.ok(sl.m)
+		sl.m.OK()
 		sl.m.writes.Inc()
 	} else {
 		// Failed or uncertain: the member may not hold this epoch.
-		s.fail(sl.m)
+		sl.m.Fail()
 		s.markDivergent(sl.m)
 	}
 	if j.remaining.Add(-1) == 0 {
@@ -507,12 +388,12 @@ func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, do
 	j.s = s
 	j.done = done
 	j.acks.Store(0)
-	group := s.groupFor(ds, idx, j.group[:0])
+	group := s.GroupOf(ds, idx, j.group[:0])
 	epoch := s.stampWrite(ds, idx, len(src))
 	n := 0
 	for _, gi := range group {
 		m := s.members[gi]
-		if !m.gate(s.opts.ProbeEvery) {
+		if !m.Breaker.Gate() {
 			s.markDivergent(m)
 			continue
 		}
@@ -570,7 +451,7 @@ func (s *Store) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	j := readJoinPool.Get().(*readJoin)
 	j.s, j.ds, j.idx, j.dst, j.done = s, ds, idx, dst, done
 	j.next, j.loose, j.attempts, j.cur = 0, false, 0, nil
-	group := s.groupFor(ds, idx, j.group[:0])
+	group := s.GroupOf(ds, idx, j.group[:0])
 	j.glen = len(group)
 	j.want = s.authority(ds, idx)
 	if s.hub != nil {
@@ -597,7 +478,7 @@ func (j *readJoin) tryNext() {
 		for j.next < j.glen {
 			m := s.members[j.group[j.next]]
 			j.next++
-			if !m.gate(s.opts.ProbeEvery) {
+			if !m.Breaker.Gate() {
 				continue
 			}
 			if !j.loose && !m.inSync.Load() {
@@ -621,7 +502,7 @@ func (j *readJoin) complete(epoch uint64, err error) {
 	s := j.s
 	m := j.cur
 	if err != nil {
-		s.fail(m)
+		m.Fail()
 		s.failovers.Inc()
 		j.tryNext()
 		return
@@ -630,13 +511,13 @@ func (j *readJoin) complete(epoch uint64, err error) {
 		// The backend answered but its image misses epochs it should
 		// hold (e.g. it restarted with stale state before resync
 		// noticed): exclude it from reads and fail over.
-		s.ok(m)
+		m.OK()
 		s.markDivergent(m)
 		s.failovers.Inc()
 		j.tryNext()
 		return
 	}
-	s.ok(m)
+	m.OK()
 	m.reads.Inc()
 	j.finish(nil)
 }
@@ -646,7 +527,7 @@ func (j *readJoin) finish(err error) {
 	if s.hub != nil && j.attempts > 1 {
 		label := ""
 		if j.cur != nil {
-			label = j.cur.label
+			label = j.cur.Label
 		}
 		el := time.Since(j.start)
 		s.hub.Offer(obs.SlowOp{
@@ -659,28 +540,4 @@ func (j *readJoin) finish(err error) {
 	j.done, j.dst, j.cur = nil, nil, nil
 	readJoinPool.Put(j)
 	done(err)
-}
-
-// Ping implements farmem.Pinger at group-fleet scope (see
-// shardmap.PingAny).
-func (s *Store) Ping() error {
-	return shardmap.PingAny("replica: backend", len(s.members), func(i int) farmem.Pinger { return s.members[i].pinger })
-}
-
-// Close stops the maintenance loop and closes every backend that
-// implements io.Closer, returning the first error.
-func (s *Store) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
-		for _, m := range s.members {
-			if c, ok := m.eb.(io.Closer); ok {
-				if cerr := c.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
-		}
-	})
-	return err
 }

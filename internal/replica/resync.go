@@ -1,10 +1,6 @@
 package replica
 
-import (
-	"time"
-
-	"cards/internal/farmem"
-)
+import "cards/internal/farmem"
 
 // Anti-entropy resync. A member that missed writes (dead, or a failed
 // sub-write) is out of the read set; once its backend answers again it
@@ -22,33 +18,15 @@ type resyncItem struct {
 	size    uint32
 }
 
-// maintLoop is the background maintenance goroutine: it pings open
-// members (arming half-open on success, like the sharded store's
-// prober) and launches the anti-entropy sweep for divergent members
-// whose backend is reachable again.
-func (s *Store) maintLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.opts.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			for _, m := range s.members {
-				if m.pinger != nil && m.dom.TryProbe() {
-					s.wg.Add(1)
-					go func(m *member) {
-						defer s.wg.Done()
-						m.dom.ProbeDone(m.pinger.Ping())
-					}(m)
-				}
-				if !m.inSync.Load() && m.dom.State() != farmem.BreakerOpen &&
-					m.resyncing.CompareAndSwap(false, true) {
-					s.wg.Add(1)
-					go s.resync(m)
-				}
-			}
+// resyncTick rides the fleet prober's tick (which has just probed the
+// open members): it launches the anti-entropy sweep for divergent
+// members whose backend is reachable again. The fleet's Close joins the
+// sweeps.
+func (s *Store) resyncTick(p *farmem.Prober) {
+	for _, m := range s.members {
+		if !m.inSync.Load() && m.Breaker.State() != farmem.BreakerOpen &&
+			m.resyncing.CompareAndSwap(false, true) {
+			p.Go(func() { s.resync(m, p.Stopped()) })
 		}
 	}
 }
@@ -62,7 +40,7 @@ func (s *Store) inventoryFor(m *member) []resyncItem {
 	items := make([]resyncItem, 0, len(s.epochs))
 	for k, meta := range s.epochs {
 		ds, idx := int(k>>32), int(uint32(k))
-		for _, gi := range s.groupFor(ds, idx, gbuf[:0]) {
+		for _, gi := range s.GroupOf(ds, idx, gbuf[:0]) {
 			if s.members[gi] == m {
 				items = append(items, resyncItem{ds: ds, idx: idx, epoch: meta.epoch, size: meta.size})
 				break
@@ -79,8 +57,7 @@ func (s *Store) inventoryFor(m *member) []resyncItem {
 // so racing live writes can never be clobbered by the sweep's older
 // image. The member rejoins the read set only when the sweep finishes
 // without the member diverging again mid-flight.
-func (s *Store) resync(m *member) {
-	defer s.wg.Done()
+func (s *Store) resync(m *member, stop <-chan struct{}) {
 	defer m.resyncing.Store(false)
 	gen := m.divergeGen.Load()
 	items := s.inventoryFor(m)
@@ -88,7 +65,7 @@ func (s *Store) resync(m *member) {
 	repaired, skipped := 0, 0
 	for _, it := range items {
 		select {
-		case <-s.stop:
+		case <-stop:
 			return
 		default:
 		}
@@ -96,10 +73,10 @@ func (s *Store) resync(m *member) {
 		if err != nil {
 			// The backend died again; its breaker re-trips and the next
 			// recovery restarts the sweep.
-			s.fail(m)
+			m.Fail()
 			return
 		}
-		s.ok(m)
+		m.OK()
 		if have >= it.epoch {
 			continue
 		}
@@ -149,25 +126,25 @@ func (s *Store) resync(m *member) {
 // recovering replicas that each hold objects only the other misses.
 func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort bool) {
 	var gbuf [MaxReplicas]int
-	for _, gi := range s.groupFor(it.ds, it.idx, gbuf[:0]) {
+	for _, gi := range s.GroupOf(it.ds, it.idx, gbuf[:0]) {
 		src := s.members[gi]
-		if src == target || !src.gate(s.opts.ProbeEvery) {
+		if src == target || !src.Breaker.Gate() {
 			continue
 		}
 		epoch, err := src.eb.ReadObjEpoch(it.ds, it.idx, buf)
 		if err != nil {
-			s.fail(src)
+			src.Fail()
 			continue
 		}
-		s.ok(src)
+		src.OK()
 		if epoch < it.epoch {
 			continue
 		}
 		if err := target.eb.WriteObjEpoch(it.ds, it.idx, epoch, buf); err != nil {
-			s.fail(target)
+			target.Fail()
 			return false, true
 		}
-		s.ok(target)
+		target.OK()
 		return true, false
 	}
 	return false, false

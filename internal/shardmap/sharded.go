@@ -1,12 +1,8 @@
 package shardmap
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cards/internal/farmem"
@@ -40,31 +36,21 @@ type Options struct {
 	// open shards; 0 means 250ms.
 	ProbeEvery time.Duration
 	// Obs receives the per-shard series; nil allocates a private
-	// registry (reachable via ShardedStore.Obs).
+	// registry (reachable via Obs).
 	Obs *obs.Registry
 }
 
-// shard is one backend plus its private fault domain (a Domain — the
-// breaker/probe state machine shared with the replica layer) and metric
-// series. One dead backend degrades exactly the keys it owns.
+// shard is one fleet backend plus the traffic series only the sharded
+// store keeps.
 type shard struct {
-	store farmem.Store
-	caps  farmem.Surfaces // the optional surfaces store has; nil ones are served synchronously or refused
-
-	dom Domain
-
-	// lastRecovery is the RecoveryEpoch value stamped when this shard
-	// last recovered — the drain-scoping cue that lets the runtime drain
-	// only the recovering shard's stranded write-backs.
-	lastRecovery atomic.Uint64
+	*Backend
 
 	mu      sync.Mutex
 	objects map[uint64]struct{} // keys ever written, for the objects gauge
 
 	reads, writes, bytesIn, bytesOut *stats.Counter
-	failures, degraded               *stats.Counter
-	trips, recoveries                *stats.Counter
-	objGauge, stateGauge             *stats.Gauge
+	degraded                         *stats.Counter
+	objGauge                         *stats.Gauge
 }
 
 // ShardedStore multiplexes farmem store traffic across N backends using
@@ -72,26 +58,12 @@ type shard struct {
 // farmem.AsyncStore, farmem.AsyncWriteStore, farmem.Pinger and
 // farmem.Recoverable.
 //
-// Fault domains are per shard: operations against a tripped shard fail
-// fast with an error wrapping farmem.ErrDegraded while the other shards
-// keep serving, and a background prober arms recovery per shard. The
-// RecoveryEpoch counter advances on every shard recovery, which is the
-// farmem runtime's cue to drain dirty write-backs stranded by the
-// outage.
+// Fault domains are per shard (see Fleet): operations against a tripped
+// shard fail fast with an error wrapping farmem.ErrDegraded while the
+// other shards keep serving.
 type ShardedStore struct {
-	m      *Map
+	*Fleet
 	shards []*shard
-	opts   Options
-	reg    *obs.Registry
-
-	policyMu sync.RWMutex
-	policy   map[int]Policy
-
-	recoveryEpoch atomic.Uint64
-
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
 }
 
 // NewSharded builds a ShardedStore over the given backends. Async issue
@@ -99,87 +71,34 @@ type ShardedStore struct {
 // per backend by type assertion, so heterogeneous fleets work — a shard
 // without IssueRead just serves prefetches synchronously.
 func NewSharded(backends []farmem.Store, opts Options) (*ShardedStore, error) {
-	if len(backends) == 0 {
-		return nil, errors.New("shardmap: no backends")
+	f, err := NewFleet(backends, 1, opts.BreakerThreshold, opts.ProbeEvery, opts.Obs, Series{
+		Pkg: "shardmap", Label: "shard", Failures: MetricShardFailures,
+		Trips: MetricShardTrips, Recoveries: MetricShardRecoveries, State: MetricShardState,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.ProbeEvery <= 0 {
-		opts.ProbeEvery = 250 * time.Millisecond
+	ss, reg := &ShardedStore{Fleet: f}, f.Obs()
+	for _, b := range f.Backends() {
+		ss.shards = append(ss.shards, &shard{
+			Backend:  b,
+			objects:  make(map[uint64]struct{}),
+			reads:    reg.Counter(MetricShardReads, "shard", b.Label),
+			writes:   reg.Counter(MetricShardWrites, "shard", b.Label),
+			bytesIn:  reg.Counter(MetricShardBytesIn, "shard", b.Label),
+			bytesOut: reg.Counter(MetricShardBytesOut, "shard", b.Label),
+			degraded: reg.Counter(MetricShardDegraded, "shard", b.Label),
+			objGauge: reg.Gauge(MetricShardObjects, "shard", b.Label),
+		})
 	}
-	reg := opts.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	ss := &ShardedStore{
-		m:      NewMap(len(backends)),
-		opts:   opts,
-		reg:    reg,
-		policy: make(map[int]Policy),
-		stop:   make(chan struct{}),
-	}
-	anyPinger := false
-	for i, b := range backends {
-		l := strconv.Itoa(i)
-		s := &shard{
-			store:      b,
-			caps:       farmem.SurfacesOf(b),
-			objects:    make(map[uint64]struct{}),
-			reads:      reg.Counter(MetricShardReads, "shard", l),
-			writes:     reg.Counter(MetricShardWrites, "shard", l),
-			bytesIn:    reg.Counter(MetricShardBytesIn, "shard", l),
-			bytesOut:   reg.Counter(MetricShardBytesOut, "shard", l),
-			failures:   reg.Counter(MetricShardFailures, "shard", l),
-			degraded:   reg.Counter(MetricShardDegraded, "shard", l),
-			trips:      reg.Counter(MetricShardTrips, "shard", l),
-			recoveries: reg.Counter(MetricShardRecoveries, "shard", l),
-			objGauge:   reg.Gauge(MetricShardObjects, "shard", l),
-			stateGauge: reg.Gauge(MetricShardState, "shard", l),
-		}
-		anyPinger = anyPinger || s.caps.Pinger != nil
-		ss.shards = append(ss.shards, s)
-	}
-	if opts.BreakerThreshold > 0 && anyPinger {
-		ss.wg.Add(1)
-		go ss.probeLoop()
-	}
+	f.Start(nil)
 	return ss, nil
-}
-
-// Obs returns the registry the per-shard series are published into.
-func (ss *ShardedStore) Obs() *obs.Registry { return ss.reg }
-
-// NumShards returns the number of backends.
-func (ss *ShardedStore) NumShards() int { return ss.m.Shards() }
-
-// SetPolicy installs the placement rule for one data structure.
-// Unconfigured structures stripe. Must be called before the structure's
-// objects are written — changing the rule afterwards would strand them
-// on their old shards.
-func (ss *ShardedStore) SetPolicy(ds int, p Policy) {
-	ss.policyMu.Lock()
-	ss.policy[ds] = p
-	ss.policyMu.Unlock()
-}
-
-// ShardOf returns the owning shard for one object.
-func (ss *ShardedStore) ShardOf(ds, idx int) int {
-	ss.policyMu.RLock()
-	p := ss.policy[ds]
-	ss.policyMu.RUnlock()
-	if p == PolicyPin {
-		return ss.m.OwnerDS(ds)
-	}
-	return ss.m.OwnerObj(ds, idx)
 }
 
 // ShardState reports one shard's breaker state.
 func (ss *ShardedStore) ShardState(i int) farmem.BreakerState {
-	return ss.shards[i].dom.State()
+	return ss.shards[i].Breaker.State()
 }
-
-// RecoveryEpoch implements farmem.Recoverable: it advances once per
-// shard recovery (half-open trial success), signalling the runtime to
-// drain write-backs stranded while that shard was down.
-func (ss *ShardedStore) RecoveryEpoch() uint64 { return ss.recoveryEpoch.Load() }
 
 // enter is the one gated route onto shard i: the shard to forward to,
 // or, while its breaker refuses traffic, the fail-fast error. That error
@@ -188,7 +107,7 @@ func (ss *ShardedStore) RecoveryEpoch() uint64 { return ss.recoveryEpoch.Load() 
 // accounting).
 func (ss *ShardedStore) enter(i int) (*shard, error) {
 	s := ss.shards[i]
-	if !s.dom.Gate(ss.opts.ProbeEvery, s.caps.Pinger != nil) {
+	if !s.Breaker.Gate() {
 		s.degraded.Inc()
 		return nil, fmt.Errorf("shardmap: shard %d: %w", i, farmem.ErrDegraded)
 	}
@@ -198,24 +117,11 @@ func (ss *ShardedStore) enter(i int) (*shard, error) {
 // settle closes an operation enter let through: its outcome feeds the
 // shard's breaker, and a failure comes back naming the shard and verb.
 func (ss *ShardedStore) settle(i int, verb string, err error) error {
-	s := ss.shards[i]
 	if err != nil {
-		s.failures.Inc()
-		if s.dom.OnFailure(ss.opts.BreakerThreshold) {
-			s.trips.Inc()
-		}
-		s.stateGauge.Set(int64(s.dom.State()))
+		ss.shards[i].Fail()
 		return fmt.Errorf("shardmap: shard %d %s: %w", i, verb, err)
 	}
-	if s.dom.OnSuccess() {
-		s.recoveries.Inc()
-		// Stamp before publishing the epoch advance: when the runtime
-		// observes the new epoch, the recovered shard's stamp is already
-		// in place for ShouldDrain.
-		s.lastRecovery.Store(ss.recoveryEpoch.Load() + 1)
-		ss.recoveryEpoch.Add(1)
-	}
-	s.stateGauge.Set(int64(farmem.BreakerClosed))
+	ss.shards[i].OK()
 	return nil
 }
 
@@ -225,14 +131,14 @@ func (ss *ShardedStore) settle(i int, verb string, err error) error {
 // again — not every dirty object in the cache.
 func (ss *ShardedStore) ShouldDrain(ds, idx int, sinceEpoch uint64) bool {
 	s := ss.shards[ss.ShardOf(ds, idx)]
-	return s.lastRecovery.Load() > sinceEpoch && s.dom.State() == farmem.BreakerClosed
+	return s.RecoveredSince(sinceEpoch) && s.Breaker.State() == farmem.BreakerClosed
 }
 
 // Stranded implements farmem.DrainScoper: the owning shard is still
 // refusing traffic, so the object must stay pinned for a future
 // recovery epoch rather than be drained now.
 func (ss *ShardedStore) Stranded(ds, idx int) bool {
-	return ss.shards[ss.ShardOf(ds, idx)].dom.State() != farmem.BreakerClosed
+	return ss.shards[ss.ShardOf(ds, idx)].Breaker.State() != farmem.BreakerClosed
 }
 
 // ReadObj implements farmem.Store, routing to the owning shard.
@@ -240,7 +146,7 @@ func (ss *ShardedStore) ReadObj(ds, idx int, dst []byte) error {
 	i := ss.ShardOf(ds, idx)
 	s, err := ss.enter(i)
 	if err == nil {
-		if err = ss.settle(i, "read", s.store.ReadObj(ds, idx, dst)); err == nil {
+		if err = ss.settle(i, "read", s.Store.ReadObj(ds, idx, dst)); err == nil {
 			s.didRead(len(dst))
 		}
 	}
@@ -252,7 +158,7 @@ func (ss *ShardedStore) WriteObj(ds, idx int, src []byte) error {
 	i := ss.ShardOf(ds, idx)
 	s, err := ss.enter(i)
 	if err == nil {
-		if err = ss.settle(i, "write", s.store.WriteObj(ds, idx, src)); err == nil {
+		if err = ss.settle(i, "write", s.Store.WriteObj(ds, idx, src)); err == nil {
 			s.didWrite(ds, idx, len(src))
 		}
 	}
@@ -270,7 +176,7 @@ func (s *shard) didRead(n int) {
 func (s *shard) didWrite(ds, idx, n int) {
 	s.writes.Inc()
 	s.bytesOut.Add(uint64(n))
-	key := uint64(ds)<<32 | uint64(uint32(idx))
+	key := ObjKey(ds, idx)
 	s.mu.Lock()
 	before := len(s.objects)
 	s.objects[key] = struct{}{}
@@ -298,11 +204,11 @@ func (ss *ShardedStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
 		}
 		done(err)
 	}
-	if s.caps.Async != nil {
-		s.caps.Async.IssueRead(ds, idx, dst, finish)
+	if s.Caps.Async != nil {
+		s.Caps.Async.IssueRead(ds, idx, dst, finish)
 		return
 	}
-	finish(s.store.ReadObj(ds, idx, dst))
+	finish(s.Store.ReadObj(ds, idx, dst))
 }
 
 // IssueWrite implements farmem.AsyncWriteStore: a range write with no
@@ -326,7 +232,7 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 		return
 	}
 	verb, shipped := "write", len(src)
-	if s.caps.RangeWrite == nil {
+	if s.Caps.RangeWrite == nil {
 		exts = nil
 	}
 	if exts != nil {
@@ -343,11 +249,11 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 	}
 	switch {
 	case exts != nil:
-		s.caps.RangeWrite.IssueWriteRanges(ds, idx, src, exts, finish)
-	case s.caps.AsyncWrite != nil:
-		s.caps.AsyncWrite.IssueWrite(ds, idx, src, finish)
+		s.Caps.RangeWrite.IssueWriteRanges(ds, idx, src, exts, finish)
+	case s.Caps.AsyncWrite != nil:
+		s.Caps.AsyncWrite.IssueWrite(ds, idx, src, finish)
 	default:
-		finish(s.store.WriteObj(ds, idx, src))
+		finish(s.Store.WriteObj(ds, idx, src))
 	}
 }
 
@@ -359,7 +265,7 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 // which shard a structure happened to hash to.
 func (ss *ShardedStore) ChaseCapable() bool {
 	for _, s := range ss.shards {
-		if s.caps.Chase == nil || !s.caps.Chase.ChaseCapable() {
+		if s.Caps.Chase == nil || !s.Caps.Chase.ChaseCapable() {
 			return false
 		}
 	}
@@ -367,24 +273,17 @@ func (ss *ShardedStore) ChaseCapable() bool {
 }
 
 // enterChase is enter for a traversal program, on the single shard it
-// may run on: the walk follows pointers server-side, so every object of
-// the structure must live on that shard — true for PolicyPin structures
-// (and trivially for a one-shard fleet). Striped structures are
-// refused: their successors live on other shards, and the serving shard
-// would zero-fill them mid-walk.
+// may run on (see Fleet.ChaseGroup).
 func (ss *ShardedStore) enterChase(ds int) (int, *shard, error) {
-	ss.policyMu.RLock()
-	p := ss.policy[ds]
-	ss.policyMu.RUnlock()
-	if p != PolicyPin && ss.m.Shards() > 1 {
-		return 0, nil, fmt.Errorf("shardmap: chase on striped ds%d (traversal programs need a pinned structure)", ds)
+	g, err := ss.ChaseGroup(ds, 0)
+	if err != nil {
+		return 0, nil, err
 	}
-	i := ss.m.OwnerDS(ds)
-	if ss.shards[i].caps.Chase == nil {
-		return 0, nil, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", i)
+	if ss.shards[g[0]].Caps.Chase == nil {
+		return 0, nil, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", g[0])
 	}
-	s, err := ss.enter(i)
-	return i, s, err
+	s, err := ss.enter(g[0])
+	return g[0], s, err
 }
 
 // settleChase is settle for a traversal: the path's bytes count as one
@@ -407,7 +306,7 @@ func (ss *ShardedStore) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	if err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	res, err := s.caps.Chase.Chase(req)
+	res, err := s.Caps.Chase.Chase(req)
 	return res, ss.settleChase(i, res, err)
 }
 
@@ -419,83 +318,7 @@ func (ss *ShardedStore) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	s.caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
+	s.Caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
 		done(res, ss.settleChase(i, res, err))
 	})
-}
-
-// Ping implements farmem.Pinger at cluster scope (see PingAny).
-func (ss *ShardedStore) Ping() error {
-	return PingAny("shardmap: shard", len(ss.shards), func(i int) farmem.Pinger { return ss.shards[i].caps.Pinger })
-}
-
-// PingAny pings all n backends of a fleet and succeeds while at least
-// one answers, because the runtime's *global* breaker models total
-// outage — partial outages are the per-backend breakers' job. A nil
-// pinger is a backend without a Ping method and counts as alive; what
-// names a backend in the error.
-func PingAny(what string, n int, pinger func(i int) farmem.Pinger) error {
-	var firstErr error
-	alive := false
-	for i := 0; i < n; i++ {
-		var err error
-		if p := pinger(i); p != nil {
-			err = p.Ping()
-		}
-		if err == nil {
-			alive = true
-		} else if firstErr == nil {
-			firstErr = fmt.Errorf("%s %d ping: %w", what, i, err)
-		}
-	}
-	if alive {
-		return nil
-	}
-	return firstErr
-}
-
-// probeLoop pings open shards on a wall-clock interval; a successful
-// ping arms that shard half-open so the next operation against it is
-// the recovery trial. Probes run concurrently per shard (a dead
-// backend's connect timeout must not delay another shard's recovery)
-// but never overlap on the same shard.
-func (ss *ShardedStore) probeLoop() {
-	defer ss.wg.Done()
-	t := time.NewTicker(ss.opts.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ss.stop:
-			return
-		case <-t.C:
-			for _, s := range ss.shards {
-				if s.caps.Pinger == nil || !s.dom.TryProbe() {
-					continue
-				}
-				ss.wg.Add(1)
-				go func(s *shard) {
-					defer ss.wg.Done()
-					s.dom.ProbeDone(s.caps.Pinger.Ping())
-				}(s)
-			}
-		}
-	}
-}
-
-// Close stops the prober and closes every backend that implements
-// io.Closer, returning the first error.
-func (ss *ShardedStore) Close() error {
-	var err error
-	ss.closeOnce.Do(func() {
-		close(ss.stop)
-		ss.wg.Wait()
-		for _, s := range ss.shards {
-			if c, ok := s.store.(io.Closer); ok {
-				if cerr := c.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
-		}
-	})
-	return err
 }

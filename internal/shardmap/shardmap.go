@@ -91,16 +91,13 @@ func (m *Map) Owner(key uint64) int {
 	return best
 }
 
-// OwnerDS returns the owning shard for a pinned data structure.
-func (m *Map) OwnerDS(ds int) int {
-	return m.Owner(mix64(uint64(ds) + 0x0D5))
-}
+// DSKey is the placement key of a pinned data structure: all its
+// objects share it.
+func DSKey(ds int) uint64 { return mix64(uint64(ds) + 0x0D5) }
 
-// OwnerObj returns the owning shard for one object of a striped
-// structure.
-func (m *Map) OwnerObj(ds, idx int) int {
-	return m.Owner(uint64(ds)<<32 | uint64(uint32(idx)))
-}
+// ObjKey is the placement key of one object of a striped structure
+// (and the (ds, idx) map key the stores above use).
+func ObjKey(ds, idx int) uint64 { return uint64(ds)<<32 | uint64(uint32(idx)) }
 
 // Owners appends the top-r shards for key in descending rendezvous
 // rank into dst (reused when its capacity allows — the replica hot
@@ -139,16 +136,4 @@ func (m *Map) Owners(key uint64, r int, dst []int) []int {
 		dst = append(dst, best)
 	}
 	return dst
-}
-
-// OwnersDS returns the top-r ranked shards for a pinned data
-// structure; see Owners.
-func (m *Map) OwnersDS(ds, r int, dst []int) []int {
-	return m.Owners(mix64(uint64(ds)+0x0D5), r, dst)
-}
-
-// OwnersObj returns the top-r ranked shards for one object of a
-// striped structure; see Owners.
-func (m *Map) OwnersObj(ds, idx, r int, dst []int) []int {
-	return m.Owners(uint64(ds)<<32|uint64(uint32(idx)), r, dst)
 }

@@ -3,6 +3,7 @@ package shardmap
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func TestOwnerBalance(t *testing.T) {
 	counts := make([]int, 4)
 	const keys = 40000
 	for i := 0; i < keys; i++ {
-		counts[m.OwnerObj(0, i)]++
+		counts[m.Owner(ObjKey(0, i))]++
 	}
 	want := keys / 4
 	for i, c := range counts {
@@ -32,7 +33,7 @@ func TestOwnerMinimalDisruption(t *testing.T) {
 	moved := 0
 	const keys = 10000
 	for i := 0; i < keys; i++ {
-		a, b := m4.OwnerObj(7, i), m5.OwnerObj(7, i)
+		a, b := m4.Owner(ObjKey(7, i)), m5.Owner(ObjKey(7, i))
 		if a == b {
 			continue
 		}
@@ -131,27 +132,27 @@ func TestShardedRoutingRoundTrip(t *testing.T) {
 // the prober can detect revival.
 type deadableStore struct {
 	inner *farmem.MapStore
-	dead  bool
+	dead  atomic.Bool // the prober's Ping reads it while the test flips it
 }
 
 var errDown = errors.New("backend down")
 
 func (s *deadableStore) ReadObj(ds, idx int, dst []byte) error {
-	if s.dead {
+	if s.dead.Load() {
 		return errDown
 	}
 	return s.inner.ReadObj(ds, idx, dst)
 }
 
 func (s *deadableStore) WriteObj(ds, idx int, src []byte) error {
-	if s.dead {
+	if s.dead.Load() {
 		return errDown
 	}
 	return s.inner.WriteObj(ds, idx, src)
 }
 
 func (s *deadableStore) Ping() error {
-	if s.dead {
+	if s.dead.Load() {
 		return errDown
 	}
 	return nil
@@ -191,7 +192,7 @@ func TestPerShardBreakerIndependenceAndRecovery(t *testing.T) {
 	}
 
 	const dead = 1
-	stores[dead].dead = true
+	stores[dead].dead.Store(true)
 	// Trip the dead shard's breaker.
 	for i := 0; i < 2; i++ {
 		if err := ss.ReadObj(0, objOn[dead], buf); err == nil {
@@ -225,7 +226,7 @@ func TestPerShardBreakerIndependenceAndRecovery(t *testing.T) {
 	// Revive; the prober arms half-open, the next op recovers and bumps
 	// the epoch.
 	before := ss.RecoveryEpoch()
-	stores[dead].dead = false
+	stores[dead].dead.Store(false)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if err := ss.ReadObj(0, objOn[dead], buf); err == nil {
