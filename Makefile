@@ -110,12 +110,15 @@ chaos:
 # takes more than the first 64 bytes), BenchmarkServerReadStoredLZ and
 # BenchmarkServerReadStoredWords (internal/remote: cardsd's whole read
 # path for a bfs-shaped object its client wrote back compressed, per
-# scheme) and BenchmarkServerWriteAdmit (cardsd taking that write-back:
-# an LZ tuple's validating decode against a words tuple's CheckWords).
+# scheme), BenchmarkServerWriteAdmit (cardsd taking that write-back:
+# an LZ tuple's validating decode against a words tuple's CheckWords)
+# and BenchmarkServerFaultBurstTCP (a fault that drags a dirty eviction:
+# one doorbell of write-back + read over TCP, with the server's Write
+# calls per doorbell — 1 when a burst's replies leave together).
 bench:
 	$(GO) test -bench . -benchtime 2s -run '^$$' .
 	$(GO) test -bench 'LZShapes' -benchtime 1s -run '^$$' ./internal/rdma
-	$(GO) test -bench 'ServerReadStored|ServerWriteAdmit' -benchtime 1s -run '^$$' ./internal/remote
+	$(GO) test -bench 'ServerReadStored|ServerWriteAdmit|ServerFaultBurstTCP' -benchtime 1s -run '^$$' ./internal/remote
 
 # bench-smoke runs the real-socket sweeps briefly (TCP loopback) and
 # records their tables for trend tracking.

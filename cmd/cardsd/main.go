@@ -55,7 +55,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7770", "address to serve on")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /stats (JSON) and /debug/pprof/* on this address")
 	batchWorkers := flag.Int("batch-workers", remote.DefaultBatchWorkers,
-		"concurrent request handlers per connection (replies may be reordered)")
+		"concurrent handlers per connection for chases and batches of more than 8 tuples (their replies may be reordered; smaller batches are served where they are read)")
 	chaos := flag.String("chaos", "", "inject faults on every connection, e.g. cut=65536,corrupt=0.01,seed=7 (see internal/faultnet)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests")
 	verbose := flag.Bool("v", false, "log periodic statistics")

@@ -1,6 +1,10 @@
 package prefetch
 
-import "cards/internal/farmem"
+import (
+	"slices"
+
+	"cards/internal/farmem"
+)
 
 // Markov is a history-based (first-order Markov) prefetcher — this
 // reproduction's take on the paper's closing observation that "the
@@ -57,14 +61,18 @@ func (mk *Markov) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) 
 	mk.last, mk.have = idx, true
 
 	// Chase the highest-confidence chain Depth steps ahead.
+	// The chain is Depth+1 objects at most: a scan of a stack array finds
+	// a cycle for less than building and hashing into a map costs, and
+	// this runs on every access, hits included.
 	cur := idx
-	seen := map[int]bool{idx: true}
+	var chain [8]int
+	seen := append(chain[:0], idx)
 	for step := 0; step < mk.Depth; step++ {
 		next, ok := mk.best(cur)
-		if !ok || seen[next] {
+		if !ok || slices.Contains(seen, next) {
 			return
 		}
-		seen[next] = true
+		seen = append(seen, next)
 		r.PrefetchObj(d, next)
 		cur = next
 	}

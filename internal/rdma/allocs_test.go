@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -16,6 +17,8 @@ type stampedReadRoundTrip struct {
 	obj      []byte
 	c2s, s2c bytes.Buffer
 	rd       bytes.Reader
+	br       *bufio.Reader // the connection's reader, as both ends hold one
+	fr       *FrameReader
 	decReqs  []ReadReq
 	segs     []DataSegC
 	b        DataBatchCBuilder
@@ -37,7 +40,8 @@ func (r *stampedReadRoundTrip) iter() {
 
 	// Server: decode the batch, gather and stamp the reply.
 	r.rd.Reset(r.c2s.Bytes())
-	fr, err := ReadFramePooledOpts(&r.rd, true, r.traced)
+	r.br.Reset(&r.rd)
+	fr, err := r.fr.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +75,8 @@ func (r *stampedReadRoundTrip) iter() {
 
 	// Client: decode the stamped reply.
 	r.rd.Reset(r.s2c.Bytes())
-	if fr, err = ReadFramePooledOpts(&r.rd, true, r.traced); err != nil {
+	r.br.Reset(&r.rd)
+	if fr, err = r.fr.Read(); err != nil {
 		t.Fatal(err)
 	}
 	if _, q, sv := fr.ServerStamp(); r.traced && (q != 3 || sv != 17) {
@@ -99,8 +104,9 @@ func (r *stampedReadRoundTrip) check(what string) {
 }
 
 func newStampedReadRoundTrip(t *testing.T, traced bool) *stampedReadRoundTrip {
+	br := bufio.NewReader(nil)
 	return &stampedReadRoundTrip{
-		t: t, traced: traced,
+		t: t, traced: traced, br: br, fr: NewFrameReader(br, traced),
 		reqs: []ReadReq{{DS: 1, Idx: 0, Size: 256}, {DS: 1, Idx: 1, Size: 256}, {DS: 2, Idx: 7, Size: 64}},
 		obj:  bytes.Repeat([]byte{0xCD}, 256),
 	}

@@ -85,6 +85,16 @@ func compactCountOK(count uint64, p []byte) bool {
 	return count <= uint64(len(p))*8
 }
 
+// BatchCount returns the tuple count a READBATCH-C or WRITEBATCH-C
+// payload opens with, without decoding the tuples: enough for a server to
+// tell a fault-sized batch from a window-sized one. ok is false for a
+// payload too short to hold it.
+func BatchCount(p []byte) (count uint64, ok bool) {
+	r := NewBitReader(p)
+	count = r.Uvarint()
+	return count, r.Err() == nil
+}
+
 // --- READBATCH-C ---
 
 // readBatchCBound is the worst-case payload size for n read tuples

@@ -1,7 +1,6 @@
 package rdma
 
 import (
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -25,44 +24,8 @@ var ErrCRC = errors.New("rdma: frame checksum mismatch")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameCRC sums opcode, tag (tagged frames), the trace block (extended
-// frames) and payload. It runs once per frame on the data path, so it
-// streams through crc32.Update rather than allocating a hash.Hash32
-// digest per call.
-func frameCRC(f Frame) uint32 {
-	// Pooled scratch: the header slice reaches crc32's assembly kernels,
-	// so a stack array would escape and allocate on every frame.
-	hdr := GetBuf(headerSize + traceExtSize)
-	defer PutBuf(hdr)
-	hdr[0] = byte(f.Op)
-	n := 1
-	if f.Op.Tagged() {
-		binary.LittleEndian.PutUint32(hdr[1:], f.Tag)
-		n += tagSize
-		if f.HasExt {
-			n += copy(hdr[n:], f.Ext[:])
-		}
-	}
-	crc := crc32.Update(0, castagnoli, hdr[:n])
-	return crc32.Update(crc, castagnoli, f.Payload)
-}
-
 // crcSize is the per-frame overhead of checksummed framing.
 const crcSize = 4
 
 // WriteFrameCRC writes one frame followed by its CRC32-C trailer.
-func WriteFrameCRC(w io.Writer, f Frame) error {
-	if err := WriteFrame(w, f); err != nil {
-		return err
-	}
-	tr := GetBuf(crcSize)
-	defer PutBuf(tr)
-	binary.LittleEndian.PutUint32(tr, frameCRC(f))
-	_, err := w.Write(tr)
-	return err
-}
-
-// ReadFrameCRC reads one checksummed frame into a heap payload and
-// verifies its trailer, returning ErrCRC (wrapped with the opcode) on
-// mismatch.
-func ReadFrameCRC(r io.Reader) (Frame, error) { return ReadFrameOpts(r, true, false) }
+func WriteFrameCRC(w io.Writer, f Frame) error { return writeFrame(w, f, true) }

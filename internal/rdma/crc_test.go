@@ -13,14 +13,13 @@ func TestCRCRoundTrip(t *testing.T) {
 		{Op: OpReadBatchC | EpochBit, Tag: 99, Payload: []byte{4, 5}},
 		{Op: OpErrTag, Tag: 7},
 	}
-	var buf bytes.Buffer
+	var wire []byte
 	for _, f := range frames {
-		if err := WriteFrameCRC(&buf, f); err != nil {
-			t.Fatal(err)
-		}
+		wire = append(wire, sessionBytes(t, f)...)
 	}
+	rd := newSessionReaders(t, wire, false)
 	for i, want := range frames {
-		got, err := ReadFrameCRC(&buf)
+		got, err := rd.next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -32,18 +31,14 @@ func TestCRCRoundTrip(t *testing.T) {
 
 func TestCRCDetectsCorruption(t *testing.T) {
 	f := Frame{Op: OpWriteBatchC, Tag: 3, Payload: bytes.Repeat([]byte{0xAA}, 64)}
-	var clean bytes.Buffer
-	if err := WriteFrameCRC(&clean, f); err != nil {
-		t.Fatal(err)
-	}
-	wire := clean.Bytes()
+	wire := sessionBytes(t, f)
 	// Flip each byte after the length prefix in turn: every flip must be
 	// caught (payload, opcode, tag, and the trailer itself).
 	for pos := 4; pos < len(wire); pos++ {
 		bad := make([]byte, len(wire))
 		copy(bad, wire)
 		bad[pos] ^= 0x10
-		_, err := ReadFrameCRC(bytes.NewReader(bad))
+		_, err := newSessionReaders(t, bad, false).next()
 		if !errors.Is(err, ErrCRC) {
 			t.Fatalf("flip at %d: err = %v, want ErrCRC", pos, err)
 		}
@@ -51,12 +46,8 @@ func TestCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestCRCDetectsTruncatedTrailer(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrameCRC(&buf, Frame{Op: OpOK}); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	if _, err := ReadFrameCRC(bytes.NewReader(wire[:len(wire)-2])); err == nil {
+	wire := sessionBytes(t, Frame{Op: OpOK})
+	if _, err := newSessionReaders(t, wire[:len(wire)-2], false).next(); err == nil {
 		t.Fatal("truncated trailer should fail")
 	}
 }

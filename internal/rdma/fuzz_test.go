@@ -209,9 +209,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The CRC decoder must tolerate the same arbitrary inputs; its
 		// result is checked only through the round-trip below.
-		if _, err := ReadFrameCRC(bytes.NewReader(data)); err != nil {
-			_ = err
-		}
+		newSessionReaders(t, data, false).next()
+		newSessionReaders(t, data, true).next()
 
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
@@ -238,12 +237,8 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 
 		// CRC-framing round trip, and trailer corruption detection.
-		buf.Reset()
-		if err := WriteFrameCRC(&buf, fr); err != nil {
-			t.Fatalf("crc re-encode: %v", err)
-		}
-		enc := append([]byte(nil), buf.Bytes()...)
-		got, err = ReadFrameCRC(bytes.NewReader(enc))
+		enc := sessionBytes(t, fr)
+		got, err = newSessionReaders(t, enc, false).next()
 		if err != nil {
 			t.Fatalf("crc re-decode: %v", err)
 		}
@@ -251,7 +246,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("crc round trip mismatch: %+v != %+v", got, fr)
 		}
 		enc[len(enc)-1] ^= 0xFF // any trailer bit flip must be caught
-		if _, err := ReadFrameCRC(bytes.NewReader(enc)); !errors.Is(err, ErrCRC) {
+		if _, err := newSessionReaders(t, enc, false).next(); !errors.Is(err, ErrCRC) {
 			t.Fatalf("corrupted trailer not detected: err=%v", err)
 		}
 

@@ -89,11 +89,10 @@ func PutBuf(b []byte) {
 // buffer pool. The caller owns f.Payload and should PutBuf it once the
 // frame is fully consumed.
 func ReadFramePooled(r io.Reader) (Frame, error) {
-	return ReadFramePooledOpts(r, false, false)
+	return readFrameOnce(r, false, false)
 }
 
-// ReadFrameCRCPooled is ReadFrameCRC with a pooled payload; see
-// ReadFramePooled for the ownership rule.
+// ReadFrameCRCPooled is ReadFramePooled for a checksummed frame.
 func ReadFrameCRCPooled(r io.Reader) (Frame, error) {
-	return ReadFramePooledOpts(r, true, false)
+	return readFrameOnce(r, true, false)
 }

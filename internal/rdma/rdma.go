@@ -29,8 +29,10 @@
 package rdma
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -155,28 +157,56 @@ func (f Frame) WireSize() uint64 {
 	return n
 }
 
-// WriteFrame encodes and writes one frame. Writing through a buffered
-// writer and flushing once per group of frames is the doorbell-coalescing
-// path: many frames, one syscall.
-func WriteFrame(w io.Writer, f Frame) error {
+// maxHeader is the longest run of bytes ahead of a payload: header, tag
+// and trace block. It is also the scratch one frame read or write needs
+// (the CRC trailer reuses it once the header is on its way).
+const maxHeader = headerSize + tagSize + traceExtSize
+
+// appendHeader appends f's length prefix, opcode, tag and trace block.
+// Everything after the length prefix is what the checksum covers first.
+func appendHeader(b []byte, f Frame) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Payload)))
+	b = append(b, byte(f.Op))
+	if f.Op.Tagged() {
+		b = binary.LittleEndian.AppendUint32(b, f.Tag)
+		if f.HasExt {
+			b = append(b, f.Ext[:]...)
+		}
+	}
+	return b
+}
+
+// AppendFrameCRC appends f as it travels on a session — header, payload,
+// CRC trailer — to dst: a writer that assembles several frames and sends
+// them in one write builds them with this.
+func AppendFrameCRC(dst []byte, f Frame) []byte {
+	start := len(dst)
+	dst = append(appendHeader(dst, f), f.Payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+4:], castagnoli))
+}
+
+// WriteFrame encodes and writes one plain frame (the hello exchange).
+// Writing through a buffered writer and flushing once per group of frames
+// is the doorbell-coalescing path: many frames, one syscall.
+func WriteFrame(w io.Writer, f Frame) error { return writeFrame(w, f, false) }
+
+// writeFrame writes f, followed by its CRC trailer when crc is set. A
+// frame that fits what a bufio.Writer has free is built in place in that
+// space (AvailableBuffer) and costs no scratch at all; anything else goes
+// out in pieces behind one pooled header scratch — a stack array would
+// escape through the io.Writer call and allocate on every frame.
+func writeFrame(w io.Writer, f Frame, crc bool) error {
 	if len(f.Payload) > MaxFrame {
 		return fmt.Errorf("rdma: frame too large (%d bytes)", len(f.Payload))
 	}
-	// Pooled scratch: a stack array would escape through the io.Writer
-	// interface call, costing one heap allocation per frame.
-	hdr := GetBuf(headerSize + tagSize + traceExtSize)
-	defer PutBuf(hdr)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(f.Payload)))
-	hdr[4] = byte(f.Op)
-	n := headerSize
-	if f.Op.Tagged() {
-		binary.LittleEndian.PutUint32(hdr[headerSize:], f.Tag)
-		n += tagSize
-		if f.HasExt {
-			n += copy(hdr[n:], f.Ext[:])
-		}
+	if bw, ok := w.(*bufio.Writer); ok && crc && int(f.WireSize())+crcSize <= bw.Available() {
+		_, err := bw.Write(AppendFrameCRC(bw.AvailableBuffer(), f))
+		return err
 	}
-	if _, err := w.Write(hdr[:n]); err != nil {
+	hdr := appendHeader(GetBuf(maxHeader)[:0], f)
+	defer PutBuf(hdr)
+	sum := crc32.Update(0, castagnoli, hdr[4:])
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {
@@ -184,7 +214,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 			return err
 		}
 	}
-	return nil
+	if !crc {
+		return nil
+	}
+	sum = crc32.Update(sum, castagnoli, f.Payload)
+	_, err := w.Write(binary.LittleEndian.AppendUint32(hdr[:0], sum))
+	return err
 }
 
 // ReadFrame reads and decodes one plain frame (no trailer, no trace

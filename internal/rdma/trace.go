@@ -1,8 +1,10 @@
 package rdma
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
@@ -75,32 +77,72 @@ func (f *Frame) ServerStamp() (recvUS uint64, queueUS, serviceUS uint32) {
 	return
 }
 
-// ReadFrameOpts reads one frame under the session's framing: crc
-// selects the checksum trailer, trace the tagged-frame trace block.
-// The payload is heap-allocated; see ReadFramePooledOpts for the pooled
-// variant the data paths use.
+// ReadFrameOpts reads one frame under the given framing — crc selects
+// the checksum trailer, trace the tagged-frame trace block — into a heap
+// payload: tests and stub peers. Like every one-shot reader here it takes
+// exactly the frame's bytes from r, so it may be called on a raw
+// connection that a FrameReader will own later.
 func ReadFrameOpts(r io.Reader, crc, trace bool) (Frame, error) {
-	f, err := ReadFramePooledOpts(r, crc, trace)
-	if err != nil {
-		return Frame{}, err
-	}
-	if f.Payload != nil {
-		p := make([]byte, len(f.Payload))
-		copy(p, f.Payload)
+	f, err := readFrameOnce(r, crc, trace)
+	if err == nil && f.Payload != nil {
+		p := append([]byte(nil), f.Payload...)
 		PutBuf(f.Payload)
 		f.Payload = p
 	}
-	return f, nil
+	return f, err
 }
 
-// ReadFramePooledOpts is the session-aware pooled frame reader: crc
-// selects checksummed framing, trace the tagged-frame trace block. The
-// caller owns f.Payload and should PutBuf it once consumed.
-func ReadFramePooledOpts(r io.Reader, crc, trace bool) (Frame, error) {
-	// Header scratch from the pool: a stack array would escape through
-	// the io.Reader interface call and allocate on every frame.
-	hdr := GetBuf(headerSize + tagSize + traceExtSize)
+// readFrameOnce reads one frame behind a pooled header scratch: a stack
+// array would escape through the io.Reader call and allocate per frame.
+func readFrameOnce(r io.Reader, crc, trace bool) (Frame, error) {
+	hdr := GetBuf(maxHeader)
 	defer PutBuf(hdr)
+	return readFrame(r, hdr, crc, trace)
+}
+
+// FrameReader reads a session's frames (checksummed; trace says whether
+// tagged frames carry the trace block) off one connection's buffered
+// reader. It owns the header scratch, so a frame costs one pooled buffer:
+// its payload. One goroutine uses it at a time.
+type FrameReader struct {
+	br    *bufio.Reader
+	trace bool
+	hdr   [maxHeader]byte
+}
+
+// NewFrameReader starts reading session frames from br.
+func NewFrameReader(br *bufio.Reader, trace bool) *FrameReader {
+	return &FrameReader{br: br, trace: trace}
+}
+
+// Read returns the next frame. The caller owns f.Payload and should
+// PutBuf it once consumed.
+func (r *FrameReader) Read() (Frame, error) { return readFrame(r.br, r.hdr[:], true, r.trace) }
+
+// Buffered reports whether the next frame — header, payload and trailer —
+// already sits in the buffer, i.e. whether Read returns without touching
+// the connection. A loop that owes its peer something (staged replies, a
+// fresh read deadline) settles it when this is false, and only then.
+func (r *FrameReader) Buffered() bool {
+	have := r.br.Buffered()
+	if have < headerSize {
+		return false
+	}
+	p, _ := r.br.Peek(headerSize) // cannot fail: the bytes are there
+	need := headerSize + crcSize + int(binary.LittleEndian.Uint32(p))
+	if Op(p[4]).Tagged() {
+		need += tagSize
+		if r.trace {
+			need += traceExtSize
+		}
+	}
+	return have >= need
+}
+
+// readFrame is the one frame reader: every exported variant is this
+// behind its own scratch (hdr, at least maxHeader bytes). The payload is
+// pooled.
+func readFrame(r io.Reader, hdr []byte, crc, trace bool) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:headerSize]); err != nil {
 		return Frame{}, err
 	}
@@ -109,18 +151,18 @@ func ReadFramePooledOpts(r io.Reader, crc, trace bool) (Frame, error) {
 		return Frame{}, fmt.Errorf("rdma: oversized frame (%d bytes)", n)
 	}
 	f := Frame{Op: Op(hdr[4])}
+	end := headerSize
 	if f.Op.Tagged() {
-		rest := hdr[headerSize : headerSize+tagSize]
-		if trace {
-			rest = hdr[headerSize : headerSize+tagSize+traceExtSize]
+		if end += tagSize; trace {
+			end += traceExtSize
 		}
-		if _, err := io.ReadFull(r, rest); err != nil {
+		if _, err := io.ReadFull(r, hdr[headerSize:end]); err != nil {
 			return Frame{}, err
 		}
-		f.Tag = binary.LittleEndian.Uint32(rest)
+		f.Tag = binary.LittleEndian.Uint32(hdr[headerSize:])
 		if trace {
 			f.HasExt = true
-			copy(f.Ext[:], rest[tagSize:])
+			copy(f.Ext[:], hdr[headerSize+tagSize:end])
 		}
 	}
 	if n > 0 {
@@ -131,13 +173,14 @@ func ReadFramePooledOpts(r io.Reader, crc, trace bool) (Frame, error) {
 		}
 	}
 	if crc {
-		tr := GetBuf(crcSize)
-		defer PutBuf(tr)
-		if _, err := io.ReadFull(r, tr); err != nil {
+		// hdr[4:end] is exactly what the sum covers ahead of the payload;
+		// take it before the trailer reuses the scratch.
+		want := crc32.Update(crc32.Update(0, castagnoli, hdr[4:end]), castagnoli, f.Payload)
+		if _, err := io.ReadFull(r, hdr[:crcSize]); err != nil {
 			PutBuf(f.Payload)
 			return Frame{}, err
 		}
-		if got := binary.LittleEndian.Uint32(tr); got != frameCRC(f) {
+		if binary.LittleEndian.Uint32(hdr) != want {
 			PutBuf(f.Payload)
 			return Frame{}, fmt.Errorf("%w (frame %s)", ErrCRC, f.Op)
 		}

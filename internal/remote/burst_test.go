@@ -366,3 +366,243 @@ func TestServerDrainDeliversStagedReplies(t *testing.T) {
 		}
 	}
 }
+
+// Run-to-completion serving: the read loop answers fault-sized batches
+// itself and writes a read burst's replies together.
+
+// burstServer returns a server whose one connection is counted on the
+// server's side (under outer, when given), and how to dial it raw.
+func burstServer(tcp bool, outer func(io.ReadWriteCloser) io.ReadWriteCloser) (*Server, func(testing.TB) (*rawSession, *countConn)) {
+	srv := NewServer()
+	sconns := make(chan *countConn, 1) // one connection is served
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		if outer != nil {
+			c = outer(c)
+		}
+		cc := newCountConn(c)
+		sconns <- cc
+		return cc
+	}
+	return srv, func(tb testing.TB) (*rawSession, *countConn) {
+		tb.Helper()
+		dial := dialRaw
+		if tcp {
+			dial = dialRawTCP
+		}
+		sess := dial(tb, srv, rdma.OptCompress)
+		sess.conn.SetDeadline(time.Now().Add(10 * time.Second)) // a lost reply fails the test instead of hanging it
+		return sess, <-sconns
+	}
+}
+
+func overPipeAndTCP(t *testing.T, run func(t *testing.T, tcp bool)) {
+	t.Run("pipe", func(t *testing.T) { testutil.NoGoroutineLeaks(t); run(t, false) })
+	t.Run("tcp", func(t *testing.T) { testutil.NoGoroutineLeaks(t); run(t, true) })
+}
+
+func oneWrite(tb testing.TB, idx uint32, img []byte) rdma.Frame {
+	tb.Helper()
+	f, err := rdma.EncodeWriteBatchCPooled(0, []rdma.WriteReqC{fullTuple(1, idx, 0, img, rdma.SchemeWords)}, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+func readsOf(ds uint32, from, n int, size uint32) rdma.Frame {
+	reqs := make([]rdma.ReadReq, n)
+	for i := range reqs {
+		reqs[i] = rdma.ReadReq{DS: ds, Idx: uint32(from + i), Size: size}
+	}
+	return rdma.EncodeReadBatchCPooled(0, reqs)
+}
+
+// TestBurstFaultDoorbellGetsOneWrite: the doorbell a fault with a dirty
+// eviction rings — the victim's WRITEBATCH-C and the missed object's
+// READBATCH-C in one client write — is answered with both replies in one
+// server Write, ack first.
+func TestBurstFaultDoorbellGetsOneWrite(t *testing.T) {
+	overPipeAndTCP(t, func(t *testing.T, tcp bool) {
+		_, dial := burstServer(tcp, nil)
+		sess, sconn := dial(t)
+		img := sparseInt64(4096, rand.New(rand.NewSource(3)))
+		const rounds = 8
+		for i := 0; i < rounds; i++ {
+			before := sconn.writes.Load()
+			wire, tags := sess.burst(oneWrite(t, uint32(i+1), img), readsOf(1, i, 1, 4096))
+			if _, err := sess.conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			ack, data := sess.recv(), sess.recv()
+			if ack.Op != rdma.OpAckBatchC || ack.Tag != tags[0] || data.Op != rdma.OpDataBatchC || data.Tag != tags[1] {
+				t.Fatalf("round %d: replies %s/%d then %s/%d, want the ack then the data", i, ack.Op, ack.Tag, data.Op, data.Tag)
+			}
+			if n := sconn.writes.Load() - before; n != 1 {
+				t.Fatalf("round %d: server issued %d Writes for one doorbell, want 1", i, n)
+			}
+		}
+	})
+}
+
+// TestBurstHalfArrivedFrameFlushesFirst: a client write that ends
+// mid-frame — A whole, then the first half of B — gets A's reply before
+// the rest of B exists. The read loop must not sit in a read for B's tail
+// with A's reply staged: this client does not send the tail until it has
+// A's reply in hand.
+func TestBurstHalfArrivedFrameFlushesFirst(t *testing.T) {
+	overPipeAndTCP(t, func(t *testing.T, tcp bool) {
+		srv, dial := burstServer(tcp, nil)
+		srv.Store.Write(1, 0, bytes.Repeat([]byte{0xA1}, 512))
+		sess, sconn := dial(t)
+		a, atag := sess.burst(readsOf(1, 0, 1, 512))
+		b, btag := sess.burst(oneWrite(t, 7, sparseInt64(4096, rand.New(rand.NewSource(4)))))
+		before := sconn.writes.Load()
+		if _, err := sess.conn.Write(append(a, b[:len(b)/2]...)); err != nil {
+			t.Fatal(err)
+		}
+		if resp := sess.recv(); resp.Op != rdma.OpDataBatchC || resp.Tag != atag[0] {
+			t.Fatalf("first reply is %s/%d, want A's data", resp.Op, resp.Tag)
+		}
+		if _, err := sess.conn.Write(b[len(b)/2:]); err != nil {
+			t.Fatal(err)
+		}
+		if resp := sess.recv(); resp.Op != rdma.OpAckBatchC || resp.Tag != btag[0] {
+			t.Fatalf("second reply is %s/%d, want B's ack", resp.Op, resp.Tag)
+		}
+		if n := sconn.writes.Load() - before; n != 2 {
+			t.Errorf("server issued %d Writes, want one per reply here", n)
+		}
+	})
+}
+
+// TestBurstMixesPoolAndInline: one burst carrying a 64-read window (the
+// pool's) and a single read (the loop's own) gets each answered exactly
+// once under its own tag, whichever finishes first.
+func TestBurstMixesPoolAndInline(t *testing.T) {
+	overPipeAndTCP(t, func(t *testing.T, tcp bool) {
+		srv, dial := burstServer(tcp, nil)
+		for i := 0; i < 65; i++ {
+			srv.Store.Write(3, uint32(i), bytes.Repeat([]byte{byte(i)}, 64))
+		}
+		sess, _ := dial(t)
+		for round := 0; round < 16; round++ {
+			wire, tags := sess.burst(readsOf(3, 0, 64, 64), readsOf(3, 64, 1, 64))
+			if _, err := sess.conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			want := map[uint32]int{tags[0]: 64, tags[1]: 1}
+			for range tags {
+				resp := sess.recv()
+				segs, err := rdma.DecodeDataSegsInto(resp.Payload, nil, false)
+				if n, ok := want[resp.Tag]; !ok || resp.Op != rdma.OpDataBatchC || err != nil || len(segs) != n {
+					t.Fatalf("round %d: reply %s/%d with %d segments (%v), outstanding %v", round, resp.Op, resp.Tag, len(segs), err, want)
+				}
+				delete(want, resp.Tag)
+			}
+		}
+		// Nothing was answered twice: the next reply on the stream is the
+		// next request's.
+		if objs, _ := sess.read(false, rdma.ReadReq{DS: 3, Idx: 64, Size: 64}); objs[0][0] != 64 {
+			t.Fatalf("read after the bursts returned %x", objs[0][:4])
+		}
+		if reads, _ := srv.Counts(); reads != 16*65+1 {
+			t.Errorf("server counted %d reads, want %d", reads, 16*65+1)
+		}
+	})
+}
+
+// cutConn fails every Write while armed, closing the connection: the
+// link dies between a request being served and its reply being written.
+type cutConn struct {
+	io.ReadWriteCloser
+	armed *atomic.Bool
+}
+
+func (c cutConn) Write(p []byte) (int, error) {
+	if c.armed.Load() {
+		c.Close()
+		return 0, io.ErrClosedPipe
+	}
+	return c.ReadWriteCloser.Write(p)
+}
+
+// TestBurstCutBeforeFlushSettlesInflight: a request the read loop served
+// stays in flight until its burst is written; when that write dies with
+// the connection the gauge is settled all the same, so Drain finds
+// nothing to wait for.
+func TestBurstCutBeforeFlushSettlesInflight(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	var armed atomic.Bool
+	srv, dial := burstServer(true, func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		return cutConn{ReadWriteCloser: c, armed: &armed}
+	})
+	sess, sconn := dial(t)
+	armed.Store(true)
+	wire, _ := sess.burst(readsOf(1, 0, 1, 64), readsOf(1, 1, 2, 64))
+	if _, err := sess.conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rdma.ReadFrameOpts(sess.conn, true, false); err == nil {
+		t.Fatal("a reply crossed a connection cut before its flush")
+	}
+	if reads, _ := srv.Counts(); reads != 3 || sconn.writes.Load() != 2 { // the hello's reply, then the burst's one attempt
+		t.Errorf("server counted %d reads and %d Writes, want both requests served and one burst write", reads, sconn.writes.Load())
+	}
+	start := time.Now()
+	if !srv.Drain(5*time.Second) || time.Since(start) > time.Second {
+		t.Errorf("Drain took %v with nothing in flight", time.Since(start))
+	}
+	if n := srv.metrics.inflight.Load(); n != 0 {
+		t.Errorf("%s = %d after the cut, want 0", MetricInflight, n)
+	}
+}
+
+// TestBurstStalledFlushHandsTheLoopOn: a peer that stops reading parks
+// the burst write, and the goroutine in it. Requests behind it are still
+// read and served — by the pool, as before there was an inline path —
+// and once the peer reads again every reply arrives exactly once.
+func TestBurstStalledFlushHandsTheLoopOn(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	var armed atomic.Bool
+	blocked := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	srv, dial := burstServer(true, func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		return gateConn{ReadWriteCloser: c, armed: &armed, blocked: blocked, gate: gate}
+	})
+	srv.Store.Write(1, 0, []byte{0xD7})
+	sess, _ := dial(t)
+	armed.Store(true)
+	const n = 4 // BatchWorkers' worth behind the parked one
+	outstanding := map[uint32]bool{}
+	for i := 0; i <= n; i++ {
+		wire, tags := sess.burst(readsOf(1, 0, 1, 1))
+		if _, err := sess.conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		outstanding[tags[0]] = true
+		if i == 0 {
+			<-blocked // the first reply's burst write is parked at the gate
+		}
+	}
+	for reads, _ := srv.Counts(); reads < n+1; reads, _ = srv.Counts() {
+		time.Sleep(time.Millisecond) // fails by the test timeout if the loop stayed parked
+	}
+	if got := srv.metrics.inflight.Load(); got != n+1 {
+		t.Errorf("%s = %d with every reply unwritten, want %d", MetricInflight, got, n+1)
+	}
+	armed.Store(false)
+	close(gate)
+	for range [n + 1]struct{}{} {
+		resp := sess.recv()
+		if !outstanding[resp.Tag] || resp.Op != rdma.OpDataBatchC {
+			t.Fatalf("reply %s/%d is a duplicate or a stranger", resp.Op, resp.Tag)
+		}
+		delete(outstanding, resp.Tag)
+	}
+	if !srv.Drain(5 * time.Second) {
+		t.Error("Drain timed out after every reply was delivered")
+	}
+	if got := srv.metrics.inflight.Load(); got != 0 {
+		t.Errorf("%s = %d after the drain, want 0", MetricInflight, got)
+	}
+}

@@ -175,7 +175,7 @@ func readReplies(conn net.Conn) error {
 		return errors.New("first reply is neither an OK nor an ERR led by a hello record: " + first.Op.String())
 	}
 	for {
-		f, err := rdma.ReadFramePooledOpts(conn, true, first.Op == rdma.OpOK && h.Opts&rdma.OptTrace != 0)
+		f, err := rdma.ReadFrameOpts(conn, true, first.Op == rdma.OpOK && h.Opts&rdma.OptTrace != 0)
 		if err != nil {
 			if hungUp(err) {
 				return nil

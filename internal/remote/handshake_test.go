@@ -273,17 +273,17 @@ func TestHandshakeSecondHelloRefused(t *testing.T) {
 	}
 	// The session works...
 	rdma.WriteFrameCRC(conn, rdma.EncodeReadBatchCPooled(7, []rdma.ReadReq{{DS: 0, Idx: 0, Size: 8}}))
-	if resp, err := rdma.ReadFrameCRC(conn); err != nil || resp.Op != rdma.OpDataBatchC || resp.Tag != 7 {
+	if resp, err := rdma.ReadFrameOpts(conn, true, false); err != nil || resp.Op != rdma.OpDataBatchC || resp.Tag != 7 {
 		t.Fatalf("read on the fresh session = %+v, %v", resp, err)
 	}
 	// ...until a second hello tries to renegotiate it.
 	before := srv.ObsSnapshot().Counters[MetricErrors]
 	rdma.WriteFrameCRC(conn, rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion, Opts: rdma.OptTrace}))
-	resp, err := rdma.ReadFrameCRC(conn)
+	resp, err := rdma.ReadFrameOpts(conn, true, false)
 	if err != nil || resp.Op != rdma.OpErr {
 		t.Fatalf("second hello = %+v, %v; want ERR", resp, err)
 	}
-	if _, err := rdma.ReadFrameCRC(conn); err == nil {
+	if _, err := rdma.ReadFrameOpts(conn, true, false); err == nil {
 		t.Fatal("connection still open after a mid-session hello")
 	}
 	if got := srv.ObsSnapshot().Counters[MetricErrors]; got != before+1 {

@@ -942,9 +942,16 @@ type replyScratch struct {
 // reconnected (or until the client fails for good). Frame payloads are
 // pooled: each is released back to the rdma buffer pool as soon as its
 // contents are copied out or formatted into an error.
+//
+// Per frame it takes mu once, in takePending. The read deadline is the
+// stall detector's clock and is re-armed exactly where a read can block:
+// a reply already whole in the buffer cannot, so a burst of replies costs
+// one deadline, while a partly buffered one still gets a fresh one — a
+// deadline that fires mid-frame desynchronizes the stream.
 func (c *PipelinedClient) readLoop() {
 	defer c.wg.Done()
 	var sc replyScratch
+session:
 	for {
 		c.mu.Lock()
 		for c.err == nil && c.reconnecting {
@@ -954,61 +961,62 @@ func (c *PipelinedClient) readLoop() {
 			c.mu.Unlock()
 			return
 		}
-		gen, conn, br := c.gen, c.conn, c.br
+		gen, conn, fr := c.gen, c.conn, rdma.NewFrameReader(c.br, c.trace)
 		c.mu.Unlock()
-
-		if d := c.opts.Timeout; d > 0 {
-			if dl, ok := conn.(connDeadline); ok {
-				dl.SetReadDeadline(time.Now().Add(d))
+		dl, _ := conn.(connDeadline)
+		if c.opts.Timeout <= 0 {
+			dl = nil
+		}
+		for {
+			if dl != nil && !fr.Buffered() {
+				dl.SetReadDeadline(time.Now().Add(c.opts.Timeout))
 			}
-		}
-		f, err := rdma.ReadFramePooledOpts(br, true, c.trace)
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				// An idle connection hitting the read deadline is benign:
-				// nothing is owed. With ops in flight and no wire activity
-				// for a full Timeout, the stream is stalled — abandon it.
-				// (A deadline that fired mid-frame desynchronizes the
-				// stream; the next read then fails the tag or checksum
-				// check and converges to the same reconnect.)
-				c.mu.Lock()
-				stalled := c.gen == gen && (c.inflight > 0 || c.inflightW > 0) &&
-					time.Since(c.lastWire) >= c.opts.Timeout
-				c.mu.Unlock()
-				if !stalled {
-					continue
+			f, err := fr.Read()
+			if err != nil {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					// An idle connection hitting the read deadline is benign:
+					// nothing is owed. With ops in flight and no wire activity
+					// for a full Timeout, the stream is stalled — abandon it.
+					// (A deadline that fired mid-frame desynchronizes the
+					// stream; the next read then fails the tag or checksum
+					// check and converges to the same reconnect.)
+					c.mu.Lock()
+					stalled := c.gen == gen && (c.inflight > 0 || c.inflightW > 0) &&
+						time.Since(c.lastWire) >= c.opts.Timeout
+					c.mu.Unlock()
+					if !stalled {
+						continue
+					}
+					if m := c.metrics; m != nil {
+						m.timeouts.Inc()
+					}
+					err = fmt.Errorf("%w (no reply in %v with ops in flight)", ErrTimeout, c.opts.Timeout)
 				}
-				if m := c.metrics; m != nil {
-					m.timeouts.Inc()
-				}
-				err = fmt.Errorf("%w (no reply in %v with ops in flight)", ErrTimeout, c.opts.Timeout)
+				c.connFail(gen, err)
+				continue session
 			}
-			c.connFail(gen, err)
-			continue
-		}
-		c.mu.Lock()
-		c.lastWire = time.Now()
-		c.mu.Unlock()
-		if m := c.metrics; m != nil {
-			m.bytesIn.Add(f.WireSize())
-			m.wire.add(f.Op, f.WireSize())
-		}
-		var bad error
-		ops, ok := c.takePending(f.Tag)
-		if ok {
-			ops, bad = c.deliver(&f, ops, &sc)
-		} else {
-			bad = fmt.Errorf("remote: unknown completion tag %d (%s)", f.Tag, f.Op)
-		}
-		rdma.PutBuf(f.Payload)
-		if bad != nil {
-			// Framing is untrustworthy past this point. What the reply left
-			// unanswered goes back through the fault path — reads replay on
-			// a fresh connection, writes surface as uncertain (a torn ack
-			// makes the batch outcome unknowable) — and the stream is
-			// abandoned.
-			c.requeueOps(ops, bad)
-			c.connFail(gen, bad)
+			if m := c.metrics; m != nil {
+				m.bytesIn.Add(f.WireSize())
+				m.wire.add(f.Op, f.WireSize())
+			}
+			var bad error
+			ops, ok := c.takePending(f.Tag)
+			if ok {
+				ops, bad = c.deliver(&f, ops, &sc)
+			} else {
+				bad = fmt.Errorf("remote: unknown completion tag %d (%s)", f.Tag, f.Op)
+			}
+			rdma.PutBuf(f.Payload)
+			if bad != nil {
+				// Framing is untrustworthy past this point. What the reply left
+				// unanswered goes back through the fault path — reads replay on
+				// a fresh connection, writes surface as uncertain (a torn ack
+				// makes the batch outcome unknowable) — and the stream is
+				// abandoned.
+				c.requeueOps(ops, bad)
+				c.connFail(gen, bad)
+				continue session
+			}
 		}
 	}
 }
@@ -1127,10 +1135,12 @@ func (c *PipelinedClient) deliverChases(f *rdma.Frame, ops []*pipeOp, sc *replyS
 
 // takePending removes and returns the ops registered under tag, freeing
 // their window slots (a tag's ops are homogeneous: all reads or all
-// writes, so one op decides which window drains).
+// writes, so one op decides which window drains). A frame arrived, so it
+// also stamps the stall detector's last wire activity.
 func (c *PipelinedClient) takePending(tag uint32) ([]*pipeOp, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.lastWire = time.Now()
 	ops, ok := c.pending[tag]
 	if !ok {
 		return nil, false

@@ -146,7 +146,7 @@ func TestPipelinedOutOfOrderCompletions(t *testing.T) {
 			// Collect two single-read batches, then answer in REVERSE.
 			var frames []rdma.Frame
 			for len(frames) < 2 {
-				f, err := rdma.ReadFrameCRC(c1)
+				f, err := rdma.ReadFrameOpts(c1, true, false)
 				if err != nil {
 					return err
 				}
@@ -414,7 +414,7 @@ func TestPipelinedBrokenStreamFailsFast(t *testing.T) {
 	go func() {
 		// Say hello, read one request, then slam the connection.
 		if _, err := stubHello(c1); err == nil {
-			rdma.ReadFrameCRC(c1)
+			rdma.ReadFrameOpts(c1, true, false)
 		}
 		c1.Close()
 	}()

@@ -3,6 +3,7 @@ package remote
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -28,22 +29,75 @@ type rawSession struct {
 func dialRaw(tb testing.TB, srv *Server, opts uint16) *rawSession {
 	tb.Helper()
 	c1, c2 := net.Pipe()
+	var sconn io.ReadWriteCloser = c1
+	if srv.ConnWrap != nil {
+		sconn = srv.ConnWrap(sconn)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.ServeConn(c1)
+		srv.ServeConn(sconn)
 	}()
 	tb.Cleanup(func() {
 		c2.Close()
 		<-done
 	})
-	if err := rdma.WriteFrame(c2, rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion, Opts: opts})); err != nil {
+	return helloRaw(tb, c2, opts)
+}
+
+// dialRawTCP is dialRaw over TCP loopback: srv listens (and is closed
+// with the test), so its ConnWrap and Drain see the connection.
+func dialRawTCP(tb testing.TB, srv *Server, opts uint16) *rawSession {
+	tb.Helper()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
 		tb.Fatal(err)
 	}
-	if resp, err := rdma.ReadFrame(c2); err != nil || resp.Op != rdma.OpOK {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		conn.Close()
+		srv.Close()
+	})
+	return helloRaw(tb, conn, opts)
+}
+
+func helloRaw(tb testing.TB, conn net.Conn, opts uint16) *rawSession {
+	tb.Helper()
+	if err := rdma.WriteFrame(conn, rdma.HelloFrame(rdma.OpHello, rdma.Hello{Version: rdma.ProtoVersion, Opts: opts})); err != nil {
+		tb.Fatal(err)
+	}
+	if resp, err := rdma.ReadFrame(conn); err != nil || resp.Op != rdma.OpOK {
 		tb.Fatalf("hello reply = %s, %v", resp.Op, err)
 	}
-	return &rawSession{tb: tb, conn: c2, compress: opts&rdma.OptCompress != 0}
+	return &rawSession{tb: tb, conn: conn, compress: opts&rdma.OptCompress != 0}
+}
+
+// burst tags the frames (their payloads pooled, released here) and
+// returns them as they travel, back to back: one Write of the result, or
+// of any cut of it, is one read burst at the server. The tags are
+// returned in frame order.
+func (s *rawSession) burst(frames ...rdma.Frame) (wire []byte, tags []uint32) {
+	for _, f := range frames {
+		s.tag++
+		f.Tag = s.tag
+		tags = append(tags, f.Tag)
+		wire = rdma.AppendFrameCRC(wire, f)
+		rdma.PutBuf(f.Payload)
+	}
+	return wire, tags
+}
+
+// recv reads one reply, whichever comes next.
+func (s *rawSession) recv() rdma.Frame {
+	s.tb.Helper()
+	resp, err := rdma.ReadFrameOpts(s.conn, true, false)
+	if err != nil {
+		s.tb.Fatalf("reading a reply: %v", err)
+	}
+	return resp
 }
 
 // call sends one request (its payload pooled, released here) and returns
@@ -57,7 +111,7 @@ func (s *rawSession) call(f rdma.Frame) rdma.Frame {
 	if err != nil {
 		s.tb.Fatal(err)
 	}
-	resp, err := rdma.ReadFramePooledOpts(s.conn, true, false)
+	resp, err := rdma.ReadFrameOpts(s.conn, true, false)
 	if err != nil {
 		s.tb.Fatalf("reply to %s: %v", f.Op, err)
 	}

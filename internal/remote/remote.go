@@ -4,8 +4,9 @@
 // is the process pair the paper runs on two CloudLab machines — memory
 // server on one, application on the other.
 //
-// The server is concurrency-safe (one goroutine per connection, plus a
-// per-connection worker pool answering batch frames out of order). The
+// The server is concurrency-safe (one goroutine per connection serving
+// fault-sized batches where it reads them, plus a per-connection worker
+// pool answering the rest out of order). The
 // client, PipelinedClient, keeps a bounded window of tagged requests in
 // flight, coalesces queued operations into single doorbell writes, and
 // implements farmem.AsyncStore so prefetchers can issue a whole
@@ -225,8 +226,9 @@ type Server struct {
 	Store *ObjectStore
 
 	// BatchWorkers is the number of goroutines per connection handling
-	// request frames; batches are served concurrently and may be
-	// answered out of order (tags route the replies). <= 0 uses
+	// the request frames the read loop does not serve itself (chases,
+	// batches above inlineMaxTuples); they are served concurrently and may
+	// be answered out of order (tags route the replies). <= 0 uses
 	// DefaultBatchWorkers. Set before Listen/ServeConn.
 	BatchWorkers int
 
@@ -343,15 +345,17 @@ func (s *Server) trackConn(conn io.ReadWriteCloser, add bool) {
 //
 // The first frame must be a HELLO this server can run (rdma/hello.go);
 // anything else is answered with ERR and the connection closed. After
-// it only tagged verbs exist: each is handed to a small per-connection
-// worker pool and answered whenever it completes — possibly out of
-// order; the tag routes each reply. Callers that need write-then-read
-// ordering for an object get it from the write acknowledgement:
-// ACKBATCH-C is sent only after the store mutation, so a read issued
-// after the ack observes it. Symmetrically, two batches carrying writes
-// to the same object may be applied in either order — clients must not
-// have two unacknowledged writes to one object in flight (the pipelined
-// client's runtime caller serializes per-object write-backs).
+// it only tagged verbs exist. A fault-sized batch (inlineMaxTuples) is
+// served where it was read; a chase or a longer batch goes to a small
+// per-connection worker pool and is answered whenever it completes —
+// possibly out of order; the tag routes each reply. Callers that need
+// write-then-read ordering for an object get it from the write
+// acknowledgement: ACKBATCH-C is sent only after the store mutation, so a
+// read issued after the ack observes it. Symmetrically, two batches
+// carrying writes to the same object may be applied in either order —
+// clients must not have two unacknowledged writes to one object in flight
+// (the pipelined client's runtime caller serializes per-object
+// write-backs).
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	defer conn.Close()
 	connID := int(s.nextCon.Add(1))
@@ -359,10 +363,10 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	s.metrics.conns.Add(1)
 	defer s.metrics.conns.Add(-1)
 
-	// Frame I/O goes through one buffered reader and one buffered writer
-	// per connection: a read drains whatever the kernel holds (a whole
-	// doorbell of request frames, not one header field), and a reply is
-	// assembled in bw and leaves as one write.
+	// Frame I/O goes through one buffered reader per connection: a read
+	// drains whatever the kernel holds (a whole doorbell of request
+	// frames, not one header field). A worker's reply is assembled in bw
+	// and leaves as one write; the read loop's leave one write per burst.
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 
@@ -372,35 +376,94 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	}
 	// The session's shape is fixed here, before any worker exists.
 	c := &srvConn{
-		s: s, id: connID, bw: bw,
+		s: s, id: connID, conn: conn, bw: bw,
 		trace:    h.Opts&rdma.OptTrace != 0,
 		compress: h.Opts&rdma.OptCompress != 0,
+		jobs:     make(chan batchJob),
+		end:      make(chan struct{}),
 	}
+	c.fr = rdma.NewFrameReader(br, c.trace)
 	workers := s.BatchWorkers
 	if workers <= 0 {
 		workers = DefaultBatchWorkers
 	}
-	jobs := make(chan batchJob)
-	var bwg sync.WaitGroup
-	bwg.Add(workers)
+	c.loops.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
-			defer bwg.Done()
+			defer c.loops.Done()
 			var w workerScratch
 			defer w.release()
-			for j := range jobs {
-				c.serve(j, &w)
-				rdma.PutBuf(j.f.Payload)
+			for j := range c.jobs {
+				c.serve(j, &w, nil)
 			}
 		}()
 	}
-	defer bwg.Wait()
-	defer close(jobs)
+	defer c.loops.Wait()
+	defer close(c.jobs)
 
+	c.readLoop()
+	<-c.end // a stalled flush hands the loop on: whoever holds it last closes end
+}
+
+// inlineMaxTuples is the largest READBATCH-C or WRITEBATCH-C the read
+// loop serves itself. What a fault sends — the missed object, the dirty
+// victim's write-back, one prefetcher window (eight reads) — costs about
+// a microsecond to serve, several times less than waking a worker for it
+// (cardsd.queue_us against cardsd.service_us). A longer batch is a window
+// of independent work: the pool's parallelism is worth its hand-off, and
+// its reply is long enough to hold later frames up. Chases always go to
+// the pool: their cost is the hop budget, not the tuple count.
+const inlineMaxTuples = 8
+
+func inlineSized(f rdma.Frame) bool {
+	if op := f.Op &^ rdma.EpochBit; op != rdma.OpReadBatchC && op != rdma.OpWriteBatchC {
+		return false
+	}
+	n, ok := rdma.BatchCount(f.Payload)
+	return ok && n <= inlineMaxTuples
+}
+
+// flushStall is how long a burst flush may sit in the connection's Write
+// before the read loop moves to another goroutine: long against a write
+// to a socket with room (microseconds), short against a client's stall
+// detector (its Timeout, tens of milliseconds and up).
+const flushStall = time.Millisecond
+
+// readLoopState is what the goroutine running readLoop owns.
+type readLoopState struct {
+	w      workerScratch
+	staged []byte      // replies served here and not yet written: whole frames
+	owed   int64       // the requests they answer, in flight until written
+	stall  *time.Timer // watches flush
+}
+
+// readLoop is the connection's run-to-completion loop: read a frame,
+// serve it here if it is fault-sized, stage the reply, and write what is
+// staged — once — when the next frame is not already in the buffer. Its
+// invariants: it never waits, for the socket or for a free worker, with
+// reply bytes staged; a request stays in flight until its reply has been
+// written, not merely staged, so Drain cannot close the connection over
+// one; on any exit it writes what it can and settles the gauge.
+//
+// One goroutine runs it at a time: first ServeConn's, then whichever a
+// stalled flush moved it to.
+func (c *srvConn) readLoop() {
+	s := c.s
+	rl := &readLoopState{}
+	rl.stall = time.AfterFunc(time.Hour, func() {
+		defer c.loops.Done()
+		c.stalled.Add(1)
+		c.readLoop()
+	})
+	rl.stall.Stop()
+	defer rl.w.release()
 	for {
-		f, err := rdma.ReadFramePooledOpts(br, true, c.trace)
-		if err != nil {
+		if len(rl.staged) > 0 && !c.fr.Buffered() && !c.flush(rl) {
 			return
+		}
+		f, err := c.fr.Read()
+		if err != nil {
+			break
 		}
 		s.metrics.bytesIn.Add(f.WireSize())
 		if !f.Op.Tagged() {
@@ -410,20 +473,69 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 			s.metrics.wire.add(f.Op, f.WireSize())
 			resp := rdma.HelloErrFrame(fmt.Sprintf("unexpected %s mid-session", f.Op))
 			s.metrics.wire.add(resp.Op, resp.WireSize())
-			c.send(resp)
+			s.metrics.bytesOut.Add(resp.WireSize())
+			rl.staged = rdma.AppendFrameCRC(rl.staged, resp)
 			rdma.PutBuf(f.Payload)
-			return
+			break
 		}
 		s.metrics.inflight.Add(1)
-		jobs <- batchJob{f: f, recv: time.Now()} // reply sent by a worker, possibly out of order
+		j := batchJob{f: f, recv: time.Now()}
+		if inlineSized(f) && c.stalled.Load() == 0 {
+			c.serve(j, &rl.w, rl)
+			continue
+		}
+		// Every worker may be busy, perhaps parked behind a slow peer: what
+		// is staged goes out before this waits for one.
+		if !c.flush(rl) {
+			// No longer the loop, so not a sender ServeConn waits for before
+			// it closes jobs: serve this one as a worker would.
+			c.serve(j, &rl.w, nil)
+			return
+		}
+		c.jobs <- j // reply sent by a worker, possibly out of order
 	}
+	if c.flush(rl) {
+		close(c.end)
+	}
+}
+
+// flush writes the staged replies in one Write and settles what they
+// owed whether or not it succeeded (after a failed write the read side
+// fails next). It reports whether the caller still holds the read loop.
+// A peer that has stopped reading can park the Write, and this goroutine
+// with it; requests would then sit unread where the pool alone would have
+// absorbed BatchWorkers of them. So a timer watches the write: still
+// parked after flushStall, the timer's goroutine takes the read loop over
+// — with every frame going to the pool, as if nothing were inline-sized,
+// until the parked write returns — and this goroutine then settles and
+// leaves.
+func (c *srvConn) flush(rl *readLoopState) (held bool) {
+	if len(rl.staged) == 0 {
+		return true
+	}
+	c.loops.Add(1) // for the takeover, should it start
+	rl.stall.Reset(flushStall)
+	c.wmu.Lock()
+	c.conn.Write(rl.staged) // bw is empty: every send flushes before it unlocks
+	c.wmu.Unlock()
+	if held = rl.stall.Stop(); held {
+		c.loops.Done()
+	} else {
+		c.stalled.Add(-1)
+	}
+	c.s.metrics.inflight.Add(-rl.owed)
+	rl.owed = 0
+	if rl.staged = rl.staged[:0]; cap(rl.staged) > 4*connBufSize {
+		rl.staged = nil // one oversized burst must not pin its buffer
+	}
+	return held
 }
 
 // acceptHello runs the server half of the handshake on a fresh
 // connection: read the first frame, answer OK (echoing the hello) or
 // ERR, both plain-framed. It reports whether the session is up.
 func (s *Server) acceptHello(br *bufio.Reader, bw *bufio.Writer) (rdma.Hello, bool) {
-	f, err := rdma.ReadFramePooledOpts(br, false, false)
+	f, err := rdma.ReadFramePooled(br)
 	if err != nil {
 		return rdma.Hello{}, false
 	}
@@ -460,22 +572,31 @@ type srvConn struct {
 	trace    bool // every tagged frame carries the trace block
 	compress bool // replies may carry compressed segments
 
-	// Workers reply concurrently: every response goes through send so
-	// frames never interleave, and send flushes before it unlocks, so no
-	// reply ever waits in bw for a later one (Drain and the client's
-	// stall detector rely on that).
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	fr      *rdma.FrameReader // owned by whoever runs readLoop
+	jobs    chan batchJob     // to the worker pool
+	end     chan struct{}     // closed by the last holder of readLoop
+	loops   sync.WaitGroup    // workers, and goroutines readLoop moved to
+	stalled atomic.Int32      // burst flushes parked past flushStall
+
+	// Workers reply concurrently with each other and with the read loop's
+	// burst writes: everything written to the connection is whole frames
+	// under wmu, and send flushes before it unlocks, so no reply ever waits
+	// in bw for a later one (Drain and the client's stall detector rely on
+	// that).
+	wmu  sync.Mutex
+	conn io.Writer
+	bw   *bufio.Writer
 }
 
-func (c *srvConn) send(resp rdma.Frame) error {
+// send writes one worker's reply. A failed write needs no handling here:
+// the read side of a broken connection fails next and ends the session.
+func (c *srvConn) send(resp rdma.Frame) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.s.metrics.bytesOut.Add(resp.WireSize())
-	if err := rdma.WriteFrameCRC(c.bw, resp); err != nil {
-		return err
+	if rdma.WriteFrameCRC(c.bw, resp) == nil {
+		c.bw.Flush()
 	}
-	return c.bw.Flush()
 }
 
 // workerScratch keeps a worker's steady-state path free of per-frame
@@ -502,16 +623,19 @@ type served struct {
 	n, hops int     // tuples served; hops walked (chases only)
 }
 
-// serve answers one tagged request on a worker goroutine. It is the one
-// envelope around every verb: pickup time, per-verb wire accounting of
-// request and reply, a failed body (undecodable request, oversized
-// reply, unknown verb) turned into a definitive ERRTAG, the reply's
-// trace stamp, and the send. Every tagged reply of a traced session
-// carries the fixed-size block — the client's framing depends on it —
-// so error replies are stamped too.
-func (c *srvConn) serve(j batchJob, w *workerScratch) {
+// serve answers one tagged request, on a worker (rl nil: the reply is
+// sent and the request stops counting as in flight) or on the read loop
+// (the reply is staged in rl and settled when the burst is written). It
+// is the one envelope around every verb: pickup time, per-verb wire
+// accounting of request and reply, a failed body (undecodable request,
+// oversized reply, unknown verb) turned into a definitive ERRTAG, and the
+// reply's trace stamp. Every tagged reply of a traced session carries the
+// fixed-size block — the client's framing depends on it — so error
+// replies are stamped too. The stamp's service time ends here, before any
+// write: a burst's flush is charged to the wire. Both payloads go back to
+// the pool.
+func (c *srvConn) serve(j batchJob, w *workerScratch, rl *readLoopState) {
 	s, f := c.s, j.f
-	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
 	var startUS uint64
 	if s.tracer != nil {
@@ -533,8 +657,16 @@ func (c *srvConn) serve(j batchJob, w *workerScratch) {
 			uint32(time.Since(start).Microseconds()),
 		)
 	}
-	c.send(resp)
+	if rl != nil {
+		s.metrics.bytesOut.Add(resp.WireSize())
+		rl.staged = rdma.AppendFrameCRC(rl.staged, resp)
+		rl.owed++
+	} else {
+		c.send(resp)
+		s.metrics.inflight.Add(-1)
+	}
 	rdma.PutBuf(resp.Payload)
+	rdma.PutBuf(f.Payload)
 }
 
 // handle runs the per-verb body: decode, touch the store, build the

@@ -3,6 +3,7 @@ package remote
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
@@ -135,5 +136,43 @@ func BenchmarkServerWriteAdmit(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(tuples[0].Data)), "blockB")
 		})
+	}
+}
+
+// BenchmarkServerFaultBurstTCP prices a demand fault that drags a dirty
+// eviction with it, as bfs at 25 % local memory produces them: one
+// doorbell carrying a lane-packed 4 KiB write-back and a 4 KiB read of
+// such an object, answered before the next doorbell, over TCP loopback.
+// writes/burst is the server's Write calls per doorbell (1 when the
+// burst's replies leave together, 2 when each is flushed on its own);
+// ns/op is the whole round trip, client framing included.
+func BenchmarkServerFaultBurstTCP(b *testing.B) {
+	srv, dial := burstServer(true, nil)
+	sess, sconn := dial(b)
+	sess.conn.SetDeadline(time.Time{})
+	tuples := []rdma.WriteReqC{bfsTuple(b, rdma.SchemeWords)}
+	if _, err := sess.write(false, tuples...); err != nil {
+		b.Fatal(err)
+	}
+	reads := []rdma.ReadReq{{DS: 0, Idx: 0, Size: benchObjSize}}
+	b.ResetTimer()
+	before := sconn.writes.Load()
+	for i := 0; i < b.N; i++ {
+		w, err := rdma.EncodeWriteBatchCPooled(0, tuples, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire, _ := sess.burst(w, rdma.EncodeReadBatchCPooled(0, reads))
+		if _, err := sess.conn.Write(wire); err != nil {
+			b.Fatal(err)
+		}
+		for range [2]struct{}{} {
+			rdma.PutBuf(sess.recv().Payload)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sconn.writes.Load()-before)/float64(b.N), "writes/burst")
+	if _, writes := srv.Counts(); writes != uint64(b.N)+1 {
+		b.Fatalf("server applied %d writes, want %d", writes, b.N+1)
 	}
 }
