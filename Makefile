@@ -94,12 +94,15 @@ chaos:
 	$(GO) test -v ./internal/faultnet
 
 # bench runs the root package's benchmarks: one per paper artifact, the
-# BenchmarkGuard* primitives, and the two the benchmark/ ladder is blind
-# to — BenchmarkGuardHitStridedPrefetch (a guard hit with the compiler's
-# prefetcher and the production breaker installed; the ladder's
-# farmem.guard_hit_ns rung installs neither) and
+# BenchmarkGuard* primitives, and the three the benchmark/ ladder is
+# blind to — BenchmarkGuardHitStridedPrefetch (a guard hit with the
+# compiler's prefetcher and the production breaker installed; the
+# ladder's farmem.guard_hit_ns rung installs neither),
 # BenchmarkInterpLoopNsPerInstr (the analytics histogram kernel over
-# local memory: dispatch, operand and call cost per IR instruction).
+# local memory: dispatch, operand and call cost per IR instruction) and
+# BenchmarkCompiledTaxiNsPerDeref (the analytics workload compiled and
+# run in process, MaxUse at k 0.5 in a quarter of its working set over
+# the in-process store: interpreter + guard hit path per deref).
 # The rest live beside the code they price, where the ladder's
 # rdma.lz_* rungs (one byte ramp, cleared at GB/s) see nothing:
 # BenchmarkLZShapes (internal/rdma: both block codecs on the 4 KiB

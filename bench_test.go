@@ -11,12 +11,15 @@ import (
 	"testing"
 
 	"cards/internal/bench"
+	"cards/internal/core"
 	"cards/internal/farmem"
 	"cards/internal/interp"
 	"cards/internal/ir"
 	"cards/internal/netsim"
+	"cards/internal/policy"
 	"cards/internal/prefetch"
 	"cards/internal/stats"
+	"cards/internal/workloads"
 )
 
 // ---- Real-time primitive costs (the substance behind Table 1). ----
@@ -159,6 +162,39 @@ func BenchmarkInterpLoopNsPerInstr(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mach.Stats().Instructions), "ns/instr")
+}
+
+// BenchmarkCompiledTaxiNsPerDeref runs the analytics workload end to end
+// in process: the compiled taxi program at 1<<16 trips, placed by MaxUse
+// at k = 0.5 into a quarter of its working set (half pinned, half
+// remotable) over the in-process store, with the production breaker
+// threshold. Its strided scans are prefetch-hidden, so the interpreter
+// and the guard hit path are what it times; ns/deref is wall time per
+// guarded access, the in-process counterpart of benchmark/'s analytics
+// ops_per_s.
+func BenchmarkCompiledTaxiNsPerDeref(b *testing.B) {
+	w := workloads.BuildTaxi(workloads.TaxiConfig{Trips: 1 << 16, HotPasses: 6, Seed: 1})
+	c, err := core.Compile(w.Module, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	local := w.WorkingSetBytes / 4
+	cfg := core.RunConfig{
+		Policy: policy.MaxUse, K: 0.5,
+		PinnedBudget: local / 2, RemotableBudget: local / 2,
+		BreakerThreshold: 8,
+	}
+	var derefs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		derefs += res.Runtime.GuardChecks
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

@@ -42,15 +42,17 @@ type dirtyRect struct {
 // than the bytes saved, and the full object goes out instead.
 const rangeCoverageMax = 6
 
-// rectElem returns the dirty-rectangle row size for d: the element size
-// when elements tile the object exactly and offsets fit the rect's u16
-// fields, else the whole object (a single row).
-func rectElem(d *DS) int {
-	es := d.Meta.ElemSize
-	if es > 0 && d.Meta.ObjSize%es == 0 && d.Meta.ObjSize <= 0xFFFF {
-		return es
+// rectShift returns log2 of the dirty-rectangle row size for a structure
+// with metadata m: the element size when elements tile the object
+// exactly and offsets fit the rect's u16 fields, else the whole object
+// (a single row). RegisterDS rounds ObjSize up to a power of two, so
+// either is one, and rows are found by shifting, never by dividing.
+func rectShift(m DSMeta) uint {
+	es := m.ElemSize
+	if es <= 0 || m.ObjSize%es != 0 || m.ObjSize > 0xFFFF {
+		es = m.ObjSize
 	}
-	return d.Meta.ObjSize
+	return log2(es)
 }
 
 // markDirty folds one written byte span [objOff+lo, objOff+hi) into the
@@ -64,12 +66,12 @@ func (r *Runtime) markDirty(d *DS, obj *FarObj, objOff, lo, hi int) {
 	if obj.rect.full && !fresh {
 		return
 	}
-	elem := rectElem(d)
+	elem := 1 << d.rowShift
 	a, b := objOff+lo, objOff+hi
 	if hi <= lo {
 		// Spanless write: fall back to the structure's static footprint.
 		if fp := d.Meta.WriteFootprint; len(fp) > 0 && elem != d.Meta.ObjSize {
-			e := uint16(objOff / elem)
+			e := uint16(objOff >> d.rowShift)
 			f0, f1 := fp[0][0], fp[0][1]
 			for _, w := range fp[1:] {
 				f0, f1 = min(f0, w[0]), max(f1, w[1])
@@ -89,7 +91,7 @@ func (r *Runtime) markDirty(d *DS, obj *FarObj, objOff, lo, hi int) {
 	if b <= a {
 		return
 	}
-	e0, e1 := a/elem, (b-1)/elem
+	e0, e1 := a>>d.rowShift, (b-1)>>d.rowShift
 	var f0, f1 int
 	if e0 == e1 {
 		f0, f1 = a-e0*elem, b-e0*elem
@@ -144,7 +146,7 @@ func (r *Runtime) rangeExtents(d *DS, obj *FarObj) []rdma.Extent {
 		return nil
 	}
 	rc := obj.rect
-	elem := rectElem(d)
+	elem := 1 << d.rowShift
 	rows := int(rc.eHi) - int(rc.eLo) + 1
 	fw := int(rc.fHi) - int(rc.fLo)
 	if fw <= 0 || rows <= 0 || rows > rdma.MaxExtents {

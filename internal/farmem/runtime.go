@@ -168,6 +168,7 @@ type DS struct {
 	localPromise bool
 
 	objShift uint
+	rowShift uint   // log2 of the dirty-rectangle row size (rectShift)
 	size     uint64 // virtual extent of the tagged region
 	objs     []FarObj
 
@@ -635,6 +636,7 @@ func (r *Runtime) RegisterDS(id int, meta DSMeta) (*DS, error) {
 		ID:          id,
 		Meta:        meta,
 		objShift:    log2(meta.ObjSize),
+		rowShift:    rectShift(meta),
 		prefetcher:  nullPrefetcher{},
 		maxInflight: r.defaultMaxInflight,
 		label:       strconv.Itoa(id),

@@ -49,6 +49,11 @@ func TestCompiledHitPathAllocFree(t *testing.T) {
 	elem := b.GEP(ir.CI(int64(base)), loop.IV, 8, 0)
 	b.Store(i64, b.Add(loop.IV, acc), guard(elem, true))
 	b.Assign(acc, b.Call(mixf, acc, b.Load(i64, guard(elem, false))))
+	// A division, a remainder and a float op inline, then a GEP → guard →
+	// load triple the decoder fuses into one instruction.
+	q := b.Rem(b.Div(acc, b.Add(loop.IV, ir.CI(1))), ir.CI(7))
+	b.Assign(acc, b.Add(acc, b.Bin(ir.FLT, b.IToF(q), ir.CF(3.5))))
+	b.Assign(acc, b.Xor(acc, b.Load(i64, guard(b.GEP(ir.CI(int64(base)), loop.IV, 8, 0), false))))
 	b.CloseLoop(loop)
 	b.Ret(acc)
 	m.AssignSites()

@@ -8,42 +8,67 @@ import (
 )
 
 // opcode is the decoded instruction set: ir.Op with the per-execution
-// decisions (constant or register? handle or not? read or write guard?
-// ROI marker or real callee?) already taken.
+// decisions (constant or register? which operator? handle or not? read
+// or write guard? ROI marker or real callee?) already taken.
 type opcode uint8
 
 const (
-	opBad      opcode = iota // an ir.Op the machine cannot execute
-	opMove                   // dst = a (OpConst and OpCopy alike: constants live in frame slots)
-	opBin                    // dst = a <kind> b
-	opAlloc                  // dst = AllocLocal(a * x)
-	opDSAlloc                // dst = DSAlloc(handle b, a * x)
-	opLoad                   // dst = word at a
-	opStore                  // word at a = b
-	opGEP                    // dst = a + b*x + y
-	opGuardR                 // dst = guard(a) with write span [x, y)
-	opGuardW                 //
-	opAllLocal               // dst = all_local(src.DSRefs)
-	opPrefetch               // prefetch hint for a
-	opCall                   // dst = callee(args...)
-	opROIBegin               // region-of-interest markers (calls the machine intercepts)
-	opROIEnd                 //
-	opRet                    // return a
-	opBr                     // pc = x if a != 0, else y
-	opJmp                    // pc = x
+	opBad opcode = iota // an ir.Op (or ir.BinKind) the machine cannot execute
+	// dst = a <op> b: one opcode per ir.BinKind, in its order.
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opRem
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opEQ
+	opNE
+	opLT
+	opLE
+	opGT
+	opGE
+	opFAdd
+	opFSub
+	opFMul
+	opFDiv
+	opFLT
+	opIToF
+	opMove     // dst = a (OpConst and OpCopy alike: constants live in frame slots)
+	opAlloc    // dst = AllocLocal(a * x)
+	opDSAlloc  // dst = DSAlloc(handle b, a * x)
+	opLoad     // dst = word at a
+	opStore    // word at a = b
+	opGEP      // dst = a + b*x + y
+	opGEPLoad  // opGEP, then the guard and the load in the next two slots
+	opGEPStore // opGEP, then the guard and the store in the next two slots
+	opGuardR   // dst = guard(a) with write span [x, y)
+	opGuardW   //
+	opAllLocal // dst = all_local(src.DSRefs)
+	opPrefetch // prefetch hint for a
+	opCall     // dst = callee(args[x:y])
+	opROIBegin // region-of-interest markers (calls the machine intercepts)
+	opROIEnd   //
+	opRet      // return a
+	opBr       // pc = x if a != 0, else y
+	opJmp      // pc = x
 )
 
-// inst is one decoded instruction. dst, a, b and args index the
-// activation's frame; an instruction without a result writes the
-// frame's sink slot, one without an operand reads a pooled zero, so
-// exec never tests for absence.
+// The operator opcodes mirror ir.BinKind one to one.
+var _ = [1]int{}[opIToF-opAdd-opcode(ir.IToF)]
+
+// inst is one decoded instruction. dst, a and b index the activation's
+// frame; an instruction without a result writes the frame's sink slot,
+// one without an operand reads a pooled zero, so exec never tests for
+// absence.
 type inst struct {
 	dst, a, b int32
 	op        opcode
-	kind      ir.BinKind
-	x, y      int64 // immediates, or branch-target pcs
+	x, y      int64 // immediates, branch-target pcs, or a call's span of function.args
 	callee    *function
-	args      []int32
 	src       *ir.Instr // for error text (and DSRefs)
 }
 
@@ -57,6 +82,7 @@ type inst struct {
 type function struct {
 	name   string
 	code   []inst
+	args   []int32 // every call's argument slots, back to back
 	params []int32 // parameter slots, in order
 	poolAt int     // index of the first pool slot (registers + sink below it)
 	pool   []uint64
@@ -126,7 +152,7 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 
 	out.code = make([]inst, 0, n)
 	for _, blk := range f.Blocks {
-		for _, in := range blk.Instrs {
+		for j, in := range blk.Instrs {
 			d := inst{dst: sink, src: in}
 			if in.Dst != nil {
 				d.dst = int32(in.Dst.ID)
@@ -142,7 +168,10 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 			case ir.OpCopy:
 				d.op, d.a = opMove, slot(in, in.Src)
 			case ir.OpBin:
-				d.op, d.kind, d.a, d.b = opBin, in.Kind, slot(in, in.X), slot(in, in.Y)
+				d.a, d.b = slot(in, in.X), slot(in, in.Y)
+				if in.Kind >= ir.Add && in.Kind <= ir.IToF {
+					d.op = opAdd + opcode(in.Kind)
+				}
 			case ir.OpAlloc:
 				d.op, d.a, d.x = opAlloc, slot(in, in.Count), int64(in.Elem.Size())
 				if in.DSHandle != nil {
@@ -153,7 +182,7 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 			case ir.OpStore:
 				d.op, d.a, d.b = opStore, slot(in, in.Addr), slot(in, in.Src)
 			case ir.OpGEP:
-				d.op, d.a, d.b = opGEP, slot(in, in.Base), constant(0)
+				d.op, d.a, d.b = fusedAccess(blk.Instrs[j:]), slot(in, in.Base), constant(0)
 				if in.Index != nil {
 					d.b = slot(in, in.Index)
 				}
@@ -175,10 +204,11 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 				case ROIEnd:
 					d.op = opROIEnd
 				default:
-					d.op, d.callee = opCall, fns[in.Callee]
+					d.op, d.callee, d.x = opCall, fns[in.Callee], int64(len(out.args))
 					for _, a := range in.Args {
-						d.args = append(d.args, slot(in, a))
+						out.args = append(out.args, slot(in, a))
 					}
+					d.y = int64(len(out.args))
 				}
 			case ir.OpRet:
 				d.op, d.a = opRet, constant(0)
@@ -195,4 +225,24 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 	}
 	out.frame = out.poolAt + len(out.pool)
 	return bad
+}
+
+// fusedAccess returns the opcode for the GEP at s[0]: opGEPLoad or
+// opGEPStore when s[1] guards the GEP's result and s[2] loads or stores
+// through the guard's — the triple the guard pass emits for a remotable
+// access — else opGEP. s is the rest of one block, so a triple never
+// spans two. The guard and access keep their own slots and decoded form:
+// exec falls back to them when the step budget cannot cover all three.
+func fusedAccess(s []*ir.Instr) opcode {
+	if len(s) < 3 || s[0].Dst == nil || s[1].Op != ir.OpGuard || s[1].Dst == nil ||
+		s[1].Addr != ir.Value(s[0].Dst) || s[2].Addr != ir.Value(s[1].Dst) {
+		return opGEP
+	}
+	switch s[2].Op {
+	case ir.OpLoad:
+		return opGEPLoad
+	case ir.OpStore:
+		return opGEPStore
+	}
+	return opGEP
 }

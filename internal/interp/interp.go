@@ -1,5 +1,5 @@
 // Package interp executes IR programs against the CaRDS runtime. It
-// plays the role of the CPU: each instruction charges the virtual clock,
+// plays the role of the CPU: every instruction charges the virtual clock,
 // memory instructions go through the runtime's guard/deref machinery,
 // and dsalloc-rewritten allocations carry their data structure handles
 // into the allocator — so a compiled program's far-memory behaviour
@@ -14,12 +14,16 @@
 //
 // New pre-decodes every function once into a flat program (decode.go):
 // operands are frame-slot indices, branch targets are pcs, callees and
-// ROI markers are resolved. Executing an instruction then touches no
-// ir.Value interface, no map and no allocator; what it charges to the
-// virtual clock, and when, is exactly what walking the ir.Instr would.
+// ROI markers are resolved, every binary operator is its own opcode, and
+// a GEP → guard → load/store triple is one instruction. Executing touches
+// no ir.Value interface, no map and no allocator. Instructions are paid
+// for where they can be seen (exec): everything that can observe the
+// instruction count or the virtual clock sees exactly what walking the
+// ir.Instr one at a time, charging each, would have shown it.
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -139,31 +143,120 @@ func (m *Machine) call(f *function, bp int, args []int32, from int) (uint64, err
 	return ret, err
 }
 
+var (
+	errDivZero = errors.New("integer division by zero")
+	errRemZero = errors.New("integer remainder by zero")
+)
+
+// settle charges n executed instructions to Stats.Instructions and, at
+// Model.Instr each, to the clock, and returns how many more may run
+// before the step limit: none once it has tripped, even on a later Run.
+func (m *Machine) settle(n uint64) uint64 {
+	m.stats.Instructions += n
+	m.clock.Advance(n * m.model.Instr)
+	return m.opts.MaxSteps - min(m.stats.Instructions, m.opts.MaxSteps)
+}
+
+// trap settles n instructions, the trapping one included, and names it
+// in err.
+func (m *Machine) trap(n uint64, f *function, in *inst, err error) error {
+	m.settle(n)
+	return fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
+}
+
+func b2u(c bool) uint64 {
+	if c {
+		return 1
+	}
+	return 0
+}
+
+func f64(bits uint64) float64 { return math.Float64frombits(bits) }
+
 // exec runs f's code over the frame at stack[bp:].
+//
+// Instructions are charged where they can be seen, not one by one: n
+// counts those run since the last settle, and budget is what the step
+// limit still allows. Everything that can observe Stats.Instructions or
+// the clock settles first: every runtime call that charges or reads the
+// clock (GuardSpan, DSAlloc/AllocLocal, AllLocal, Prefetch), a call (the
+// callee starts settled; the caller re-reads its budget after the
+// return), both ROI markers, a return and every trap. ReadWord and
+// WriteWord observe neither, so loads and stores run unsettled. Any
+// opcode that calls into farmem settles before the call.
 func (m *Machine) exec(f *function, bp int) (uint64, error) {
 	fr, code := m.stack[bp:bp+f.frame], f.code
-	pc := 0
+	pc, n, budget := 0, uint64(0), m.settle(0)
 	for {
 		in := &code[pc]
 		pc++
-		m.stats.Instructions++
-		if m.stats.Instructions > m.opts.MaxSteps {
+		n++
+		if n > budget {
+			// The instruction is counted, then refused before it is charged.
+			m.settle(n - 1)
+			m.stats.Instructions++
 			return 0, fmt.Errorf("interp: step limit (%d) exceeded", m.opts.MaxSteps)
 		}
-		m.clock.Advance(m.model.Instr)
 
 		switch in.op {
 		case opMove:
 			fr[in.dst] = fr[in.a]
 
-		case opBin:
-			v, err := evalBin(in.kind, fr[in.a], fr[in.b])
-			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
+		case opAdd:
+			fr[in.dst] = fr[in.a] + fr[in.b]
+		case opSub:
+			fr[in.dst] = fr[in.a] - fr[in.b]
+		case opMul:
+			fr[in.dst] = fr[in.a] * fr[in.b]
+		case opDiv:
+			y := int64(fr[in.b])
+			if y == 0 {
+				return 0, m.trap(n, f, in, errDivZero)
 			}
-			fr[in.dst] = v
+			fr[in.dst] = uint64(int64(fr[in.a]) / y)
+		case opRem:
+			y := int64(fr[in.b])
+			if y == 0 {
+				return 0, m.trap(n, f, in, errRemZero)
+			}
+			fr[in.dst] = uint64(int64(fr[in.a]) % y)
+		case opAnd:
+			fr[in.dst] = fr[in.a] & fr[in.b]
+		case opOr:
+			fr[in.dst] = fr[in.a] | fr[in.b]
+		case opXor:
+			fr[in.dst] = fr[in.a] ^ fr[in.b]
+		case opShl:
+			fr[in.dst] = fr[in.a] << (fr[in.b] & 63)
+		case opShr:
+			fr[in.dst] = fr[in.a] >> (fr[in.b] & 63)
+		case opEQ:
+			fr[in.dst] = b2u(fr[in.a] == fr[in.b])
+		case opNE:
+			fr[in.dst] = b2u(fr[in.a] != fr[in.b])
+		case opLT:
+			fr[in.dst] = b2u(int64(fr[in.a]) < int64(fr[in.b]))
+		case opLE:
+			fr[in.dst] = b2u(int64(fr[in.a]) <= int64(fr[in.b]))
+		case opGT:
+			fr[in.dst] = b2u(int64(fr[in.a]) > int64(fr[in.b]))
+		case opGE:
+			fr[in.dst] = b2u(int64(fr[in.a]) >= int64(fr[in.b]))
+		case opFAdd:
+			fr[in.dst] = math.Float64bits(f64(fr[in.a]) + f64(fr[in.b]))
+		case opFSub:
+			fr[in.dst] = math.Float64bits(f64(fr[in.a]) - f64(fr[in.b]))
+		case opFMul:
+			fr[in.dst] = math.Float64bits(f64(fr[in.a]) * f64(fr[in.b]))
+		case opFDiv:
+			fr[in.dst] = math.Float64bits(f64(fr[in.a]) / f64(fr[in.b]))
+		case opFLT:
+			fr[in.dst] = b2u(f64(fr[in.a]) < f64(fr[in.b]))
+		case opIToF:
+			fr[in.dst] = math.Float64bits(float64(int64(fr[in.a])))
 
 		case opAlloc, opDSAlloc:
+			budget, n = m.settle(n), 0
 			count := int64(fr[in.a])
 			if count < 0 {
 				return 0, fmt.Errorf("interp: @%s: negative alloc count %d", f.name, count)
@@ -183,54 +276,89 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 		case opLoad:
 			v, err := m.rt.ReadWord(fr[in.a])
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
+				return 0, m.trap(n, f, in, err)
 			}
 			fr[in.dst] = v
 
 		case opStore:
 			if err := m.rt.WriteWord(fr[in.a], fr[in.b]); err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
+				return 0, m.trap(n, f, in, err)
 			}
 
 		case opGEP:
 			fr[in.dst] = fr[in.a] + fr[in.b]*uint64(in.x) + uint64(in.y)
 
+		case opGEPLoad, opGEPStore:
+			// The GEP, the guard of its result in the next slot and the
+			// access through the guard's in the one after: one dispatch,
+			// settled once, before the guard. With fewer than three steps
+			// of budget left the GEP runs alone and the other two run, and
+			// trip, from their own slots.
+			p := fr[in.a] + fr[in.b]*uint64(in.x) + uint64(in.y)
+			fr[in.dst] = p
+			if budget-n < 2 {
+				break
+			}
+			g, acc := &code[pc], &code[pc+1]
+			pc += 2
+			budget, n = m.settle(n+1), 0
+			q, err := m.rt.GuardSpan(p, g.op == opGuardW, int(g.x), int(g.y))
+			if err != nil {
+				return 0, m.trap(0, f, g, err)
+			}
+			fr[g.dst] = q
+			n = 1
+			if in.op == opGEPLoad {
+				v, err := m.rt.ReadWord(q)
+				if err != nil {
+					return 0, m.trap(n, f, acc, err)
+				}
+				fr[acc.dst] = v
+			} else if err := m.rt.WriteWord(q, fr[acc.b]); err != nil {
+				return 0, m.trap(n, f, acc, err)
+			}
+
 		case opGuardR, opGuardW:
+			budget, n = m.settle(n), 0
 			p, err := m.rt.GuardSpan(fr[in.a], in.op == opGuardW, int(in.x), int(in.y))
 			if err != nil {
-				return 0, fmt.Errorf("interp: @%s %s: %w", f.name, in.src, err)
+				return 0, m.trap(0, f, in, err)
 			}
 			fr[in.dst] = p
 
 		case opAllLocal:
-			fr[in.dst] = 0
-			if m.rt.AllLocal(in.src.DSRefs) {
-				fr[in.dst] = 1
-			}
+			budget, n = m.settle(n), 0
+			fr[in.dst] = b2u(m.rt.AllLocal(in.src.DSRefs))
 
 		case opPrefetch:
+			budget, n = m.settle(n), 0
 			m.rt.Prefetch(fr[in.a])
 
 		case opCall:
-			ret, err := m.call(in.callee, bp+f.frame, in.args, bp)
+			m.settle(n)
+			ret, err := m.call(in.callee, bp+f.frame, f.args[in.x:in.y], bp)
 			if err != nil {
 				return 0, err
 			}
 			// The callee may have grown (moved) the stack.
 			fr = m.stack[bp : bp+f.frame]
 			fr[in.dst] = ret
+			budget, n = m.settle(0), 0
 
 		case opROIBegin:
+			budget, n = m.settle(n), 0
 			m.roiStart = m.clock.Now()
 			m.inROI = true
 
 		case opROIEnd:
+			budget, n = m.settle(n), 0
 			if m.inROI {
 				m.stats.ROICycles += m.clock.Now() - m.roiStart
 				m.inROI = false
 			}
 
 		case opRet:
+			m.settle(n)
 			return fr[in.a], nil
 
 		case opBr:
@@ -244,71 +372,11 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 			pc = int(in.x)
 
 		default:
+			if in.src.Op == ir.OpBin {
+				return 0, m.trap(n, f, in, fmt.Errorf("unknown binary op %v", in.src.Kind))
+			}
+			m.settle(n)
 			return 0, fmt.Errorf("interp: @%s: unexecutable op %s", f.name, in.src.Op)
 		}
 	}
-}
-
-// evalBin evaluates a binary operator on raw register bits.
-func evalBin(kind ir.BinKind, x, y uint64) (uint64, error) {
-	b := func(cond bool) uint64 {
-		if cond {
-			return 1
-		}
-		return 0
-	}
-	xi, yi := int64(x), int64(y)
-	switch kind {
-	case ir.Add:
-		return uint64(xi + yi), nil
-	case ir.Sub:
-		return uint64(xi - yi), nil
-	case ir.Mul:
-		return uint64(xi * yi), nil
-	case ir.Div:
-		if yi == 0 {
-			return 0, fmt.Errorf("integer division by zero")
-		}
-		return uint64(xi / yi), nil
-	case ir.Rem:
-		if yi == 0 {
-			return 0, fmt.Errorf("integer remainder by zero")
-		}
-		return uint64(xi % yi), nil
-	case ir.And:
-		return x & y, nil
-	case ir.Or:
-		return x | y, nil
-	case ir.Xor:
-		return x ^ y, nil
-	case ir.Shl:
-		return x << (y & 63), nil
-	case ir.Shr:
-		return x >> (y & 63), nil
-	case ir.EQ:
-		return b(xi == yi), nil
-	case ir.NE:
-		return b(xi != yi), nil
-	case ir.LT:
-		return b(xi < yi), nil
-	case ir.LE:
-		return b(xi <= yi), nil
-	case ir.GT:
-		return b(xi > yi), nil
-	case ir.GE:
-		return b(xi >= yi), nil
-	case ir.FAdd:
-		return math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y)), nil
-	case ir.FSub:
-		return math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y)), nil
-	case ir.FMul:
-		return math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y)), nil
-	case ir.FDiv:
-		return math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y)), nil
-	case ir.FLT:
-		return b(math.Float64frombits(x) < math.Float64frombits(y)), nil
-	case ir.IToF:
-		return math.Float64bits(float64(int64(x))), nil
-	}
-	return 0, fmt.Errorf("unknown binary op %v", kind)
 }

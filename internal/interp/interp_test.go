@@ -245,36 +245,71 @@ func TestNegativeAllocRejected(t *testing.T) {
 	}
 }
 
-// Property: evalBin integer ops match Go semantics.
-func TestEvalBinProperty(t *testing.T) {
-	f := func(x, y int64) bool {
-		checks := []struct {
-			kind ir.BinKind
-			want uint64
-		}{
-			{ir.Add, uint64(x + y)},
-			{ir.Sub, uint64(x - y)},
-			{ir.Mul, uint64(x * y)},
-			{ir.And, uint64(x) & uint64(y)},
-			{ir.Or, uint64(x) | uint64(y)},
-			{ir.Xor, uint64(x) ^ uint64(y)},
-		}
-		for _, c := range checks {
-			got, err := evalBin(c.kind, uint64(x), uint64(y))
-			if err != nil || got != c.want {
-				return false
-			}
-		}
-		if y != 0 {
-			got, err := evalBin(ir.Div, uint64(x), uint64(y))
-			if err != nil || got != uint64(x/y) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
+// runBin executes x <kind> y through a Machine.
+func runBin(t *testing.T, kind ir.BinKind, x, y uint64) (uint64, error) {
+	m := ir.NewModule("bin")
+	b := ir.NewBuilder(m.NewFunc("main", ir.I64()))
+	b.Ret(b.Bin(kind, ir.CI(int64(x)), ir.CI(int64(y))))
+	m.AssignSites()
+	mach, err := New(m, farmem.New(farmem.Config{}), Options{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	return mach.Run()
+}
+
+// Property: every operator, executed by the machine, computes what the
+// reference arithmetic (evalBin, semantics_test.go) does on raw register
+// bits, and traps where it does with its text — over random operands and
+// the edges: MinInt64 / -1 and % -1, shift counts of 64 and more, NaN bit
+// patterns, infinities and IToF of negatives. A few edges are also pinned
+// to Go's own answer, so a shared mistake cannot hide.
+func TestEvalBinProperty(t *testing.T) {
+	nan := math.Float64bits(math.NaN())
+	edges := []uint64{0, 1, 7, 63, 64, 65, 1 << 63, math.MaxUint64, uint64(math.MaxInt64),
+		nan, nan | 1<<63, 0x7FF0000000000001, math.Float64bits(math.Inf(1)), math.Float64bits(-2.5)}
+	operand := func(v uint64, pick uint8) uint64 {
+		if pick%3 == 0 {
+			return edges[int(pick/3)%len(edges)]
+		}
+		return v
+	}
+	prop := func(k uint8, x, y uint64, px, py uint8) bool {
+		kind := ir.BinKind(int(k) % (int(ir.IToF) + 1))
+		x, y = operand(x, px), operand(y, py)
+		got, gotErr := runBin(t, kind, x, y)
+		want, wantErr := evalBin(kind, x, y)
+		if wantErr != nil {
+			return gotErr != nil && strings.HasSuffix(gotErr.Error(), ": "+wantErr.Error())
+		}
+		return gotErr == nil && got == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+
+	minInt := uint64(1) << 63
+	for _, c := range []struct {
+		kind ir.BinKind
+		x, y uint64
+		want uint64
+	}{
+		{ir.Div, minInt, math.MaxUint64, minInt}, // MinInt64 / -1 wraps
+		{ir.Rem, minInt, math.MaxUint64, 0},
+		{ir.Shl, 1, 64, 1}, // counts are taken mod 64
+		{ir.Shl, 1, 65, 2},
+		{ir.Shr, 1 << 63, 127, 1},
+		{ir.IToF, uint64(1<<64 - 3), 0, math.Float64bits(-3)},
+		{ir.FLT, nan, math.Float64bits(1), 0},
+		{ir.FLT, math.Float64bits(1), nan, 0},
+		{ir.LT, minInt, 0, 1}, // signed
+	} {
+		if got, err := runBin(t, c.kind, c.x, c.y); err != nil || got != c.want {
+			t.Errorf("%v %#x, %#x = %#x, %v; want %#x", c.kind, c.x, c.y, got, err, c.want)
+		}
+	}
+	if got, err := runBin(t, ir.FAdd, nan, math.Float64bits(1)); err != nil || !math.IsNaN(math.Float64frombits(got)) {
+		t.Errorf("fadd NaN, 1 = %#x, %v; want a NaN", got, err)
 	}
 }
 

@@ -30,9 +30,10 @@ import (
 //
 // That equation is the whole validity argument: decoding reads the
 // bitmap's rawLen/64 bytes and then exactly w bytes per set bit, so it
-// ends on the block's last byte, and it zeroes one 64-byte group per
-// bitmap byte before storing that group's present words, so it writes
-// every byte of dst. Nothing after the check can fail. A
+// ends on the block's last byte (its four-byte loads run only while 32
+// bytes remain, more than a group can consume), and it writes all eight
+// words of one 64-byte group per bitmap byte, so it writes every byte of
+// dst. Nothing after the check can fail. A
 // set bit over a zero word, or lanes wider than the data needs, is legal
 // and merely not what PackWords emits.
 
@@ -88,27 +89,38 @@ func PackWords(dst, src []byte, lo, w int) int {
 	dst[0], dst[1] = byte(lo), byte(w)
 	bitmap := dst[wordsHdr : wordsHdr+groups]
 	out := wordsHdr + groups
-	shift := uint(8 * lo)
+	shift, uw := uint(8*lo), uint(w)
 	for g := range bitmap {
-		grp := src[64*g : 64*g+64]
-		var present uint
-		for j := 0; j < 8; j++ {
-			v := binary.LittleEndian.Uint64(grp[8*j:])
-			// No branch on v: whether a word is zero is a coin toss in the
-			// objects this codec is for, and a mispredicted branch costs more
-			// than the word. Store four bytes of it whatever it and w are,
-			// and step past w of them only if it was non-zero; the next
-			// store, or nothing, overwrites the rest. That stays inside
-			// WordsBound: with k of the n/8 words kept so far,
-			// out+4 = 2+n/64+k·w+4 <= 2+n/64+(n/8)·4.
-			binary.LittleEndian.PutUint32(dst[out:], uint32(v>>shift))
-			nz := uint((v | -v) >> 63) // 1 iff v != 0
-			present |= nz << j
-			out += w & -int(nz)
-		}
-		bitmap[g] = byte(present)
+		// A group is eight independent words. No branch on any of them:
+		// whether a word is zero is a coin toss in the objects this codec
+		// is for, and a mispredicted branch costs more than the word.
+		// Each stores four bytes whatever it and w are and steps past w
+		// of them only if it was non-zero, so the only serial dependency
+		// is the running offset; the next store, or nothing, overwrites
+		// the rest. A group's stores stay inside the 32 bytes from out,
+		// and those inside WordsBound: with k of the 8g words before it
+		// kept, out+32 = 2+n/64+k·w+32 <= 2+n/64+(g+1)·32 <= WordsBound(n).
+		s, d := (*[64]byte)(src[64*g:]), (*[32]byte)(dst[out:])
+		k, n0 := packLanes(d, 0, binary.LittleEndian.Uint64(s[0:]), shift, uw)
+		k, n1 := packLanes(d, k, binary.LittleEndian.Uint64(s[8:]), shift, uw)
+		k, n2 := packLanes(d, k, binary.LittleEndian.Uint64(s[16:]), shift, uw)
+		k, n3 := packLanes(d, k, binary.LittleEndian.Uint64(s[24:]), shift, uw)
+		k, n4 := packLanes(d, k, binary.LittleEndian.Uint64(s[32:]), shift, uw)
+		k, n5 := packLanes(d, k, binary.LittleEndian.Uint64(s[40:]), shift, uw)
+		k, n6 := packLanes(d, k, binary.LittleEndian.Uint64(s[48:]), shift, uw)
+		k, n7 := packLanes(d, k, binary.LittleEndian.Uint64(s[56:]), shift, uw)
+		bitmap[g] = byte(n0 | n1<<1 | n2<<2 | n3<<3 | n4<<4 | n5<<5 | n6<<6 | n7<<7)
+		out += int(k)
 	}
 	return out
+}
+
+// packLanes stores word v's lanes at d[k:] and returns the offset past
+// them — k itself when v is zero — and v's bitmap bit.
+func packLanes(d *[32]byte, k uint, v uint64, shift, w uint) (uint, uint) {
+	binary.LittleEndian.PutUint32(d[k&31:], uint32(v>>shift))
+	nz := uint((v | -v) >> 63) // 1 iff v != 0
+	return k + w&-nz, nz
 }
 
 // CheckWords reports whether block is a valid lane-packed image of a
@@ -142,28 +154,47 @@ func UnpackWords(dst, block []byte) error {
 	}
 	groups := len(dst) / 64
 	w := int(block[1])
-	shift := uint(8 * block[0])
+	shift, uw := uint(8*block[0]), uint(w)
 	mask := uint64(1)<<(8*w) - 1
 	in := wordsHdr + groups
 	for g, present := range block[wordsHdr:in] {
-		grp := dst[64*g : 64*g+64]
-		// Zero the group, then visit its set bits, lowest first: the only
-		// data-dependent branch is the one that leaves the group.
-		clear(grp)
+		d := (*[64]byte)(dst[64*g:])
+		if in+32 <= len(block) {
+			// A group reads at most 32 block bytes: load four for every
+			// word, present or not, and mask the absent ones to zero.
+			s, p := (*[32]byte)(block[in:]), uint(present)
+			k := unpackLanes(d[0:8], s, 0, p, mask, shift, uw)
+			k = unpackLanes(d[8:16], s, k, p>>1, mask, shift, uw)
+			k = unpackLanes(d[16:24], s, k, p>>2, mask, shift, uw)
+			k = unpackLanes(d[24:32], s, k, p>>3, mask, shift, uw)
+			k = unpackLanes(d[32:40], s, k, p>>4, mask, shift, uw)
+			k = unpackLanes(d[40:48], s, k, p>>5, mask, shift, uw)
+			k = unpackLanes(d[48:56], s, k, p>>6, mask, shift, uw)
+			k = unpackLanes(d[56:64], s, k, p>>7, mask, shift, uw)
+			in += int(k)
+			continue
+		}
+		// The last groups, fewer than 32 block bytes from the end: a
+		// four-byte load could read past it, so zero the group and read
+		// each present word's w bytes exactly, lowest set bit first.
+		clear(d[:])
 		for ; present != 0; present &= present - 1 {
 			var v uint64
-			if in+4 <= len(block) {
-				v = uint64(binary.LittleEndian.Uint32(block[in:])) & mask
-			} else {
-				// The last word or so of a w < 4 block: a four-byte load
-				// would read past the end.
-				for k := w - 1; k >= 0; k-- {
-					v = v<<8 | uint64(block[in+k])
-				}
+			for k := w - 1; k >= 0; k-- {
+				v = v<<8 | uint64(block[in+k])
 			}
 			in += w
-			binary.LittleEndian.PutUint64(grp[8*bits.TrailingZeros8(present):], v<<shift)
+			binary.LittleEndian.PutUint64(d[8*bits.TrailingZeros8(present):], v<<shift)
 		}
 	}
 	return nil
+}
+
+// unpackLanes expands the word at s[k:] into d if bit 0 of p is set,
+// else zeroes d, and returns the offset of the next word.
+func unpackLanes(d []byte, s *[32]byte, k, p uint, mask uint64, shift, w uint) uint {
+	p &= 1
+	v := uint64(binary.LittleEndian.Uint32(s[k&31:])) & mask & -uint64(p)
+	binary.LittleEndian.PutUint64(d, v<<shift)
+	return k + w&-p
 }

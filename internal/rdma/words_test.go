@@ -3,13 +3,14 @@ package rdma
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"testing"
 )
 
-// refUnpackWords is the format written out byte by byte: one bitmap bit
+// byteUnpackWords is the format written out byte by byte: one bitmap bit
 // per word, w bytes per set bit landing in lanes lo.., nothing else. It
 // checks only what it must to stay in bounds.
-func refUnpackWords(block []byte, rawLen int) ([]byte, bool) {
+func byteUnpackWords(block []byte, rawLen int) ([]byte, bool) {
 	groups := rawLen / 64
 	if rawLen <= 0 || rawLen%64 != 0 || len(block) < 2+groups {
 		return nil, false
@@ -31,6 +32,60 @@ func refUnpackWords(block []byte, rawLen int) ([]byte, bool) {
 		in += w
 	}
 	return out, in == len(block)
+}
+
+// refPackWords is the word-at-a-time PackWords the group kernel replaced:
+// one word per iteration, each store offset depending on the one before.
+// Blocks must stay byte-identical to what it emits.
+func refPackWords(dst, src []byte, lo, w int) int {
+	groups := len(src) / 64
+	dst[0], dst[1] = byte(lo), byte(w)
+	bitmap := dst[wordsHdr : wordsHdr+groups]
+	out := wordsHdr + groups
+	shift := uint(8 * lo)
+	for g := range bitmap {
+		grp := src[64*g : 64*g+64]
+		var present uint
+		for j := 0; j < 8; j++ {
+			v := binary.LittleEndian.Uint64(grp[8*j:])
+			binary.LittleEndian.PutUint32(dst[out:], uint32(v>>shift))
+			nz := uint((v | -v) >> 63)
+			present |= nz << j
+			out += w & -int(nz)
+		}
+		bitmap[g] = byte(present)
+	}
+	return out
+}
+
+// refUnpackWords is the UnpackWords the group kernel replaced: zero each
+// group, then visit its set bits.
+func refUnpackWords(dst, block []byte) error {
+	if !CheckWords(block, len(dst)) {
+		return ErrCorrupt
+	}
+	groups := len(dst) / 64
+	w := int(block[1])
+	shift := uint(8 * block[0])
+	mask := uint64(1)<<(8*w) - 1
+	in := wordsHdr + groups
+	for g, present := range block[wordsHdr:in] {
+		grp := dst[64*g : 64*g+64]
+		clear(grp)
+		for ; present != 0; present &= present - 1 {
+			var v uint64
+			if in+4 <= len(block) {
+				v = uint64(binary.LittleEndian.Uint32(block[in:])) & mask
+			} else {
+				for k := w - 1; k >= 0; k-- {
+					v = v<<8 | uint64(block[in+k])
+				}
+			}
+			in += w
+			binary.LittleEndian.PutUint64(grp[8*bits.TrailingZeros8(present):], v<<shift)
+		}
+	}
+	return nil
 }
 
 // refScanWords is ScanWords' contract a byte at a time.
@@ -110,7 +165,7 @@ func wordsEdgeSeeds() []wordsSeed {
 func checkWordsBlock(t testing.TB, block []byte, rawLen int) bool {
 	t.Helper()
 	orig := append([]byte(nil), block...)
-	want, valid := refUnpackWords(block, rawLen)
+	want, valid := byteUnpackWords(block, rawLen)
 	if ok := CheckWords(block, rawLen); ok != valid {
 		t.Fatalf("CheckWords = %v, reference says %v", ok, valid)
 	}
@@ -133,6 +188,9 @@ func checkWordsBlock(t testing.TB, block []byte, rawLen int) bool {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("UnpackWords differs from the reference")
+	}
+	if prev := make([]byte, rawLen); refUnpackWords(prev, block) != nil || !bytes.Equal(got, prev) {
+		t.Fatal("UnpackWords differs from the kernel it replaced")
 	}
 	// Every byte of dst is written: a second dst that started out
 	// different ends up the same.
@@ -166,7 +224,11 @@ func checkWordsPack(t testing.TB, src []byte) {
 	if n >= len(src) || n > WordsBound(len(src)) {
 		t.Fatalf("PackWords emitted %d bytes for %d in (bound %d)", n, len(src), WordsBound(len(src)))
 	}
-	if back, ok := refUnpackWords(dst[:n], len(src)); !ok || !bytes.Equal(back, src) {
+	prev := make([]byte, WordsBound(len(src)))
+	if m := refPackWords(prev, src, lo, w); m != n || !bytes.Equal(dst[:n], prev[:m]) {
+		t.Fatalf("PackWords emitted %d bytes, the kernel it replaced %d (or different ones)", n, m)
+	}
+	if back, ok := byteUnpackWords(dst[:n], len(src)); !ok || !bytes.Equal(back, src) {
 		t.Fatalf("PackWords output does not unpack under the reference to the input (valid=%v)", ok)
 	}
 	if !checkWordsBlock(t, dst[:n], len(src)) {
@@ -239,6 +301,46 @@ func TestWordsEdgeSeeds(t *testing.T) {
 	for _, sh := range lzShapes() {
 		checkWordsPack(t, sh.obj)
 		checkWordsPack(t, sh.obj[:len(sh.obj)-8]) // not whole groups
+	}
+}
+
+// TestWordsKernelsMatchPrevious holds PackWords and UnpackWords to the
+// kernels they replaced (refPackWords, refUnpackWords), block for block
+// and byte for byte, over the lane-packing shapes of many corpora
+// (lzShapesFrom) and over random objects of every lane window, length
+// and zero density — the last, sparse groups are where the group kernel
+// hands over to its exact-width tail.
+func TestWordsKernelsMatchPrevious(t *testing.T) {
+	objs := [][]byte{}
+	for seed := uint64(1); seed <= 64; seed++ {
+		for _, sh := range lzShapesFrom(seed * 0x9E3779B97F4A7C15) {
+			if _, w := ScanWords(sh.obj); w > 0 {
+				objs = append(objs, sh.obj)
+			}
+		}
+	}
+	if len(objs) < 128 {
+		t.Fatalf("only %d corpus objects pack", len(objs))
+	}
+	x := uint64(0x2545F4914F6CDD1D)
+	next := func() uint64 { x ^= x << 13; x ^= x >> 7; x ^= x << 17; return x }
+	for lo := 0; lo < 8; lo++ {
+		for w := 1; w <= 4 && lo+w <= 8; w++ {
+			for _, zeroPct := range []uint64{0, 30, 60, 90, 99} {
+				for _, n := range []int{64, 128, 192, 512, 4096} {
+					obj := make([]byte, n)
+					for i := 0; i < n; i += 8 {
+						if next()%100 >= zeroPct {
+							binary.LittleEndian.PutUint64(obj[i:], (next()|1)&(1<<(8*w)-1)<<(8*lo))
+						}
+					}
+					objs = append(objs, obj)
+				}
+			}
+		}
+	}
+	for _, obj := range objs {
+		checkWordsPack(t, obj) // packs and unpacks against both kernels
 	}
 }
 
