@@ -80,7 +80,8 @@ fuzz-smoke:
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
 # proxy, the breaker outage demo and the sharded / replicated / chase
 # kill-and-restart runs (root), the transport's
-# handshake/cut/timeout/uncertain-write/reconnect tests and the
+# handshake/cut/timeout/uncertain-write/reconnect tests, cardsd's
+# read-burst serving under cuts, drains and parked writes, and the
 # down-and-resume outage cycle (internal/remote), the breaker, prober and
 # async fault paths (internal/farmem), the per-backend fault domains
 # over them (internal/shardmap, internal/replica), and the injector
@@ -88,7 +89,7 @@ fuzz-smoke:
 # is reproducible.
 chaos:
 	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestChaseOffloadSurvivesBackendKillMidRun' .
-	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestCRCSession' ./internal/remote
+	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
 	$(GO) test -v ./internal/shardmap ./internal/replica
 	$(GO) test -v ./internal/faultnet

@@ -30,7 +30,7 @@
 //
 // Usage:
 //
-//	cardsd [-listen 127.0.0.1:7770] [-metrics-addr :9090] [-batch-workers 4]
+//	cardsd [-listen 127.0.0.1:7770] [-metrics-addr :9090]
 //	       [-chaos cut=65536,corrupt=0.01,seed=7] [-drain-timeout 5s] [-v]
 package main
 
@@ -54,15 +54,12 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7770", "address to serve on")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /stats (JSON) and /debug/pprof/* on this address")
-	batchWorkers := flag.Int("batch-workers", remote.DefaultBatchWorkers,
-		"concurrent handlers per connection for chases and batches of more than 8 tuples (their replies may be reordered; smaller batches are served where they are read)")
 	chaos := flag.String("chaos", "", "inject faults on every connection, e.g. cut=65536,corrupt=0.01,seed=7 (see internal/faultnet)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests")
 	verbose := flag.Bool("v", false, "log periodic statistics")
 	flag.Parse()
 
 	srv := remote.NewServer()
-	srv.BatchWorkers = *batchWorkers
 	if *chaos != "" {
 		cfg, err := faultnet.ParseSpec(*chaos)
 		if err != nil {

@@ -146,9 +146,16 @@ func ChaseBatchSize(reqs []ChaseReq) int {
 func ChaseReplyBound(reqs []ChaseReq) uint64 {
 	n := uint64(4)
 	for _, r := range reqs {
-		n += chaseResHdrSize + uint64(r.Hops)*(chaseHopHdrSize+uint64(r.ObjSize))
+		n += ChaseResultBound(r)
 	}
 	return n
+}
+
+// ChaseResultBound is the worst-case CHASEDATA contribution of one
+// program's result: its header and the full hop budget of objects, each
+// behind its hop header.
+func ChaseResultBound(r ChaseReq) uint64 {
+	return chaseResHdrSize + uint64(r.Hops)*(chaseHopHdrSize+uint64(r.ObjSize))
 }
 
 // EncodeChaseBatchPooled builds a CHASEBATCH frame with a pooled

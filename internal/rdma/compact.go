@@ -95,11 +95,16 @@ func BatchCount(p []byte) (count uint64, ok bool) {
 	return count, r.Err() == nil
 }
 
+// BatchHdrBound is the worst case of a batch payload's tuple-count
+// varint, byte-aligned: the fixed part of every batch bound below, and of
+// the client's per-frame budget.
+const BatchHdrBound = 6
+
 // --- READBATCH-C ---
 
 // readBatchCBound is the worst-case payload size for n read tuples
 // (count varint + full-width ds/idx/size varints per tuple).
-func readBatchCBound(n int) int { return 6 + 16*n }
+func readBatchCBound(n int) int { return BatchHdrBound + 16*n }
 
 // EncodeReadBatchCPooled builds a READBATCH-C frame with a pooled
 // payload; the caller should PutBuf it after the frame is written. An
@@ -255,6 +260,19 @@ func DecodeDataSegsInto(p []byte, segs []DataSegC, epoch bool) ([]DataSegC, erro
 		return nil, fmt.Errorf("rdma: DATABATCH-C trailing garbage")
 	}
 	return segs, nil
+}
+
+// DataSegBound is the worst-case DATABATCH-C contribution of the segment
+// answering one size-byte read (stamped when epoch is set): its header
+// fields at full varint width — scheme, rawLen, a packed block's length,
+// the epoch — plus the raw bytes, which compression only shrinks. A reply
+// stays within BatchHdrBound plus the sum over its segments.
+func DataSegBound(size int, epoch bool) int {
+	n := 13 + size
+	if epoch {
+		n += 10
+	}
+	return n
 }
 
 // dataSegMeta records one staged segment inside DataBatchCBuilder.
@@ -475,10 +493,9 @@ func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
 		b.dlen, b.hdr = 0, 0
 		return Frame{Op: OpDataBatchC, Tag: tag, Payload: p}, nil
 	}
-	hdrBound := 6 + 13*len(b.metas)
+	hdrBound := BatchHdrBound + len(b.metas)*DataSegBound(0, b.epoch)
 	op := OpDataBatchC
 	if b.epoch {
-		hdrBound += 10 * len(b.metas)
 		op |= EpochBit
 	}
 	if hdrBound+b.dlen > MaxFrame {
@@ -542,7 +559,7 @@ func WriteReqCBound(dataLen, nExt int, epoch bool) int {
 
 // WriteBatchCSize bounds the payload for reqs (see WriteReqCBound).
 func WriteBatchCSize(reqs []WriteReqC, epoch bool) int {
-	n := 6
+	n := BatchHdrBound
 	for i := range reqs {
 		n += WriteReqCBound(len(reqs[i].Data), len(reqs[i].Extents), epoch)
 	}

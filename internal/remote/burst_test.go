@@ -280,69 +280,71 @@ func TestReconnectDropsDeadGenerationBuffer(t *testing.T) {
 	}
 }
 
-// gateConn holds every Write back while armed, until the gate opens.
+// gateConn holds every Write back while armed, until the gate opens or
+// the connection is closed — a socket whose peer has stopped reading.
 type gateConn struct {
 	io.ReadWriteCloser
 	armed   *atomic.Bool
 	blocked chan<- struct{}
 	gate    <-chan struct{}
+	closed  chan struct{}
+	once    sync.Once
 }
 
-func (g gateConn) Write(p []byte) (int, error) {
+func newGateConn(c io.ReadWriteCloser, armed *atomic.Bool, blocked chan<- struct{}, gate <-chan struct{}) *gateConn {
+	return &gateConn{ReadWriteCloser: c, armed: armed, blocked: blocked, gate: gate, closed: make(chan struct{})}
+}
+
+func (g *gateConn) Write(p []byte) (int, error) {
 	if g.armed.Load() {
 		select {
 		case g.blocked <- struct{}{}:
 		default:
 		}
-		<-g.gate
+		select {
+		case <-g.gate:
+		case <-g.closed:
+			return 0, net.ErrClosed
+		}
 	}
 	return g.ReadWriteCloser.Write(p)
 }
 
+func (g *gateConn) Close() error {
+	g.once.Do(func() { close(g.closed) })
+	return g.ReadWriteCloser.Close()
+}
+
 // TestServerDrainDeliversStagedReplies: a reply that has been staged
-// (its batch served, its frame handed to send) when Drain starts still
-// reaches the client. Replies are flushed inside send, before the
-// request stops counting as in flight, so Drain cannot close a
-// connection with a reply sitting in the server's write buffer.
+// (its batch served, its burst's Write under way) when Drain starts still
+// reaches the client. A request counts as in flight until its reply is
+// written, so Drain cannot close a connection with a reply staged.
 func TestServerDrainDeliversStagedReplies(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	var armed atomic.Bool
 	blocked := make(chan struct{}, 1)
 	gate := make(chan struct{})
+	srv, dial := burstServer(true, func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		return newGateConn(c, &armed, blocked, gate)
+	})
 	const n = 8
-	srv := NewServer()
-	srv.BatchWorkers = n // however the flusher splits the reads, every batch gets served
-	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
-		return gateConn{ReadWriteCloser: c, armed: &armed, blocked: blocked, gate: gate}
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < n; i++ {
 		srv.Store.Write(2, uint32(i), []byte{byte(i), 0xD7})
 	}
-	cl, err := DialPipelined(addr, PipelineOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
+	sess, _ := dial(t)
 
 	armed.Store(true)
-	var wg sync.WaitGroup
-	var dsts [n][2]byte
-	var errs [n]error
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		cl.IssueRead(2, i, dsts[i][:], func(err error) { errs[i] = err; wg.Done() })
+	frames := make([]rdma.Frame, n)
+	for i := range frames {
+		frames[i] = readsOf(2, i, 1, 2)
 	}
-	<-blocked // a reply is staged: its Write is parked at the gate
-	for reads, _ := srv.Counts(); reads < n; reads, _ = srv.Counts() {
-		time.Sleep(time.Millisecond) // the rest are served and queue behind it
+	wire, tags := sess.burst(frames...) // one doorbell: one read burst at the server
+	if _, err := sess.conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked // the burst's replies are staged: their Write is parked at the gate
+	if reads, _ := srv.Counts(); reads != n {
+		t.Fatalf("server served %d reads before its burst write, want %d", reads, n)
 	}
 
 	drained := make(chan bool, 1)
@@ -357,12 +359,11 @@ func TestServerDrainDeliversStagedReplies(t *testing.T) {
 	if !<-drained {
 		t.Fatal("Drain timed out with replies staged")
 	}
-	wg.Wait()
 	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Errorf("read %d lost to the drain: %v", i, errs[i])
-		} else if dsts[i] != [2]byte{byte(i), 0xD7} {
-			t.Errorf("read %d returned %x", i, dsts[i])
+		resp := sess.recv()
+		segs, err := rdma.DecodeDataSegsInto(resp.Payload, nil, false)
+		if resp.Tag != tags[i] || err != nil || len(segs) != 1 || !bytes.Equal(segs[0].Data, []byte{byte(i), 0xD7}) {
+			t.Errorf("reply %d: %s/%d (%v), want read %d's data", i, resp.Op, resp.Tag, err, i)
 		}
 	}
 }
@@ -557,52 +558,118 @@ func TestBurstCutBeforeFlushSettlesInflight(t *testing.T) {
 	}
 }
 
-// TestBurstStalledFlushHandsTheLoopOn: a peer that stops reading parks
-// the burst write, and the goroutine in it. Requests behind it are still
-// read and served — by the pool, as before there was an inline path —
-// and once the peer reads again every reply arrives exactly once.
-func TestBurstStalledFlushHandsTheLoopOn(t *testing.T) {
+// TestBurstParkedWriteParksOnlyItsConnection: a peer that stops reading
+// parks its connection's burst write, and that connection with it; another
+// connection on the same server is served as usual. Drain then times out
+// over the parked replies, force-closes the connection and settles the
+// gauge: nothing else is lost and no goroutine is left behind.
+func TestBurstParkedWriteParksOnlyItsConnection(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	var armed atomic.Bool
 	blocked := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	srv, dial := burstServer(true, func(c io.ReadWriteCloser) io.ReadWriteCloser {
-		return gateConn{ReadWriteCloser: c, armed: &armed, blocked: blocked, gate: gate}
-	})
-	srv.Store.Write(1, 0, []byte{0xD7})
-	sess, _ := dial(t)
-	armed.Store(true)
-	const n = 4 // BatchWorkers' worth behind the parked one
-	outstanding := map[uint32]bool{}
-	for i := 0; i <= n; i++ {
-		wire, tags := sess.burst(readsOf(1, 0, 1, 1))
-		if _, err := sess.conn.Write(wire); err != nil {
+	var accepted atomic.Int32
+	srv := NewServer()
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		if accepted.Add(1) == 1 { // A: parked once armed; B: a plain socket
+			return newGateConn(c, &armed, blocked, nil)
+		}
+		return c
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *rawSession {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		outstanding[tags[0]] = true
-		if i == 0 {
-			<-blocked // the first reply's burst write is parked at the gate
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		return helloRaw(t, conn, 0)
+	}
+	srv.Store.Write(1, 0, []byte{0xD7})
+
+	a := dial()
+	armed.Store(true)
+	const parked = 3
+	wire, _ := a.burst(readsOf(1, 0, 1, 1), readsOf(1, 0, 1, 1), readsOf(1, 0, 1, 1))
+	if _, err := a.conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked // A's burst write is parked
+
+	b := dial()
+	for i := 0; i < 16; i++ {
+		img := []byte{byte(i), 0xB0}
+		if _, err := b.write(false, fullTuple(2, uint32(i), 0, img, rdma.SchemeRaw)); err != nil {
+			t.Fatal(err)
+		}
+		if objs, _ := b.read(false, rdma.ReadReq{DS: 2, Idx: uint32(i), Size: 2}); !bytes.Equal(objs[0], img) {
+			t.Fatalf("B read %d returned %x behind A's parked write", i, objs[0])
 		}
 	}
-	for reads, _ := srv.Counts(); reads < n+1; reads, _ = srv.Counts() {
-		time.Sleep(time.Millisecond) // fails by the test timeout if the loop stayed parked
+	if got := srv.metrics.inflight.Load(); got != parked {
+		t.Errorf("%s = %d with A's replies parked, want %d", MetricInflight, got, parked)
 	}
-	if got := srv.metrics.inflight.Load(); got != n+1 {
-		t.Errorf("%s = %d with every reply unwritten, want %d", MetricInflight, got, n+1)
-	}
-	armed.Store(false)
-	close(gate)
-	for range [n + 1]struct{}{} {
-		resp := sess.recv()
-		if !outstanding[resp.Tag] || resp.Op != rdma.OpDataBatchC {
-			t.Fatalf("reply %s/%d is a duplicate or a stranger", resp.Op, resp.Tag)
-		}
-		delete(outstanding, resp.Tag)
-	}
-	if !srv.Drain(5 * time.Second) {
-		t.Error("Drain timed out after every reply was delivered")
+
+	if srv.Drain(50 * time.Millisecond) {
+		t.Error("Drain reported drained with A's replies parked")
 	}
 	if got := srv.metrics.inflight.Load(); got != 0 {
 		t.Errorf("%s = %d after the drain, want 0", MetricInflight, got)
 	}
+	if _, err := rdma.ReadFrameOpts(a.conn, true, false); err == nil {
+		t.Error("a parked reply reached A after its connection was force-closed")
+	}
+	for i := 0; i < 16; i++ {
+		if got := srv.Store.Read(2, uint32(i), 2); !bytes.Equal(got, []byte{byte(i), 0xB0}) {
+			t.Errorf("B's write %d reads back %x after the drain", i, got)
+		}
+	}
+}
+
+// TestBurstStagesAtMostStagedMax: a burst of small requests for large
+// objects — one client Write of 8-tuple reads whose replies add up to
+// several times stagedMax — is written out as it is served, not staged
+// whole, and every reply still arrives once and in order.
+func TestBurstStagesAtMostStagedMax(t *testing.T) {
+	overPipeAndTCP(t, func(t *testing.T, tcp bool) {
+		srv, dial := burstServer(tcp, nil)
+		rng := rand.New(rand.NewSource(5))
+		objs := make([][]byte, inlineMaxTuples)
+		for i := range objs {
+			objs[i] = make([]byte, 4096)
+			rng.Read(objs[i]) // incompressible: each reply carries 32 KiB
+			srv.Store.Write(1, uint32(i), objs[i])
+		}
+		sess, sconn := dial(t)
+		const frames = 16 // 512 KiB of replies, 4x stagedMax
+		reqs := make([]rdma.Frame, frames)
+		for i := range reqs {
+			reqs[i] = readsOf(1, 0, inlineMaxTuples, 4096)
+		}
+		wire, tags := sess.burst(reqs...)
+		before := sconn.writes.Load()
+		if _, err := sess.conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		for i, tag := range tags {
+			resp := sess.recv()
+			segs, err := rdma.DecodeDataSegsInto(resp.Payload, nil, false)
+			if resp.Op != rdma.OpDataBatchC || resp.Tag != tag || err != nil || len(segs) != inlineMaxTuples {
+				t.Fatalf("reply %d: %s/%d with %d segments (%v), want tag %d", i, resp.Op, resp.Tag, len(segs), err, tag)
+			}
+			for j, sg := range segs {
+				if !bytes.Equal(sg.Data, objs[j]) {
+					t.Fatalf("reply %d segment %d holds the wrong bytes", i, j)
+				}
+			}
+			rdma.PutBuf(resp.Payload)
+		}
+		if n := sconn.writes.Load() - before; n < 2 {
+			t.Errorf("server wrote %d KiB of replies in %d Write(s), want them flushed every %d KiB", frames*32, n, stagedMax>>10)
+		}
+	})
 }

@@ -16,21 +16,6 @@ import (
 // idempotent replay on reconnect as a read. (farmem.ChaseStore is
 // the interface the runtime consumes them through.)
 
-// Wire overhead the flusher charges per chase program when bounding a
-// batch against rdma.MaxFrame: the reply's fixed result header
-// (u32 status | u64 final | u32 hopCount) and each hop's header
-// (u32 idx | u32 len).
-const (
-	chaseRespHdrSize = 16
-	chaseHopHdrSize  = 8
-)
-
-// chaseReplySize is the worst-case reply segment of one program: the
-// full hop budget spent.
-func chaseReplySize(r rdma.ChaseReq) int {
-	return chaseRespHdrSize + int(r.Hops)*(chaseHopHdrSize+int(r.ObjSize))
-}
-
 // chaseIssuable validates a program client-side before it is enqueued,
 // so a malformed or unboundable program fails immediately instead of as
 // a server ERRTAG mid-pipeline.
@@ -38,9 +23,8 @@ func chaseIssuable(req rdma.ChaseReq) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	if uint64(4)+uint64(chaseReplySize(req)) > rdma.MaxFrame {
-		return fmt.Errorf("remote: chase reply bound exceeds frame limit (%d hops of %d bytes)",
-			req.Hops, req.ObjSize)
+	if rdma.ChaseReplyBound([]rdma.ChaseReq{req}) > rdma.MaxFrame {
+		return fmt.Errorf("remote: chase reply bound exceeds frame limit (%d hops of %d bytes)", req.Hops, req.ObjSize)
 	}
 	return nil
 }
@@ -62,9 +46,7 @@ func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResu
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	c.enqueue(&pipeOp{
-		chase: true, ds: req.DS, idx: req.Start, creq: req, cdone: done,
-	})
+	c.enqueue(&pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req, cdone: done})
 }
 
 // Chase implements farmem.ChaseStore (issue + wait).
@@ -168,9 +150,7 @@ func (s *Server) chaseOne(w *rdma.ChaseDataWriter, r rdma.ChaseReq) int {
 func applyChaseMask(slot []byte, mask uint64) {
 	for w := 0; w*8+8 <= len(slot); w++ {
 		if mask&(1<<uint(w)) == 0 {
-			for i := w * 8; i < w*8+8; i++ {
-				slot[i] = 0
-			}
+			clear(slot[w*8 : w*8+8])
 		}
 	}
 }

@@ -182,8 +182,8 @@ func (p *compressPolicy) observe(ds uint32, rawLen, wireLen int) {
 func (s *ObjectStore) WriteRange(ds, idx, objSize uint32, exts []rdma.Extent, raw []byte) {
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spliceLocked(k, objSize, exts, raw)
+	s.m[k] = s.m[k].splice(objSize, exts, raw)
+	s.mu.Unlock()
 }
 
 // WriteRangeEpoch is WriteRange with the replication layer's
@@ -197,34 +197,35 @@ func (s *ObjectStore) WriteRangeEpoch(ds, idx uint32, epoch uint64, objSize uint
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stored := s.ep[k]
-	if stored > epoch {
+	im := s.m[k]
+	if im.epoch > epoch {
 		return false // newer image already present: obsolete tuple, drop with a positive ack
 	}
-	if stored+1 < epoch {
+	if im.epoch+1 < epoch {
 		return true // missed an epoch: the base is stale, cannot splice
 	}
-	s.spliceLocked(k, objSize, exts, raw)
-	s.ep[k] = epoch
+	im = im.splice(objSize, exts, raw)
+	im.epoch = epoch
+	s.m[k] = im
 	return false
 }
 
-// spliceLocked lays the extents over the stored object. A base that is
-// not already objSize raw bytes — another size, a compressed or zero
-// image, absent — is first materialised as one; the result stays raw.
-func (s *ObjectStore) spliceLocked(k [2]uint32, objSize uint32, exts []rdma.Extent, raw []byte) {
-	im := s.m[k]
-	obj := im.data
-	if im.scheme != rdma.SchemeRaw || uint32(len(obj)) != objSize {
-		obj = make([]byte, objSize)
+// splice returns the image with the extents laid over it, its epoch
+// stamp carried over. A base that is not already objSize raw bytes —
+// another size, a compressed or zero image, absent — is first
+// materialised as one; the result stays raw.
+func (im image) splice(objSize uint32, exts []rdma.Extent, raw []byte) image {
+	if im.scheme != rdma.SchemeRaw || uint32(len(im.data)) != objSize {
+		obj := make([]byte, objSize)
 		im.expand(obj)
-		s.m[k] = image{scheme: rdma.SchemeRaw, rawLen: objSize, data: obj}
+		im.scheme, im.rawLen, im.data = rdma.SchemeRaw, objSize, obj
 	}
 	off := uint32(0)
 	for _, e := range exts {
-		copy(obj[e.Off:e.Off+e.Len], raw[off:off+e.Len])
+		copy(im.data[e.Off:e.Off+e.Len], raw[off:off+e.Len])
 		off += e.Len
 	}
+	return im
 }
 
 // errReplyTooLarge fails a read or chase batch whose reply would not fit
@@ -247,12 +248,9 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 	}
 	w.reads = reqs
 	epoch := f.Op&rdma.EpochBit != 0
-	size := 6 + 13*len(reqs) // worst-case segment headers
-	if epoch {
-		size += 10 * len(reqs)
-	}
+	size := rdma.BatchHdrBound
 	for _, r := range reqs {
-		size += int(r.Size)
+		size += rdma.DataSegBound(int(r.Size), epoch)
 	}
 	if size > rdma.MaxFrame {
 		return rdma.Frame{}, served{}, errReplyTooLarge

@@ -177,18 +177,14 @@ func replyOp(req rdma.Op) rdma.Op {
 	return rdma.OpChaseData
 }
 
-// batchHdrBound is the worst case of a batch payload's count varint.
-const batchHdrBound = 6
-
 // wireBound is the worst case the op adds to its frame's larger
-// direction — the reply segment of a read or chase (a chase's size is
-// unknown until the server runs the program: the full hop budget), the
-// request tuple of a write. Header fields are varints, charged at full
-// width; compression only shrinks the blobs.
+// direction, as rdma bounds it — the reply segment of a read or chase (a
+// chase's size is unknown until the server runs the program: the full hop
+// budget), the request tuple of a write.
 func (op *pipeOp) wireBound() int {
 	switch {
 	case op.chase:
-		return chaseReplySize(op.creq)
+		return int(rdma.ChaseResultBound(op.creq)) // chaseIssuable kept it under MaxFrame
 	case op.write:
 		n := len(op.data)
 		if op.exts != nil {
@@ -196,11 +192,7 @@ func (op *pipeOp) wireBound() int {
 		}
 		return rdma.WriteReqCBound(n, len(op.exts), op.wantEp)
 	}
-	n := 13 + int(op.size) // the server's bound for a segment header
-	if op.wantEp {
-		n += 10
-	}
-	return n
+	return rdma.DataSegBound(int(op.size), op.wantEp)
 }
 
 // PipelinedClient is a farmem.Store/AsyncStore over one connection that
@@ -848,7 +840,7 @@ func (c *PipelinedClient) planLocked(plans []plannedFrame) []plannedFrame {
 // arrived (measured: +8 % peak RSS on the analytics workload). Caller
 // holds mu.
 func popRun(q *[]*pipeOp, max int) []*pipeOp {
-	req, size, n := (*q)[0].reqOp(), batchHdrBound, 0
+	req, size, n := (*q)[0].reqOp(), rdma.BatchHdrBound, 0
 	for n < max && n < len(*q) {
 		op := (*q)[n]
 		b := op.wireBound()

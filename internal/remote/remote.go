@@ -43,7 +43,6 @@ import (
 type ObjectStore struct {
 	mu sync.RWMutex
 	m  map[[2]uint32]image
-	ep map[[2]uint32]uint64
 }
 
 // image is one stored object as the (scheme, rawLen, bytes) triple a
@@ -51,12 +50,13 @@ type ObjectStore struct {
 // holds the rawLen bytes themselves, SchemeLZ an LZ block that decoded
 // to rawLen bytes when the server validated it on arrival, SchemeWords a
 // lane-packed block that passed rdma.CheckWords for rawLen then,
-// SchemeZero nothing. An absent object reads as image's zero value: raw,
-// no bytes.
+// SchemeZero nothing — plus the object's epoch stamp. An absent object
+// reads as image's zero value: raw, no bytes, epoch 0.
 type image struct {
 	scheme uint8
 	rawLen uint32
 	data   []byte
+	epoch  uint64
 }
 
 // expand fills dst with the image's raw bytes under ReadInto's contract:
@@ -84,7 +84,7 @@ func (im image) expand(dst []byte) {
 
 // NewObjectStore creates an empty store.
 func NewObjectStore() *ObjectStore {
-	return &ObjectStore{m: make(map[[2]uint32]image), ep: make(map[[2]uint32]uint64)}
+	return &ObjectStore{m: make(map[[2]uint32]image)}
 }
 
 // Read copies the object into a fresh buffer of the requested size
@@ -115,19 +115,17 @@ func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) {
 //   - SchemeRaw: dst holds the raw bytes as ReadInto leaves them; n is
 //     len(dst).
 func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme uint8, n int, epoch uint64) {
-	k := [2]uint32{ds, idx}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	im, ok := s.m[k]
-	epoch = s.ep[k]
+	im, ok := s.m[[2]uint32{ds, idx}]
 	switch {
 	case !ok || im.scheme == rdma.SchemeZero:
-		return rdma.SchemeZero, 0, epoch
+		return rdma.SchemeZero, 0, im.epoch
 	case packed && rdma.SchemePacked(im.scheme) && int(im.rawLen) == len(dst):
-		return im.scheme, copy(dst, im.data), epoch
+		return im.scheme, copy(dst, im.data), im.epoch
 	}
 	im.expand(dst)
-	return rdma.SchemeRaw, len(dst), epoch
+	return rdma.SchemeRaw, len(dst), im.epoch
 }
 
 // Write stores a copy of data.
@@ -140,23 +138,23 @@ func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
 // once, a lane-packed one through rdma.CheckWords: the store trusts it
 // from here on.
 func (s *ObjectStore) writeWire(ds, idx uint32, scheme uint8, rawLen uint32, wire []byte) {
+	k := [2]uint32{ds, idx}
 	s.mu.Lock()
-	s.putLocked([2]uint32{ds, idx}, scheme, rawLen, wire)
+	s.m[k] = s.m[k].put(scheme, rawLen, wire)
 	s.mu.Unlock()
 }
 
-// putLocked stores a copy of wire under k (caller holds mu for
-// writing). The resident image's buffer is reused when the new bytes
-// fit it without leaving more than half of it idle — a same-size
-// overwrite allocates nothing, and a block that replaces a raw image
-// does not pin the raw image's footprint. Stored slices never leave the
-// store: every reader copies out under the lock.
-func (s *ObjectStore) putLocked(k [2]uint32, scheme uint8, rawLen uint32, wire []byte) {
-	buf := s.m[k].data[:0]
+// put returns the image holding a copy of wire, its epoch stamp carried
+// over (a stamped write sets it afterwards). The old buffer is reused when
+// the new bytes fit it without leaving more than half of it idle: a
+// same-size overwrite allocates nothing, and a block replacing a raw image
+// does not pin its footprint. Stored slices never leave the store.
+func (im image) put(scheme uint8, rawLen uint32, wire []byte) image {
+	buf := im.data[:0]
 	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
 		buf = nil
 	}
-	s.m[k] = image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...)}
+	return image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...), epoch: im.epoch}
 }
 
 // WriteEpoch stores a copy of data stamped with epoch iff epoch is at
@@ -175,11 +173,13 @@ func (s *ObjectStore) writeWireEpoch(ds, idx uint32, epoch uint64, scheme uint8,
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch < s.ep[k] {
+	im := s.m[k]
+	if epoch < im.epoch {
 		return false
 	}
-	s.putLocked(k, scheme, rawLen, wire)
-	s.ep[k] = epoch
+	im = im.put(scheme, rawLen, wire)
+	im.epoch = epoch
+	s.m[k] = im
 	return true
 }
 
@@ -188,18 +188,18 @@ func (s *ObjectStore) writeWireEpoch(ds, idx uint32, epoch uint64, scheme uint8,
 // happen under one lock acquisition so the pair is a consistent
 // snapshot.
 func (s *ObjectStore) ReadEpochInto(ds, idx uint32, dst []byte) uint64 {
-	k := [2]uint32{ds, idx}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.m[k].expand(dst)
-	return s.ep[k]
+	im := s.m[[2]uint32{ds, idx}]
+	im.expand(dst)
+	return im.epoch
 }
 
 // Epoch returns the stored epoch stamp for an object (0 when absent).
 func (s *ObjectStore) Epoch(ds, idx uint32) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ep[[2]uint32{ds, idx}]
+	return s.m[[2]uint32{ds, idx}].epoch
 }
 
 // Keys returns every stored object key — test and resync-verification
@@ -221,16 +221,10 @@ func (s *ObjectStore) Len() int {
 	return len(s.m)
 }
 
-// Server serves the far-memory protocol on a listener.
+// Server serves the far-memory protocol on a listener, each connection
+// on its own read loop and batchWorkers goroutines (see ServeConn).
 type Server struct {
 	Store *ObjectStore
-
-	// BatchWorkers is the number of goroutines per connection handling
-	// the request frames the read loop does not serve itself (chases,
-	// batches above inlineMaxTuples); they are served concurrently and may
-	// be answered out of order (tags route the replies). <= 0 uses
-	// DefaultBatchWorkers. Set before Listen/ServeConn.
-	BatchWorkers int
 
 	// ConnWrap, when non-nil, wraps every accepted connection before it
 	// is served — the hook cardsd's -chaos flag uses to interpose the
@@ -251,8 +245,11 @@ type Server struct {
 	epoch   time.Time // base for the RecvUS server stamps
 }
 
-// DefaultBatchWorkers is the per-connection request concurrency.
-const DefaultBatchWorkers = 4
+// batchWorkers is the number of goroutines per connection serving the
+// request frames the read loop does not serve itself (chases, batches
+// above inlineMaxTuples), concurrently and possibly out of order (tags
+// route the replies).
+const batchWorkers = 4
 
 // connBufSize sizes the buffered reader each side puts under its frame
 // loop and the writer the server assembles replies in. It holds several
@@ -274,6 +271,7 @@ func NewServerWith(reg *obs.Registry, tr *obs.Tracer) *Server {
 	}
 	return &Server{
 		Store:   NewObjectStore(),
+		conns:   make(map[io.ReadWriteCloser]struct{}),
 		reg:     reg,
 		tracer:  tr,
 		metrics: newServerMetrics(reg),
@@ -331,9 +329,6 @@ func (s *Server) trackConn(conn io.ReadWriteCloser, add bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if add {
-		if s.conns == nil {
-			s.conns = make(map[io.ReadWriteCloser]struct{})
-		}
 		s.conns[conn] = struct{}{}
 	} else {
 		delete(s.conns, conn)
@@ -346,8 +341,8 @@ func (s *Server) trackConn(conn io.ReadWriteCloser, add bool) {
 // The first frame must be a HELLO this server can run (rdma/hello.go);
 // anything else is answered with ERR and the connection closed. After
 // it only tagged verbs exist. A fault-sized batch (inlineMaxTuples) is
-// served where it was read; a chase or a longer batch goes to a small
-// per-connection worker pool and is answered whenever it completes —
+// served where it was read; a chase or a longer batch goes to the
+// connection's batchWorkers and is answered whenever it completes —
 // possibly out of order; the tag routes each reply. Callers that need
 // write-then-read ordering for an object get it from the write
 // acknowledgement: ACKBATCH-C is sent only after the store mutation, so a
@@ -380,29 +375,23 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		trace:    h.Opts&rdma.OptTrace != 0,
 		compress: h.Opts&rdma.OptCompress != 0,
 		jobs:     make(chan batchJob),
-		end:      make(chan struct{}),
 	}
 	c.fr = rdma.NewFrameReader(br, c.trace)
-	workers := s.BatchWorkers
-	if workers <= 0 {
-		workers = DefaultBatchWorkers
-	}
-	c.loops.Add(workers)
-	for i := 0; i < workers; i++ {
+	var workers sync.WaitGroup
+	workers.Add(batchWorkers)
+	for i := 0; i < batchWorkers; i++ {
 		go func() {
-			defer c.loops.Done()
+			defer workers.Done()
 			var w workerScratch
 			defer w.release()
 			for j := range c.jobs {
-				c.serve(j, &w, nil)
+				c.serve(j, &w, false)
 			}
 		}()
 	}
-	defer c.loops.Wait()
-	defer close(c.jobs)
-
 	c.readLoop()
-	<-c.end // a stalled flush hands the loop on: whoever holds it last closes end
+	close(c.jobs)
+	workers.Wait()
 }
 
 // inlineMaxTuples is the largest READBATCH-C or WRITEBATCH-C the read
@@ -423,47 +412,33 @@ func inlineSized(f rdma.Frame) bool {
 	return ok && n <= inlineMaxTuples
 }
 
-// flushStall is how long a burst flush may sit in the connection's Write
-// before the read loop moves to another goroutine: long against a write
-// to a socket with room (microseconds), short against a client's stall
-// detector (its Timeout, tens of milliseconds and up).
-const flushStall = time.Millisecond
-
-// readLoopState is what the goroutine running readLoop owns.
-type readLoopState struct {
-	w      workerScratch
-	staged []byte      // replies served here and not yet written: whole frames
-	owed   int64       // the requests they answer, in flight until written
-	stall  *time.Timer // watches flush
-}
+// stagedMax bounds the replies a read burst stages before writing them: a
+// fault's doorbell (an ack and ~4 KiB of data) and a prefetch window (up
+// to 32 KiB) stay one Write; tiny requests for large objects cannot stage
+// a reader's worth of frames times MaxFrame.
+const stagedMax = 4 * connBufSize
 
 // readLoop is the connection's run-to-completion loop: read a frame,
 // serve it here if it is fault-sized, stage the reply, and write what is
-// staged — once — when the next frame is not already in the buffer. Its
-// invariants: it never waits, for the socket or for a free worker, with
-// reply bytes staged; a request stays in flight until its reply has been
-// written, not merely staged, so Drain cannot close the connection over
-// one; on any exit it writes what it can and settles the gauge.
-//
-// One goroutine runs it at a time: first ServeConn's, then whichever a
-// stalled flush moved it to.
+// staged — once — when the next frame is not already in the buffer or
+// stagedMax is reached. Its invariants: it never waits, for the socket or
+// for a free worker, with reply bytes staged; a request stays in flight
+// until its reply has been written, not merely staged, so Drain cannot
+// close the connection over one; on any exit it writes what it can and
+// settles the gauge. A peer that stops reading parks the write, and its
+// own connection with it: ordinary backpressure, bounded by Drain.
 func (c *srvConn) readLoop() {
 	s := c.s
-	rl := &readLoopState{}
-	rl.stall = time.AfterFunc(time.Hour, func() {
-		defer c.loops.Done()
-		c.stalled.Add(1)
-		c.readLoop()
-	})
-	rl.stall.Stop()
-	defer rl.w.release()
+	var w workerScratch
+	defer w.release()
+	defer c.flush()
 	for {
-		if len(rl.staged) > 0 && !c.fr.Buffered() && !c.flush(rl) {
-			return
+		if len(c.staged) > 0 && (!c.fr.Buffered() || len(c.staged) >= stagedMax) {
+			c.flush()
 		}
 		f, err := c.fr.Read()
 		if err != nil {
-			break
+			return
 		}
 		s.metrics.bytesIn.Add(f.WireSize())
 		if !f.Op.Tagged() {
@@ -474,61 +449,38 @@ func (c *srvConn) readLoop() {
 			resp := rdma.HelloErrFrame(fmt.Sprintf("unexpected %s mid-session", f.Op))
 			s.metrics.wire.add(resp.Op, resp.WireSize())
 			s.metrics.bytesOut.Add(resp.WireSize())
-			rl.staged = rdma.AppendFrameCRC(rl.staged, resp)
+			c.staged = rdma.AppendFrameCRC(c.staged, resp)
 			rdma.PutBuf(f.Payload)
-			break
+			return
 		}
 		s.metrics.inflight.Add(1)
 		j := batchJob{f: f, recv: time.Now()}
-		if inlineSized(f) && c.stalled.Load() == 0 {
-			c.serve(j, &rl.w, rl)
+		if inlineSized(f) {
+			c.serve(j, &w, true)
 			continue
 		}
 		// Every worker may be busy, perhaps parked behind a slow peer: what
 		// is staged goes out before this waits for one.
-		if !c.flush(rl) {
-			// No longer the loop, so not a sender ServeConn waits for before
-			// it closes jobs: serve this one as a worker would.
-			c.serve(j, &rl.w, nil)
-			return
-		}
+		c.flush()
 		c.jobs <- j // reply sent by a worker, possibly out of order
-	}
-	if c.flush(rl) {
-		close(c.end)
 	}
 }
 
 // flush writes the staged replies in one Write and settles what they
 // owed whether or not it succeeded (after a failed write the read side
-// fails next). It reports whether the caller still holds the read loop.
-// A peer that has stopped reading can park the Write, and this goroutine
-// with it; requests would then sit unread where the pool alone would have
-// absorbed BatchWorkers of them. So a timer watches the write: still
-// parked after flushStall, the timer's goroutine takes the read loop over
-// — with every frame going to the pool, as if nothing were inline-sized,
-// until the parked write returns — and this goroutine then settles and
-// leaves.
-func (c *srvConn) flush(rl *readLoopState) (held bool) {
-	if len(rl.staged) == 0 {
-		return true
+// fails next).
+func (c *srvConn) flush() {
+	if len(c.staged) == 0 {
+		return
 	}
-	c.loops.Add(1) // for the takeover, should it start
-	rl.stall.Reset(flushStall)
 	c.wmu.Lock()
-	c.conn.Write(rl.staged) // bw is empty: every send flushes before it unlocks
+	c.conn.Write(c.staged) // bw is empty: every send flushes before it unlocks
 	c.wmu.Unlock()
-	if held = rl.stall.Stop(); held {
-		c.loops.Done()
-	} else {
-		c.stalled.Add(-1)
+	c.s.metrics.inflight.Add(-c.owed)
+	c.owed = 0
+	if c.staged = c.staged[:0]; cap(c.staged) > stagedMax {
+		c.staged = nil // one oversized burst must not pin its buffer
 	}
-	c.s.metrics.inflight.Add(-rl.owed)
-	rl.owed = 0
-	if rl.staged = rl.staged[:0]; cap(rl.staged) > 4*connBufSize {
-		rl.staged = nil // one oversized burst must not pin its buffer
-	}
-	return held
 }
 
 // acceptHello runs the server half of the handshake on a fresh
@@ -572,11 +524,14 @@ type srvConn struct {
 	trace    bool // every tagged frame carries the trace block
 	compress bool // replies may carry compressed segments
 
-	fr      *rdma.FrameReader // owned by whoever runs readLoop
-	jobs    chan batchJob     // to the worker pool
-	end     chan struct{}     // closed by the last holder of readLoop
-	loops   sync.WaitGroup    // workers, and goroutines readLoop moved to
-	stalled atomic.Int32      // burst flushes parked past flushStall
+	jobs chan batchJob // to the worker pool
+
+	// Owned by readLoop: its reader, the replies it served and has not yet
+	// written (whole frames), and the requests they answer — in flight
+	// until written.
+	fr     *rdma.FrameReader
+	staged []byte
+	owed   int64
 
 	// Workers reply concurrently with each other and with the read loop's
 	// burst writes: everything written to the connection is whole frames
@@ -623,9 +578,9 @@ type served struct {
 	n, hops int     // tuples served; hops walked (chases only)
 }
 
-// serve answers one tagged request, on a worker (rl nil: the reply is
-// sent and the request stops counting as in flight) or on the read loop
-// (the reply is staged in rl and settled when the burst is written). It
+// serve answers one tagged request, on a worker (the reply is sent and
+// the request stops counting as in flight) or inline on the read loop
+// (the reply is staged and settled when the burst is written). It
 // is the one envelope around every verb: pickup time, per-verb wire
 // accounting of request and reply, a failed body (undecodable request,
 // oversized reply, unknown verb) turned into a definitive ERRTAG, and the
@@ -634,7 +589,7 @@ type served struct {
 // replies are stamped too. The stamp's service time ends here, before any
 // write: a burst's flush is charged to the wire. Both payloads go back to
 // the pool.
-func (c *srvConn) serve(j batchJob, w *workerScratch, rl *readLoopState) {
+func (c *srvConn) serve(j batchJob, w *workerScratch, inline bool) {
 	s, f := c.s, j.f
 	start := time.Now()
 	var startUS uint64
@@ -657,10 +612,10 @@ func (c *srvConn) serve(j batchJob, w *workerScratch, rl *readLoopState) {
 			uint32(time.Since(start).Microseconds()),
 		)
 	}
-	if rl != nil {
+	if inline {
 		s.metrics.bytesOut.Add(resp.WireSize())
-		rl.staged = rdma.AppendFrameCRC(rl.staged, resp)
-		rl.owed++
+		c.staged = rdma.AppendFrameCRC(c.staged, resp)
+		c.owed++
 	} else {
 		c.send(resp)
 		s.metrics.inflight.Add(-1)
@@ -708,19 +663,21 @@ func (s *Server) Counts() (uint64, uint64) {
 
 // Close stops the listener and waits for connections to drain.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	if !s.stopAccepting() {
+		s.wg.Wait()
 	}
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
 	return nil
+}
+
+// stopAccepting closes the listener, once; it reports whether an earlier
+// Close or Drain already had.
+func (s *Server) stopAccepting() (already bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if already, s.closed = s.closed, true; !already && s.ln != nil {
+		s.ln.Close()
+	}
+	return already
 }
 
 // Drain performs a graceful shutdown: stop accepting, let in-flight
@@ -730,25 +687,12 @@ func (s *Server) Close() error {
 // logic treats as an ordinary cut. Returns true if in-flight work hit
 // zero before the timeout.
 func (s *Server) Drain(timeout time.Duration) bool {
-	s.mu.Lock()
-	closed := s.closed
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil && !closed {
-		ln.Close()
-	}
+	s.stopAccepting()
 	deadline := time.Now().Add(timeout)
-	drained := false
-	for {
-		if s.metrics.inflight.Load() == 0 {
-			drained = true
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
+	drained := s.metrics.inflight.Load() == 0
+	for !drained && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+		drained = s.metrics.inflight.Load() == 0
 	}
 	s.mu.Lock()
 	conns := make([]io.ReadWriteCloser, 0, len(s.conns))
