@@ -83,14 +83,15 @@ fuzz-smoke:
 # handshake/cut/timeout/uncertain-write/reconnect tests, cardsd's
 # read-burst serving under cuts, drains and parked writes, and the
 # down-and-resume outage cycle (internal/remote), the breaker, prober and
-# async fault paths (internal/farmem), the per-backend fault domains
+# async fault paths and the write-back sweep's failed, parked, scoped and
+# reentrant drains (internal/farmem), the per-backend fault domains
 # over them (internal/shardmap, internal/replica), and the injector
 # itself (internal/faultnet). Schedules are seeded in the tests, so a run
 # is reproducible.
 chaos:
 	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
-	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle' ./internal/farmem
+	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestFailedRangeWrite|TestWriteBackSweepReentrancy' ./internal/farmem
 	$(GO) test -v ./internal/shardmap ./internal/replica
 	$(GO) test -v ./internal/faultnet
 

@@ -56,9 +56,8 @@ type AsyncChaseStore interface {
 // program when the caller does not choose one.
 const DefaultChaseHops = 16
 
-// pendingChase is one in-flight traversal program. Like pendingFetch,
-// the store's completion callback fills exactly one slot of done and the
-// single-threaded runtime harvests it with wait/ready.
+// pendingChase is one in-flight traversal program. The store's callback
+// stores the path in res before it completes the embedded completion.
 type pendingChase struct {
 	d        *DS
 	start    int
@@ -66,32 +65,8 @@ type pendingChase struct {
 	bytes    uint64 // inflightBytes charged (hop budget x object size)
 	readyAt  uint64 // virtual settle cycle (link.FetchAsync)
 	res      rdma.ChaseResult
-	done     chan error
-	err      error
-	settled  bool
 	consumed bool // settleChase ran; guards double-accounting
-}
-
-func (p *pendingChase) wait() error {
-	if !p.settled {
-		p.err = <-p.done
-		p.settled = true
-	}
-	return p.err
-}
-
-func (p *pendingChase) ready() bool {
-	if p.settled {
-		return true
-	}
-	select {
-	case err := <-p.done:
-		p.err = err
-		p.settled = true
-		return true
-	default:
-		return false
-	}
+	completion
 }
 
 // ChaseReady reports whether traversal offload is currently usable for
@@ -196,11 +171,11 @@ func (r *Runtime) issueChase(d *DS, start, hops int) bool {
 	bytes := uint64(hops) * objSize
 	rootMine := r.beginRoot()
 	p := &pendingChase{
-		d:     d,
-		start: start,
-		gen:   d.chaseGen,
-		bytes: bytes,
-		done:  make(chan error, 1),
+		d:          d,
+		start:      start,
+		gen:        d.chaseGen,
+		bytes:      bytes,
+		completion: newCompletion(),
 	}
 	req := rdma.ChaseReq{
 		DS:      uint32(d.ID),
@@ -211,7 +186,7 @@ func (r *Runtime) issueChase(d *DS, start, hops int) bool {
 	}
 	r.chaser.IssueChase(req, func(res rdma.ChaseResult, err error) {
 		p.res = res
-		p.done <- err
+		p.fn(err)
 	})
 	// One round trip carries the whole window's payload.
 	p.readyAt = r.link.FetchAsync(int(bytes))

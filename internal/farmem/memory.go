@@ -538,7 +538,7 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 		// be the destination because the arena slab may move (grow) while
 		// the read is in flight.
 		p := r.getFetch(d.Meta.ObjSize)
-		r.astore.IssueRead(d.ID, idx, p.buf, p.complete)
+		r.astore.IssueRead(d.ID, idx, p.buf, p.fn)
 		obj.pending = p
 	} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 		r.arena.Free(frame, d.Meta.ObjSize)
@@ -560,23 +560,20 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 }
 
 // getFetch takes a pendingFetch for an object of the given size from the
-// free list, or makes one. Staging buffer, completion channel and the
-// completion callback handed to the store are all reused: a prefetch
-// issue allocates nothing once the lookahead window has been filled
-// once.
+// free list, or makes one. Staging buffer and completion (channel and
+// the callback handed to the store) are both reused: a prefetch issue
+// allocates nothing once the lookahead window has been filled once.
 func (r *Runtime) getFetch(size int) *pendingFetch {
 	if l := r.pfFree[size]; len(l) > 0 {
 		p := l[len(l)-1]
 		r.pfFree[size] = l[:len(l)-1]
 		return p
 	}
-	p := &pendingFetch{buf: make([]byte, size), done: make(chan error, 1)}
-	p.complete = func(err error) { p.done <- err }
-	return p
+	return &pendingFetch{buf: make([]byte, size), completion: newCompletion()}
 }
 
 // putFetch recycles p. Only harvest calls it, and only after p.wait()
-// returned: the store invokes complete exactly once, after its last
+// returned: the store invokes fn exactly once, after its last
 // access to buf, so a received completion — success or failure — is the
 // proof that nobody else still holds the buffer.
 func (r *Runtime) putFetch(p *pendingFetch) {

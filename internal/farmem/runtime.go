@@ -97,49 +97,55 @@ type FarObj struct {
 	pending *pendingFetch
 }
 
-// pendingFetch is the completion state of one asynchronous read. The
-// store's completion callback fills exactly one slot of done (buffered,
-// so the callback never blocks); the single-threaded runtime harvests it
-// with wait/ready and caches the result in err/settled.
-//
-// The payload lands in buf — a private staging buffer, not the arena
-// frame — because the arena slab may be reallocated (grown) while the
-// read is in flight, which would invalidate any slice into it.
-//
-// A pendingFetch outlives its read: harvest returns it to the runtime's
-// per-size free list (getFetch/putFetch in memory.go), so buf, done and
-// complete — the callback handed to the store, bound once — are made
-// once per lookahead slot, not once per prefetch.
-type pendingFetch struct {
-	buf      []byte
-	done     chan error
-	complete func(error)
-	err      error
-	settled  bool
+// completion is how the runtime learns that one asynchronous store op
+// (a fetch, a staged write-back, a chase) finished. The store calls fn,
+// bound once by newCompletion, exactly once — possibly on another
+// goroutine, possibly before the issuing call returns; it fills the one
+// slot of a buffered channel, so it never blocks. The single-threaded
+// runtime harvests it with wait or ready, which cache the result.
+type completion struct {
+	ch      chan error
+	fn      func(error)
+	err     error
+	settled bool
 }
 
-// wait blocks until the read completes and returns its error.
-func (p *pendingFetch) wait() error {
-	if !p.settled {
-		p.err = <-p.done
-		p.settled = true
+func newCompletion() completion {
+	ch := make(chan error, 1)
+	return completion{ch: ch, fn: func(err error) { ch <- err }}
+}
+
+// wait blocks until the op completes and returns its error.
+func (c *completion) wait() error {
+	if !c.settled {
+		c.err, c.settled = <-c.ch, true
 	}
-	return p.err
+	return c.err
 }
 
 // ready polls for completion without blocking.
-func (p *pendingFetch) ready() bool {
-	if p.settled {
-		return true
+func (c *completion) ready() bool {
+	if !c.settled {
+		select {
+		case c.err = <-c.ch:
+			c.settled = true
+		default:
+		}
 	}
-	select {
-	case err := <-p.done:
-		p.err = err
-		p.settled = true
-		return true
-	default:
-		return false
-	}
+	return c.settled
+}
+
+// pendingFetch is the completion state of one asynchronous read. The
+// payload lands in buf — a private staging buffer, not the arena frame —
+// because the arena slab may be reallocated (grown) while the read is in
+// flight, which would invalidate any slice into it.
+//
+// A pendingFetch outlives its read: harvest returns it to the runtime's
+// per-size free list (getFetch/putFetch in memory.go), so buf and the
+// completion are made once per lookahead slot, not once per prefetch.
+type pendingFetch struct {
+	buf []byte
+	completion
 }
 
 // DSStats is a snapshot of one structure's runtime counters.

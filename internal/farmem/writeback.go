@@ -56,9 +56,7 @@ type wbKey struct {
 }
 
 // pendingWB is one staged write-back: the payload snapshot, its
-// completion channel, and the virtual cycle at which the transfer
-// settles. Like pendingFetch, the store's completion callback fills
-// exactly one slot of done and the single-threaded runtime harvests it.
+// completion, and the virtual cycle at which the transfer settles.
 type pendingWB struct {
 	key  wbKey
 	d    *DS
@@ -68,39 +66,13 @@ type pendingWB struct {
 	// exts, when non-nil, are the modified ranges within buf: the write
 	// was issued as a range write (dirtyrange.go). buf still holds the
 	// FULL object so a synchronous reissue replays the whole image.
-	exts    []rdma.Extent
-	doneAt  uint64 // virtual settle cycle (link.WriteBackAsync)
-	done    chan error
-	err     error
-	settled bool
+	exts   []rdma.Extent
+	doneAt uint64 // virtual settle cycle (link.WriteBackAsync)
 	// parked marks an entry whose write — async and sync reissue both —
 	// was refused (degraded shard): buf holds the only durable copy and
 	// the entry waits for a recovery drain.
 	parked bool
-}
-
-// wait blocks until the write completes and returns its error.
-func (p *pendingWB) wait() error {
-	if !p.settled {
-		p.err = <-p.done
-		p.settled = true
-	}
-	return p.err
-}
-
-// ready polls for completion without blocking.
-func (p *pendingWB) ready() bool {
-	if p.settled {
-		return true
-	}
-	select {
-	case err := <-p.done:
-		p.err = err
-		p.settled = true
-		return true
-	default:
-		return false
-	}
+	completion
 }
 
 // getWBBuf returns a staging buffer of exactly n bytes from the
@@ -139,6 +111,22 @@ func (r *Runtime) releaseWB(p *pendingWB) {
 	p.exts = nil
 }
 
+// liveWB reports whether p is still its object's staged entry. The
+// order list drops released entries lazily: every walk rechecks here.
+func (r *Runtime) liveWB(p *pendingWB) bool { return r.wbPending[p.key] == p }
+
+// rewriteWB writes a staged entry back synchronously from its snapshot
+// and, when the store takes it, charges the round trip and releases the
+// entry.
+func (r *Runtime) rewriteWB(p *pendingWB) error {
+	err := r.storeWrite(p.d, p.idx, p.buf)
+	if err == nil {
+		r.link.WriteBack(p.size)
+		r.releaseWB(p)
+	}
+	return err
+}
+
 // settleWB consumes one staged write's completion (blocking if needed).
 // On failure it records the fault against the breaker — unless the
 // failure is a contained per-shard degradation — and reissues the write
@@ -152,9 +140,7 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 	}
 	r.noteFault(p.err)
 	r.stats.WriteBackReissues++
-	if err := r.storeWrite(p.d, p.idx, p.buf); err == nil {
-		r.link.WriteBack(p.size)
-		r.releaseWB(p)
+	if r.rewriteWB(p) == nil {
 		return true
 	}
 	p.parked = true
@@ -162,32 +148,35 @@ func (r *Runtime) settleWB(p *pendingWB) bool {
 	return false
 }
 
-// harvestWriteBacks opportunistically settles every staged write whose
-// completion has already arrived, without blocking. Called before the
-// budget check so completed writes never cause a backpressure stall.
-//
-// The wbBusy guard makes order-list scans non-reentrant: settleWB's
-// synchronous reissue runs through storeOp, whose recovery hooks call
-// drainParked — which must not rebuild wbOrder under an active scan.
-func (r *Runtime) harvestWriteBacks() {
+// sweepWB is the one walk over the order list: it visits every live
+// entry in issue order, keeps those keep reports true for, and compacts
+// the list in place. It reports false, visiting nothing, when a sweep is
+// already active: keep's synchronous reissues run through storeOp, whose
+// recovery hooks reach drainParked, and that must not rebuild the list
+// under the walk above it.
+func (r *Runtime) sweepWB(keep func(p *pendingWB) bool) bool {
 	if r.wbBusy {
-		return
+		return false
 	}
 	r.wbBusy = true
 	defer func() { r.wbBusy = false }()
 	kept := r.wbOrder[:0]
 	for _, p := range r.wbOrder {
-		if r.wbPending[p.key] != p {
-			continue // settled earlier; lazy order-list cleanup
+		if r.liveWB(p) && keep(p) {
+			kept = append(kept, p)
 		}
-		if !p.parked && r.clock.Now() >= p.doneAt && p.ready() {
-			if r.settleWB(p) {
-				continue
-			}
-		}
-		kept = append(kept, p)
 	}
 	r.wbOrder = kept
+	return true
+}
+
+// harvestWriteBacks opportunistically settles every staged write whose
+// completion has already arrived, without blocking. Called before the
+// budget check so completed writes never cause a backpressure stall.
+func (r *Runtime) harvestWriteBacks() {
+	r.sweepWB(func(p *pendingWB) bool {
+		return p.parked || r.clock.Now() < p.doneAt || !p.ready() || !r.settleWB(p)
+	})
 }
 
 // waitOldestWB blocks on the oldest unsettled staged write to free
@@ -195,13 +184,12 @@ func (r *Runtime) harvestWriteBacks() {
 // entries remain, or nothing is pending).
 func (r *Runtime) waitOldestWB() bool {
 	for _, p := range r.wbOrder {
-		if r.wbPending[p.key] != p || p.parked {
-			continue
+		if r.liveWB(p) && !p.parked {
+			r.stats.WriteBackStalls++
+			r.link.WaitUntil(p.doneAt)
+			r.settleWB(p)
+			return true
 		}
-		r.stats.WriteBackStalls++
-		r.link.WaitUntil(p.doneAt)
-		r.settleWB(p)
-		return true
 	}
 	return false
 }
@@ -240,7 +228,7 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	copy(buf, r.arena.Bytes(obj.frame, sz))
 	exts := r.rangeExtents(d, obj)
 	p := &pendingWB{key: key, d: d, idx: idx, buf: buf, size: sz, exts: exts,
-		done: make(chan error, 1)}
+		completion: newCompletion()}
 	if exts != nil {
 		// Only the extent bytes ride the wire; the virtual link charge
 		// shrinks with them.
@@ -259,9 +247,9 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	r.wbBytes += uint64(sz)
 	r.stats.StagedWriteBacks++
 	if exts != nil {
-		r.rwstore.IssueWriteRanges(d.ID, idx, buf, exts, func(err error) { p.done <- err })
+		r.rwstore.IssueWriteRanges(d.ID, idx, buf, exts, p.fn)
 	} else {
-		r.awstore.IssueWrite(d.ID, idx, buf, func(err error) { p.done <- err })
+		r.awstore.IssueWrite(d.ID, idx, buf, p.fn)
 	}
 	return true
 }
@@ -309,42 +297,21 @@ func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 // drainParked is drainDirty's second half: it reissues the parked
 // staged writes — under a scope only those whose owning slice recovered
 // after sinceEpoch; the rest stay parked without a fail-fast attempt.
-// Returns true when some entries remain parked.
+// Returns true when some entries remain parked, and when a sweep above
+// it owns the list (so degradedDirty stays armed).
 func (r *Runtime) drainParked(scope DrainScoper, sinceEpoch uint64) (remain bool) {
-	if r.wbBusy {
-		// An order-list scan is active above us; leave its list alone and
-		// report work remaining so degradedDirty stays armed.
-		return true
-	}
-	r.wbBusy = true
-	defer func() { r.wbBusy = false }()
-	kept := r.wbOrder[:0]
-	for _, p := range r.wbOrder {
-		if r.wbPending[p.key] != p {
-			continue
-		}
+	swept := r.sweepWB(func(p *pendingWB) bool {
 		if !p.parked {
-			kept = append(kept, p)
-			continue
+			return true
 		}
-		if scope != nil && !scope.ShouldDrain(p.d.ID, p.idx, sinceEpoch) {
-			// Parked entries are stranded by definition; keep this one
-			// armed for a future recovery epoch.
+		if (scope != nil && !scope.ShouldDrain(p.d.ID, p.idx, sinceEpoch)) || r.rewriteWB(p) != nil {
 			remain = true
-			kept = append(kept, p)
-			continue
+			return true
 		}
-		if err := r.storeWrite(p.d, p.idx, p.buf); err != nil {
-			remain = true
-			kept = append(kept, p)
-			continue
-		}
-		r.link.WriteBack(p.size)
 		r.stats.DrainedWriteBacks++
-		r.releaseWB(p)
-	}
-	r.wbOrder = kept
-	return remain
+		return false
+	})
+	return remain || !swept
 }
 
 // DrainWriteBacks settles every staged write-back, blocking for
@@ -353,38 +320,23 @@ func (r *Runtime) drainParked(scope DrainScoper, sinceEpoch uint64) (remain bool
 // epochs, checksum verification, Close). Entries whose reissue is still
 // refused stay parked; the first such error is returned.
 func (r *Runtime) DrainWriteBacks() error {
-	if r.wbBusy {
-		return nil
-	}
-	r.wbBusy = true
-	defer func() { r.wbBusy = false }()
 	var firstErr error
-	order := r.wbOrder
-	kept := order[:0]
-	for _, p := range order {
-		if r.wbPending[p.key] != p {
-			continue
-		}
+	r.sweepWB(func(p *pendingWB) bool {
 		if !p.parked {
 			r.link.WaitUntil(p.doneAt)
 			if r.settleWB(p) {
-				continue
+				return false
 			}
 		}
 		// Parked (possibly just now): one more synchronous attempt — a
 		// recovered shard accepts it and the entry retires.
 		r.stats.WriteBackReissues++
-		if err := r.storeWrite(p.d, p.idx, p.buf); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			kept = append(kept, p)
-			continue
+		err := r.rewriteWB(p)
+		if firstErr == nil {
+			firstErr = err
 		}
-		r.link.WriteBack(p.size)
-		r.releaseWB(p)
-	}
-	r.wbOrder = kept
+		return err != nil
+	})
 	return firstErr
 }
 

@@ -46,7 +46,9 @@ func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResu
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	c.enqueue(&pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req, cdone: done})
+	op := &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}
+	op.done = func(err error) { done(op.cres, err) }
+	c.enqueue(op)
 }
 
 // Chase implements farmem.ChaseStore (issue + wait).

@@ -452,24 +452,6 @@ func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.
 	})
 }
 
-// IssueWriteRangesEpoch is IssueWriteRanges with an epoch stamp. The
-// server applies a full object only when epoch is at least the stored
-// stamp, and acknowledges either way — a positive ack means "the object
-// is at >= epoch", which is exactly the idempotent contract replayed
-// write-backs need. It applies a splice only onto the
-// immediate-predecessor image (see ObjectStore.WriteRangeEpoch); a stale
-// base completes done with ErrStaleRangeBase so the replication layer
-// can mark the member divergent and schedule a full-object resync.
-func (c *PipelinedClient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
-	if !rangeWritable(src, exts) {
-		exts = nil
-	}
-	c.enqueue(&pipeOp{
-		write: true, wantEp: true, ds: uint32(ds), idx: uint32(idx),
-		epoch: epoch, data: src, exts: exts, done: done,
-	})
-}
-
 // compressInto applies the client-side compression decision to one
 // outgoing object. One scan classifies it — all zero, small words, or
 // neither; then, when the session asked for OptCompress and the adaptive

@@ -248,7 +248,7 @@ func TestCompactRangeWriteEpoch(t *testing.T) {
 	srv, cl := startPipelined(t, PipelineOpts{})
 
 	base := compressible(512)
-	if err := cl.WriteObjEpoch(4, 1, 1, base); err != nil {
+	if err := writeEpoch(cl, 4, 1, 1, base); err != nil {
 		t.Fatal(err)
 	}
 	img := append([]byte(nil), base...)
@@ -288,7 +288,7 @@ func TestCompactRangeWriteEpoch(t *testing.T) {
 	// An obsolete epoch (stored moved ahead) is dropped, ack positive.
 	newer := append([]byte(nil), img...)
 	newer[0] = 0xFF
-	if err := cl.WriteObjEpoch(4, 1, 5, newer); err != nil {
+	if err := writeEpoch(cl, 4, 1, 5, newer); err != nil {
 		t.Fatal(err)
 	}
 	cl.IssueWriteRangesEpoch(4, 1, 2, img, exts, func(err error) { errCh <- err })

@@ -8,6 +8,21 @@ import (
 	"cards/internal/testutil"
 )
 
+// readEpoch is IssueReadEpoch, waited for.
+func readEpoch(c *PipelinedClient, ds, idx int, dst []byte) (epoch uint64, err error) {
+	done := make(chan struct{})
+	c.IssueReadEpoch(ds, idx, dst, func(e uint64, er error) { epoch, err = e, er; close(done) })
+	<-done
+	return epoch, err
+}
+
+// writeEpoch is a full-object IssueWriteRangesEpoch, waited for.
+func writeEpoch(c *PipelinedClient, ds, idx int, epoch uint64, src []byte) error {
+	errCh := make(chan error, 1)
+	c.IssueWriteRangesEpoch(ds, idx, epoch, src, nil, func(err error) { errCh <- err })
+	return <-errCh
+}
+
 // TestRetiredOpcodesAreRefused: the opcodes protocol versions 1 and 2
 // used for the fixed-width and epoch verb families are reserved. Sent
 // mid-session — here with payloads that were valid requests then — each

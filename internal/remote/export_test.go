@@ -4,4 +4,5 @@ package remote
 var (
 	StartPipelined = startPipelined
 	Compressible   = compressible
+	ReadEpoch      = readEpoch
 )

@@ -175,10 +175,10 @@ func TestWireAccountingCoversEveryVerb(t *testing.T) {
 			if err := cl.ReadObj(1, 0, make([]byte, 512)); err != nil {
 				t.Fatal(err)
 			}
-			if err := cl.WriteObjEpoch(2, 0, 1, img); err != nil {
+			if err := writeEpoch(cl, 2, 0, 1, img); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cl.ReadObjEpoch(2, 0, make([]byte, 512)); err != nil {
+			if _, err := readEpoch(cl, 2, 0, make([]byte, 512)); err != nil {
 				t.Fatal(err)
 			}
 			errCh := make(chan error, 1)

@@ -31,14 +31,12 @@ const DefaultReconnectAttempts = 6
 
 // PipelineOpts tunes a PipelinedClient.
 type PipelineOpts struct {
-	// Window bounds the read operations in flight on the wire (default
-	// 64). This is the pipeline depth: higher hides more round trips but
-	// holds more completion state.
+	// Window bounds the reads in flight on the wire, and separately the
+	// writes (default 64). This is the pipeline depth: higher hides more
+	// round trips but holds more completion state. Writes have a window
+	// of their own so a backlog of write-backs never starves demand reads
+	// of in-flight slots, and vice versa.
 	Window int
-	// WriteWindow bounds the writes in flight on the wire (default
-	// Window). Writes have their own window so a backlog of write-backs
-	// never starves demand reads of in-flight slots, and vice versa.
-	WriteWindow int
 	// MaxBatch bounds the reads coalesced into one READBATCH-C frame and
 	// the writes coalesced into one WRITEBATCH-C (default 32, clamped to
 	// Window).
@@ -97,9 +95,6 @@ func (o PipelineOpts) withDefaults() PipelineOpts {
 	if o.Window <= 0 {
 		o.Window = 64
 	}
-	if o.WriteWindow <= 0 {
-		o.WriteWindow = o.Window
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
 	}
@@ -110,7 +105,9 @@ func (o PipelineOpts) withDefaults() PipelineOpts {
 }
 
 // pipeOp is one queued or in-flight operation. Completion is delivered
-// exactly once: through done when set (async reads), else through ch.
+// exactly once: through done when set (async callers), else through ch.
+// What a read or chase returns beyond the error travels in the op
+// (epoch, cres); the verbs that hand it to their caller read it there.
 type pipeOp struct {
 	write         bool
 	wantEp        bool // ride the epoch-stamped verbs
@@ -124,8 +121,6 @@ type pipeOp struct {
 	creq          rdma.ChaseReq    // chase: the traversal program
 	cres          rdma.ChaseResult // chase: decoded path (hop data caller-owned)
 	done          func(error)
-	edone         func(uint64, error)           // epoch-read completion (exclusive with done/ch)
-	cdone         func(rdma.ChaseResult, error) // chase completion (exclusive with done/ch)
 	ch            chan error
 	start         time.Time       // set when metrics or tracing are attached
 	sentAt        time.Time       // doorbell time (tracing sessions only)
@@ -134,14 +129,6 @@ type pipeOp struct {
 }
 
 func (op *pipeOp) complete(err error) {
-	if op.cdone != nil {
-		op.cdone(op.cres, err)
-		return
-	}
-	if op.edone != nil {
-		op.edone(op.epoch, err)
-		return
-	}
 	if op.done != nil {
 		op.done(err)
 		return
@@ -709,7 +696,7 @@ func (c *PipelinedClient) flushable() bool {
 		return c.down && len(c.queue)+len(c.wqueue) > 0
 	}
 	return (len(c.queue) > 0 && c.inflight < c.opts.Window) ||
-		(len(c.wqueue) > 0 && c.inflightW < c.opts.WriteWindow)
+		(len(c.wqueue) > 0 && c.inflightW < c.opts.Window)
 }
 
 // plannedFrame is one batch the flusher registered under mu and then
@@ -808,13 +795,13 @@ func (c *PipelinedClient) planLocked(plans []plannedFrame) []plannedFrame {
 	if c.trace {
 		now = time.Now() // doorbell timestamp shared by this wakeup's ops
 	}
+	window := c.opts.Window
 	for _, w := range [2]struct {
 		q        *[]*pipeOp
 		inflight *int
-		window   int
-	}{{&c.queue, &c.inflight, c.opts.Window}, {&c.wqueue, &c.inflightW, c.opts.WriteWindow}} {
-		for len(*w.q) > 0 && *w.inflight < w.window {
-			ops := popRun(w.q, min(c.opts.MaxBatch, w.window-*w.inflight))
+	}{{&c.queue, &c.inflight}, {&c.wqueue, &c.inflightW}} {
+		for len(*w.q) > 0 && *w.inflight < window {
+			ops := popRun(w.q, min(c.opts.MaxBatch, window-*w.inflight))
 			*w.inflight += len(ops)
 			c.nextTag++
 			c.pending[c.nextTag] = ops

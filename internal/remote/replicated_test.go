@@ -84,7 +84,7 @@ func TestReplicatedReadsRideTheCompactTier(t *testing.T) {
 				t.Fatalf("backend %d stores ds1[%d] at epoch %d, want %d", i, idx, stored, want)
 			}
 			before := dataBytes()
-			ep, err := cl.ReadObjEpoch(1, idx, nil)
+			ep, err := remote.ReadEpoch(cl, 1, idx, nil)
 			if err != nil || ep != stored {
 				t.Fatalf("backend %d: epoch probe of ds1[%d] = %d, %v; want %d", i, idx, ep, err, stored)
 			}
@@ -93,10 +93,10 @@ func TestReplicatedReadsRideTheCompactTier(t *testing.T) {
 			}
 		}
 		got := make([]byte, objSize)
-		if ep, err := cl.ReadObjEpoch(1, 0, got); err != nil || ep != 2 || !bytes.Equal(got, text) {
+		if ep, err := remote.ReadEpoch(cl, 1, 0, got); err != nil || ep != 2 || !bytes.Equal(got, text) {
 			t.Fatalf("backend %d: stamped read = epoch %d, %v, image match=%v", i, ep, err, bytes.Equal(got, text))
 		}
-		if ep, err := cl.ReadObjEpoch(9, 9, got[:8]); err != nil || ep != 0 || !bytes.Equal(got[:8], zero[:8]) {
+		if ep, err := remote.ReadEpoch(cl, 9, 9, got[:8]); err != nil || ep != 0 || !bytes.Equal(got[:8], zero[:8]) {
 			t.Fatalf("backend %d: stamped read of an absent object = epoch %d, %v", i, ep, err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cards/internal/farmem"
+	"cards/internal/rdma"
 )
 
 // ackBackend acknowledges everything synchronously and touches nothing:
@@ -14,14 +15,10 @@ type ackBackend struct{}
 
 func (ackBackend) ReadObj(ds, idx int, dst []byte) error  { return nil }
 func (ackBackend) WriteObj(ds, idx int, src []byte) error { return nil }
-func (ackBackend) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
-	return ^uint64(0), nil
-}
-func (ackBackend) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error { return nil }
 func (ackBackend) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
 	done(^uint64(0), nil)
 }
-func (ackBackend) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error)) {
+func (ackBackend) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
 	done(nil)
 }
 

@@ -69,24 +69,17 @@ const (
 )
 
 // EpochBackend is what each backend must provide: the plain store
-// surface plus the epoch-stamped verbs (remote.PipelinedClient
-// satisfies it).
+// surface plus two asynchronous epoch-stamped verbs
+// (remote.PipelinedClient satisfies it). A zero-length read is a pure
+// epoch probe. A write with nil extents ships the full image src; with
+// extents it ships only those, and the peer splices them onto its stored
+// copy only when that copy is the immediate predecessor epoch — a missed
+// epoch NAKs with remote.ErrStaleRangeBase, which the fan-out treats like
+// any failed sub-write (mark divergent, resync repairs with full
+// objects).
 type EpochBackend interface {
 	farmem.Store
-	ReadObjEpoch(ds, idx int, dst []byte) (uint64, error)
-	WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error
 	IssueReadEpoch(ds, idx int, dst []byte, done func(epoch uint64, err error))
-	IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error))
-}
-
-// RangeEpochBackend is the optional dirty-range surface of a backend:
-// an epoch-stamped write that ships only the modified extents of the
-// full image src. The peer splices them onto its stored copy only when
-// that copy is the immediate predecessor epoch; a missed epoch NAKs
-// with remote.ErrStaleRangeBase, which the fan-out treats like any
-// failed sub-write (mark divergent, resync repairs with full objects).
-// Detected per backend by type assertion.
-type RangeEpochBackend interface {
 	IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error))
 }
 
@@ -121,8 +114,7 @@ type Options struct {
 // in-flight resync when the member misses further writes mid-sweep.
 type member struct {
 	*shardmap.Backend
-	eb  EpochBackend
-	reb RangeEpochBackend // non-nil iff the backend supports range-epoch writes
+	eb EpochBackend
 
 	inSync     atomic.Bool
 	divergeGen atomic.Uint64
@@ -204,7 +196,6 @@ func New(backends []farmem.Store, opts Options) (*Store, error) {
 			resyncs:     reg.Counter(MetricReplicaResyncs, "backend", b.Label),
 			insyncGauge: reg.Gauge(MetricReplicaInSync, "backend", b.Label),
 		}
-		m.reb, _ = b.Store.(RangeEpochBackend)
 		m.inSync.Store(true)
 		m.insyncGauge.Set(1)
 		s.members = append(s.members, m)
@@ -377,9 +368,8 @@ func (s *Store) IssueWrite(ds, idx int, src []byte, done func(error)) {
 // complete once all sub-writes finished — with success iff at least W
 // acked. Members skipped while gated are marked divergent (they will
 // miss this epoch); the resync sweep brings them back. With extents,
-// each member that speaks the range-epoch verb receives only those (the
-// rest get the full image). A member whose base image missed an epoch
-// NAKs the splice with remote.ErrStaleRangeBase; subDone then marks it
+// each member receives only those. A member whose base image missed an
+// epoch NAKs the splice with remote.ErrStaleRangeBase; subDone marks it
 // divergent exactly like a failed full write, and the anti-entropy
 // resync repairs it with whole objects — range writes can therefore
 // never wedge a replica in a silently-diverged state.
@@ -407,12 +397,7 @@ func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, do
 	}
 	j.remaining.Store(int32(n))
 	for i := 0; i < n; i++ {
-		m := j.slots[i].m
-		if exts != nil && m.reb != nil {
-			m.reb.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, j.slots[i].fn)
-		} else {
-			m.eb.IssueWriteEpoch(ds, idx, epoch, src, j.slots[i].fn)
-		}
+		j.slots[i].m.eb.IssueWriteRangesEpoch(ds, idx, epoch, src, exts, j.slots[i].fn)
 	}
 }
 

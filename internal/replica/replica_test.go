@@ -10,7 +10,13 @@ import (
 	"time"
 
 	"cards/internal/farmem"
+	"cards/internal/rdma"
+	"cards/internal/remote"
 )
+
+// remote.PipelinedClient is the backend replica.New is given in
+// production; it must keep speaking both epoch verbs.
+var _ EpochBackend = (*remote.PipelinedClient)(nil)
 
 // fakeBackend is an in-memory EpochBackend + Pinger with a kill
 // switch, standing in for one remote server plus its resilient client.
@@ -30,15 +36,15 @@ func newFake() *fakeBackend {
 var errDown = errors.New("fake backend down")
 
 func (f *fakeBackend) ReadObj(ds, idx int, dst []byte) error {
-	_, err := f.ReadObjEpoch(ds, idx, dst)
+	_, err := f.readEpoch(ds, idx, dst)
 	return err
 }
 
 func (f *fakeBackend) WriteObj(ds, idx int, src []byte) error {
-	return f.WriteObjEpoch(ds, idx, 0, src)
+	return f.writeEpoch(ds, idx, 0, src)
 }
 
-func (f *fakeBackend) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
+func (f *fakeBackend) readEpoch(ds, idx int, dst []byte) (uint64, error) {
 	if f.down.Load() {
 		return 0, errDown
 	}
@@ -53,7 +59,7 @@ func (f *fakeBackend) ReadObjEpoch(ds, idx int, dst []byte) (uint64, error) {
 	return f.ep[k], nil
 }
 
-func (f *fakeBackend) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error {
+func (f *fakeBackend) writeEpoch(ds, idx int, epoch uint64, src []byte) error {
 	if f.down.Load() {
 		return errDown
 	}
@@ -72,11 +78,13 @@ func (f *fakeBackend) WriteObjEpoch(ds, idx int, epoch uint64, src []byte) error
 }
 
 func (f *fakeBackend) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
-	done(f.ReadObjEpoch(ds, idx, dst))
+	done(f.readEpoch(ds, idx, dst))
 }
 
-func (f *fakeBackend) IssueWriteEpoch(ds, idx int, epoch uint64, src []byte, done func(error)) {
-	done(f.WriteObjEpoch(ds, idx, epoch, src))
+// IssueWriteRangesEpoch stores the full image whatever the extents: src
+// always carries the whole object.
+func (f *fakeBackend) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, _ []rdma.Extent, done func(error)) {
+	done(f.writeEpoch(ds, idx, epoch, src))
 }
 
 func (f *fakeBackend) Ping() error {

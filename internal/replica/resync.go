@@ -69,7 +69,7 @@ func (s *Store) resync(m *member, stop <-chan struct{}) {
 			return
 		default:
 		}
-		have, err := m.eb.ReadObjEpoch(it.ds, it.idx, nil)
+		have, err := m.readEpoch(it.ds, it.idx, nil)
 		if err != nil {
 			// The backend died again; its breaker re-trips and the next
 			// recovery restarts the sweep.
@@ -131,7 +131,7 @@ func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort boo
 		if src == target || !src.Breaker.Gate() {
 			continue
 		}
-		epoch, err := src.eb.ReadObjEpoch(it.ds, it.idx, buf)
+		epoch, err := src.readEpoch(it.ds, it.idx, buf)
 		if err != nil {
 			src.Fail()
 			continue
@@ -140,7 +140,7 @@ func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort boo
 		if epoch < it.epoch {
 			continue
 		}
-		if err := target.eb.WriteObjEpoch(it.ds, it.idx, epoch, buf); err != nil {
+		if err := target.writeEpoch(it.ds, it.idx, epoch, buf); err != nil {
 			target.Fail()
 			return false, true
 		}
@@ -148,4 +148,20 @@ func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort boo
 		return true, false
 	}
 	return false, false
+}
+
+// readEpoch issues one stamped read on m and waits for it; a nil dst is
+// the epoch-only probe.
+func (m *member) readEpoch(ds, idx int, dst []byte) (epoch uint64, err error) {
+	done := make(chan struct{})
+	m.eb.IssueReadEpoch(ds, idx, dst, func(e uint64, er error) { epoch, err = e, er; close(done) })
+	<-done
+	return epoch, err
+}
+
+// writeEpoch issues one stamped full-object write on m and waits for it.
+func (m *member) writeEpoch(ds, idx int, epoch uint64, src []byte) error {
+	errCh := make(chan error, 1)
+	m.eb.IssueWriteRangesEpoch(ds, idx, epoch, src, nil, func(err error) { errCh <- err })
+	return <-errCh
 }

@@ -272,53 +272,39 @@ func (ss *ShardedStore) ChaseCapable() bool {
 	return true
 }
 
-// enterChase is enter for a traversal program, on the single shard it
-// may run on (see Fleet.ChaseGroup).
-func (ss *ShardedStore) enterChase(ds int) (int, *shard, error) {
-	g, err := ss.ChaseGroup(ds, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	if ss.shards[g[0]].Caps.Chase == nil {
-		return 0, nil, fmt.Errorf("shardmap: shard %d does not speak the chase verbs", g[0])
-	}
-	s, err := ss.enter(g[0])
-	return g[0], s, err
+// Chase implements farmem.ChaseStore: IssueChase, waited for.
+func (ss *ShardedStore) Chase(req rdma.ChaseReq) (res rdma.ChaseResult, err error) {
+	done := make(chan struct{})
+	ss.IssueChase(req, func(r rdma.ChaseResult, e error) { res, err = r, e; close(done) })
+	<-done
+	return res, err
 }
 
-// settleChase is settle for a traversal: the path's bytes count as one
-// read.
-func (ss *ShardedStore) settleChase(i int, res rdma.ChaseResult, err error) error {
-	if err = ss.settle(i, "chase", err); err == nil {
-		n := 0
-		for _, h := range res.Hops {
-			n += len(h.Data)
-		}
-		ss.shards[i].didRead(n)
-	}
-	return err
-}
-
-// Chase implements farmem.ChaseStore, routing the whole program to the
-// pinned owner of its structure.
-func (ss *ShardedStore) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	i, s, err := ss.enterChase(int(req.DS))
-	if err != nil {
-		return rdma.ChaseResult{}, err
-	}
-	res, err := s.Caps.Chase.Chase(req)
-	return res, ss.settleChase(i, res, err)
-}
-
-// IssueChase implements farmem.AsyncChaseStore, riding the pinned
-// shard's own pipelined chase window.
+// IssueChase implements farmem.AsyncChaseStore, routing the whole
+// program to the single shard it may run on (see Fleet.ChaseGroup) and
+// riding that shard's own pipelined chase window: enter, forward,
+// settle, like a read — the path's bytes count as one.
 func (ss *ShardedStore) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	i, s, err := ss.enterChase(int(req.DS))
+	var s *shard
+	g, err := ss.ChaseGroup(int(req.DS), 0)
+	if err == nil && ss.shards[g[0]].Caps.Chase == nil {
+		err = fmt.Errorf("shardmap: shard %d does not speak the chase verbs", g[0])
+	}
+	if err == nil {
+		s, err = ss.enter(g[0])
+	}
 	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
 	s.Caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		done(res, ss.settleChase(i, res, err))
+		if err = ss.settle(g[0], "chase", err); err == nil {
+			n := 0
+			for _, h := range res.Hops {
+				n += len(h.Data)
+			}
+			s.didRead(n)
+		}
+		done(res, err)
 	})
 }
