@@ -155,7 +155,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		bytes.Repeat([]byte("ab4kZ!dDqR91_xw."), 16), // mildly compressible
 		bytes.Repeat([]byte("stored as a block"), 16)[:256],
 		make([]byte, 256),
-		lzShapes()[0].obj[:256], // small int64s: lane-packed
+		lzShapes()[0].obj[:256], // small int64s: bit-packed
 	}
 	// The last two come out of the store in wire form: an LZ block and a
 	// zero image, appended without a compression or zero-detection pass.
@@ -395,7 +395,7 @@ func TestLZCodecSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestWordsCodecSteadyStateAllocFree is the same pin for the lane-packed
+// TestWordsCodecSteadyStateAllocFree is the same pin for the bit-packed
 // codec: scanning, packing, checking and unpacking touch no heap, on the
 // shapes that pack and (the scan alone) on those that do not.
 func TestWordsCodecSteadyStateAllocFree(t *testing.T) {

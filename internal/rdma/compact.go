@@ -17,7 +17,7 @@ import "fmt"
 //	SchemeRaw   — verbatim bytes
 //	SchemeLZ    — an LZ block (lz.go); decompressed length from the header
 //	SchemeZero  — all-zero object, no bytes at all
-//	SchemeWords — a lane-packed word block (words.go); likewise
+//	SchemeWords — a bit-packed word block (words.go); likewise
 //
 // Payloads (after the bit-stream header, A = byte alignment; [epoch] is
 // a u64 varint present iff the opcode carries EpochBit):
@@ -391,7 +391,7 @@ func (b *DataBatchCBuilder) ensureData(n int) {
 
 // Add appends one segment holding src's bytes, choosing the cheapest
 // scheme: all-zero objects ship no bytes, and when tryCompress is set an
-// object of small words is lane-packed and any other gets an LZ pass,
+// object of small words is bit-packed and any other gets an LZ pass,
 // which keeps the compressed form only if it is strictly smaller. It
 // returns the chosen scheme and the segment's wire length (the
 // compressibility signal the adaptive policy feeds on).
@@ -400,7 +400,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	// assumption of raw/zero segments only; a packed segment would grow it.
 	tryCompress = tryCompress && b.hdr == 0
 	staged := b.stagedInPlace(src)
-	lo, w := ScanWords(src) // the one pass that classifies src: zero, small words, or neither
+	s, w := ScanWords(src) // the one pass that classifies src: zero, small words, or neither
 	if w == 0 {
 		// dlen does not advance: a staged slot is simply abandoned.
 		b.metas = append(b.metas, dataSegMeta{scheme: SchemeZero, rawLen: uint32(len(src))})
@@ -409,7 +409,8 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 	if tryCompress {
 		// Neither encoder may overlap its input, and a staged src occupies
 		// the blob region at dlen: its block goes to scratch and only the
-		// (smaller) result is copied back. CompressBound covers WordsBound.
+		// (smaller) result is copied back. CompressBound covers WordsBound
+		// (TestCompressBoundCoversWordsBound).
 		bound := CompressBound(len(src))
 		var out []byte
 		if staged {
@@ -424,7 +425,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 		}
 		n := 0
 		if w > 0 {
-			scheme, n = SchemeWords, PackWords(out, src, lo, w)
+			scheme, n = SchemeWords, PackWords(out, src, s, w)
 		} else if m, ok := LZCompress(out, src); ok && m < len(src) {
 			scheme, n = SchemeLZ, m
 		}
@@ -447,7 +448,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 }
 
 // AddWire appends one segment that is already in wire form: the LZ or
-// lane-packed block of a rawLen-byte object, or — SchemeZero, wire empty
+// bit-packed block of a rawLen-byte object, or — SchemeZero, wire empty
 // — an all-zero one. The bytes are trusted (the server validated the
 // block when it was written) and not looked at; a block sitting in the
 // last Stage slot is committed in place. A Begin batch cannot carry a

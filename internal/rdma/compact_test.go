@@ -237,7 +237,7 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	if s, _ := b.Add(text, false); s != SchemeRaw {
 		t.Fatalf("compression-off add got scheme %d", s)
 	}
-	ints := lzShapes()[0].obj[:1024] // small int64s: lane-packed, from anywhere or from the Stage slot
+	ints := lzShapes()[0].obj[:1024] // small int64s: bit-packed, from anywhere or from the Stage slot
 	if s, _ := b.Add(ints, true); s != SchemeWords {
 		t.Fatalf("small ints got scheme %d", s)
 	}
@@ -298,7 +298,7 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 }
 
 // TestDataBatchCBuilderBeginRefusesLZ: the reserved-header layout has no
-// room for a block's length, so a Begin batch handed an LZ or lane-packed
+// room for a block's length, so a Begin batch handed an LZ or bit-packed
 // image fails at Frame instead of emitting a payload that cannot be
 // parsed; a zero image costs the same header bits as a raw one and is
 // fine.
@@ -319,7 +319,7 @@ func TestDataBatchCBuilderBeginRefusesLZ(t *testing.T) {
 	}
 	PutBuf(fr.Payload)
 
-	for scheme, block := range map[uint8][]byte{SchemeLZ: {0x1F, 7, 1, 0, 44, 0}, SchemeWords: {0, 1, 0x01, 7}} {
+	for scheme, block := range map[uint8][]byte{SchemeLZ: {0x1F, 7, 1, 0, 44, 0}, SchemeWords: {0, 1, 0x01, 0x01}} {
 		b.Reset()
 		b.Begin(reqs)
 		b.AddWire(scheme, 64, block)
@@ -409,10 +409,10 @@ func TestWriteBatchCRoundTrip(t *testing.T) {
 				Extents: []Extent{{Off: 8, Len: 4}, {Off: 96, Len: 8}},
 				Data:    []byte("rangedbytes!")},
 			{DS: 2, Idx: 2, Epoch: 4, Scheme: SchemeWords, RawLen: 128,
-				Data: []byte{0, 2, 0x81, 0x00, 1, 2, 3, 4}},
+				Data: []byte{0, 2, 0x81, 0x00, 0x0E}},
 			{DS: 2, Idx: 3, Epoch: 5, ObjSize: 4096, Scheme: SchemeWords, RawLen: 64,
 				Extents: []Extent{{Off: 640, Len: 64}},
-				Data:    []byte{3, 1, 0x10, 9}},
+				Data:    []byte{3, 1, 0x10, 0x01}},
 		}
 		fr, err := EncodeWriteBatchCPooled(77, reqs, epoch)
 		if err != nil {

@@ -33,8 +33,9 @@ import (
 // carried the fixed-width and epoch verb families beside the bit-packed
 // one and a hello option to choose between them; version 3 knew three
 // payload schemes and answered the fourth, SchemeWords, with a decode
-// error mid-session.
-const ProtoVersion uint16 = 4
+// error mid-session; version 4 packed SchemeWords in whole byte lanes,
+// where version 5 packs them at their bit width.
+const ProtoVersion uint16 = 5
 
 // Session options a client may ask for in its hello.
 const (

@@ -11,7 +11,7 @@ import (
 // GB/s; bfs objects ran at a fifth of that, and only a per-shape
 // benchmark shows it. "ratio" is compressed/raw bytes (1 = declined).
 //
-// The shapes that lane-pack (words.go) also get words/scan, words/pack,
+// The shapes that bit-pack (words.go) also get words/scan, words/pack,
 // words/unpack and words/check, each over a corpus of distinct objects
 // of the shape ("block-B" is the mean packed size); the two
 // that must cost the scan nothing get scan/bail, which fails if ScanWords
@@ -60,7 +60,6 @@ func BenchmarkLZShapes(b *testing.B) {
 const wordsBenchCorpus = 256
 
 func benchWordsShape(b *testing.B, idx int, sh lzShape) {
-	lo, w := ScanWords(sh.obj)
 	if sh.name == "xorshift-noise" || sh.name == "byte-ramp" {
 		b.Run(sh.name+"/scan/bail", func(b *testing.B) {
 			if _, w := ScanWords(sh.obj[:64]); w >= 0 {
@@ -74,17 +73,20 @@ func benchWordsShape(b *testing.B, idx int, sh lzShape) {
 			}
 		})
 	}
-	if w < 1 {
+	if _, w := ScanWords(sh.obj); w < 1 {
 		return
 	}
-	// Every object of the corpus packs at the shape's lanes or narrower.
+	// Every object of the corpus packs, each at its own (s, w).
 	objs := make([][]byte, wordsBenchCorpus)
 	blocks := make([][]byte, wordsBenchCorpus)
+	sw := make([][2]int, wordsBenchCorpus)
 	total := 0
 	for i := range objs {
 		objs[i] = lzShapesFrom(uint64(2*i + 1))[idx].obj
+		s, w := ScanWords(objs[i])
+		sw[i] = [2]int{s, w}
 		blocks[i] = make([]byte, WordsBound(len(objs[i])))
-		blocks[i] = blocks[i][:PackWords(blocks[i], objs[i], lo, w)]
+		blocks[i] = blocks[i][:PackWords(blocks[i], objs[i], s, w)]
 		total += len(blocks[i])
 	}
 	run := func(name string, fn func(i int)) {
@@ -100,7 +102,7 @@ func benchWordsShape(b *testing.B, idx int, sh lzShape) {
 	block := make([]byte, WordsBound(len(sh.obj)))
 	out := make([]byte, len(sh.obj))
 	run("scan", func(i int) { ScanWords(objs[i]) })
-	run("pack", func(i int) { PackWords(block, objs[i], lo, w) })
+	run("pack", func(i int) { PackWords(block, objs[i], sw[i][0], sw[i][1]) })
 	run("unpack", func(i int) {
 		if err := UnpackWords(out, blocks[i]); err != nil {
 			b.Fatal(err)

@@ -5,54 +5,61 @@ import (
 	"math/bits"
 )
 
-// Lane-packed words (SchemeWords): the codec for what the far tier mostly
+// Bit-packed words (SchemeWords): the codec for what the far tier mostly
 // holds — arrays of 8-byte words carrying small numbers. Such an object
-// uses a few adjacent byte lanes of its words and leaves many words zero;
-// a byte-oriented match finder spends microseconds rediscovering that,
-// word by word. This codec states it once:
+// uses a few low bits of its words and leaves many words zero; a
+// byte-oriented match finder spends microseconds rediscovering that, word
+// by word. This codec states it once:
 //
-//	lo:u8 | w:u8 | bitmap[rawLen/64] | popcount(bitmap) × w bytes
+//	s:u8 | w:u8 | bitmap[rawLen/64] | popcount(bitmap) × w bits
 //
-// lo is the lowest occupied byte lane, w in 1..4 the number of lanes kept
-// (lo+w <= 8). Bit j of bitmap byte g is set iff word 8g+j is present;
-// each present word follows as (word >> 8·lo) in w little-endian bytes,
-// in order. Absent words are zero.
+// s is the lowest set bit of the OR of all words, w in 1..32 the number of
+// bits kept above it (s+w <= 64). Bit j of bitmap byte g is set iff word
+// 8g+j is present; each present word follows as the w bits of
+// (word >> s), in order, in one little-endian LSB-first bit stream padded
+// to a whole byte. Absent words are zero.
 //
 // An object is eligible iff its length is a positive multiple of 64 and
-// every set bit of every word lies in lanes [lo, lo+w) for some w <= 4.
-// The block is then at most WordsBound bytes, always less than the
-// object.
+// every set bit of every word lies in one window of four adjacent byte
+// lanes. Then w <= 32, so the block never outgrows whole lanes: it is at
+// most 2 + n/64 + popcount·4 bytes, always less than the object.
 //
 // A block is valid for rawLen (CheckWords) iff rawLen is a positive
-// multiple of 64, the header is in range and
+// multiple of 64, 1 <= w <= 32, s+w <= 64 and
 //
-//	len(block) == 2 + rawLen/64 + popcount(bitmap)·w.
+//	len(block) == 2 + rawLen/64 + ceil(popcount(bitmap)·w / 8).
 //
 // That equation is the whole validity argument: decoding reads the
-// bitmap's rawLen/64 bytes and then exactly w bytes per set bit, so it
-// ends on the block's last byte (its four-byte loads run only while 32
-// bytes remain, more than a group can consume), and it writes all eight
-// words of one 64-byte group per bitmap byte, so it writes every byte of
-// dst. Nothing after the check can fail. A
-// set bit over a zero word, or lanes wider than the data needs, is legal
-// and merely not what PackWords emits.
+// bitmap's rawLen/64 bytes and then exactly w bits per set bit, so it ends
+// in the block's last byte (its eight-byte loads run only while 40 bytes
+// remain, more than a group can reach; the last groups load from a
+// zero-padded copy), and it writes all eight words of one 64-byte group
+// per bitmap byte, so it writes every byte of dst. Nothing after the check
+// can fail. A set bit over a zero word, a w wider than the data needs, or
+// set padding bits are legal and merely not what PackWords emits.
 
-const wordsHdr = 2 // lo, w
+const wordsHdr = 2 // s, w
 
-// WordsBound is the size of the largest block PackWords emits for an
-// n-byte object, and the room its dst must have.
-func WordsBound(n int) int { return wordsHdr + n/64 + n/2 }
+// wordsWin is how far past a group's first stream byte its kernels may
+// touch: eight words of at most 32 bits after up to 7 pending bits put the
+// last eight-byte store or load at byte 28, and k&31 indexing needs 39.
+const wordsWin = 40
+
+// WordsBound is the room PackWords' dst must have for an n-byte object:
+// the largest block, 2 + n/64 + n/2 bytes, and 8 bytes past it that the
+// unconditional stores of the last group may write.
+func WordsBound(n int) int { return wordsHdr + n/64 + n/2 + 8 }
 
 // ScanWords classifies an object in one pass, 64 bytes at a time:
 //
-//	w == 0       every byte is zero (any length, the empty object included)
-//	1 <= w <= 4  eligible: PackWords(dst, src, lo, w) applies
-//	w < 0        neither
+//	w == 0        every byte is zero (any length, the empty object included)
+//	1 <= w <= 32  eligible: PackWords(dst, src, s, w) applies
+//	w < 0         neither
 //
-// It gives up in the group where the occupied lanes first span more than
-// four — the first cache line of noise, text or a full-width word — so
-// an object that will not pack costs one line, not a pass.
-func ScanWords(src []byte) (lo, w int) {
+// It gives up in the group where the occupied byte lanes first span more
+// than four — the first cache line of noise, text or a full-width word —
+// so an object that will not pack costs one line, not a pass.
+func ScanWords(src []byte) (s, w int) {
 	var acc uint64
 	b := src
 	for ; len(b) >= 64; b = b[64:] {
@@ -61,12 +68,8 @@ func ScanWords(src []byte) (lo, w int) {
 			binary.LittleEndian.Uint64(g[16:]) | binary.LittleEndian.Uint64(g[24:]) |
 			binary.LittleEndian.Uint64(g[32:]) | binary.LittleEndian.Uint64(g[40:]) |
 			binary.LittleEndian.Uint64(g[48:]) | binary.LittleEndian.Uint64(g[56:])
-		if acc != 0 {
-			lo = bits.TrailingZeros64(acc) >> 3
-			w = 8 - bits.LeadingZeros64(acc)>>3 - lo
-			if w > 4 {
-				return 0, -1
-			}
+		if acc != 0 && bits.LeadingZeros64(acc)>>3+bits.TrailingZeros64(acc)>>3 < 4 {
+			return 0, -1
 		}
 	}
 	if len(b) > 0 {
@@ -78,60 +81,72 @@ func ScanWords(src []byte) (lo, w int) {
 			return 0, -1
 		}
 	}
-	return lo, w
+	if acc == 0 {
+		return 0, 0
+	}
+	s = bits.TrailingZeros64(acc)
+	return s, 64 - bits.LeadingZeros64(acc) - s
 }
 
-// PackWords encodes src, which ScanWords found eligible at lanes
-// [lo, lo+w), into dst and returns the block's length. dst must have
-// room for WordsBound(len(src)) bytes and must not overlap src.
-func PackWords(dst, src []byte, lo, w int) int {
+// PackWords encodes src, which ScanWords found eligible at (s, w), into
+// dst and returns the block's length. dst must have room for
+// WordsBound(len(src)) bytes and must not overlap src.
+func PackWords(dst, src []byte, s, w int) int {
 	groups := len(src) / 64
-	dst[0], dst[1] = byte(lo), byte(w)
+	dst[0], dst[1] = byte(s), byte(w)
 	bitmap := dst[wordsHdr : wordsHdr+groups]
 	out := wordsHdr + groups
-	shift, uw := uint(8*lo), uint(w)
+	uw := uint(w)
+	var acc uint64 // the stream's bits from byte out on: fewer than 8
+	var nb uint    // how many
 	for g := range bitmap {
 		// A group is eight independent words. No branch on any of them:
 		// whether a word is zero is a coin toss in the objects this codec
-		// is for, and a mispredicted branch costs more than the word.
-		// Each stores four bytes whatever it and w are and steps past w
-		// of them only if it was non-zero, so the only serial dependency
-		// is the running offset; the next store, or nothing, overwrites
-		// the rest. A group's stores stay inside the 32 bytes from out,
-		// and those inside WordsBound: with k of the 8g words before it
-		// kept, out+32 = 2+n/64+k·w+32 <= 2+n/64+(g+1)·32 <= WordsBound(n).
-		s, d := (*[64]byte)(src[64*g:]), (*[32]byte)(dst[out:])
-		k, n0 := packLanes(d, 0, binary.LittleEndian.Uint64(s[0:]), shift, uw)
-		k, n1 := packLanes(d, k, binary.LittleEndian.Uint64(s[8:]), shift, uw)
-		k, n2 := packLanes(d, k, binary.LittleEndian.Uint64(s[16:]), shift, uw)
-		k, n3 := packLanes(d, k, binary.LittleEndian.Uint64(s[24:]), shift, uw)
-		k, n4 := packLanes(d, k, binary.LittleEndian.Uint64(s[32:]), shift, uw)
-		k, n5 := packLanes(d, k, binary.LittleEndian.Uint64(s[40:]), shift, uw)
-		k, n6 := packLanes(d, k, binary.LittleEndian.Uint64(s[48:]), shift, uw)
-		k, n7 := packLanes(d, k, binary.LittleEndian.Uint64(s[56:]), shift, uw)
-		bitmap[g] = byte(n0 | n1<<1 | n2<<2 | n3<<3 | n4<<4 | n5<<5 | n6<<6 | n7<<7)
+		// is for, and a mispredicted branch costs more than the word. Each
+		// ORs its bits into acc — nothing when it is zero — stores eight
+		// bytes whatever they hold and steps past the whole bytes it
+		// completed, so the next store rewrites the partial one. A group's
+		// stores stay inside wordsWin bytes from out, and those inside
+		// WordsBound: out+wordsWin <= 2+n/64+32g+40 <= WordsBound(n).
+		sg, d := (*[64]byte)(src[64*g:]), (*[wordsWin]byte)(dst[out:])
+		var k, p uint
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 0, binary.LittleEndian.Uint64(sg[0:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 1, binary.LittleEndian.Uint64(sg[8:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 2, binary.LittleEndian.Uint64(sg[16:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 3, binary.LittleEndian.Uint64(sg[24:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 4, binary.LittleEndian.Uint64(sg[32:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 5, binary.LittleEndian.Uint64(sg[40:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 6, binary.LittleEndian.Uint64(sg[48:]), s, uw)
+		k, acc, nb, p = packWord(d, k, acc, nb, p, 7, binary.LittleEndian.Uint64(sg[56:]), s, uw)
+		bitmap[g] = byte(p)
 		out += int(k)
 	}
-	return out
+	return out + int(nb+7)>>3
 }
 
-// packLanes stores word v's lanes at d[k:] and returns the offset past
-// them — k itself when v is zero — and v's bitmap bit.
-func packLanes(d *[32]byte, k uint, v uint64, shift, w uint) (uint, uint) {
-	binary.LittleEndian.PutUint32(d[k&31:], uint32(v>>shift))
-	nz := uint((v | -v) >> 63) // 1 iff v != 0
-	return k + w&-nz, nz
+// packWord ORs word v's w bits — none when v is zero — into the stream
+// at d[k:], nb bits in, stores eight bytes there and returns where the
+// stream's partial byte now is, the bits pending in it, and p with v's
+// bitmap bit j. v's bits sit at [s, s+w), so one rotate moves them to
+// [nb, nb+w) and nothing else with them; nb < 8 and w <= 32 keep acc
+// under 40 bits.
+func packWord(d *[wordsWin]byte, k uint, acc uint64, nb, p, j uint, v uint64, s int, w uint) (uint, uint64, uint, uint) {
+	m := uint(int64(v|-v) >> 63) // all ones iff v != 0
+	acc |= bits.RotateLeft64(v, int(nb)-s)
+	binary.LittleEndian.PutUint64(d[k&31:k&31+8:k&31+8], acc)
+	nb += w & m
+	return k + nb>>3, acc >> (nb & 56), nb & 7, p | m&(1<<j)
 }
 
-// CheckWords reports whether block is a valid lane-packed image of a
+// CheckWords reports whether block is a valid bit-packed image of a
 // rawLen-byte object. It reads the header and the bitmap only.
 func CheckWords(block []byte, rawLen int) bool {
 	groups := rawLen / 64
 	if rawLen <= 0 || rawLen%64 != 0 || len(block) < wordsHdr+groups {
 		return false
 	}
-	lo, w := int(block[0]), int(block[1])
-	if w < 1 || w > 4 || lo+w > 8 {
+	s, w := int(block[0]), int(block[1])
+	if w < 1 || w > 32 || s+w > 64 {
 		return false
 	}
 	bitmap := block[wordsHdr : wordsHdr+groups]
@@ -142,7 +157,7 @@ func CheckWords(block []byte, rawLen int) bool {
 	for _, b := range bitmap {
 		present += bits.OnesCount8(b)
 	}
-	return len(block) == wordsHdr+groups+present*w
+	return len(block) == wordsHdr+groups+(present*w+7)/8
 }
 
 // UnpackWords expands block into dst, which must be exactly the original
@@ -153,48 +168,44 @@ func UnpackWords(dst, block []byte) error {
 		return ErrCorrupt
 	}
 	groups := len(dst) / 64
-	w := int(block[1])
-	shift, uw := uint(8*block[0]), uint(w)
-	mask := uint64(1)<<(8*w) - 1
-	in := wordsHdr + groups
+	s, uw := int(block[0]), uint(block[1])
+	mask := (uint64(1)<<uw - 1) << s
+	src, in := block, wordsHdr+groups
+	var pos uint // bit offset into src[in]
+	var tail [2 * wordsWin]byte
 	for g, present := range block[wordsHdr:in] {
-		d := (*[64]byte)(dst[64*g:])
-		if in+32 <= len(block) {
-			// A group reads at most 32 block bytes: load four for every
-			// word, present or not, and mask the absent ones to zero.
-			s, p := (*[32]byte)(block[in:]), uint(present)
-			k := unpackLanes(d[0:8], s, 0, p, mask, shift, uw)
-			k = unpackLanes(d[8:16], s, k, p>>1, mask, shift, uw)
-			k = unpackLanes(d[16:24], s, k, p>>2, mask, shift, uw)
-			k = unpackLanes(d[24:32], s, k, p>>3, mask, shift, uw)
-			k = unpackLanes(d[32:40], s, k, p>>4, mask, shift, uw)
-			k = unpackLanes(d[40:48], s, k, p>>5, mask, shift, uw)
-			k = unpackLanes(d[48:56], s, k, p>>6, mask, shift, uw)
-			k = unpackLanes(d[56:64], s, k, p>>7, mask, shift, uw)
-			in += int(k)
-			continue
+		if len(src)-in < wordsWin {
+			// The last groups: an eight-byte load could pass the block's
+			// end, so the rest of the stream — fewer than wordsWin bytes —
+			// is decoded from a zero-padded copy. Once only.
+			copy(tail[:], src[in:])
+			src, in = tail[:], 0
 		}
-		// The last groups, fewer than 32 block bytes from the end: a
-		// four-byte load could read past it, so zero the group and read
-		// each present word's w bytes exactly, lowest set bit first.
-		clear(d[:])
-		for ; present != 0; present &= present - 1 {
-			var v uint64
-			for k := w - 1; k >= 0; k-- {
-				v = v<<8 | uint64(block[in+k])
-			}
-			in += w
-			binary.LittleEndian.PutUint64(d[8*bits.TrailingZeros8(present):], v<<shift)
-		}
+		// One load per word, present or not: rotate, and mask with the
+		// present bit, which is also all the offset moves by.
+		b, d, p := (*[wordsWin]byte)(src[in:]), (*[64]byte)(dst[64*g:]), uint(present)
+		pos = unpackWord((*[8]byte)(d[0:]), b, pos, p, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[8:]), b, pos, p>>1, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[16:]), b, pos, p>>2, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[24:]), b, pos, p>>3, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[32:]), b, pos, p>>4, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[40:]), b, pos, p>>5, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[48:]), b, pos, p>>6, mask, s, uw)
+		pos = unpackWord((*[8]byte)(d[56:]), b, pos, p>>7, mask, s, uw)
+		in += int(pos >> 3)
+		pos &= 7
 	}
 	return nil
 }
 
-// unpackLanes expands the word at s[k:] into d if bit 0 of p is set,
-// else zeroes d, and returns the offset of the next word.
-func unpackLanes(d []byte, s *[32]byte, k, p uint, mask uint64, shift, w uint) uint {
+// unpackWord expands the w bits at bit pos of b into d if bit 0 of p is
+// set, else zeroes d, and returns the bit position of the next word. One
+// rotate moves the word's bits from [pos&7, pos&7+w) of the load to
+// [s, s+w), and mask (w ones at s) keeps only them.
+func unpackWord(d *[8]byte, b *[wordsWin]byte, pos, p uint, mask uint64, s int, w uint) uint {
 	p &= 1
-	v := uint64(binary.LittleEndian.Uint32(s[k&31:])) & mask & -uint64(p)
-	binary.LittleEndian.PutUint64(d, v<<shift)
-	return k + w&-p
+	i := pos >> 3 & 31
+	v := bits.RotateLeft64(binary.LittleEndian.Uint64(b[i:i+8:i+8]), s-int(pos&7)) & mask & -uint64(p)
+	binary.LittleEndian.PutUint64(d[:], v)
+	return pos + w&-p
 }

@@ -234,7 +234,7 @@ var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
 
 // readBatch answers one READBATCH-C. Each object is gathered from the
 // store in the cheapest form this reply can carry — a stored zero image
-// as a zero segment, a stored LZ or lane-packed block verbatim when the
+// as a zero segment, a stored LZ or bit-packed block verbatim when the
 // session asked for compression and the adaptive policy expects the DS to
 // shrink, raw bytes otherwise, which are then classified (zero /
 // compressed / raw) as they always were — and packed into one DATABATCH-C
@@ -347,7 +347,7 @@ func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
 // writeBatch applies one WRITEBATCH-C frame, stamped or not: tuples
 // apply in batch order — full objects stored in the wire form they came
 // in (an LZ block after one validating decode into the worker's
-// scratch, a lane-packed block after rdma.CheckWords, which needs
+// scratch, a bit-packed block after rdma.CheckWords, which needs
 // none), range tuples spliced read-modify-write — and the whole batch is
 // acknowledged with one ACKBATCH-C whose bitmap marks the stamped range
 // tuples rejected for a stale base. Writes within a batch are ordered;
@@ -372,7 +372,7 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 	for i := range reqs {
 		r := &reqs[i]
 		// For a full object this is admission — the validating decode of an
-		// LZ block, the header-and-bitmap check that proves a lane-packed one
+		// LZ block, the header-and-bitmap check that proves a bit-packed one
 		// (raw and zero tuples cost nothing here); only range tuples use raw.
 		var raw []byte
 		var merr error
@@ -456,12 +456,12 @@ func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.
 // outgoing object. One scan classifies it — all zero, small words, or
 // neither; then, when the session asked for OptCompress and the adaptive
 // policy expects the DS to shrink, an object of small words is
-// lane-packed and any other gets an LZ pass, into a pooled buffer. It
+// bit-packed and any other gets an LZ pass, into a pooled buffer. It
 // returns the scheme and the wire bytes: nil for SchemeZero, src itself
 // for SchemeRaw, a pooled buffer the caller must PutBuf for SchemeLZ and
 // SchemeWords. The policy is atomic: nothing here needs mu.
 func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wire []byte) {
-	lo, w := rdma.ScanWords(src)
+	s, w := rdma.ScanWords(src)
 	if w == 0 {
 		return rdma.SchemeZero, nil
 	}
@@ -471,7 +471,7 @@ func (c *PipelinedClient) compressInto(ds uint32, src []byte) (scheme uint8, wir
 	buf := rdma.GetBuf(rdma.CompressBound(len(src))) // covers WordsBound
 	scheme, n := rdma.SchemeRaw, len(src)
 	if w > 0 {
-		scheme, n = rdma.SchemeWords, rdma.PackWords(buf, src, lo, w)
+		scheme, n = rdma.SchemeWords, rdma.PackWords(buf, src, s, w)
 	} else if m, ok := rdma.LZCompress(buf, src); ok && m < len(src) {
 		scheme, n = rdma.SchemeLZ, m
 	}

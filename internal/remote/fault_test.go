@@ -555,10 +555,14 @@ func TestRegisterThenEncodeWindowIsSafe(t *testing.T) {
 		defer cl.mu.Unlock()
 		return cl.inflightW > 0
 	}
+	// A loaded host can deschedule the spinning goroutine for the whole
+	// round trip: an op that completes before it was seen registered ends
+	// the spin (that round then does not exercise the window).
+	var landed atomic.Bool
 	cut := false
 	err = write(func(done func(error)) {
-		cl.IssueWrite(4, 0, big, func(err error) { scribble(); done(err) })
-		for ; !cut; runtime.Gosched() {
+		cl.IssueWrite(4, 0, big, func(err error) { scribble(); landed.Store(true); done(err) })
+		for ; !cut && !landed.Load(); runtime.Gosched() {
 			if cut = registered(); cut {
 				cl.mu.Lock()
 				conn := cl.conn
@@ -571,9 +575,10 @@ func TestRegisterThenEncodeWindowIsSafe(t *testing.T) {
 		t.Errorf("write across a harvest mid-encode: %v", err)
 	}
 	// Close mid-encode takes the same care before it fails the op.
+	landed.Store(false)
 	err = run(func(done func(error)) {
-		cl.IssueWrite(4, 1, big, func(err error) { scribble(); done(err) })
-		for !registered() {
+		cl.IssueWrite(4, 1, big, func(err error) { scribble(); landed.Store(true); done(err) })
+		for !registered() && !landed.Load() {
 			runtime.Gosched()
 		}
 		cl.Close()

@@ -19,14 +19,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plain_ses
 const (
 	plainSessionGolden = "testdata/plain_session.golden"
 	// Earlier recordings, never rewritten: the script as it stood (without
-	// its last step, the lane-packed object) from the last build whose
+	// its last step, the packed-words object) from the last build whose
 	// compressor parsed greedily (insert every byte), and from the last
-	// build of protocol version 3, which had three payload schemes.
+	// build of protocol version 3, which had three payload schemes; and
+	// the whole script from the last build of protocol version 4, which
+	// packed words in whole byte lanes.
 	greedyParseGolden = "testdata/plain_session_greedy_parse.golden"
 	protoV3Golden     = "testdata/plain_session_v3.golden"
+	protoV4Golden     = "testdata/plain_session_v4.golden"
 )
 
-// wordsObject is the script's lane-packed object: 128 bytes of small
+// wordsObject is the script's packed-words object: 128 bytes of small
 // int64s, every third one zero.
 func wordsObject() []byte {
 	b := make([]byte, 128)
@@ -43,7 +46,7 @@ func wordsObject() []byte {
 // coalesced into one frame (a same-DS delta, a DS switch, a size change;
 // an LZ, a zero and a raw segment back), a two-hop chase, and last — it
 // was added with the scheme, and the older recordings end before it — a
-// lane-packed write and the read that is served the stored block. Every
+// packed-words write and the read that is served the stored block. Every
 // step waits for its reply, so both streams are deterministic down to
 // the tags.
 func plainScript(t *testing.T, cl *PipelinedClient) {
@@ -97,7 +100,7 @@ func plainScript(t *testing.T, cl *PipelinedClient) {
 		t.Fatal(err)
 	}
 	if got := make([]byte, len(words)); cl.ReadObj(3, 0, got) != nil || !bytes.Equal(got, words) {
-		t.Fatal("the lane-packed object did not read back")
+		t.Fatal("the packed-words object did not read back")
 	}
 }
 
@@ -105,12 +108,13 @@ func plainScript(t *testing.T, cl *PipelinedClient) {
 // above, on an untraced default session, must put exactly the bytes on
 // the wire — both directions, everything after the hello exchange —
 // that the golden holds. A diff here is a wire change to plain frames.
-// The golden has been re-recorded twice since the protocol-version-3
+// The golden has been re-recorded three times since the protocol-version-3
 // collapse: when the LZ compressor's parse changed — LZ blocks (and the
-// lengths that announce them) moved, nothing else did — and for protocol
-// version 4, when the script gained its lane-packed step and nothing
-// recorded before it moved at all. TestGoldenDiffIsConfinedToPackedBlocks
-// holds the recordings together.
+// lengths that announce them) moved, nothing else did — for protocol
+// version 4, when the script gained its packed-words step and nothing
+// recorded before it moved at all, and for protocol version 5, when that
+// step's block went from byte lanes to bit fields.
+// TestGoldenDiffIsConfinedToPackedBlocks holds the recordings together.
 func TestPlainFramesAreByteStable(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	c2s, s2c := recordedStreams(t, PipelineOpts{}, func(cl *PipelinedClient) { plainScript(t, cl) })
@@ -142,10 +146,10 @@ func TestPlainFramesAreByteStable(t *testing.T) {
 	t.Fatal("recorded streams differ from the golden")
 }
 
-// refUnpackWords is the lane-packed format (rdma/words.go) written out
-// byte by byte, independent of rdma.UnpackWords: lo, w, one bitmap bit
-// per word, then w bytes per set bit landing in lanes lo.. of that word.
-func refUnpackWords(t *testing.T, rawLen uint32, block []byte) []byte {
+// unpackLaneWords is protocol version 4's SchemeWords decoder, kept here
+// only to read plain_session_v4.golden: lo, w, one bitmap bit per word,
+// then w bytes per set bit landing in lanes lo.. of that word.
+func unpackLaneWords(t *testing.T, rawLen uint32, block []byte) []byte {
 	t.Helper()
 	out := make([]byte, rawLen)
 	lo, w, in := int(block[0]), int(block[1]), 2+int(rawLen)/64
@@ -161,14 +165,27 @@ func refUnpackWords(t *testing.T, rawLen uint32, block []byte) []byte {
 	return out
 }
 
+// unpackBitWords decodes a current SchemeWords block with rdma.UnpackWords
+// (rdma's FuzzWords holds it to the bit-at-a-time reference decoder that
+// defines the format).
+func unpackBitWords(t *testing.T, rawLen uint32, block []byte) []byte {
+	t.Helper()
+	out := make([]byte, rawLen)
+	if err := rdma.UnpackWords(out, block); err != nil {
+		t.Fatalf("recorded bit-packed block does not decode: %v", err)
+	}
+	return out
+}
+
 // canonicalFrames parses one recorded direction into a line per frame in
 // which every compressed block is replaced by the plaintext it decodes
 // to and its scheme by "packed", so two recordings that differ only in
-// how an object was compressed canonicalise to the same lines.
+// how an object was compressed canonicalise to the same lines. words is
+// the SchemeWords decoder of the recording's protocol version.
 // (rdma.LZDecompress is the LZ decoder here; rdma's FuzzLZ holds it
 // verdict for verdict to the byte-wise reference decoder that defines the
 // format.)
-func canonicalFrames(t *testing.T, hexStream string) []string {
+func canonicalFrames(t *testing.T, hexStream string, words func(*testing.T, uint32, []byte) []byte) []string {
 	t.Helper()
 	stream, err := hex.DecodeString(hexStream)
 	if err != nil {
@@ -183,7 +200,7 @@ func canonicalFrames(t *testing.T, hexStream string) []string {
 			}
 			return fmt.Sprintf("scheme=packed raw=%d %x", rawLen, out)
 		case rdma.SchemeWords:
-			return fmt.Sprintf("scheme=packed raw=%d %x", rawLen, refUnpackWords(t, rawLen, data))
+			return fmt.Sprintf("scheme=packed raw=%d %x", rawLen, words(t, rawLen, data))
 		}
 		return fmt.Sprintf("scheme=%d raw=%d %x", scheme, rawLen, data)
 	}
@@ -224,12 +241,13 @@ func canonicalFrames(t *testing.T, hexStream string) []string {
 // in the same order for as long as the earlier one runs — the only bytes
 // that may differ between them are inside compressed blocks (and the
 // scheme and length that announce each). What the current golden has
-// beyond that is the script's last step, frame for frame: the
-// lane-packed object written as one packed tuple and acknowledged, then
-// read and served as one packed segment. (The hello exchange is not part
-// of any recording; TestHandshakeMismatchIsDefinitive owns the version.)
+// beyond the recordings that predate it is the script's last step, frame
+// for frame: the packed-words object written as one packed tuple and
+// acknowledged, then read and served as one packed segment. (The hello
+// exchange is not part of any recording; TestHandshakeMismatchIsDefinitive
+// and TestHandshakeRefusesTheLaneWordsVersion own the version.)
 func TestGoldenDiffIsConfinedToPackedBlocks(t *testing.T) {
-	load := func(path string) map[string][]string {
+	load := func(path string, words func(*testing.T, uint32, []byte) []byte) map[string][]string {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -240,31 +258,43 @@ func TestGoldenDiffIsConfinedToPackedBlocks(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: malformed line %q", path, l)
 			}
-			dirs[dir] = canonicalFrames(t, hexStream)
+			dirs[dir] = canonicalFrames(t, hexStream, words)
 		}
 		return dirs
 	}
-	now := load(plainSessionGolden)
+	now := load(plainSessionGolden, unpackBitWords)
 	words := fmt.Sprintf("scheme=packed raw=128 %x", wordsObject())
 	lastStep := map[string][]string{
 		"c2s": {"WRITEBATCH-C tag=7 {3/0 obj=0 ext=[] " + words + "}", "READBATCH-C tag=8 "},
 		"s2c": {"ACKBATCH-C tag=7 ", "DATABATCH-C tag=8 {" + words + "}"},
 	}
-	for _, path := range []string{greedyParseGolden, protoV3Golden} {
-		then := load(path)
+	for dir, step := range lastStep {
+		for i, want := range step {
+			if at := len(now[dir]) - len(step) + i; at < 0 || !strings.HasPrefix(now[dir][at], want) {
+				t.Fatalf("%s frame %d is not the script's last step:\n want %s…", dir, at, want)
+			}
+		}
+	}
+	for _, rec := range []struct {
+		path     string
+		lastStep bool // the recording predates the script's last step
+	}{
+		{greedyParseGolden, true},
+		{protoV3Golden, true},
+		{protoV4Golden, false},
+	} {
+		then := load(rec.path, unpackLaneWords) // all older than protocol version 5
 		for _, dir := range []string{"c2s", "s2c"} {
 			n := len(then[dir])
-			if n == 0 || len(now[dir]) != n+len(lastStep[dir]) {
-				t.Fatalf("%s: %d frames now, %d in %s", dir, len(now[dir]), n, path)
+			if rec.lastStep {
+				n += len(lastStep[dir])
+			}
+			if len(then[dir]) == 0 || len(now[dir]) != n {
+				t.Fatalf("%s: %d frames now, %d in %s", dir, len(now[dir]), len(then[dir]), rec.path)
 			}
 			for i := range then[dir] {
 				if now[dir][i] != then[dir][i] {
-					t.Fatalf("%s frame %d differs from %s beyond its compressed blocks:\n now  %s\n then %s", dir, i, path, now[dir][i], then[dir][i])
-				}
-			}
-			for i, want := range lastStep[dir] {
-				if got := now[dir][n+i]; !strings.HasPrefix(got, want) {
-					t.Fatalf("%s frame %d is not the script's last step:\n got  %s\n want %s…", dir, n+i, got, want)
+					t.Fatalf("%s frame %d differs from %s beyond its compressed blocks:\n now  %s\n then %s", dir, i, rec.path, now[dir][i], then[dir][i])
 				}
 			}
 		}

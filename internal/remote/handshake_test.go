@@ -49,17 +49,17 @@ func stubDataReply(req rdma.Frame, data func(rdma.ReadReq) []byte) (rdma.Frame, 
 	return b.Frame(req.Tag)
 }
 
-// futureServer accepts connections and refuses every hello the way a
-// server one protocol version ahead would: an ERR led by its own,
-// checksummed, record. It counts the connections it saw.
-func futureServer(t *testing.T) (addr string, dials *atomic.Int32) {
+// refusingServer accepts connections and refuses every hello the way a
+// server of protocol version v would: an ERR led by its own, checksummed,
+// record. It counts the connections it saw and keeps the last hello.
+func refusingServer(t *testing.T, v uint16) (addr string, dials *atomic.Int32, seen *atomic.Value) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	dials = new(atomic.Int32)
+	dials, seen = new(atomic.Int32), new(atomic.Value)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -69,15 +69,19 @@ func futureServer(t *testing.T) (addr string, dials *atomic.Int32) {
 			dials.Add(1)
 			go func() {
 				defer conn.Close()
-				if _, err := rdma.ReadFrame(conn); err != nil {
+				f, err := rdma.ReadFrame(conn)
+				if err != nil {
 					return
 				}
-				p := rdma.Hello{Version: rdma.ProtoVersion + 1}.Append(nil)
-				rdma.WriteFrame(conn, rdma.Frame{Op: rdma.OpErr, Payload: append(p, "server speaks a newer protocol"...)})
+				if h, err := rdma.DecodeHello(f.Payload); err == nil {
+					seen.Store(h)
+				}
+				p := rdma.Hello{Version: v}.Append(nil)
+				rdma.WriteFrame(conn, rdma.Frame{Op: rdma.OpErr, Payload: append(p, fmt.Sprintf("server speaks protocol version %d", v)...)})
 			}()
 		}
 	}()
-	return ln.Addr().String(), dials
+	return ln.Addr().String(), dials, seen
 }
 
 // TestHandshakeMismatchIsDefinitive: a version mismatch is refused with
@@ -113,7 +117,7 @@ func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	}
 
 	// Client side: the initial dial, with a budget it must not touch.
-	addr, dials := futureServer(t)
+	addr, dials, _ := refusingServer(t, rdma.ProtoVersion+1)
 	_, err = DialPipelined(addr, PipelineOpts{RetryMax: 6, RetryBase: time.Millisecond, Timeout: time.Second})
 	if !errors.Is(err, ErrProtoMismatch) {
 		t.Fatalf("DialPipelined = %v, want ErrProtoMismatch", err)
@@ -143,6 +147,46 @@ func TestHandshakeMismatchIsDefinitive(t *testing.T) {
 	}
 	if n := dials.Load(); n != 3 {
 		t.Fatalf("the ping cost %d dials, want 1", n-2)
+	}
+}
+
+// TestHandshakeRefusesTheLaneWordsVersion: protocol version 4 packed
+// SchemeWords in byte lanes, version 5 in bit fields, so the two must
+// never share a session: each refuses the other at the hello, and the
+// client that hears the refusal — whichever version it speaks — gets
+// ErrProtoMismatch.
+func TestHandshakeRefusesTheLaneWordsVersion(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	const v4 = 4
+	if rdma.ProtoVersion != v4+1 {
+		t.Fatalf("ProtoVersion = %d, want %d", rdma.ProtoVersion, v4+1)
+	}
+
+	// A version-4 client against this server.
+	srv, _ := startServer(t)
+	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = sayHello(conn, time.Second, rdma.Hello{Version: v4, Opts: rdma.OptCompress}, nil)
+	if !errors.Is(err, ErrProtoMismatch) {
+		t.Fatalf("a version-4 hello to a version-5 server = %v, want ErrProtoMismatch", err)
+	}
+	for _, want := range []string{"client speaks version 4", "server version 5"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not say %q", err, want)
+		}
+	}
+
+	// This client against a version-4 server.
+	addr, dials, seen := refusingServer(t, v4)
+	_, err = DialPipelined(addr, PipelineOpts{RetryMax: 6, RetryBase: time.Millisecond, Timeout: time.Second})
+	if !errors.Is(err, ErrProtoMismatch) {
+		t.Fatalf("DialPipelined against a version-4 server = %v, want ErrProtoMismatch", err)
+	}
+	if h, _ := seen.Load().(rdma.Hello); h.Version != rdma.ProtoVersion || dials.Load() != 1 {
+		t.Fatalf("the version-4 server saw %d dial(s), the last hello %+v; want one version-%d hello", dials.Load(), h, rdma.ProtoVersion)
 	}
 }
 
@@ -400,7 +444,7 @@ func recordedSession(t *testing.T, opts PipelineOpts, ops func(*PipelinedClient)
 // TestSessionOptionsShapeTheWire pins what each hello option keeps off
 // the wire when it is not asked for: an untraced session carries no
 // trace block, a Compression "off" session no compressed segment, LZ or
-// lane-packed — in either direction, whatever the data.
+// bit-packed — in either direction, whatever the data.
 func TestSessionOptionsShapeTheWire(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	verbs := func(frames []rdma.Frame) string {

@@ -243,10 +243,10 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 				readers.Wait()
 			}()
 
-			// image draws an object: sparse small ints (they lane-pack, and LZ
+			// image draws an object: sparse small ints (they bit-pack, and LZ
 			// shrinks them), noise (neither) or zeros; a chaseDS node also gets
 			// a successor word — a tagged one spans all eight lanes, so only
-			// terminal nodes stay lane-packable.
+			// terminal nodes stay bit-packable.
 			image := func(ds uint32) []byte {
 				size := nodeSize
 				if ds == mixedDS || rng.Intn(8) == 0 {
@@ -292,7 +292,7 @@ func TestObjectStoreMatchesFlatModel(t *testing.T) {
 				}
 			}
 			extents := func(objSize uint32) (exts []rdma.Extent, raw []byte) {
-				if rng.Intn(4) == 0 { // one 64-byte run of small words: a gather that lane-packs
+				if rng.Intn(4) == 0 { // one 64-byte run of small words: a gather that bit-packs
 					return []rdma.Extent{{Off: uint32(rng.Intn(int(objSize)-64)) &^ 7, Len: 64}}, sparseInt64(64, rng)
 				}
 				off := uint32(0)
@@ -514,11 +514,11 @@ func TestForgedLZTupleStoresNothing(t *testing.T) {
 }
 
 // TestForgedWordsTupleStoresNothing is the same contract for every way a
-// lane-packed block can be wrong: admission is rdma.CheckWords, and what
+// bit-packed block can be wrong: admission is rdma.CheckWords, and what
 // it refuses is refused exactly as an LZ block that fails to decode is.
 func TestForgedWordsTupleStoresNothing(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
-	victim := sparseInt64(4096, rand.New(rand.NewSource(6))) // lanes 0-1: lo 0, w 2
+	victim := sparseInt64(4096, rand.New(rand.NewSource(6))) // bits 0-9: s 0, w 10
 	bitmap := func(r *rdma.WriteReqC) []byte { return r.Data[2 : 2+64] }
 	flipFirst := func(r *rdma.WriteReqC, set bool) {
 		for i, b := range bitmap(r) {
@@ -541,7 +541,7 @@ func TestForgedWordsTupleStoresNothing(t *testing.T) {
 		{"word area one byte short", func(r *rdma.WriteReqC) { r.Data = r.Data[:len(r.Data)-1] }, true},
 		{"w=0", func(r *rdma.WriteReqC) { r.Data[1] = 0 }, true},
 		{"w=5", func(r *rdma.WriteReqC) { r.Data[1] = 5 }, true},
-		{"lo+w=9", func(r *rdma.WriteReqC) { r.Data[0] = 7 }, true},
+		{"lo+w=9", func(r *rdma.WriteReqC) { r.Data[0] = 65 - r.Data[1] }, true}, // s+w = 65
 		{"rawLen not whole groups", func(r *rdma.WriteReqC) { r.RawLen -= 8 }, true},
 		{"rawLen another multiple of 64", func(r *rdma.WriteReqC) { r.RawLen += 64 }, true},
 		// A block no shorter than its object never reaches CheckWords: the
@@ -556,7 +556,7 @@ func TestForgedWordsTupleStoresNothing(t *testing.T) {
 
 // TestPackedWriteTuplesOnPlainSession pins what OptCompress governs: what
 // the server sends, not what it takes. A session that did not ask for it
-// may still write LZ and lane-packed tuples — full objects and range
+// may still write LZ and bit-packed tuples — full objects and range
 // gathers — which are validated and stored exactly as on a compressing
 // session (and refused exactly so when forged); it is never sent a
 // compressed segment back (rawSession.read fails the test on one), while
@@ -600,8 +600,8 @@ func TestPackedWriteTuplesOnPlainSession(t *testing.T) {
 		}
 	}
 
-	// A range tuple whose 64-byte gather lane-packs, spliced onto the
-	// lane-packed image.
+	// A range tuple whose 64-byte gather bit-packs, spliced onto the
+	// bit-packed image.
 	gather := sparseInt64(64, rng)
 	r := fullTuple(9, 1, 0, gather, rdma.SchemeWords)
 	if r.Scheme != rdma.SchemeWords {
@@ -615,7 +615,7 @@ func TestPackedWriteTuplesOnPlainSession(t *testing.T) {
 	copy(want[128:], gather)
 	for _, sess := range []*rawSession{plain, packed} {
 		if objs, _ := sess.read(false, reqs[1]); !bytes.Equal(objs[0], want) {
-			t.Fatalf("lane-packed range tuple spliced wrong (compress=%v)", sess.compress)
+			t.Fatalf("bit-packed range tuple spliced wrong (compress=%v)", sess.compress)
 		}
 	}
 }

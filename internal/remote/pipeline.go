@@ -251,7 +251,7 @@ type PipelinedClient struct {
 	// connection of this client opens with the same hello.
 	hello    rdma.Hello
 	trace    bool // tagged frames carry the trace extension
-	compress bool // batch segments may be compressed (LZ, lane-packed words)
+	compress bool // batch segments may be compressed (LZ, bit-packed words)
 
 	metrics *pipeMetrics
 	hub     *obs.TraceHub  // nil = no tracing

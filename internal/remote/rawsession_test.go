@@ -144,7 +144,7 @@ func (s *rawSession) write(epoch bool, reqs ...rdma.WriteReqC) (rejected []uint6
 // read sends one READBATCH-C (stamped when epoch is set) and returns
 // each object expanded to raw bytes, plus the stored epochs of a stamped
 // read. A session that did not ask for compression must never be sent
-// a compressed segment, LZ or lane-packed.
+// a compressed segment, LZ or bit-packed.
 func (s *rawSession) read(epoch bool, reqs ...rdma.ReadReq) (objs [][]byte, epochs []uint64) {
 	s.tb.Helper()
 	f := rdma.EncodeReadBatchCPooled(0, reqs)

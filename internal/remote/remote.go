@@ -49,7 +49,7 @@ type ObjectStore struct {
 // WRITEBATCH-C tuple or DATABATCH-C segment carries it in: SchemeRaw
 // holds the rawLen bytes themselves, SchemeLZ an LZ block that decoded
 // to rawLen bytes when the server validated it on arrival, SchemeWords a
-// lane-packed block that passed rdma.CheckWords for rawLen then,
+// bit-packed block that passed rdma.CheckWords for rawLen then,
 // SchemeZero nothing — plus the object's epoch stamp. An absent object
 // reads as image's zero value: raw, no bytes, epoch 0.
 type image struct {
@@ -135,7 +135,7 @@ func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
 
 // writeWire stores a copy of a full-object image in wire form. A block
 // must already have been validated for rawLen bytes — an LZ one decoded
-// once, a lane-packed one through rdma.CheckWords: the store trusts it
+// once, a bit-packed one through rdma.CheckWords: the store trusts it
 // from here on.
 func (s *ObjectStore) writeWire(ds, idx uint32, scheme uint8, rawLen uint32, wire []byte) {
 	k := [2]uint32{ds, idx}

@@ -110,7 +110,7 @@ func BenchmarkServerReadStoredWords(b *testing.B) { benchServerReadStored(b, rdm
 // BenchmarkServerWriteAdmit prices what cardsd does to take one
 // compressed write-back of a bfs-shaped object: the same tuple written in
 // a closed loop over net.Pipe, as an LZ block — admitted by a full
-// validating decode into scratch — and as a lane-packed block — admitted
+// validating decode into scratch — and as a bit-packed block — admitted
 // by rdma.CheckWords. Either way the bytes are stored as they arrived.
 func BenchmarkServerWriteAdmit(b *testing.B) {
 	for _, tc := range []struct {
@@ -141,7 +141,7 @@ func BenchmarkServerWriteAdmit(b *testing.B) {
 
 // BenchmarkServerFaultBurstTCP prices a demand fault that drags a dirty
 // eviction with it, as bfs at 25 % local memory produces them: one
-// doorbell carrying a lane-packed 4 KiB write-back and a 4 KiB read of
+// doorbell carrying a bit-packed 4 KiB write-back and a 4 KiB read of
 // such an object, answered before the next doorbell, over TCP loopback.
 // writes/burst is the server's Write calls per doorbell (1 when the
 // burst's replies leave together, 2 when each is flushed on its own);
