@@ -83,15 +83,17 @@ fuzz-smoke:
 # handshake/cut/timeout/uncertain-write/reconnect tests, cardsd's
 # read-burst serving under cuts, drains and parked writes, and the
 # down-and-resume outage cycle (internal/remote), the breaker, prober and
-# async fault paths and the write-back sweep's failed, parked, scoped and
-# reentrant drains (internal/farmem), the per-backend fault domains
+# async fault paths, the write-back sweep's failed, parked, scoped and
+# reentrant drains and the late and failing fills of store-once misses
+# (internal/farmem, and internal/interp for the fills of random
+# programs), the per-backend fault domains
 # over them (internal/shardmap, internal/replica), and the injector
 # itself (internal/faultnet). Schedules are seeded in the tests, so a run
 # is reproducible.
 chaos:
 	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
-	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestFailedRangeWrite|TestWriteBackSweepReentrancy' ./internal/farmem
+	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestFailedRangeWrite|TestWriteBackSweepReentrancy|TestFill' ./internal/farmem ./internal/interp
 	$(GO) test -v ./internal/shardmap ./internal/replica
 	$(GO) test -v ./internal/faultnet
 
@@ -104,7 +106,11 @@ chaos:
 # local memory: dispatch, operand and call cost per IR instruction) and
 # BenchmarkCompiledTaxiNsPerDeref (the analytics workload compiled and
 # run in process, MaxUse at k 0.5 in a quarter of its working set over
-# the in-process store: interpreter + guard hit path per deref).
+# the in-process store: interpreter + guard hit path per deref) and
+# BenchmarkCompiledBFSNsPerDerefTCP (the bfs workload the same way, over
+# an in-process cardsd on loopback with the production far-tier
+# settings: ns/deref and sync-reads/deref, the misses the application
+# thread blocked on, which the in-process store cannot show).
 # The rest live beside the code they price, where the ladder's
 # rdma.lz_* rungs (one byte ramp, cleared at GB/s) see nothing:
 # BenchmarkLZShapes (internal/rdma: both block codecs on the 4 KiB

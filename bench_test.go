@@ -9,6 +9,7 @@ package cards
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"cards/internal/bench"
 	"cards/internal/core"
@@ -18,6 +19,7 @@ import (
 	"cards/internal/netsim"
 	"cards/internal/policy"
 	"cards/internal/prefetch"
+	"cards/internal/remote"
 	"cards/internal/stats"
 	"cards/internal/workloads"
 )
@@ -195,6 +197,71 @@ func BenchmarkCompiledTaxiNsPerDeref(b *testing.B) {
 		derefs += res.Runtime.GuardChecks
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
+}
+
+// syncReadCounter counts the blocking reads the runtime makes of a
+// pipelined client; every other surface passes straight through.
+type syncReadCounter struct {
+	*remote.PipelinedClient
+	reads uint64
+}
+
+func (s *syncReadCounter) ReadObj(ds, idx int, dst []byte) error {
+	s.reads++
+	return s.PipelinedClient.ReadObj(ds, idx, dst)
+}
+
+// BenchmarkCompiledBFSNsPerDerefTCP runs the bfs workload end to end
+// over a real socket: the compiled BFS program (1024 vertices, degree 8,
+// 3 trials), placed by MaxUse at k = 0.5 into a quarter of its working
+// set, against an in-process cardsd server on loopback with the
+// production far-tier settings (dial timeout 2s, 6 retries, breaker 8).
+// Unlike BenchmarkCompiledTaxiNsPerDeref it sees the round trips the
+// application thread waits for: ns/deref is wall time per guarded
+// access, sync-reads/deref the share of them that blocked on a read.
+func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
+	w := workloads.BuildBFS(workloads.BFSConfig{Vertices: 1024, Degree: 8, Trials: 3, Seed: 1})
+	c, err := core.Compile(w.Module, core.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	local := w.WorkingSetBytes / 4
+	cfg := core.RunConfig{
+		Policy: policy.MaxUse, K: 0.5,
+		PinnedBudget: local / 2, RemotableBudget: local / 2,
+		RetryMax: 6, BreakerThreshold: 8,
+	}
+	want, err := c.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := remote.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := remote.DialPipelined(addr, remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	store := &syncReadCounter{PipelinedClient: cl}
+	cfg.Store = store
+	var derefs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.MainResult != want.MainResult {
+			b.Fatalf("checksum %#x over TCP, %#x in process", res.MainResult, want.MainResult)
+		}
+		derefs += res.Runtime.GuardChecks
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
+	b.ReportMetric(float64(store.reads)/float64(derefs), "sync-reads/deref")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

@@ -23,7 +23,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/run_count
 // measures: the checksum, the interpreter's instruction / call / ROI
 // tallies, the final virtual clock and the runtime's guard, fetch,
 // eviction, prefetch and write-back counters — for four workloads under
-// three CaRDS policies and both baselines, at 25% local memory. The golden
+// three CaRDS policies (each also over an async store, the /async lines)
+// and both baselines, at 25% local memory. The golden
 // was recorded from the build before the interpreter was pre-decoded and
 // the prefetch hit path memoised; any rewrite of either must reproduce
 // it exactly (a one-cycle drift in the order of clock charges shows up
@@ -82,6 +83,17 @@ func TestRunCountersArePinned(t *testing.T) {
 				t.Fatalf("%s %v: %v", b.name, pol, err)
 			}
 			line(b.name, pol.String(), res.MainResult, res.Interp, res.Cycles, res.Runtime, res.PerDS)
+
+			// The async column: the same run over a store whose async
+			// reads and writes complete inline, so the runtime takes its
+			// staged prefetch, staged write-back and store-once miss paths
+			// with every completion already there when it looks.
+			prc.Store = testutil.InlineAsync{ObjStore: farmem.NewMapStore()}
+			res, err = compile(b.build).Run(prc)
+			if err != nil {
+				t.Fatalf("%s %v async: %v", b.name, pol, err)
+			}
+			line(b.name, pol.String()+"/async", res.MainResult, res.Interp, res.Cycles, res.Runtime, res.PerDS)
 		}
 
 		tc, err := trackfm.Compile(b.build().Module)

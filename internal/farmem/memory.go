@@ -112,6 +112,17 @@ func (r *Runtime) Guard(addr uint64, write bool) (uint64, error) {
 // the span is unknown and a write dirties conservatively (the whole
 // object, or the structure's static write footprint).
 func (r *Runtime) GuardSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
+	return r.guard(addr, write, false, gLo, gHi)
+}
+
+// GuardStore is the write guard of a store-once access: its result feeds
+// one word store at addr and nothing else, so a network miss may hand
+// the frame out before the object's bytes arrive (see deref).
+func (r *Runtime) GuardStore(addr uint64, gLo, gHi int) (uint64, error) {
+	return r.guard(addr, true, true, gLo, gHi)
+}
+
+func (r *Runtime) guard(addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
 	r.stats.GuardChecks++
 	if r.trackFM {
 		// TrackFM's guards run the full lookup on every access —
@@ -129,7 +140,7 @@ func (r *Runtime) GuardSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 		r.stats.FastPathHits++
 		return addr, nil
 	}
-	return r.DerefSpan(addr, write, gLo, gHi)
+	return r.deref(addr, write, once, gLo, gHi)
 }
 
 // Deref is the cards_deref slow path (Listing 4): map the tagged address
@@ -142,6 +153,17 @@ func (r *Runtime) Deref(addr uint64, write bool) (uint64, error) {
 // DerefSpan is Deref carrying a write span for the dirty rectangle; see
 // GuardSpan.
 func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
+	return r.deref(addr, write, false, gLo, gHi)
+}
+
+// deref is DerefSpan; once marks a GuardStore's deref. Such a miss over
+// an AsyncStore with the breaker closed allocates, evicts and charges
+// exactly as any other, but issues the read into a pendingFetch and
+// hands the frame out at once, logging the store's bytes; until the
+// object is settled (harvest) it is local to every decision, and the
+// first thing that reads or releases its frame — any other guard of it,
+// a full log, evictObject, ObjectWord — settles it first.
+func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
 	r.stats.DerefCalls++
 	id := DSOf(addr)
 	d := r.DSByID(id)
@@ -153,6 +175,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 		return 0, &ErrBadAddress{Addr: addr, Why: fmt.Sprintf("offset beyond DS extent %d", d.size)}
 	}
 	idx := int(off >> d.objShift)
+	objOff := int(off & (uint64(d.Meta.ObjSize) - 1))
 	obj := &d.objs[idx]
 	r.accessSeq++
 	obj.lastUse = r.accessSeq
@@ -170,6 +193,11 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 	rootMine := false
 	switch obj.state {
 	case objLocal:
+		if p := obj.pending; p != nil && !(once && p.logStore(objOff, d.Meta.ObjSize)) {
+			if err := r.harvest(d, idx); err != nil {
+				return 0, err
+			}
+		}
 		d.stats.Hits++
 
 	case objInFlight:
@@ -242,7 +270,12 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 			r.endRoot(rootMine)
 			return 0, err
 		}
-		if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
+		if once && r.astore != nil && !r.breakerIsOpen() {
+			p := r.getFetch(d.Meta.ObjSize)
+			r.astore.IssueRead(d.ID, idx, p.buf, p.fn)
+			p.logStore(objOff, d.Meta.ObjSize)
+			obj.pending = p
+		} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 			// Give the frame back and bump the epoch so the ring entry
 			// allocFrame just registered goes stale — otherwise every
 			// failed fetch would leak remotable budget.
@@ -261,11 +294,11 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 
 	obj.ref = true
 	if write {
-		r.markDirty(d, obj, int(off&(uint64(d.Meta.ObjSize)-1)), gLo, gHi)
+		r.markDirty(d, obj, objOff, gLo, gHi)
 	}
 	d.prefetcher.OnAccess(r, d, idx, missed)
 	r.endRoot(rootMine)
-	return obj.frame + (off & (uint64(d.Meta.ObjSize) - 1)), nil
+	return obj.frame + uint64(objOff), nil
 }
 
 // allocFrame reserves a local frame for one object of d, evicting cold
@@ -404,6 +437,9 @@ func (r *Runtime) evictOne() error {
 // off the critical path (tryAsyncWriteBack); the synchronous store
 // round trip remains the fallback.
 func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
+	if err := r.harvest(d, idx); err != nil {
+		return err
+	}
 	obj := &d.objs[idx]
 	// Usually joins the root of the miss/prefetch whose allocFrame forced
 	// this eviction; materialize-driven evictions open their own.
@@ -569,7 +605,7 @@ func (r *Runtime) getFetch(size int) *pendingFetch {
 		r.pfFree[size] = l[:len(l)-1]
 		return p
 	}
-	return &pendingFetch{buf: make([]byte, size), completion: newCompletion()}
+	return &pendingFetch{buf: make([]byte, size), stores: make([]storeSpan, 0, storeLogCap), completion: newCompletion()}
 }
 
 // putFetch recycles p. Only harvest calls it, and only after p.wait()
@@ -577,38 +613,45 @@ func (r *Runtime) getFetch(size int) *pendingFetch {
 // access to buf, so a received completion — success or failure — is the
 // proof that nobody else still holds the buffer.
 func (r *Runtime) putFetch(p *pendingFetch) {
-	p.err, p.settled = nil, false
+	p.err, p.settled, p.stores = nil, false, p.stores[:0]
 	r.pfFree[len(p.buf)] = append(r.pfFree[len(p.buf)], p)
 }
 
-// harvest consumes the pending async completion of an in-flight object,
-// copying the staged payload into the object's arena frame. No-op on the
-// sync path (pending == nil). On a failed async read it retries
-// synchronously; if that also fails the object reverts to remote, its
-// frame is freed, and the error is returned.
+// harvest settles the pending async read of an in-flight or filling
+// object: it copies the staged payload into the object's arena frame,
+// keeping the bytes its logged stores wrote there. No-op on the sync
+// path (pending == nil). On a failed async read it retries
+// synchronously; if that also fails an in-flight object reverts to
+// remote and frees its frame, while a filling one keeps both, and its
+// log, for its next observer to retry; either way the error is
+// returned.
 func (r *Runtime) harvest(d *DS, idx int) error {
 	obj := &d.objs[idx]
 	p := obj.pending
 	if p == nil {
 		return nil
 	}
+	if perr := p.wait(); perr != nil {
+		// The async read failed: record it against the breaker, then
+		// reissue synchronously under the retry budget.
+		r.noteFault(perr)
+		if r.storeRead(d, idx, p.buf) != nil {
+			if obj.state == objInFlight {
+				obj.pending = nil
+				r.putFetch(p)
+				r.release(d, obj)
+			}
+			return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, perr)
+		}
+	}
+	frame := r.arena.Bytes(obj.frame, d.Meta.ObjSize)
+	for _, s := range p.stores {
+		copy(p.buf[s.off:s.off+s.n], frame[s.off:])
+	}
+	copy(frame, p.buf)
 	obj.pending = nil
-	perr := p.wait()
-	if perr == nil {
-		copy(r.arena.Bytes(obj.frame, d.Meta.ObjSize), p.buf)
-	}
 	r.putFetch(p)
-	if perr == nil {
-		return nil
-	}
-	// The async read failed: record it against the breaker, then reissue
-	// synchronously under the retry budget.
-	r.noteFault(perr)
-	if err := r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err == nil {
-		return nil
-	}
-	r.release(d, obj)
-	return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, perr)
+	return nil
 }
 
 // AllLocal answers the cards_all_local check of Listing 3: true iff every
@@ -682,7 +725,7 @@ func (r *Runtime) ObjectWord(d *DS, idx int, byteOff int) (uint64, bool) {
 		return 0, false
 	}
 	obj := &d.objs[idx]
-	if obj.state != objLocal {
+	if obj.state != objLocal || r.harvest(d, idx) != nil {
 		return 0, false
 	}
 	return r.arena.Read8(obj.frame + uint64(byteOff)), true

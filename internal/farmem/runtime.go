@@ -93,7 +93,8 @@ type FarObj struct {
 	// reset when the object ceases to be dirty.
 	rect dirtyRect
 	// pending carries the staging state of an AsyncStore read while the
-	// object is in flight; nil on the sync path.
+	// object is in flight, or local but filling (a store-once miss, see
+	// deref); nil on the sync path.
 	pending *pendingFetch
 }
 
@@ -145,7 +146,27 @@ func (c *completion) ready() bool {
 // completion are made once per lookahead slot, not once per prefetch.
 type pendingFetch struct {
 	buf []byte
+	// stores logs the bytes store-once guards wrote into a filling
+	// object's frame; harvest keeps them over the payload.
+	stores []storeSpan
 	completion
+}
+
+// storeSpan is one logged store: n bytes at byte off of the object.
+type storeSpan struct{ off, n int32 }
+
+// storeLogCap bounds a filling object's store log; a store-once guard
+// that finds it full settles the object first.
+const storeLogCap = 32
+
+// logStore logs a word store at byte off of an object of size bytes
+// and reports whether the log had room.
+func (p *pendingFetch) logStore(off, size int) bool {
+	if len(p.stores) == cap(p.stores) {
+		return false
+	}
+	p.stores = append(p.stores, storeSpan{int32(off), int32(min(8, size-off))})
+	return true
 }
 
 // DSStats is a snapshot of one structure's runtime counters.

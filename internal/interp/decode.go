@@ -45,6 +45,7 @@ const (
 	opGEP      // dst = a + b*x + y
 	opGEPLoad  // opGEP, then the guard and the load in the next two slots
 	opGEPStore // opGEP, then the guard and the store in the next two slots
+	opGEPOnce  // opGEPStore whose guard result has no other use: GuardStore
 	opGuardR   // dst = guard(a) with write span [x, y)
 	opGuardW   //
 	opAllLocal // dst = all_local(src.DSRefs)
@@ -138,9 +139,18 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 		return sink
 	}
 
+	// uses counts the static reads of each register, for fusedAccess.
+	uses := make([]int32, nregs)
 	start := make(map[*ir.Block]int64, len(f.Blocks))
 	n := 0
 	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
+			for _, v := range in.Operands() {
+				if r, ok := v.(*ir.Reg); ok {
+					uses[r.ID]++
+				}
+			}
+		}
 		// Verify guarantees this; decoding relies on it (a block that did
 		// not end in a terminator would run on into its neighbour).
 		if blk.Term() == nil {
@@ -182,7 +192,7 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 			case ir.OpStore:
 				d.op, d.a, d.b = opStore, slot(in, in.Addr), slot(in, in.Src)
 			case ir.OpGEP:
-				d.op, d.a, d.b = fusedAccess(blk.Instrs[j:]), slot(in, in.Base), constant(0)
+				d.op, d.a, d.b = fusedAccess(blk.Instrs[j:], uses), slot(in, in.Base), constant(0)
 				if in.Index != nil {
 					d.b = slot(in, in.Index)
 				}
@@ -230,10 +240,12 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 // fusedAccess returns the opcode for the GEP at s[0]: opGEPLoad or
 // opGEPStore when s[1] guards the GEP's result and s[2] loads or stores
 // through the guard's — the triple the guard pass emits for a remotable
-// access — else opGEP. s is the rest of one block, so a triple never
-// spans two. The guard and access keep their own slots and decoded form:
-// exec falls back to them when the step budget cannot cover all three.
-func fusedAccess(s []*ir.Instr) opcode {
+// access — else opGEP; opGEPOnce when the store's address is the
+// only use (uses, by register) of a write guard's result. s is the rest
+// of one block, so a triple never spans two. The guard and access keep
+// their own slots and decoded form: exec falls back to them when the
+// step budget cannot cover all three.
+func fusedAccess(s []*ir.Instr, uses []int32) opcode {
 	if len(s) < 3 || s[0].Dst == nil || s[1].Op != ir.OpGuard || s[1].Dst == nil ||
 		s[1].Addr != ir.Value(s[0].Dst) || s[2].Addr != ir.Value(s[1].Dst) {
 		return opGEP
@@ -242,6 +254,9 @@ func fusedAccess(s []*ir.Instr) opcode {
 	case ir.OpLoad:
 		return opGEPLoad
 	case ir.OpStore:
+		if s[1].IsWrite && uses[s[1].Dst.ID] == 1 {
+			return opGEPOnce
+		}
 		return opGEPStore
 	}
 	return opGEP

@@ -15,7 +15,9 @@
 // New pre-decodes every function once into a flat program (decode.go):
 // operands are frame-slot indices, branch targets are pcs, callees and
 // ROI markers are resolved, every binary operator is its own opcode, and
-// a GEP → guard → load/store triple is one instruction. Executing touches
+// a GEP → guard → load/store triple is one instruction (a store-once one
+// when the guard's result feeds nothing but the store: farmem may then
+// hand out the frame before a miss's bytes arrive). Executing touches
 // no ir.Value interface, no map and no allocator. Instructions are paid
 // for where they can be seen (exec): everything that can observe the
 // instruction count or the virtual clock sees exactly what walking the
@@ -288,7 +290,7 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 		case opGEP:
 			fr[in.dst] = fr[in.a] + fr[in.b]*uint64(in.x) + uint64(in.y)
 
-		case opGEPLoad, opGEPStore:
+		case opGEPLoad, opGEPStore, opGEPOnce:
 			// The GEP, the guard of its result in the next slot and the
 			// access through the guard's in the one after: one dispatch,
 			// settled once, before the guard. With fewer than three steps
@@ -302,7 +304,13 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 			g, acc := &code[pc], &code[pc+1]
 			pc += 2
 			budget, n = m.settle(n+1), 0
-			q, err := m.rt.GuardSpan(p, g.op == opGuardW, int(g.x), int(g.y))
+			var q uint64
+			var err error
+			if in.op == opGEPOnce {
+				q, err = m.rt.GuardStore(p, int(g.x), int(g.y))
+			} else {
+				q, err = m.rt.GuardSpan(p, g.op == opGuardW, int(g.x), int(g.y))
+			}
 			if err != nil {
 				return 0, m.trap(0, f, g, err)
 			}

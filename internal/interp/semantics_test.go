@@ -311,13 +311,14 @@ func TestUnguardedTaggedAccessTraps(t *testing.T) {
 // TestDecodeFusesOnlyTheGuardedAccessTriple: the decoder fuses a GEP
 // only with the guard of its result and the access through the guard's,
 // in the next two slots of the same block, and leaves both slots decoded
-// on their own.
+// on their own. A fused store is store-once only when its write guard's
+// result has no use but the store's address.
 func TestDecodeFusesOnlyTheGuardedAccessTriple(t *testing.T) {
 	m := ir.NewModule("fuse")
 	b := ir.NewBuilder(m.NewFunc("main", ir.I64()))
 	arr := b.Alloc(ir.I64(), ir.CI(8))
 	guard := func(addr ir.Value) *ir.Reg { return appendGuard(b, addr, false) }
-	guardedAccess(b, arr, ir.CI(1), true, ir.CI(5)) // fused store
+	guardedAccess(b, arr, ir.CI(1), true, ir.CI(5)) // fused store, store-once
 	_, g, v := guardedAccess(b, arr, ir.CI(1), false, nil)
 	b.Store(ir.I64(), v, g)         // an access through an old guard: not fused
 	p := b.GEP(arr, ir.CI(2), 8, 0) // GEP, something else, guard: not fused
@@ -327,6 +328,17 @@ func TestDecodeFusesOnlyTheGuardedAccessTriple(t *testing.T) {
 	b.Store(ir.I64(), ir.CI(2), guard(arr))
 	guard(b.GEP(arr, ir.CI(7), 8, 0)) // GEP, its guard, an access through another: not fused
 	b.Store(ir.I64(), ir.CI(3), g)
+	// Fused stores whose guard result has a second use: never store-once.
+	_, g2, _ := guardedAccess(b, arr, ir.CI(6), true, ir.CI(9))
+	b.Load(ir.I64(), g2) // a later load through it
+	_, g3, _ := guardedAccess(b, arr, ir.CI(4), true, ir.CI(10))
+	b.Copy(g3) // a copy of it
+	p2 := b.GEP(arr, ir.CI(2), 8, 0)
+	g4 := appendGuard(b, p2, true)
+	b.Store(ir.I64(), g4, g4) // it is the stored value too
+	// A read guard whose result feeds one store: fused, never store-once.
+	guardedAccess(b, arr, ir.CI(5), false, ir.CI(11))
+
 	q := guard(b.GEP(arr, ir.CI(3), 8, 0)) // GEP, guard, then the block ends: not fused
 	next := b.NewBlock("next")
 	b.Jmp(next)
@@ -343,9 +355,12 @@ func TestDecodeFusesOnlyTheGuardedAccessTriple(t *testing.T) {
 	for _, in := range main.code {
 		got = append(got, in.op)
 	}
-	want := []opcode{opAlloc, opGEPStore, opGuardW, opStore, opGEPLoad, opGuardR, opLoad, opStore,
+	want := []opcode{opAlloc, opGEPOnce, opGuardW, opStore, opGEPLoad, opGuardR, opLoad, opStore,
 		opGEP, opAdd, opGuardR, opStore, opGEP, opGuardR, opStore,
-		opGEP, opGuardR, opStore, opGEP, opGuardR, opJmp, opLoad, opRet}
+		opGEP, opGuardR, opStore,
+		opGEPStore, opGuardW, opStore, opLoad, opGEPStore, opGuardW, opStore, opMove,
+		opGEPStore, opGuardW, opStore, opGEPStore, opGuardR, opStore,
+		opGEP, opGuardR, opJmp, opLoad, opRet}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("decoded ops\n got: %v\nwant: %v", got, want)
 	}
@@ -849,7 +864,7 @@ func TestRandomGuardedProgramsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, in := range main.code {
-			if in.op == opGEPLoad || in.op == opGEPStore {
+			if in.op == opGEPLoad || in.op == opGEPStore || in.op == opGEPOnce {
 				fused++
 				break
 			}
