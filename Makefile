@@ -78,20 +78,21 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
-# proxy, the breaker outage demo and the sharded / replicated / chase
-# kill-and-restart runs (root), the transport's
+# proxy, the breaker outage demo and the sharded / replicated (one with
+# dirty-range write-back) / chase kill-and-restart runs (root), the transport's
 # handshake/cut/timeout/uncertain-write/reconnect tests, cardsd's
 # read-burst serving under cuts, drains and parked writes, and the
 # down-and-resume outage cycle (internal/remote), the breaker, prober and
 # async fault paths, the write-back sweep's failed, parked, scoped and
-# reentrant drains and the late and failing fills of store-once misses
-# (internal/farmem, and internal/interp for the fills of random
-# programs), the per-backend fault domains
+# reentrant drains and the unread objects of store-once misses — late,
+# lost and uncertain splices, failed base reads, the model histories
+# (internal/farmem, and internal/interp for random programs), the
+# per-backend fault domains
 # over them (internal/shardmap, internal/replica), and the injector
 # itself (internal/faultnet). Schedules are seeded in the tests, so a run
 # is reproducible.
 chaos:
-	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestChaseOffloadSurvivesBackendKillMidRun' .
+	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestReplicaKillBackendRangeWriteback|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestFailedRangeWrite|TestWriteBackSweepReentrancy|TestFill' ./internal/farmem ./internal/interp
 	$(GO) test -v ./internal/shardmap ./internal/replica

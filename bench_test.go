@@ -19,6 +19,7 @@ import (
 	"cards/internal/netsim"
 	"cards/internal/policy"
 	"cards/internal/prefetch"
+	"cards/internal/rdma"
 	"cards/internal/remote"
 	"cards/internal/stats"
 	"cards/internal/workloads"
@@ -199,16 +200,27 @@ func BenchmarkCompiledTaxiNsPerDeref(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
 }
 
-// syncReadCounter counts the blocking reads the runtime makes of a
-// pipelined client; every other surface passes straight through.
-type syncReadCounter struct {
+// opCounter counts the reads — blocking and asynchronous — and the
+// range writes the runtime issues to a pipelined client; every other
+// surface passes straight through.
+type opCounter struct {
 	*remote.PipelinedClient
-	reads uint64
+	syncReads, asyncReads, rangeWrites uint64
 }
 
-func (s *syncReadCounter) ReadObj(ds, idx int, dst []byte) error {
-	s.reads++
+func (s *opCounter) ReadObj(ds, idx int, dst []byte) error {
+	s.syncReads++
 	return s.PipelinedClient.ReadObj(ds, idx, dst)
+}
+
+func (s *opCounter) IssueRead(ds, idx int, dst []byte, done func(error)) {
+	s.asyncReads++
+	s.PipelinedClient.IssueRead(ds, idx, dst, done)
+}
+
+func (s *opCounter) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	s.rangeWrites++
+	s.PipelinedClient.IssueWriteRanges(ds, idx, src, exts, done)
 }
 
 // BenchmarkCompiledBFSNsPerDerefTCP runs the bfs workload end to end
@@ -218,7 +230,10 @@ func (s *syncReadCounter) ReadObj(ds, idx int, dst []byte) error {
 // production far-tier settings (dial timeout 2s, 6 retries, breaker 8).
 // Unlike BenchmarkCompiledTaxiNsPerDeref it sees the round trips the
 // application thread waits for: ns/deref is wall time per guarded
-// access, sync-reads/deref the share of them that blocked on a read.
+// access, sync-reads/deref the share of them that blocked on a read,
+// reads/deref all reads, blocking or not, and splices/deref the range
+// writes — without RangeWriteback, the unread objects of store-once
+// misses evicted as splices of their logged stores.
 func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	w := workloads.BuildBFS(workloads.BFSConfig{Vertices: 1024, Degree: 8, Trials: 3, Seed: 1})
 	c, err := core.Compile(w.Module, core.CompileOptions{})
@@ -246,7 +261,7 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Close()
-	store := &syncReadCounter{PipelinedClient: cl}
+	store := &opCounter{PipelinedClient: cl}
 	cfg.Store = store
 	var derefs uint64
 	b.ResetTimer()
@@ -261,7 +276,9 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 		derefs += res.Runtime.GuardChecks
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
-	b.ReportMetric(float64(store.reads)/float64(derefs), "sync-reads/deref")
+	b.ReportMetric(float64(store.syncReads)/float64(derefs), "sync-reads/deref")
+	b.ReportMetric(float64(store.syncReads+store.asyncReads)/float64(derefs), "reads/deref")
+	b.ReportMetric(float64(store.rangeWrites)/float64(derefs), "splices/deref")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

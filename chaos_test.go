@@ -49,7 +49,8 @@ func dialChaosPipelined(t *testing.T, addr string) *remote.PipelinedClient {
 		// Small batches: a coalesced READBATCH response (up to
 		// Window*4 KiB in one frame) could exceed every possible cut
 		// budget and replay forever; two objects per frame (~8 KiB)
-		// always fit the minimum cut draw (cut/2 = 16 KiB).
+		// keep every frame within the cut draws (cut/2..3cut/2) of the
+		// schedules here.
 		Window:   8,
 		MaxBatch: 2,
 	})
@@ -59,24 +60,39 @@ func dialChaosPipelined(t *testing.T, addr string) *remote.PipelinedClient {
 	return c
 }
 
+// rangeWritesApplied sums the range writes the servers applied. A run
+// without Config.RangeWriteback ships a range write only for an object
+// a store-once miss left unread, so a BFS run that applied none never
+// took the splice path.
+func rangeWritesApplied(srvs ...*remote.Server) (n uint64) {
+	for _, srv := range srvs {
+		n += srv.ObsSnapshot().Counter(remote.MetricRangeWrites)
+	}
+	return n
+}
+
 // TestChaosWorkloadsRunToCompletion is the headline robustness test: the
 // compiled BFS and pointer-chase workloads run against a TCP far tier
-// reached through the chaos proxy — a connection cut every 16 KiB and 1%
+// reached through the chaos proxy — a connection cut every 16–20 KiB and 1%
 // of forwarded chunks corrupted — and must produce exactly the checksum
 // of the in-process run. The transport replays reads across reconnects;
 // corrupted frames are caught by the CRC trailer; uncertain writes
 // surface to the runtime, whose reissue is safe because full-object
-// write-backs are idempotent.
+// write-backs are idempotent (a splice's reissue is the rebuilt full
+// object).
 func TestChaosWorkloadsRunToCompletion(t *testing.T) {
 	// Each workload carries the cut schedule matched to its traffic
-	// volume (BFS pushes ~40x the bytes of the chase), so both rack up
-	// well over 50 disconnects without taking minutes.
+	// volume (BFS pushes many times the bytes of the chase), so both
+	// rack up well over 50 disconnects without taking minutes.
 	cases := map[string]struct {
 		spec  string
 		build func() (*ir.Module, error)
 	}{
 		"bfs": {
-			spec: "cut=32768,corrupt=0.01,seed=7",
+			// Most BFS write-backs are splices of a few bytes (unread
+			// store-once objects), so a 20 KiB budget is what racks up
+			// its disconnects.
+			spec: "cut=20480,corrupt=0.01,seed=7",
 			build: func() (*ir.Module, error) {
 				return workloads.BuildBFS(workloads.BFSConfig{
 					Vertices: 512, Degree: 6, Trials: 2, Seed: 11}).Module, nil
@@ -152,6 +168,9 @@ func TestChaosWorkloadsRunToCompletion(t *testing.T) {
 			// schedule, not the legacy sync path.
 			if res.Runtime.StagedWriteBacks == 0 {
 				t.Error("StagedWriteBacks = 0: async write-back path never engaged under chaos")
+			}
+			if name == "bfs" && rangeWritesApplied(srv) == 0 {
+				t.Error("the server applied no range write: no unread store-once object was spliced")
 			}
 			cuts, corrupts, conns := proxy.Cuts(), proxy.Corruptions(), proxy.Conns()
 			if cuts < 50 {

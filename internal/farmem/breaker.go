@@ -357,17 +357,17 @@ func (r *Runtime) noteFault(err error) {
 // scope it touches only objects whose owning slice recovered after
 // since; objects on slices still down stay pinned without a wasted
 // fail-fast write, and objects on healthy slices that were never
-// stranded are not re-written at all. A filling object (see deref) is
-// passed over: its frame is not filled yet, and its eviction writes it
-// back once it is. remain reports work left pinned
-// for a later recovery. With stopOnFault a failure other than
-// ErrDegraded (the tier re-tripped, or a transient) abandons the drain:
-// done is false and the remaining dirty objects stay pinned.
+// stranded are not re-written at all. An unread object (see deref) is
+// passed over: its frame holds only its log, and its eviction splices
+// that. remain reports work left pinned for a later recovery. With
+// stopOnFault a failure other than ErrDegraded (the tier re-tripped, or
+// a transient) abandons the drain: done is false and the remaining
+// dirty objects stay pinned.
 func (r *Runtime) drainDirty(scope DrainScoper, since uint64, stopOnFault bool) (remain, done bool) {
 	for _, d := range r.dss {
 		for idx := range d.objs {
 			obj := &d.objs[idx]
-			if obj.state != objLocal || !obj.dirty || obj.pending != nil {
+			if obj.state != objLocal || !obj.dirty || obj.log != nil {
 				continue
 			}
 			if scope != nil && !scope.ShouldDrain(d.ID, idx, since) {

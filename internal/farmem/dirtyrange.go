@@ -1,6 +1,11 @@
 package farmem
 
-import "cards/internal/rdma"
+import (
+	"cmp"
+	"slices"
+
+	"cards/internal/rdma"
+)
 
 // Compiler-aided dirty-range write-back.
 //
@@ -24,7 +29,10 @@ import "cards/internal/rdma"
 // buffer still snapshots the FULL object, so the synchronous reissue of
 // a failed or uncertain range write (settleWB, drainParked) replays the
 // whole image idempotently — correctness never depends on the range
-// path.
+// path. An unread frame (see deref) is the exception that rides the
+// same verb: it never held the remote image, only its store log, so it
+// ships the log as a splice, and its reissue rebuilds the image from
+// the base first (rewriteWB).
 
 // dirtyRect is the accumulated written region of one resident object:
 // element rows [eLo, eHi] (inclusive) crossed with the byte range
@@ -127,11 +135,14 @@ func (r *Runtime) unionRect(obj *FarObj, fresh bool, eLo, eHi, fLo, fHi uint16) 
 }
 
 // RangeWriteStore is an AsyncWriteStore that can ship only the modified
-// byte ranges of an object: src is the full image, exts the modified
-// (offset, length) ranges within it, and the far tier splices the
-// extent bytes into its stored copy. Implemented by the compact-tier
-// remote clients; detected by type assertion when Config.RangeWriteback
-// is set.
+// byte ranges of an object: exts are the modified (offset, length)
+// ranges, sorted and non-overlapping, and the far tier splices the
+// extent bytes of src into its stored copy. src is valid only inside
+// exts — an unread object's splice (see deref) has no other bytes — so
+// an implementation must never store src whole when exts is non-nil.
+// Implemented by the compact-tier remote clients; detected by type
+// assertion. The runtime ships dirty ranges when Config.RangeWriteback
+// is set, and the logs of unread objects whatever it says.
 type RangeWriteStore interface {
 	AsyncWriteStore
 	IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error))
@@ -142,7 +153,7 @@ type RangeWriteStore interface {
 // object — when the range path is off, the rectangle is unknown, the
 // coverage gate fails, or the row count exceeds the wire's extent cap.
 func (r *Runtime) rangeExtents(d *DS, obj *FarObj) []rdma.Extent {
-	if r.rwstore == nil || obj.rect.full || !obj.dirty {
+	if !r.rangeWB || obj.rect.full || !obj.dirty {
 		return nil
 	}
 	rc := obj.rect
@@ -184,4 +195,20 @@ func (r *Runtime) putExtBuf(b []rdma.Extent) {
 	if b != nil && len(r.extFree) < 32 {
 		r.extFree = append(r.extFree, b)
 	}
+}
+
+// spliceExtents returns the extents of an unread object's store log
+// sorted and merged, as a range write wants them.
+func (r *Runtime) spliceExtents(l *storeLog) []rdma.Extent {
+	exts := append(r.getExtBuf(len(l.exts)), l.exts...)
+	slices.SortFunc(exts, func(a, b rdma.Extent) int { return cmp.Compare(a.Off, b.Off) })
+	out := exts[:1]
+	for _, e := range exts[1:] {
+		if last := &out[len(out)-1]; e.Off <= last.Off+last.Len {
+			last.Len = max(last.Len, e.Off+e.Len-last.Off)
+		} else {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -95,13 +95,13 @@ func evictObj0(t *testing.T, r *Runtime, addr uint64, objSize int) {
 }
 
 func TestRangeWriteStoreDetection(t *testing.T) {
-	if r := New(Config{Store: newRangeWriteStore()}); r.rwstore != nil {
-		t.Fatal("range store must not be detected without Config.RangeWriteback")
+	if r := New(Config{Store: newRangeWriteStore()}); r.rwstore == nil || r.rangeWB {
+		t.Fatal("without Config.RangeWriteback a range store must be detected (for splices) but ship no dirty ranges")
 	}
-	if r := New(Config{Store: newRangeWriteStore(), RangeWriteback: true}); r.rwstore == nil {
+	if r := New(Config{Store: newRangeWriteStore(), RangeWriteback: true}); !r.rangeWB {
 		t.Fatal("RangeWriteback + RangeWriteStore backend should enable the range path")
 	}
-	if r := New(Config{Store: newSlowWriteStore(0), RangeWriteback: true}); r.rwstore != nil {
+	if r := New(Config{Store: newSlowWriteStore(0), RangeWriteback: true}); r.rwstore != nil || r.rangeWB {
 		t.Fatal("a plain AsyncWriteStore must not be detected as a range store")
 	}
 }

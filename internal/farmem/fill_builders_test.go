@@ -15,11 +15,12 @@ import (
 
 // TestFillBuildersMatchSyncStore runs the compiled workloads the run
 // counters are pinned on, under MaxUse and all-remotable, over stores
-// whose async reads arrive late or fail, so store-once misses fill
-// behind the program: every checksum
-// must equal the synchronous store's, and where both an async read and
-// its synchronous reissue fail, the run must fail with an error that
-// wraps the read error.
+// whose async ops arrive late or fail, so store-once misses leave
+// objects unread and their splices land late, are lost or uncertain:
+// every checksum must equal the synchronous store's, no read may
+// overlap a write of its object, and where synchronous reads fail too,
+// a run that reads remotely must fail with an error that wraps the read
+// error.
 func TestFillBuildersMatchSyncStore(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -72,9 +73,14 @@ func TestFillBuildersMatchSyncStore(t *testing.T) {
 			late := testutil.NewLateAsync(farmem.NewMapStore(), 50*time.Microsecond, 42)
 			got, err := run(b.build, pol, late)
 			late.Wait()
-			same("late fills", got, err)
+			same("late ops", got, err)
+			if n := late.Overlaps(); n != 0 {
+				t.Fatalf("%s: %d reads overlapped a write of their object", name, n)
+			}
 			got, err = run(b.build, pol, &testutil.FailingAsync{ObjStore: farmem.NewMapStore()})
-			same("failed fills", got, err)
+			same("failed async reads", got, err)
+			got, err = run(b.build, pol, &testutil.FailingAsync{ObjStore: farmem.NewMapStore(), SpliceFails: true})
+			same("failed splices", got, err)
 			got, err = run(b.build, pol, &testutil.FailingAsync{ObjStore: farmem.NewMapStore(), SyncFails: true})
 			if want.Runtime.RemoteFetches == 0 {
 				same("doubly failing reads", got, err)

@@ -3,6 +3,8 @@ package farmem
 import (
 	"errors"
 	"fmt"
+
+	"cards/internal/rdma"
 )
 
 // DSAlloc services a dsalloc(size, handle) call (Listing 2): it allocates
@@ -157,12 +159,13 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 }
 
 // deref is DerefSpan; once marks a GuardStore's deref. Such a miss over
-// an AsyncStore with the breaker closed allocates, evicts and charges
-// exactly as any other, but issues the read into a pendingFetch and
-// hands the frame out at once, logging the store's bytes; until the
-// object is settled (harvest) it is local to every decision, and the
-// first thing that reads or releases its frame — any other guard of it,
-// a full log, evictObject, ObjectWord — settles it first.
+// a RangeWriteStore with the breaker closed allocates, evicts and
+// charges exactly as any other, but reads nothing: the object is local
+// and unread, its frame holding only the bytes its store log names.
+// Later store-once guards append to the log; the first observer — any
+// other guard of it, a full log, ObjectWord — reads the base and lays
+// the log over it (observe), and evicting it unread ships the log as a
+// splice (tryAsyncWriteBack).
 func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
 	r.stats.DerefCalls++
 	id := DSOf(addr)
@@ -193,11 +196,6 @@ func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, er
 	rootMine := false
 	switch obj.state {
 	case objLocal:
-		if p := obj.pending; p != nil && !(once && p.logStore(objOff, d.Meta.ObjSize)) {
-			if err := r.harvest(d, idx); err != nil {
-				return 0, err
-			}
-		}
 		d.stats.Hits++
 
 	case objInFlight:
@@ -270,11 +268,8 @@ func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, er
 			r.endRoot(rootMine)
 			return 0, err
 		}
-		if once && r.astore != nil && !r.breakerIsOpen() {
-			p := r.getFetch(d.Meta.ObjSize)
-			r.astore.IssueRead(d.ID, idx, p.buf, p.fn)
-			p.logStore(objOff, d.Meta.ObjSize)
-			obj.pending = p
+		if once && r.rwstore != nil && !r.breakerIsOpen() {
+			obj.log = r.getLog() // the store below is its first entry
 		} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 			// Give the frame back and bump the epoch so the ring entry
 			// allocFrame just registered goes stale — otherwise every
@@ -292,6 +287,12 @@ func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, er
 		r.emitSpan(EvFetch, d.ID, idx, false, start)
 	}
 
+	if l := obj.log; l != nil && !(once && l.add(objOff, min(8, d.Meta.ObjSize-objOff))) {
+		if err := r.observe(d, idx); err != nil {
+			r.endRoot(rootMine)
+			return 0, err
+		}
+	}
 	obj.ref = true
 	if write {
 		r.markDirty(d, obj, objOff, gLo, gHi)
@@ -435,11 +436,9 @@ func (r *Runtime) evictOne() error {
 // evictObject writes back (if dirty) and frees one resident object.
 // With an AsyncWriteStore the dirty payload is staged and written back
 // off the critical path (tryAsyncWriteBack); the synchronous store
-// round trip remains the fallback.
+// round trip, which writes the whole image and so observes an unread
+// object first, remains the fallback.
 func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
-	if err := r.harvest(d, idx); err != nil {
-		return err
-	}
 	obj := &d.objs[idx]
 	// Usually joins the root of the miss/prefetch whose allocFrame forced
 	// this eviction; materialize-driven evictions open their own.
@@ -448,6 +447,10 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	wasDirty := obj.dirty
 	if obj.dirty {
 		if !r.tryAsyncWriteBack(d, idx) {
+			if err := r.observe(d, idx); err != nil {
+				r.endRoot(rootMine)
+				return err
+			}
 			if err := r.storeWrite(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
 				r.endRoot(rootMine)
 				return fmt.Errorf("farmem: write-back ds%d[%d]: %w", d.ID, idx, err)
@@ -488,6 +491,10 @@ func (r *Runtime) release(d *DS, obj *FarObj) {
 	obj.ref = false
 	obj.epoch++
 	r.remoteGen++
+	if obj.log != nil {
+		r.putLog(obj.log)
+		obj.log = nil
+	}
 }
 
 // RemoteGen is a generation counter that advances whenever any object
@@ -605,7 +612,7 @@ func (r *Runtime) getFetch(size int) *pendingFetch {
 		r.pfFree[size] = l[:len(l)-1]
 		return p
 	}
-	return &pendingFetch{buf: make([]byte, size), stores: make([]storeSpan, 0, storeLogCap), completion: newCompletion()}
+	return &pendingFetch{buf: make([]byte, size), completion: newCompletion()}
 }
 
 // putFetch recycles p. Only harvest calls it, and only after p.wait()
@@ -613,44 +620,79 @@ func (r *Runtime) getFetch(size int) *pendingFetch {
 // access to buf, so a received completion — success or failure — is the
 // proof that nobody else still holds the buffer.
 func (r *Runtime) putFetch(p *pendingFetch) {
-	p.err, p.settled, p.stores = nil, false, p.stores[:0]
+	p.err, p.settled = nil, false
 	r.pfFree[len(p.buf)] = append(r.pfFree[len(p.buf)], p)
 }
 
-// harvest settles the pending async read of an in-flight or filling
-// object: it copies the staged payload into the object's arena frame,
-// keeping the bytes its logged stores wrote there. No-op on the sync
-// path (pending == nil). On a failed async read it retries
-// synchronously; if that also fails an in-flight object reverts to
-// remote and frees its frame, while a filling one keeps both, and its
-// log, for its next observer to retry; either way the error is
-// returned.
+// harvest consumes the pending async completion of an in-flight object,
+// copying the staged payload into the object's arena frame. No-op on the
+// sync path (pending == nil). On a failed async read it retries
+// synchronously; if that also fails the object reverts to remote, its
+// frame is freed, and the error is returned.
 func (r *Runtime) harvest(d *DS, idx int) error {
 	obj := &d.objs[idx]
 	p := obj.pending
 	if p == nil {
 		return nil
 	}
+	obj.pending = nil
+	defer r.putFetch(p)
 	if perr := p.wait(); perr != nil {
 		// The async read failed: record it against the breaker, then
 		// reissue synchronously under the retry budget.
 		r.noteFault(perr)
 		if r.storeRead(d, idx, p.buf) != nil {
-			if obj.state == objInFlight {
-				obj.pending = nil
-				r.putFetch(p)
-				r.release(d, obj)
-			}
+			r.release(d, obj)
 			return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, perr)
 		}
 	}
-	frame := r.arena.Bytes(obj.frame, d.Meta.ObjSize)
-	for _, s := range p.stores {
-		copy(p.buf[s.off:s.off+s.n], frame[s.off:])
+	copy(r.arena.Bytes(obj.frame, d.Meta.ObjSize), p.buf)
+	return nil
+}
+
+// getLog and putLog pool the store logs of unread objects.
+func (r *Runtime) getLog() *storeLog {
+	if l := len(r.logFree); l > 0 {
+		g := r.logFree[l-1]
+		r.logFree = r.logFree[:l-1]
+		return g
 	}
-	copy(frame, p.buf)
-	obj.pending = nil
-	r.putFetch(p)
+	return &storeLog{exts: make([]rdma.Extent, 0, storeLogCap)}
+}
+
+func (r *Runtime) putLog(l *storeLog) {
+	l.exts = l.exts[:0]
+	r.logFree = append(r.logFree, l)
+}
+
+// observe settles an unread object (no-op for any other): it waits for
+// the object's own staged write to complete — the splice a partial
+// re-localization left in flight (derefFromStaging) — so the base it
+// then reads synchronously is one the store has finished with, and lays
+// the log over that base. None of it charges the clock: the miss did.
+// On a failed read the object keeps its frame and log for its next
+// observer, and the error is returned.
+func (r *Runtime) observe(d *DS, idx int) error {
+	obj := &d.objs[idx]
+	if obj.log == nil {
+		return nil
+	}
+	if p := r.wbPending[wbKey{d.ID, idx}]; p != nil {
+		p.wait()
+	}
+	sz := d.Meta.ObjSize
+	buf := r.getWBBuf(sz)
+	defer r.putWBBuf(buf)
+	if err := r.storeRead(d, idx, buf); err != nil {
+		return fmt.Errorf("farmem: unread ds%d[%d]: base read: %w", d.ID, idx, err)
+	}
+	frame := r.arena.Bytes(obj.frame, sz)
+	for _, e := range obj.log.exts {
+		copy(buf[e.Off:e.Off+e.Len], frame[e.Off:])
+	}
+	copy(frame, buf)
+	r.putLog(obj.log)
+	obj.log = nil
 	return nil
 }
 
@@ -725,7 +767,7 @@ func (r *Runtime) ObjectWord(d *DS, idx int, byteOff int) (uint64, bool) {
 		return 0, false
 	}
 	obj := &d.objs[idx]
-	if obj.state != objLocal || r.harvest(d, idx) != nil {
+	if obj.state != objLocal || r.observe(d, idx) != nil {
 		return 0, false
 	}
 	return r.arena.Read8(obj.frame + uint64(byteOff)), true

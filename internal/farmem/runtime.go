@@ -83,19 +83,21 @@ const (
 // pool_manager->ptrs_ array of Listing 4).
 type FarObj struct {
 	state   objState
-	frame   uint64 // arena offset when local
-	readyAt uint64 // arrival cycle when in flight
-	lastUse uint64 // global access sequence number at last deref
 	dirty   bool
 	ref     bool // CLOCK reference bit
 	epoch   uint32
+	frame   uint64 // arena offset when local
+	readyAt uint64 // arrival cycle when in flight
+	lastUse uint64 // global access sequence number at last deref
 	// rect is the accumulated written region while dirty (dirtyrange.go);
 	// reset when the object ceases to be dirty.
 	rect dirtyRect
 	// pending carries the staging state of an AsyncStore read while the
-	// object is in flight, or local but filling (a store-once miss, see
-	// deref); nil on the sync path.
+	// object is in flight; nil on the sync path.
 	pending *pendingFetch
+	// log is non-nil while the object is local but unread (see deref):
+	// its frame holds only the bytes the log names.
+	log *storeLog
 }
 
 // completion is how the runtime learns that one asynchronous store op
@@ -146,26 +148,31 @@ func (c *completion) ready() bool {
 // completion are made once per lookahead slot, not once per prefetch.
 type pendingFetch struct {
 	buf []byte
-	// stores logs the bytes store-once guards wrote into a filling
-	// object's frame; harvest keeps them over the payload.
-	stores []storeSpan
 	completion
 }
 
-// storeSpan is one logged store: n bytes at byte off of the object.
-type storeSpan struct{ off, n int32 }
+// storeLog is the store log of an unread object: the byte extents of
+// its frame that hold the object's bytes, in store order.
+type storeLog struct{ exts []rdma.Extent }
 
-// storeLogCap bounds a filling object's store log; a store-once guard
-// that finds it full settles the object first.
+// storeLogCap bounds a store log; a store-once guard that finds it full
+// observes the object first.
 const storeLogCap = 32
 
-// logStore logs a word store at byte off of an object of size bytes
-// and reports whether the log had room.
-func (p *pendingFetch) logStore(off, size int) bool {
-	if len(p.stores) == cap(p.stores) {
+// add logs n bytes at byte off, extending the last extent when the two
+// touch, and reports whether the log had room.
+func (l *storeLog) add(off, n int) bool {
+	lo, hi := uint32(off), uint32(off+n)
+	if k := len(l.exts) - 1; k >= 0 && lo <= l.exts[k].Off+l.exts[k].Len && hi >= l.exts[k].Off {
+		e := &l.exts[k]
+		lo, hi = min(lo, e.Off), max(hi, e.Off+e.Len)
+		e.Off, e.Len = lo, hi-lo
+		return true
+	}
+	if len(l.exts) == cap(l.exts) {
 		return false
 	}
-	p.stores = append(p.stores, storeSpan{int32(off), int32(min(8, size-off))})
+	l.exts = append(l.exts, rdma.Extent{Off: lo, Len: hi - lo})
 	return true
 }
 
@@ -448,16 +455,18 @@ type RuntimeStats struct {
 
 // Runtime is the CaRDS far-memory runtime.
 type Runtime struct {
-	model  netsim.CostModel
-	clock  *netsim.Clock
-	link   *netsim.Link
-	arena  *Arena
-	store  Store
-	astore AsyncStore              // non-nil iff store supports IssueRead
-	pfFree map[int][]*pendingFetch // recycled async-read staging, by size
+	model   netsim.CostModel
+	clock   *netsim.Clock
+	link    *netsim.Link
+	arena   *Arena
+	store   Store
+	astore  AsyncStore              // non-nil iff store supports IssueRead
+	pfFree  map[int][]*pendingFetch // recycled async-read staging, by size
+	logFree []*storeLog             // recycled store logs of unread objects
 
 	// Asynchronous write-back pipeline (writeback.go).
-	rwstore   RangeWriteStore // non-nil iff range write-back is on and supported
+	rwstore   RangeWriteStore // non-nil iff store supports IssueWriteRanges
+	rangeWB   bool            // dirty-range write-back is on and supported
 	extFree   [][]rdma.Extent // pooled extent slices (dirtyrange.go)
 	awstore   AsyncWriteStore // non-nil iff store supports IssueWrite
 	wbPending map[wbKey]*pendingWB
@@ -571,9 +580,8 @@ func New(cfg Config) *Runtime {
 		r.pfFree = make(map[int][]*pendingFetch)
 	}
 	if r.awstore = caps.AsyncWrite; r.awstore != nil {
-		if cfg.RangeWriteback {
-			r.rwstore = caps.RangeWrite
-		}
+		r.rwstore = caps.RangeWrite
+		r.rangeWB = cfg.RangeWriteback && r.rwstore != nil
 		r.wbPending = make(map[wbKey]*pendingWB)
 		r.wbFree = make(map[int][][]byte)
 		r.wbBudget = cfg.WriteBackBudget

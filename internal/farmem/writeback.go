@@ -65,9 +65,13 @@ type pendingWB struct {
 	size int
 	// exts, when non-nil, are the modified ranges within buf: the write
 	// was issued as a range write (dirtyrange.go). buf still holds the
-	// FULL object so a synchronous reissue replays the whole image.
-	exts   []rdma.Extent
-	doneAt uint64 // virtual settle cycle (link.WriteBackAsync)
+	// FULL object so a synchronous reissue replays the whole image —
+	// unless partial is set: the entry is an unread object's splice
+	// (see deref), buf is valid only inside exts, and the reissue first
+	// rebuilds the image from the base (rewriteWB).
+	exts    []rdma.Extent
+	partial bool
+	doneAt  uint64 // virtual settle cycle (link.WriteBackAsync)
 	// parked marks an entry whose write — async and sync reissue both —
 	// was refused (degraded shard): buf holds the only durable copy and
 	// the entry waits for a recovery drain.
@@ -117,8 +121,22 @@ func (r *Runtime) liveWB(p *pendingWB) bool { return r.wbPending[p.key] == p }
 
 // rewriteWB writes a staged entry back synchronously from its snapshot
 // and, when the store takes it, charges the round trip and releases the
-// entry.
+// entry. A splice is never replayed as extents: a partial entry first
+// reads the base and lays its extents over it, and the whole image goes
+// out (an entry whose base read is refused stays partial).
 func (r *Runtime) rewriteWB(p *pendingWB) error {
+	if p.partial {
+		buf := r.getWBBuf(p.size)
+		if err := r.storeRead(p.d, p.idx, buf); err != nil {
+			r.putWBBuf(buf)
+			return err
+		}
+		for _, e := range p.exts {
+			copy(buf[e.Off:e.Off+e.Len], p.buf[e.Off:])
+		}
+		r.putWBBuf(p.buf)
+		p.buf, p.partial = buf, false
+	}
 	err := r.storeWrite(p.d, p.idx, p.buf)
 	if err == nil {
 		r.link.WriteBack(p.size)
@@ -229,6 +247,12 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	exts := r.rangeExtents(d, obj)
 	p := &pendingWB{key: key, d: d, idx: idx, buf: buf, size: sz, exts: exts,
 		completion: newCompletion()}
+	// The charge below is the dirty rectangle's whatever ships: an unread
+	// object's frame holds only its logged stores, so they go out as a
+	// splice.
+	if obj.log != nil {
+		p.exts, p.partial = r.spliceExtents(obj.log), true
+	}
 	if exts != nil {
 		// Only the extent bytes ride the wire; the virtual link charge
 		// shrinks with them.
@@ -246,8 +270,11 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	r.wbOrder = append(r.wbOrder, p)
 	r.wbBytes += uint64(sz)
 	r.stats.StagedWriteBacks++
-	if exts != nil {
-		r.rwstore.IssueWriteRanges(d.ID, idx, buf, exts, p.fn)
+	if p.partial {
+		r.putExtBuf(exts)
+	}
+	if p.exts != nil {
+		r.rwstore.IssueWriteRanges(d.ID, idx, buf, p.exts, p.fn)
 	} else {
 		r.awstore.IssueWrite(d.ID, idx, buf, p.fn)
 	}
@@ -266,10 +293,17 @@ func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 	}
 	// Snapshot the payload before allocFrame: evicting to make room can
 	// settle (and recycle) this very entry through write-back
-	// backpressure or a recovery drain.
+	// backpressure or a recovery drain. A partial entry re-localizes the
+	// object unread, its log the staged extents, taken here for the same
+	// reason.
 	sz := d.Meta.ObjSize
 	tmp := r.getWBBuf(sz)
 	copy(tmp, p.buf)
+	var log *storeLog
+	if p.partial {
+		log = r.getLog()
+		log.exts = append(log.exts, p.exts...)
+	}
 	frame, err := r.allocFrame(d, idx)
 	if err != nil {
 		r.putWBBuf(tmp)
@@ -280,11 +314,13 @@ func (r *Runtime) derefFromStaging(d *DS, idx int) (bool, error) {
 	obj := &d.objs[idx]
 	obj.frame = frame
 	obj.state = objLocal
+	obj.log = log
 	if q, live := r.wbPending[key]; live && q == p && p.parked {
 		// The parked staging copy was the only durable copy; the frame
 		// takes over that role, so the object re-localizes dirty and the
 		// staging budget is released. The remote base predates the parked
-		// write, so the dirty region is unknown: full-object write-back.
+		// write, so the dirty region is unknown: full-object write-back
+		// (an unread object's still ships its log).
 		r.releaseWB(p)
 		obj.dirty = true
 		obj.rect = dirtyRect{full: true}

@@ -431,11 +431,12 @@ func extentBytes(exts []rdma.Extent) int {
 }
 
 // IssueWriteRanges implements farmem.RangeWriteStore, the asynchronous
-// dirty-range write-back: src is the full object image, exts its
-// modified byte ranges, sorted and non-overlapping. The write rides the
-// pipeline and only the extents' bytes ship (spliced server-side
-// read-modify-write); extents the wire tier cannot ship, nil included,
-// mean the full object. src and exts must stay valid and unmodified
+// dirty-range write-back: exts are the object's modified byte ranges,
+// sorted and non-overlapping, and src holds its bytes at least inside
+// them. The write rides the pipeline and only the extents' bytes ship
+// (spliced server-side read-modify-write); nil extents, extents that
+// cover the whole object, or more than rdma.MaxExtents of them mean the
+// full object. src and exts must stay valid and unmodified
 // until done runs; done is invoked exactly once (possibly on the reader
 // goroutine) when the server has acknowledged the write or it failed,
 // and must not block. A connection fault before the ack completes the

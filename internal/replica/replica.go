@@ -126,11 +126,11 @@ type member struct {
 }
 
 // objMeta is the client-side authority record for one object: the
-// epoch its current image carries and the image size (what a resync
-// needs to re-read it from a survivor).
+// newest epoch stamped, the newest a write quorum acknowledged, and the
+// image size (what a resync needs to re-read it from a survivor).
 type objMeta struct {
-	epoch uint64
-	size  uint32
+	epoch, acked uint64
+	size         uint32
 }
 
 // Store is the replicated far tier. It implements farmem.Store,
@@ -254,14 +254,26 @@ func (s *Store) stampWrite(ds, idx, size int) uint64 {
 	return meta.epoch
 }
 
-// authority returns the epoch the object's current image must carry
-// (0 when the object was never written through this store — any image
-// is acceptable then).
-func (s *Store) authority(ds, idx int) uint64 {
+// readBar returns the epoch a read must find: the newest a write quorum
+// acknowledged (0: any image). Not the newest stamped — a write that
+// failed everywhere stamped an epoch no member holds, and the reissue
+// of a lost splice starts by reading the base (DESIGN.md §11).
+func (s *Store) readBar(ds, idx int) uint64 {
 	s.epMu.Lock()
-	e := s.epochs[shardmap.ObjKey(ds, idx)].epoch
+	e := s.epochs[shardmap.ObjKey(ds, idx)].acked
 	s.epMu.Unlock()
 	return e
+}
+
+// ack records that a write quorum acknowledged epoch.
+func (s *Store) ack(ds, idx int, epoch uint64) {
+	k := shardmap.ObjKey(ds, idx)
+	s.epMu.Lock()
+	if meta := s.epochs[k]; meta.acked < epoch {
+		meta.acked = epoch
+		s.epochs[k] = meta
+	}
+	s.epMu.Unlock()
 }
 
 // markDivergent takes a member out of the read set: it missed (or may
@@ -280,6 +292,8 @@ func (s *Store) markDivergent(m *member) {
 // steady-state write path allocates nothing.
 type writeJoin struct {
 	s         *Store
+	ds, idx   int
+	epoch     uint64
 	remaining atomic.Int32
 	acks      atomic.Int32
 	issued    int32
@@ -336,6 +350,7 @@ func (j *writeJoin) subDone(sl *writeSlot, err error) {
 func (j *writeJoin) finish() {
 	s, done := j.s, j.done
 	acks, issued := int(j.acks.Load()), int(j.issued)
+	ds, idx, epoch := j.ds, j.idx, j.epoch
 	j.done = nil
 	for i := range j.slots {
 		j.slots[i].m = nil
@@ -343,6 +358,7 @@ func (j *writeJoin) finish() {
 	writeJoinPool.Put(j)
 	switch {
 	case acks >= s.w:
+		s.ack(ds, idx, epoch)
 		done(nil)
 	case issued < s.w:
 		// Not enough reachable members to ever meet quorum: a contained
@@ -375,11 +391,12 @@ func (s *Store) IssueWrite(ds, idx int, src []byte, done func(error)) {
 // never wedge a replica in a silently-diverged state.
 func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	j := writeJoinPool.Get().(*writeJoin)
-	j.s = s
+	j.s, j.ds, j.idx = s, ds, idx
 	j.done = done
 	j.acks.Store(0)
 	group := s.GroupOf(ds, idx, j.group[:0])
 	epoch := s.stampWrite(ds, idx, len(src))
+	j.epoch = epoch
 	n := 0
 	for _, gi := range group {
 		m := s.members[gi]
@@ -438,7 +455,7 @@ func (s *Store) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	j.next, j.loose, j.attempts, j.cur = 0, false, 0, nil
 	group := s.GroupOf(ds, idx, j.group[:0])
 	j.glen = len(group)
-	j.want = s.authority(ds, idx)
+	j.want = s.readBar(ds, idx)
 	if s.hub != nil {
 		j.start = time.Now()
 	}

@@ -20,11 +20,14 @@ var _ EpochBackend = (*remote.PipelinedClient)(nil)
 
 // fakeBackend is an in-memory EpochBackend + Pinger with a kill
 // switch, standing in for one remote server plus its resilient client.
+// It splices range writes by the server's rule (ObjectStore.WriteRangeEpoch)
+// and fails the next loseSplices of them before applying anything.
 type fakeBackend struct {
-	mu   sync.Mutex
-	m    map[[2]int][]byte
-	ep   map[[2]int]uint64
-	down atomic.Bool
+	mu          sync.Mutex
+	m           map[[2]int][]byte
+	ep          map[[2]int]uint64
+	loseSplices int
+	down        atomic.Bool
 
 	reads, writes atomic.Int64
 }
@@ -41,7 +44,7 @@ func (f *fakeBackend) ReadObj(ds, idx int, dst []byte) error {
 }
 
 func (f *fakeBackend) WriteObj(ds, idx int, src []byte) error {
-	return f.writeEpoch(ds, idx, 0, src)
+	return f.writeEpoch(ds, idx, 0, src, nil)
 }
 
 func (f *fakeBackend) readEpoch(ds, idx int, dst []byte) (uint64, error) {
@@ -59,7 +62,12 @@ func (f *fakeBackend) readEpoch(ds, idx int, dst []byte) (uint64, error) {
 	return f.ep[k], nil
 }
 
-func (f *fakeBackend) writeEpoch(ds, idx int, epoch uint64, src []byte) error {
+var errSpliceLost = errors.New("fake backend lost a splice")
+
+// writeEpoch stores src whole without extents; with them, src is valid
+// only inside the extents, which are laid over the stored image — and
+// only onto the predecessor epoch's (or a newer) one.
+func (f *fakeBackend) writeEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent) error {
 	if f.down.Load() {
 		return errDown
 	}
@@ -67,11 +75,25 @@ func (f *fakeBackend) writeEpoch(ds, idx int, epoch uint64, src []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	k := [2]int{ds, idx}
+	if exts != nil && f.loseSplices > 0 {
+		f.loseSplices--
+		return errSpliceLost
+	}
 	if epoch < f.ep[k] {
 		return nil // stale image dropped, positive ack
 	}
 	cp := make([]byte, len(src))
-	copy(cp, src)
+	if exts == nil {
+		copy(cp, src)
+	} else {
+		if f.ep[k]+1 < epoch {
+			return remote.ErrStaleRangeBase
+		}
+		copy(cp, f.m[k])
+		for _, e := range exts {
+			copy(cp[e.Off:e.Off+e.Len], src[e.Off:])
+		}
+	}
 	f.m[k] = cp
 	f.ep[k] = epoch
 	return nil
@@ -81,10 +103,8 @@ func (f *fakeBackend) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, 
 	done(f.readEpoch(ds, idx, dst))
 }
 
-// IssueWriteRangesEpoch stores the full image whatever the extents: src
-// always carries the whole object.
-func (f *fakeBackend) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, _ []rdma.Extent, done func(error)) {
-	done(f.writeEpoch(ds, idx, epoch, src))
+func (f *fakeBackend) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
+	done(f.writeEpoch(ds, idx, epoch, src, exts))
 }
 
 func (f *fakeBackend) Ping() error {
@@ -343,4 +363,65 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition not reached within 5s")
+}
+
+// TestSpliceLostOnEveryReplicaIsRebuilt: the splice of an object a
+// store-once miss left unread fails on every group member, so its epoch
+// was stamped but reached no replica. The runtime's reissue rebuilds the
+// image from a base read — which must be served at the last
+// acknowledged epoch, not refused for missing the stamped one — writes
+// it whole, and the object reads back exactly.
+func TestSpliceLostOnEveryReplicaIsRebuilt(t *testing.T) {
+	s, fakes := newTestStore(t, 2, Options{Replicas: 2, BreakerThreshold: 5})
+	rt := farmem.New(farmem.Config{PinnedBudget: 1 << 20, RemotableBudget: 2 * 4096, WriteBackBudget: 1 << 20, Store: s})
+	defer rt.Close()
+	rt.RegisterDS(0, farmem.DSMeta{ObjSize: 4096})
+	rt.SetPlacement(0, farmem.PlaceRemotable)
+	addr, err := rt.DSAlloc(0, 8*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := func(off uint64, write, once bool) uint64 {
+		t.Helper()
+		var p uint64
+		if once {
+			p, err = rt.GuardStore(addr+off, 0, 8)
+		} else {
+			p, err = rt.Guard(addr+off, write)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for i := uint64(0); i < 6; i++ { // objects 0..3 end up remote
+		rt.WriteWord(guard(i*4096, true, false), 1000+i)
+	}
+	if err := rt.DrainWriteBacks(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fakes {
+		f.mu.Lock()
+		f.loseSplices = 1
+		f.mu.Unlock()
+	}
+	rt.WriteWord(guard(8, false, true), 77) // object 0, unread
+	guard(4*4096, false, false)             // evicts it: the splice goes out
+	guard(5*4096, false, false)
+	if err := rt.DrainWriteBacks(); err != nil {
+		t.Fatalf("the lost splice was not rebuilt: %v", err)
+	}
+	if n := rt.Stats().WriteBackReissues; n != 1 {
+		t.Fatalf("%d write-back reissues, want the one rebuild", n)
+	}
+	for _, f := range fakes {
+		if f.loseSplices != 0 {
+			t.Fatal("a member never saw the splice")
+		}
+	}
+	for off, want := range map[uint64]uint64{0: 1000, 8: 77} {
+		if got, _ := rt.ReadWord(guard(off, false, false)); got != want {
+			t.Fatalf("word at %d = %d, want %d", off, got, want)
+		}
+	}
 }

@@ -220,9 +220,10 @@ func (ss *ShardedStore) IssueWrite(ds, idx int, src []byte, done func(error)) {
 // IssueWriteRanges implements farmem.RangeWriteStore, fanning staged
 // write-backs out to each shard's own pipelined write window. A tripped
 // shard fails fast — the runtime parks the staged payload until this
-// shard's recovery epoch. Without extents, or on a shard whose backend
-// lacks the range verb, the full object is written (src always carries
-// the whole image); a backend without async support serves that write
+// shard's recovery epoch. Without extents the full object is written;
+// a shard whose backend lacks the range verb splices the extents onto
+// the image it reads back (src is valid only inside them) and writes
+// that whole. A backend without async support serves its write
 // synchronously before returning.
 func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	i := ss.ShardOf(ds, idx)
@@ -231,10 +232,18 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 		done(err)
 		return
 	}
-	verb, shipped := "write", len(src)
-	if s.Caps.RangeWrite == nil {
-		exts = nil
+	if exts != nil && s.Caps.RangeWrite == nil {
+		full := make([]byte, len(src))
+		if err := s.Store.ReadObj(ds, idx, full); err != nil {
+			done(ss.settle(i, "write", err))
+			return
+		}
+		for _, e := range exts {
+			copy(full[e.Off:e.Off+e.Len], src[e.Off:])
+		}
+		src, exts = full, nil
 	}
+	verb, shipped := "write", len(src)
 	if exts != nil {
 		verb, shipped = "range write", 0
 		for _, e := range exts {

@@ -9,6 +9,7 @@ import (
 
 	"cards/internal/farmem"
 	"cards/internal/obs"
+	"cards/internal/rdma"
 )
 
 func TestOwnerBalance(t *testing.T) {
@@ -124,6 +125,22 @@ func TestShardedRoutingRoundTrip(t *testing.T) {
 		}
 		if direct[0] != byte(idx) {
 			t.Fatalf("object %d not on its owning shard", idx)
+		}
+	}
+	// A splice onto backends without the range verb: src is valid only
+	// inside its extent, so the shard lays that over the stored image.
+	for idx := 0; idx < n; idx++ {
+		ss.IssueWriteRanges(0, idx, []byte{0xFF, 0x55, 0xFF}, []rdma.Extent{{Off: 1, Len: 1}}, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		dst := make([]byte, 3)
+		if err := ss.ReadObj(0, idx, dst); err != nil {
+			t.Fatal(err)
+		}
+		if [3]byte(dst) != [3]byte{byte(idx), 0x55, 0xAB} {
+			t.Fatalf("object %d read back %v after a splice", idx, dst)
 		}
 	}
 }

@@ -7,24 +7,40 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cards/internal/rdma"
 )
 
 // ObjStore is the synchronous surface of a far-memory store
 // (farmem.Store), restated so this package need not import farmem: the
-// wrappers below satisfy farmem.AsyncStore and farmem.AsyncWriteStore
+// wrappers below satisfy farmem.AsyncStore and farmem.RangeWriteStore
 // structurally.
 type ObjStore interface {
 	ReadObj(ds, idx int, dst []byte) error
 	WriteObj(ds, idx int, src []byte) error
 }
 
-// ErrInjected is the read failure FailingAsync injects.
-var ErrInjected = errors.New("testutil: injected read failure")
+// ErrInjected is the failure FailingAsync injects.
+var ErrInjected = errors.New("testutil: injected failure")
 
-// InlineAsync gives a synchronous store the asynchronous read and write
-// surfaces, completing every op inline, before the issuing call
-// returns: the runtime takes its async paths, and every completion is
-// already there when it looks.
+// splice is the far tier's read-modify-write of a range write: the
+// bytes of src inside exts — the only ones it is valid in — laid over
+// the stored image.
+func splice(s ObjStore, ds, idx int, src []byte, exts []rdma.Extent) error {
+	cur := make([]byte, len(src))
+	if err := s.ReadObj(ds, idx, cur); err != nil {
+		return err
+	}
+	for _, e := range exts {
+		copy(cur[e.Off:e.Off+e.Len], src[e.Off:])
+	}
+	return s.WriteObj(ds, idx, cur)
+}
+
+// InlineAsync gives a synchronous store the asynchronous read, write
+// and range-write surfaces, completing every op inline, before the
+// issuing call returns: the runtime takes its async paths, and every
+// completion is already there when it looks.
 type InlineAsync struct{ ObjStore }
 
 // IssueRead implements farmem.AsyncStore.
@@ -37,21 +53,32 @@ func (s InlineAsync) IssueWrite(ds, idx int, src []byte, done func(error)) {
 	done(s.WriteObj(ds, idx, src))
 }
 
+// IssueWriteRanges implements farmem.RangeWriteStore.
+func (s InlineAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	done(splice(s.ObjStore, ds, idx, src, exts))
+}
+
 // LateAsync completes every async op on a goroutine of its own after a
-// seeded random delay: reads fill dst only then, so a runtime that looks
-// at a buffer before its completion sees stale bytes.
+// seeded random delay: reads fill dst only then, and writes and splices
+// land only then, so a runtime that looks at a buffer before its
+// completion sees stale bytes. It also counts reads of an object issued
+// while a write of it is still out (Overlaps), which the runtime's
+// read-your-writes rule forbids.
 type LateAsync struct {
 	ObjStore
 	maxDelay time.Duration
 	mu       sync.Mutex
 	rng      *rand.Rand
+	writing  map[[2]int]int
 	wg       sync.WaitGroup
 	reads    atomic.Int64
+	splices  atomic.Int64
+	overlaps atomic.Int64
 }
 
 // NewLateAsync wraps s with delays up to maxDelay drawn from seed.
 func NewLateAsync(s ObjStore, maxDelay time.Duration, seed int64) *LateAsync {
-	return &LateAsync{ObjStore: s, maxDelay: maxDelay, rng: rand.New(rand.NewSource(seed))}
+	return &LateAsync{ObjStore: s, maxDelay: maxDelay, rng: rand.New(rand.NewSource(seed)), writing: make(map[[2]int]int)}
 }
 
 func (s *LateAsync) later(op func() error, done func(error)) {
@@ -69,29 +96,75 @@ func (s *LateAsync) later(op func() error, done func(error)) {
 	}()
 }
 
+// write runs op late, with the object marked as being written until
+// just before done.
+func (s *LateAsync) write(ds, idx int, op func() error, done func(error)) {
+	k := [2]int{ds, idx}
+	s.mu.Lock()
+	s.writing[k]++
+	s.mu.Unlock()
+	s.later(func() error {
+		err := op()
+		s.mu.Lock()
+		s.writing[k]--
+		s.mu.Unlock()
+		return err
+	}, done)
+}
+
+func (s *LateAsync) noteRead(ds, idx int) {
+	s.mu.Lock()
+	if s.writing[[2]int{ds, idx}] > 0 {
+		s.overlaps.Add(1)
+	}
+	s.mu.Unlock()
+}
+
+// ReadObj implements farmem.Store.
+func (s *LateAsync) ReadObj(ds, idx int, dst []byte) error {
+	s.noteRead(ds, idx)
+	return s.ObjStore.ReadObj(ds, idx, dst)
+}
+
 // IssueRead implements farmem.AsyncStore.
 func (s *LateAsync) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	s.reads.Add(1)
-	s.later(func() error { return s.ReadObj(ds, idx, dst) }, done)
+	s.noteRead(ds, idx)
+	s.later(func() error { return s.ObjStore.ReadObj(ds, idx, dst) }, done)
 }
 
 // IssueWrite implements farmem.AsyncWriteStore.
 func (s *LateAsync) IssueWrite(ds, idx int, src []byte, done func(error)) {
-	s.later(func() error { return s.WriteObj(ds, idx, src) }, done)
+	s.write(ds, idx, func() error { return s.WriteObj(ds, idx, src) }, done)
+}
+
+// IssueWriteRanges implements farmem.RangeWriteStore.
+func (s *LateAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	s.splices.Add(1)
+	s.write(ds, idx, func() error { return splice(s.ObjStore, ds, idx, src, exts) }, done)
 }
 
 // Reads returns how many async reads were issued.
 func (s *LateAsync) Reads() int64 { return s.reads.Load() }
+
+// Splices returns how many range writes were issued.
+func (s *LateAsync) Splices() int64 { return s.splices.Load() }
+
+// Overlaps returns how many reads found a write of their object out.
+func (s *LateAsync) Overlaps() int64 { return s.overlaps.Load() }
 
 // Wait returns once every op issued so far has completed.
 func (s *LateAsync) Wait() { s.wg.Wait() }
 
 // FailingAsync fails every async read with ErrInjected; synchronous
 // reads fail the same way while SyncFails is set, else go through.
-// Writes, async ones included, always go through inline.
+// Writes, async ones included, go through inline, and so do splices
+// unless SpliceFails is set: then every one fails with ErrInjected, and
+// every second one is applied first, as an uncertain write may be.
 type FailingAsync struct {
 	ObjStore
-	SyncFails bool
+	SyncFails, SpliceFails bool
+	splices                atomic.Int64
 }
 
 // ReadObj implements farmem.Store.
@@ -111,3 +184,19 @@ func (s *FailingAsync) IssueRead(ds, idx int, dst []byte, done func(error)) {
 func (s *FailingAsync) IssueWrite(ds, idx int, src []byte, done func(error)) {
 	done(s.WriteObj(ds, idx, src))
 }
+
+// IssueWriteRanges implements farmem.RangeWriteStore.
+func (s *FailingAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	n := s.splices.Add(1)
+	if !s.SpliceFails || n%2 == 0 {
+		err := splice(s.ObjStore, ds, idx, src, exts)
+		if !s.SpliceFails || err != nil {
+			done(err)
+			return
+		}
+	}
+	done(ErrInjected)
+}
+
+// Splices returns how many range writes were issued.
+func (s *FailingAsync) Splices() int64 { return s.splices.Load() }

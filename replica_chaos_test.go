@@ -130,8 +130,8 @@ func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 	if qf := snap.Counter(replica.MetricReplicaQuorumFailures); qf != 0 {
 		t.Errorf("%d write quorum failures during a single-backend kill", qf)
 	}
-	t.Logf("range chaos: %d range write-backs, %d bytes saved, %d failovers",
-		res.Runtime.RangeWriteBacks, res.Runtime.RangeBytesSaved,
+	t.Logf("range chaos: %d range write-backs, %d bytes saved, %d range writes applied, %d failovers",
+		res.Runtime.RangeWriteBacks, res.Runtime.RangeBytesSaved, rangeWritesApplied(srvs...),
 		snap.Counter(replica.MetricReplicaFailovers))
 
 	// Restart the victim with its (now stale) store; anti-entropy must
@@ -281,6 +281,9 @@ func TestReplicaKillAnyBackendMidRun(t *testing.T) {
 					killTime := <-killed
 					if got != want {
 						t.Errorf("replicated chaos checksum %#x != in-process %#x", got, want)
+					}
+					if name == "bfs" && rangeWritesApplied(srvs...) == 0 {
+						t.Error("the servers applied no range write: no unread store-once object was spliced")
 					}
 
 					// Zero degraded operations: every write met its quorum and

@@ -133,6 +133,9 @@ func TestChaosShardedWorkloads(t *testing.T) {
 			if name == "bfs" && activeShards < 2 {
 				t.Errorf("striped workload used %d shards, want >= 2", activeShards)
 			}
+			if name == "bfs" && rangeWritesApplied(servers...) == 0 {
+				t.Error("the servers applied no range write: no unread store-once object was spliced")
+			}
 			if cuts == 0 {
 				t.Error("chaos proxies forced no disconnects: schedule too gentle")
 			}
