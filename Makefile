@@ -8,11 +8,13 @@ build:
 # loc prints the three tracked sizes, non-test lines each: the transport
 # (internal/remote + internal/rdma, ROADMAP's "should go down" number),
 # the whole far tier (farmem + shardmap + replica + remote + rdma), and
-# the two entry points that assemble it (cards.go + cmd/cardsc/main.go).
+# the two entry points that assemble it (cards.go + cmd/cardsc/main.go);
+# then DESIGN.md's size in bytes, tracked beside the code it describes.
 loc:
 	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@ls internal/farmem/*.go internal/shardmap/*.go internal/replica/*.go internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@cat cards.go cmd/cardsc/main.go | wc -l
+	@wc -c < DESIGN.md
 
 test:
 	$(GO) test ./...
@@ -166,7 +168,9 @@ bench-chase:
 # +adaptive LZ compression → +compiler-aided dirty-range write-back,
 # each rung's checksum held against an in-process run) over a
 # bandwidth-shaped TCP loopback and records bytes-on-wire per op and
-# end-to-end throughput per rung, as ratios over the raw rung.
+# end-to-end throughput per rung, as ratios over the raw rung. The two
+# rungs without range write-back hide the client's range verb, so they
+# ship every eviction whole, unread store-once objects included.
 bench-wire:
 	$(GO) run ./cmd/cardsbench -exp wire -scale quick -json > BENCH_wire.json
 	@cat BENCH_wire.json

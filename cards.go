@@ -97,7 +97,7 @@ type Config struct {
 	// WriteBackMemory bounds the staging buffers holding dirty evictions
 	// whose asynchronous write-backs are still in flight, in bytes. 0
 	// means a quarter of RemotableMemory. Only meaningful when the far
-	// tier supports batched writes (DESIGN.md §9).
+	// tier supports batched writes (DESIGN.md §7).
 	WriteBackMemory uint64
 	// RemoteAddr, when non-empty, backs far memory with a cardsd server
 	// at that TCP address instead of the in-process store.

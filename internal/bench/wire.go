@@ -106,7 +106,7 @@ func Wire(cfg Config) (*Table, error) {
 		"every mode runs the same compiled workload to the checksum an in-process store gives; only the session options differ",
 		"KB/op = total frame bytes both directions / (remote fetches + write-backs); wall-clock includes the final drain",
 		fmt.Sprintf("the link serializes at %d MiB/s each way, so 'tput vs raw' tracks how much of the byte saving survives as end-to-end speedup", wireBandwidth>>20),
-		"raw = Compression off (zero objects still elided); range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
+		"raw = Compression off (zero objects still elided); the rungs without range write-back run with the client's range verb hidden, so every eviction, store-once misses included, ships whole; range write-back additionally needs the compiler's guard spans, threaded here by the standard pass pipeline")
 	return t, nil
 }
 
@@ -147,6 +147,21 @@ func wireRun(build func() (*ir.Module, error), store farmem.Store, rangeWB bool)
 	return res, time.Since(start), err
 }
 
+// wholeObjects is the client with its range verb hidden: the runtime
+// splices an unread object's logged stores whenever the store offers
+// IssueWriteRanges, so the rungs without range write-back run over this
+// to ship whole objects, as their names say.
+type wholeObjects struct {
+	wireStore
+}
+
+type wireStore interface {
+	farmem.AsyncStore
+	farmem.AsyncWriteStore
+	farmem.AsyncChaseStore
+	farmem.Pinger
+}
+
 // runWire executes one compiled workload over a fresh bandwidth-shaped
 // server with the mode's session options and returns the traffic tally.
 func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, error) {
@@ -170,7 +185,11 @@ func runWire(build func() (*ir.Module, error), mode wireMode) (*wireResult, erro
 	}
 	defer cl.Close()
 
-	res, elapsed, err := wireRun(build, cl, mode.rangeWB)
+	var store farmem.Store = cl
+	if !mode.rangeWB {
+		store = wholeObjects{cl}
+	}
+	res, elapsed, err := wireRun(build, store, mode.rangeWB)
 	if err != nil {
 		return nil, err
 	}

@@ -191,15 +191,6 @@ type RunResult struct {
 	PinnedIDs []int
 }
 
-// TotalMisses sums remote misses across structures.
-func (r *RunResult) TotalMisses() uint64 {
-	var n uint64
-	for _, d := range r.PerDS {
-		n += d.Misses
-	}
-	return n
-}
-
 // TotalPrefetchHits sums prefetch hits across structures.
 func (r *RunResult) TotalPrefetchHits() uint64 {
 	var n uint64

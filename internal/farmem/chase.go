@@ -31,24 +31,19 @@ import "cards/internal/rdma"
 // only the filtered fields (see rdma.ChaseReq); the runtime cannot prove
 // that for general derefs, so it never filters.
 
-// ChaseStore is the synchronous traversal-offload surface of a far tier
+// AsyncChaseStore is the traversal-offload surface of a far tier
 // (remote.PipelinedClient, shardmap.ShardedStore, replica.Store).
 // Capability is advisory and session-scoped: it can flip after a
 // reconnect or failover, so callers must still handle errors by
-// degrading to per-hop reads.
-type ChaseStore interface {
+// degrading to per-hop reads. IssueChase does not block the caller;
+// done is invoked exactly once — possibly on another goroutine — with a
+// caller-owned result, and must not block. Chase is IssueChase, waited
+// for. The runtime detects the capability by type assertion and offloads
+// only through IssueChase (a blocking chase on the prefetch path would
+// stall the application thread it exists to unblock).
+type AsyncChaseStore interface {
 	ChaseCapable() bool
 	Chase(req rdma.ChaseReq) (rdma.ChaseResult, error)
-}
-
-// AsyncChaseStore is a ChaseStore that can additionally issue a chase
-// without blocking the caller; done is invoked exactly once — possibly
-// on another goroutine — with a caller-owned result, and must not block.
-// The runtime detects the capability by type assertion and only offloads
-// through stores that support async issue (a blocking chase on the
-// prefetch path would stall the application thread it exists to unblock).
-type AsyncChaseStore interface {
-	ChaseStore
 	IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error))
 }
 
@@ -370,7 +365,3 @@ func (r *Runtime) invalidateChase(d *DS, idx int) {
 		r.chaseStagedBytes -= uint64(len(b))
 	}
 }
-
-// ChaseStagedEntries reports the number of chase-delivered objects
-// currently staged for deref consumption.
-func (r *Runtime) ChaseStagedEntries() int { return len(r.chaseStaged) }

@@ -648,9 +648,6 @@ func (r *Runtime) DSByID(id int) *DS {
 // NumDS returns the number of registered data structures.
 func (r *Runtime) NumDS() int { return len(r.dss) }
 
-// PinnedUsed and RemotableUsed report current local memory consumption.
-func (r *Runtime) PinnedUsed() uint64 { return r.pinnedUsed }
-
 // RemotableUsed reports bytes of remotable local memory in use.
 func (r *Runtime) RemotableUsed() uint64 { return r.remotableUsed }
 

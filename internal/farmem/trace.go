@@ -87,12 +87,6 @@ func (r *Runtime) SetEventHook(h EventHook) {
 	r.tracing = r.hook != nil || r.tracer != nil
 }
 
-// SetTracer installs (or clears) the ring tracer after construction.
-func (r *Runtime) SetTracer(t *obs.Tracer) {
-	r.tracer = t
-	r.tracing = r.hook != nil || r.tracer != nil
-}
-
 // emit delivers an instant event at the current virtual time. The
 // single-bool guard (rather than checking hook and tracer separately)
 // keeps emit and emitSpan under the inlining budget, so call sites on

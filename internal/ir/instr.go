@@ -124,15 +124,6 @@ func (b BinKind) String() string {
 	return fmt.Sprintf("bin(%d)", int(b))
 }
 
-// IsCompare reports whether the operator yields a boolean (0/1).
-func (b BinKind) IsCompare() bool {
-	switch b {
-	case EQ, NE, LT, LE, GT, GE, FLT:
-		return true
-	}
-	return false
-}
-
 // Value is an instruction operand: either a *Reg or a constant.
 type Value interface {
 	value()

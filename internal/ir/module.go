@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -270,15 +269,4 @@ func (f *Function) String() string {
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-// SortedFuncNames returns the function names in lexical order (testing
-// helper; module order is creation order).
-func (m *Module) SortedFuncNames() []string {
-	names := make([]string, 0, len(m.Funcs))
-	for _, f := range m.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -76,14 +76,6 @@ func (h *TraceHub) StartTrace() SpanContext {
 	}
 }
 
-// NextSpanID allocates a fresh span ID within an existing trace.
-func (h *TraceHub) NextSpanID() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.nextID.Add(1)
-}
-
 // SetActive installs ctx as the calling layer's current root context.
 // The transport's enqueue paths (which run synchronously under the
 // runtime's deref/prefetch/write-back calls) pick it up via Active and

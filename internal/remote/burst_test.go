@@ -154,7 +154,7 @@ func TestSyncReadCostsOneWritePerSide(t *testing.T) {
 // client's read buffer holds two complete replies plus the first half
 // of a third. The complete replies are legitimate and complete their
 // reads; the torn one is replayed on the fresh connection; the
-// in-flight write surfaces as ErrUncertainWrite (DESIGN.md §7). What the
+// in-flight write surfaces as ErrUncertainWrite (DESIGN.md §13). What the
 // test pins is that the half frame dies with its connection: were the
 // old reader carried over, its bytes would be parsed ahead of the new
 // stream and the fresh session would fail its first checksum.

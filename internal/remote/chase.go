@@ -13,7 +13,7 @@ import (
 // answers with the whole path in one CHASEDATA — collapsing K dependent
 // round trips into one. Chases are read-only and ride the ordinary read
 // window: same doorbell coalescing, same tag demux, and the same
-// idempotent replay on reconnect as a read. (farmem.ChaseStore is
+// idempotent replay on reconnect as a read. (farmem.AsyncChaseStore is
 // the interface the runtime consumes them through.)
 
 // chaseIssuable validates a program client-side before it is enqueued,
@@ -29,7 +29,7 @@ func chaseIssuable(req rdma.ChaseReq) error {
 	return nil
 }
 
-// ChaseCapable implements farmem.ChaseStore. The chase verbs are part
+// ChaseCapable implements farmem.AsyncChaseStore. The chase verbs are part
 // of the protocol, so a client offloads whenever it has a session: not
 // while down, not once closed.
 func (c *PipelinedClient) ChaseCapable() bool {
@@ -51,7 +51,7 @@ func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResu
 	c.enqueue(op)
 }
 
-// Chase implements farmem.ChaseStore (issue + wait).
+// Chase implements farmem.AsyncChaseStore (issue + wait).
 func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	if err := chaseIssuable(req); err != nil {
 		return rdma.ChaseResult{}, err

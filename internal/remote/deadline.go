@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Fault-model errors shared by both clients.
+// Fault-model errors of the pipelined client.
 var (
 	// ErrTimeout reports a round trip that exceeded its deadline. It
 	// wraps os.ErrDeadlineExceeded, so callers can errors.Is against

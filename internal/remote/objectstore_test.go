@@ -108,7 +108,7 @@ func TestObjectStoreInPlaceWriteIsAtomic(t *testing.T) {
 }
 
 // flatModel is the oracle the store is held to: one raw image and one
-// epoch per key, with the store's documented rules (DESIGN.md §11/§13)
+// epoch per key, with the store's documented rules (DESIGN.md §10/§11)
 // written out the obvious way.
 type flatModel struct {
 	img map[[2]uint32][]byte
@@ -450,7 +450,7 @@ func firstDiff(a, b []byte) int {
 
 // forgedTupleStoresNothing sends {a good tuple, victim's tuple in scheme
 // after forge has corrupted it, another good tuple} as one batch with a
-// valid CRC and holds the server to DESIGN.md §13: a definitive ERRTAG;
+// valid CRC and holds the server to DESIGN.md §10: a definitive ERRTAG;
 // when the batch decodes (the forgery is inside the block), the tuple
 // ahead of it has applied — write-back reissue is idempotent — and when
 // it does not, nothing has; the forged tuple and everything behind it

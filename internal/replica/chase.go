@@ -18,7 +18,7 @@ import (
 // runtime degrades to per-hop epoch reads, which remain individually
 // verifiable.
 
-// ChaseCapable implements farmem.ChaseStore: offload is on while some
+// ChaseCapable implements farmem.AsyncChaseStore: offload is on while some
 // in-sync member speaks the chase verbs on its live session.
 func (s *Store) ChaseCapable() bool {
 	for _, m := range s.members {
@@ -29,7 +29,7 @@ func (s *Store) ChaseCapable() bool {
 	return false
 }
 
-// Chase implements farmem.ChaseStore (issue + wait).
+// Chase implements farmem.AsyncChaseStore (issue + wait).
 func (s *Store) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
 	type out struct {
 		res rdma.ChaseResult

@@ -266,7 +266,7 @@ func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ex
 	}
 }
 
-// ChaseCapable implements farmem.ChaseStore. A traversal program walks
+// ChaseCapable implements farmem.AsyncChaseStore. A traversal program walks
 // entirely on one backend, so the sharded store only offers offload
 // when every shard speaks the chase verbs on its live session — a
 // structure's pinned owner is decided by placement, not capability, and
@@ -281,7 +281,7 @@ func (ss *ShardedStore) ChaseCapable() bool {
 	return true
 }
 
-// Chase implements farmem.ChaseStore: IssueChase, waited for.
+// Chase implements farmem.AsyncChaseStore: IssueChase, waited for.
 func (ss *ShardedStore) Chase(req rdma.ChaseReq) (res rdma.ChaseResult, err error) {
 	done := make(chan struct{})
 	ss.IssueChase(req, func(r rdma.ChaseResult, e error) { res, err = r, e; close(done) })

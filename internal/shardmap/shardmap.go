@@ -75,9 +75,6 @@ func NewMap(n int) *Map {
 	return &Map{salts: salts}
 }
 
-// Shards returns the number of shards.
-func (m *Map) Shards() int { return len(m.salts) }
-
 // Owner returns the shard with the highest rendezvous score for key.
 // Ties (astronomically rare) break toward the lower index, so placement
 // is total and deterministic.
