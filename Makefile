@@ -5,16 +5,19 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# loc prints the three tracked sizes, non-test lines each: the transport
+# loc prints the tracked sizes. Non-test lines of: the transport
 # (internal/remote + internal/rdma, ROADMAP's "should go down" number),
 # the whole far tier (farmem + shardmap + replica + remote + rdma), and
 # the two entry points that assemble it (cards.go + cmd/cardsc/main.go);
-# then DESIGN.md's size in bytes, tracked beside the code it describes.
+# then DESIGN.md's size in bytes, tracked beside the code it describes;
+# then the number of distinct metric names, the "cards_*" string
+# literals of non-test Go.
 loc:
 	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@ls internal/farmem/*.go internal/shardmap/*.go internal/replica/*.go internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@cat cards.go cmd/cardsc/main.go | wc -l
 	@wc -c < DESIGN.md
+	@find . -name '*.go' ! -name '*_test.go' | xargs grep -ohE '"cards_[a-z0-9_]+' | sort -u | wc -l
 
 test:
 	$(GO) test ./...

@@ -130,7 +130,8 @@ type Config struct {
 	RemoteTimeout time.Duration
 	// RemoteRetries is how many times an idempotent far-tier operation
 	// is retried (with backoff and automatic reconnect) before the error
-	// reaches the runtime. 0 means 6; negative disables retries.
+	// reaches the runtime. 0 means 6; negative disables retries: a cut
+	// connection fails its in-flight operations at once.
 	RemoteRetries int
 	// BreakerThreshold arms the runtime's circuit breaker: after this
 	// many consecutive far-tier failures it degrades to local memory,
@@ -241,9 +242,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		retries := cfg.RemoteRetries
 		if retries == 0 {
-			retries = 6
-		} else if retries < 0 {
-			retries = 0
+			retries = remote.DefaultReconnectAttempts
 		}
 		threshold := cfg.BreakerThreshold
 		if threshold == 0 {

@@ -74,7 +74,7 @@ func main() {
 	run := flag.Bool("run", false, "execute the compiled program (linear policy)")
 	pinnedKiB := flag.Uint64("pinned", 4096, "pinned local memory for -run, KiB")
 	cacheKiB := flag.Uint64("cache", 512, "remotable local memory for -run, KiB")
-	retryMax := flag.Int("retry-max", 0, "with -run: reissue failed far-tier operations up to N times")
+	retryMax := flag.Int("retry-max", 0, fmt.Sprintf("with -run: the runtime reissues a failed far-tier operation up to N times, and the transport redials a cut connection up to N times (0: no reissue, %d redials; negative: neither)", remote.DefaultReconnectAttempts))
 	breakerThreshold := flag.Int("breaker-threshold", 0, "with -run: trip the circuit breaker (degrade to local memory) after N consecutive far-tier failures (0 = off)")
 	remoteAddrs := flag.String("remote", "", "with -run: back far memory with cardsd server(s) at these comma-separated addresses; 2+ addresses shard objects across the fleet (pointer-chasing structures pin to one shard, flat pools stripe)")
 	replicas := flag.Int("replicas", 1, "with -run and 2+ -remote addresses: replicate each object across R backends with epoch-stamped writes and read failover")
@@ -194,8 +194,8 @@ func dialRemote(addrs string, retryMax, breakerThreshold, replicas int, hub *obs
 	for i := range list {
 		list[i] = strings.TrimSpace(list[i])
 	}
-	if retryMax <= 0 {
-		retryMax = 6
+	if retryMax == 0 {
+		retryMax = remote.DefaultReconnectAttempts
 	}
 	tier, err := replica.Dial(list,
 		remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: retryMax, Trace: hub},

@@ -433,14 +433,14 @@ func (r *Runtime) maybeDrainShards() {
 }
 
 // growBudget is degraded-mode allocation: the remotable budget grows to
-// fit sz more bytes (up to the ceiling) instead of evicting. allocFrame
-// turns to it while the breaker is open — dirty evictions are impossible
-// and clean evictions would shrink the only copy of the working set we
-// can still serve — and when eviction found only victims whose dirty
-// write-backs are refused by a degraded shard.
+// fit sz more bytes (up to 4x the configured budget) instead of
+// evicting. allocFrame turns to it while the breaker is open — dirty
+// evictions are impossible and clean evictions would shrink the only
+// copy of the working set we can still serve — and when eviction found
+// only victims whose dirty write-backs are refused by a degraded shard.
 func (r *Runtime) growBudget(sz uint64) bool {
 	want := r.remotableUsed + sz
-	if want > r.breakerCeiling {
+	if want > 4*r.baseRemotableBudget {
 		return false
 	}
 	r.remotableBudget = want

@@ -25,11 +25,8 @@ import "cards/internal/rdma"
 //   - An eviction of an object with a staged chase entry drops the entry
 //     (the frame's bytes were newer if the object was dirty).
 //
-// Chases are always issued at full fidelity (Mask == 0): a staged hop
-// must be byte-complete to serve an arbitrary later deref. The wire
-// protocol's field-filter mask exists for clients that provably read
-// only the filtered fields (see rdma.ChaseReq); the runtime cannot prove
-// that for general derefs, so it never filters.
+// A chase returns whole objects: a staged hop must be byte-complete to
+// serve an arbitrary later deref.
 
 // AsyncChaseStore is the traversal-offload surface of a far tier
 // (remote.PipelinedClient, shardmap.ShardedStore, replica.Store).

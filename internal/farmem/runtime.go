@@ -371,8 +371,8 @@ type Config struct {
 	// one registry across runtimes accumulates histograms but makes
 	// published counters last-publish-wins.
 	Obs *obs.Registry
-	// Tracer receives runtime events into the bounded ring (in addition
-	// to any legacy SetEventHook subscriber); nil disables ring tracing.
+	// Tracer receives runtime events into the bounded ring, beside the
+	// live stream SetEventHook installs; nil disables ring tracing.
 	Tracer *obs.Tracer
 	// TraceHub, when non-nil, makes the runtime the root of distributed
 	// traces: every remote miss, prefetch issue, and eviction write-back
@@ -389,9 +389,6 @@ type Config struct {
 	// consecutive store failures the runtime degrades to local memory
 	// (see breaker.go). 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerCeiling bounds how far the remotable budget may grow while
-	// degraded; 0 means 4x RemotableBudget.
-	BreakerCeiling uint64
 	// BreakerProbe is the wall-clock interval between recovery probes
 	// while the breaker is open; 0 means 250ms.
 	BreakerProbe time.Duration
@@ -514,7 +511,6 @@ type Runtime struct {
 	retryMax            int
 	breaker             *Breaker // never nil; threshold 0 never trips
 	prober              *Prober  // nil unless the breaker can trip and the store pings
-	breakerCeiling      uint64
 	baseRemotableBudget uint64
 	closeOnce           sync.Once
 
@@ -598,13 +594,6 @@ func New(cfg Config) *Runtime {
 		r.drainScoper, _ = store.(DrainScoper)
 	}
 	r.defaultMaxInflight = mi
-	// The ceiling caps degraded-mode budget growth. It applies both to
-	// the global breaker and to per-shard degradation (which needs no
-	// breaker configured), so it is set unconditionally.
-	r.breakerCeiling = cfg.BreakerCeiling
-	if r.breakerCeiling == 0 {
-		r.breakerCeiling = 4 * cfg.RemotableBudget
-	}
 	r.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, caps.Pinger)
 	r.prober = StartProber([]*Breaker{r.breaker}, nil)
 	return r

@@ -76,9 +76,9 @@ func (e Event) String() string {
 // single thread. Install with SetEventHook; nil disables the hook.
 // The hook must not call back into the runtime.
 //
-// The hook is the legacy single-subscriber path; the obs.Tracer passed
-// via Config.Tracer receives the same events into a bounded ring with
-// multiple-subscriber fan-out and Chrome-trace export.
+// The hook is the runtime's live event stream; the obs.Tracer passed
+// via Config.Tracer receives the same events into a bounded ring for
+// Chrome-trace export.
 type EventHook func(Event)
 
 // SetEventHook installs (or clears) the trace hook.

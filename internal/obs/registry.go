@@ -131,16 +131,6 @@ func (r *Registry) Histogram(name string, labels ...string) *stats.Histogram {
 	return h
 }
 
-// AdoptHistogram registers an externally-owned histogram (e.g. the
-// netsim link's queue-delay sketch) so it appears in snapshots. A later
-// adoption under the same key replaces the earlier one.
-func (r *Registry) AdoptHistogram(h *stats.Histogram, name string, labels ...string) {
-	k := Key(name, labels...)
-	r.mu.Lock()
-	r.hists[k] = h
-	r.mu.Unlock()
-}
-
 // Bucket is one non-empty histogram bucket: Count observations with
 // value <= Le (and greater than the previous bucket's Le).
 type Bucket struct {

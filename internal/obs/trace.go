@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cards/internal/stats"
@@ -27,32 +26,19 @@ type TraceEvent struct {
 	Arg1, Arg2         int64
 }
 
-// Subscriber receives every event synchronously on the emitting
-// goroutine. Subscribers must be fast and must not call back into the
-// tracer's emitting layer.
-type Subscriber func(TraceEvent)
-
-// Tracer is a bounded ring-buffer event sink with optional synchronous
-// subscribers. It supersedes the runtime's original single-hook design:
-// any number of layers emit concurrently, any number of subscribers
-// observe, and the ring never blocks — when full, events are dropped
-// and counted instead.
+// Tracer is a bounded ring-buffer event sink. Any number of layers
+// emit into it concurrently and the ring never blocks: when full,
+// events are dropped and counted instead. It exports; it does not
+// stream — the runtime's live event stream is farmem's event hook.
 //
 // A nil *Tracer is valid and inert: Emit on nil is a no-op, so call
 // sites need no guards beyond passing the tracer around.
 type Tracer struct {
-	mu     sync.Mutex
-	ring   []TraceEvent
-	cap    int
-	drops  stats.Counter
-	subs   atomic.Pointer[[]subEntry]
-	nextID atomic.Uint64
-	start  time.Time
-}
-
-type subEntry struct {
-	id uint64
-	fn Subscriber
+	mu    sync.Mutex
+	ring  []TraceEvent
+	cap   int
+	drops stats.Counter
+	start time.Time
 }
 
 // DefaultTraceCap is the ring capacity used when NewTracer is given a
@@ -77,17 +63,11 @@ func (t *Tracer) Now() uint64 {
 	return uint64(time.Since(t.start).Microseconds())
 }
 
-// Emit records one event: subscribers first (always, even when the ring
-// is full), then the ring. A full ring drops the event and increments
-// the drop counter; Emit never blocks on capacity.
+// Emit records one event into the ring. A full ring drops the event
+// and increments the drop counter; Emit never blocks on capacity.
 func (t *Tracer) Emit(ev TraceEvent) {
 	if t == nil {
 		return
-	}
-	if subs := t.subs.Load(); subs != nil {
-		for _, s := range *subs {
-			s.fn(ev)
-		}
 	}
 	t.mu.Lock()
 	if len(t.ring) < t.cap {
@@ -97,36 +77,6 @@ func (t *Tracer) Emit(ev TraceEvent) {
 	}
 	t.mu.Unlock()
 	t.drops.Inc()
-}
-
-// Subscribe attaches a synchronous subscriber and returns a function
-// that detaches it.
-func (t *Tracer) Subscribe(fn Subscriber) (cancel func()) {
-	id := t.nextID.Add(1)
-	t.mu.Lock()
-	old := t.subs.Load()
-	var next []subEntry
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, subEntry{id: id, fn: fn})
-	t.subs.Store(&next)
-	t.mu.Unlock()
-	return func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		cur := t.subs.Load()
-		if cur == nil {
-			return
-		}
-		pruned := make([]subEntry, 0, len(*cur))
-		for _, e := range *cur {
-			if e.id != id {
-				pruned = append(pruned, e)
-			}
-		}
-		t.subs.Store(&pruned)
-	}
 }
 
 // Span starts a wall-clock span in the given category and returns the
@@ -184,7 +134,7 @@ func (t *Tracer) Events() []TraceEvent {
 	return out
 }
 
-// Reset discards buffered events and the drop count (subscribers stay).
+// Reset discards buffered events and the drop count.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

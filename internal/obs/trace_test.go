@@ -58,25 +58,6 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-func TestTracerSubscribers(t *testing.T) {
-	tr := NewTracer(2)
-	var aCount, bCount int
-	cancelA := tr.Subscribe(func(TraceEvent) { aCount++ })
-	tr.Subscribe(func(TraceEvent) { bCount++ })
-	for i := 0; i < 5; i++ {
-		tr.Emit(TraceEvent{Name: "e"})
-	}
-	// Subscribers see every event, including the ones the full ring drops.
-	if aCount != 5 || bCount != 5 {
-		t.Fatalf("subscriber counts = %d, %d, want 5, 5", aCount, bCount)
-	}
-	cancelA()
-	tr.Emit(TraceEvent{Name: "e"})
-	if aCount != 5 || bCount != 6 {
-		t.Fatalf("after cancel: counts = %d, %d, want 5, 6", aCount, bCount)
-	}
-}
-
 func TestChromeTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Emit(TraceEvent{TS: 10, Dur: 5, Cat: "compile", Name: "dsa", TID: 0})

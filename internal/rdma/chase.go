@@ -9,12 +9,12 @@ import (
 // pattern the pipelined window cannot help:
 // each hop's address comes out of the previous reply, so K hops cost K
 // dependent round trips. CHASEBATCH ships a compact traversal program —
-// the next-pointer field offset, a hop budget, and an optional
-// field-filter mask — to the server, which walks its local store and
-// returns the whole path in one CHASEDATA reply:
+// the next-pointer field offset and a hop budget — to the server, which
+// walks its local store and returns the whole path in one CHASEDATA
+// reply:
 //
 //	CHASEBATCH: u32 count | count x (u32 ds | u32 start | u32 objSize |
-//	            u32 nextOff | u32 hops | u64 mask)
+//	            u32 nextOff | u32 hops | u64 reserved)
 //	CHASEDATA:  u32 count | count x (u32 status | u64 final | u32 hopCount |
 //	            hopCount x (u32 idx | u32 len | bytes))    (request order)
 //
@@ -28,7 +28,8 @@ import (
 // budget is spent (status ChaseHops, final = the tagged address of the
 // first unvisited node). The budget both sizes the reply and bounds the
 // walk, so a cyclic chain can never loop the server: it is cut off
-// after exactly hops nodes like any other deep chain.
+// after exactly hops nodes like any other deep chain. The reserved
+// word is zero; a decoder refuses a tuple that sets it.
 
 // Chase result statuses.
 const (
@@ -43,17 +44,13 @@ const (
 
 // ChaseReq is one traversal program: walk DS from object index Start,
 // reading the next hop's address from the u64 at NextOff of each
-// ObjSize-byte object, for at most Hops objects. Mask, when non-zero,
-// is a field filter: bit i keeps 8-byte word i of each returned object
-// and cleared words come back zeroed (the wire carries full-size hops
-// either way, so offsets stay stable).
+// ObjSize-byte object, for at most Hops objects.
 type ChaseReq struct {
 	DS      uint32
 	Start   uint32
 	ObjSize uint32
 	NextOff uint32
 	Hops    uint32
-	Mask    uint64
 }
 
 // ChaseHop is one visited object of a chase path.
@@ -74,7 +71,7 @@ type ChaseResult struct {
 // Wire sizes of the chase encoding.
 const (
 	// chaseReqSize is one CHASEBATCH tuple:
-	// u32 ds | u32 start | u32 objSize | u32 nextOff | u32 hops | u64 mask.
+	// u32 ds | u32 start | u32 objSize | u32 nextOff | u32 hops | u64 reserved.
 	chaseReqSize = 28
 	// chaseResHdrSize is the fixed prefix of one CHASEDATA result:
 	// u32 status | u64 final | u32 hopCount.
@@ -82,10 +79,6 @@ const (
 	// chaseHopHdrSize is the fixed prefix of one hop: u32 idx | u32 len.
 	chaseHopHdrSize = 8
 )
-
-// chaseMaskWords is the object span a field-filter mask can describe:
-// one bit per 8-byte word, 64 words = 512 bytes.
-const chaseMaskWords = 64
 
 // Tagged-address layout of chase successor pointers. These mirror the
 // farmem address constants (Figure 3 of the paper): the wire protocol
@@ -127,10 +120,6 @@ func (r ChaseReq) Validate() error {
 		return fmt.Errorf("rdma: chase next-pointer offset %d past object end (%d bytes)",
 			r.NextOff, r.ObjSize)
 	}
-	if r.Mask != 0 && r.ObjSize > chaseMaskWords*8 {
-		return fmt.Errorf("rdma: chase field mask on %d-byte objects (mask covers %d)",
-			r.ObjSize, chaseMaskWords*8)
-	}
 	return nil
 }
 
@@ -170,7 +159,7 @@ func EncodeChaseBatchPooled(tag uint32, reqs []ChaseReq) Frame {
 		binary.LittleEndian.PutUint32(p[off+8:], r.ObjSize)
 		binary.LittleEndian.PutUint32(p[off+12:], r.NextOff)
 		binary.LittleEndian.PutUint32(p[off+16:], r.Hops)
-		binary.LittleEndian.PutUint64(p[off+20:], r.Mask)
+		binary.LittleEndian.PutUint64(p[off+20:], 0) // reserved
 		off += chaseReqSize
 	}
 	return Frame{Op: OpChaseBatch, Tag: tag, Payload: p}
@@ -178,9 +167,10 @@ func EncodeChaseBatchPooled(tag uint32, reqs []ChaseReq) Frame {
 
 // DecodeChaseBatchInto parses a CHASEBATCH payload, appending into a
 // caller-owned slice so a steady-state server reuses one across
-// batches. It checks framing only; program invariants are the server's
-// per-program Validate call (so one bad program fails its batch with a
-// precise message, not a generic decode error).
+// batches. It checks framing and the reserved word only; program
+// invariants are the server's per-program Validate call (so one bad
+// program fails its batch with a precise message, not a generic decode
+// error).
 func DecodeChaseBatchInto(p []byte, reqs []ChaseReq) ([]ChaseReq, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("rdma: bad CHASEBATCH payload length %d", len(p))
@@ -193,13 +183,15 @@ func DecodeChaseBatchInto(p []byte, reqs []ChaseReq) ([]ChaseReq, error) {
 	reqs = reqs[:0]
 	off := 4
 	for i := uint32(0); i < count; i++ {
+		if binary.LittleEndian.Uint64(p[off+20:]) != 0 {
+			return nil, fmt.Errorf("rdma: CHASEBATCH tuple %d sets its reserved word", i)
+		}
 		reqs = append(reqs, ChaseReq{
 			DS:      binary.LittleEndian.Uint32(p[off:]),
 			Start:   binary.LittleEndian.Uint32(p[off+4:]),
 			ObjSize: binary.LittleEndian.Uint32(p[off+8:]),
 			NextOff: binary.LittleEndian.Uint32(p[off+12:]),
 			Hops:    binary.LittleEndian.Uint32(p[off+16:]),
-			Mask:    binary.LittleEndian.Uint64(p[off+20:]),
 		})
 		off += chaseReqSize
 	}

@@ -22,7 +22,6 @@ func TestChaseReqValidate(t *testing.T) {
 		{"non-pow2 object size", ChaseReq{ObjSize: 48, NextOff: 8, Hops: 4}, "not a power of two"},
 		{"offset past end", ChaseReq{ObjSize: 64, NextOff: 60, Hops: 4}, "past object end"},
 		{"offset at end", ChaseReq{ObjSize: 64, NextOff: 64, Hops: 4}, "past object end"},
-		{"mask on huge objects", ChaseReq{ObjSize: 1024, NextOff: 0, Hops: 4, Mask: 1}, "mask"},
 	}
 	for _, c := range cases {
 		err := c.req.Validate()
@@ -34,17 +33,17 @@ func TestChaseReqValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
-	// Unfiltered huge objects are fine — only the mask has a span limit.
+	// Object size has no upper bound of its own: ChaseReplyBound caps it.
 	if err := (ChaseReq{ObjSize: 1024, NextOff: 0, Hops: 4}).Validate(); err != nil {
-		t.Errorf("unfiltered 1KiB program rejected: %v", err)
+		t.Errorf("1KiB program rejected: %v", err)
 	}
 }
 
 func TestChaseBatchRoundTrip(t *testing.T) {
 	reqs := []ChaseReq{
 		{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 16},
-		{DS: 7, Start: 1023, ObjSize: 256, NextOff: 248, Hops: 1, Mask: 0x8001},
-		{DS: 0x7FFF, Start: 1 << 30, ObjSize: 8, NextOff: 0, Hops: 1 << 20, Mask: ^uint64(0)},
+		{DS: 7, Start: 1023, ObjSize: 256, NextOff: 248, Hops: 1},
+		{DS: 0x7FFF, Start: 1 << 30, ObjSize: 8, NextOff: 0, Hops: 1 << 20},
 	}
 	fr := EncodeChaseBatchPooled(42, reqs)
 	if fr.Op != OpChaseBatch || fr.Tag != 42 {
@@ -77,6 +76,18 @@ func TestChaseBatchRoundTrip(t *testing.T) {
 	binary.LittleEndian.PutUint32(forged, uint32(len(reqs)+1))
 	if _, err := DecodeChaseBatchInto(forged, nil); err == nil {
 		t.Error("forged count accepted")
+	}
+	// The reserved word: the encoder writes zero, the decoder refuses
+	// anything else.
+	for i := range reqs {
+		if w := binary.LittleEndian.Uint64(fr.Payload[4+i*chaseReqSize+20:]); w != 0 {
+			t.Errorf("program %d: reserved word %#x, want 0", i, w)
+		}
+	}
+	reserved := append([]byte(nil), fr.Payload...)
+	binary.LittleEndian.PutUint64(reserved[4+chaseReqSize+20:], 0x8001)
+	if _, err := DecodeChaseBatchInto(reserved, nil); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Errorf("reserved word set: err %v, want a refusal naming it", err)
 	}
 }
 

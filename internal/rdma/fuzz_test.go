@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -80,13 +81,16 @@ func FuzzFrameDecode(f *testing.F) {
 		// DATAEPOCHBATCH: a stamped segment and a zero-epoch (absent) one.
 		retired(0x0A, 15, "020000000900000000000000070000007374616d706564000000000000000000000000"),
 	)
-	// Traversal-offload verbs: programs with
-	// and without field masks, and replies across the status space —
-	// multi-hop done, budget-exhausted, and an empty path.
-	seeds = append(seeds, EncodeChaseBatchPooled(16, []ChaseReq{
+	// Traversal-offload verbs: a program batch whose second tuple sets
+	// the reserved word (the retired field mask, which an old peer could
+	// still send and the decoder refuses), and replies across the status
+	// space — multi-hop done, budget-exhausted, and an empty path.
+	masked := EncodeChaseBatchPooled(16, []ChaseReq{
 		{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 16},
-		{DS: 2, Start: 7, ObjSize: 32, NextOff: 24, Hops: 1, Mask: 0x9},
-	}))
+		{DS: 2, Start: 7, ObjSize: 32, NextOff: 24, Hops: 1},
+	})
+	binary.LittleEndian.PutUint64(masked.Payload[4+chaseReqSize+20:], 0x9)
+	seeds = append(seeds, masked)
 	if cd, err := EncodeChaseData(17, []ChaseResult{
 		{Status: ChaseDone, Final: 0xFEED, Hops: []ChaseHop{
 			{Idx: 0, Data: bytes.Repeat([]byte{0x6C}, 64)},

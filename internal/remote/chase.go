@@ -115,8 +115,7 @@ func (s *Server) chaseBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 
 // chaseOne walks one validated program against the local store, gathers
 // each visited object into the reply in place, and returns the hop
-// count. The successor word is read before the field mask clears
-// anything, so a filtered next-pointer field still steers the walk.
+// count.
 func (s *Server) chaseOne(w *rdma.ChaseDataWriter, r rdma.ChaseReq) int {
 	w.BeginResult()
 	shift := uint(bits.TrailingZeros32(r.ObjSize)) // ObjSize validated power of two
@@ -125,9 +124,6 @@ func (s *Server) chaseOne(w *rdma.ChaseDataWriter, r rdma.ChaseReq) int {
 		slot := w.NextHop(idx, int(r.ObjSize))
 		s.Store.ReadInto(r.DS, idx, slot)
 		word := binary.LittleEndian.Uint64(slot[r.NextOff:])
-		if r.Mask != 0 {
-			applyChaseMask(slot, r.Mask)
-		}
 		if !rdma.ChaseAddrTagged(word) || rdma.ChaseAddrDS(word) != r.DS {
 			// Terminal: an unmanaged word, or a pointer out of the
 			// program's data structure. The raw word goes back so the
@@ -143,16 +139,5 @@ func (s *Server) chaseOne(w *rdma.ChaseDataWriter, r rdma.ChaseReq) int {
 			return int(r.Hops)
 		}
 		idx = uint32(rdma.ChaseAddrOff(word) >> shift)
-	}
-}
-
-// applyChaseMask zeroes every 8-byte word of slot whose mask bit is
-// clear. The slot keeps its full size (offsets stay stable); only the
-// filtered bytes go dark.
-func applyChaseMask(slot []byte, mask uint64) {
-	for w := 0; w*8+8 <= len(slot); w++ {
-		if mask&(1<<uint(w)) == 0 {
-			clear(slot[w*8 : w*8+8])
-		}
 	}
 }

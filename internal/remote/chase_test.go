@@ -78,46 +78,39 @@ func TestChaseCyclicChainBounded(t *testing.T) {
 	}
 }
 
-// TestChaseFieldMaskFilters pins the wire mask semantics end to end:
-// cleared words come back zeroed, kept words intact, and a masked
-// next-pointer field still steers the server's walk (the successor word
-// is read before the filter applies).
-func TestChaseFieldMaskFilters(t *testing.T) {
+// TestChaseReservedWordRefused: a CHASEBATCH tuple's last u64 is
+// reserved (older peers sent a field-filter mask there). A program that
+// sets it gets a definitive ERRTAG, nothing is walked, and the same
+// session goes on serving chases and reads.
+func TestChaseReservedWordRefused(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
-
 	store, objs := chainStore()
 	srv := NewServer()
 	srv.Store = store
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	s := dialRaw(t, srv, 0)
 
-	c, err := DialPipelined(addr, PipelineOpts{Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
+	prog := []rdma.ChaseReq{{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 8}}
+	masked := rdma.EncodeChaseBatchPooled(0, prog)
+	binary.LittleEndian.PutUint64(masked.Payload[4+20:], 1) // tuple 0's reserved word
+	resp := s.call(masked)
+	if resp.Op != rdma.OpErrTag {
+		t.Fatalf("reserved word set: answered with %s (%d bytes), want ERRTAG", resp.Op, len(resp.Payload))
 	}
-	defer c.Close()
+	rdma.PutBuf(resp.Payload)
+	if got := srv.ObsSnapshot().Counters[MetricChaseHops]; got != 0 {
+		t.Fatalf("a refused program walked %d hops", got)
+	}
 
-	// Keep only word 0; word 1 holds the next pointer and is filtered —
-	// the walk must still follow the whole chain.
-	res, err := c.Chase(rdma.ChaseReq{DS: 1, Start: 0, ObjSize: 64, NextOff: 8, Hops: 8, Mask: 1})
-	if err != nil {
-		t.Fatalf("masked chase: %v", err)
-	}
+	res := s.chase(prog[0])
 	if res.Status != rdma.ChaseDone || len(res.Hops) != 4 {
-		t.Fatalf("masked chase: status %d hops %d, want ChaseDone/4", res.Status, len(res.Hops))
+		t.Fatalf("chase after the refusal: status %d hops %d, want ChaseDone/4", res.Status, len(res.Hops))
 	}
 	for i, h := range res.Hops {
-		want := objs[h.Idx]
-		if !bytes.Equal(h.Data[:8], want[:8]) {
-			t.Fatalf("hop %d kept word mangled", i)
+		if !bytes.Equal(h.Data, objs[h.Idx]) {
+			t.Fatalf("hop %d (object %d) came back altered", i, h.Idx)
 		}
-		for j := 8; j < 64; j++ {
-			if h.Data[j] != 0 {
-				t.Fatalf("hop %d filtered byte %d = %#x, want 0", i, j, h.Data[j])
-			}
-		}
+	}
+	if got, _ := s.read(false, rdma.ReadReq{DS: 1, Idx: 2, Size: 64}); !bytes.Equal(got[0], objs[2]) {
+		t.Fatal("read after the refusal returned the wrong bytes")
 	}
 }

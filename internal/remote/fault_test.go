@@ -124,6 +124,56 @@ func TestPipelinedReconnectReplaysReads(t *testing.T) {
 	}
 }
 
+// TestNegativeRetryMaxNeverRedials: RetryMax < 0 means no redial after
+// a fault. A read whose reply is lost to a cut fails, with an error that
+// wraps the cut, instead of being replayed on a fresh connection; the
+// client is down, and the next read buys one redial as on any down
+// client.
+func TestNegativeRetryMaxNeverRedials(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	var armed atomic.Bool
+	var accepted atomic.Int32
+	srv := NewServer()
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		if accepted.Add(1) == 1 {
+			return cutConn{ReadWriteCloser: c, armed: &armed}
+		}
+		return c
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Store.Write(1, 0, []byte{0x42})
+	reg := obs.NewRegistry()
+	c, err := DialPipelined(addr, PipelineOpts{Timeout: time.Second, RetryMax: -1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	armed.Store(true) // the read is served, its reply dies with the connection
+	dst := make([]byte, 1)
+	err = c.ReadObj(1, 0, dst)
+	if err == nil {
+		t.Fatal("the read across the cut succeeded: it was replayed on a redialed connection")
+	}
+	if errors.Unwrap(err) == nil {
+		t.Errorf("read failed with %q, which wraps no cause", err)
+	}
+	if n := reg.Snapshot().Counter(MetricClientReconnects); n != 0 || accepted.Load() != 1 {
+		t.Fatalf("%s = %d after %d connections, want no redial", MetricClientReconnects, n, accepted.Load())
+	}
+
+	if err := c.ReadObj(1, 0, dst); err != nil || dst[0] != 0x42 {
+		t.Fatalf("read on the down client = %x, %v; want its one redial to serve it", dst, err)
+	}
+	if n := reg.Snapshot().Counter(MetricClientReconnects); n != 1 {
+		t.Fatalf("%s = %d, want 1", MetricClientReconnects, n)
+	}
+}
+
 // TestPipelinedWriteUncertainOnCut: pipelined writes racing a cut must
 // either succeed or surface ErrUncertainWrite — never a silent replay,
 // never a hang.

@@ -14,12 +14,11 @@ import (
 // cycles), hence the _ns suffix.
 const (
 	// Server side: one histogram per verb family, observed around the
-	// full handle (decode + store access + response encode).
+	// full handle (decode + store access + response encode); its count
+	// is the batches served.
 	MetricReadNS  = "cards_remote_read_ns"
 	MetricWriteNS = "cards_remote_write_ns"
 
-	MetricReads  = "cards_remote_reads_total"
-	MetricWrites = "cards_remote_writes_total"
 	MetricErrors = "cards_remote_errors_total"
 
 	// Wire bytes as framed by the rdma transport (header included).
@@ -41,29 +40,26 @@ const (
 	MetricClientReadNS  = "cards_remote_client_read_ns"
 	MetricClientWriteNS = "cards_remote_client_write_ns"
 
-	// Pipelined data path: batch frames served and their sizes (reads
-	// per READBATCH-C) on the server; in-flight window depth and doorbell
-	// batch sizes on the client.
-	MetricReadBatches     = "cards_remote_read_batches_total"
+	// Pipelined data path: the reads per READBATCH-C served (its count
+	// is the batches, its sum the reads) on the server; in-flight window
+	// depth and doorbell batch sizes on the client.
 	MetricBatchReads      = "cards_remote_batch_reads"
 	MetricClientInflight  = "cards_remote_client_inflight_ops"
 	MetricClientBatchSize = "cards_remote_client_batch_reads"
 
-	// Write-back pipeline: WRITEBATCH-C frames served and their sizes
-	// (writes per batch) on the server; the client's write-window depth
-	// and per-doorbell write batch sizes.
-	MetricWriteBatches         = "cards_remote_write_batches_total"
+	// Write-back pipeline: the writes per WRITEBATCH-C served (count the
+	// batches, sum the writes) on the server; the client's write-window
+	// depth and per-doorbell write batch sizes.
 	MetricBatchWrites          = "cards_remote_batch_writes"
 	MetricClientInflightWrites = "cards_remote_client_inflight_writes"
 	MetricClientWriteBatchSize = "cards_remote_client_batch_writes"
 
-	// Traversal offload: CHASEBATCH frames served, traversal programs
-	// executed, and the hops walked on the client's behalf — each hop is
-	// a round trip the session did not pay.
-	MetricChaseBatches = "cards_remote_chase_batches_total"
-	MetricChases       = "cards_remote_chases_total"
-	MetricChaseHops    = "cards_remote_chase_hops_total"
-	MetricChaseNS      = "cards_remote_chase_ns"
+	// Traversal offload: traversal programs executed, the hops walked
+	// on the client's behalf — each hop is a round trip the session did
+	// not pay — and the CHASEBATCH service time (count the batches).
+	MetricChases    = "cards_remote_chases_total"
+	MetricChaseHops = "cards_remote_chase_hops_total"
+	MetricChaseNS   = "cards_remote_chase_ns"
 
 	// Fault tolerance: successful redials, stalled streams that hit the
 	// deadline, writes whose outcome the transport could not determine,
@@ -95,42 +91,34 @@ const (
 // serverMetrics caches the registry series the hot request loop touches,
 // so serving a verb never takes the registry map lock.
 type serverMetrics struct {
-	reads, writes, errors *stats.Counter
-	bytesIn, bytesOut     *stats.Counter
-	connsTotal            *stats.Counter
-	readBatches           *stats.Counter
-	writeBatches          *stats.Counter
-	chaseBatches          *stats.Counter
-	chases, chaseHops     *stats.Counter
-	inflight, conns       *stats.Gauge
-	readNS, writeNS       *stats.Histogram
-	batchReads            *stats.Histogram
-	batchWrites           *stats.Histogram
-	chaseNS               *stats.Histogram
-	wire                  *wireMetrics
+	errors            *stats.Counter
+	bytesIn, bytesOut *stats.Counter
+	connsTotal        *stats.Counter
+	chases, chaseHops *stats.Counter
+	inflight, conns   *stats.Gauge
+	readNS, writeNS   *stats.Histogram
+	batchReads        *stats.Histogram
+	batchWrites       *stats.Histogram
+	chaseNS           *stats.Histogram
+	wire              *wireMetrics
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		reads:        reg.Counter(MetricReads),
-		writes:       reg.Counter(MetricWrites),
-		errors:       reg.Counter(MetricErrors),
-		bytesIn:      reg.Counter(MetricBytesIn),
-		bytesOut:     reg.Counter(MetricBytesOut),
-		connsTotal:   reg.Counter(MetricConnsTotal),
-		readBatches:  reg.Counter(MetricReadBatches),
-		writeBatches: reg.Counter(MetricWriteBatches),
-		chaseBatches: reg.Counter(MetricChaseBatches),
-		chases:       reg.Counter(MetricChases),
-		chaseHops:    reg.Counter(MetricChaseHops),
-		inflight:     reg.Gauge(MetricInflight),
-		conns:        reg.Gauge(MetricConns),
-		readNS:       reg.Histogram(MetricReadNS),
-		writeNS:      reg.Histogram(MetricWriteNS),
-		batchReads:   reg.Histogram(MetricBatchReads),
-		batchWrites:  reg.Histogram(MetricBatchWrites),
-		chaseNS:      reg.Histogram(MetricChaseNS),
-		wire:         newWireMetrics(reg),
+		errors:      reg.Counter(MetricErrors),
+		bytesIn:     reg.Counter(MetricBytesIn),
+		bytesOut:    reg.Counter(MetricBytesOut),
+		connsTotal:  reg.Counter(MetricConnsTotal),
+		chases:      reg.Counter(MetricChases),
+		chaseHops:   reg.Counter(MetricChaseHops),
+		inflight:    reg.Gauge(MetricInflight),
+		conns:       reg.Gauge(MetricConns),
+		readNS:      reg.Histogram(MetricReadNS),
+		writeNS:     reg.Histogram(MetricWriteNS),
+		batchReads:  reg.Histogram(MetricBatchReads),
+		batchWrites: reg.Histogram(MetricBatchWrites),
+		chaseNS:     reg.Histogram(MetricChaseNS),
+		wire:        newWireMetrics(reg),
 	}
 }
 
@@ -162,20 +150,15 @@ func (s *Server) observe(connID int, sv served, start time.Time, startUS, trace 
 	switch sv.family {
 	case rdma.OpReadBatchC:
 		ev.Arg1Name = "reads"
-		m.readBatches.Inc()
 		m.batchReads.Observe(n)
-		m.reads.Add(n)
 		m.readNS.Observe(ns)
 	case rdma.OpWriteBatchC:
 		ev.Arg1Name = "writes"
-		m.writeBatches.Inc()
 		m.batchWrites.Observe(n)
-		m.writes.Add(n)
 		m.writeNS.Observe(ns)
 	case rdma.OpChaseBatch:
 		// Each hop is a round trip the session did not pay.
 		ev.Arg1Name, ev.Arg2Name, ev.Arg2 = "chases", "hops", int64(sv.hops)
-		m.chaseBatches.Inc()
 		m.chases.Add(n)
 		m.chaseHops.Add(uint64(sv.hops))
 		m.chaseNS.Observe(ns)

@@ -74,8 +74,8 @@ func TestServerObsConcurrent(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	snap := srv.ObsSnapshot()
-	if got := snap.Counter(MetricReads); got != total {
-		t.Errorf("%s = %d, want %d", MetricReads, got, total)
+	if got := snap.Histogram(MetricBatchReads).Sum; got != total {
+		t.Errorf("%s sum = %d, want %d", MetricBatchReads, got, total)
 	}
 	if got := snap.Histogram(MetricReadNS).Count; got != total {
 		t.Errorf("%s count = %d, want %d", MetricReadNS, got, total)

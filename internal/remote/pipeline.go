@@ -26,7 +26,7 @@ import (
 var ErrProtoMismatch = errors.New("remote: protocol mismatch")
 
 // DefaultReconnectAttempts bounds the redial loop after a connection
-// fault when PipelineOpts.RetryMax is unset.
+// fault when PipelineOpts.RetryMax is 0.
 const DefaultReconnectAttempts = 6
 
 // PipelineOpts tunes a PipelinedClient.
@@ -81,7 +81,8 @@ type PipelineOpts struct {
 	Redial func() (io.ReadWriteCloser, error)
 
 	// RetryMax bounds consecutive failed redial attempts before the
-	// client goes down (default DefaultReconnectAttempts; see connFail).
+	// client goes down (0 means DefaultReconnectAttempts; negative means
+	// none: a fault downs the client at once; see connFail).
 	// RetryBase/RetryCap shape the capped exponential backoff between
 	// attempts (defaults 2ms / 250ms); Seed makes its jitter
 	// deterministic for tests.
@@ -585,21 +586,22 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 	c.requeueOps(harvested, cause)
 
 	retryMax := c.opts.RetryMax
-	if retryMax <= 0 {
+	if retryMax == 0 {
 		retryMax = DefaultReconnectAttempts
 	}
-	c.redial(retryMax, true)
+	c.redial(retryMax, true, cause)
 }
 
 // redial makes up to attempts tries at a fresh session, backing off
 // before each when paced, and resumes the loops on the first that says
-// hello. When none does the client is down: everything queued completes
-// with the last error and the loops stay parked until the flusher spends
-// the next queued ops on one unpaced attempt. A checksummed
-// ErrProtoMismatch — the server was replaced by one we cannot talk to —
-// goes down at once: backing off cannot change it.
-func (c *PipelinedClient) redial(attempts int, paced bool) {
-	var lastErr error
+// hello. When none does — or attempts allows none — the client is down:
+// everything queued completes with the last error (cause, when nothing
+// was tried) and the loops stay parked until the flusher spends the next
+// queued ops on one unpaced attempt. A checksummed ErrProtoMismatch —
+// the server was replaced by one we cannot talk to — goes down at once:
+// backing off cannot change it.
+func (c *PipelinedClient) redial(attempts int, paced bool, cause error) {
+	lastErr := cause
 	for attempt := 0; attempt < attempts && !errors.Is(lastErr, ErrProtoMismatch); attempt++ {
 		if paced {
 			select {
@@ -734,7 +736,7 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		if c.down {
 			c.mu.Unlock()
-			c.redial(1, false)
+			c.redial(1, false, nil)
 			continue
 		}
 		gen, bw := c.gen, c.bw

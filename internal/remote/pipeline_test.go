@@ -401,8 +401,8 @@ func TestPipelinedMetrics(t *testing.T) {
 	}
 	// Server-side batch accounting.
 	ssnap := srv.ObsSnapshot()
-	if c := ssnap.Counters[MetricReadBatches]; c == 0 {
-		t.Error("server read-batch counter not incremented")
+	if c := ssnap.Histogram(MetricBatchReads).Count; c == 0 {
+		t.Error("server read-batch histogram not observed")
 	}
 }
 

@@ -655,10 +655,10 @@ func reqTrace(f rdma.Frame) uint64 {
 	return traceID
 }
 
-// Counts returns (reads, writes) served. The values are the registry's
-// cards_remote_reads_total / writes_total counters.
+// Counts returns (reads, writes) served: the sums of the registry's
+// per-batch size histograms.
 func (s *Server) Counts() (uint64, uint64) {
-	return s.metrics.reads.Load(), s.metrics.writes.Load()
+	return s.metrics.batchReads.Sum(), s.metrics.batchWrites.Sum()
 }
 
 // Close stops the listener and waits for connections to drain.

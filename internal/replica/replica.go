@@ -134,8 +134,9 @@ type objMeta struct {
 }
 
 // Store is the replicated far tier. It implements farmem.Store,
-// farmem.AsyncStore, farmem.AsyncWriteStore, farmem.Pinger,
-// farmem.Recoverable and farmem.DrainScoper.
+// farmem.AsyncStore, farmem.AsyncWriteStore, farmem.RangeWriteStore,
+// farmem.AsyncChaseStore, farmem.Pinger, farmem.Recoverable and
+// farmem.DrainScoper.
 type Store struct {
 	*shardmap.Fleet
 	members []*member

@@ -18,6 +18,16 @@ import (
 // production; it must keep speaking both epoch verbs.
 var _ EpochBackend = (*remote.PipelinedClient)(nil)
 
+// The surfaces Store's doc comment lists.
+var _ interface {
+	farmem.AsyncStore
+	farmem.RangeWriteStore
+	farmem.AsyncChaseStore
+	farmem.Pinger
+	farmem.Recoverable
+	farmem.DrainScoper
+} = (*Store)(nil)
+
 // fakeBackend is an in-memory EpochBackend + Pinger with a kill
 // switch, standing in for one remote server plus its resilient client.
 // It splices range writes by the server's rule (ObjectStore.WriteRangeEpoch)

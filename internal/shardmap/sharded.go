@@ -55,8 +55,9 @@ type shard struct {
 
 // ShardedStore multiplexes farmem store traffic across N backends using
 // rendezvous placement (see Map). It implements farmem.Store,
-// farmem.AsyncStore, farmem.AsyncWriteStore, farmem.Pinger and
-// farmem.Recoverable.
+// farmem.AsyncStore, farmem.AsyncWriteStore, farmem.RangeWriteStore,
+// farmem.AsyncChaseStore, farmem.Pinger, farmem.Recoverable and
+// farmem.DrainScoper.
 //
 // Fault domains are per shard (see Fleet): operations against a tripped
 // shard fail fast with an error wrapping farmem.ErrDegraded while the

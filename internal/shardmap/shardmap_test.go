@@ -12,6 +12,16 @@ import (
 	"cards/internal/rdma"
 )
 
+// The surfaces ShardedStore's doc comment lists.
+var _ interface {
+	farmem.AsyncStore
+	farmem.RangeWriteStore
+	farmem.AsyncChaseStore
+	farmem.Pinger
+	farmem.Recoverable
+	farmem.DrainScoper
+} = (*ShardedStore)(nil)
+
 func TestOwnerBalance(t *testing.T) {
 	m := NewMap(4)
 	counts := make([]int, 4)
