@@ -17,6 +17,7 @@ import (
 	"cards/internal/interp"
 	"cards/internal/ir"
 	"cards/internal/netsim"
+	"cards/internal/obs"
 	"cards/internal/policy"
 	"cards/internal/prefetch"
 	"cards/internal/rdma"
@@ -231,9 +232,11 @@ func (s *opCounter) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent
 // Unlike BenchmarkCompiledTaxiNsPerDeref it sees the round trips the
 // application thread waits for: ns/deref is wall time per guarded
 // access, sync-reads/deref the share of them that blocked on a read,
-// reads/deref all reads, blocking or not, and splices/deref the range
+// reads/deref all reads, blocking or not, splices/deref the range
 // writes — without RangeWriteback, the unread objects of store-once
-// misses evicted as splices of their logged stores.
+// misses evicted as splices of their logged stores — and
+// read-frames/deref and write-frames/deref the doorbells that carried
+// them, from the client registry's batch-size histograms.
 func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	w := workloads.BuildBFS(workloads.BFSConfig{Vertices: 1024, Degree: 8, Trials: 3, Seed: 1})
 	c, err := core.Compile(w.Module, core.CompileOptions{})
@@ -256,7 +259,8 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := remote.DialPipelined(addr, remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: 6})
+	reg := obs.NewRegistry()
+	cl, err := remote.DialPipelined(addr, remote.PipelineOpts{Timeout: 2 * time.Second, RetryMax: 6, Obs: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,6 +283,8 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	b.ReportMetric(float64(store.syncReads)/float64(derefs), "sync-reads/deref")
 	b.ReportMetric(float64(store.syncReads+store.asyncReads)/float64(derefs), "reads/deref")
 	b.ReportMetric(float64(store.rangeWrites)/float64(derefs), "splices/deref")
+	b.ReportMetric(float64(reg.Histogram(remote.MetricClientBatchSize).Count())/float64(derefs), "read-frames/deref")
+	b.ReportMetric(float64(reg.Histogram(remote.MetricClientWriteBatchSize).Count())/float64(derefs), "write-frames/deref")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

@@ -94,9 +94,10 @@ type Config struct {
 	PinnedMemory uint64
 	// RemotableMemory is the local cache over the far tier, in bytes.
 	RemotableMemory uint64
-	// WriteBackMemory bounds the staging buffers holding dirty evictions
-	// whose asynchronous write-backs are still in flight, in bytes. 0
-	// means a quarter of RemotableMemory. Only meaningful when the far
+	// WriteBackMemory is the staging budget for dirty evictions whose
+	// asynchronous write-backs are still in flight, in bytes; staging
+	// whose acks are late may reach twice it before an eviction blocks.
+	// 0 means a quarter of RemotableMemory. Only meaningful when the far
 	// tier supports batched writes (DESIGN.md §7).
 	WriteBackMemory uint64
 	// RemoteAddr, when non-empty, backs far memory with a cardsd server

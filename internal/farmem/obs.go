@@ -49,9 +49,10 @@ const (
 	MetricRemotableBudget   = "cards_farmem_remotable_budget_bytes"
 
 	// Asynchronous write-back pipeline (writeback.go): staged evictions,
-	// backpressure stalls, synchronous reissues of failed async writes,
-	// read-your-writes derefs served from staging, and the current
-	// staged payload occupancy.
+	// backpressure stalls (virtual time), synchronous reissues of failed
+	// async writes, read-your-writes derefs served from staging, and the
+	// current staging occupancy: budgeted bytes (retired ones excluded)
+	// and entries (all of them).
 	MetricStagedWriteBacks       = "cards_farmem_staged_writebacks_total"
 	MetricWriteBackStalls        = "cards_farmem_writeback_stalls_total"
 	MetricWriteBackReissues      = "cards_farmem_writeback_reissues_total"

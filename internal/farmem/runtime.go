@@ -395,8 +395,10 @@ type Config struct {
 
 	// WriteBackBudget bounds the bytes of dirty eviction payloads staged
 	// for asynchronous write-back (writeback.go); 0 means
-	// RemotableBudget/4. Once staged-but-unsettled payload exceeds the
-	// budget, the next dirty eviction blocks on the oldest staged write.
+	// RemotableBudget/4. Once staged payload exceeds the budget, the
+	// next dirty eviction stalls in virtual time on the oldest staged
+	// write, which retires unacknowledged; staging blocks on the wire
+	// only past twice the budget.
 	WriteBackBudget uint64
 
 	// RangeWriteback enables dirty-range write-back (dirtyrange.go):
@@ -434,7 +436,7 @@ type RuntimeStats struct {
 
 	// Asynchronous write-back pipeline counters (see writeback.go).
 	StagedWriteBacks     uint64 // dirty evictions staged for async write-back
-	WriteBackStalls      uint64 // evictions that blocked on the staging budget or per-object ordering
+	WriteBackStalls      uint64 // evictions that stalled in virtual time on the staging budget or per-object ordering
 	WriteBackReissues    uint64 // failed/uncertain async writes reissued synchronously
 	WriteBackStagingHits uint64 // derefs served read-your-writes from a staging buffer
 
@@ -468,7 +470,8 @@ type Runtime struct {
 	awstore   AsyncWriteStore // non-nil iff store supports IssueWrite
 	wbPending map[wbKey]*pendingWB
 	wbOrder   []*pendingWB // issue-order FIFO (entries validated lazily)
-	wbBytes   uint64       // staged-but-unsettled payload bytes
+	wbBytes   uint64       // budgeted staged payload bytes
+	wbRetired uint64       // retired staged payload bytes (waitOldestWB)
 	wbBudget  uint64
 	wbFree    map[int][][]byte // staging buffer free lists, by size
 	wbBusy    bool             // order-list scan reentrancy guard

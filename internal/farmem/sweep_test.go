@@ -45,7 +45,8 @@ func (s *heldWriteStore) complete(t *testing.T, idx int, err error) {
 }
 
 // checkWBList fails unless every staged entry is on the order list
-// exactly once and wbBytes is the sum over the staged entries.
+// exactly once, wbBytes is the sum over the budgeted entries and
+// wbRetired the sum over the retired ones.
 func checkWBList(t *testing.T, r *Runtime) {
 	t.Helper()
 	listed := map[*pendingWB]int{}
@@ -54,15 +55,19 @@ func checkWBList(t *testing.T, r *Runtime) {
 			listed[p]++
 		}
 	}
-	var bytes uint64
+	var budgeted, retired uint64
 	for key, p := range r.wbPending {
 		if listed[p] != 1 {
 			t.Fatalf("staged obj %d is on the order list %d times, want once", key.idx, listed[p])
 		}
-		bytes += uint64(p.size)
+		if p.retired {
+			retired += uint64(p.size)
+		} else {
+			budgeted += uint64(p.size)
+		}
 	}
-	if bytes != r.wbBytes {
-		t.Fatalf("wbBytes = %d, staged entries hold %d", r.wbBytes, bytes)
+	if budgeted != r.wbBytes || retired != r.wbRetired {
+		t.Fatalf("wbBytes = %d, wbRetired = %d; budgeted entries hold %d, retired %d", r.wbBytes, r.wbRetired, budgeted, retired)
 	}
 }
 

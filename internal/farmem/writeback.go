@@ -33,10 +33,12 @@ import "cards/internal/rdma"
 //     is refused (degraded shard), the entry parks: the staging buffer
 //     then holds the only durable copy until a recovery drain.
 //
-// Memory is bounded by Config.WriteBackBudget: once staged-but-unsettled
-// payload exceeds it, the next dirty eviction blocks on the oldest
-// staged write (backpressure), after first harvesting any completions
-// that arrived opportunistically.
+// Memory is bounded by Config.WriteBackBudget: once the budgeted staged
+// payload exceeds it, the next dirty eviction stalls in virtual time on
+// the oldest budgeted write (backpressure), after first harvesting any
+// completions that arrived opportunistically. An entry whose ack has not
+// arrived by then retires rather than blocking on the wire (waitOldestWB),
+// so real staging is at most twice the budget.
 
 // AsyncWriteStore is a Store that can additionally issue writes without
 // blocking the caller. IssueWrite starts persisting src and returns
@@ -76,6 +78,10 @@ type pendingWB struct {
 	// was refused (degraded shard): buf holds the only durable copy and
 	// the entry waits for a recovery drain.
 	parked bool
+	// retired marks an entry the budget stall has settled in virtual
+	// time before its ack arrived: its bytes count in wbRetired, not
+	// wbBytes, and it is a staged entry in every other respect.
+	retired bool
 	completion
 }
 
@@ -92,13 +98,15 @@ func (r *Runtime) getWBBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// putWBBuf parks a staging buffer for reuse, keeping at most a small
-// number of spares per size class.
+// putWBBuf parks a staging buffer for reuse, keeping spares per size
+// class up to twice the budget — the most staging holds, retired
+// entries included — so the buffers of a bulk release are reused
+// rather than collected.
 func (r *Runtime) putWBBuf(b []byte) {
 	if b == nil {
 		return
 	}
-	if free := r.wbFree[len(b)]; len(free) < 32 {
+	if free := r.wbFree[len(b)]; uint64((len(free)+1)*len(b)) <= 2*r.wbBudget {
 		r.wbFree[len(b)] = append(free, b)
 	}
 }
@@ -108,7 +116,11 @@ func (r *Runtime) putWBBuf(b []byte) {
 // rechecked against the map on every scan).
 func (r *Runtime) releaseWB(p *pendingWB) {
 	delete(r.wbPending, p.key)
-	r.wbBytes -= uint64(p.size)
+	if p.retired {
+		r.wbRetired -= uint64(p.size)
+	} else {
+		r.wbBytes -= uint64(p.size)
+	}
 	r.putWBBuf(p.buf)
 	p.buf = nil
 	r.putExtBuf(p.exts)
@@ -197,15 +209,24 @@ func (r *Runtime) harvestWriteBacks() {
 	})
 }
 
-// waitOldestWB blocks on the oldest unsettled staged write to free
-// budget. Returns false when nothing can be waited for (only parked
-// entries remain, or nothing is pending).
+// waitOldestWB stalls in virtual time on the oldest budgeted staged
+// write to free budget. If its ack has not arrived, the entry retires
+// instead of blocking: the model has settled it, and the round trip
+// overlaps the walk. Only a full retired allowance — one more budget —
+// blocks on the wire. Returns false when nothing can be waited for (only
+// parked or retired entries remain, or nothing is pending).
 func (r *Runtime) waitOldestWB() bool {
 	for _, p := range r.wbOrder {
-		if r.liveWB(p) && !p.parked {
+		if r.liveWB(p) && !p.parked && !p.retired {
 			r.stats.WriteBackStalls++
 			r.link.WaitUntil(p.doneAt)
-			r.settleWB(p)
+			if sz := uint64(p.size); !p.ready() && r.wbRetired+sz <= r.wbBudget {
+				r.wbBytes -= sz
+				r.wbRetired += sz
+				p.retired = true
+			} else {
+				r.settleWB(p)
+			}
 			return true
 		}
 	}
@@ -224,12 +245,15 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	if p, ok := r.wbPending[key]; ok {
 		// Per-object ordering: the transport may reorder independent
 		// batches, so wait out this object's previous write before
-		// putting a newer one on the wire.
+		// putting a newer one on the wire. A retired entry's stall was
+		// charged when it retired: only its ack is waited for.
 		if p.parked {
 			return false
 		}
-		r.stats.WriteBackStalls++
-		r.link.WaitUntil(p.doneAt)
+		if !p.retired {
+			r.stats.WriteBackStalls++
+			r.link.WaitUntil(p.doneAt)
+		}
 		if !r.settleWB(p) {
 			return false
 		}
@@ -376,8 +400,9 @@ func (r *Runtime) DrainWriteBacks() error {
 	return firstErr
 }
 
-// StagedWriteBackBytes reports the staged-but-unsettled payload bytes
-// currently held by the write-back pipeline.
+// StagedWriteBackBytes reports the staged payload bytes the budget
+// counts; retired entries' bytes (at most one more budget) are not
+// among them.
 func (r *Runtime) StagedWriteBackBytes() uint64 { return r.wbBytes }
 
 // StagedWriteBackEntries reports the number of staged write-backs

@@ -197,8 +197,9 @@ func TestDerefServedFromStagingBuffer(t *testing.T) {
 }
 
 // TestWriteBackBudgetBackpressure: a staging budget of two objects must
-// throttle a long dirty walk by blocking on the oldest staged write,
-// never by unbounded staging — and every payload still lands.
+// throttle a long dirty walk by stalling on the oldest staged write,
+// never by unbounded staging: retired entries included, staging stays
+// within twice the budget — and every payload still lands.
 func TestWriteBackBudgetBackpressure(t *testing.T) {
 	const (
 		obj = 128
@@ -221,6 +222,10 @@ func TestWriteBackBudgetBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.WriteWord(p, uint64(2000+i))
+		checkWBList(t, r)
+		if staged := r.wbBytes + r.wbRetired; staged > uint64(4*obj) {
+			t.Fatalf("after obj %d: %d bytes staged, over twice the %d budget", i, staged, 2*obj)
+		}
 	}
 	if r.StagedWriteBackBytes() > uint64(2*obj) {
 		t.Fatalf("staged bytes %d exceed the %d budget", r.StagedWriteBackBytes(), 2*obj)

@@ -200,3 +200,61 @@ func (s *FailingAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Ext
 
 // Splices returns how many range writes were issued.
 func (s *FailingAsync) Splices() int64 { return s.splices.Load() }
+
+// HeldAsync gives a synchronous store an asynchronous write surface
+// whose writes are applied and acknowledged only on Release: until then
+// the far tier keeps the old bytes and the runtime's completion is out,
+// as behind a link whose acks are late. Reads and synchronous writes go
+// through. Release may run on a goroutine beside the runtime's.
+type HeldAsync struct {
+	ObjStore
+	mu   sync.Mutex
+	held []heldWrite
+}
+
+type heldWrite struct {
+	idx int
+	ack func(error)
+}
+
+// IssueWrite implements farmem.AsyncWriteStore.
+func (s *HeldAsync) IssueWrite(ds, idx int, src []byte, done func(error)) {
+	s.mu.Lock()
+	s.held = append(s.held, heldWrite{idx, func(err error) {
+		if err == nil {
+			err = s.WriteObj(ds, idx, src)
+		}
+		done(err)
+	}})
+	s.mu.Unlock()
+}
+
+// Held returns how many writes await release.
+func (s *HeldAsync) Held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.held)
+}
+
+// Release acknowledges the held writes of object idx, or every held
+// write when idx is negative, oldest first, and returns how many it
+// released: with err nil each is applied first, otherwise each fails
+// with err unapplied.
+func (s *HeldAsync) Release(idx int, err error) int {
+	s.mu.Lock()
+	var out []heldWrite
+	kept := s.held[:0]
+	for _, w := range s.held {
+		if idx < 0 || w.idx == idx {
+			out = append(out, w)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	s.held = kept
+	s.mu.Unlock()
+	for _, w := range out {
+		w.ack(err)
+	}
+	return len(out)
+}
