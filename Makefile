@@ -112,7 +112,9 @@ chaos:
 # local memory: dispatch, operand and call cost per IR instruction) and
 # BenchmarkCompiledTaxiNsPerDeref (the analytics workload compiled and
 # run in process, MaxUse at k 0.5 in a quarter of its working set over
-# the in-process store: interpreter + guard hit path per deref) and
+# the in-process store: interpreter + guard hit path per deref, and
+# memo-hits/deref, the share of guards a guard site's hit memo served
+# without a runtime call) and
 # BenchmarkCompiledBFSNsPerDerefTCP (the bfs workload the same way, over
 # an in-process cardsd on loopback with the production far-tier
 # settings: ns/deref and sync-reads/deref, the misses the application

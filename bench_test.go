@@ -168,37 +168,76 @@ func BenchmarkInterpLoopNsPerInstr(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mach.Stats().Instructions), "ns/instr")
 }
 
-// BenchmarkCompiledTaxiNsPerDeref runs the analytics workload end to end
-// in process: the compiled taxi program at 1<<16 trips, placed by MaxUse
-// at k = 0.5 into a quarter of its working set (half pinned, half
-// remotable) over the in-process store, with the production breaker
-// threshold. Its strided scans are prefetch-hidden, so the interpreter
-// and the guard hit path are what it times; ns/deref is wall time per
-// guarded access, the in-process counterpart of benchmark/'s analytics
-// ops_per_s.
-func BenchmarkCompiledTaxiNsPerDeref(b *testing.B) {
-	w := workloads.BuildTaxi(workloads.TaxiConfig{Trips: 1 << 16, HotPasses: 6, Seed: 1})
-	c, err := core.Compile(w.Module, core.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	local := w.WorkingSetBytes / 4
-	cfg := core.RunConfig{
+// runCompiledTaxi runs a compiled taxi program (compileTaxi) once as
+// core.Compiled.Run would, placed by MaxUse at k = 0.5 into a quarter of
+// its working set (half pinned, half remotable) over the in-process
+// store, with the production breaker threshold, and returns its runtime
+// counters and how many of its guards a guard site's memo served.
+func runCompiledTaxi(tb testing.TB, c *core.Compiled, workingSet uint64) (farmem.RuntimeStats, uint64) {
+	local := workingSet / 4
+	rt, _, err := c.NewRuntime(core.RunConfig{
 		Policy: policy.MaxUse, K: 0.5,
 		PinnedBudget: local / 2, RemotableBudget: local / 2,
 		BreakerThreshold: 8,
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	var derefs uint64
+	defer rt.Close()
+	mach, err := interp.New(c.Module, rt, interp.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := mach.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	rt.PublishObs()
+	return rt.Stats(), rt.MemoHits()
+}
+
+// compileTaxi compiles the analytics workload's taxi program at trips
+// trips and returns it with its working-set size.
+func compileTaxi(tb testing.TB, trips int64) (*core.Compiled, uint64) {
+	w := workloads.BuildTaxi(workloads.TaxiConfig{Trips: trips, HotPasses: 6, Seed: 1})
+	c, err := core.Compile(w.Module, core.CompileOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, w.WorkingSetBytes
+}
+
+// TestCompiledTaxiGuardsHitTheirSiteMemo: a compiled strided scan's
+// guard site nearly always touches the object it touched last, so at
+// least 95 % of the taxi program's tagged guards are served from their
+// site's memo, without a runtime call.
+func TestCompiledTaxiGuardsHitTheirSiteMemo(t *testing.T) {
+	c, ws := compileTaxi(t, 1<<14)
+	st, memo := runCompiledTaxi(t, c, ws)
+	tagged := st.GuardChecks - st.FastPathHits
+	if tagged == 0 || float64(memo) < 0.95*float64(tagged) {
+		t.Fatalf("%d of %d tagged guards served from a site memo, want at least 95 %%", memo, tagged)
+	}
+	t.Logf("%d of %d tagged guards (%.2f %%) served from a site memo", memo, tagged, 100*float64(memo)/float64(tagged))
+}
+
+// BenchmarkCompiledTaxiNsPerDeref runs the analytics workload end to end
+// in process (runCompiledTaxi at 1<<16 trips). Its strided scans are
+// prefetch-hidden, so the interpreter and the guard hit path are what it
+// times: ns/deref is wall time per guarded access, the in-process
+// counterpart of benchmark/'s analytics ops_per_s, and memo-hits/deref
+// the share of guards served from a guard site's memo.
+func BenchmarkCompiledTaxiNsPerDeref(b *testing.B) {
+	c, ws := compileTaxi(b, 1<<16)
+	var derefs, memo uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		derefs += res.Runtime.GuardChecks
+		st, n := runCompiledTaxi(b, c, ws)
+		derefs += st.GuardChecks
+		memo += n
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
+	b.ReportMetric(float64(memo)/float64(derefs), "memo-hits/deref")
 }
 
 // opCounter counts the reads — blocking and asynchronous — and the

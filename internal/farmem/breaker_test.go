@@ -504,7 +504,8 @@ func TestBreakerStateLockFreeUnderProber(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for (sawOpen < 50 || sawHalfOpen < 50) && time.Now().Before(deadline) {
 		for i := 0; i < 100; i++ {
-			if !r.PrefetchObj(d, remote) {
+			r.pfRemote = false
+			if r.PrefetchObj(d, remote); !r.pfRemote {
 				t.Fatal("remote object reported not remote")
 			}
 			r.evictOne() // clean victims go, dirty ones stay pinned; either way it reads the state

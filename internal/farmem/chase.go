@@ -187,6 +187,7 @@ func (r *Runtime) issueChase(d *DS, start, hops int) bool {
 	r.inflightBytes += bytes
 	r.stats.ChasesIssued++
 	d.stats.PrefetchIssued++
+	d.quiet = -1 // the prefetcher's counters moved
 	r.emit(EvPrefetch, d.ID, start, false)
 	r.endRoot(rootMine)
 	return true

@@ -18,6 +18,7 @@ import (
 // not fit in pinned memory (the hint-override path), and the Linear
 // placement decides purely at allocation time.
 func (r *Runtime) DSAlloc(id int, n int64) (uint64, error) {
+	r.SettleHits()
 	if n <= 0 {
 		n = 8
 	}
@@ -92,6 +93,7 @@ func (r *Runtime) DSAlloc(id int, n int64) (uint64, error) {
 // AllocLocal allocates plain (non-remotable, untagged) local memory, the
 // path taken by allocations outside any identified data structure.
 func (r *Runtime) AllocLocal(n int64) (uint64, error) {
+	r.SettleHits()
 	if n <= 0 {
 		n = 8
 	}
@@ -114,51 +116,50 @@ func (r *Runtime) Guard(addr uint64, write bool) (uint64, error) {
 // the span is unknown and a write dirties conservatively (the whole
 // object, or the structure's static write footprint).
 func (r *Runtime) GuardSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
-	return r.guard(addr, write, false, gLo, gHi)
+	return r.GuardSite(nil, addr, write, false, gLo, gHi)
 }
 
 // GuardStore is the write guard of a store-once access: its result feeds
 // one word store at addr and nothing else, so a network miss may hand
 // the frame out before the object's bytes arrive (see deref).
 func (r *Runtime) GuardStore(addr uint64, gLo, gHi int) (uint64, error) {
-	return r.guard(addr, true, true, gLo, gHi)
+	return r.GuardSite(nil, addr, true, true, gLo, gHi)
 }
 
-func (r *Runtime) guard(addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
-	r.stats.GuardChecks++
-	if r.trackFM {
-		// TrackFM's guards run the full lookup on every access —
-		// costlier locally (Table 1: 462/579 vs custody-check
-		// fall-through), modelled as a flat local charge here.
-		if write {
-			r.clock.Advance(r.model.TrackFMGuardLocalWrite)
-		} else {
-			r.clock.Advance(r.model.TrackFMGuardLocalRead)
-		}
-	} else {
-		r.clock.Advance(r.model.CustodyCheck)
+// checkCharge is a guard's custody check. TrackFM's guards run the full
+// lookup on every access — costlier locally (Table 1: 462/579 vs
+// custody-check fall-through), modelled as a flat local charge.
+func (r *Runtime) checkCharge(write bool) uint64 {
+	switch {
+	case !r.trackFM:
+		return r.model.CustodyCheck
+	case write:
+		return r.model.TrackFMGuardLocalWrite
 	}
-	if !IsTagged(addr) {
-		r.stats.FastPathHits++
-		return addr, nil
+	return r.model.TrackFMGuardLocalRead
+}
+
+// lookupCharge is a deref's bookkeeping (DS lookup + object table
+// walk), which TrackFM's flat guard charge covers.
+func (r *Runtime) lookupCharge(write bool) uint64 {
+	switch {
+	case r.trackFM:
+		return 0
+	case write:
+		return r.model.DerefLocalWrite
 	}
-	return r.deref(addr, write, once, gLo, gHi)
+	return r.model.DerefLocalRead
 }
 
 // Deref is the cards_deref slow path (Listing 4): map the tagged address
 // to its data structure and object, localize the object if necessary,
 // and return the physical (arena) address.
 func (r *Runtime) Deref(addr uint64, write bool) (uint64, error) {
-	return r.DerefSpan(addr, write, 0, 0)
+	return r.deref(nil, addr, write, false, 0, 0)
 }
 
-// DerefSpan is Deref carrying a write span for the dirty rectangle; see
-// GuardSpan.
-func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, error) {
-	return r.deref(addr, write, false, gLo, gHi)
-}
-
-// deref is DerefSpan; once marks a GuardStore's deref. Such a miss over
+// deref is Deref with a guard's write span [gLo, gHi) (see GuardSpan);
+// once marks a GuardStore's deref. Such a miss over
 // a RangeWriteStore with the breaker closed allocates, evicts and
 // charges exactly as any other, but reads nothing: the object is local
 // and unread, its frame holding only the bytes its store log names.
@@ -166,7 +167,7 @@ func (r *Runtime) DerefSpan(addr uint64, write bool, gLo, gHi int) (uint64, erro
 // other guard of it, a full log, ObjectWord — reads the base and lays
 // the log over it (observe), and evicting it unread ships the log as a
 // splice (tryAsyncWriteBack).
-func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
+func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
 	r.stats.DerefCalls++
 	id := DSOf(addr)
 	d := r.DSByID(id)
@@ -182,15 +183,11 @@ func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, er
 	obj := &d.objs[idx]
 	r.accessSeq++
 	obj.lastUse = r.accessSeq
+	// A quiet repeat skips OnAccess (memo.go); a failed deref drops it.
+	repeat := d.quiet == idx && d.quietGen == r.remoteGen
+	d.quiet = -1
 
-	// Per-deref bookkeeping cost (DS lookup + object table walk).
-	if !r.trackFM {
-		if write {
-			r.clock.Advance(r.model.DerefLocalWrite)
-		} else {
-			r.clock.Advance(r.model.DerefLocalRead)
-		}
-	}
+	r.clock.Advance(r.lookupCharge(write))
 
 	missed := false
 	rootMine := false
@@ -297,8 +294,20 @@ func (r *Runtime) deref(addr uint64, write, once bool, gLo, gHi int) (uint64, er
 	if write {
 		r.markDirty(d, obj, objOff, gLo, gHi)
 	}
-	d.prefetcher.OnAccess(r, d, idx, missed)
+	if repeat {
+		d.repeats++
+	} else {
+		r.pfRemote = false
+		d.prefetcher.OnAccess(r, d, idx, missed)
+	}
+	if repeat || !r.pfRemote && d.quieter != nil && d.quieter.QuietOnRepeat() {
+		d.quiet, d.quietGen = idx, r.remoteGen
+	}
 	r.endRoot(rootMine)
+	if lo := addr - uint64(objOff); m != nil && d.quiet == idx && obj.log == nil {
+		m.lo, m.span, m.frame, m.gen = lo, min(uint64(d.Meta.ObjSize), d.size-OffOf(lo)), obj.frame, r.remoteGen
+		m.d, m.idx, m.charge, m.gLo, m.gHi = d, idx, r.checkCharge(write)+r.lookupCharge(write), gLo, gHi
+	}
 	return obj.frame + uint64(objOff), nil
 }
 
@@ -480,8 +489,8 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 
 // release gives a resident (or in-flight) object's frame back and marks
 // it remote; bumping the epoch makes its CLOCK ring entry stale. These
-// are the only transitions INTO objRemote, which is what RemoteGen
-// counts.
+// are the only transitions INTO objRemote, which is what
+// remoteGen counts.
 func (r *Runtime) release(d *DS, obj *FarObj) {
 	r.arena.Free(obj.frame, d.Meta.ObjSize)
 	r.remotableUsed -= uint64(d.Meta.ObjSize)
@@ -496,13 +505,6 @@ func (r *Runtime) release(d *DS, obj *FarObj) {
 		obj.log = nil
 	}
 }
-
-// RemoteGen is a generation counter that advances whenever any object
-// becomes remote (eviction, failed prefetch). PrefetchObj acts only on
-// remote objects, so a prefetcher whose last window reported no remote
-// object may skip re-walking the same window while the generation
-// stands still: nothing it would hint at can have become fetchable.
-func (r *Runtime) RemoteGen() uint64 { return r.remoteGen }
 
 func (r *Runtime) removeRingEntry(pos int) {
 	last := len(r.ring) - 1
@@ -521,12 +523,12 @@ func (r *Runtime) removeRingEntry(pos int) {
 }
 
 // PrefetchObj issues an asynchronous localization of object idx of d, if
-// it is remote and capacity allows. Called by prefetchers. It reports
-// whether the object was remote, i.e. whether the hint had anything to
-// act on — issued or not (see RemoteGen).
-func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
+// it is remote and capacity allows. Called by prefetchers. Finding the
+// object remote, issued or not, makes the calling access not quiet
+// (memo.go).
+func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	if idx < 0 || idx >= len(d.objs) {
-		return false
+		return
 	}
 	// Every check down to allocFrame is free of side effects, so their
 	// order is free too. The object's state goes first: on a scan whose
@@ -535,11 +537,12 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 	// budget limits cost a dozen.
 	obj := &d.objs[idx]
 	if obj.state != objRemote {
-		return false
+		return
 	}
+	r.pfRemote = true
 	// No speculation while the remote tier is degraded (or on trial).
 	if r.breakerIsOpen() {
-		return true
+		return
 	}
 	// Never let in-flight prefetches occupy more than half the remotable
 	// budget (across ALL structures — several prefetchers share the one
@@ -550,27 +553,27 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 		lim = halfBudget
 	}
 	if d.inflight >= lim {
-		return true
+		return
 	}
 	if r.inflightBytes+uint64(d.Meta.ObjSize) > r.remotableBudget/2 {
-		return true
+		return
 	}
 	// An object with a staged write-back must be served from its staging
 	// buffer (read-your-writes), never speculatively re-fetched: the
 	// remote copy may still be stale.
 	if _, ok := r.wbPending[wbKey{d.ID, idx}]; ok {
-		return true
+		return
 	}
 	// A chase already delivered this object's bytes; the deref path
 	// consumes them without a round trip.
 	if _, ok := r.chaseStaged[wbKey{d.ID, idx}]; ok {
-		return true
+		return
 	}
 	rootMine := r.beginRoot()
 	frame, err := r.allocFrame(d, idx)
 	if err != nil {
 		r.endRoot(rootMine)
-		return true // no capacity: drop the hint
+		return // no capacity: drop the hint
 	}
 	if r.astore != nil {
 		// Truly asynchronous issue: the read starts filling a private
@@ -588,7 +591,7 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 		r.remotableUsed -= uint64(d.Meta.ObjSize)
 		obj.epoch++
 		r.endRoot(rootMine)
-		return true
+		return
 	}
 	obj.frame = frame
 	obj.readyAt = r.link.FetchAsync(d.Meta.ObjSize)
@@ -597,9 +600,9 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) (remote bool) {
 	d.inflight++
 	r.inflightBytes += uint64(d.Meta.ObjSize)
 	d.stats.PrefetchIssued++
+	d.quiet = -1 // the prefetcher's counters moved
 	r.emit(EvPrefetch, d.ID, idx, false)
 	r.endRoot(rootMine)
-	return true
 }
 
 // getFetch takes a pendingFetch for an object of the given size from the
@@ -700,6 +703,7 @@ func (r *Runtime) observe(d *DS, idx int) error {
 // listed data structure has never been remoted, enabling the
 // uninstrumented fast path.
 func (r *Runtime) AllLocal(ids []int) bool {
+	r.SettleHits()
 	r.stats.AllLocalCalls++
 	r.clock.Advance(uint64(8 * (1 + len(ids))))
 	for _, id := range ids {
@@ -718,6 +722,7 @@ func (r *Runtime) AllLocal(ids []int) bool {
 
 // Prefetch services an explicit cards_prefetch hint on an address.
 func (r *Runtime) Prefetch(addr uint64) {
+	r.SettleHits()
 	if !IsTagged(addr) {
 		return
 	}

@@ -99,7 +99,8 @@ func TestPrefetchStagingIsRecycled(t *testing.T) {
 		}
 		base := len(store.held)
 		for _, idx := range idxs {
-			if !r.PrefetchObj(d, idx) {
+			r.pfRemote = false
+			if r.PrefetchObj(d, idx); !r.pfRemote {
 				t.Fatalf("round %d: object %d reported not remote", round, idx)
 			}
 		}

@@ -207,8 +207,15 @@ type DS struct {
 	objs     []FarObj
 
 	prefetcher  Prefetcher
+	quieter     QuietPrefetcher // prefetcher, if it is one
 	maxInflight int
 	inflight    int
+
+	// quiet is the last deref's object if its repeat is quiet under the
+	// remote generation quietGen, else -1; repeats counts the repeats
+	// that skipped OnAccess (memo.go).
+	quiet             int
+	quietGen, repeats uint64
 
 	// chaseGen invalidates in-flight traversal offloads: it advances on
 	// every dirty eviction (write-back) of the structure, and a chase
@@ -262,11 +269,22 @@ type Prefetcher interface {
 	OnAccess(r *Runtime, d *DS, objIdx int, miss bool)
 }
 
+// QuietPrefetcher is a Prefetcher whose QuietOnRepeat, asked right after
+// OnAccess(r, d, idx, miss), can promise that OnAccess(r, d, idx, false)
+// would change nothing but a count (DS.TakeRepeats) and make the same
+// PrefetchObj calls and no other Runtime call: if those met no remote
+// object, such repeats are quiet (memo.go).
+type QuietPrefetcher interface {
+	Prefetcher
+	QuietOnRepeat() bool
+}
+
 // nullPrefetcher never prefetches.
 type nullPrefetcher struct{}
 
 func (nullPrefetcher) Name() string                      { return "none" }
 func (nullPrefetcher) OnAccess(*Runtime, *DS, int, bool) {}
+func (nullPrefetcher) QuietOnRepeat() bool               { return true }
 
 // Store is the remote memory tier: a keyed object store addressed by
 // (data structure, object index). Implementations: the in-process
@@ -494,12 +512,19 @@ type Runtime struct {
 	trackFM            bool
 	defaultMaxInflight int
 	accessSeq          uint64
-	remoteGen          uint64 // see RemoteGen
 	inflightBytes      uint64
 	hook               EventHook
 	tracer             *obs.Tracer
 	tracing            bool // hook != nil || tracer != nil
 	reg                *obs.Registry
+
+	// Guard-site memos (memo.go), side by side for GuardSite: the remote
+	// generation (bumped by release), the unsettled hits and untagged
+	// guards, the settled hits, the sites with unsettled hits; pfRemote:
+	// a PrefetchObj met a remote object.
+	remoteGen, memoSeq, fallReads, fallWrites, memoHits uint64
+	memoPend                                            []*HitMemo
+	pfRemote                                            bool
 
 	// Distributed tracing (see beginRoot/endRoot in trace.go). The
 	// runtime is single-threaded, so the active-root bookkeeping needs
@@ -662,6 +687,8 @@ func (r *Runtime) RegisterDS(id int, meta DSMeta) (*DS, error) {
 		objShift:    log2(meta.ObjSize),
 		rowShift:    rectShift(meta),
 		prefetcher:  nullPrefetcher{},
+		quieter:     nullPrefetcher{},
+		quiet:       -1,
 		maxInflight: r.defaultMaxInflight,
 		label:       strconv.Itoa(id),
 	}
@@ -705,5 +732,7 @@ func (r *Runtime) SetPrefetcher(id int, p Prefetcher) error {
 		p = nullPrefetcher{}
 	}
 	d.prefetcher = p
+	d.quieter, _ = p.(QuietPrefetcher)
+	d.quiet, d.repeats = -1, 0
 	return nil
 }

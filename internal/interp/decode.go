@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cards/internal/farmem"
 	"cards/internal/ir"
 )
 
@@ -45,8 +46,8 @@ const (
 	opGEP      // dst = a + b*x + y
 	opGEPLoad  // opGEP, then the guard and the load in the next two slots
 	opGEPStore // opGEP, then the guard and the store in the next two slots
-	opGEPOnce  // opGEPStore whose guard result has no other use: GuardStore
-	opGuardR   // dst = guard(a) with write span [x, y)
+	opGEPOnce  // opGEPStore whose guard result has no other use: GuardSite with once
+	opGuardR   // dst = guard(a) with write span [x, y), site memo memos[b]
 	opGuardW   //
 	opAllLocal // dst = all_local(src.DSRefs)
 	opPrefetch // prefetch hint for a
@@ -87,7 +88,8 @@ type function struct {
 	params []int32 // parameter slots, in order
 	poolAt int     // index of the first pool slot (registers + sink below it)
 	pool   []uint64
-	frame  int // poolAt + len(pool)
+	frame  int              // poolAt + len(pool)
+	memos  []farmem.HitMemo // one per guard, by the guard's b
 }
 
 // decode translates every function of a verified module and returns
@@ -203,6 +205,8 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 					d.op = opGuardW
 				}
 				d.a, d.x, d.y = slot(in, in.Addr), int64(in.GLo), int64(in.GHi)
+				d.b = int32(len(out.memos))
+				out.memos = append(out.memos, farmem.HitMemo{})
 			case ir.OpAllLocal:
 				d.op = opAllLocal
 			case ir.OpPrefetch:

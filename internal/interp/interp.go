@@ -112,6 +112,7 @@ func (m *Machine) Run() (uint64, error) {
 	if n := len(m.main.params); n != 0 {
 		return 0, fmt.Errorf("interp: main must take no parameters (has %d)", n)
 	}
+	defer m.rt.SettleHits()
 	return m.call(m.main, 0, nil, 0)
 }
 
@@ -181,11 +182,15 @@ func f64(bits uint64) float64 { return math.Float64frombits(bits) }
 // counts those run since the last settle, and budget is what the step
 // limit still allows. Everything that can observe Stats.Instructions or
 // the clock settles first: every runtime call that charges or reads the
-// clock (GuardSpan, DSAlloc/AllocLocal, AllLocal, Prefetch), a call (the
+// clock (GuardSite, DSAlloc/AllocLocal, AllLocal, Prefetch), a call (the
 // callee starts settled; the caller re-reads its budget after the
 // return), both ROI markers, a return and every trap. ReadWord and
 // WriteWord observe neither, so loads and stores run unsettled. Any
-// opcode that calls into farmem settles before the call.
+// opcode that calls into farmem settles before the call. A guard that
+// its site memo serves (f.memos) leaves its effects to
+// Runtime.SettleHits, which the guard slow path, DSAlloc, AllocLocal,
+// AllLocal and Prefetch run first; the ROI markers, which read the clock
+// here, and Run run it themselves.
 func (m *Machine) exec(f *function, bp int) (uint64, error) {
 	fr, code := m.stack[bp:bp+f.frame], f.code
 	pc, n, budget := 0, uint64(0), m.settle(0)
@@ -304,13 +309,7 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 			g, acc := &code[pc], &code[pc+1]
 			pc += 2
 			budget, n = m.settle(n+1), 0
-			var q uint64
-			var err error
-			if in.op == opGEPOnce {
-				q, err = m.rt.GuardStore(p, int(g.x), int(g.y))
-			} else {
-				q, err = m.rt.GuardSpan(p, g.op == opGuardW, int(g.x), int(g.y))
-			}
+			q, err := m.rt.GuardSite(&f.memos[g.b], p, g.op == opGuardW, in.op == opGEPOnce, int(g.x), int(g.y))
 			if err != nil {
 				return 0, m.trap(0, f, g, err)
 			}
@@ -328,7 +327,7 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 
 		case opGuardR, opGuardW:
 			budget, n = m.settle(n), 0
-			p, err := m.rt.GuardSpan(fr[in.a], in.op == opGuardW, int(in.x), int(in.y))
+			p, err := m.rt.GuardSite(&f.memos[in.b], fr[in.a], in.op == opGuardW, false, int(in.x), int(in.y))
 			if err != nil {
 				return 0, m.trap(0, f, in, err)
 			}
@@ -355,11 +354,13 @@ func (m *Machine) exec(f *function, bp int) (uint64, error) {
 
 		case opROIBegin:
 			budget, n = m.settle(n), 0
+			m.rt.SettleHits()
 			m.roiStart = m.clock.Now()
 			m.inROI = true
 
 		case opROIEnd:
 			budget, n = m.settle(n), 0
+			m.rt.SettleHits()
 			if m.inROI {
 				m.stats.ROICycles += m.clock.Now() - m.roiStart
 				m.inROI = false

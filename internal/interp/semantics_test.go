@@ -10,6 +10,7 @@ import (
 	"cards/internal/farmem"
 	"cards/internal/ir"
 	"cards/internal/prefetch"
+	"cards/internal/testutil"
 )
 
 // runErr runs main, which must trap, runs times on one machine, and
@@ -562,10 +563,11 @@ type refStats struct {
 // memory — and mixes in guarded accesses to it: GEP → guard → load/store
 // triples as the guard pass emits them, whose address, guard and loaded
 // registers stay live for later instructions, accesses through an
-// earlier triple's guard, now and then a triple whose base is any live
-// value (which may trap), prefetch hints, all_local checks and ROI
-// markers. Without memory the programs (and the random draws) are
-// exactly those of the register-only generator.
+// earlier triple's guard (within the reuse the guard pass allows), loops
+// in which one site revisits one object across evictions, now and then a
+// triple whose base is any live value (which may trap), prefetch hints,
+// all_local checks and ROI markers. Without memory the programs (and the
+// random draws) are exactly those of the register-only generator.
 func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 	m := ir.NewModule("rand")
 	i64 := ir.I64()
@@ -574,7 +576,7 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 	choices := 10
 	var roi [2]*ir.Function
 	if memory {
-		choices = 18
+		choices = 19
 		for k, name := range []string{ROIBegin, ROIEnd} {
 			roi[k] = m.NewFunc(name, ir.Void())
 			ir.NewBuilder(roi[k]).Ret(nil)
@@ -600,7 +602,15 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 			live = append(live, p)
 		}
 		var arr ir.Value
-		var guards []*ir.Reg
+		// guards are the triples' guards redundant guard elimination
+		// could still reuse: those of the current block since its last
+		// call, a read guard for loads only (guards.insertGuards). Using
+		// one past that scope may touch a frame evicted since.
+		type guardReg struct {
+			r     *ir.Reg
+			write bool
+		}
+		var guards []guardReg
 		if memory {
 			arr = b.Alloc(i64, ir.CI(16))
 			if rng.Intn(4) != 0 {
@@ -623,14 +633,48 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 				base = pick()
 			}
 			p := b.GEP(base, b.And(pick(), ir.CI(7)), 8, 8*rng.Intn(8))
-			g := appendGuard(b, p, store || rng.Intn(4) == 0)
+			write := store || rng.Intn(4) == 0
+			g := appendGuard(b, p, write)
 			live = append(live, p, g)
-			guards = append(guards, g)
+			guards = append(guards, guardReg{g, write})
 			if store {
 				b.Store(i64, pick(), g)
 			} else {
 				live = append(live, b.Load(i64, g))
 			}
+		}
+		// revisit emits one site revisiting one word of arr in an inner
+		// loop and, in the outer one, now and then an access that walks
+		// the array's four objects and so evicts the first one's
+		// (memRuntime holds two): the site's memo is refilled after each
+		// eviction.
+		revisit := func() {
+			guards = nil
+			outer := b.CountedLoop("o", ir.CI(0), ir.CI(int64(1+rng.Intn(6))), ir.CI(1))
+			inner := b.CountedLoop("r", ir.CI(0), ir.CI(int64(2+rng.Intn(8))), ir.CI(1))
+			_, _, v := guardedAccess(b, arr, ir.CI(int64(rng.Intn(16))), rng.Intn(3) == 0, nil)
+			b.CloseLoop(inner)
+			live = append(live, outer.IV, inner.IV, v)
+			// A runtime call right after the hits: they settle first.
+			switch rng.Intn(4) {
+			case 0:
+				pf := ir.NewInstr(ir.OpPrefetch)
+				pf.Addr = b.GEP(arr, ir.CI(int64(rng.Intn(16))), 8, 0)
+				b.Block().Append(pf)
+			case 1:
+				b.Call(roi[rng.Intn(2)])
+			}
+			if rng.Intn(2) == 0 {
+				// A store-once access one or three objects on per
+				// iteration: past the fourth it misses on an object it
+				// evicted itself.
+				step := ir.CI(int64(4 + 8*rng.Intn(2)))
+				guardedAccess(b, arr, b.And(b.Add(b.Mul(outer.IV, step), ir.CI(int64(rng.Intn(4)))), ir.CI(15)), true, pick())
+			}
+			b.CloseLoop(outer)
+		}
+		if memory && rng.Intn(4) != 0 {
+			revisit()
 		}
 		var emit func(depth int)
 		emit = func(depth int) {
@@ -647,7 +691,9 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 						args[a] = pick()
 					}
 					live = append(live, b.Call(callee, args...))
+					guards = nil
 				case c == 8 && depth < 2:
+					guards = nil
 					acc := f.NewReg("", i64)
 					b.Assign(acc, pick())
 					loop := b.CountedLoop("l", ir.CI(0), ir.CI(int64(1+rng.Intn(5))), ir.CI(1))
@@ -657,16 +703,17 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 					emit(depth + 1)
 					b.Assign(acc, b.Xor(acc, pick()))
 					b.CloseLoop(loop)
+					guards = nil
 				case c >= 10 && c <= 14:
 					access(c >= 13)
 				case c == 15 && len(guards) > 0:
 					// Through an earlier triple's guard, as redundant guard
 					// elimination leaves it: never fused.
 					g := guards[rng.Intn(len(guards))]
-					if rng.Intn(2) == 0 {
-						b.Store(i64, pick(), g)
+					if rng.Intn(2) == 0 && g.write {
+						b.Store(i64, pick(), g.r)
 					} else {
-						live = append(live, b.Load(i64, g))
+						live = append(live, b.Load(i64, g.r))
 					}
 				case c == 16:
 					if rng.Intn(2) == 0 {
@@ -681,6 +728,9 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 					}
 				case c == 17:
 					b.Call(roi[rng.Intn(2)])
+					guards = nil
+				case c == 18 && depth < 2:
+					revisit()
 				default:
 					live = append(live, b.Copy(pick()))
 				}
@@ -697,10 +747,13 @@ func genProgram(rng *rand.Rand, memory bool) *ir.Module {
 // memRuntime is the runtime guarded programs run over: structure 0
 // remotable in 32-byte objects with a strided prefetcher and room for
 // two of them, so guards materialise, evict, fetch and wait on
-// prefetches — every path on which the runtime reads the clock. Each
-// runtime event is appended to log with its virtual time.
+// prefetches — every path on which the runtime reads the clock — over a
+// store whose async ops complete inline, with dirty-range write-back on,
+// so a write's span shows in what its eviction ships. Each runtime event
+// is appended to log with its virtual time.
 func memRuntime(log *[]farmem.Event) *farmem.Runtime {
-	rt := farmem.New(farmem.Config{PinnedBudget: 1 << 16, RemotableBudget: 2 * 32})
+	rt := farmem.New(farmem.Config{PinnedBudget: 1 << 16, RemotableBudget: 2 * 32,
+		Store: testutil.InlineAsync{ObjStore: farmem.NewMapStore()}, RangeWriteback: true})
 	rt.RegisterDS(0, farmem.DSMeta{ObjSize: 32, ElemSize: 8, Stride: 8, Pattern: farmem.PatternStrided})
 	rt.SetPlacement(0, farmem.PlaceRemotable)
 	rt.SetPrefetcher(0, prefetch.Select(prefetch.Hints{Pattern: farmem.PatternStrided, ElemSize: 8, Stride: 8, ObjSize: 32}))
@@ -712,11 +765,12 @@ func memRuntime(log *[]farmem.Event) *farmem.Runtime {
 // limit, each over a fresh runtime of the same configuration (memRuntime
 // with memory, else newRT), and requires the same result or trap text,
 // the same instruction and call counts, the same virtual time and the
-// same runtime counters; with memory, also the same ROI time and the same
-// runtime events at the same virtual instants — what a runtime call made
-// before the instructions ahead of it were charged would change. It
-// returns the machine's instruction count and error.
-func sameAsReference(t *testing.T, name string, m *ir.Module, memory bool, limit uint64) (uint64, error) {
+// same counters on the runtime and on every structure; with memory, also
+// the same ROI time and the same runtime events at the same virtual
+// instants — what a runtime call made before the instructions ahead of
+// it were charged would change. It returns the machine's instruction
+// count, how many guards it served from a site memo, and its error.
+func sameAsReference(t *testing.T, name string, m *ir.Module, memory bool, limit uint64) (uint64, uint64, error) {
 	t.Helper()
 	var want refStats
 	var refLog, log []farmem.Event
@@ -756,30 +810,38 @@ func sameAsReference(t *testing.T, name string, m *ir.Module, memory bool, limit
 	if st, ref := rt.Stats(), refRT.Stats(); st != ref {
 		t.Fatalf("%s, limit %d: runtime counters %+v, reference %+v", name, limit, st, ref)
 	}
+	for id := 0; id < rt.NumDS(); id++ {
+		if st, ref := rt.DSByID(id).Stats(), refRT.DSByID(id).Stats(); st != ref {
+			t.Fatalf("%s, limit %d: ds %d counters %+v, reference %+v", name, limit, id, st, ref)
+		}
+	}
 	if fmt.Sprint(log) != fmt.Sprint(refLog) {
 		t.Fatalf("%s, limit %d: runtime events\n%v\nreference\n%v", name, limit, log, refLog)
 	}
-	return got.Instructions, gotErr
+	return got.Instructions, rt.MemoHits(), gotErr
 }
 
 // matchReference holds 300 generated programs to the reference
-// (sameAsReference) and returns how many trapped. With memory, each
-// program is also run under step limits drawn from its own length, so
-// the limit lands on every kind of slot, the three of a fused triple
-// included.
-func matchReference(t *testing.T, memory bool) (trapped int) {
+// (sameAsReference) and returns how many trapped and how many had a
+// guard served from a site memo. With memory, each program is also run
+// under step limits drawn from its own length, so the limit lands on
+// every kind of slot, the three of a fused triple included.
+func matchReference(t *testing.T, memory bool) (trapped, memoized int) {
 	for seed := int64(1); seed <= 300; seed++ {
 		m := genProgram(rand.New(rand.NewSource(seed)), memory)
 		name := fmt.Sprintf("seed %d", seed)
-		n, err := sameAsReference(t, name, m, memory, 1_000_000_000)
+		n, hits, err := sameAsReference(t, name, m, memory, 1_000_000_000)
 		if err != nil {
 			trapped++
+		}
+		if hits > 0 {
+			memoized++
 		}
 		for k := uint64(1); memory && k <= 4; k++ {
 			sameAsReference(t, name, m, memory, 1+(uint64(seed)*k*2654435761)%n)
 		}
 	}
-	return trapped
+	return trapped, memoized
 }
 
 // TestRuntimeCallsSeeSettledClock: every runtime call that can observe
@@ -820,7 +882,7 @@ func TestRuntimeCallsSeeSettledClock(t *testing.T) {
 	m.AssignSites()
 	ir.MustVerify(m)
 
-	n, err := sameAsReference(t, "full run", m, true, 1_000_000_000)
+	n, _, err := sameAsReference(t, "full run", m, true, 1_000_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -844,7 +906,7 @@ func TestRuntimeCallsSeeSettledClock(t *testing.T) {
 }
 
 func TestRandomProgramsMatchReference(t *testing.T) {
-	if trapped := matchReference(t, false); trapped == 0 || trapped == 300 {
+	if trapped, _ := matchReference(t, false); trapped == 0 || trapped == 300 {
 		t.Fatalf("%d of 300 programs trapped; the generator should produce both kinds", trapped)
 	}
 }
@@ -852,11 +914,18 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 // TestRandomGuardedProgramsMatchReference is the same oracle over
 // programs with guarded memory, so fused triples (and the step budget
 // around them) run against a reference that executes each instruction on
-// its own. The decoder must have fused something in most programs.
+// its own, and site memos against a reference that guards every access
+// through the runtime. The decoder must have fused something in most
+// programs, and at least half must have served a guard from a memo.
 func TestRandomGuardedProgramsMatchReference(t *testing.T) {
-	if trapped := matchReference(t, true); trapped == 0 || trapped == 300 {
+	trapped, memoized := matchReference(t, true)
+	if trapped == 0 || trapped == 300 {
 		t.Fatalf("%d of 300 programs trapped; the generator should produce both kinds", trapped)
 	}
+	if memoized < 150 {
+		t.Fatalf("only %d of 300 programs served a guard from a site memo", memoized)
+	}
+	t.Logf("%d of 300 programs trapped, %d served a guard from a site memo", trapped, memoized)
 	fused := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		main, err := decode(genProgram(rand.New(rand.NewSource(seed)), true))

@@ -20,8 +20,8 @@ import (
 //
 // The table is bounded: each object keeps up to SuccessorsPerObj learned
 // successors with saturating confidence counters, and the whole table is
-// capped at MaxEntries objects with random-ish replacement (the entry
-// for the object being updated always wins).
+// capped at MaxEntries objects with first-in first-out replacement (the
+// entry for the object being updated always wins).
 type Markov struct {
 	// SuccessorsPerObj bounds the learned successors per object.
 	SuccessorsPerObj int
@@ -31,6 +31,7 @@ type Markov struct {
 	Depth int
 
 	table map[int][]markovEdge
+	order []int // table keys, oldest first
 	last  int
 	have  bool
 }
@@ -78,6 +79,10 @@ func (mk *Markov) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) 
 	}
 }
 
+// QuietOnRepeat implements farmem.QuietPrefetcher: a repeat learns no
+// transition and walks the same chain.
+func (*Markov) QuietOnRepeat() bool { return true }
+
 // learn records the transition prev -> next.
 func (mk *Markov) learn(prev, next int) {
 	edges := mk.table[prev]
@@ -88,6 +93,9 @@ func (mk *Markov) learn(prev, next int) {
 			}
 			return
 		}
+	}
+	if len(edges) == 0 {
+		mk.order = append(mk.order, prev)
 	}
 	if len(edges) < mk.SuccessorsPerObj {
 		mk.table[prev] = append(edges, markovEdge{next: next, count: 1})
@@ -101,15 +109,10 @@ func (mk *Markov) learn(prev, next int) {
 		}
 		edges[weakest] = markovEdge{next: next, count: 1}
 	}
-	if len(mk.table) > mk.MaxEntries {
-		// Bounded table: evict an arbitrary other entry (map iteration
-		// order serves as cheap pseudo-random replacement).
-		for k := range mk.table {
-			if k != prev {
-				delete(mk.table, k)
-				break
-			}
-		}
+	if len(mk.table) > mk.MaxEntries && mk.order[0] != prev {
+		// Bounded table: evict the oldest entry.
+		delete(mk.table, mk.order[0])
+		mk.order = mk.order[1:]
 	}
 }
 

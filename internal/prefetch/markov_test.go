@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cards/internal/farmem"
@@ -134,5 +135,35 @@ func TestMarkovPrefersStrongerSuccessor(t *testing.T) {
 	next, ok := mk.best(1)
 	if !ok || next != 2 {
 		t.Fatalf("best(1) = %d, want the 5-count successor 2", next)
+	}
+}
+
+// TestMarkovReplacementIsDeterministic: once the table passes
+// MaxEntries, the entry evicted is the oldest, not whichever one map
+// iteration yields first, so two fresh prefetchers fed the same stream
+// hold the same table — and a run's prefetch decisions, and its virtual
+// time, do not change from one run to the next.
+func TestMarkovReplacementIsDeterministic(t *testing.T) {
+	r := farmem.New(farmem.Config{PinnedBudget: 1 << 20, RemotableBudget: 1 << 20})
+	defer r.Close()
+	r.RegisterDS(0, farmem.DSMeta{ObjSize: 4096})
+	r.SetPlacement(0, farmem.PlaceRemotable)
+	if _, err := r.DSAlloc(0, 64*4096); err != nil {
+		t.Fatal(err)
+	}
+	d := r.DSByID(0)
+	a, b := NewMarkov(), NewMarkov()
+	a.MaxEntries, b.MaxEntries = 8, 8
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		idx := rng.Intn(64)
+		a.OnAccess(r, d, idx, false)
+		b.OnAccess(r, d, idx, false)
+		if len(a.table) > 9 {
+			t.Fatalf("step %d: %d entries, bound 8", step, len(a.table))
+		}
+	}
+	if !reflect.DeepEqual(a.table, b.table) {
+		t.Fatalf("one stream, two tables:\n%v\n%v", a.table, b.table)
 	}
 }

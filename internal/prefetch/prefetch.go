@@ -28,17 +28,11 @@ const Depth = 8
 // over a small history window, it prefetches along that delta.
 //
 // An access costs O(1) unless something changed. The vote is recomputed
-// only when the history does (a new nonzero delta), and the lookahead
-// window is re-walked only when it could issue something it did not
-// issue last time: Runtime.PrefetchObj acts on remote objects alone, so
-// after a walk from (d, idx, delta) on which every hint found its object
-// resident, in flight, untouched or out of range, the same walk stays a
-// no-op until some object next becomes remote — which Runtime.RemoteGen
-// counts. A walk that met even one remote object (issued, or dropped by
-// a limit that may since have lifted) is never skipped. A scan therefore
-// walks once per object it enters rather than once per element, and
-// issues exactly the prefetches, at exactly the virtual instants, that
-// walking on every access would.
+// only when the history does (a new nonzero delta). A repeat — the same
+// object again — leaves the history alone and re-walks the same window,
+// so the runtime stops calling Stride for repeats once a walk met no
+// remote object (farmem.QuietPrefetcher): a scan walks once per object
+// it enters rather than once per element.
 type Stride struct {
 	depth    int
 	last     int
@@ -50,19 +44,6 @@ type Stride struct {
 	// delta/ok cache majority() over the current history.
 	delta int
 	ok    bool
-
-	// quiet is the last window walk, valid while quietOK: it met no
-	// remote object.
-	quiet   walk
-	quietOK bool
-}
-
-// walk identifies one lookahead walk and the residency generation it ran
-// under.
-type walk struct {
-	d          *farmem.DS
-	idx, delta int
-	gen        uint64
 }
 
 // NewStride creates a stride prefetcher with the given lookahead depth.
@@ -94,20 +75,13 @@ func (s *Stride) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
 	if !s.ok {
 		return
 	}
-	w := walk{d, idx, s.delta, r.RemoteGen()}
-	if s.quietOK && s.quiet == w {
-		return
-	}
-	sawRemote := false
 	for i := 1; i <= s.depth; i++ {
-		if r.PrefetchObj(d, idx+i*s.delta) {
-			sawRemote = true
-		}
+		r.PrefetchObj(d, idx+i*s.delta)
 	}
-	// A quiet walk evicted nothing (only an issue allocates a frame), so
-	// the generation read before it still stands after it.
-	s.quiet, s.quietOK = w, !sawRemote
 }
+
+// QuietOnRepeat implements farmem.QuietPrefetcher.
+func (*Stride) QuietOnRepeat() bool { return true }
 
 // majority returns the winning delta if one delta holds a strict majority
 // of the history window.
@@ -229,6 +203,9 @@ func (j *Jump) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
 	}
 }
 
+// QuietOnRepeat implements farmem.QuietPrefetcher.
+func (*Jump) QuietOnRepeat() bool { return true }
+
 // Chase is the traversal-offload prefetcher: for single-successor
 // linked structures over a far tier that speaks the chase verbs, it
 // ships a compact traversal program (next-pointer offset + hop budget)
@@ -300,7 +277,7 @@ func (a *Adaptive) Name() string { return "adaptive(" + a.Inner.Name() + ")" }
 // OnAccess implements farmem.Prefetcher.
 func (a *Adaptive) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
 	nowIssued, nowHits := d.PrefetchCounts()
-	a.observed++
+	a.observed += 1 + d.TakeRepeats()
 	if a.disabledUntil > 0 {
 		if a.observed < a.disabledUntil {
 			return
@@ -320,6 +297,16 @@ func (a *Adaptive) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool)
 		a.lastIssued, a.lastHits = nowIssued, nowHits
 	}
 	a.Inner.OnAccess(r, d, idx, miss)
+}
+
+// QuietOnRepeat implements farmem.QuietPrefetcher: enabled, a repeat
+// evaluates nothing (the counts have not moved); disabled, it may resume.
+func (a *Adaptive) QuietOnRepeat() bool {
+	if a.disabledUntil != 0 {
+		return false
+	}
+	q, ok := a.Inner.(farmem.QuietPrefetcher)
+	return ok && q.QuietOnRepeat()
 }
 
 // Accuracy returns hits/issued for a data structure's prefetcher.

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -340,34 +341,10 @@ func name(p farmem.Prefetcher) string {
 	return p.Name()
 }
 
-// alwaysWalkStride is the reference the memoised Stride is held to: the
-// same detector, re-voting its history and walking the whole lookahead
-// window on every single access (what Stride did before it learned to
-// skip walks that cannot issue anything).
-type alwaysWalkStride struct{ s Stride }
-
-func (*alwaysWalkStride) Name() string { return "stride-reference" }
-
-func (a *alwaysWalkStride) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
-	s := &a.s
-	if s.haveLast {
-		if delta := idx - s.last; delta != 0 {
-			s.history[s.histPos] = delta
-			s.histPos = (s.histPos + 1) % len(s.history)
-			if s.histLen < len(s.history) {
-				s.histLen++
-			}
-		}
-	}
-	s.last, s.haveLast = idx, true
-	delta, ok := s.majority()
-	if !ok {
-		return
-	}
-	for i := 1; i <= s.depth; i++ {
-		r.PrefetchObj(d, idx+i*delta)
-	}
-}
+// alwaysCalled hides a prefetcher's QuietOnRepeat, so the runtime calls
+// it on every deref, repeats included: the reference a runtime that
+// honours quiet marks is held to.
+type alwaysCalled struct{ farmem.Prefetcher }
 
 // TestStrideMemoNeverSuppressesAnIssue drives two identical runtimes in
 // lockstep through seeded random schedules — strided runs in both
@@ -375,10 +352,12 @@ func (a *alwaysWalkStride) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, mi
 // prefetch hints, and traffic on a second structure that evicts out of
 // the first one's lookahead window — under cache budgets and in-flight
 // limits small enough that hints are regularly dropped and must be
-// re-offered later. One runtime has the memoised Stride, the other the
-// reference that walks on every access. Every runtime event (prefetch,
-// fetch, eviction, prefetch hit...) must be identical in kind, object
-// and virtual cycle, and the clocks and counters must agree at the end.
+// re-offered later. One runtime honours Stride's quiet marks, skipping
+// OnAccess on a repeat whose walk met no remote object while no object
+// becomes remote; the other calls Stride, which walks, on every access. Every
+// runtime event (prefetch, fetch, eviction, prefetch hit...) must be
+// identical in kind, object and virtual cycle, and the clocks and
+// counters must agree at the end.
 func TestStrideMemoNeverSuppressesAnIssue(t *testing.T) {
 	const (
 		dataObjs, fillObjs = 64, 32
@@ -418,7 +397,7 @@ func TestStrideMemoNeverSuppressesAnIssue(t *testing.T) {
 		budget := 10 + rng.Intn(30)
 		maxInflight := 1 + rng.Intn(10)
 		memo := build(NewStride(Depth), budget, maxInflight)
-		ref := build(&alwaysWalkStride{s: *NewStride(Depth)}, budget, maxInflight)
+		ref := build(alwaysCalled{NewStride(Depth)}, budget, maxInflight)
 
 		pos, dir := 0, 1
 		for step := 0; step < steps; step++ {
@@ -468,5 +447,142 @@ func TestStrideMemoNeverSuppressesAnIssue(t *testing.T) {
 		if memo.r.DSByID(0).Stats().PrefetchIssued == 0 {
 			t.Fatalf("seed %d: schedule issued no prefetch at all", seed)
 		}
+	}
+}
+
+// countedAdaptive counts the OnAccess calls an Adaptive receives.
+type countedAdaptive struct {
+	*Adaptive
+	calls uint64
+}
+
+func (c *countedAdaptive) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
+	c.calls++
+	c.Adaptive.OnAccess(r, d, idx, miss)
+}
+
+// TestQuietRepeatsCountAsObservations holds a runtime that honours quiet
+// marks to one that calls the prefetcher on every deref, for
+// Adaptive(Stride), Adaptive(Markov) and Adaptive(Jump): n repeats the
+// first runtime skipped must equal n more observations, so the adaptive
+// window evaluations and back-offs land on the same accesses. Seeded
+// random streams over a small object space mix repeats (same element,
+// other elements of the same object), runs, jumps that make prefetches
+// useless, explicit hints and eviction traffic on a second structure,
+// under a short evaluation window and a high accuracy bar so that
+// back-offs start and end. Events and their instants, clocks, both
+// structures' counters and the monitors' states must agree.
+func TestQuietRepeatsCountAsObservations(t *testing.T) {
+	const (
+		dataObjs, fillObjs = 24, 16
+		elem               = 1024
+		steps              = 3000
+	)
+	inners := map[string]func() farmem.Prefetcher{
+		"stride": func() farmem.Prefetcher { return NewStride(4) },
+		"markov": func() farmem.Prefetcher { return NewMarkov() },
+		"jump":   func() farmem.Prefetcher { return NewJump(2, 4) },
+	}
+	for name, inner := range inners {
+		var skipped, backoffs, resumes uint64
+		for seed := int64(1); seed <= 16; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			budget, maxInflight := 10+rng.Intn(36), 2+rng.Intn(6) // from thrashing to all resident
+			window := uint64(8 + rng.Intn(24))
+			type world struct {
+				r      *farmem.Runtime
+				a      *countedAdaptive
+				events []farmem.Event
+				base   [2]uint64
+			}
+			build := func(always bool) *world {
+				w := &world{r: farmem.New(farmem.Config{
+					PinnedBudget:    1 << 20,
+					RemotableBudget: uint64(budget * objSize),
+					MaxInflight:     maxInflight,
+				})}
+				for id, n := range []int{dataObjs, fillObjs} {
+					w.r.RegisterDS(id, farmem.DSMeta{ObjSize: objSize})
+					w.r.SetPlacement(id, farmem.PlaceRemotable)
+					addr, err := w.r.DSAlloc(id, int64(n*objSize))
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.base[id] = addr
+				}
+				w.a = &countedAdaptive{Adaptive: &Adaptive{Inner: inner(), MinAccuracy: 0.5, Window: window}}
+				if always {
+					w.r.SetPrefetcher(0, alwaysCalled{w.a})
+				} else {
+					w.r.SetPrefetcher(0, w.a)
+				}
+				w.r.SetEventHook(func(e farmem.Event) { w.events = append(w.events, e) })
+				return w
+			}
+			quiet, ref := build(false), build(true)
+			defer quiet.r.Close()
+			defer ref.r.Close()
+
+			pos := 0
+			for step := 0; step < steps; step++ {
+				var do func(w *world) error
+				switch p := rng.Intn(100); {
+				case p < 45: // the same element again
+				case p < 65: // another element of the same object
+					pos = pos - pos%(objSize/elem) + rng.Intn(objSize/elem)
+				case p < 82: // on
+					pos = (pos + 1) % (dataObjs * objSize / elem)
+				case p < 90: // anywhere
+					pos = rng.Intn(dataObjs * objSize / elem)
+				case p < 94:
+					off := uint64(rng.Intn(dataObjs * objSize))
+					do = func(w *world) error { w.r.Prefetch(w.base[0] + off); return nil }
+				default:
+					off, write := uint64(rng.Intn(fillObjs*objSize))&^7, rng.Intn(2) == 0
+					do = func(w *world) error { _, err := w.r.Guard(w.base[1]+off, write); return err }
+				}
+				if do == nil {
+					off, write := uint64(pos*elem), rng.Intn(4) == 0
+					do = func(w *world) error { _, err := w.r.Guard(w.base[0]+off, write); return err }
+				}
+				wasOff := ref.a.disabledUntil != 0
+				if err := do(quiet); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", name, seed, step, err)
+				}
+				if err := do(ref); err != nil {
+					t.Fatalf("%s seed %d step %d (always called): %v", name, seed, step, err)
+				}
+				if a, b := quiet.r.Clock().Now(), ref.r.Clock().Now(); a != b {
+					t.Fatalf("%s seed %d step %d: clock %d honouring quiet marks, %d calling always", name, seed, step, a, b)
+				}
+				if isOff := ref.a.disabledUntil != 0; isOff && !wasOff {
+					backoffs++
+				} else if wasOff && !isOff {
+					resumes++
+				}
+			}
+			if fmt.Sprint(quiet.events) != fmt.Sprint(ref.events) {
+				t.Fatalf("%s seed %d: events differ:\n%v\nalways called:\n%v", name, seed, quiet.events, ref.events)
+			}
+			for id := 0; id < 2; id++ {
+				if a, b := quiet.r.DSByID(id).Stats(), ref.r.DSByID(id).Stats(); a != b {
+					t.Fatalf("%s seed %d: ds %d counters %+v honouring quiet marks, %+v calling always", name, seed, id, a, b)
+				}
+			}
+			if a, b := quiet.r.Stats(), ref.r.Stats(); a != b {
+				t.Fatalf("%s seed %d: runtime counters %+v honouring quiet marks, %+v calling always", name, seed, a, b)
+			}
+			n := quiet.r.DSByID(0).TakeRepeats()
+			skipped += ref.a.calls - quiet.a.calls
+			if qa, ra := quiet.a.Adaptive, ref.a.Adaptive; qa.observed+n != ra.observed || qa.disabledUntil != ra.disabledUntil ||
+				qa.lastIssued != ra.lastIssued || qa.lastHits != ra.lastHits {
+				t.Fatalf("%s seed %d: monitor %+v with %d repeats untaken honouring quiet marks, %+v calling always",
+					name, seed, *qa, n, *ra)
+			}
+		}
+		if skipped == 0 || backoffs == 0 || resumes == 0 {
+			t.Fatalf("%s: %d repeats skipped, %d back-offs, %d resumes: the streams do not reach every path", name, skipped, backoffs, resumes)
+		}
+		t.Logf("%s: %d repeats skipped, %d back-offs, %d resumes", name, skipped, backoffs, resumes)
 	}
 }
