@@ -133,9 +133,9 @@ func TestPrefetchIssueDoesNotBlock(t *testing.T) {
 	if hits := d.Stats().PrefetchHits; hits != k {
 		t.Fatalf("PrefetchHits = %d, want %d", hits, k)
 	}
-	// All prefetches harvested: nothing left pending.
+	// All prefetches harvested: nothing left in the table.
 	for i := range d.objs {
-		if d.objs[i].pending != nil {
+		if d.objs[i].ent != nil {
 			t.Fatalf("object %d still has a pending fetch", i)
 		}
 	}
@@ -242,7 +242,7 @@ func TestUnusedAsyncPrefetchSettles(t *testing.T) {
 		t.Fatal("prefetch did not mark in-flight")
 	}
 	// Let the async completion arrive, then advance the virtual clock
-	// past readyAt so the settle path sees a landed payload.
+	// past the read's settle cycle so the settle path sees a landed payload.
 	time.Sleep(20 * time.Millisecond)
 	r.Clock().Advance(r.Model().RemoteRTT * 100)
 

@@ -61,8 +61,8 @@ func TestCompletionSettlesOnce(t *testing.T) {
 				if d.objs[i].state != objRemote {
 					continue
 				}
-				if r.PrefetchObj(d, i); d.objs[i].pending != nil {
-					return &d.objs[i].pending.completion
+				if r.PrefetchObj(d, i); d.objs[i].ent != nil {
+					return &d.objs[i].ent.completion
 				}
 			}
 			t.Fatal("no evicted object to prefetch")
@@ -70,8 +70,10 @@ func TestCompletionSettlesOnce(t *testing.T) {
 		}},
 		{"write-back", func(t *testing.T, r *Runtime, d *DS, addr uint64) *completion {
 			walk(t, r, addr, obj, true) // one dirty object staged
-			for _, p := range r.wbPending {
-				return &p.completion
+			for _, p := range r.order {
+				if p != nil && p.kind == entryWB {
+					return &p.completion
+				}
 			}
 			t.Fatal("no write-back staged")
 			return nil
@@ -80,7 +82,7 @@ func TestCompletionSettlesOnce(t *testing.T) {
 			if !r.issueChase(d, 0, 4) {
 				t.Fatal("chase not issued")
 			}
-			return &r.chaseStarts[wbKey{0, 0}].completion
+			return &d.objs[0].ent.completion
 		}},
 	}
 	for _, k := range kinds {

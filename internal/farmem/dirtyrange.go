@@ -7,32 +7,23 @@ import (
 	"cards/internal/rdma"
 )
 
-// Compiler-aided dirty-range write-back.
+// Compiler-aided dirty-range write-back. A write guard knows statically
+// which bytes its store touches (ir.Instr.GLo/GHi). The runtime folds
+// those spans per resident object into a dirty rectangle — element rows
+// touched × byte range within one element — and, when it covers a small
+// fraction of the object, the eviction ships only those extents over
+// the WRITERANGE sub-encoding (remote.IssueWriteRanges); the far tier
+// splices them into its stored image.
 //
-// A write guard knows statically which bytes the guarded store touches
-// (the field offset and width the compiler derived — ir.Instr.GLo/GHi).
-// The runtime accumulates those spans per resident object into a dirty
-// rectangle: the element rows touched × the byte range within one
-// element. At eviction time, when the rectangle covers a small fraction
-// of the object, the write-back ships only the modified byte ranges as
-// (offset, length) extents over the transport's WRITERANGE sub-encoding
-// (remote.IssueWriteRanges) instead of the whole object; the far tier
-// splices them into its stored image (read-modify-write).
-//
-// Soundness: a local frame always starts as an exact copy of the remote
-// image (a fetch) or as zeros matching an absent remote object (a cold
-// materialize), and every store through the runtime marks its range —
-// spanless writes (plain Guard/Deref, WriteFootprint-less structures)
-// widen the rectangle to the whole object. Bytes outside the rectangle
-// are therefore identical on both sides, and splicing only the
-// rectangle reproduces the full local image remotely. The staging
-// buffer still snapshots the FULL object, so the synchronous reissue of
-// a failed or uncertain range write (settleWB, drainParked) replays the
-// whole image idempotently — correctness never depends on the range
-// path. An unread frame (see deref) is the exception that rides the
-// same verb: it never held the remote image, only its store log, so it
-// ships the log as a splice, and its reissue rebuilds the image from
-// the base first (rewriteWB).
+// Soundness: a frame starts as an exact copy of the remote image (a
+// fetch) or as zeros matching an absent object (a cold materialize), and
+// every store marks its range — a spanless write widens the rectangle
+// to the whole object — so bytes outside the rectangle match on both
+// sides. The staging snapshot is still the FULL object, so the reissue
+// of a failed or uncertain range write (settleWB, drainParked) replays
+// the whole image. An unread frame (see deref) rides the same verb: it
+// ships its store log as a splice, and its reissue rebuilds the image
+// from the base first (rewriteWB).
 
 // dirtyRect is the accumulated written region of one resident object:
 // element rows [eLo, eHi] (inclusive) crossed with the byte range
@@ -180,8 +171,8 @@ func (r *Runtime) rangeExtents(d *DS, obj *FarObj) []rdma.Extent {
 	return exts
 }
 
-// getExtBuf and putExtBuf pool extent slices like getWBBuf pools
-// staging buffers (single-threaded runtime, no locking).
+// getExtBuf and putExtBuf pool extent slices like getBuf pools staging
+// buffers (single-threaded runtime, no locking).
 func (r *Runtime) getExtBuf(n int) []rdma.Extent {
 	if l := len(r.extFree); l > 0 {
 		b := r.extFree[l-1]

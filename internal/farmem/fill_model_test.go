@@ -47,7 +47,7 @@ func TestFillModelHistories(t *testing.T) {
 			for step := 0; step < 400; step++ {
 				w := rng.Intn(len(model))
 				idx, off := w/words, uint64(8*w)
-				p := r.wbPending[wbKey{0, idx}]
+				p := stagedWB(r, idx)
 				staged := p != nil && p.partial && d.objs[idx].state == objRemote
 				var g uint64
 				switch op := rng.Intn(10); {
@@ -82,6 +82,7 @@ func TestFillModelHistories(t *testing.T) {
 				if staged && d.objs[idx].state == objLocal {
 					relocalized++
 				}
+				checkTable(t, r)
 			}
 			for len(r.ring) > 0 {
 				if err := r.evictOne(); err != nil && len(r.ring) > 0 {

@@ -159,14 +159,12 @@ func (r *Runtime) Deref(addr uint64, write bool) (uint64, error) {
 }
 
 // deref is Deref with a guard's write span [gLo, gHi) (see GuardSpan);
-// once marks a GuardStore's deref. Such a miss over
-// a RangeWriteStore with the breaker closed allocates, evicts and
-// charges exactly as any other, but reads nothing: the object is local
-// and unread, its frame holding only the bytes its store log names.
-// Later store-once guards append to the log; the first observer — any
-// other guard of it, a full log, ObjectWord — reads the base and lays
-// the log over it (observe), and evicting it unread ships the log as a
-// splice (tryAsyncWriteBack).
+// once marks a GuardStore's deref. Such a miss over a RangeWriteStore
+// with the breaker closed charges as any other but reads nothing: the
+// object is local and unread, its frame holding only what its store log
+// names. Later store-once guards append to the log; the first observer
+// lays it over the base (observe), and evicting it unread ships the log
+// as a splice (tryAsyncWriteBack).
 func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int) (uint64, error) {
 	r.stats.DerefCalls++
 	id := DSOf(addr)
@@ -197,14 +195,10 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 
 	case objInFlight:
 		// A prefetch raced ahead of us: wait out the remaining flight
-		// time instead of paying a full round trip. On the async path this
-		// also harvests the completion (blocking until the payload really
-		// landed, then copying staging buffer -> arena frame).
+		// time instead of paying a full round trip, and harvest the read.
 		start := r.clock.Now()
-		r.link.WaitUntil(obj.readyAt)
-		d.inflight--
-		r.inflightBytes -= uint64(d.Meta.ObjSize)
-		if err := r.harvest(d, idx); err != nil {
+		r.link.WaitUntil(obj.ent.at)
+		if err := r.harvest(obj.ent); err != nil {
 			return 0, err
 		}
 		d.pfWaitHist.Observe(r.clock.Now() - start)
@@ -225,21 +219,10 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 		r.emit(EvMaterialize, d.ID, idx, false)
 
 	case objRemote:
-		// Read-your-writes coherence: while an asynchronous write-back of
-		// this object is staged (in flight or parked), its staging buffer
-		// holds the freshest bytes — a remote READ could race the write
-		// and observe the pre-write value. Serve the re-localization from
-		// staging, with no network and regardless of breaker state.
-		if hit, err := r.derefFromStaging(d, idx); err != nil {
-			return 0, err
-		} else if hit {
-			d.stats.Hits++
-			break
-		}
-		// A chase-delivered path object (or an in-flight chase that
-		// started here) serves the re-localization without a round trip
-		// — also before the breaker gate: staged bytes are local.
-		if hit, err := r.derefFromChase(d, idx); err != nil {
+		// Read-your-writes: an object in the in-flight table is served
+		// from its staged bytes — a write-back's, which a remote read
+		// could race, or a chase's — before the breaker gate.
+		if hit, err := r.serveStaged(d, idx); err != nil {
 			return 0, err
 		} else if hit {
 			d.stats.Hits++
@@ -370,15 +353,12 @@ func (r *Runtime) evictOne() error {
 			}
 			r.removeRingEntry(r.hand)
 		case obj.state == objInFlight:
-			if obj.readyAt <= r.clock.Now() && (obj.pending == nil || obj.pending.ready()) {
+			if p := obj.ent; p.at <= r.clock.Now() && p.ready() {
 				// The payload has landed but no access consumed it: an
 				// unused prefetch. Settle it to Local (evictable) so
-				// speculative frames cannot wedge the cache. On the async
-				// path, only settle once the completion has actually
-				// arrived (ready is a non-blocking poll).
-				e.ds.inflight--
-				r.inflightBytes -= uint64(e.ds.Meta.ObjSize)
-				if err := r.harvest(e.ds, e.idx); err != nil {
+				// speculative frames cannot wedge the cache — once the
+				// completion has actually arrived (ready does not block).
+				if err := r.harvest(p); err != nil {
 					// harvest reverted the object to remote and freed its
 					// frame; the ring entry is now stale and will be
 					// collected on a later pass.
@@ -472,10 +452,8 @@ func (r *Runtime) evictObject(d *DS, idx, ringPos int) error {
 	}
 	d.evictHist.Observe(r.clock.Now() - start)
 	r.emitSpan(EvEvict, d.ID, idx, wasDirty, start)
-	// The evicted frame's bytes supersede any chase-staged snapshot of
-	// this object; and a write-back invalidates every in-flight chase of
-	// the structure (the server may walk a pre-write image).
-	r.invalidateChase(d, idx)
+	// A write-back kills every chase of the structure on the wire: the
+	// server may walk a pre-write image (settleChase).
 	if wasDirty {
 		d.chaseGen++
 	}
@@ -530,11 +508,9 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	if idx < 0 || idx >= len(d.objs) {
 		return
 	}
-	// Every check down to allocFrame is free of side effects, so their
-	// order is free too. The object's state goes first: on a scan whose
-	// lookahead window is already resident or in flight it is the one
-	// that answers, and it costs a byte load where the breaker and the
-	// budget limits cost a dozen.
+	// The checks down to allocFrame have no side effects. The state goes
+	// first: on a scan whose window is resident or in flight it answers,
+	// for a byte load where the breaker and the limits cost a dozen.
 	obj := &d.objs[idx]
 	if obj.state != objRemote {
 		return
@@ -544,29 +520,16 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	if r.breakerIsOpen() {
 		return
 	}
-	// Never let in-flight prefetches occupy more than half the remotable
-	// budget (across ALL structures — several prefetchers share the one
-	// cache): frames in flight are unevictable, and prefetchers running
-	// far ahead of a small cache would otherwise wedge the allocator.
-	lim := d.maxInflight
-	if halfBudget := int(r.remotableBudget / uint64(d.Meta.ObjSize) / 2); halfBudget < lim {
-		lim = halfBudget
-	}
-	if d.inflight >= lim {
+	// In-flight frames are unevictable: cap them at half the remotable
+	// budget across ALL structures, or prefetchers running far ahead of a
+	// small cache would wedge the allocator.
+	sz := uint64(d.Meta.ObjSize)
+	if d.inflight >= min(d.maxInflight, int(r.remotableBudget/sz/2)) || r.inflightBytes+sz > r.remotableBudget/2 {
 		return
 	}
-	if r.inflightBytes+uint64(d.Meta.ObjSize) > r.remotableBudget/2 {
-		return
-	}
-	// An object with a staged write-back must be served from its staging
-	// buffer (read-your-writes), never speculatively re-fetched: the
-	// remote copy may still be stale.
-	if _, ok := r.wbPending[wbKey{d.ID, idx}]; ok {
-		return
-	}
-	// A chase already delivered this object's bytes; the deref path
-	// consumes them without a round trip.
-	if _, ok := r.chaseStaged[wbKey{d.ID, idx}]; ok {
+	// Nothing stages over an entry: a staged write-back or hop is served
+	// from the table, and a chase from here will stage the object.
+	if obj.ent != nil {
 		return
 	}
 	rootMine := r.beginRoot()
@@ -575,82 +538,33 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		r.endRoot(rootMine)
 		return // no capacity: drop the hint
 	}
+	e := r.newEntry(entryRead, d, idx)
 	if r.astore != nil {
-		// Truly asynchronous issue: the read starts filling a private
-		// staging buffer and this goroutine moves on immediately, so a
-		// prefetcher can put its whole lookahead window on the wire in
-		// one doorbell. The payload is copied into the arena frame at
-		// harvest time (Deref or CLOCK settle) — the frame itself cannot
-		// be the destination because the arena slab may move (grow) while
-		// the read is in flight.
-		p := r.getFetch(d.Meta.ObjSize)
-		r.astore.IssueRead(d.ID, idx, p.buf, p.fn)
-		obj.pending = p
-	} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
-		r.arena.Free(frame, d.Meta.ObjSize)
-		r.remotableUsed -= uint64(d.Meta.ObjSize)
-		obj.epoch++
-		r.endRoot(rootMine)
-		return
+		// Truly asynchronous issue: this goroutine moves on at once, so a
+		// prefetcher puts its whole lookahead window on the wire in one
+		// doorbell.
+		e.buf = r.getBuf(d.Meta.ObjSize)
+		r.astore.IssueRead(d.ID, idx, e.buf, e.fn)
+	} else {
+		e.settled = true // a plain Store's read lands in the frame now
+		if r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)) != nil {
+			r.putEntry(e)
+			r.arena.Free(frame, d.Meta.ObjSize)
+			r.remotableUsed -= uint64(d.Meta.ObjSize)
+			obj.epoch++
+			r.endRoot(rootMine)
+			return
+		}
 	}
+	e.at = r.link.FetchAsync(d.Meta.ObjSize)
+	r.track(e)
 	obj.frame = frame
-	obj.readyAt = r.link.FetchAsync(d.Meta.ObjSize)
 	obj.state = objInFlight
 	obj.ref = false
-	d.inflight++
-	r.inflightBytes += uint64(d.Meta.ObjSize)
 	d.stats.PrefetchIssued++
 	d.quiet = -1 // the prefetcher's counters moved
 	r.emit(EvPrefetch, d.ID, idx, false)
 	r.endRoot(rootMine)
-}
-
-// getFetch takes a pendingFetch for an object of the given size from the
-// free list, or makes one. Staging buffer and completion (channel and
-// the callback handed to the store) are both reused: a prefetch issue
-// allocates nothing once the lookahead window has been filled once.
-func (r *Runtime) getFetch(size int) *pendingFetch {
-	if l := r.pfFree[size]; len(l) > 0 {
-		p := l[len(l)-1]
-		r.pfFree[size] = l[:len(l)-1]
-		return p
-	}
-	return &pendingFetch{buf: make([]byte, size), completion: newCompletion()}
-}
-
-// putFetch recycles p. Only harvest calls it, and only after p.wait()
-// returned: the store invokes fn exactly once, after its last
-// access to buf, so a received completion — success or failure — is the
-// proof that nobody else still holds the buffer.
-func (r *Runtime) putFetch(p *pendingFetch) {
-	p.err, p.settled = nil, false
-	r.pfFree[len(p.buf)] = append(r.pfFree[len(p.buf)], p)
-}
-
-// harvest consumes the pending async completion of an in-flight object,
-// copying the staged payload into the object's arena frame. No-op on the
-// sync path (pending == nil). On a failed async read it retries
-// synchronously; if that also fails the object reverts to remote, its
-// frame is freed, and the error is returned.
-func (r *Runtime) harvest(d *DS, idx int) error {
-	obj := &d.objs[idx]
-	p := obj.pending
-	if p == nil {
-		return nil
-	}
-	obj.pending = nil
-	defer r.putFetch(p)
-	if perr := p.wait(); perr != nil {
-		// The async read failed: record it against the breaker, then
-		// reissue synchronously under the retry budget.
-		r.noteFault(perr)
-		if r.storeRead(d, idx, p.buf) != nil {
-			r.release(d, obj)
-			return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, idx, perr)
-		}
-	}
-	copy(r.arena.Bytes(obj.frame, d.Meta.ObjSize), p.buf)
-	return nil
 }
 
 // getLog and putLog pool the store logs of unread objects.
@@ -669,23 +583,21 @@ func (r *Runtime) putLog(l *storeLog) {
 }
 
 // observe settles an unread object (no-op for any other): it waits for
-// the object's own staged write to complete — the splice a partial
-// re-localization left in flight (derefFromStaging) — so the base it
-// then reads synchronously is one the store has finished with, and lays
-// the log over that base. None of it charges the clock: the miss did.
-// On a failed read the object keeps its frame and log for its next
-// observer, and the error is returned.
+// the object's own staged write — the splice a partial re-localization
+// left in flight (serveStaged) — reads the base synchronously and lays
+// the log over it, charging no clock: the miss did. On a failed read the
+// object keeps its frame and log for its next observer.
 func (r *Runtime) observe(d *DS, idx int) error {
 	obj := &d.objs[idx]
 	if obj.log == nil {
 		return nil
 	}
-	if p := r.wbPending[wbKey{d.ID, idx}]; p != nil {
-		p.wait()
+	if obj.ent != nil { // a local object's entry is its staged write-back
+		obj.ent.wait()
 	}
 	sz := d.Meta.ObjSize
-	buf := r.getWBBuf(sz)
-	defer r.putWBBuf(buf)
+	buf := r.getBuf(sz)
+	defer r.putBuf(buf)
 	if err := r.storeRead(d, idx, buf); err != nil {
 		return fmt.Errorf("farmem: unread ds%d[%d]: base read: %w", d.ID, idx, err)
 	}

@@ -157,7 +157,7 @@ func (r *Runtime) PublishObs() {
 	reg.Counter(MetricRangeWriteBacks).Store(s.RangeWriteBacks)
 	reg.Counter(MetricRangeBytesSaved).Store(s.RangeBytesSaved)
 	reg.Gauge(MetricWriteBackStagedBytes).Set(int64(r.wbBytes))
-	reg.Gauge(MetricWriteBackStagedEntries).Set(int64(len(r.wbPending)))
+	reg.Gauge(MetricWriteBackStagedEntries).Set(int64(r.StagedWriteBackEntries()))
 
 	reg.Counter(MetricChasesIssued).Store(s.ChasesIssued)
 	reg.Counter(MetricChaseHopsStaged).Store(s.ChaseHopsStaged)

@@ -80,7 +80,8 @@ func (s *chaosAsyncStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
 // reads, guarded writes, prefetches — over a working set 8x the
 // remotable budget, against a chaos async store, and checks after every
 // op that (a) the runtime never holds more remotable bytes than its
-// budget, and at the end that (b) every byte the runtime serves equals
+// budget and its in-flight table is consistent (checkTable), and at
+// the end that (b) every byte the runtime serves equals
 // a flat in-memory oracle. Failed ops (injected) must leave both
 // invariants intact: a failed write mutates nothing, a failed prefetch
 // reverts its frame (the CLOCK settle/revert paths), a failed eviction
@@ -125,6 +126,7 @@ func TestPropertyClockOracle(t *testing.T) {
 					t.Fatalf("op %d (%s): remotable used %d exceeds budget %d",
 						i, op, r.RemotableUsed(), r.remotableBudget)
 				}
+				checkTable(t, r)
 			}
 			for i := 0; i < nOps; i++ {
 				obj := rng.Intn(nObjs)

@@ -107,8 +107,8 @@ func TestPrefetchStagingIsRecycled(t *testing.T) {
 		if got := len(store.held) - base; got != k {
 			t.Fatalf("round %d: %d reads issued, want %d", round, got, k)
 		}
-		if n := len(r.pfFree[obj]); n != 0 && round == 0 {
-			t.Fatalf("free list holds %d entries before anything was harvested", n)
+		if n, m := len(r.entFree), len(r.bufFree[obj]); (n != 0 || m != 0) && round == 0 {
+			t.Fatalf("free lists hold %d entries and %d buffers before anything was harvested", n, m)
 		}
 		for j, o := range order {
 			store.release(base+o, (j+round)%3 == 0)
@@ -125,8 +125,8 @@ func TestPrefetchStagingIsRecycled(t *testing.T) {
 			}
 			store.harvested(base + j)
 		}
-		if n := len(r.pfFree[obj]); n != k {
-			t.Fatalf("round %d: free list holds %d entries after harvesting %d reads", round, n, k)
+		if n, m := len(r.entFree), len(r.bufFree[obj]); n != k || m != k {
+			t.Fatalf("round %d: free lists hold %d entries and %d buffers after harvesting %d reads", round, n, m, k)
 		}
 	}
 	store.wg.Wait()

@@ -114,7 +114,7 @@ func releaseLater(store *testutil.HeldAsync, idx int) *atomic.Bool {
 // the retired counter want retired ones.
 func checkRetired(t *testing.T, r *Runtime, budgeted, retired uint64) {
 	t.Helper()
-	checkWBList(t, r)
+	checkTable(t, r)
 	if r.StagedWriteBackBytes() != budgeted || r.wbRetired != retired {
 		t.Fatalf("staged %d budgeted + %d retired bytes, want %d + %d", r.StagedWriteBackBytes(), r.wbRetired, budgeted, retired)
 	}
@@ -137,7 +137,7 @@ func TestRetiredWalkNeedsNoAck(t *testing.T) {
 		t.Fatalf("WriteBackStalls = %d, want one per retirement (2)", got)
 	}
 	for _, idx := range []int{0, 1} {
-		if p := g.r.wbPending[wbKey{0, idx}]; p == nil || !p.retired || g.r.clock.Now() < p.doneAt {
+		if p := stagedWB(g.r, idx); p == nil || !p.retired || g.r.clock.Now() < p.at {
 			t.Fatalf("obj %d is not retired with its settle cycle charged", idx)
 		}
 	}
@@ -170,7 +170,7 @@ func TestDerefOfRetiredObjectReadsStaging(t *testing.T) {
 		}
 		return err
 	})
-	if p := g.r.wbPending[wbKey{0, 0}]; p == nil || !p.retired {
+	if p := stagedWB(g.r, 0); p == nil || !p.retired {
 		t.Fatal("obj 0's write-back is not retired")
 	}
 	if v != 100 || g.r.Stats().WriteBackStagingHits != 1 {
@@ -193,15 +193,15 @@ func TestDerefOfRetiredObjectReadsStaging(t *testing.T) {
 func TestRetiredWriteFailureReissuedOnce(t *testing.T) {
 	g := newRetireRig(t)
 	unblocked(t, func() error { return g.walk(0, 4) })
-	if p := g.r.wbPending[wbKey{0, 0}]; p == nil || !p.retired {
+	if p := stagedWB(g.r, 0); p == nil || !p.retired {
 		t.Fatal("obj 0's write-back is not retired")
 	}
 	g.store.Release(0, errInjected)
 	unblocked(t, func() error { return g.walk(4, 5) }) // its eviction harvests obj 0
-	if _, ok := g.r.wbPending[wbKey{0, 0}]; ok || g.r.Stats().WriteBackReissues != 1 {
+	if stagedWB(g.r, 0) != nil || g.r.Stats().WriteBackReissues != 1 {
 		t.Fatalf("obj 0 still staged after %d reissues, want released after 1", g.r.Stats().WriteBackReissues)
 	}
-	checkWBList(t, g.r)
+	checkTable(t, g.r)
 	g.store.Release(-1, nil)
 	if err := g.r.DrainWriteBacks(); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestReEvictingRetiredObjectWaitsForAck(t *testing.T) {
 		}
 		return g.set(0, 200) // served from staging; its eviction retires obj 1
 	})
-	if p := g.r.wbPending[wbKey{0, 0}]; p == nil || !p.retired {
+	if p := stagedWB(g.r, 0); p == nil || !p.retired {
 		t.Fatal("obj 0's write-back is not retired")
 	}
 	// Every other write is in and settled by the clock, so the budget

@@ -87,25 +87,21 @@ type FarObj struct {
 	ref     bool // CLOCK reference bit
 	epoch   uint32
 	frame   uint64 // arena offset when local
-	readyAt uint64 // arrival cycle when in flight
 	lastUse uint64 // global access sequence number at last deref
-	// rect is the accumulated written region while dirty (dirtyrange.go);
-	// reset when the object ceases to be dirty.
+	// rect is the written region while dirty (dirtyrange.go).
 	rect dirtyRect
-	// pending carries the staging state of an AsyncStore read while the
-	// object is in flight; nil on the sync path.
-	pending *pendingFetch
+	// ent is the object's in-flight table entry (table.go), if any.
+	ent *entry
 	// log is non-nil while the object is local but unread (see deref):
 	// its frame holds only the bytes the log names.
 	log *storeLog
 }
 
-// completion is how the runtime learns that one asynchronous store op
-// (a fetch, a staged write-back, a chase) finished. The store calls fn,
-// bound once by newCompletion, exactly once — possibly on another
-// goroutine, possibly before the issuing call returns; it fills the one
-// slot of a buffered channel, so it never blocks. The single-threaded
-// runtime harvests it with wait or ready, which cache the result.
+// completion is how the runtime learns that a table entry's store op
+// finished. The store calls fn exactly once — possibly on another
+// goroutine, possibly before the issuing call returns; it fills a
+// one-slot channel, so it never blocks. The runtime harvests it with
+// wait or ready, which cache the result.
 type completion struct {
 	ch      chan error
 	fn      func(error)
@@ -136,19 +132,6 @@ func (c *completion) ready() bool {
 		}
 	}
 	return c.settled
-}
-
-// pendingFetch is the completion state of one asynchronous read. The
-// payload lands in buf — a private staging buffer, not the arena frame —
-// because the arena slab may be reallocated (grown) while the read is in
-// flight, which would invalidate any slice into it.
-//
-// A pendingFetch outlives its read: harvest returns it to the runtime's
-// per-size free list (getFetch/putFetch in memory.go), so buf and the
-// completion are made once per lookahead slot, not once per prefetch.
-type pendingFetch struct {
-	buf []byte
-	completion
 }
 
 // storeLog is the store log of an unread object: the byte extents of
@@ -217,9 +200,8 @@ type DS struct {
 	quiet             int
 	quietGen, repeats uint64
 
-	// chaseGen invalidates in-flight traversal offloads: it advances on
-	// every dirty eviction (write-back) of the structure, and a chase
-	// result issued under an older generation is dropped (see chase.go).
+	// chaseGen advances on every dirty eviction of the structure; a
+	// chase issued under an older one is dropped (settleChase).
 	chaseGen uint64
 
 	// label is the ds="<id>" metric label.
@@ -411,10 +393,9 @@ type Config struct {
 	// while the breaker is open; 0 means 250ms.
 	BreakerProbe time.Duration
 
-	// WriteBackBudget bounds the bytes of dirty eviction payloads staged
-	// for asynchronous write-back (writeback.go); 0 means
-	// RemotableBudget/4. Once staged payload exceeds the budget, the
-	// next dirty eviction stalls in virtual time on the oldest staged
+	// WriteBackBudget bounds the dirty eviction payloads staged for
+	// asynchronous write-back (writeback.go); 0 means RemotableBudget/4.
+	// Past it an eviction stalls in virtual time on the oldest staged
 	// write, which retires unacknowledged; staging blocks on the wire
 	// only past twice the budget.
 	WriteBackBudget uint64
@@ -477,30 +458,26 @@ type Runtime struct {
 	link    *netsim.Link
 	arena   *Arena
 	store   Store
-	astore  AsyncStore              // non-nil iff store supports IssueRead
-	pfFree  map[int][]*pendingFetch // recycled async-read staging, by size
-	logFree []*storeLog             // recycled store logs of unread objects
+	astore  AsyncStore      // non-nil iff store supports IssueRead
+	logFree []*storeLog     // recycled store logs of unread objects
+	awstore AsyncWriteStore // non-nil iff store supports IssueWrite
+	rwstore RangeWriteStore // non-nil iff store supports IssueWriteRanges
+	chaser  AsyncChaseStore // non-nil iff store supports IssueChase
+	rangeWB bool            // dirty-range write-back is on and supported
+	extFree [][]rdma.Extent // pooled extent slices (dirtyrange.go)
 
-	// Asynchronous write-back pipeline (writeback.go).
-	rwstore   RangeWriteStore // non-nil iff store supports IssueWriteRanges
-	rangeWB   bool            // dirty-range write-back is on and supported
-	extFree   [][]rdma.Extent // pooled extent slices (dirtyrange.go)
-	awstore   AsyncWriteStore // non-nil iff store supports IssueWrite
-	wbPending map[wbKey]*pendingWB
-	wbOrder   []*pendingWB // issue-order FIFO (entries validated lazily)
-	wbBytes   uint64       // budgeted staged payload bytes
-	wbRetired uint64       // retired staged payload bytes (waitOldestWB)
-	wbBudget  uint64
-	wbFree    map[int][][]byte // staging buffer free lists, by size
-	wbBusy    bool             // order-list scan reentrancy guard
-
-	// Traversal offload (chase.go).
-	chaser           AsyncChaseStore // non-nil iff store supports IssueChase
-	chaseStaged      map[wbKey][]byte
-	chaseStarts      map[wbKey]*pendingChase // in-flight programs by start object
-	chaseInflight    []*pendingChase
+	// The in-flight table (table.go): the issue-order list, entries by
+	// kind, the pools, and the bytes staged in write-backs (budgeted,
+	// retired) and hops; inflightBytes holds reads and programs.
+	order            []*entry
+	kinds            [entryKinds]int
+	sweeping         bool
+	entFree          []*entry
+	bufFree          map[int][][]byte
+	wbBytes          uint64
+	wbRetired        uint64
+	wbBudget         uint64
 	chaseStagedBytes uint64
-	chaseHarvesting  bool // reentrancy guard (settle can issue, issue harvests)
 
 	pinnedBudget, remotableBudget uint64
 	pinnedUsed, remotableUsed     uint64
@@ -512,7 +489,7 @@ type Runtime struct {
 	trackFM            bool
 	defaultMaxInflight int
 	accessSeq          uint64
-	inflightBytes      uint64
+	inflightBytes      uint64 // reads and chase programs on the wire
 	hook               EventHook
 	tracer             *obs.Tracer
 	tracing            bool // hook != nil || tracer != nil
@@ -600,22 +577,14 @@ func New(cfg Config) *Runtime {
 		retryMax:            cfg.RetryMax,
 	}
 	caps := SurfacesOf(store)
-	if r.astore = caps.Async; r.astore != nil {
-		r.pfFree = make(map[int][]*pendingFetch)
-	}
+	r.astore, r.chaser, r.bufFree = caps.Async, caps.Chase, make(map[int][][]byte)
 	if r.awstore = caps.AsyncWrite; r.awstore != nil {
 		r.rwstore = caps.RangeWrite
 		r.rangeWB = cfg.RangeWriteback && r.rwstore != nil
-		r.wbPending = make(map[wbKey]*pendingWB)
-		r.wbFree = make(map[int][][]byte)
 		r.wbBudget = cfg.WriteBackBudget
 		if r.wbBudget == 0 {
 			r.wbBudget = cfg.RemotableBudget / 4
 		}
-	}
-	if r.chaser = caps.Chase; r.chaser != nil {
-		r.chaseStaged = make(map[wbKey][]byte)
-		r.chaseStarts = make(map[wbKey]*pendingChase)
 	}
 	if r.recoverable, _ = store.(Recoverable); r.recoverable != nil {
 		r.lastRecoveryEpoch = r.recoverable.RecoveryEpoch()

@@ -44,33 +44,6 @@ func (s *heldWriteStore) complete(t *testing.T, idx int, err error) {
 	f(err)
 }
 
-// checkWBList fails unless every staged entry is on the order list
-// exactly once, wbBytes is the sum over the budgeted entries and
-// wbRetired the sum over the retired ones.
-func checkWBList(t *testing.T, r *Runtime) {
-	t.Helper()
-	listed := map[*pendingWB]int{}
-	for _, p := range r.wbOrder {
-		if r.liveWB(p) {
-			listed[p]++
-		}
-	}
-	var budgeted, retired uint64
-	for key, p := range r.wbPending {
-		if listed[p] != 1 {
-			t.Fatalf("staged obj %d is on the order list %d times, want once", key.idx, listed[p])
-		}
-		if p.retired {
-			retired += uint64(p.size)
-		} else {
-			budgeted += uint64(p.size)
-		}
-	}
-	if budgeted != r.wbBytes || retired != r.wbRetired {
-		t.Fatalf("wbBytes = %d, wbRetired = %d; budgeted entries hold %d, retired %d", r.wbBytes, r.wbRetired, budgeted, retired)
-	}
-}
-
 // TestWriteBackSweepReentrancy: a harvest whose synchronous reissue is
 // the trial that closes a half-open breaker runs the recovery drain —
 // drainDirty, then drainParked — from inside its own walk of the order
@@ -102,11 +75,12 @@ func TestWriteBackSweepReentrancy(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.WriteWord(p, uint64(500+i))
+		checkTable(t, r)
 	}
 	if got := r.StagedWriteBackEntries(); got != n-2 {
 		t.Fatalf("staged %d write-backs, want %d (objs 0..%d)", got, n-2, n-3)
 	}
-	farFuture := func() { r.clock.Advance(1 << 40) } // past every entry's doneAt
+	farFuture := func() { r.clock.Advance(1 << 40) } // past every entry's settle cycle
 
 	// Park objs 0, 2 and 5: their async writes fail, the first failure
 	// trips the breaker and the reissues are refused.
@@ -116,20 +90,21 @@ func TestWriteBackSweepReentrancy(t *testing.T) {
 	}
 	farFuture()
 	r.harvestWriteBacks()
+	checkTable(t, r)
 	if r.BreakerState() != BreakerOpen {
 		t.Fatalf("breaker %v, want open", r.BreakerState())
 	}
 	for _, idx := range []int{0, 2, 5} {
-		if p := r.wbPending[wbKey{0, idx}]; p == nil || !p.parked {
+		if p := stagedWB(r, idx); p == nil || !p.parked {
 			t.Fatalf("obj %d not parked", idx)
 		}
 	}
-	// Reclaiming obj 5 by deref releases its entry outside any walk: the
-	// order list now holds a stale entry as well.
+	// Reclaiming obj 5 by deref drops its entry outside any walk: the
+	// order list now holds a hole as well.
 	if _, err := r.Guard(addr+5*obj, false); err != nil {
 		t.Fatal(err)
 	}
-	checkWBList(t, r)
+	checkTable(t, r)
 
 	// The tier heals. Obj 1's async write fails and its reissue is the
 	// half-open trial; obj 3's lands; obj 4's is still on the wire.
@@ -139,23 +114,24 @@ func TestWriteBackSweepReentrancy(t *testing.T) {
 	store.complete(t, 3, nil)
 	farFuture()
 	r.harvestWriteBacks()
+	checkTable(t, r)
 	if r.BreakerState() != BreakerClosed || r.Stats().BreakerRecoveries != 1 {
 		t.Fatalf("breaker %v after %d recoveries, want closed after 1", r.BreakerState(), r.Stats().BreakerRecoveries)
 	}
 	for _, idx := range []int{0, 2} {
-		if p := r.wbPending[wbKey{0, idx}]; p == nil || !p.parked {
+		if p := stagedWB(r, idx); p == nil || !p.parked {
 			t.Fatalf("parked obj %d was drained under the harvest that owns the list", idx)
 		}
 	}
-	if _, ok := r.wbPending[wbKey{0, 4}]; !ok || r.StagedWriteBackEntries() != 3 {
+	if stagedWB(r, 4) == nil || r.StagedWriteBackEntries() != 3 {
 		t.Fatalf("staged entries %d, want objs 0, 2 (parked) and 4 (in flight)", r.StagedWriteBackEntries())
 	}
-	checkWBList(t, r)
 
 	store.complete(t, 4, nil)
 	if err := r.DrainWriteBacks(); err != nil {
 		t.Fatal(err)
 	}
+	checkTable(t, r)
 	if r.StagedWriteBackEntries() != 0 || r.StagedWriteBackBytes() != 0 {
 		t.Fatalf("%d entries, %d bytes still staged after the drain", r.StagedWriteBackEntries(), r.StagedWriteBackBytes())
 	}

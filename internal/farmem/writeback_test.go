@@ -222,7 +222,7 @@ func TestWriteBackBudgetBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.WriteWord(p, uint64(2000+i))
-		checkWBList(t, r)
+		checkTable(t, r)
 		if staged := r.wbBytes + r.wbRetired; staged > uint64(4*obj) {
 			t.Fatalf("after obj %d: %d bytes staged, over twice the %d budget", i, staged, 2*obj)
 		}

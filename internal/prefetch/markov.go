@@ -83,8 +83,12 @@ func (mk *Markov) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) 
 // transition and walks the same chain.
 func (*Markov) QuietOnRepeat() bool { return true }
 
-// learn records the transition prev -> next.
+// learn records the transition prev -> next. With no room for a
+// successor (SuccessorsPerObj <= 0) it learns nothing.
 func (mk *Markov) learn(prev, next int) {
+	if mk.SuccessorsPerObj <= 0 {
+		return
+	}
 	edges := mk.table[prev]
 	for i := range edges {
 		if edges[i].next == next {

@@ -108,6 +108,25 @@ func TestMarkovTableBounds(t *testing.T) {
 	}
 }
 
+// TestMarkovWithoutSuccessorsLearnsNothing: with SuccessorsPerObj at
+// zero or below, learning is a no-op rather than a replacement on an
+// empty edge list.
+func TestMarkovWithoutSuccessorsLearnsNothing(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		mk := NewMarkov()
+		mk.SuccessorsPerObj = n
+		mk.learn(1, 2)
+		mk.learn(1, 2)
+		mk.learn(2, 3)
+		if len(mk.table) != 0 || len(mk.order) != 0 {
+			t.Fatalf("SuccessorsPerObj %d: learned %d entries, %d ordered; want none", n, len(mk.table), len(mk.order))
+		}
+		if _, ok := mk.best(1); ok {
+			t.Fatalf("SuccessorsPerObj %d: a prediction from nothing learned", n)
+		}
+	}
+}
+
 func TestMarkovRequiresEvidence(t *testing.T) {
 	mk := NewMarkov()
 	mk.learn(1, 2)

@@ -610,6 +610,12 @@ func TestBurstParkedWriteParksOnlyItsConnection(t *testing.T) {
 			t.Fatalf("B read %d returned %x behind A's parked write", i, objs[0])
 		}
 	}
+	// The server settles the gauge only after its Write of a reply
+	// returns, so B's last reply can reach B while B's request still
+	// counts: wait for it to leave the gauge.
+	for deadline := time.Now().Add(time.Second); srv.metrics.inflight.Load() != parked && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := srv.metrics.inflight.Load(); got != parked {
 		t.Errorf("%s = %d with A's replies parked, want %d", MetricInflight, got, parked)
 	}

@@ -1,7 +1,9 @@
 package testutil
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -257,4 +259,74 @@ func (s *HeldAsync) Release(idx int, err error) int {
 		w.ack(err)
 	}
 	return len(out)
+}
+
+// ChaseAsync is an in-process far tier with the asynchronous read,
+// write and chase surfaces over a synchronous store. It executes every
+// op in issue order but acknowledges late: a write, and a chase's walk
+// of the store, take effect when issued, a read fills dst only when it
+// completes, and every completion arrives on a goroutine of its own
+// after a seeded random delay up to maxDelay. A walk follows the
+// tagged successor word at NextOff of each visited object, as cardsd
+// does, and returns every visited object whole.
+type ChaseAsync struct {
+	*LateAsync
+	chases atomic.Int64
+}
+
+// NewChaseAsync wraps s with delays up to maxDelay drawn from seed.
+func NewChaseAsync(s ObjStore, maxDelay time.Duration, seed int64) *ChaseAsync {
+	return &ChaseAsync{LateAsync: NewLateAsync(s, maxDelay, seed)}
+}
+
+// IssueWrite implements farmem.AsyncWriteStore.
+func (s *ChaseAsync) IssueWrite(ds, idx int, src []byte, done func(error)) {
+	err := s.WriteObj(ds, idx, src)
+	s.later(func() error { return err }, done)
+}
+
+// ChaseCapable implements farmem.AsyncChaseStore.
+func (s *ChaseAsync) ChaseCapable() bool { return true }
+
+// Chase implements farmem.AsyncChaseStore.
+func (s *ChaseAsync) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
+	return s.walk(req)
+}
+
+// IssueChase implements farmem.AsyncChaseStore.
+func (s *ChaseAsync) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
+	s.chases.Add(1)
+	res, err := s.walk(req)
+	s.later(func() error { return err }, func(err error) { done(res, err) })
+}
+
+// Chases returns how many chase programs were issued.
+func (s *ChaseAsync) Chases() int64 { return s.chases.Load() }
+
+func (s *ChaseAsync) walk(req rdma.ChaseReq) (rdma.ChaseResult, error) {
+	var res rdma.ChaseResult
+	shift := uint(bits.TrailingZeros32(req.ObjSize))
+	for idx, hop := req.Start, uint32(1); ; hop++ {
+		data := make([]byte, req.ObjSize)
+		if err := s.ObjStore.ReadObj(int(req.DS), int(idx), data); err != nil {
+			return rdma.ChaseResult{}, err
+		}
+		res.Hops = append(res.Hops, rdma.ChaseHop{Idx: idx, Data: data})
+		word := binary.LittleEndian.Uint64(data[req.NextOff:])
+		switch {
+		case !rdma.ChaseAddrTagged(word) || rdma.ChaseAddrDS(word) != req.DS:
+			res.Status, res.Final = rdma.ChaseDone, word
+			return res, nil
+		case hop == req.Hops:
+			res.Status, res.Final = rdma.ChaseHops, word
+			return res, nil
+		}
+		idx = uint32(rdma.ChaseAddrOff(word) >> shift)
+	}
+}
+
+// IssueWriteRanges implements farmem.RangeWriteStore.
+func (s *ChaseAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	err := splice(s.ObjStore, ds, idx, src, exts)
+	s.later(func() error { return err }, done)
 }
