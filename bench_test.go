@@ -275,7 +275,9 @@ func (s *opCounter) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent
 // writes — without RangeWriteback, the unread objects of store-once
 // misses evicted as splices of their logged stores — and
 // read-frames/deref and write-frames/deref the doorbells that carried
-// them, from the client registry's batch-size histograms.
+// them, from the client registry's batch-size histograms; gathers/deref
+// the reads issued ahead of a gather site's miss (counted in reads) and
+// gather-served the share of them that served a miss.
 func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	w := workloads.BuildBFS(workloads.BFSConfig{Vertices: 1024, Degree: 8, Trials: 3, Seed: 1})
 	c, err := core.Compile(w.Module, core.CompileOptions{})
@@ -306,7 +308,7 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	defer cl.Close()
 	store := &opCounter{PipelinedClient: cl}
 	cfg.Store = store
-	var derefs uint64
+	var derefs, gathers, served uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := c.Run(cfg)
@@ -317,6 +319,8 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 			b.Fatalf("checksum %#x over TCP, %#x in process", res.MainResult, want.MainResult)
 		}
 		derefs += res.Runtime.GuardChecks
+		gathers += res.Runtime.GathersIssued
+		served += res.Runtime.GatherHits
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(derefs), "ns/deref")
 	b.ReportMetric(float64(store.syncReads)/float64(derefs), "sync-reads/deref")
@@ -324,6 +328,8 @@ func BenchmarkCompiledBFSNsPerDerefTCP(b *testing.B) {
 	b.ReportMetric(float64(store.rangeWrites)/float64(derefs), "splices/deref")
 	b.ReportMetric(float64(reg.Histogram(remote.MetricClientBatchSize).Count())/float64(derefs), "read-frames/deref")
 	b.ReportMetric(float64(reg.Histogram(remote.MetricClientWriteBatchSize).Count())/float64(derefs), "write-frames/deref")
+	b.ReportMetric(float64(gathers)/float64(derefs), "gathers/deref")
+	b.ReportMetric(float64(served)/max(1, float64(gathers)), "gather-served")
 }
 
 func BenchmarkRemoteFaultRoundTrip(b *testing.B) {

@@ -115,6 +115,9 @@ type Result struct {
 	// CFGs caches per-function control-flow info.
 	CFGs map[string]*cfg.Info
 
+	// Gathers maps a load to its address's gather chain (gather.go).
+	Gathers map[*ir.Instr]*ir.Gather
+
 	// votes tallies classified accesses per DS during attribution.
 	votes map[int]*patternVotes
 	// accessed records, per function, the DS IDs it touches directly or
@@ -146,10 +149,12 @@ func Analyze(m *ir.Module, ds *dsa.Result) *Result {
 		InstrDS: make(map[*ir.Instr][]int),
 		LoopDS:  make(map[*ir.Block][]int),
 		CFGs:    make(map[string]*cfg.Info),
+		Gathers: make(map[*ir.Instr]*ir.Gather),
 	}
 	for _, f := range m.Funcs {
 		res.CFGs[f.Name] = cfg.Analyze(f)
 		res.IVs[f.Name] = findInductionVars(f, res.CFGs[f.Name])
+		findGathers(f, res.IVs[f.Name], res.Gathers)
 	}
 
 	res.attributeAccesses(m, ds)
@@ -458,7 +463,7 @@ func (res *Result) attributeAccesses(m *ir.Module, ds *dsa.Result) {
 			if in.Op != ir.OpLoad && in.Op != ir.OpStore {
 				return true
 			}
-			ids := res.addrDS(ds, f.Name, in.Addr)
+			ids := ds.DSForValue(f.Name, in.Addr)
 			if len(ids) == 0 {
 				return true
 			}
@@ -489,11 +494,6 @@ func (res *Result) attributeAccesses(m *ir.Module, ds *dsa.Result) {
 			return true
 		})
 	}
-}
-
-// addrDS resolves an address operand to DS IDs via the DSA result.
-func (res *Result) addrDS(ds *dsa.Result, fn string, addr ir.Value) []int {
-	return ds.DSForValue(fn, addr)
 }
 
 // propagateThroughCalls attributes callee accesses to call instructions,

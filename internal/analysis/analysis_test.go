@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cards/internal/dsa"
 	"cards/internal/ir"
+	"cards/internal/workloads"
 )
 
 func analyzeListing1(t *testing.T) (*ir.Module, *dsa.Result, *Result) {
@@ -235,5 +238,43 @@ func TestPatternString(t *testing.T) {
 		if p.String() != want {
 			t.Errorf("%d.String() = %s, want %s", p, p.String(), want)
 		}
+	}
+}
+
+// TestBFSGatherChains: in bfs's traversal the compiler names four
+// gathers — row[fcur[q]] and row[fcur[q]+1] and col[j] (j starting at
+// row[fcur[q]]) from the frontier loop's q, and visited[col[j]] from the
+// adjacency loop's j — and none for the strided fcur[q].
+func TestBFSGatherChains(t *testing.T) {
+	m := workloads.BuildBFS(workloads.DefaultBFS()).Module
+	res := Analyze(m, dsa.Analyze(m))
+	got := map[string]bool{}
+	m.FuncByName("bfs").Instrs(func(_ *ir.Block, _ int, in *ir.Instr) bool {
+		if g := res.Gathers[in]; g != nil {
+			s := fmt.Sprintf("%s+%d<%s:", g.IV, g.Step, g.Bound)
+			for _, st := range g.Steps {
+				s += fmt.Sprintf(" %s*%d+%d", st.Base, st.Scale, st.Off)
+			}
+			got[s] = true
+		}
+		return true
+	})
+	for _, want := range []string{
+		"%q.iv+1<%cur_size: %fcur*8+0 %row*8+0 %col*8+0",
+		"%q.iv+1<%cur_size: %fcur*8+0 %row*8+0",
+		"%q.iv+1<%cur_size: %fcur*8+0 %row*8+8",
+	} {
+		if !got[want] {
+			t.Errorf("no gather %q among %v", want, got)
+		}
+		delete(got, want)
+	}
+	for s := range got {
+		if !strings.HasPrefix(s, "%j+1<") || !strings.HasSuffix(s, ": %col*8+0 %visited*8+0") {
+			t.Errorf("unexpected gather %q", s)
+		}
+	}
+	if len(got) != 1 {
+		t.Errorf("want one gather rooted at j, got %v", got)
 	}
 }

@@ -94,6 +94,12 @@ func TestRunCountersArePinned(t *testing.T) {
 				t.Fatalf("%s %v async: %v", b.name, pol, err)
 			}
 			line(b.name, pol.String()+"/async", res.MainResult, res.Interp, res.Cycles, res.Runtime, res.PerDS)
+			// Gathers read ahead below virtual time: the bfs runs issue
+			// them, and their lines above stay pinned.
+			t.Logf("%s %v async: %d gathers issued, %d served a miss", b.name, pol, res.Runtime.GathersIssued, res.Runtime.GatherHits)
+			if b.name == "bfs" && res.Runtime.GathersIssued == 0 {
+				t.Errorf("bfs %v async issued no gathers", pol)
+			}
 		}
 
 		tc, err := trackfm.Compile(b.build().Module)

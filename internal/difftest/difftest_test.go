@@ -121,17 +121,25 @@ func TestRangeWritebackExactUnderChaos(t *testing.T) {
 // graph traversal whose adjacency structure is not a single-successor
 // chain, so offload may engage only partially (or not at all) — but
 // the three-way equivalence must hold regardless. This is the guard
-// against the offload path perturbing workloads it cannot serve.
+// against the offload path perturbing workloads it cannot serve. Its
+// adjacency scan is a compiler-named gather (col[row[fcur[q]]]): both
+// remote runs must read ahead with gathers and still match the oracle.
 func TestBFSExactUnderChaos(t *testing.T) {
 	testutil.NoGoroutineLeaks(t)
 	build := func() (*ir.Module, error) {
 		return workloads.BuildBFS(workloads.BFSConfig{
 			Vertices: 512, Degree: 6, Trials: 2, Seed: 11}).Module, nil
 	}
-	Run(t, build, Config{
+	perhop, offload := Run(t, build, Config{
 		Spec:     "cut=32768,corrupt=0.01,seed=7",
 		RetryMax: 8,
 		Window:   8,
 		MaxBatch: 2,
 	})
+	for _, o := range []Outcome{perhop, offload} {
+		if o.Stats.GathersIssued == 0 {
+			t.Errorf("a remote run issued no gathers (%d served)", o.Stats.GatherHits)
+		}
+		t.Logf("%d gathers issued, %d served a miss, %d remote fetches", o.Stats.GathersIssued, o.Stats.GatherHits, o.Stats.RemoteFetches)
+	}
 }

@@ -79,11 +79,11 @@ func (r *Runtime) ChasePrefetch(d *DS, idx, hops int) bool {
 	start := int(off >> d.objShift)
 	if obj := &d.objs[start]; obj.state != objRemote {
 		return true // successor already local or arriving: covered
-	} else if obj.ent != nil {
+	} else if e := obj.ent; e != nil && !e.gather {
 		// A staged hop or a chase from here covers it. A staged
 		// write-back's bytes are served from staging, and a chase through
 		// it could observe the pre-write image.
-		return obj.ent.kind == entryHop
+		return e.kind == entryHop
 	}
 	return r.issueChase(d, start, hops)
 }
@@ -188,7 +188,8 @@ func (r *Runtime) settleChase(p *entry) {
 }
 
 // stageable reports whether a chase may stage object idx of d: it is
-// remote and has no entry.
+// remote and has no entry but a gather, which gives way (track).
 func (r *Runtime) stageable(d *DS, idx int) bool {
-	return d.objs[idx].state == objRemote && d.objs[idx].ent == nil
+	e := d.objs[idx].ent
+	return d.objs[idx].state == objRemote && (e == nil || e.gather)
 }

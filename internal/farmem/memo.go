@@ -18,6 +18,9 @@ type HitMemo struct {
 	idx             int
 	gLo, gHi        int    // a write site's span
 	hits, seq       uint64 // unsettled hits; memoSeq at the last one
+	// Gather, if set, is the site's compiler-named chain, walked on the
+	// site's miss (gather.go).
+	Gather *Gather
 }
 
 // GuardSite is GuardSpan (GuardStore with once) at the guard site m. An

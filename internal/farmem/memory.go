@@ -243,12 +243,17 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 		d.stats.Misses++
 		r.stats.RemoteFetches++
 		start := r.clock.Now()
+		if m != nil && m.Gather != nil {
+			r.gatherAhead(m.Gather) // before this miss's read: one doorbell
+		}
 		frame, err := r.allocFrame(d, idx)
 		if err != nil {
 			r.endRoot(rootMine)
 			return 0, err
 		}
-		if once && r.rwstore != nil && !r.breakerIsOpen() {
+		if r.takeGather(d, idx, frame) {
+			// Served from the gathered bytes, charged as the read below.
+		} else if once && r.rwstore != nil && !r.breakerIsOpen() {
 			obj.log = r.getLog() // the store below is its first entry
 		} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
 			// Give the frame back and bump the epoch so the ring entry
@@ -529,7 +534,7 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	}
 	// Nothing stages over an entry: a staged write-back or hop is served
 	// from the table, and a chase from here will stage the object.
-	if obj.ent != nil {
+	if e := obj.ent; e != nil && !e.gather {
 		return
 	}
 	rootMine := r.beginRoot()
@@ -538,8 +543,13 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		r.endRoot(rootMine)
 		return // no capacity: drop the hint
 	}
-	e := r.newEntry(entryRead, d, idx)
-	if r.astore != nil {
+	e, adopted := obj.ent, obj.ent != nil // a gather: its read becomes the prefetch's
+	if adopted {
+		*r.charged(e) -= e.bytes
+		e.gather = false
+		*r.charged(e) += e.bytes
+		d.inflight++
+	} else if e = r.newEntry(entryRead, d, idx); r.astore != nil {
 		// Truly asynchronous issue: this goroutine moves on at once, so a
 		// prefetcher puts its whole lookahead window on the wire in one
 		// doorbell.
@@ -557,7 +567,9 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		}
 	}
 	e.at = r.link.FetchAsync(d.Meta.ObjSize)
-	r.track(e)
+	if !adopted {
+		r.track(e)
+	}
 	obj.frame = frame
 	obj.state = objInFlight
 	obj.ref = false
@@ -635,19 +647,20 @@ func (r *Runtime) AllLocal(ids []int) bool {
 // Prefetch services an explicit cards_prefetch hint on an address.
 func (r *Runtime) Prefetch(addr uint64) {
 	r.SettleHits()
-	if !IsTagged(addr) {
-		return
+	if d, idx, ok := r.locate(addr); ok {
+		r.clock.Advance(r.model.PrefetchIssue)
+		r.PrefetchObj(d, idx)
 	}
+}
+
+// locate maps a tagged address inside its structure's extent to the
+// structure and object index.
+func (r *Runtime) locate(addr uint64) (*DS, int, bool) {
 	d := r.DSByID(DSOf(addr))
-	if d == nil {
-		return
+	if !IsTagged(addr) || d == nil || OffOf(addr) >= d.size {
+		return nil, 0, false
 	}
-	off := OffOf(addr)
-	if off >= d.size {
-		return
-	}
-	r.clock.Advance(r.model.PrefetchIssue)
-	r.PrefetchObj(d, int(off>>d.objShift))
+	return d, int(OffOf(addr) >> d.objShift), true
 }
 
 // ReadWord performs a localized 64-bit read; the address must be a

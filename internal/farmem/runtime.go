@@ -200,8 +200,9 @@ type DS struct {
 	quiet             int
 	quietGen, repeats uint64
 
-	// chaseGen advances on every dirty eviction of the structure; a
-	// chase issued under an older one is dropped (settleChase).
+	// chaseGen advances on every dirty eviction of the structure and
+	// every drop of its write-back; a chase issued under an older one is
+	// dropped (settleChase).
 	chaseGen uint64
 
 	// label is the ds="<id>" metric label.
@@ -449,6 +450,8 @@ type RuntimeStats struct {
 	ChaseStagingHits uint64 // derefs served from chase-staged objects
 	ChaseStale       uint64 // chase results dropped by the generation guard
 	ChaseFallbacks   uint64 // chases that failed; traversal fell back to per-hop reads
+	GathersIssued    uint64 // frameless reads issued ahead of a gather site's miss (gather.go)
+	GatherHits       uint64 // misses served from a gather's bytes
 }
 
 // Runtime is the CaRDS far-memory runtime.
@@ -468,7 +471,7 @@ type Runtime struct {
 
 	// The in-flight table (table.go): the issue-order list, entries by
 	// kind, the pools, and the bytes staged in write-backs (budgeted,
-	// retired) and hops; inflightBytes holds reads and programs.
+	// retired), hops and gathers; inflightBytes holds reads and programs.
 	order            []*entry
 	kinds            [entryKinds]int
 	sweeping         bool
@@ -478,6 +481,7 @@ type Runtime struct {
 	wbRetired        uint64
 	wbBudget         uint64
 	chaseStagedBytes uint64
+	gatherBytes      uint64
 
 	pinnedBudget, remotableBudget uint64
 	pinnedUsed, remotableUsed     uint64

@@ -14,7 +14,8 @@ import (
 //     payload lands in a staging buffer, not the frame (the arena slab
 //     may move while the read is out); a plain Store's read landed in the
 //     frame at issue. Deref waits and harvests it; the CLOCK hand settles
-//     it once landed.
+//     it once landed. Or a gather (gather.go): a frameless read of an
+//     objRemote object, which gives way to any other entry.
 //   - a hop: a chase program on the wire, on its start object, or one
 //     object of a returned path, staged. Its object is objRemote.
 //   - a write-back: an evicted dirty object's snapshot, in flight,
@@ -27,9 +28,9 @@ import (
 //     it (serveStaged), never from a read that could race its write.
 //   - Per-object ordering: re-evicting an object settles its write-back
 //     first (tryAsyncWriteBack).
-//   - Eviction kills a staged hop: a dirty eviction advances the chase
-//     generation, and a program issued under an older one is dropped
-//     whole when it settles (settleChase).
+//   - Eviction kills a staged hop: a dirty eviction, and its write-back's
+//     drop, advance the chase generation, and a program issued under an
+//     older one is dropped whole when it settles (settleChase).
 //   - Nothing stages over an entry: PrefetchObj, ChasePrefetch and a
 //     chase reply pass over an object that has one.
 
@@ -53,7 +54,8 @@ type entry struct {
 	// write and the reissue were refused, so buf is the only durable copy
 	// until a recovery drain. retired: the budget stall settled it in
 	// virtual time before its ack (waitOldestWB), charged to wbRetired.
-	partial, parked, retired bool
+	// gather: a frameless read, charged to gatherBytes.
+	partial, parked, retired, gather bool
 
 	d   *DS
 	idx int
@@ -102,6 +104,8 @@ func (r *Runtime) putEntry(e *entry) {
 // charged returns the byte counter e's bytes are charged to.
 func (r *Runtime) charged(e *entry) *uint64 {
 	switch {
+	case e.gather:
+		return &r.gatherBytes
 	case e.kind == entryRead || e.program():
 		return &r.inflightBytes
 	case e.kind == entryHop:
@@ -112,9 +116,13 @@ func (r *Runtime) charged(e *entry) *uint64 {
 	return &r.wbBytes
 }
 
-// track hangs e on its object, lists it and charges its bytes. A list
-// that is full and at least half dead is compacted first.
+// track hangs e on its object, dropping a gather there, lists it and
+// charges its bytes. A list that is full and at least half dead is
+// compacted first.
 func (r *Runtime) track(e *entry) {
+	if g := e.d.objs[e.idx].ent; g != nil && g.gather {
+		r.drop(g)
+	}
 	live := r.kinds[entryRead] + r.kinds[entryHop] + r.kinds[entryWB]
 	if n := len(r.order); n == cap(r.order) && 2*live <= n {
 		r.sweep(nil)
@@ -123,25 +131,34 @@ func (r *Runtime) track(e *entry) {
 	e.pos = len(r.order)
 	r.order = append(r.order, e)
 	r.kinds[e.kind]++
-	if e.kind == entryRead {
+	if e.kind == entryRead && !e.gather {
 		e.d.inflight++
 	}
 	*r.charged(e) += e.bytes
 }
 
 // drop is the one way out of the table: it unhooks e, leaves a hole in
-// the list, returns its bytes and recycles its buffers and the entry.
+// the list, returns its bytes and recycles its buffers — a read's only
+// once the store is done with it — and the entry. Dropping a write-back
+// makes the structure's chase programs stale: one issued while the write
+// was out may have walked the object before it landed (one issued before
+// it already is, by the eviction's generation bump).
 func (r *Runtime) drop(e *entry) {
 	if obj := &e.d.objs[e.idx]; obj.ent == e {
 		obj.ent = nil
 	}
+	if e.kind == entryWB {
+		e.d.chaseGen++
+	}
 	r.order[e.pos] = nil
 	r.kinds[e.kind]--
-	if e.kind == entryRead {
+	if e.kind == entryRead && !e.gather {
 		e.d.inflight--
 	}
 	*r.charged(e) -= e.bytes
-	r.putBuf(e.buf)
+	if e.settled {
+		r.putBuf(e.buf)
+	}
 	r.putExtBuf(e.exts)
 	r.putEntry(e)
 }
@@ -187,13 +204,14 @@ func (r *Runtime) getBuf(n int) []byte {
 }
 
 // putBuf parks a staging buffer for reuse, keeping spares per size class
-// up to the most staging holds at once — half the remotable budget of
-// reads and twice the write-back budget — so a bulk release is reused.
+// up to the most staging holds at once — half the remotable budget each
+// of reads and gathers, and twice the write-back budget — so a bulk
+// release is reused.
 func (r *Runtime) putBuf(b []byte) {
 	if b == nil {
 		return
 	}
-	if free := r.bufFree[len(b)]; uint64((len(free)+1)*len(b)) <= r.baseRemotableBudget/2+2*r.wbBudget {
+	if free := r.bufFree[len(b)]; uint64((len(free)+1)*len(b)) <= r.baseRemotableBudget+2*r.wbBudget {
 		r.bufFree[len(b)] = append(free, b)
 	}
 }
@@ -219,10 +237,11 @@ func (r *Runtime) harvest(e *entry) error {
 // serveStaged re-localizes a remote object from its entry — a
 // write-back's snapshot or a staged hop — first waiting out a chase
 // program that starts at the object (cheaper than a round trip). No
-// network, no breaker gate. Returns false when nothing is staged.
+// network, no breaker gate. Returns false when nothing is staged: a
+// gather serves the miss that follows (takeGather).
 func (r *Runtime) serveStaged(d *DS, idx int) (bool, error) {
 	obj := &d.objs[idx]
-	if obj.ent == nil || obj.ent.kind == entryHop {
+	if obj.ent == nil || obj.ent.kind != entryWB {
 		r.harvestChases()
 	}
 	e := obj.ent
@@ -234,7 +253,7 @@ func (r *Runtime) serveStaged(d *DS, idx int) (bool, error) {
 		d.pfWaitHist.Observe(r.clock.Now() - start)
 		e = obj.ent
 	}
-	if e == nil {
+	if e == nil || e.gather {
 		return false, nil
 	}
 	// Snapshot before allocFrame, whose evictions can settle and recycle

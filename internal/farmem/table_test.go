@@ -5,22 +5,24 @@ import (
 	"testing"
 	"time"
 
+	"cards/internal/rdma"
 	"cards/internal/testutil"
 )
 
 // checkTable fails unless the in-flight table is consistent: every
 // listed entry is listed once, at its pos, and is its object's entry, so
-// no object has two; a read's object is objInFlight and every
-// objInFlight object has a read; a hop's object is objRemote (a
+// no object has two; a read is either a prefetch, whose object is
+// objInFlight, or a frameless gather on an objRemote object, and every
+// objInFlight object has a prefetch; a hop's object is objRemote (a
 // write-back may outlive its object's re-localization from staging);
 // every entry is on the order list; and the kind counts, each
-// structure's in-flight reads, inflightBytes, the staged write-back
-// bytes (budgeted and retired) and the chase staged bytes are the sums
-// over the entries.
+// structure's in-flight prefetches, inflightBytes, the staged write-back
+// bytes (budgeted and retired), the chase staged bytes and the gathered
+// bytes are the sums over the entries.
 func checkTable(t testing.TB, r *Runtime) {
 	t.Helper()
 	var kinds [entryKinds]int
-	var inflight, staged, budgeted, retired uint64
+	var inflight, staged, budgeted, retired, gathered uint64
 	reads := map[*DS]int{}
 	listed := map[*entry]bool{}
 	for pos, e := range r.order {
@@ -40,6 +42,11 @@ func checkTable(t testing.TB, r *Runtime) {
 		kinds[e.kind]++
 		sz := uint64(e.d.Meta.ObjSize)
 		switch {
+		case e.gather:
+			if e.kind != entryRead || obj.state != objRemote {
+				t.Fatalf("gather (kind %d) of ds%d[%d] on an object in state %d", e.kind, e.d.ID, e.idx, obj.state)
+			}
+			gathered += sz
 		case e.kind == entryRead:
 			if obj.state != objInFlight {
 				t.Fatalf("read of ds%d[%d] on an object in state %d", e.d.ID, e.idx, obj.state)
@@ -67,7 +74,7 @@ func checkTable(t testing.TB, r *Runtime) {
 			if obj.ent != nil && !listed[obj.ent] {
 				t.Fatalf("entry (kind %d) of ds%d[%d] is not on the order list", obj.ent.kind, d.ID, idx)
 			}
-			if obj.state == objInFlight && (obj.ent == nil || obj.ent.kind != entryRead) {
+			if obj.state == objInFlight && (obj.ent == nil || obj.ent.kind != entryRead || obj.ent.gather) {
 				t.Fatalf("in-flight ds%d[%d] has no read entry", d.ID, idx)
 			}
 		}
@@ -78,9 +85,9 @@ func checkTable(t testing.TB, r *Runtime) {
 	if kinds != r.kinds {
 		t.Fatalf("entries by kind %v, counted %v", kinds, r.kinds)
 	}
-	if inflight != r.inflightBytes || staged != r.chaseStagedBytes || budgeted != r.wbBytes || retired != r.wbRetired {
-		t.Fatalf("counters: in flight %d, chase staged %d, wb budgeted %d, wb retired %d; entries hold %d, %d, %d, %d",
-			r.inflightBytes, r.chaseStagedBytes, r.wbBytes, r.wbRetired, inflight, staged, budgeted, retired)
+	if inflight != r.inflightBytes || staged != r.chaseStagedBytes || budgeted != r.wbBytes || retired != r.wbRetired || gathered != r.gatherBytes {
+		t.Fatalf("counters: in flight %d, chase staged %d, wb budgeted %d, wb retired %d, gathered %d; entries hold %d, %d, %d, %d, %d",
+			r.inflightBytes, r.chaseStagedBytes, r.wbBytes, r.wbRetired, r.gatherBytes, inflight, staged, budgeted, retired, gathered)
 	}
 }
 
@@ -192,4 +199,102 @@ func TestChaseTableHistories(t *testing.T) {
 		t.Fatalf("%d hops staged, %d served, %d stale programs; want some served and some stale", staged, served, stale)
 	}
 	t.Logf("%d hops staged, %d served, %d stale programs", staged, served, stale)
+}
+
+// heldChase is a far tier whose writes are held until Release
+// (testutil.HeldAsync) and whose chases walk the store when issued
+// (testutil.ChaseAsync), so a chase issued while a write is held walks
+// the old bytes.
+type heldChase struct {
+	*testutil.HeldAsync
+	walker *testutil.ChaseAsync
+}
+
+func (s heldChase) ChaseCapable() bool { return true }
+
+func (s heldChase) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) { return s.walker.Chase(req) }
+
+func (s heldChase) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
+	s.walker.IssueChase(req, done)
+}
+
+// TestChaseAfterWriteBackLandsGoesStale: a chase program issued while
+// object X's write-back is out walks X's old bytes; when that write-back
+// is acked and dropped before the program settles, the program goes
+// stale rather than staging the old X.
+func TestChaseAfterWriteBackLandsGoesStale(t *testing.T) {
+	const obj = 64
+	base := NewMapStore()
+	store := heldChase{HeldAsync: &testutil.HeldAsync{ObjStore: base}, walker: testutil.NewChaseAsync(base, 0, 1)}
+	r := New(Config{PinnedBudget: 1 << 16, RemotableBudget: 8 * obj, Store: store})
+	r.RegisterDS(0, DSMeta{ObjSize: obj, ElemSize: obj, Recursive: true, PtrOffsets: []int{0}})
+	r.SetPlacement(0, PlaceRemotable)
+	addr, err := r.DSAlloc(0, 4*obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.DSByID(0)
+	at := func(i int) uint64 { return addr + uint64(i*obj) }
+	write := func(i int, v uint64) {
+		p, err := r.Guard(at(i)+8, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.WriteWord(p, v)
+	}
+	evict := func(i int) {
+		for pos, c := range r.ring {
+			if c.idx == i && c.epoch == d.objs[i].epoch {
+				if err := r.evictObject(d, i, pos); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+		t.Fatalf("object %d is not resident", i)
+	}
+	// Objects 0 → 1 → 2 → 3; 1 (W) and 2 (X) durable and remote.
+	for i := 0; i < 4; i++ {
+		p, err := r.Guard(at(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			r.WriteWord(p, at(i+1))
+		}
+		write(i, 100+uint64(i))
+	}
+	evict(1)
+	evict(2)
+	store.Release(-1, nil)
+	if err := r.DrainWriteBacks(); err != nil {
+		t.Fatal(err)
+	}
+	// 1. X rewritten and evicted dirty: its write is held.
+	write(2, 999)
+	evict(2)
+	// 2. A chase from W walks X's old bytes at issue.
+	if !r.ChasePrefetch(d, 0, 4) || store.walker.Chases() != 1 {
+		t.Fatal("no chase was issued from object 0")
+	}
+	// 3. X's write lands and its entry is dropped; 4. the chase
+	// completes and W's miss settles it.
+	store.Release(2, nil)
+	if err := r.DrainWriteBacks(); err != nil {
+		t.Fatal(err)
+	}
+	store.walker.Wait()
+	for i, want := range []uint64{101, 999} {
+		p, err := r.Guard(at(1+i)+8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := r.ReadWord(p); v != want {
+			t.Fatalf("object %d reads %d after its write landed, want %d", 1+i, v, want)
+		}
+		checkTable(t, r)
+	}
+	if st := r.Stats(); st.ChaseStale != 1 {
+		t.Fatalf("%d stale chases, want 1", st.ChaseStale)
+	}
 }

@@ -128,24 +128,20 @@ func (res *Result) insertGuards(f *ir.Function, ds *dsa.Result, an *analysis.Res
 
 			var covered *guardEntry
 			var coveredBy guardKey
-			if opts.ElideRedundant && elidable {
-				if opts.InductionOnlyElision && !isIVIndex(an, f, index) {
-					// TrackFM-style: only elide when indexed by an IV.
-				} else {
-					// A write guard covers both kinds; a read guard
-					// covers reads.
-					wk := guardKey{base, index, slot, true}
-					rk := guardKey{base, index, slot, false}
-					if e, ok := active[wk]; ok {
-						covered, coveredBy = e, wk
-					} else if e, ok := active[rk]; ok && !isWrite {
-						covered, coveredBy = e, rk
-					}
+			// TrackFM-style InductionOnlyElision elides only when indexed
+			// by an IV. A write guard covers both kinds; a read guard
+			// covers reads.
+			if opts.ElideRedundant && elidable && (!opts.InductionOnlyElision || isIVIndex(an, f, index)) {
+				wk := guardKey{base, index, slot, true}
+				rk := guardKey{base, index, slot, false}
+				if e, ok := active[wk]; ok {
+					covered, coveredBy = e, wk
+				} else if e, ok := active[rk]; ok && !isWrite {
+					covered, coveredBy = e, rk
 				}
 			}
 
 			if covered != nil {
-				_ = coveredBy
 				// Reuse: rewrite the address to the guard's localized
 				// result, offset by the static delta.
 				res.GuardsElided++
@@ -185,6 +181,7 @@ func (res *Result) insertGuards(f *ir.Function, ds *dsa.Result, an *analysis.Res
 				g.GLo, g.GHi = 0, in.Elem.Size()
 			}
 			g.DSRefs = append([]int(nil), ids...)
+			g.Gather = an.Gathers[in]
 			g.Dst = f.NewReg("", ir.Ptr(in.Elem))
 			b.InsertBefore(i, g)
 			i++

@@ -90,24 +90,26 @@ type function struct {
 	pool   []uint64
 	frame  int              // poolAt + len(pool)
 	memos  []farmem.HitMemo // one per guard, by the guard's b
+	bp     int              // the innermost live activation's frame base
 }
 
 // decode translates every function of a verified module and returns
-// main (nil if the module has none).
-func decode(mod *ir.Module) (*function, error) {
+// main (nil if the module has none). A guard's gather reads the frame of
+// its function's innermost live activation on stack.
+func decode(mod *ir.Module, stack *[]uint64) (*function, error) {
 	fns := make(map[string]*function, len(mod.Funcs))
 	for _, f := range mod.Funcs {
 		fns[f.Name] = &function{name: f.Name}
 	}
 	for _, f := range mod.Funcs {
-		if err := decodeFunc(fns[f.Name], f, fns); err != nil {
+		if err := decodeFunc(fns[f.Name], f, fns, stack); err != nil {
 			return nil, err
 		}
 	}
 	return fns["main"], nil
 }
 
-func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
+func decodeFunc(out *function, f *ir.Function, fns map[string]*function, stack *[]uint64) error {
 	nregs := len(f.Regs())
 	sink := int32(nregs)
 	out.poolAt = nregs + 1
@@ -206,7 +208,15 @@ func decodeFunc(out *function, f *ir.Function, fns map[string]*function) error {
 				}
 				d.a, d.x, d.y = slot(in, in.Addr), int64(in.GLo), int64(in.GHi)
 				d.b = int32(len(out.memos))
-				out.memos = append(out.memos, farmem.HitMemo{})
+				var memo farmem.HitMemo
+				if g := in.Gather; g != nil {
+					memo.Gather = &farmem.Gather{Frame: func() []uint64 { return (*stack)[out.bp:] },
+						IV: slot(in, g.IV), Bound: slot(in, g.Bound), Step: g.Step}
+					for _, s := range g.Steps {
+						memo.Gather.Steps = append(memo.Gather.Steps, farmem.GatherStep{Base: slot(in, s.Base), Scale: s.Scale, Off: s.Off})
+					}
+				}
+				out.memos = append(out.memos, memo)
 			case ir.OpAllLocal:
 				d.op = opAllLocal
 			case ir.OpPrefetch:

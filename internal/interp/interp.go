@@ -92,11 +92,13 @@ func New(mod *ir.Module, rt *farmem.Runtime, opts Options) (*Machine, error) {
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = 10_000
 	}
-	main, err := decode(mod)
+	m := &Machine{rt: rt, clock: rt.Clock(), model: rt.Model(), opts: opts}
+	main, err := decode(mod, &m.stack)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{rt: rt, clock: rt.Clock(), model: rt.Model(), opts: opts, main: main}, nil
+	m.main = main
+	return m, nil
 }
 
 // Stats returns execution statistics.
@@ -141,7 +143,10 @@ func (m *Machine) call(f *function, bp int, args []int32, from int) (uint64, err
 	for i, a := range args {
 		fr[f.params[i]] = m.stack[from+int(a)]
 	}
+	outer := f.bp
+	f.bp = bp
 	ret, err := m.exec(f, bp)
+	f.bp = outer
 	m.depth--
 	return ret, err
 }

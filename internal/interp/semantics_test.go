@@ -255,7 +255,7 @@ func TestFallOffBlockIsRefusedAtDecode(t *testing.T) {
 	m := ir.NewModule("open")
 	b := ir.NewBuilder(m.NewFunc("main", ir.I64()))
 	b.Add(ir.CI(1), ir.CI(2))
-	if _, err := decode(m); err == nil || err.Error() != "interp: fell off block entry in @main" {
+	if _, err := decode(m, nil); err == nil || err.Error() != "interp: fell off block entry in @main" {
 		t.Fatalf("decode of an unterminated block: %v", err)
 	}
 	if _, err := New(m, newRT(), Options{}); err == nil {
@@ -348,7 +348,7 @@ func TestDecodeFusesOnlyTheGuardedAccessTriple(t *testing.T) {
 	m.AssignSites()
 	ir.MustVerify(m)
 
-	main, err := decode(m)
+	main, err := decode(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,7 +928,7 @@ func TestRandomGuardedProgramsMatchReference(t *testing.T) {
 	t.Logf("%d of 300 programs trapped, %d served a guard from a site memo", trapped, memoized)
 	fused := 0
 	for seed := int64(1); seed <= 300; seed++ {
-		main, err := decode(genProgram(rand.New(rand.NewSource(seed)), true))
+		main, err := decode(genProgram(rand.New(rand.NewSource(seed)), true), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

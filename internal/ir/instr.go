@@ -233,6 +233,29 @@ type Instr struct {
 	// Site is a stable allocation-site / instruction identifier assigned
 	// by the verifier pass, used by DSA to key context-sensitive clones.
 	Site int
+
+	// Gather, on a read guard, names the guarded address as a chain of
+	// loads from an enclosing counted loop's induction variable
+	// (analysis.Result.Gathers). It is metadata for the runtime's miss
+	// path: no pass, printer or interpreter step reads it otherwise.
+	Gather *Gather
+}
+
+// Gather is a guard site's address as a function of an enclosing
+// counted loop's induction variable IV (stepping by Step, exiting at
+// Bound): from x = IV, each step sets x = Base + x*Scale + Off, and every
+// step but the last loads the word at x. The last step's x is the
+// guarded address.
+type Gather struct {
+	IV, Bound Value
+	Step      int64
+	Steps     []GatherStep
+}
+
+// GatherStep is one link of a Gather chain.
+type GatherStep struct {
+	Base       Value
+	Scale, Off int64
 }
 
 // NewInstr returns an instruction with annotation fields initialized.

@@ -253,6 +253,8 @@ func (c *Chase) OnAccess(r *farmem.Runtime, d *farmem.DS, idx int, miss bool) {
 // the threshold after a trial window, prefetching is disabled for a
 // back-off period before being retried.
 type Adaptive struct {
+	// Inner is the wrapped prefetcher, fixed from the first
+	// QuietOnRepeat on.
 	Inner farmem.Prefetcher
 
 	// MinAccuracy is the disable threshold (default 0.25).
@@ -264,6 +266,8 @@ type Adaptive struct {
 	lastIssued    uint64
 	lastHits      uint64
 	observed      uint64
+	quiet         farmem.QuietPrefetcher // Inner, if it is one, once resolved
+	resolved      bool
 }
 
 // NewAdaptive wraps inner with accuracy-based disabling.
@@ -305,8 +309,11 @@ func (a *Adaptive) QuietOnRepeat() bool {
 	if a.disabledUntil != 0 {
 		return false
 	}
-	q, ok := a.Inner.(farmem.QuietPrefetcher)
-	return ok && q.QuietOnRepeat()
+	if !a.resolved {
+		a.quiet, _ = a.Inner.(farmem.QuietPrefetcher)
+		a.resolved = true
+	}
+	return a.quiet != nil && a.quiet.QuietOnRepeat()
 }
 
 // Accuracy returns hits/issued for a data structure's prefetcher.
