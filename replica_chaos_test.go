@@ -8,6 +8,7 @@ package cards
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"cards/internal/farmem"
 	"cards/internal/ir"
 	"cards/internal/policy"
+	"cards/internal/rdma"
 	"cards/internal/remote"
 	"cards/internal/replica"
 	"cards/internal/workloads"
@@ -113,13 +115,23 @@ func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Kill the victim from its own goroutine once the run has issued 500
+	// of its ~2,300 range writes, so the kill lands mid-run however fast
+	// the host is, and restart it only once the drain has returned.
 	const victim = 0
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		srvs[victim].Drain(20 * time.Millisecond)
-	}()
-
-	res := run(rs)
+	var once sync.Once
+	drained := make(chan struct{})
+	kill := func() {
+		once.Do(func() {
+			go func() {
+				srvs[victim].Drain(20 * time.Millisecond)
+				close(drained)
+			}()
+		})
+	}
+	res := run(&killAtRangeWrite{Store: rs, at: 500, kill: kill})
+	kill() // a run with fewer range writes is killed after it
+	<-drained
 	if res.MainResult != want {
 		t.Errorf("range-writeback replica checksum %#x != in-process %#x", res.MainResult, want)
 	}
@@ -180,6 +192,21 @@ func TestReplicaKillBackendRangeWriteback(t *testing.T) {
 		}
 	}
 	checkGoroutines(t, before)
+}
+
+// killAtRangeWrite is a replicated store that calls kill when the
+// runtime issues its at-th range write.
+type killAtRangeWrite struct {
+	*replica.Store
+	n, at int
+	kill  func()
+}
+
+func (k *killAtRangeWrite) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	if k.n++; k.n == k.at {
+		k.kill()
+	}
+	k.Store.IssueWriteRanges(ds, idx, src, exts, done)
 }
 
 func TestReplicaKillAnyBackendMidRun(t *testing.T) {
