@@ -146,7 +146,7 @@ type Config struct {
 	// compact wire tier: "" or "adaptive" compresses objects whose
 	// observed compressibility pays for the CPU, sampling
 	// incompressible structures only occasionally; "off" ships every
-	// object raw.
+	// object raw. New refuses any other value.
 	Compression string
 	// DirtyRangeWriteback ships only the modified byte ranges of a dirty
 	// object at eviction when the far tier speaks the compact range
@@ -197,6 +197,9 @@ type Runtime struct {
 // a whole lookahead window rides one doorbell). A server that speaks a
 // different protocol version is refused with remote.ErrProtoMismatch.
 func New(cfg Config) (*Runtime, error) {
+	if _, err := remote.CompressionOn(cfg.Compression); err != nil {
+		return nil, fmt.Errorf("cards: %w", err)
+	}
 	fc := farmem.Config{
 		PinnedBudget:    cfg.PinnedMemory,
 		RemotableBudget: cfg.RemotableMemory,

@@ -238,6 +238,33 @@ func TestRemoteTCPBackend(t *testing.T) {
 	}
 }
 
+// TestCompressionModeIsChecked: Config.Compression takes "", "adaptive"
+// or "off"; New refuses anything else, naming those, before it dials.
+func TestCompressionModeIsChecked(t *testing.T) {
+	srv := remote.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, mode := range []string{"", "adaptive", "off"} {
+		r, err := New(Config{RemotableMemory: 8 * 4096, RemoteAddr: addr, Compression: mode})
+		if err != nil {
+			t.Fatalf("Compression %q: %v", mode, err)
+		}
+		r.Close()
+	}
+	for _, mode := range []string{"Off", "none", "auto"} {
+		_, err := New(Config{RemotableMemory: 8 * 4096, RemoteAddr: addr, Compression: mode})
+		if err == nil || !strings.Contains(err.Error(), `"" or "adaptive" (adaptive) or "off" (raw)`) {
+			t.Fatalf("Compression %q: err %v, want a refusal naming the modes", mode, err)
+		}
+	}
+	if n := srv.Obs().Snapshot().Counter(remote.MetricConnsTotal); n != 3 {
+		t.Fatalf("server saw %d connections, want 3: a refused mode must not dial", n)
+	}
+}
+
 func TestBadRemoteAddr(t *testing.T) {
 	if _, err := New(Config{RemoteAddr: "127.0.0.1:1"}); err == nil {
 		t.Fatal("unreachable far tier should fail fast")

@@ -64,7 +64,7 @@ type Config struct {
 	// as a checksum divergence on the next fetch of that object.
 	RangeWriteback bool
 	// Compression sets the compact tier's compression mode for the
-	// remote modes ("" = adaptive, "off" = raw).
+	// remote modes: "" or "adaptive" (adaptive), or "off" (raw).
 	Compression string
 }
 

@@ -8,17 +8,25 @@ import (
 // failingAsyncStore is an AsyncStore whose asynchronous reads of failIdx
 // always fail and whose synchronous reads of failIdx fail while syncFail
 // is set. Writes always succeed, so eviction write-backs keep working
-// while the read paths are under fault. The runtime and the (immediate)
-// completion callback run on one goroutine, so no locking is needed.
+// while the read paths are under fault. It counts the synchronous reads
+// of failIdx and keeps the buffer the last one filled. The runtime and
+// the (immediate) completion callback run on one goroutine, so no
+// locking is needed.
 type failingAsyncStore struct {
-	inner    *MapStore
-	failIdx  int
-	syncFail bool
+	inner     *MapStore
+	failIdx   int
+	syncFail  bool
+	syncReads int
+	lastDst   []byte
 }
 
 func (s *failingAsyncStore) ReadObj(ds, idx int, dst []byte) error {
-	if s.syncFail && idx == s.failIdx {
-		return errInjected
+	if idx == s.failIdx {
+		s.syncReads++
+		s.lastDst = dst
+		if s.syncFail {
+			return errInjected
+		}
 	}
 	return s.inner.ReadObj(ds, idx, dst)
 }
@@ -63,8 +71,8 @@ func TestHarvestRetriesFailedAsyncReadSynchronously(t *testing.T) {
 	if d.objs[0].state != objInFlight {
 		t.Fatalf("obj 0 state = %v, want in-flight", d.objs[0].state)
 	}
-	// The demand deref harvests the failed completion and must fall back
-	// to a synchronous re-read transparently.
+	// The demand deref harvests the failed completion and must read the
+	// object synchronously, transparently.
 	p, err := r.Guard(addr, false)
 	if err != nil {
 		t.Fatalf("deref with failed async read: %v", err)
@@ -84,8 +92,8 @@ func TestHarvestFailurePropagatesAndRevertsObject(t *testing.T) {
 	s.syncFail = true // the synchronous fallback fails too
 	used := r.RemotableUsed()
 	_, err := r.Guard(addr, false)
-	if err == nil || !strings.Contains(err.Error(), "async fetch") {
-		t.Fatalf("err = %v, want async fetch failure", err)
+	if err == nil || !strings.Contains(err.Error(), "remote read") {
+		t.Fatalf("err = %v, want the remote read failure", err)
 	}
 	if d.objs[0].state != objRemote {
 		t.Fatalf("obj 0 state = %v, want reverted to remote", d.objs[0].state)
@@ -139,5 +147,79 @@ func TestClockSettleRevertsFailedPrefetch(t *testing.T) {
 	}
 	if v, _ := r.ReadWord(p); v != 1000 {
 		t.Fatalf("value after heal = %d, want 1000", v)
+	}
+}
+
+// TestClockHandDropsFailedPrefetchUnread: a prefetch whose read failed
+// and that no access consumes is a read nobody asked for. The CLOCK hand
+// reverts it to remote without a store call, and it counts as no hit.
+func TestClockHandDropsFailedPrefetchUnread(t *testing.T) {
+	s := &failingAsyncStore{inner: NewMapStore(), failIdx: 0}
+	r, addr := asyncFaultRuntime(t, s)
+	writeWorkingSet(t, r, addr, 6)
+	d := r.DSByID(0)
+
+	r.PrefetchObj(d, 0)
+	for i := 1; i < 4; i++ { // as TestClockSettleRevertsFailedPrefetch
+		if _, err := r.Guard(addr+uint64(i*4096), false); err != nil {
+			t.Fatalf("deref obj %d: %v", i, err)
+		}
+	}
+	if d.objs[0].state != objRemote {
+		t.Fatalf("obj 0 state = %v, want dropped to remote", d.objs[0].state)
+	}
+	if s.syncReads != 0 {
+		t.Fatalf("the CLOCK hand read the unused failed prefetch %d times, want 0", s.syncReads)
+	}
+	if d.stats.PrefetchHits != 0 {
+		t.Fatalf("PrefetchHits = %d, want 0", d.stats.PrefetchHits)
+	}
+}
+
+// TestDerefOfFailedPrefetchIsAMiss: a deref that finds its prefetch's
+// read failed is the miss it is — one synchronous fetch, counted and
+// charged as a miss — not a prefetch hit.
+func TestDerefOfFailedPrefetchIsAMiss(t *testing.T) {
+	s := &failingAsyncStore{inner: NewMapStore(), failIdx: 0}
+	r, addr := asyncFaultRuntime(t, s)
+	writeWorkingSet(t, r, addr, 6)
+	d := r.DSByID(0)
+
+	r.PrefetchObj(d, 0)
+	ds, fetches, charged := d.stats, r.stats.RemoteFetches, r.link.Fetches
+	p, err := r.Guard(addr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := r.ReadWord(p); v != 1000 {
+		t.Fatalf("value = %d, want 1000", v)
+	}
+	got := [...]uint64{d.stats.Misses - ds.Misses, r.stats.RemoteFetches - fetches, r.link.Fetches - charged,
+		d.stats.PrefetchHits - ds.PrefetchHits, d.stats.Hits - ds.Hits}
+	if got != [...]uint64{1, 1, 1, 0, 0} {
+		t.Fatalf("misses, remote fetches, FetchSync charges, prefetch hits, hits = %v, want [1 1 1 0 0]", got)
+	}
+}
+
+// TestFailedPrefetchReadsIntoItsOwnFrame: the miss a failed prefetch
+// becomes reads straight into the frame the prefetch holds, taking no
+// other frame — a second allocation could find nothing evictable on a
+// small budget.
+func TestFailedPrefetchReadsIntoItsOwnFrame(t *testing.T) {
+	s := &failingAsyncStore{inner: NewMapStore(), failIdx: 0}
+	r, addr := asyncFaultRuntime(t, s)
+	writeWorkingSet(t, r, addr, 6)
+	d := r.DSByID(0)
+
+	r.PrefetchObj(d, 0)
+	frame, used := d.objs[0].frame, r.RemotableUsed()
+	if _, err := r.Guard(addr, false); err != nil {
+		t.Fatal(err)
+	}
+	if d.objs[0].frame != frame || r.RemotableUsed() != used {
+		t.Fatalf("frame %d -> %d, remotable used %d -> %d: want the prefetch's frame kept", frame, d.objs[0].frame, used, r.RemotableUsed())
+	}
+	if s.syncReads != 1 || &s.lastDst[0] != &r.arena.Bytes(frame, 4096)[0] {
+		t.Fatalf("%d sync reads of obj 0, the last into %p; want one, into the frame at %p", s.syncReads, &s.lastDst[0], &r.arena.Bytes(frame, 4096)[0])
 	}
 }

@@ -104,3 +104,37 @@ func TestClockOrderPreservedAcrossFallbackEviction(t *testing.T) {
 		t.Fatal("obj 0 evicted out of turn: CLOCK order perturbed by swap-delete")
 	}
 }
+
+// TestClockFallbackFollowsSwapDelete: removing a stale entry mid-scan
+// swap-deletes the ring's tail into its slot. When the tail is the
+// fallback victim (every resident object deref-scope protected), the
+// fallback must follow it there; left at the old index it points past
+// the ring and the allocator finds "nothing evictable".
+func TestClockFallbackFollowsSwapDelete(t *testing.T) {
+	const obj = 64
+	r := New(Config{PinnedBudget: 1 << 16, RemotableBudget: 2 * obj})
+	r.RegisterDS(0, DSMeta{ObjSize: obj})
+	r.SetPlacement(0, PlaceRemotable)
+	addr, err := r.DSAlloc(0, 2*obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.DSByID(0)
+	for i := range 2 {
+		if _, err := r.Guard(addr+uint64(i*obj), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Object 0's entry goes stale (as a failed prefetch's does at the
+	// hand); object 1, at the tail, is protected and has no second
+	// chance left. The scan meets 1 first, then the stale 0.
+	r.release(d, &d.objs[0])
+	d.objs[1].ref = false
+	r.hand = 1
+	if err := r.evictOne(); err != nil {
+		t.Fatal(err)
+	}
+	if d.objs[1].state != objRemote || len(r.ring) != 0 {
+		t.Fatalf("obj 1 state %v, %d ring entries: want the fallback evicted and the ring empty", d.objs[1].state, len(r.ring))
+	}
+}

@@ -198,22 +198,27 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 		// time instead of paying a full round trip, and harvest the read.
 		start := r.clock.Now()
 		r.link.WaitUntil(obj.ent.at)
-		if err := r.harvest(obj.ent); err != nil {
+		if r.harvest(obj.ent) == nil {
+			d.pfWaitHist.Observe(r.clock.Now() - start)
+			obj.state = objLocal
+			d.stats.PrefetchHits++
+			d.stats.Hits++
+			r.emitSpan(EvPrefetchHit, d.ID, idx, false, start)
+			break
+		}
+		// Its read failed and was dropped: this deref is the miss it is,
+		// read into the prefetch's own frame.
+		missed, rootMine = true, r.beginRoot()
+		if err := r.fetch(d, idx, once, start); err != nil {
+			r.endRoot(rootMine)
 			return 0, err
 		}
-		d.pfWaitHist.Observe(r.clock.Now() - start)
-		obj.state = objLocal
-		d.stats.PrefetchHits++
-		d.stats.Hits++
-		r.emitSpan(EvPrefetchHit, d.ID, idx, false, start)
 
 	case objUninit:
 		// First touch: materialize a zeroed frame locally; no network.
-		frame, err := r.allocFrame(d, idx)
-		if err != nil {
+		if err := r.allocFrame(d, idx); err != nil {
 			return 0, err
 		}
-		obj.frame = frame
 		obj.state = objLocal
 		d.stats.ColdFaults++
 		r.emit(EvMaterialize, d.ID, idx, false)
@@ -234,42 +239,23 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 			r.stats.DegradedOps++
 			return 0, errDegradedDeref(d.ID, idx)
 		}
-		missed = true
 		// The guard miss is the root cause of everything below it: the
 		// fetch, any evictions allocFrame triggers, their staged
 		// write-backs, and the prefetches OnAccess issues at the end of
 		// this deref all join this trace.
-		rootMine = r.beginRoot()
-		d.stats.Misses++
-		r.stats.RemoteFetches++
+		missed, rootMine = true, r.beginRoot()
 		start := r.clock.Now()
 		if m != nil && m.Gather != nil {
 			r.gatherAhead(m.Gather) // before this miss's read: one doorbell
 		}
-		frame, err := r.allocFrame(d, idx)
+		err := r.allocFrame(d, idx)
+		if err == nil {
+			err = r.fetch(d, idx, once, start)
+		}
 		if err != nil {
 			r.endRoot(rootMine)
 			return 0, err
 		}
-		if r.takeGather(d, idx, frame) {
-			// Served from the gathered bytes, charged as the read below.
-		} else if once && r.rwstore != nil && !r.breakerIsOpen() {
-			obj.log = r.getLog() // the store below is its first entry
-		} else if err := r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)); err != nil {
-			// Give the frame back and bump the epoch so the ring entry
-			// allocFrame just registered goes stale — otherwise every
-			// failed fetch would leak remotable budget.
-			r.arena.Free(frame, d.Meta.ObjSize)
-			r.remotableUsed -= uint64(d.Meta.ObjSize)
-			obj.epoch++
-			r.endRoot(rootMine)
-			return 0, fmt.Errorf("farmem: remote read ds%d[%d]: %w", d.ID, idx, err)
-		}
-		r.link.FetchSync(d.Meta.ObjSize)
-		d.fetchHist.Observe(r.clock.Now() - start)
-		obj.frame = frame
-		obj.state = objLocal
-		r.emitSpan(EvFetch, d.ID, idx, false, start)
 	}
 
 	if l := obj.log; l != nil && !(once && l.add(objOff, min(8, d.Meta.ObjSize-objOff))) {
@@ -299,10 +285,33 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 	return obj.frame + uint64(objOff), nil
 }
 
-// allocFrame reserves a local frame for one object of d, evicting cold
-// objects if the remotable budget is exhausted, and registers the object
-// in the CLOCK ring.
-func (r *Runtime) allocFrame(d *DS, idx int) (uint64, error) {
+// fetch is a miss's read into the frame its object holds — from the
+// object's gather, as an unread object's empty store log, or from the
+// store — counted and charged as one synchronous fetch. A failed read
+// releases the frame (its ring entry goes stale) and is returned.
+func (r *Runtime) fetch(d *DS, idx int, once bool, start uint64) error {
+	obj := &d.objs[idx]
+	d.stats.Misses++
+	r.stats.RemoteFetches++
+	if r.takeGather(d, idx, obj.frame) {
+		// Served from the gathered bytes, charged as the read below.
+	} else if once && r.rwstore != nil && !r.breakerIsOpen() {
+		obj.log = r.getLog() // the store below is its first entry
+	} else if err := r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
+		r.release(d, obj)
+		return fmt.Errorf("farmem: remote read ds%d[%d]: %w", d.ID, idx, err)
+	}
+	r.link.FetchSync(d.Meta.ObjSize)
+	d.fetchHist.Observe(r.clock.Now() - start)
+	obj.state = objLocal
+	r.emitSpan(EvFetch, d.ID, idx, false, start)
+	return nil
+}
+
+// allocFrame reserves a local frame for one object of d (its FarObj's
+// frame), evicting cold objects if the remotable budget is exhausted,
+// and registers the object in the CLOCK ring.
+func (r *Runtime) allocFrame(d *DS, idx int) error {
 	sz := uint64(d.Meta.ObjSize)
 	for r.remotableUsed+sz > r.remotableBudget {
 		if r.breakerIsOpen() && r.growBudget(sz) {
@@ -315,13 +324,13 @@ func (r *Runtime) allocFrame(d *DS, idx int) (uint64, error) {
 				// the budget instead, exactly as under a global outage.
 				break
 			}
-			return 0, err
+			return err
 		}
 	}
-	frame := r.arena.Alloc(d.Meta.ObjSize)
+	d.objs[idx].frame = r.arena.Alloc(d.Meta.ObjSize)
 	r.remotableUsed += sz
 	r.ring = append(r.ring, clockEntry{ds: d, idx: idx, epoch: d.objs[idx].epoch})
-	return frame, nil
+	return nil
 }
 
 // recentWindow is the number of most-recently derefed objects immune
@@ -352,9 +361,13 @@ func (r *Runtime) evictOne() error {
 		switch {
 		case obj.epoch != e.epoch || obj.state == objRemote || obj.state == objUninit:
 			// Stale entry: the object was evicted (and possibly
-			// re-localized under a newer epoch/entry).
-			if fallbackPos == r.hand {
+			// re-localized under a newer epoch/entry). The swap-delete
+			// moves the tail entry here, the fallback with it.
+			switch fallbackPos {
+			case r.hand:
 				fallbackPos = -1
+			case len(r.ring) - 1:
+				fallbackPos = r.hand
 			}
 			r.removeRingEntry(r.hand)
 		case obj.state == objInFlight:
@@ -363,10 +376,10 @@ func (r *Runtime) evictOne() error {
 				// unused prefetch. Settle it to Local (evictable) so
 				// speculative frames cannot wedge the cache — once the
 				// completion has actually arrived (ready does not block).
-				if err := r.harvest(p); err != nil {
-					// harvest reverted the object to remote and freed its
-					// frame; the ring entry is now stale and will be
-					// collected on a later pass.
+				// A failed one reverts to remote with no store call (nobody
+				// asked for it); its stale ring entry goes on a later pass.
+				if r.harvest(p) != nil {
+					r.release(e.ds, obj)
 					continue
 				}
 				obj.state = objLocal
@@ -538,8 +551,7 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		return
 	}
 	rootMine := r.beginRoot()
-	frame, err := r.allocFrame(d, idx)
-	if err != nil {
+	if r.allocFrame(d, idx) != nil {
 		r.endRoot(rootMine)
 		return // no capacity: drop the hint
 	}
@@ -557,11 +569,9 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		r.astore.IssueRead(d.ID, idx, e.buf, e.fn)
 	} else {
 		e.settled = true // a plain Store's read lands in the frame now
-		if r.storeRead(d, idx, r.arena.Bytes(frame, d.Meta.ObjSize)) != nil {
+		if r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)) != nil {
 			r.putEntry(e)
-			r.arena.Free(frame, d.Meta.ObjSize)
-			r.remotableUsed -= uint64(d.Meta.ObjSize)
-			obj.epoch++
+			r.release(d, obj)
 			r.endRoot(rootMine)
 			return
 		}
@@ -570,7 +580,6 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 	if !adopted {
 		r.track(e)
 	}
-	obj.frame = frame
 	obj.state = objInFlight
 	obj.ref = false
 	d.stats.PrefetchIssued++

@@ -1,10 +1,6 @@
 package farmem
 
-import (
-	"fmt"
-
-	"cards/internal/rdma"
-)
+import "cards/internal/rdma"
 
 // The in-flight table: an object between issue and settle has one
 // entry, hung on its FarObj (ent) and listed in issue order on
@@ -216,21 +212,15 @@ func (r *Runtime) putBuf(b []byte) {
 	}
 }
 
-// harvest settles an in-flight object's read: it waits for the
-// completion and copies the payload into the frame. A failed async read
-// is retried synchronously; if that fails too the object reverts to
-// remote and the error is returned.
+// harvest settles an in-flight object's read, copying the payload into
+// the frame, and drops its entry. A failed read is returned unretried
+// and not held against the breaker; the object keeps its frame.
 func (r *Runtime) harvest(e *entry) error {
 	defer r.drop(e)
-	d, obj := e.d, &e.d.objs[e.idx]
 	if err := e.wait(); err != nil {
-		r.noteFault(err)
-		if r.storeRead(d, e.idx, e.buf) != nil {
-			r.release(d, obj)
-			return fmt.Errorf("farmem: async fetch ds%d[%d]: %w", d.ID, e.idx, err)
-		}
+		return err
 	}
-	copy(r.arena.Bytes(obj.frame, d.Meta.ObjSize), e.buf)
+	copy(r.arena.Bytes(e.d.objs[e.idx].frame, e.d.Meta.ObjSize), e.buf)
 	return nil
 }
 
@@ -271,14 +261,13 @@ func (r *Runtime) serveStaged(d *DS, idx int) (bool, error) {
 	if hop {
 		r.drop(e)
 	}
-	frame, err := r.allocFrame(d, idx)
-	if err != nil {
+	if err := r.allocFrame(d, idx); err != nil {
 		r.putBuf(tmp)
 		return false, err
 	}
-	copy(r.arena.Bytes(frame, sz), tmp)
+	copy(r.arena.Bytes(obj.frame, sz), tmp)
 	r.putBuf(tmp)
-	obj.frame, obj.state, obj.log = frame, objLocal, log
+	obj.state, obj.log = objLocal, log
 	if hop {
 		r.stats.ChaseStagingHits++
 		d.stats.PrefetchHits++

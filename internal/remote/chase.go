@@ -16,17 +16,17 @@ import (
 // idempotent replay on reconnect as a read. (farmem.AsyncChaseStore is
 // the interface the runtime consumes them through.)
 
-// chaseIssuable validates a program client-side before it is enqueued,
-// so a malformed or unboundable program fails immediately instead of as
-// a server ERRTAG mid-pipeline.
-func chaseIssuable(req rdma.ChaseReq) error {
+// chaseOp is the op both chase verbs enqueue, once the program passed
+// the client-side checks: a malformed or unboundable program fails at
+// once instead of as a server ERRTAG mid-pipeline.
+func chaseOp(req rdma.ChaseReq) (*pipeOp, error) {
 	if err := req.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if rdma.ChaseReplyBound([]rdma.ChaseReq{req}) > rdma.MaxFrame {
-		return fmt.Errorf("remote: chase reply bound exceeds frame limit (%d hops of %d bytes)", req.Hops, req.ObjSize)
+		return nil, fmt.Errorf("remote: chase reply bound exceeds frame limit (%d hops of %d bytes)", req.Hops, req.ObjSize)
 	}
-	return nil
+	return &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}, nil
 }
 
 // ChaseCapable implements farmem.AsyncChaseStore. The chase verbs are part
@@ -42,22 +42,22 @@ func (c *PipelinedClient) ChaseCapable() bool {
 // like a read and done is invoked exactly once (possibly on the reader
 // goroutine) with the decoded, caller-owned path. done must not block.
 func (c *PipelinedClient) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	if err := chaseIssuable(req); err != nil {
+	op, err := chaseOp(req)
+	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	op := &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}
 	op.done = func(err error) { done(op.cres, err) }
 	c.enqueue(op)
 }
 
-// Chase implements farmem.AsyncChaseStore (issue + wait).
+// Chase implements farmem.AsyncChaseStore: the chase op, waited for.
 func (c *PipelinedClient) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	if err := chaseIssuable(req); err != nil {
+	op, err := chaseOp(req)
+	if err != nil {
 		return rdma.ChaseResult{}, err
 	}
-	op := &pipeOp{chase: true, ds: req.DS, idx: req.Start, creq: req}
-	err := c.wait(op)
+	err = c.wait(op)
 	return op.cres, err
 }
 

@@ -180,10 +180,7 @@ func (p *compressPolicy) observe(ds uint32, rawLen, wireLen int) {
 // atomic under the store lock. Extents were validated against objSize
 // at decode time.
 func (s *ObjectStore) WriteRange(ds, idx, objSize uint32, exts []rdma.Extent, raw []byte) {
-	k := [2]uint32{ds, idx}
-	s.mu.Lock()
-	s.m[k] = s.m[k].splice(objSize, exts, raw)
-	s.mu.Unlock()
+	s.writeRange(ds, idx, false, 0, objSize, exts, raw)
 }
 
 // WriteRangeEpoch is WriteRange with the replication layer's
@@ -194,19 +191,26 @@ func (s *ObjectStore) WriteRange(ds, idx, objSize uint32, exts []rdma.Extent, ra
 // missed an epoch; splicing into it would fabricate state, so the
 // write is rejected and the sender must fall back to full objects.
 func (s *ObjectStore) WriteRangeEpoch(ds, idx uint32, epoch uint64, objSize uint32, exts []rdma.Extent, raw []byte) (rejected bool) {
+	return s.writeRange(ds, idx, true, epoch, objSize, exts, raw)
+}
+
+// writeRange is the one way a splice is applied, under WriteRangeEpoch's
+// rule when stamped.
+func (s *ObjectStore) writeRange(ds, idx uint32, stamped bool, epoch uint64, objSize uint32, exts []rdma.Extent, raw []byte) (rejected bool) {
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	im := s.m[k]
-	if im.epoch > epoch {
-		return false // newer image already present: obsolete tuple, drop with a positive ack
+	if stamped {
+		if im.epoch > epoch {
+			return false // newer image already present: obsolete tuple, drop with a positive ack
+		}
+		if im.epoch+1 < epoch {
+			return true // missed an epoch: the base is stale, cannot splice
+		}
+		im.epoch = epoch
 	}
-	if im.epoch+1 < epoch {
-		return true // missed an epoch: the base is stale, cannot splice
-	}
-	im = im.splice(objSize, exts, raw)
-	im.epoch = epoch
-	s.m[k] = im
+	s.m[k] = im.splice(objSize, exts, raw)
 	return false
 }
 
@@ -391,24 +395,16 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 			return rdma.Frame{}, served{}, merr
 		}
 		if r.Extents == nil {
-			if epoch {
-				s.Store.writeWireEpoch(r.DS, r.Idx, r.Epoch, r.Scheme, r.RawLen, r.Data)
-			} else {
-				s.Store.writeWire(r.DS, r.Idx, r.Scheme, r.RawLen, r.Data)
-			}
+			s.Store.writeWire(r.DS, r.Idx, epoch, r.Epoch, r.Scheme, r.RawLen, r.Data)
 			continue
 		}
 		s.metrics.wire.rangeWrites.Inc()
 		if r.ObjSize > r.RawLen {
 			s.metrics.wire.rangeSaved.Add(uint64(r.ObjSize - r.RawLen))
 		}
-		if epoch {
-			if s.Store.WriteRangeEpoch(r.DS, r.Idx, r.Epoch, r.ObjSize, r.Extents, raw) {
-				rej[i/64] |= 1 << (i % 64)
-				s.metrics.wire.rangeRejects.Inc()
-			}
-		} else {
-			s.Store.WriteRange(r.DS, r.Idx, r.ObjSize, r.Extents, raw)
+		if s.Store.writeRange(r.DS, r.Idx, epoch, r.Epoch, r.ObjSize, r.Extents, raw) {
+			rej[i/64] |= 1 << (i % 64)
+			s.metrics.wire.rangeRejects.Inc()
 		}
 	}
 	return rdma.EncodeAckBatchC(f.Tag, len(reqs), rej), served{family: rdma.OpWriteBatchC, n: len(reqs)}, nil
@@ -444,13 +440,29 @@ func extentBytes(exts []rdma.Extent) int {
 // write that may already have been applied; the caller reissues if (as
 // with full-object write-backs) the write is idempotent.
 func (c *PipelinedClient) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
+	c.enqueue(writeOp(ds, idx, src, exts, done))
+}
+
+// IssueWriteRangesEpoch (replica.EpochBackend) is IssueWriteRanges with
+// an epoch stamp. The server applies a full object only when epoch is at
+// least the stored stamp, and acks either way: an ack means "the object
+// is at >= epoch", the idempotent contract replayed write-backs need. A
+// splice applies only onto the immediate predecessor image
+// (ObjectStore.WriteRangeEpoch); onto a stale base done gets
+// ErrStaleRangeBase, and the replication layer resyncs the member.
+func (c *PipelinedClient) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, exts []rdma.Extent, done func(error)) {
+	op := writeOp(ds, idx, src, exts, done)
+	op.wantEp, op.epoch = true, epoch
+	c.enqueue(op)
+}
+
+// writeOp is the op every write verb enqueues: the full object unless
+// exts are rangeWritable.
+func writeOp(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) *pipeOp {
 	if !rangeWritable(src, exts) {
 		exts = nil
 	}
-	c.enqueue(&pipeOp{
-		write: true, ds: uint32(ds), idx: uint32(idx),
-		data: src, exts: exts, done: done,
-	})
+	return &pipeOp{write: true, ds: uint32(ds), idx: uint32(idx), data: src, exts: exts, done: done}
 }
 
 // compressInto applies the client-side compression decision to one

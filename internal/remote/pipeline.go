@@ -61,9 +61,10 @@ type PipelineOpts struct {
 	// label.
 	Shard string
 
-	// Compression controls adaptive per-object compression: "" or "auto"
-	// lets the per-DS policy decide online which objects to compress;
-	// "off" ships every non-zero object raw.
+	// Compression controls adaptive per-object compression: "" or
+	// "adaptive" lets the per-DS policy decide online which objects to
+	// compress; "off" ships every non-zero object raw. Any other value is
+	// refused (CompressionOn).
 	Compression string
 
 	// Timeout bounds the handshake and, on deadline-capable connections,
@@ -172,7 +173,7 @@ func replyOp(req rdma.Op) rdma.Op {
 func (op *pipeOp) wireBound() int {
 	switch {
 	case op.chase:
-		return int(rdma.ChaseResultBound(op.creq)) // chaseIssuable kept it under MaxFrame
+		return int(rdma.ChaseResultBound(op.creq)) // chaseOp kept it under MaxFrame
 	case op.write:
 		n := len(op.data)
 		if op.exts != nil {
@@ -310,7 +311,9 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	if opts.Trace != nil {
 		h.Opts |= rdma.OptTrace
 	}
-	if opts.Compression != "off" {
+	if on, err := CompressionOn(opts.Compression); err != nil {
+		return nil, err
+	} else if on {
 		h.Opts |= rdma.OptCompress
 	}
 	metrics := newPipeMetrics(opts.Obs)
@@ -343,31 +346,59 @@ func NewPipelined(conn io.ReadWriteCloser, opts PipelineOpts) (*PipelinedClient,
 	return c, nil
 }
 
+// CompressionOn reports whether a PipelineOpts.Compression mode
+// compresses, refusing a value that is not one.
+func CompressionOn(mode string) (bool, error) {
+	if mode != "" && mode != "adaptive" && mode != "off" {
+		return false, fmt.Errorf(`remote: Compression %q: want "" or "adaptive" (adaptive) or "off" (raw)`, mode)
+	}
+	return mode != "off", nil
+}
+
 // DialPipelined connects to a server address and says hello. A client
 // dialed by address knows how to redial it: opts.Redial defaults to
-// that. With RetryMax set the initial dial and handshake retry under the
-// same backoff budget as later reconnects, so a flaky link at startup is
-// survived too. ErrProtoMismatch is never retried.
-func DialPipelined(addr string, opts PipelineOpts) (*PipelinedClient, error) {
+// that. With RetryMax > 0 the initial dial and handshake retry under the
+// reconnects' backoff, RetryMax times, so a flaky link at startup is
+// survived too; otherwise the first failure is returned.
+func DialPipelined(addr string, opts PipelineOpts) (c *PipelinedClient, err error) {
+	if _, err := CompressionOn(opts.Compression); err != nil {
+		return nil, err
+	}
 	dial := redialer(addr, opts.Timeout)
 	if opts.Redial == nil {
 		opts.Redial = dial
 	}
-	rng := newRng(opts.Seed)
-	for attempt := 0; ; attempt++ {
+	err = retry(max(opts.RetryMax, 0)+1, 1, newRng(opts.Seed), opts, nil, nil, func() error {
 		conn, err := dial()
 		if err == nil {
-			var c *PipelinedClient
-			if c, err = NewPipelined(conn, opts); err == nil {
-				return c, nil
+			if c, err = NewPipelined(conn, opts); err != nil {
+				conn.Close()
 			}
-			conn.Close()
 		}
-		if attempt >= opts.RetryMax || errors.Is(err, ErrProtoMismatch) {
-			return nil, err
+		return err
+	})
+	return c, err
+}
+
+// retry is the one backoff loop, the start-up dial's and the
+// reconnect's: it calls try up to attempts times, backing off before
+// each call from the paced-th on, until one succeeds (nil) or a
+// checksummed ErrProtoMismatch, which no backoff can change. It returns
+// the last error (err when none ran), ErrClientClosed once stop closes.
+func retry(attempts, paced int, rng *rand.Rand, o PipelineOpts, stop <-chan struct{}, err error, try func() error) error {
+	for k := 0; k < attempts && !errors.Is(err, ErrProtoMismatch); k++ {
+		if k >= paced {
+			select {
+			case <-stop:
+				return ErrClientClosed
+			case <-time.After(backoff(rng, o.RetryBase, o.RetryCap, k-paced)):
+			}
 		}
-		time.Sleep(backoff(rng, opts.RetryBase, opts.RetryCap, attempt))
+		if err = try(); err == nil {
+			return nil
+		}
 	}
+	return err
 }
 
 // newRng seeds a backoff jitter source; seed 0 uses a fixed default so
@@ -443,10 +474,22 @@ func (c *PipelinedClient) enqueue(op *pipeOp) {
 // reader goroutine) when dst is filled or the read failed. done must not
 // block.
 func (c *PipelinedClient) IssueRead(ds, idx int, dst []byte, done func(error)) {
-	c.enqueue(&pipeOp{
-		ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)),
-		dst: dst, done: done,
-	})
+	c.enqueue(readOp(ds, idx, dst, done))
+}
+
+// IssueReadEpoch (replica.EpochBackend) is IssueRead returning the
+// object's stored epoch stamp; a zero-length dst is a pure epoch probe.
+// A stamped op is the plain verb's with wantEp set, so rdma.EpochBit
+// keeps it out of plain ops' frames.
+func (c *PipelinedClient) IssueReadEpoch(ds, idx int, dst []byte, done func(uint64, error)) {
+	op := readOp(ds, idx, dst, nil)
+	op.wantEp, op.done = true, func(err error) { done(op.epoch, err) }
+	c.enqueue(op)
+}
+
+// readOp is the op every read verb enqueues.
+func readOp(ds, idx int, dst []byte, done func(error)) *pipeOp {
+	return &pipeOp{ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)), dst: dst, done: done}
 }
 
 // IssueWrite implements farmem.AsyncWriteStore: a range write with no
@@ -465,7 +508,7 @@ func (c *PipelinedClient) wait(op *pipeOp) error {
 
 // ReadObj implements farmem.Store.
 func (c *PipelinedClient) ReadObj(ds, idx int, dst []byte) error {
-	return c.wait(&pipeOp{ds: uint32(ds), idx: uint32(idx), size: uint32(len(dst)), dst: dst})
+	return c.wait(readOp(ds, idx, dst, nil))
 }
 
 // WriteObj implements farmem.Store. The write rides the same pipeline
@@ -475,7 +518,7 @@ func (c *PipelinedClient) ReadObj(ds, idx int, dst []byte) error {
 // transport does not know whether the server applied it and will not
 // guess.
 func (c *PipelinedClient) WriteObj(ds, idx int, src []byte) error {
-	return c.wait(&pipeOp{write: true, ds: uint32(ds), idx: uint32(idx), data: src})
+	return c.wait(writeOp(ds, idx, src, nil, nil))
 }
 
 // Ping checks liveness by round-tripping an empty read batch through the
@@ -536,11 +579,16 @@ func (c *PipelinedClient) harvestLocked() []*pipeOp {
 	}
 	c.pending = make(map[uint32][]*pipeOp)
 	c.inflight, c.inflightW = 0, 0
-	if m := c.metrics; m != nil {
-		m.inflight.Set(0)
-		m.inflightWrites.Set(0)
-	}
+	c.publishDepth()
 	return ops
+}
+
+// publishDepth sets the window gauges. Caller holds mu.
+func (c *PipelinedClient) publishDepth() {
+	if m := c.metrics; m != nil {
+		m.inflight.Set(int64(c.inflight))
+		m.inflightWrites.Set(int64(c.inflightW))
+	}
 }
 
 // connFail handles a transport fault on connection generation gen: the
@@ -589,43 +637,34 @@ func (c *PipelinedClient) connFail(gen uint64, cause error) {
 	if retryMax == 0 {
 		retryMax = DefaultReconnectAttempts
 	}
-	c.redial(retryMax, true, cause)
+	c.redial(retryMax, 0, cause)
 }
 
-// redial makes up to attempts tries at a fresh session, backing off
-// before each when paced, and resumes the loops on the first that says
-// hello. When none does — or attempts allows none — the client is down:
+// redial makes up to attempts tries at a fresh session (retry, pacing
+// from the paced-th) and resumes the loops on the first that says hello.
+// When none does — or attempts allows none — the client is down:
 // everything queued completes with the last error (cause, when nothing
 // was tried) and the loops stay parked until the flusher spends the next
-// queued ops on one unpaced attempt. A checksummed ErrProtoMismatch —
-// the server was replaced by one we cannot talk to — goes down at once:
-// backing off cannot change it.
-func (c *PipelinedClient) redial(attempts int, paced bool, cause error) {
-	lastErr := cause
-	for attempt := 0; attempt < attempts && !errors.Is(lastErr, ErrProtoMismatch); attempt++ {
-		if paced {
-			select {
-			case <-c.stop:
-				return // Close ran and completed everything outstanding
-			case <-time.After(backoff(c.rng, c.opts.RetryBase, c.opts.RetryCap, attempt)):
-			}
-		}
-		nc, err := c.opts.Redial()
-		if err == nil {
+// queued ops on one unpaced attempt.
+func (c *PipelinedClient) redial(attempts, paced int, cause error) {
+	var nc io.ReadWriteCloser
+	err := retry(attempts, paced, c.rng, c.opts, c.stop, cause, func() (err error) {
+		if nc, err = c.opts.Redial(); err == nil {
 			if err = sayHello(nc, c.opts.Timeout, c.hello, c.metrics); err != nil {
 				nc.Close()
 			}
 		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		c.mu.Lock()
-		if c.err != nil {
-			c.mu.Unlock()
+		return err
+	})
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		if err == nil {
 			nc.Close()
-			return
 		}
+		return // Close ran meanwhile and completed everything outstanding
+	}
+	if err == nil {
 		c.conn = nc
 		c.bw = bufio.NewWriterSize(nc, 64<<10)
 		c.br = bufio.NewReaderSize(nc, connBufSize)
@@ -639,18 +678,13 @@ func (c *PipelinedClient) redial(attempts int, paced bool, cause error) {
 		c.mu.Unlock()
 		return
 	}
-	lastErr = fmt.Errorf("remote: reconnect failed: %w", lastErr)
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		return // Close ran meanwhile and completed everything outstanding
-	}
 	c.down = true
 	queued := append(c.queue, c.wqueue...)
 	c.queue, c.wqueue = nil, nil
 	c.mu.Unlock()
+	err = fmt.Errorf("remote: reconnect failed: %w", err)
 	for _, op := range queued {
-		op.complete(lastErr)
+		op.complete(err)
 	}
 }
 
@@ -736,7 +770,7 @@ func (c *PipelinedClient) flushLoop() {
 		}
 		if c.down {
 			c.mu.Unlock()
-			c.redial(1, false, nil)
+			c.redial(1, 1, nil)
 			continue
 		}
 		gen, bw := c.gen, c.bw
@@ -814,10 +848,7 @@ func (c *PipelinedClient) planLocked(plans []plannedFrame) []plannedFrame {
 			plans = append(plans, p)
 		}
 	}
-	if m := c.metrics; m != nil {
-		m.inflight.Set(int64(c.inflight))
-		m.inflightWrites.Set(int64(c.inflightW))
-	}
+	c.publishDepth()
 	return plans
 }
 
@@ -1129,15 +1160,10 @@ func (c *PipelinedClient) takePending(tag uint32) ([]*pipeOp, bool) {
 	delete(c.pending, tag)
 	if len(ops) > 0 && ops[0].write {
 		c.inflightW -= len(ops)
-		if m := c.metrics; m != nil {
-			m.inflightWrites.Set(int64(c.inflightW))
-		}
 	} else {
 		c.inflight -= len(ops)
-		if m := c.metrics; m != nil {
-			m.inflight.Set(int64(c.inflight))
-		}
 	}
+	c.publishDepth()
 	c.cond.Broadcast()
 	return ops, true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,6 +266,42 @@ func TestDialPipelinedRetriesInitialDial(t *testing.T) {
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompressionModeIsChecked: PipelineOpts.Compression takes "",
+// "adaptive" or "off". NewPipelined refuses anything else before its
+// hello, and DialPipelined before it dials, with an error naming them.
+func TestCompressionModeIsChecked(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	const named = `"" or "adaptive" (adaptive) or "off" (raw)`
+	for _, mode := range []string{"Off", "none", "auto"} {
+		if _, err := NewPipelined(c2, PipelineOpts{Compression: mode}); err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("NewPipelined, Compression %q: err %v, want a refusal naming the modes", mode, err)
+		}
+		if _, err := DialPipelined(ln.Addr().String(), PipelineOpts{Compression: mode, RetryMax: 3}); err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("DialPipelined, Compression %q: err %v, want a refusal naming the modes", mode, err)
+		}
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(20 * time.Millisecond))
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("DialPipelined dialed with a refused Compression mode")
+	}
+	for _, on := range []string{"", "adaptive"} {
+		if ok, err := CompressionOn(on); !ok || err != nil {
+			t.Fatalf("CompressionOn(%q) = %v, %v; want true, nil", on, ok, err)
+		}
+	}
+	if ok, err := CompressionOn("off"); ok || err != nil {
+		t.Fatalf(`CompressionOn("off") = %v, %v; want false, nil`, ok, err)
 	}
 }
 

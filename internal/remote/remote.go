@@ -98,11 +98,7 @@ func (s *ObjectStore) Read(ds, idx, size uint32) []byte {
 // ReadInto copies the object into dst (zero-filling the tail when the
 // object is absent or shorter) — the allocation-free gather path the
 // chase walk uses to fill reply buffers in place.
-func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) {
-	s.mu.RLock()
-	s.m[[2]uint32{ds, idx}].expand(dst)
-	s.mu.RUnlock()
-}
+func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) { s.ReadEpochInto(ds, idx, dst) }
 
 // readWire is the batch workers' gather: it copies the object into dst
 // (len(dst) is the size the client asked for) in the cheapest form the
@@ -130,31 +126,7 @@ func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme 
 
 // Write stores a copy of data.
 func (s *ObjectStore) Write(ds, idx uint32, data []byte) {
-	s.writeWire(ds, idx, rdma.SchemeRaw, uint32(len(data)), data)
-}
-
-// writeWire stores a copy of a full-object image in wire form. A block
-// must already have been validated for rawLen bytes — an LZ one decoded
-// once, a bit-packed one through rdma.CheckWords: the store trusts it
-// from here on.
-func (s *ObjectStore) writeWire(ds, idx uint32, scheme uint8, rawLen uint32, wire []byte) {
-	k := [2]uint32{ds, idx}
-	s.mu.Lock()
-	s.m[k] = s.m[k].put(scheme, rawLen, wire)
-	s.mu.Unlock()
-}
-
-// put returns the image holding a copy of wire, its epoch stamp carried
-// over (a stamped write sets it afterwards). The old buffer is reused when
-// the new bytes fit it without leaving more than half of it idle: a
-// same-size overwrite allocates nothing, and a block replacing a raw image
-// does not pin its footprint. Stored slices never leave the store.
-func (im image) put(scheme uint8, rawLen uint32, wire []byte) image {
-	buf := im.data[:0]
-	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
-		buf = nil
-	}
-	return image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...), epoch: im.epoch}
+	s.writeWire(ds, idx, false, 0, rdma.SchemeRaw, uint32(len(data)), data)
 }
 
 // WriteEpoch stores a copy of data stamped with epoch iff epoch is at
@@ -165,22 +137,40 @@ func (im image) put(scheme uint8, rawLen uint32, wire []byte) image {
 // live write and a concurrent anti-entropy replay serialize correctly
 // whichever order they arrive.
 func (s *ObjectStore) WriteEpoch(ds, idx uint32, epoch uint64, data []byte) bool {
-	return s.writeWireEpoch(ds, idx, epoch, rdma.SchemeRaw, uint32(len(data)), data)
+	return s.writeWire(ds, idx, true, epoch, rdma.SchemeRaw, uint32(len(data)), data)
 }
 
-// writeWireEpoch is WriteEpoch for an image in wire form (see writeWire).
-func (s *ObjectStore) writeWireEpoch(ds, idx uint32, epoch uint64, scheme uint8, rawLen uint32, wire []byte) bool {
+// writeWire is the one way a full object is applied: it stores a copy
+// of the image in wire form, under WriteEpoch's rule when stamped. A
+// block must already have been validated for rawLen bytes — an LZ one
+// decoded once, a bit-packed one through rdma.CheckWords: the store
+// trusts it from here on.
+func (s *ObjectStore) writeWire(ds, idx uint32, stamped bool, epoch uint64, scheme uint8, rawLen uint32, wire []byte) bool {
 	k := [2]uint32{ds, idx}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	im := s.m[k]
-	if epoch < im.epoch {
-		return false
+	if stamped {
+		if epoch < im.epoch {
+			return false
+		}
+		im.epoch = epoch
 	}
-	im = im.put(scheme, rawLen, wire)
-	im.epoch = epoch
-	s.m[k] = im
+	s.m[k] = im.put(scheme, rawLen, wire)
 	return true
+}
+
+// put returns the image holding a copy of wire, its epoch stamp carried
+// over. The old buffer is reused when the new bytes fit it without
+// leaving more than half of it idle: a same-size overwrite allocates
+// nothing, and a block replacing a raw image does not pin its
+// footprint. Stored slices never leave the store.
+func (im image) put(scheme uint8, rawLen uint32, wire []byte) image {
+	buf := im.data[:0]
+	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
+		buf = nil
+	}
+	return image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...), epoch: im.epoch}
 }
 
 // ReadEpochInto is ReadInto returning the object's stored epoch stamp
@@ -196,11 +186,7 @@ func (s *ObjectStore) ReadEpochInto(ds, idx uint32, dst []byte) uint64 {
 }
 
 // Epoch returns the stored epoch stamp for an object (0 when absent).
-func (s *ObjectStore) Epoch(ds, idx uint32) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[[2]uint32{ds, idx}].epoch
-}
+func (s *ObjectStore) Epoch(ds, idx uint32) uint64 { return s.ReadEpochInto(ds, idx, nil) }
 
 // Keys returns every stored object key — test and resync-verification
 // support.

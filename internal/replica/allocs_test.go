@@ -5,6 +5,7 @@ import (
 
 	"cards/internal/farmem"
 	"cards/internal/rdma"
+	"cards/internal/testutil"
 )
 
 // ackBackend acknowledges everything synchronously and touches nothing:
@@ -29,7 +30,7 @@ func (ackBackend) IssueWriteRangesEpoch(ds, idx int, epoch uint64, src []byte, e
 // accounting — must not touch the heap. A regression here puts the GC
 // on the eviction critical path, multiplied by the replication factor.
 func TestReplicatedWritePathSteadyStateAllocFree(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("race instrumentation defeats escape analysis; alloc counts are meaningless")
 	}
 	backends := []farmem.Store{ackBackend{}, ackBackend{}, ackBackend{}}

@@ -5,6 +5,7 @@ import (
 
 	"cards/internal/farmem"
 	"cards/internal/rdma"
+	"cards/internal/shardmap"
 )
 
 // Traversal offload over the replica group. A chase routes like a read:
@@ -29,16 +30,12 @@ func (s *Store) ChaseCapable() bool {
 	return false
 }
 
-// Chase implements farmem.AsyncChaseStore (issue + wait).
-func (s *Store) Chase(req rdma.ChaseReq) (rdma.ChaseResult, error) {
-	type out struct {
-		res rdma.ChaseResult
-		err error
-	}
-	ch := make(chan out, 1)
-	s.IssueChase(req, func(res rdma.ChaseResult, err error) { ch <- out{res, err} })
-	o := <-ch
-	return o.res, o.err
+// Chase implements farmem.AsyncChaseStore: IssueChase, waited for.
+func (s *Store) Chase(req rdma.ChaseReq) (res rdma.ChaseResult, err error) {
+	err = shardmap.Wait(func(done func(error)) {
+		s.IssueChase(req, func(r rdma.ChaseResult, err error) { res = r; done(err) })
+	})
+	return res, err
 }
 
 // IssueChase implements farmem.AsyncChaseStore: the program walks down

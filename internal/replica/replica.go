@@ -419,11 +419,9 @@ func (s *Store) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, do
 	}
 }
 
-// WriteObj implements farmem.Store (issue + wait).
+// WriteObj implements farmem.Store: IssueWrite, waited for.
 func (s *Store) WriteObj(ds, idx int, src []byte) error {
-	ch := make(chan error, 1)
-	s.IssueWrite(ds, idx, src, func(err error) { ch <- err })
-	return <-ch
+	return shardmap.Wait(func(done func(error)) { s.IssueWrite(ds, idx, src, done) })
 }
 
 // readJoin walks one read down the replica ranking. Bound once per
@@ -463,11 +461,9 @@ func (s *Store) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	j.tryNext()
 }
 
-// ReadObj implements farmem.Store (issue + wait).
+// ReadObj implements farmem.Store: IssueRead, waited for.
 func (s *Store) ReadObj(ds, idx int, dst []byte) error {
-	ch := make(chan error, 1)
-	s.IssueRead(ds, idx, dst, func(err error) { ch <- err })
-	return <-ch
+	return shardmap.Wait(func(done func(error)) { s.IssueRead(ds, idx, dst, done) })
 }
 
 // tryNext issues the read against the next eligible member of the

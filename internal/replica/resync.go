@@ -1,6 +1,9 @@
 package replica
 
-import "cards/internal/farmem"
+import (
+	"cards/internal/farmem"
+	"cards/internal/shardmap"
+)
 
 // Anti-entropy resync. A member that missed writes (dead, or a failed
 // sub-write) is out of the read set; once its backend answers again it
@@ -140,7 +143,9 @@ func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort boo
 		if epoch < it.epoch {
 			continue
 		}
-		if err := target.writeEpoch(it.ds, it.idx, epoch, buf); err != nil {
+		if err := shardmap.Wait(func(done func(error)) {
+			target.eb.IssueWriteRangesEpoch(it.ds, it.idx, epoch, buf, nil, done)
+		}); err != nil {
 			target.Fail()
 			return false, true
 		}
@@ -150,18 +155,11 @@ func (s *Store) repair(target *member, it resyncItem, buf []byte) (ok, abort boo
 	return false, false
 }
 
-// readEpoch issues one stamped read on m and waits for it; a nil dst is
-// the epoch-only probe.
+// readEpoch is one stamped read on m, waited for; a nil dst is the
+// epoch-only probe.
 func (m *member) readEpoch(ds, idx int, dst []byte) (epoch uint64, err error) {
-	done := make(chan struct{})
-	m.eb.IssueReadEpoch(ds, idx, dst, func(e uint64, er error) { epoch, err = e, er; close(done) })
-	<-done
+	err = shardmap.Wait(func(done func(error)) {
+		m.eb.IssueReadEpoch(ds, idx, dst, func(e uint64, err error) { epoch = e; done(err) })
+	})
 	return epoch, err
-}
-
-// writeEpoch issues one stamped full-object write on m and waits for it.
-func (m *member) writeEpoch(ds, idx int, epoch uint64, src []byte) error {
-	errCh := make(chan error, 1)
-	m.eb.IssueWriteRangesEpoch(ds, idx, epoch, src, nil, func(err error) { errCh <- err })
-	return <-errCh
 }

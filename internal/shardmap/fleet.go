@@ -225,6 +225,14 @@ func (f *Fleet) Ping() error {
 	return firstErr
 }
 
+// Wait is a fleet's sync verb as its issue, waited for: issue hands done
+// to an asynchronous verb, which calls it exactly once.
+func Wait(issue func(done func(error))) error {
+	ch := make(chan error, 1)
+	issue(func(err error) { ch <- err })
+	return <-ch
+}
+
 // Close stops the prober, waiting out any ping (and anything else its
 // tick started), then closes every backend that implements io.Closer,
 // returning the first error.

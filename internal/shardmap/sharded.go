@@ -46,7 +46,7 @@ type shard struct {
 	*Backend
 
 	mu      sync.Mutex
-	objects map[uint64]struct{} // keys ever written, for the objects gauge
+	objects map[uint64]bool // keys ever written, for the objects gauge
 
 	reads, writes, bytesIn, bytesOut *stats.Counter
 	degraded                         *stats.Counter
@@ -67,10 +67,8 @@ type ShardedStore struct {
 	shards []*shard
 }
 
-// NewSharded builds a ShardedStore over the given backends. Async issue
-// (farmem.AsyncStore) and liveness probing (farmem.Pinger) are detected
-// per backend by type assertion, so heterogeneous fleets work — a shard
-// without IssueRead just serves prefetches synchronously.
+// NewSharded builds a ShardedStore over the given backends, which may
+// differ in their surfaces (see Backend.Caps).
 func NewSharded(backends []farmem.Store, opts Options) (*ShardedStore, error) {
 	f, err := NewFleet(backends, 1, opts.BreakerThreshold, opts.ProbeEvery, opts.Obs, Series{
 		Pkg: "shardmap", Label: "shard", Failures: MetricShardFailures,
@@ -83,7 +81,7 @@ func NewSharded(backends []farmem.Store, opts Options) (*ShardedStore, error) {
 	for _, b := range f.Backends() {
 		ss.shards = append(ss.shards, &shard{
 			Backend:  b,
-			objects:  make(map[uint64]struct{}),
+			objects:  make(map[uint64]bool),
 			reads:    reg.Counter(MetricShardReads, "shard", b.Label),
 			writes:   reg.Counter(MetricShardWrites, "shard", b.Label),
 			bytesIn:  reg.Counter(MetricShardBytesIn, "shard", b.Label),
@@ -101,12 +99,20 @@ func (ss *ShardedStore) ShardState(i int) farmem.BreakerState {
 	return ss.shards[i].Breaker.State()
 }
 
-// enter is the one gated route onto shard i: the shard to forward to,
-// or, while its breaker refuses traffic, the fail-fast error. That error
-// wraps farmem.ErrDegraded so the runtime can tell a contained shard
-// outage from a transport failure (no retries, no global breaker
-// accounting).
-func (ss *ShardedStore) enter(i int) (*shard, error) {
+// op is one operation as its shard settles it: verb names it in a
+// failure; a success counts n bytes, a chase its path's (res), as a read
+// or as a write of object (ds, idx).
+type op struct {
+	verb       string
+	write      bool
+	ds, idx, n int
+	res        *rdma.ChaseResult
+}
+
+// gate lets an op onto shard i or, while its breaker refuses traffic,
+// fails it fast wrapping farmem.ErrDegraded: a contained shard outage,
+// which the runtime neither retries nor holds against its breaker.
+func (ss *ShardedStore) gate(i int) (*shard, error) {
 	s := ss.shards[i]
 	if !s.Breaker.Gate() {
 		s.degraded.Inc()
@@ -115,15 +121,47 @@ func (ss *ShardedStore) enter(i int) (*shard, error) {
 	return s, nil
 }
 
-// settle closes an operation enter let through: its outcome feeds the
-// shard's breaker, and a failure comes back naming the shard and verb.
-func (ss *ShardedStore) settle(i int, verb string, err error) error {
+// settle closes an op the gate let through: its outcome feeds the
+// shard's breaker, a failure comes back naming the shard and verb, and a
+// success is counted.
+func (s *shard) settle(o op, err error) error {
 	if err != nil {
-		ss.shards[i].Fail()
-		return fmt.Errorf("shardmap: shard %d %s: %w", i, verb, err)
+		s.Fail()
+		return fmt.Errorf("shardmap: shard %s %s: %w", s.Label, o.verb, err)
 	}
-	ss.shards[i].OK()
+	s.OK()
+	if o.res != nil {
+		for _, h := range o.res.Hops {
+			o.n += len(h.Data)
+		}
+	}
+	if !o.write {
+		s.reads.Inc()
+		s.bytesIn.Add(uint64(o.n))
+		return nil
+	}
+	s.writes.Inc()
+	s.bytesOut.Add(uint64(o.n))
+	s.mu.Lock()
+	if k := ObjKey(o.ds, o.idx); !s.objects[k] {
+		s.objects[k] = true
+		s.objGauge.Add(1)
+	}
+	s.mu.Unlock()
 	return nil
+}
+
+// route is the one gated route of an issued op onto shard i: gate, then
+// fwd hands the op to the shard with a completion that settles and
+// counts it before done sees the outcome. The sync verbs gate and settle
+// around a direct call instead, allocating nothing.
+func (ss *ShardedStore) route(i int, o op, done func(error), fwd func(s *shard, fin func(error))) {
+	s, err := ss.gate(i)
+	if err != nil {
+		done(err)
+		return
+	}
+	fwd(s, func(err error) { done(s.settle(o, err)) })
 }
 
 // ShouldDrain implements farmem.DrainScoper: after observing a
@@ -144,72 +182,33 @@ func (ss *ShardedStore) Stranded(ds, idx int) bool {
 
 // ReadObj implements farmem.Store, routing to the owning shard.
 func (ss *ShardedStore) ReadObj(ds, idx int, dst []byte) error {
-	i := ss.ShardOf(ds, idx)
-	s, err := ss.enter(i)
-	if err == nil {
-		if err = ss.settle(i, "read", s.Store.ReadObj(ds, idx, dst)); err == nil {
-			s.didRead(len(dst))
-		}
+	s, err := ss.gate(ss.ShardOf(ds, idx))
+	if err != nil {
+		return err
 	}
-	return err
+	return s.settle(op{verb: "read", n: len(dst)}, s.Store.ReadObj(ds, idx, dst))
 }
 
 // WriteObj implements farmem.Store, routing to the owning shard.
 func (ss *ShardedStore) WriteObj(ds, idx int, src []byte) error {
-	i := ss.ShardOf(ds, idx)
-	s, err := ss.enter(i)
-	if err == nil {
-		if err = ss.settle(i, "write", s.Store.WriteObj(ds, idx, src)); err == nil {
-			s.didWrite(ds, idx, len(src))
-		}
-	}
-	return err
-}
-
-func (s *shard) didRead(n int) {
-	s.reads.Inc()
-	s.bytesIn.Add(uint64(n))
-}
-
-// didWrite counts one write of n bytes and maintains the
-// objects-per-shard gauge (distinct keys ever written through this
-// store).
-func (s *shard) didWrite(ds, idx, n int) {
-	s.writes.Inc()
-	s.bytesOut.Add(uint64(n))
-	key := ObjKey(ds, idx)
-	s.mu.Lock()
-	before := len(s.objects)
-	s.objects[key] = struct{}{}
-	grew := len(s.objects) != before
-	s.mu.Unlock()
-	if grew {
-		s.objGauge.Add(1)
-	}
-}
-
-// IssueRead implements farmem.AsyncStore. Reads fan out: each shard has
-// its own pipelined connection, so a prefetch batch that spans shards
-// rides N doorbells in parallel. A shard without async support serves
-// the read synchronously before returning.
-func (ss *ShardedStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
-	i := ss.ShardOf(ds, idx)
-	s, err := ss.enter(i)
+	s, err := ss.gate(ss.ShardOf(ds, idx))
 	if err != nil {
-		done(err)
-		return
+		return err
 	}
-	finish := func(err error) {
-		if err = ss.settle(i, "read", err); err == nil {
-			s.didRead(len(dst))
+	return s.settle(op{verb: "write", write: true, ds: ds, idx: idx, n: len(src)}, s.Store.WriteObj(ds, idx, src))
+}
+
+// IssueRead implements farmem.AsyncStore. Each shard has its own
+// pipelined connection, so a prefetch batch that spans shards rides N
+// doorbells in parallel; a shard without async reads serves it inline.
+func (ss *ShardedStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
+	ss.route(ss.ShardOf(ds, idx), op{verb: "read", n: len(dst)}, done, func(s *shard, fin func(error)) {
+		if s.Caps.Async != nil {
+			s.Caps.Async.IssueRead(ds, idx, dst, fin)
+		} else {
+			fin(s.Store.ReadObj(ds, idx, dst))
 		}
-		done(err)
-	}
-	if s.Caps.Async != nil {
-		s.Caps.Async.IssueRead(ds, idx, dst, finish)
-		return
-	}
-	finish(s.Store.ReadObj(ds, idx, dst))
+	})
 }
 
 // IssueWrite implements farmem.AsyncWriteStore: a range write with no
@@ -218,53 +217,43 @@ func (ss *ShardedStore) IssueWrite(ds, idx int, src []byte, done func(error)) {
 	ss.IssueWriteRanges(ds, idx, src, nil, done)
 }
 
-// IssueWriteRanges implements farmem.RangeWriteStore, fanning staged
-// write-backs out to each shard's own pipelined write window. A tripped
-// shard fails fast — the runtime parks the staged payload until this
-// shard's recovery epoch. Without extents the full object is written;
-// a shard whose backend lacks the range verb splices the extents onto
-// the image it reads back (src is valid only inside them) and writes
-// that whole. A backend without async support serves its write
-// synchronously before returning.
+// IssueWriteRanges implements farmem.RangeWriteStore on the owner's
+// write window; a tripped shard fails fast, and the runtime parks the
+// write until its recovery epoch. Without extents the full object is
+// written. A backend without the range verb gets the extents spliced
+// onto the image read back from it (src is valid only inside them),
+// written whole; one without async writes serves the write inline.
 func (ss *ShardedStore) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	i := ss.ShardOf(ds, idx)
-	s, err := ss.enter(i)
-	if err != nil {
-		done(err)
-		return
+	o := op{verb: "write", write: true, ds: ds, idx: idx, n: len(src)}
+	if exts != nil && ss.shards[i].Caps.RangeWrite != nil {
+		o.verb, o.n = "range write", 0
+		for _, e := range exts {
+			o.n += int(e.Len)
+		}
 	}
-	if exts != nil && s.Caps.RangeWrite == nil {
-		full := make([]byte, len(src))
-		if err := s.Store.ReadObj(ds, idx, full); err != nil {
-			done(ss.settle(i, "write", err))
+	ss.route(i, o, done, func(s *shard, fin func(error)) {
+		switch {
+		case exts != nil && s.Caps.RangeWrite != nil:
+			s.Caps.RangeWrite.IssueWriteRanges(ds, idx, src, exts, fin)
 			return
+		case exts != nil:
+			full := make([]byte, len(src))
+			if err := s.Store.ReadObj(ds, idx, full); err != nil {
+				fin(err)
+				return
+			}
+			for _, e := range exts {
+				copy(full[e.Off:e.Off+e.Len], src[e.Off:])
+			}
+			src = full
 		}
-		for _, e := range exts {
-			copy(full[e.Off:e.Off+e.Len], src[e.Off:])
+		if s.Caps.AsyncWrite != nil {
+			s.Caps.AsyncWrite.IssueWrite(ds, idx, src, fin)
+		} else {
+			fin(s.Store.WriteObj(ds, idx, src))
 		}
-		src, exts = full, nil
-	}
-	verb, shipped := "write", len(src)
-	if exts != nil {
-		verb, shipped = "range write", 0
-		for _, e := range exts {
-			shipped += int(e.Len)
-		}
-	}
-	finish := func(err error) {
-		if err = ss.settle(i, verb, err); err == nil {
-			s.didWrite(ds, idx, shipped)
-		}
-		done(err)
-	}
-	switch {
-	case exts != nil:
-		s.Caps.RangeWrite.IssueWriteRanges(ds, idx, src, exts, finish)
-	case s.Caps.AsyncWrite != nil:
-		s.Caps.AsyncWrite.IssueWrite(ds, idx, src, finish)
-	default:
-		finish(s.Store.WriteObj(ds, idx, src))
-	}
+	})
 }
 
 // ChaseCapable implements farmem.AsyncChaseStore. A traversal program walks
@@ -284,37 +273,27 @@ func (ss *ShardedStore) ChaseCapable() bool {
 
 // Chase implements farmem.AsyncChaseStore: IssueChase, waited for.
 func (ss *ShardedStore) Chase(req rdma.ChaseReq) (res rdma.ChaseResult, err error) {
-	done := make(chan struct{})
-	ss.IssueChase(req, func(r rdma.ChaseResult, e error) { res, err = r, e; close(done) })
-	<-done
+	err = Wait(func(done func(error)) {
+		ss.IssueChase(req, func(r rdma.ChaseResult, err error) { res = r; done(err) })
+	})
 	return res, err
 }
 
 // IssueChase implements farmem.AsyncChaseStore, routing the whole
 // program to the single shard it may run on (see Fleet.ChaseGroup) and
-// riding that shard's own pipelined chase window: enter, forward,
-// settle, like a read — the path's bytes count as one.
+// riding that shard's own pipelined chase window — the path's bytes
+// count as one read.
 func (ss *ShardedStore) IssueChase(req rdma.ChaseReq, done func(rdma.ChaseResult, error)) {
-	var s *shard
 	g, err := ss.ChaseGroup(int(req.DS), 0)
 	if err == nil && ss.shards[g[0]].Caps.Chase == nil {
 		err = fmt.Errorf("shardmap: shard %d does not speak the chase verbs", g[0])
-	}
-	if err == nil {
-		s, err = ss.enter(g[0])
 	}
 	if err != nil {
 		done(rdma.ChaseResult{}, err)
 		return
 	}
-	s.Caps.Chase.IssueChase(req, func(res rdma.ChaseResult, err error) {
-		if err = ss.settle(g[0], "chase", err); err == nil {
-			n := 0
-			for _, h := range res.Hops {
-				n += len(h.Data)
-			}
-			s.didRead(n)
-		}
-		done(res, err)
+	res := new(rdma.ChaseResult)
+	ss.route(g[0], op{verb: "chase", res: res}, func(err error) { done(*res, err) }, func(s *shard, fin func(error)) {
+		s.Caps.Chase.IssueChase(req, func(r rdma.ChaseResult, err error) { *res = r; fin(err) })
 	})
 }
