@@ -258,6 +258,14 @@ func (s *opCounter) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	s.PipelinedClient.IssueRead(ds, idx, dst, done)
 }
 
+// IssueReadWire counts the reads the runtime issues through the
+// wire-form surface, which the embedded client would otherwise answer
+// uncounted.
+func (s *opCounter) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	s.asyncReads++
+	s.PipelinedClient.IssueReadWire(ds, idx, dst, blk, done)
+}
+
 func (s *opCounter) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Extent, done func(error)) {
 	s.rangeWrites++
 	s.PipelinedClient.IssueWriteRanges(ds, idx, src, exts, done)

@@ -223,3 +223,44 @@ func TestFailedPrefetchReadsIntoItsOwnFrame(t *testing.T) {
 		t.Fatalf("%d sync reads of obj 0, the last into %p; want one, into the frame at %p", s.syncReads, &s.lastDst[0], &r.arena.Bytes(frame, 4096)[0])
 	}
 }
+
+// deadObjStore is a plain Store, with no async surface, whose reads of
+// failIdx fail; it counts them.
+type deadObjStore struct {
+	*MapStore
+	failIdx, reads int
+}
+
+func (s *deadObjStore) ReadObj(ds, idx int, dst []byte) error {
+	if idx == s.failIdx {
+		s.reads++
+		return errInjected
+	}
+	return s.MapStore.ReadObj(ds, idx, dst)
+}
+
+// TestPlainStoreReadAheadIsOneAttempt: over a plain Store a read-ahead
+// reads in the issuing call, under the async path's rule: one attempt,
+// a failed one dropped — not reissued under RetryMax, not charged a
+// retry, not held against the breaker — and the object left remote.
+func TestPlainStoreReadAheadIsOneAttempt(t *testing.T) {
+	s := &deadObjStore{MapStore: NewMapStore()}
+	r := New(Config{PinnedBudget: 1 << 20, RemotableBudget: 2 * 4096, Store: s, RetryMax: 3, BreakerThreshold: 1})
+	t.Cleanup(func() { r.Close() })
+	r.RegisterDS(0, DSMeta{Name: "d", ObjSize: 4096})
+	r.SetPlacement(0, PlaceRemotable)
+	addr, err := r.DSAlloc(0, 8*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeWorkingSet(t, r, addr, 6)
+	d := r.DSByID(0)
+	retries := r.link.Retries
+	r.PrefetchObj(d, 0)
+	if s.reads != 1 || r.stats.StoreRetries != 0 || r.link.Retries != retries {
+		t.Fatalf("%d reads, %d store retries, %d link retries: want 1, 0, 0", s.reads, r.stats.StoreRetries, r.link.Retries-retries)
+	}
+	if r.stats.BreakerTrips != 0 || d.objs[0].state != objRemote || d.inflight != 0 {
+		t.Fatalf("%d breaker trips, obj 0 state %d, %d in flight: want 0, remote, 0", r.stats.BreakerTrips, d.objs[0].state, d.inflight)
+	}
+}

@@ -15,8 +15,9 @@ import (
 
 // TestFillBuildersMatchSyncStore runs the compiled workloads the run
 // counters are pinned on, under MaxUse and all-remotable, over stores
-// whose async ops arrive late or fail, so store-once misses leave
-// objects unread and their splices land late, are lost or uncertain:
+// whose async ops arrive late (leaving reads decoded or in wire form) or
+// fail, so store-once misses leave objects unread and their splices
+// land late, are lost or uncertain:
 // every checksum must equal the synchronous store's, no read may
 // overlap a write of its object, and where synchronous reads fail too,
 // a run that reads remotely must fail with an error that wraps the read
@@ -76,6 +77,13 @@ func TestFillBuildersMatchSyncStore(t *testing.T) {
 			same("late ops", got, err)
 			if n := late.Overlaps(); n != 0 {
 				t.Fatalf("%s: %d reads overlapped a write of their object", name, n)
+			}
+			wire := testutil.WireLate{LateAsync: testutil.NewLateAsync(farmem.NewMapStore(), 50*time.Microsecond, 42)}
+			got, err = run(b.build, pol, wire)
+			wire.Wait()
+			same("late wire-form reads", got, err)
+			if n := wire.Overlaps(); n != 0 {
+				t.Fatalf("%s over wire-form reads: %d reads overlapped a write of their object", name, n)
 			}
 			got, err = run(b.build, pol, &testutil.FailingAsync{ObjStore: farmem.NewMapStore()})
 			same("failed async reads", got, err)

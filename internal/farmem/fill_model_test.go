@@ -14,7 +14,8 @@ import (
 // plain writes, loads, ObjectWord reads and forced evictions over eight
 // 64-byte objects against a flat model of their words, in room for
 // three frames and two staged write-backs, over a store whose ops land
-// late and one whose splices are lost or uncertain. Every load must read
+// late, the same leaving its reads in wire form (with words-sized values)
+// and one whose splices are lost or uncertain. Every load must read
 // the model, no read may overlap a write of its object, and once every
 // object is evicted and the write-backs drained the far tier must hold
 // the model. Across the histories some miss must re-localize an object
@@ -23,13 +24,16 @@ func TestFillModelHistories(t *testing.T) {
 	const objSize, nObj, words = 64, 8, 8
 	var relocalized, rebuilt uint64
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, kind := range []string{"late", "failing"} {
+		for _, kind := range []string{"late", "failing", "wire"} {
 			base := NewMapStore()
 			var store Store
 			late := testutil.NewLateAsync(base, 50*time.Microsecond, seed)
-			if kind == "late" {
+			switch kind {
+			case "late":
 				store = late
-			} else {
+			case "wire":
+				store = testutil.WireLate{LateAsync: late}
+			default:
 				store = &testutil.FailingAsync{ObjStore: base, SpliceFails: true}
 			}
 			name := fmt.Sprintf("seed %d over %s splices", seed, kind)
@@ -44,6 +48,12 @@ func TestFillModelHistories(t *testing.T) {
 			d := r.DSByID(0)
 			model := make([]uint64, nObj*words)
 			rng := rand.New(rand.NewSource(seed))
+			val := func() uint64 { // words-sized over the wire-form store
+				if kind == "wire" {
+					return rng.Uint64() >> 33
+				}
+				return rng.Uint64()
+			}
 			for step := 0; step < 400; step++ {
 				w := rng.Intn(len(model))
 				idx, off := w/words, uint64(8*w)
@@ -53,12 +63,12 @@ func TestFillModelHistories(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 4:
 					if g, err = r.GuardStore(addr+off, 0, 8); err == nil {
-						model[w] = rng.Uint64()
+						model[w] = val()
 						r.WriteWord(g, model[w])
 					}
 				case op < 6:
 					if g, err = r.GuardSpan(addr+off, true, 0, 8); err == nil {
-						model[w] = rng.Uint64()
+						model[w] = val()
 						r.WriteWord(g, model[w])
 					}
 				case op < 8:

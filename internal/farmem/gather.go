@@ -80,9 +80,9 @@ func (r *Runtime) gather(addr uint64) bool {
 		return false
 	}
 	e := r.newEntry(entryRead, d, idx)
-	e.gather, e.buf = true, r.getBuf(d.Meta.ObjSize)
+	e.gather = true
 	r.track(e)
-	r.astore.IssueRead(d.ID, idx, e.buf, e.fn)
+	r.issueRead(e)
 	r.stats.GathersIssued++
 	return true
 }
@@ -96,7 +96,7 @@ func (r *Runtime) takeGather(d *DS, idx int, frame uint64) bool {
 	}
 	err := e.wait()
 	if err == nil {
-		copy(r.arena.Bytes(frame, d.Meta.ObjSize), e.buf)
+		r.land(e, frame)
 		r.stats.GatherHits++
 	}
 	r.drop(e)

@@ -198,7 +198,7 @@ func (r *Runtime) deref(m *HitMemo, addr uint64, write, once bool, gLo, gHi int)
 		// time instead of paying a full round trip, and harvest the read.
 		start := r.clock.Now()
 		r.link.WaitUntil(obj.ent.at)
-		if r.harvest(obj.ent) == nil {
+		if r.harvest(obj.ent, true) == nil {
 			d.pfWaitHist.Observe(r.clock.Now() - start)
 			obj.state = objLocal
 			d.stats.PrefetchHits++
@@ -376,9 +376,11 @@ func (r *Runtime) evictOne() error {
 				// unused prefetch. Settle it to Local (evictable) so
 				// speculative frames cannot wedge the cache — once the
 				// completion has actually arrived (ready does not block).
+				// Unless deref-scope protection keeps it, the next step
+				// evicts it, so its payload is never laid into the frame.
 				// A failed one reverts to remote with no store call (nobody
 				// asked for it); its stale ring entry goes on a later pass.
-				if r.harvest(p) != nil {
+				if r.harvest(p, r.accessSeq-obj.lastUse < recentWindow) != nil {
 					r.release(e.ds, obj)
 					continue
 				}
@@ -565,11 +567,13 @@ func (r *Runtime) PrefetchObj(d *DS, idx int) {
 		// Truly asynchronous issue: this goroutine moves on at once, so a
 		// prefetcher puts its whole lookahead window on the wire in one
 		// doorbell.
-		e.buf = r.getBuf(d.Meta.ObjSize)
-		r.astore.IssueRead(d.ID, idx, e.buf, e.fn)
+		r.issueRead(e)
 	} else {
-		e.settled = true // a plain Store's read lands in the frame now
-		if r.storeRead(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)) != nil {
+		// A plain Store's read lands in the frame now, under the async
+		// rule: one attempt, a failed one dropped, unretried and not held
+		// against the breaker (nobody asked for the object).
+		e.settled = true
+		if r.store.ReadObj(d.ID, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)) != nil {
 			r.putEntry(e)
 			r.release(d, obj)
 			r.endRoot(rootMine)

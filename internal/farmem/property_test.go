@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"cards/internal/rdma"
+	"cards/internal/testutil"
 )
 
 // chaosAsyncStore is an AsyncStore over a MapStore that injects failures
@@ -76,6 +79,19 @@ func (s *chaosAsyncStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	}()
 }
 
+// chaosWireStore is chaosAsyncStore leaving its async reads in wire
+// form (testutil.WireForm).
+type chaosWireStore struct{ *chaosAsyncStore }
+
+func (s chaosWireStore) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	s.IssueRead(ds, idx, dst, func(err error) {
+		if err == nil {
+			testutil.WireForm(dst, blk)
+		}
+		done(err)
+	})
+}
+
 // TestPropertyClockOracle drives seeded random op sequences — guarded
 // reads, guarded writes, prefetches — over a working set 8x the
 // remotable budget, against a chaos async store, and checks after every
@@ -85,7 +101,9 @@ func (s *chaosAsyncStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
 // a flat in-memory oracle. Failed ops (injected) must leave both
 // invariants intact: a failed write mutates nothing, a failed prefetch
 // reverts its frame (the CLOCK settle/revert paths), a failed eviction
-// keeps the victim resident.
+// keeps the victim resident. The last four runs repeat the seeds over
+// the store leaving reads in wire form, writing values of 31 bits, so
+// objects travel as words blocks.
 func TestPropertyClockOracle(t *testing.T) {
 	const (
 		objSize = 256
@@ -93,14 +111,18 @@ func TestPropertyClockOracle(t *testing.T) {
 		budget  = 4 * objSize // 4 resident objects vs 32-object set
 		nOps    = 600
 	)
-	for _, seed := range []int64{1, 7, 42, 1234} {
-		seed := seed
+	for run, seed := range []int64{1, 7, 42, 1234, 1, 7, 42, 1234} {
 		t.Run("", func(t *testing.T) {
 			store := newChaosAsyncStore(seed, 0.2)
+			var st Store = store
+			wire := run >= 4
+			if wire {
+				st = chaosWireStore{store}
+			}
 			r := New(Config{
 				PinnedBudget:    1 << 20,
 				RemotableBudget: budget,
-				Store:           store,
+				Store:           st,
 				MaxInflight:     4,
 				// No retries, no breaker: every injected failure surfaces
 				// raw, exercising the bare settle/revert machinery.
@@ -150,6 +172,9 @@ func TestPropertyClockOracle(t *testing.T) {
 					checkBudget("read", i)
 				case 2: // guarded write; the oracle records it only on success
 					v := rng.Uint64()
+					if wire {
+						v >>= 33
+					}
 					p, err := r.Guard(va, true)
 					if err != nil {
 						checkBudget("write-fail", i)

@@ -291,12 +291,24 @@ type AsyncStore interface {
 	IssueRead(ds, idx int, dst []byte, done func(error))
 }
 
+// WireReadStore is an AsyncStore that can leave a read's reply in dst in
+// the wire form it arrived in, named by *blk once done reports success;
+// a reply it decodes leaves *blk as the caller set it, the zero Block.
+// A block it leaves is checked, so decoding it (rdma.UnpackBlock) cannot
+// fail: the runtime decodes it into the frame of the access that uses
+// it, once, and never one that nothing uses.
+type WireReadStore interface {
+	AsyncStore
+	IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error))
+}
+
 // Surfaces is every optional capability of a Store, detected once by
 // type assertion: a nil field is a surface the store lacks. The layers
 // that route per backend (the runtime, shardmap, replica) each keep one
 // per store instead of their own assertion ladder.
 type Surfaces struct {
 	Async      AsyncStore
+	WireRead   WireReadStore
 	AsyncWrite AsyncWriteStore
 	RangeWrite RangeWriteStore
 	Chase      AsyncChaseStore
@@ -306,6 +318,7 @@ type Surfaces struct {
 // SurfacesOf detects the optional surfaces of s.
 func SurfacesOf(s Store) (c Surfaces) {
 	c.Async, _ = s.(AsyncStore)
+	c.WireRead, _ = s.(WireReadStore)
 	c.AsyncWrite, _ = s.(AsyncWriteStore)
 	c.RangeWrite, _ = s.(RangeWriteStore)
 	c.Chase, _ = s.(AsyncChaseStore)
@@ -462,6 +475,7 @@ type Runtime struct {
 	arena   *Arena
 	store   Store
 	astore  AsyncStore      // non-nil iff store supports IssueRead
+	wstore  WireReadStore   // non-nil iff store supports IssueReadWire
 	logFree []*storeLog     // recycled store logs of unread objects
 	awstore AsyncWriteStore // non-nil iff store supports IssueWrite
 	rwstore RangeWriteStore // non-nil iff store supports IssueWriteRanges
@@ -482,6 +496,7 @@ type Runtime struct {
 	wbBudget         uint64
 	chaseStagedBytes uint64
 	gatherBytes      uint64
+	lands            uint64 // read payloads laid into frames (land)
 
 	pinnedBudget, remotableBudget uint64
 	pinnedUsed, remotableUsed     uint64
@@ -581,7 +596,7 @@ func New(cfg Config) *Runtime {
 		retryMax:            cfg.RetryMax,
 	}
 	caps := SurfacesOf(store)
-	r.astore, r.chaser, r.bufFree = caps.Async, caps.Chase, make(map[int][][]byte)
+	r.astore, r.wstore, r.chaser, r.bufFree = caps.Async, caps.WireRead, caps.Chase, make(map[int][][]byte)
 	if r.awstore = caps.AsyncWrite; r.awstore != nil {
 		r.rwstore = caps.RangeWrite
 		r.rangeWB = cfg.RangeWriteback && r.rwstore != nil

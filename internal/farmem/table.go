@@ -59,7 +59,10 @@ type entry struct {
 	at  uint64 // virtual cycle the transfer settles
 	// buf is the pooled staging buffer — a read's payload, a write-back's
 	// snapshot, a staged hop — or nil: a plain Store's read, a program.
+	// blk is what a read's buf holds: a reply the store left in wire form
+	// (WireReadStore), or the zero Block, the object's bytes.
 	buf []byte
+	blk rdma.Block
 	// exts are the ranges a write-back was issued as (dirtyrange.go).
 	exts []rdma.Extent
 	// bytes is the entry's charge: its object's size, or a chase
@@ -212,15 +215,43 @@ func (r *Runtime) putBuf(b []byte) {
 	}
 }
 
-// harvest settles an in-flight object's read, copying the payload into
-// the frame, and drops its entry. A failed read is returned unretried
-// and not held against the breaker; the object keeps its frame.
-func (r *Runtime) harvest(e *entry) error {
+// issueRead puts read entry e on the wire into a staging buffer, in
+// wire form where the store can leave it so.
+func (r *Runtime) issueRead(e *entry) {
+	e.buf = r.getBuf(e.d.Meta.ObjSize)
+	if r.wstore != nil {
+		r.wstore.IssueReadWire(e.d.ID, e.idx, e.buf, &e.blk, e.fn)
+	} else {
+		r.astore.IssueRead(e.d.ID, e.idx, e.buf, e.fn)
+	}
+}
+
+// land lays a landed read's payload into frame: a block is decoded
+// there, in one pass, and anything else copied. A words block was
+// checked on delivery, so it cannot fail.
+func (r *Runtime) land(e *entry, frame uint64) {
+	src := e.buf
+	if e.blk.Len > 0 {
+		src = src[:e.blk.Len]
+	}
+	if rdma.UnpackBlock(e.blk.Scheme, r.arena.Bytes(frame, e.d.Meta.ObjSize), src) != nil {
+		panic("farmem: a read's block, checked on delivery, no longer decodes")
+	}
+	r.lands++
+}
+
+// harvest settles an in-flight object's read and drops its entry; use
+// lays the payload into the frame — the CLOCK hand settles an unused
+// read it evicts next without. A failed read is returned unretried and
+// not held against the breaker; the object keeps its frame.
+func (r *Runtime) harvest(e *entry, use bool) error {
 	defer r.drop(e)
 	if err := e.wait(); err != nil {
 		return err
 	}
-	copy(r.arena.Bytes(e.d.objs[e.idx].frame, e.d.Meta.ObjSize), e.buf)
+	if use {
+		r.land(e, e.d.objs[e.idx].frame)
+	}
 	return nil
 }
 

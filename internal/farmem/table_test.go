@@ -13,7 +13,8 @@ import (
 // listed entry is listed once, at its pos, and is its object's entry, so
 // no object has two; a read is either a prefetch, whose object is
 // objInFlight, or a frameless gather on an objRemote object, and every
-// objInFlight object has a prefetch; a hop's object is objRemote (a
+// objInFlight object has a prefetch; only a read holds a wire-form
+// block; a hop's object is objRemote (a
 // write-back may outlive its object's re-localization from staging);
 // every entry is on the order list; and the kind counts, each
 // structure's in-flight prefetches, inflightBytes, the staged write-back
@@ -37,6 +38,9 @@ func checkTable(t testing.TB, r *Runtime) {
 			t.Fatalf("entry of ds%d[%d] is listed at %d, records %d", e.d.ID, e.idx, pos, e.pos)
 		case obj.ent != e:
 			t.Fatalf("listed entry (kind %d) of ds%d[%d] is not its object's", e.kind, e.d.ID, e.idx)
+		}
+		if e.kind != entryRead && e.blk != (rdma.Block{}) {
+			t.Fatalf("entry (kind %d) of ds%d[%d] holds a wire-form block", e.kind, e.d.ID, e.idx)
 		}
 		listed[e] = true
 		kinds[e.kind]++
@@ -114,14 +118,23 @@ func (chaseAhead) OnAccess(r *Runtime, d *DS, idx int, _ bool) { r.ChasePrefetch
 // chase store whose completions arrive late, checking the table after
 // every step and every value against a model. Across the histories some
 // hop must be served from staging and some program must go stale under
-// a dirty eviction.
+// a dirty eviction. The last eight runs repeat seeds 1-8 over a store
+// leaving its reads in wire form.
 func TestChaseTableHistories(t *testing.T) {
 	const obj, n = 64, 48
 	var served, stale, staged uint64
-	for seed := int64(1); seed <= 24; seed++ {
+	for run := int64(1); run <= 32; run++ {
+		seed, wire := run, run > 24
+		if wire {
+			seed -= 24
+		}
 		base := NewMapStore()
 		store := testutil.NewChaseAsync(base, 20*time.Microsecond, seed)
-		r := New(Config{PinnedBudget: 1 << 16, RemotableBudget: 6 * obj, WriteBackBudget: 2 * obj, Store: store, MaxInflight: 2})
+		var s Store = store
+		if wire {
+			s = wireChase{store}
+		}
+		r := New(Config{PinnedBudget: 1 << 16, RemotableBudget: 6 * obj, WriteBackBudget: 2 * obj, Store: s, MaxInflight: 2})
 		r.RegisterDS(0, DSMeta{ObjSize: obj, ElemSize: obj, Recursive: true, PtrOffsets: []int{0}})
 		r.SetPlacement(0, PlaceRemotable)
 		addr, err := r.DSAlloc(0, n*obj)
@@ -199,6 +212,14 @@ func TestChaseTableHistories(t *testing.T) {
 		t.Fatalf("%d hops staged, %d served, %d stale programs; want some served and some stale", staged, served, stale)
 	}
 	t.Logf("%d hops staged, %d served, %d stale programs", staged, served, stale)
+}
+
+// wireChase is ChaseAsync leaving its reads in wire form
+// (testutil.WireLate).
+type wireChase struct{ *testutil.ChaseAsync }
+
+func (s wireChase) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	testutil.WireLate{LateAsync: s.LateAsync}.IssueReadWire(ds, idx, dst, blk, done)
 }
 
 // heldChase is a far tier whose writes are held until Release

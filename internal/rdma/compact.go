@@ -59,13 +59,27 @@ const (
 // whose length the header carries beside the raw one.
 func SchemePacked(scheme uint8) bool { return scheme == SchemeLZ || scheme == SchemeWords }
 
-// UnpackBlock expands a compressed block of the given scheme into dst,
-// which must be exactly the original length.
+// UnpackBlock lays a segment of the given scheme into dst, the object's
+// raw length: a block expands, raw bytes copy, a zero segment clears.
 func UnpackBlock(scheme uint8, dst, block []byte) error {
-	if scheme == SchemeWords {
+	switch scheme {
+	case SchemeWords:
 		return UnpackWords(dst, block)
+	case SchemeLZ:
+		return LZDecompress(dst, block)
+	case SchemeZero:
+		clear(dst)
+	default:
+		copy(dst, block)
 	}
-	return LZDecompress(dst, block)
+	return nil
+}
+
+// Block names what a read left in wire form at the front of its buffer:
+// Scheme and Len bytes of segment. The zero Block is the raw object.
+type Block struct {
+	Scheme uint8
+	Len    int
 }
 
 // Extent is one modified byte range of an object, used by range-write
@@ -460,6 +474,11 @@ func (b *DataBatchCBuilder) AddWire(scheme uint8, rawLen int, wire []byte) {
 	}
 	b.dlen += len(wire)
 	b.metas = append(b.metas, dataSegMeta{scheme: scheme, rawLen: uint32(rawLen), wireLen: uint32(len(wire))})
+}
+
+// Last returns the wire bytes of the last segment added, until the next.
+func (b *DataBatchCBuilder) Last() []byte {
+	return b.data[b.dlen-int(b.metas[len(b.metas)-1].wireLen) : b.dlen]
 }
 
 // Frame assembles the DATABATCH-C reply with a pooled payload;

@@ -215,15 +215,17 @@ func (s *ObjectStore) writeRange(ds, idx uint32, stamped bool, epoch uint64, obj
 }
 
 // splice returns the image with the extents laid over it, its epoch
-// stamp carried over. A base that is not already objSize raw bytes —
-// another size, a compressed or zero image, absent — is first
-// materialised as one; the result stays raw.
+// stamp carried over, its version advanced and no block kept. A base
+// that is not already objSize raw bytes — another size, a compressed or
+// zero image, absent — is first materialised as one; the result stays
+// raw.
 func (im image) splice(objSize uint32, exts []rdma.Extent, raw []byte) image {
 	if im.scheme != rdma.SchemeRaw || uint32(len(im.data)) != objSize {
 		obj := make([]byte, objSize)
 		im.expand(obj)
 		im.scheme, im.rawLen, im.data = rdma.SchemeRaw, objSize, obj
 	}
+	im.ver, im.packed = im.ver+1, im.packed[:0]
 	off := uint32(0)
 	for _, e := range exts {
 		copy(im.data[e.Off:e.Off+e.Len], raw[off:off+e.Len])
@@ -242,7 +244,8 @@ var errReplyTooLarge = errors.New("batch reply exceeds frame limit")
 // session asked for compression and the adaptive policy expects the DS to
 // shrink, raw bytes otherwise, which are then classified (zero /
 // compressed / raw) as they always were — and packed into one DATABATCH-C
-// by the worker's pooled builder. A stamped request gets a stamped reply:
+// by the worker's pooled builder, which keeps a raw image's pack for the
+// reads after it (keepPacked). A stamped request gets a stamped reply:
 // every segment carries the object's stored epoch, read under the same
 // lock hold as its bytes.
 func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.Frame, served, error) {
@@ -284,9 +287,11 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 	}
 	for i, r := range reqs {
 		buf := cb.Stage(int(r.Size))
-		scheme, wireLen, stamp := s.Store.readWire(r.DS, r.Idx, buf, try[i])
+		scheme, wireLen, stamp, ver := s.Store.readWire(r.DS, r.Idx, buf, try[i])
 		if scheme == rdma.SchemeRaw {
-			scheme, wireLen = cb.Add(buf, try[i])
+			if scheme, wireLen = cb.Add(buf, try[i]); ver != 0 && rdma.SchemePacked(scheme) {
+				s.Store.keepPacked(r.DS, r.Idx, ver, scheme, cb.Last())
+			}
 		} else {
 			cb.AddWire(scheme, len(buf), buf[:wireLen])
 		}
@@ -305,47 +310,32 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 }
 
 // writeScratch is the per-worker reusable state of the write path:
-// decoded tuples, the shared extent arena, the reject bitmap, and
-// materialization buffers (one zeroed, one for decoder output).
+// decoded tuples, the shared extent arena, the reject bitmap, and the
+// materialization buffer.
 type writeScratch struct {
 	reqs []rdma.WriteReqC
 	exts []rdma.Extent
 	rej  []uint64
-	lz   []byte // LZDecompress / UnpackWords target
-	zero []byte // kept all-zero for SchemeZero tuples
+	lz   []byte // UnpackBlock target
 }
 
 func (cw *writeScratch) release() {
 	rdma.PutBuf(cw.lz)
-	rdma.PutBuf(cw.zero)
-	cw.lz, cw.zero = nil, nil
+	cw.lz = nil
 }
 
-// materialize returns tuple r's raw bytes, decompressing or zero-
-// extending into the worker's scratch as the scheme demands.
+// materialize returns tuple r's raw bytes, expanded into the worker's
+// scratch unless they came raw.
 func (cw *writeScratch) materialize(r *rdma.WriteReqC) ([]byte, error) {
-	n := int(r.RawLen)
-	switch r.Scheme {
-	case rdma.SchemeZero:
-		if cap(cw.zero) < n {
-			rdma.PutBuf(cw.zero)
-			cw.zero = rdma.GetBuf(n)
-			clear(cw.zero[:cap(cw.zero)])
-		}
-		return cw.zero[:n], nil
-	case rdma.SchemeLZ, rdma.SchemeWords:
-		if cap(cw.lz) < n {
-			rdma.PutBuf(cw.lz)
-			cw.lz = rdma.GetBuf(n)
-		}
-		dst := cw.lz[:n]
-		if err := rdma.UnpackBlock(r.Scheme, dst, r.Data); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	default:
+	if r.Scheme == rdma.SchemeRaw {
 		return r.Data, nil
 	}
+	if cap(cw.lz) < int(r.RawLen) {
+		rdma.PutBuf(cw.lz)
+		cw.lz = rdma.GetBuf(int(r.RawLen))
+	}
+	dst := cw.lz[:r.RawLen]
+	return dst, rdma.UnpackBlock(r.Scheme, dst, r.Data)
 }
 
 // writeBatch applies one WRITEBATCH-C frame, stamped or not: tuples
@@ -384,7 +374,7 @@ func (s *Server) writeBatch(f rdma.Frame, w *workerScratch) (rdma.Frame, served,
 			if !rdma.CheckWords(r.Data, int(r.RawLen)) {
 				merr = rdma.ErrCorrupt
 			}
-		} else {
+		} else if r.Extents != nil || r.Scheme == rdma.SchemeLZ {
 			raw, merr = cw.materialize(r)
 		}
 		if merr != nil {

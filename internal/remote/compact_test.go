@@ -299,3 +299,59 @@ func TestCompactRangeWriteEpoch(t *testing.T) {
 		t.Fatal("obsolete range write must not clobber the newer image")
 	}
 }
+
+// TestSplicedImageIsPackedOnce: a raw image — a splice leaves one — is
+// packed by the first read on a compressing session, and that block is
+// kept and sent verbatim until the next splice or write, which drops it.
+// An image a pack cannot shrink (noise) or that is already a block (a
+// client's packed write) keeps nothing.
+func TestSplicedImageIsPackedOnce(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	sess := dialRaw(t, srv, rdma.OptCompress)
+	img := sparseInt64(512, rand.New(rand.NewSource(3)))
+	words := func() []byte {
+		s, w := rdma.ScanWords(img)
+		b := make([]byte, rdma.WordsBound(len(img)))
+		return b[:rdma.PackWords(b, img, s, w)]
+	}
+	whole := []rdma.Extent{{Off: 0, Len: 512}}
+	srv.Store.WriteRange(1, 0, 512, whole, img)
+	srv.Store.WriteRange(1, 1, 512, whole, incompressible(512, 5))
+	srv.Store.writeWire(1, 2, false, 0, rdma.SchemeWords, 512, words())
+	kept := func(idx uint32) (uint32, []byte) {
+		srv.Store.mu.RLock()
+		defer srv.Store.mu.RUnlock()
+		im := srv.Store.m[[2]uint32{1, idx}]
+		if len(im.packed) > 0 && im.pscheme != rdma.SchemeWords {
+			t.Fatalf("obj %d keeps a scheme-%d block, want words", idx, im.pscheme)
+		}
+		return im.ver, bytes.Clone(im.packed)
+	}
+	for round := 0; round < 2; round++ {
+		for idx := uint32(0); idx < 3; idx++ {
+			if objs, _ := sess.read(false, rdma.ReadReq{DS: 1, Idx: idx, Size: 512}); !bytes.Equal(objs[0], srv.Store.Read(1, idx, 512)) {
+				t.Fatalf("round %d: obj %d reads other bytes than stored", round, idx)
+			}
+		}
+		if ver, block := kept(0); !bytes.Equal(block, words()) || ver != 1 {
+			t.Fatalf("round %d: spliced obj 0 keeps a %d-byte block at version %d, want its words block at version 1", round, len(block), ver)
+		}
+		for _, idx := range []uint32{1, 2} {
+			if _, block := kept(idx); len(block) != 0 {
+				t.Fatalf("round %d: obj %d keeps a block", round, idx)
+			}
+		}
+	}
+	img[8] ^= 1
+	srv.Store.WriteRange(1, 0, 512, []rdma.Extent{{Off: 8, Len: 1}}, img[8:9])
+	if ver, block := kept(0); len(block) != 0 || ver != 2 {
+		t.Fatalf("after a splice obj 0 keeps %d block bytes at version %d, want none at version 2", len(block), ver)
+	}
+	if objs, _ := sess.read(false, rdma.ReadReq{DS: 1, Idx: 0, Size: 512}); !bytes.Equal(objs[0], img) {
+		t.Fatal("the read after the splice returns other bytes than the splice left")
+	}
+	if _, block := kept(0); !bytes.Equal(block, words()) {
+		t.Fatal("the read after the splice kept no block of the new version")
+	}
+}

@@ -683,3 +683,51 @@ func TestRegisterThenEncodeWindowIsSafe(t *testing.T) {
 	}
 	testutil.CheckGoroutines(t, goroutines)
 }
+
+// TestForgedWordsReplyIsRefusedOnTheReader: a words segment behind a
+// valid checksum that fails rdma.CheckWords is refused on the reader even
+// when the read asked for the wire form (IssueReadWire), which never
+// decodes there: the stream is abandoned and the read replays on a fresh
+// connection, which here serves the object intact.
+func TestForgedWordsReplyIsRefusedOnTheReader(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	img := make([]byte, 64)
+	img[8] = 7 // word 1 of the only group: eligible for SchemeWords
+	var accepted atomic.Int32
+	srv.ConnWrap = func(c io.ReadWriteCloser) io.ReadWriteCloser {
+		if accepted.Add(1) == 2 {
+			srv.Store.Write(1, 0, img) // the replay finds the object intact
+		}
+		return c
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Stored as a client's block would be, past admission: the bitmap
+	// names two present words, the stream holds one.
+	srv.Store.mu.Lock()
+	srv.Store.m[[2]uint32{1, 0}] = image{scheme: rdma.SchemeWords, rawLen: 64, data: []byte{0, 8, 0b11, 7}}
+	srv.Store.mu.Unlock()
+	c, err := DialPipelined(addr, PipelineOpts{Timeout: 2 * time.Second, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dst, got := make([]byte, 64), make([]byte, 64)
+	var blk rdma.Block
+	done := make(chan error, 1)
+	c.IssueReadWire(1, 0, dst, &blk, func(err error) { done <- err })
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if blk.Scheme != rdma.SchemeWords || !rdma.CheckWords(dst[:blk.Len], len(dst)) {
+		t.Fatalf("delivered %+v: want a checked words block", blk)
+	}
+	rdma.UnpackBlock(blk.Scheme, got, dst[:blk.Len])
+	if !bytes.Equal(got, img) || accepted.Load() != 2 {
+		t.Fatalf("read %x over %d connections, want %x over 2: the forged block was not refused and replayed", got, accepted.Load(), img)
+	}
+}

@@ -118,16 +118,17 @@ type pipeOp struct {
 	ds, idx, size uint32
 	epoch         uint64           // write: stamp to apply; read: stamp received
 	dst           []byte           // read destination
+	blk           *rdma.Block      // read: what dst holds, if left in wire form (IssueReadWire)
 	data          []byte           // write payload (valid until completion)
 	exts          []rdma.Extent    // range write-back: dirty extents of data (nil = full object)
 	creq          rdma.ChaseReq    // chase: the traversal program
+	attempts      int32            // reconnect replays beyond the first attempt (in creq's padding)
 	cres          rdma.ChaseResult // chase: decoded path (hop data caller-owned)
 	done          func(error)
 	ch            chan error
 	start         time.Time       // set when metrics or tracing are attached
 	sentAt        time.Time       // doorbell time (tracing sessions only)
 	ctx           obs.SpanContext // root span context captured at enqueue
-	attempts      int             // reconnect replays beyond the first attempt
 }
 
 func (op *pipeOp) complete(err error) {
@@ -475,6 +476,15 @@ func (c *PipelinedClient) enqueue(op *pipeOp) {
 // block.
 func (c *PipelinedClient) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	c.enqueue(readOp(ds, idx, dst, done))
+}
+
+// IssueReadWire implements farmem.WireReadStore: IssueRead, but a raw,
+// zero or words segment — checked (rdma.CheckWords) — lands in dst as it
+// came, named by *blk. An LZ block, whose check is a decode, is decoded.
+func (c *PipelinedClient) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	op := readOp(ds, idx, dst, done)
+	op.blk = blk
+	c.enqueue(op)
 }
 
 // IssueReadEpoch (replica.EpochBackend) is IssueRead returning the
@@ -1064,7 +1074,8 @@ func (c *PipelinedClient) deliver(f *rdma.Frame, ops []*pipeOp, sc *replyScratch
 }
 
 // deliverData fills each read's destination from its DATABATCH-C
-// segment and returns how many reads completed. A corrupt compressed
+// segment, or for IssueReadWire keeps all but LZ as it came, and returns
+// how many reads completed. A corrupt compressed
 // block behind a valid checksum stops it mid-frame: the completed
 // prefix stands (reads are idempotent), the rest is the caller's to
 // replay.
@@ -1084,15 +1095,15 @@ func (c *PipelinedClient) deliverData(f *rdma.Frame, ops []*pipeOp, sc *replyScr
 	}
 	for i, op := range ops {
 		seg := &segs[i]
-		switch seg.Scheme {
-		case rdma.SchemeZero:
-			clear(op.dst)
-		case rdma.SchemeLZ, rdma.SchemeWords:
+		switch {
+		case op.blk == nil || seg.Scheme == rdma.SchemeLZ:
 			if err := rdma.UnpackBlock(seg.Scheme, op.dst, seg.Data); err != nil {
 				return i, err
 			}
+		case seg.Scheme == rdma.SchemeWords && !rdma.CheckWords(seg.Data, len(op.dst)):
+			return i, rdma.ErrCorrupt
 		default:
-			copy(op.dst, seg.Data)
+			*op.blk = rdma.Block{Scheme: seg.Scheme, Len: copy(op.dst, seg.Data)}
 		}
 		op.epoch = seg.Epoch
 		c.finishOp(op, f)
@@ -1227,7 +1238,7 @@ func (c *PipelinedClient) finishOp(op *pipeOp, reply *rdma.Frame) {
 	c.hub.Offer(obs.SlowOp{
 		TraceID: op.ctx.TraceID, SpanID: op.ctx.SpanID,
 		Op: name, DS: int(op.ds), Idx: int(op.idx), Shard: c.shard,
-		Attempts: op.attempts + 1, Sampled: op.ctx.Sampled,
+		Attempts: int(op.attempts) + 1, Sampled: op.ctx.Sampled,
 		StartUS: startUS, TotalUS: totalUS,
 		ClientQueueUS: cqUS, WireUS: wireUS,
 		ServerQueueUS: uint64(queueUS), ServerServiceUS: uint64(serviceUS),
@@ -1239,7 +1250,7 @@ func (c *PipelinedClient) finishOp(op *pipeOp, reply *rdma.Frame) {
 	c.hub.Emit(obs.TraceEvent{
 		TS: startUS, Dur: totalUS, Cat: "remote", Name: name,
 		TID: int(op.ds), Trace: op.ctx.TraceID,
-		Arg1Name: "attempts", Arg1: int64(op.attempts + 1),
+		Arg1Name: "attempts", Arg1: int64(op.attempts) + 1,
 		Arg2Name: "obj", Arg2: int64(op.idx),
 	})
 	c.hub.Emit(obs.TraceEvent{

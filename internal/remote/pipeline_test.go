@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cards/internal/obs"
 	"cards/internal/rdma"
@@ -468,5 +469,14 @@ func TestPipelinedBrokenStreamFailsFast(t *testing.T) {
 	}
 	if err := cl.Ping(); err == nil {
 		t.Fatal("ping after transport failure should fail fast")
+	}
+}
+
+// TestPipeOpFitsItsSizeClass: every op is one allocation of a pipeOp;
+// past 256 bytes it takes the allocator's 288-byte class, which the
+// store-fanin workload's client RSS shows.
+func TestPipeOpFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(pipeOp{}); n > 256 {
+		t.Fatalf("pipeOp is %d bytes, want at most 256", n)
 	}
 }

@@ -38,7 +38,8 @@ import (
 //
 // Each object is held once, in the wire form it arrived in (see image):
 // a write-back its client compressed stays compressed, and a read on a
-// session that takes compressed segments gets those bytes back verbatim.
+// session that takes compressed segments gets those bytes back verbatim,
+// as it gets a raw image's block, packed once per version (keepPacked).
 // Every exported method speaks raw bytes and expands on the way out.
 type ObjectStore struct {
 	mu sync.RWMutex
@@ -51,12 +52,13 @@ type ObjectStore struct {
 // to rawLen bytes when the server validated it on arrival, SchemeWords a
 // bit-packed block that passed rdma.CheckWords for rawLen then,
 // SchemeZero nothing — plus the object's epoch stamp. An absent object
-// reads as image's zero value: raw, no bytes, epoch 0.
+// reads as image's zero value: raw, no bytes, epoch 0. ver counts writes
+// and splices; packed is a raw image's pscheme block (keepPacked).
 type image struct {
-	scheme uint8
-	rawLen uint32
-	data   []byte
-	epoch  uint64
+	scheme, pscheme uint8
+	rawLen, ver     uint32
+	data, packed    []byte
+	epoch           uint64
 }
 
 // expand fills dst with the image's raw bytes under ReadInto's contract:
@@ -107,21 +109,39 @@ func (s *ObjectStore) ReadInto(ds, idx uint32, dst []byte) { s.ReadEpochInto(ds,
 //
 //   - SchemeZero: the object is absent or stored as zeros; dst is untouched.
 //   - SchemeLZ, SchemeWords (only when packed is set): dst[:n] holds the
-//     stored block, which expands to exactly len(dst) bytes.
+//     stored or kept block, which expands to exactly len(dst) bytes.
 //   - SchemeRaw: dst holds the raw bytes as ReadInto leaves them; n is
-//     len(dst).
-func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme uint8, n int, epoch uint64) {
+//     len(dst), and ver, unless 0, the raw image's version (keepPacked).
+func (s *ObjectStore) readWire(ds, idx uint32, dst []byte, packed bool) (scheme uint8, n int, epoch uint64, ver uint32) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	im, ok := s.m[[2]uint32{ds, idx}]
+	exact := int(im.rawLen) == len(dst)
 	switch {
 	case !ok || im.scheme == rdma.SchemeZero:
-		return rdma.SchemeZero, 0, im.epoch
-	case packed && rdma.SchemePacked(im.scheme) && int(im.rawLen) == len(dst):
-		return im.scheme, copy(dst, im.data), im.epoch
+		return rdma.SchemeZero, 0, im.epoch, 0
+	case packed && exact && rdma.SchemePacked(im.scheme):
+		return im.scheme, copy(dst, im.data), im.epoch, 0
+	case packed && exact && len(im.packed) > 0:
+		return im.pscheme, copy(dst, im.packed), im.epoch, 0
 	}
 	im.expand(dst)
-	return rdma.SchemeRaw, len(dst), im.epoch
+	if !exact || im.scheme != rdma.SchemeRaw {
+		im.ver = 0
+	}
+	return rdma.SchemeRaw, len(dst), im.epoch, im.ver
+}
+
+// keepPacked keeps block, a read's pack of the raw image at version ver,
+// beside it while ver stands: the next write or splice drops it.
+func (s *ObjectStore) keepPacked(ds, idx, ver uint32, scheme uint8, block []byte) {
+	k := [2]uint32{ds, idx}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if im := s.m[k]; im.ver == ver && len(im.packed) == 0 {
+		im.pscheme, im.packed = scheme, append(im.packed, block...)
+		s.m[k] = im
+	}
 }
 
 // Write stores a copy of data.
@@ -161,16 +181,16 @@ func (s *ObjectStore) writeWire(ds, idx uint32, stamped bool, epoch uint64, sche
 }
 
 // put returns the image holding a copy of wire, its epoch stamp carried
-// over. The old buffer is reused when the new bytes fit it without
-// leaving more than half of it idle: a same-size overwrite allocates
-// nothing, and a block replacing a raw image does not pin its
-// footprint. Stored slices never leave the store.
+// over and its version advanced. The old buffer is reused when the new
+// bytes fit it without leaving more than half of it idle: a same-size
+// overwrite allocates nothing, and a block replacing a raw image does
+// not pin its footprint. Stored slices never leave the store.
 func (im image) put(scheme uint8, rawLen uint32, wire []byte) image {
 	buf := im.data[:0]
 	if cap(buf) < len(wire) || cap(buf) > 2*len(wire) {
 		buf = nil
 	}
-	return image{scheme: scheme, rawLen: rawLen, data: append(buf, wire...), epoch: im.epoch}
+	return image{scheme: scheme, rawLen: rawLen, ver: im.ver + 1, data: append(buf, wire...), packed: im.packed[:0], epoch: im.epoch}
 }
 
 // ReadEpochInto is ReadInto returning the object's stored epoch stamp

@@ -9,7 +9,8 @@ import (
 )
 
 // TestShardedRouteAllocs pins the allocations per op of ShardedStore's
-// gated route over backends that complete inline: an issued op costs
+// gated route over backends that complete inline (and leave a read in
+// wire form, so IssueReadWire is forwarded): an issued op costs
 // its completion closure plus what the backend itself allocates (the
 // store's copy of a write, a splice's read-back); a sync verb forwards
 // directly and costs nothing. The analytics workload runs through this
@@ -20,14 +21,15 @@ func TestShardedRouteAllocs(t *testing.T) {
 	}
 	var backends []farmem.Store
 	for range 3 {
-		backends = append(backends, testutil.InlineAsync{ObjStore: farmem.NewMapStore()})
+		backends = append(backends, testutil.WireInline{InlineAsync: testutil.InlineAsync{ObjStore: farmem.NewMapStore()}})
 	}
 	ss, err := NewSharded(backends, Options{BreakerThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	buf := make([]byte, 256)
+	buf, wire := make([]byte, 256), make([]byte, 256)
+	var blk rdma.Block
 	exts := []rdma.Extent{{Off: 8, Len: 8}}
 	done := func(err error) {
 		if err != nil {
@@ -43,6 +45,7 @@ func TestShardedRouteAllocs(t *testing.T) {
 		op   func()
 	}{
 		{"IssueRead", 1, func() { ss.IssueRead(0, 1, buf, done) }},
+		{"IssueReadWire", 1, func() { ss.IssueReadWire(0, 1, wire, &blk, done) }},
 		{"IssueWrite", 2, func() { ss.IssueWrite(0, 1, buf, done) }},
 		{"IssueWriteRanges", 3, func() { ss.IssueWriteRanges(0, 1, buf, exts, done) }},
 		{"ReadObj", 0, func() { done(ss.ReadObj(0, 1, buf)) }},
@@ -50,5 +53,8 @@ func TestShardedRouteAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, c.op); got != c.want {
 			t.Errorf("%s: %v allocations per op, want %v", c.verb, got, c.want)
 		}
+	}
+	if blk.Scheme != rdma.SchemeZero {
+		t.Errorf("IssueReadWire of a zero object left %+v: not forwarded in wire form", blk)
 	}
 }

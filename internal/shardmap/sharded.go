@@ -55,9 +55,9 @@ type shard struct {
 
 // ShardedStore multiplexes farmem store traffic across N backends using
 // rendezvous placement (see Map). It implements farmem.Store,
-// farmem.AsyncStore, farmem.AsyncWriteStore, farmem.RangeWriteStore,
-// farmem.AsyncChaseStore, farmem.Pinger, farmem.Recoverable and
-// farmem.DrainScoper.
+// farmem.AsyncStore, farmem.WireReadStore, farmem.AsyncWriteStore,
+// farmem.RangeWriteStore, farmem.AsyncChaseStore, farmem.Pinger,
+// farmem.Recoverable and farmem.DrainScoper.
 //
 // Fault domains are per shard (see Fleet): operations against a tripped
 // shard fail fast with an error wrapping farmem.ErrDegraded while the
@@ -202,10 +202,20 @@ func (ss *ShardedStore) WriteObj(ds, idx int, src []byte) error {
 // pipelined connection, so a prefetch batch that spans shards rides N
 // doorbells in parallel; a shard without async reads serves it inline.
 func (ss *ShardedStore) IssueRead(ds, idx int, dst []byte, done func(error)) {
+	ss.IssueReadWire(ds, idx, dst, nil, done)
+}
+
+// IssueReadWire implements farmem.WireReadStore on the same route as
+// IssueRead: a shard without the surface decodes the reply (and leaves
+// *blk alone). A nil blk is IssueRead.
+func (ss *ShardedStore) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
 	ss.route(ss.ShardOf(ds, idx), op{verb: "read", n: len(dst)}, done, func(s *shard, fin func(error)) {
-		if s.Caps.Async != nil {
+		switch {
+		case blk != nil && s.Caps.WireRead != nil:
+			s.Caps.WireRead.IssueReadWire(ds, idx, dst, blk, fin)
+		case s.Caps.Async != nil:
 			s.Caps.Async.IssueRead(ds, idx, dst, fin)
-		} else {
+		default:
 			fin(s.Store.ReadObj(ds, idx, dst))
 		}
 	})

@@ -60,6 +60,41 @@ func (s InlineAsync) IssueWriteRanges(ds, idx int, src []byte, exts []rdma.Exten
 	done(splice(s.ObjStore, ds, idx, src, exts))
 }
 
+// WireForm leaves the object read into dst in the form a far tier's
+// reply may carry it (farmem.WireReadStore), named by *blk: an object
+// rdma.ScanWords finds eligible as its bit-packed block, an all-zero one
+// as no bytes, any other raw. The bytes past a block are scribbled, as a
+// reused staging buffer's would be stale, so a reader that skips the
+// decode reads garbage.
+func WireForm(dst []byte, blk *rdma.Block) {
+	s, w := rdma.ScanWords(dst)
+	switch {
+	case w == 0:
+		*blk = rdma.Block{Scheme: rdma.SchemeZero}
+	case w > 0:
+		b := make([]byte, rdma.WordsBound(len(dst)))
+		*blk = rdma.Block{Scheme: rdma.SchemeWords, Len: copy(dst, b[:rdma.PackWords(b, dst, s, w)])}
+	default:
+		return
+	}
+	for i := blk.Len; i < len(dst); i++ {
+		dst[i] = 0xa5
+	}
+}
+
+// WireInline is InlineAsync that also leaves a read in wire form
+// (farmem.WireReadStore, see WireForm).
+type WireInline struct{ InlineAsync }
+
+// IssueReadWire implements farmem.WireReadStore.
+func (s WireInline) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	err := s.ReadObj(ds, idx, dst)
+	if err == nil {
+		WireForm(dst, blk)
+	}
+	done(err)
+}
+
 // LateAsync completes every async op on a goroutine of its own after a
 // seeded random delay: reads fill dst only then, and writes and splices
 // land only then, so a runtime that looks at a buffer before its
@@ -133,6 +168,23 @@ func (s *LateAsync) IssueRead(ds, idx int, dst []byte, done func(error)) {
 	s.reads.Add(1)
 	s.noteRead(ds, idx)
 	s.later(func() error { return s.ObjStore.ReadObj(ds, idx, dst) }, done)
+}
+
+// WireLate is LateAsync that also leaves a read in wire form
+// (farmem.WireReadStore, see WireForm).
+type WireLate struct{ *LateAsync }
+
+// IssueReadWire implements farmem.WireReadStore.
+func (s WireLate) IssueReadWire(ds, idx int, dst []byte, blk *rdma.Block, done func(error)) {
+	s.reads.Add(1)
+	s.noteRead(ds, idx)
+	s.later(func() error {
+		err := s.ObjStore.ReadObj(ds, idx, dst)
+		if err == nil {
+			WireForm(dst, blk)
+		}
+		return err
+	}, done)
 }
 
 // IssueWrite implements farmem.AsyncWriteStore.
