@@ -85,7 +85,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/faultnet
 
 # chaos runs the fault-tolerance suite: the e2e workloads over the chaos
-# proxy, the breaker outage demo and the sharded / replicated (one with
+# proxy, the breaker outage demo, the one-shard outages that must leave
+# the runtime's breaker closed, and the sharded / replicated (one with
 # dirty-range write-back) / chase kill-and-restart runs (root), the transport's
 # handshake/cut/timeout/uncertain-write/reconnect tests, cardsd's
 # read-burst serving under cuts, drains and parked writes, and the
@@ -99,9 +100,9 @@ fuzz-smoke:
 # itself (internal/faultnet). Schedules are seeded in the tests, so a run
 # is reproducible.
 chaos:
-	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestReplicaKillBackendRangeWriteback|TestChaseOffloadSurvivesBackendKillMidRun' .
+	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestShardedOutageWithoutRetriesStaysContained|TestShardedOutageDirtyWriteBacksStayContained|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestReplicaKillBackendRangeWriteback|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
-	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestFailedRangeWrite|TestWriteBackSweepReentrancy|TestFill' ./internal/farmem ./internal/interp
+	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestShardPlainFailuresNeverTripRuntimeBreaker|TestFailedRangeWrite|TestWriteBackSweepReentrancy|TestFill' ./internal/farmem ./internal/interp
 	$(GO) test -v ./internal/shardmap ./internal/replica
 	$(GO) test -v ./internal/faultnet
 

@@ -24,13 +24,12 @@ import (
 	"net/http"
 	"time"
 
+	"cards/internal/core"
 	"cards/internal/farmem"
 	"cards/internal/netsim"
 	"cards/internal/obs"
-	"cards/internal/prefetch"
 	"cards/internal/remote"
 	"cards/internal/replica"
-	"cards/internal/shardmap"
 )
 
 // Pattern is the access-pattern hint for a data structure; it selects
@@ -137,9 +136,10 @@ type Config struct {
 	// BreakerThreshold arms the runtime's circuit breaker: after this
 	// many consecutive far-tier failures it degrades to local memory,
 	// pinning the working set and probing for recovery in the
-	// background. With RemoteAddrs the same threshold also arms each
-	// shard's private breaker. 0 means 8; negative disables the
-	// breakers. Only meaningful with RemoteAddr/RemoteAddrs set.
+	// background. With several RemoteAddrs it arms each backend's
+	// breaker instead of the runtime's, so one dead backend degrades
+	// only its keys. 0 means 8; negative disables the breakers. Only
+	// meaningful with RemoteAddr/RemoteAddrs set.
 	BreakerThreshold int
 
 	// Compression controls adaptive per-object compression on the
@@ -174,20 +174,12 @@ type Config struct {
 	TraceTarget float64
 }
 
-// policyStore is the placement surface shared by the sharded and
-// replicated multi-backend stores.
-type policyStore interface {
-	SetPolicy(ds int, p shardmap.Policy)
-}
-
 // Runtime is a far-memory runtime instance.
 type Runtime struct {
 	rt       *farmem.Runtime
-	client   io.Closer
-	policies policyStore         // non-nil in multi-backend mode
+	tier     replica.FarTier     // nil with the in-process store
 	tracer   *obs.Tracer         // non-nil iff Config.Trace
 	recorder *obs.FlightRecorder // non-nil iff Config.Trace
-	nextID   int
 }
 
 // New creates a runtime. With Config{} all memory budgets are zero, so
@@ -235,8 +227,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		addrs = []string{cfg.RemoteAddr}
 	}
-	var client io.Closer
-	var policies policyStore
+	var tier replica.FarTier
 	if len(addrs) > 0 || cfg.Replicas > 1 {
 		timeout := cfg.RemoteTimeout
 		if timeout == 0 {
@@ -262,7 +253,8 @@ func New(cfg Config) (*Runtime, error) {
 		// restarted server resumes remoting without restarting this process
 		// (once the reconnect budget is spent, the breaker's Ping probes buy
 		// the redials). Several addresses get per-backend breakers on top.
-		tier, err := replica.Dial(addrs, remote.PipelineOpts{
+		var err error
+		tier, err = replica.Dial(addrs, remote.PipelineOpts{
 			Timeout: timeout, RetryMax: retries, Obs: reg, Trace: hub,
 			Compression: cfg.Compression,
 		}, replica.Options{
@@ -275,9 +267,7 @@ func New(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cards: connecting %w", err)
 		}
-		// runtime + per-backend series in one registry
-		fc.Store, fc.Obs, client = tier, reg, tier
-		policies, _ = tier.(policyStore)
+		fc.Store, fc.Obs = tier, reg // runtime + per-backend series in one registry
 		// The transport never silently retries an unacknowledged write
 		// (it cannot know whether the server applied it); the runtime
 		// reissues instead — full-object write-backs are idempotent.
@@ -286,8 +276,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	return &Runtime{
 		rt:       farmem.New(fc),
-		client:   client,
-		policies: policies,
+		tier:     tier,
 		tracer:   tracer,
 		recorder: recorder,
 	}, nil
@@ -297,8 +286,8 @@ func New(cfg Config) (*Runtime, error) {
 // prober) and releases the far-tier connection, if any.
 func (r *Runtime) Close() error {
 	r.rt.Close()
-	if r.client != nil {
-		return r.client.Close()
+	if r.tier != nil {
+		return r.tier.Close()
 	}
 	return nil
 }
@@ -351,7 +340,7 @@ func (h *dsHandle) Local() bool { return h.d.Local() }
 // register creates a DS with the given hints and placement.
 func (r *Runtime) register(name string, pattern Pattern, placement Placement,
 	objSize, elemSize int, ptrOffs []int, recursive bool) (*dsHandle, error) {
-	id := r.nextID
+	id := r.rt.NumDS()
 	meta := farmem.DSMeta{
 		Name:       name,
 		ObjSize:    objSize,
@@ -360,30 +349,9 @@ func (r *Runtime) register(name string, pattern Pattern, placement Placement,
 		Recursive:  recursive,
 		PtrOffsets: ptrOffs,
 	}
-	d, err := r.rt.RegisterDS(id, meta)
+	d, err := core.Register(r.rt, r.tier, id, meta, placement.farmem(), true)
 	if err != nil {
 		return nil, err
-	}
-	r.nextID++
-	if err := r.rt.SetPlacement(id, placement.farmem()); err != nil {
-		return nil, err
-	}
-	if r.policies != nil {
-		// Shard placement follows the access-pattern hint: structures
-		// whose prefetch batches follow pointers pin to one backend (or
-		// one replica group), flat pools stripe for aggregate bandwidth.
-		r.policies.SetPolicy(id, shardmap.PolicyFor(recursive, meta.Pattern == farmem.PatternPointerChase))
-	}
-	if pf := prefetch.Select(prefetch.Hints{
-		Pattern:    meta.Pattern,
-		Recursive:  recursive,
-		ElemSize:   elemSize,
-		PtrOffsets: ptrOffs,
-		ObjSize:    meta.ObjSize,
-	}); pf != nil {
-		if err := r.rt.SetPrefetcher(id, pf); err != nil {
-			return nil, err
-		}
 	}
 	return &dsHandle{r: r, d: d, id: id}, nil
 }

@@ -27,9 +27,7 @@ import (
 
 	"cards/internal/core"
 	"cards/internal/farmem"
-	"cards/internal/interp"
 	"cards/internal/ir"
-	"cards/internal/netsim"
 	"cards/internal/obs"
 	"cards/internal/policy"
 	"cards/internal/remote"
@@ -75,7 +73,7 @@ func main() {
 	pinnedKiB := flag.Uint64("pinned", 4096, "pinned local memory for -run, KiB")
 	cacheKiB := flag.Uint64("cache", 512, "remotable local memory for -run, KiB")
 	retryMax := flag.Int("retry-max", 0, fmt.Sprintf("with -run: the runtime reissues a failed far-tier operation up to N times, and the transport redials a cut connection up to N times (0: no reissue, %d redials; negative: neither)", remote.DefaultReconnectAttempts))
-	breakerThreshold := flag.Int("breaker-threshold", 0, "with -run: trip the circuit breaker (degrade to local memory) after N consecutive far-tier failures (0 = off)")
+	breakerThreshold := flag.Int("breaker-threshold", 0, "with -run: trip the circuit breaker (degrade to local memory) after N consecutive far-tier failures (0 = off); with 2+ -remote addresses it arms each backend's breaker instead of the runtime's")
 	remoteAddrs := flag.String("remote", "", "with -run: back far memory with cardsd server(s) at these comma-separated addresses; 2+ addresses shard objects across the fleet (pointer-chasing structures pin to one shard, flat pools stripe)")
 	replicas := flag.Int("replicas", 1, "with -run and 2+ -remote addresses: replicate each object across R backends with epoch-stamped writes and read failover")
 	flag.Parse()
@@ -160,12 +158,7 @@ func main() {
 			defer closeStore()
 			rc.Store = store
 		}
-		var res *core.RunResult
-		if *traceRun || *report {
-			res, err = runInstrumented(c, rc, *traceRun, *report)
-		} else {
-			res, err = c.Run(rc)
-		}
+		res, err := execute(c, rc, *traceRun, *report)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cardsc: run: %v\n", err)
 			os.Exit(1)
@@ -219,11 +212,11 @@ func writeTrace(path string, t *obs.Tracer) error {
 	return f.Close()
 }
 
-// runInstrumented executes the compiled program on a runtime with
-// optional event tracing (to stderr) and a final per-structure report
-// (to stdout).
-func runInstrumented(c *core.Compiled, rc core.RunConfig, trace, report bool) (*core.RunResult, error) {
-	rt, _, err := c.NewRuntime(rc)
+// execute runs the compiled program as core.Run does, with optional
+// event tracing (to stderr) and a final per-structure report (to
+// stdout).
+func execute(c *core.Compiled, rc core.RunConfig, trace, report bool) (*core.RunResult, error) {
+	rt, placements, err := c.NewRuntime(rc)
 	if err != nil {
 		return nil, err
 	}
@@ -231,22 +224,10 @@ func runInstrumented(c *core.Compiled, rc core.RunConfig, trace, report bool) (*
 	if trace {
 		rt.SetEventHook(farmem.TraceWriter(os.Stderr))
 	}
-	mach, err := interp.New(c.Module, rt, interp.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mainRes, err := mach.Run()
-	if err != nil {
-		return nil, err
-	}
-	if report {
+	res, err := c.Execute(rt, placements, rc.MaxSteps)
+	if err == nil && report {
 		fmt.Println()
 		rt.Report(os.Stdout)
 	}
-	return &core.RunResult{
-		Cycles:     rt.Clock().Now(),
-		Seconds:    netsim.Seconds(rt.Clock().Now(), netsim.DefaultHz),
-		Runtime:    rt.Stats(),
-		MainResult: mainRes,
-	}, nil
+	return res, err
 }

@@ -149,9 +149,11 @@ type RunConfig struct {
 	// RetryMax reissues failed store operations (charged to the link as
 	// wasted round trips plus backoff); 0 disables retries.
 	RetryMax int
-	// BreakerThreshold arms the runtime circuit breaker (degradation to
-	// local memory after this many consecutive store failures); 0
-	// disables it. See internal/farmem/breaker.go.
+	// BreakerThreshold arms the runtime circuit breaker of a single
+	// store (degradation to local memory after this many consecutive
+	// store failures); 0 disables it. Over a multi-backend store the
+	// backends' own breakers count the failures instead. See
+	// internal/farmem/breaker.go.
 	BreakerThreshold int
 
 	// RangeWriteback enables compiler-aided dirty-range write-back:
@@ -240,38 +242,48 @@ func (c *Compiled) NewRuntime(cfg RunConfig) (*farmem.Runtime, []farmem.Placemen
 			meta.PtrOffsets = ir.PointerFieldOffsets(info.DS.Elem)
 		}
 		meta.WriteFootprint = info.WriteFootprint
-		if _, err := rt.RegisterDS(info.DS.ID, meta); err != nil {
+		if _, err := Register(rt, cfg.Store, info.DS.ID, meta, placements[i], !cfg.DisablePrefetch); err != nil {
 			return nil, nil, err
-		}
-		if err := rt.SetPlacement(info.DS.ID, placements[i]); err != nil {
-			return nil, nil, err
-		}
-		if ss, ok := cfg.Store.(interface {
-			SetPolicy(ds int, p shardmap.Policy)
-		}); ok {
-			// Multi-backend far tier (sharded or replicated):
-			// pointer-chasing structures pin to one shard / replica group
-			// (compiler-batched prefetches stay single-backend), flat
-			// pools stripe across all of them.
-			ss.SetPolicy(info.DS.ID, shardmap.PolicyFor(meta.Recursive, meta.Pattern == farmem.PatternPointerChase))
-		}
-		if !cfg.DisablePrefetch {
-			pf := prefetch.Select(prefetch.Hints{
-				Pattern:    meta.Pattern,
-				Recursive:  meta.Recursive,
-				ElemSize:   meta.ElemSize,
-				PtrOffsets: meta.PtrOffsets,
-				Stride:     meta.Stride,
-				ObjSize:    meta.ObjSize,
-			})
-			if pf != nil {
-				if err := rt.SetPrefetcher(info.DS.ID, pf); err != nil {
-					return nil, nil, err
-				}
-			}
 		}
 	}
 	return rt, placements, nil
+}
+
+// Register declares structure id on rt with its placement and installs
+// what its hints select: over a multi-backend store (sharded or
+// replicated) the shard placement rule — pointer-chasing structures pin
+// to one shard or replica group, so compiler-batched prefetches stay
+// single-backend, and flat pools stripe across all of them — and, when
+// withPrefetch is set, the structure's prefetcher.
+func Register(rt *farmem.Runtime, store farmem.Store, id int, meta farmem.DSMeta, place farmem.Placement, withPrefetch bool) (*farmem.DS, error) {
+	d, err := rt.RegisterDS(id, meta)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.SetPlacement(id, place); err != nil {
+		return nil, err
+	}
+	if ss, ok := store.(interface {
+		SetPolicy(ds int, p shardmap.Policy)
+	}); ok {
+		ss.SetPolicy(id, shardmap.PolicyFor(meta.Recursive, meta.Pattern == farmem.PatternPointerChase))
+	}
+	if !withPrefetch {
+		return d, nil
+	}
+	if pf := prefetch.Select(prefetch.Hints{
+		Pattern:    meta.Pattern,
+		Recursive:  meta.Recursive,
+		ElemSize:   meta.ElemSize,
+		PtrOffsets: meta.PtrOffsets,
+		Stride:     meta.Stride,
+		ObjSize:    meta.ObjSize,
+	}); pf != nil {
+		if err := rt.SetPrefetcher(id, pf); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }
 
 // Run executes the compiled program once under the given configuration.
@@ -281,7 +293,14 @@ func (c *Compiled) Run(cfg RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	defer rt.Close()
-	mach, err := interp.New(c.Module, rt, interp.Options{MaxSteps: cfg.MaxSteps})
+	return c.Execute(rt, placements, cfg.MaxSteps)
+}
+
+// Execute runs the compiled program on rt, which NewRuntime built with
+// placements, and collects what the run measured. The caller closes rt;
+// between the two it may attach an event hook or print a report.
+func (c *Compiled) Execute(rt *farmem.Runtime, placements []farmem.Placement, maxSteps uint64) (*RunResult, error) {
+	mach, err := interp.New(c.Module, rt, interp.Options{MaxSteps: maxSteps})
 	if err != nil {
 		return nil, err
 	}

@@ -34,8 +34,11 @@ import (
 // wall time alone.
 //
 // The same Breaker and Prober guard every backend of a multi-backend
-// store (shardmap.Fleet), so a shard, a replica-group member and the
-// tier as a whole fail and recover by one set of rules.
+// store (shardmap.Fleet), so a shard, a replica-group member and a
+// single store fail and recover by one set of rules. Each failure is
+// counted by one breaker: over a fleet (a Recoverable store) the
+// backends are the fault domains, so the runtime's breaker is disarmed
+// and the fleet's recovery epoch triggers the drain instead.
 
 // ErrDegraded reports a remote-object access while the breaker is open:
 // the far tier is unreachable and the object is not resident locally.
@@ -48,11 +51,13 @@ type Pinger interface {
 }
 
 // Recoverable is the optional recovery-signal surface of a Store whose
-// failures are narrower than the whole tier (the sharded store). Its
-// epoch advances every time a previously degraded slice of the store
-// comes back; the runtime compares epochs after successful operations
-// and drains the dirty write-backs stranded by the outage exactly once
-// per recovery. Detected by type assertion.
+// failures are narrower than the whole tier (the sharded store), each
+// slice behind its own breaker. Its epoch advances every time a
+// previously degraded slice of the store comes back; the runtime
+// compares epochs after successful operations and drains the dirty
+// write-backs stranded by the outage exactly once per recovery. Over
+// such a store the runtime arms no breaker of its own. Detected by type
+// assertion.
 type Recoverable interface {
 	RecoveryEpoch() uint64
 }
@@ -307,7 +312,8 @@ func (r *Runtime) storeWrite(d *DS, idx int, src []byte) error {
 // storeOp runs one store operation under the breaker gate with up to
 // Config.RetryMax reissues, charging each reissue to the simulated link
 // (a wasted round trip plus backoff). A success that closes a half-open
-// breaker triggers recovery: budget restore + dirty drain.
+// breaker advances the runtime's recovery epoch; every success then
+// checks for a recovery to drain.
 func (r *Runtime) storeOp(op func() error) error {
 	if !r.breaker.Gate() {
 		r.stats.DegradedOps++
@@ -317,17 +323,15 @@ func (r *Runtime) storeOp(op func() error) error {
 	for attempt := 0; ; attempt++ {
 		if err = op(); err == nil {
 			if r.breaker.OnSuccess() {
-				r.recoverRemote()
+				r.stats.BreakerRecoveries++
 			}
-			r.maybeDrainShards()
+			r.drainRecovered()
 			return nil
 		}
 		if errors.Is(err, ErrDegraded) {
-			// A sharded store refused the operation because the one shard
-			// owning this object is down. The failure is already contained
-			// to that shard's breaker: retrying cannot help (the gate fails
-			// fast until the shard recovers) and counting it against the
-			// global breaker would wrongly degrade the healthy shards too.
+			// The fault domain owning this object is down: its breaker
+			// fails the operation fast until it recovers, so a retry
+			// cannot help.
 			r.stats.DegradedOps++
 			return err
 		}
@@ -337,33 +341,54 @@ func (r *Runtime) storeOp(op func() error) error {
 		r.stats.StoreRetries++
 		r.link.Retry()
 	}
-	r.noteFault(err)
+	r.noteFault()
 	return err
 }
 
-// noteFault counts one failed store operation against the breaker —
-// unless it is a contained per-shard degradation, which must not trip
-// the global breaker.
-func (r *Runtime) noteFault(err error) {
-	if !errors.Is(err, ErrDegraded) && r.breaker.OnFailure() {
+// noteFault counts one failed store operation against the breaker. A
+// trip pins every dirty object, so it arms the next recovery's drain.
+func (r *Runtime) noteFault() {
+	if r.breaker.OnFailure() {
 		r.stats.BreakerTrips++
+		r.degradedDirty = true
 		r.emit(EvBreakerTrip, -1, 0, false)
 	}
 }
 
-// drainDirty is the one recovery drain: it writes every dirty resident
-// object, then every parked staged write-back (which hold the only copy
-// of their objects outside any frame), back to the far tier. With a
-// scope it touches only objects whose owning slice recovered after
-// since; objects on slices still down stay pinned without a wasted
-// fail-fast write, and objects on healthy slices that were never
-// stranded are not re-written at all. An unread object (see deref) is
-// passed over: its frame holds only its log, and its eviction splices
-// that. remain reports work left pinned for a later recovery. With
-// stopOnFault a failure other than ErrDegraded (the tier re-tripped, or
-// a transient) abandons the drain: done is false and the remaining
-// dirty objects stay pinned.
-func (r *Runtime) drainDirty(scope DrainScoper, since uint64, stopOnFault bool) (remain, done bool) {
+// drainRecovered is the one recovery drain, run after every successful
+// store operation. It fires when the recovery epoch advances — a
+// fleet's (Recoverable), or over a single store the count of the
+// runtime breaker's closings — with something pinned, and writes every
+// dirty resident object, then every parked staged write-back (the only
+// copy of its object outside any frame), back to the far tier. An
+// unread object (see deref) is passed over: its eviction splices its
+// log.
+//
+// A fleet's scope (DrainScoper) limits the drain to objects whose slice
+// recovered since the last epoch: those of slices still down stay
+// pinned, and those of slices that never failed are not re-written. The
+// budget shrinks back once nothing is left pinned. A single store has
+// no scope: everything drains, a failure other than ErrDegraded (the
+// store failed again) abandons the drain with the rest still pinned, and
+// a finished drain shrinks the budget back. draining guards against
+// reentry: the drain's own write-backs run through storeOp.
+func (r *Runtime) drainRecovered() {
+	ep := r.stats.BreakerRecoveries
+	if r.recoverable != nil {
+		ep = r.recoverable.RecoveryEpoch()
+	}
+	if r.draining || ep == r.lastRecoveryEpoch {
+		return
+	}
+	since := r.lastRecoveryEpoch
+	r.lastRecoveryEpoch = ep
+	if !r.degradedDirty {
+		return
+	}
+	r.draining = true
+	defer func() { r.draining = false }()
+	r.emit(EvBreakerRecover, -1, 0, false)
+	single, scope, remain := r.recoverable == nil, r.drainScoper, false
 	for _, d := range r.dss {
 		for idx := range d.objs {
 			obj := &d.objs[idx]
@@ -375,8 +400,8 @@ func (r *Runtime) drainDirty(scope DrainScoper, since uint64, stopOnFault bool) 
 				continue
 			}
 			if err := r.storeWrite(d, idx, r.arena.Bytes(obj.frame, d.Meta.ObjSize)); err != nil {
-				if stopOnFault && !errors.Is(err, ErrDegraded) {
-					return remain, false
+				if single && !errors.Is(err, ErrDegraded) {
+					return
 				}
 				remain = true
 				continue
@@ -387,47 +412,8 @@ func (r *Runtime) drainDirty(scope DrainScoper, since uint64, stopOnFault bool) 
 			r.stats.DrainedWriteBacks++
 		}
 	}
-	return r.drainParked(scope, since) || remain, true
-}
-
-// recoverRemote runs after the half-open trial closed the breaker:
-// drain everything (objects whose own shard is still down stay pinned
-// until that shard's recovery epoch), then shrink the remotable budget
-// to its configured size (subsequent allocations evict back down to
-// it).
-func (r *Runtime) recoverRemote() {
-	r.stats.BreakerRecoveries++
-	r.emit(EvBreakerRecover, -1, 0, false)
-	remain, done := r.drainDirty(nil, 0, true)
-	r.degradedDirty = r.degradedDirty || remain
-	if done {
-		r.remotableBudget = r.baseRemotableBudget
-	}
-}
-
-// maybeDrainShards runs after every successful store operation: when the
-// store's recovery epoch has advanced (a shard came back) and dirty
-// objects were stranded by per-shard degradation, it drains them under
-// the store's DrainScoper (if any) and shrinks the remotable budget once
-// nothing is left pinned.
-func (r *Runtime) maybeDrainShards() {
-	if r.recoverable == nil || r.draining {
-		return
-	}
-	ep := r.recoverable.RecoveryEpoch()
-	if ep == r.lastRecoveryEpoch {
-		return
-	}
-	prev := r.lastRecoveryEpoch
-	r.lastRecoveryEpoch = ep
-	if !r.degradedDirty {
-		return
-	}
-	r.draining = true
-	defer func() { r.draining = false }()
-	r.emit(EvBreakerRecover, -1, 0, false)
-	r.degradedDirty, _ = r.drainDirty(r.drainScoper, prev, false)
-	if !r.degradedDirty {
+	r.degradedDirty = r.drainParked(scope, since) || remain
+	if single || !r.degradedDirty {
 		r.remotableBudget = r.baseRemotableBudget
 	}
 }

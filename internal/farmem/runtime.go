@@ -399,9 +399,11 @@ type Config struct {
 	// reissued before the failure propagates (each reissue charges a
 	// wasted round trip plus backoff to the link). 0 disables retries.
 	RetryMax int
-	// BreakerThreshold arms the circuit breaker: after this many
-	// consecutive store failures the runtime degrades to local memory
-	// (see breaker.go). 0 disables the breaker.
+	// BreakerThreshold arms the circuit breaker of a single store: after
+	// this many consecutive store failures the runtime degrades to local
+	// memory (see breaker.go). 0 disables the breaker. A Recoverable
+	// store's backends carry their own breakers, so over it the
+	// runtime's stays disarmed.
 	BreakerThreshold int
 	// BreakerProbe is the wall-clock interval between recovery probes
 	// while the breaker is open; 0 means 250ms.
@@ -533,16 +535,15 @@ type Runtime struct {
 	// Fault tolerance (breaker.go). baseRemotableBudget is the configured
 	// budget the breaker restores after degraded-mode growth.
 	retryMax            int
-	breaker             *Breaker // never nil; threshold 0 never trips
+	breaker             *Breaker // never nil; threshold 0 (and over a fleet) never trips
 	prober              *Prober  // nil unless the breaker can trip and the store pings
 	baseRemotableBudget uint64
 	closeOnce           sync.Once
 
-	// Per-shard fault domains (sharded stores; see Recoverable).
-	// degradedDirty records that some dirty object's write-back was
-	// refused with ErrDegraded — the cue that a later recovery epoch has
-	// work to drain. draining guards maybeDrainShards against reentry
-	// (its write-backs run through storeOp themselves).
+	// Recovery (see drainRecovered). recoverable is a fleet's epoch
+	// source, nil over a single store. degradedDirty records that some
+	// dirty object is pinned — a write-back was refused, or the breaker
+	// tripped — the cue that the next recovery has work to drain.
 	recoverable       Recoverable
 	drainScoper       DrainScoper
 	lastRecoveryEpoch uint64
@@ -605,12 +606,16 @@ func New(cfg Config) *Runtime {
 			r.wbBudget = cfg.RemotableBudget / 4
 		}
 	}
+	threshold := cfg.BreakerThreshold
 	if r.recoverable, _ = store.(Recoverable); r.recoverable != nil {
+		// A fleet's backends are its fault domains, each behind its own
+		// breaker: one over them would count the same failures again.
+		threshold = 0
 		r.lastRecoveryEpoch = r.recoverable.RecoveryEpoch()
 		r.drainScoper, _ = store.(DrainScoper)
 	}
 	r.defaultMaxInflight = mi
-	r.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerProbe, caps.Pinger)
+	r.breaker = NewBreaker(threshold, cfg.BreakerProbe, caps.Pinger)
 	r.prober = StartProber([]*Breaker{r.breaker}, nil)
 	return r
 }

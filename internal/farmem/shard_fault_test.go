@@ -9,10 +9,13 @@ import (
 // shardFake models a sharded store from the runtime's point of view:
 // objects with idx%2 == 1 live on a "shard" that can be degraded, in
 // which case their operations fail fast with ErrDegraded. Recovery
-// bumps the epoch like shardmap.ShardedStore does.
+// bumps the epoch like shardmap.ShardedStore does. While failing, the
+// shard's operations fail with a plain error instead, as a backend does
+// before its own breaker trips.
 type shardFake struct {
 	inner    *MapStore
 	degraded bool
+	failing  bool
 	epoch    uint64
 
 	degradedOps int
@@ -24,6 +27,9 @@ func (s *shardFake) gate(idx int) error {
 	if s.degraded && s.owns(idx) {
 		s.degradedOps++
 		return fmt.Errorf("shard 1: %w", ErrDegraded)
+	}
+	if s.failing && s.owns(idx) {
+		return errInjected
 	}
 	return nil
 }
@@ -50,14 +56,16 @@ func (s *shardFake) recover() {
 func (s *shardFake) RecoveryEpoch() uint64 { return s.epoch }
 
 // shardFaultRuntime builds a runtime over the fake with a 4-object
-// remotable budget and a 16-object working set, no global breaker.
-func shardFaultRuntime(t *testing.T, store *shardFake) (*Runtime, *DS, uint64) {
+// remotable budget, a 16-object working set and the given breaker
+// threshold.
+func shardFaultRuntime(t *testing.T, store *shardFake, threshold int) (*Runtime, *DS, uint64) {
 	t.Helper()
 	const objSize = 4096
 	r := New(Config{
-		PinnedBudget:    1 << 20,
-		RemotableBudget: 4 * objSize,
-		Store:           store,
+		PinnedBudget:     1 << 20,
+		RemotableBudget:  4 * objSize,
+		Store:            store,
+		BreakerThreshold: threshold,
 	})
 	d, err := r.RegisterDS(0, DSMeta{Name: "a", ObjSize: objSize, ElemSize: 8})
 	if err != nil {
@@ -95,7 +103,7 @@ func readObj(t *testing.T, r *Runtime, addr uint64, idx int) (uint64, error) {
 
 func TestShardDegradedDerefFailsFastWithoutGlobalTrip(t *testing.T) {
 	store := &shardFake{inner: NewMapStore()}
-	r, _, addr := shardFaultRuntime(t, store)
+	r, _, addr := shardFaultRuntime(t, store, 0)
 	defer r.Close()
 
 	// Materialize and evict everything so all objects are remote.
@@ -143,7 +151,7 @@ func TestShardDegradedDerefFailsFastWithoutGlobalTrip(t *testing.T) {
 
 func TestShardDegradedDirtyPinnedThenDrainedOnEpoch(t *testing.T) {
 	store := &shardFake{inner: NewMapStore()}
-	r, d, addr := shardFaultRuntime(t, store)
+	r, d, addr := shardFaultRuntime(t, store, 0)
 	defer r.Close()
 
 	// Bring two shard-1 objects local and dirty them, then degrade the
@@ -194,5 +202,46 @@ func TestShardDegradedDirtyPinnedThenDrainedOnEpoch(t *testing.T) {
 		} else if idx == 1 && v != 101 || idx == 3 && v != 103 {
 			t.Fatalf("post-recovery obj %d = %d", idx, v)
 		}
+	}
+}
+
+// TestShardPlainFailuresNeverTripRuntimeBreaker: over a Recoverable
+// store each backend is a fault domain with its own breaker, so the
+// runtime arms none even with BreakerThreshold set. A run of plain
+// failures on one shard, longer than the threshold, never trips it,
+// and the other shard keeps serving exactly.
+func TestShardPlainFailuresNeverTripRuntimeBreaker(t *testing.T) {
+	store := &shardFake{inner: NewMapStore()}
+	r, _, addr := shardFaultRuntime(t, store, 2)
+	defer r.Close()
+	for idx := 0; idx < 16; idx++ {
+		writeObj(t, r, addr, idx, uint64(idx))
+	}
+	for idx := 0; idx < 16; idx++ {
+		if _, err := readObj(t, r, addr, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	store.failing = true
+	failed := 0
+	for idx := 1; idx < 16; idx += 2 {
+		if _, err := readObj(t, r, addr, idx); err != nil {
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("obj %d: %v, want the shard's own failure", idx, err)
+			}
+			failed++
+		}
+	}
+	for idx := 0; idx < 16; idx += 2 {
+		if v, err := readObj(t, r, addr, idx); err != nil || v != uint64(idx) {
+			t.Fatalf("healthy shard obj %d = %d, %v; want %d", idx, v, err, idx)
+		}
+	}
+	if failed <= 2 {
+		t.Fatalf("%d failed derefs: the run never passed the threshold", failed)
+	}
+	if st := r.Stats(); st.BreakerTrips != 0 || st.DegradedOps != 0 || r.BreakerState() != BreakerClosed {
+		t.Fatalf("%d trips, %d degraded ops, breaker %v: want 0, 0, closed", st.BreakerTrips, st.DegradedOps, r.BreakerState())
 	}
 }

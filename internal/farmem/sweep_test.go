@@ -46,8 +46,8 @@ func (s *heldWriteStore) complete(t *testing.T, idx int, err error) {
 
 // TestWriteBackSweepReentrancy: a harvest whose synchronous reissue is
 // the trial that closes a half-open breaker runs the recovery drain —
-// drainDirty, then drainParked — from inside its own walk of the order
-// list. The inner drain must leave the list to the walk above it: the
+// drainRecovered, then drainParked — from inside its own walk of the
+// order list. The inner drain must leave the list to the walk above it: the
 // parked entries stay parked (none drained twice, none lost), the list
 // holds every staged entry exactly once, and a later DrainWriteBacks
 // lands every object.

@@ -64,7 +64,7 @@ func (r *Runtime) settleWB(p *entry) bool {
 		r.drop(p)
 		return true
 	}
-	r.noteFault(p.err)
+	r.noteFault()
 	r.stats.WriteBackReissues++
 	if r.rewriteWB(p) == nil {
 		return true
@@ -171,7 +171,7 @@ func (r *Runtime) tryAsyncWriteBack(d *DS, idx int) bool {
 	return true
 }
 
-// drainParked is drainDirty's second half: it reissues the parked
+// drainParked is the recovery drain's second half: it reissues the parked
 // writes — under a scope only those whose slice recovered after
 // sinceEpoch. Returns true when some remain parked, and when a sweep
 // above it owns the list (so degradedDirty stays armed).

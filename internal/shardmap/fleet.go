@@ -200,10 +200,10 @@ func (b *Backend) Fail() {
 	b.state.Set(int64(b.Breaker.State()))
 }
 
-// Ping implements farmem.Pinger at fleet scope: it pings every backend
-// and succeeds while at least one answers, because the runtime's
-// *global* breaker models total outage — partial outages are the
-// per-backend breakers' job. A backend without a Ping method counts as
+// Ping implements farmem.Pinger at fleet scope, a health check: it
+// pings every backend and succeeds while at least one answers. Partial
+// outages are the per-backend breakers' job; the runtime arms no
+// breaker over a fleet. A backend without a Ping method counts as
 // alive.
 func (f *Fleet) Ping() error {
 	var firstErr error

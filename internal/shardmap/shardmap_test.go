@@ -244,8 +244,7 @@ func TestPerShardBreakerIndependenceAndRecovery(t *testing.T) {
 			t.Fatalf("healthy shard %d state %v", i, got)
 		}
 	}
-	// Cluster-level Ping stays up (the global breaker models total
-	// outage only).
+	// Cluster-level Ping stays up: it fails on a total outage only.
 	if err := ss.Ping(); err != nil {
 		t.Fatalf("cluster ping while one shard down: %v", err)
 	}

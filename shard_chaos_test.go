@@ -163,62 +163,16 @@ func TestChaosShardedWorkloads(t *testing.T) {
 func TestShardedServerOutageAndRecovery(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	const nShards = 3
-	srvs := make([]*remote.Server, nShards)
-	addrs := make([]string, nShards)
-	for i := range srvs {
-		srvs[i] = remote.NewServer()
-		addr, err := srvs[i].Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = addr
-	}
-
-	rt, err := New(Config{
-		PinnedMemory:    1 << 20,
-		RemotableMemory: 2 * 4096, // 2-object cache over a 32-object array
-		RemoteAddrs:     addrs,
-		RemoteTimeout:   250 * time.Millisecond,
-		RemoteRetries:   1,
-		// Arms both the per-shard breakers and the global one. The shard
-		// counts every transport call (an op plus its runtime retry), so it
-		// opens first and converts the outage to contained ErrDegraded
-		// before the global counter can reach the same threshold.
-		BreakerThreshold: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// A 2-object cache over a 32-object array.
+	o := newShardedOutage(t, Config{RemotableMemory: 2 * 4096, RemoteRetries: 1}, 32)
 	const (
-		objs        = 32
-		elemsPerObj = 512 // 512 int64s = one 4 KiB object
-		n           = objs * elemsPerObj
+		nShards     = 3
+		elemsPerObj = outageElemsPerObj
+		n           = 32 * elemsPerObj
 	)
-	arr, err := NewArray[int64](rt, "demo", n, Remotable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := arr.Set(i, int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The array stripes (flat pool), so the fleet shares its objects.
-	// Partition the objects by owner around the victim shard: the owner
-	// of object 0.
-	ss := rt.policies.(*shardmap.ShardedStore)
-	victimShard := ss.ShardOf(0, 0)
-	var victim, healthy []int
-	for o := 0; o < objs; o++ {
-		if ss.ShardOf(0, o) == victimShard {
-			victim = append(victim, o)
-		} else {
-			healthy = append(healthy, o)
-		}
-	}
+	rt, arr, srvs, addrs, ss := o.rt, o.arr, o.srvs, o.addrs, o.ss
+	victimShard, victim, healthy := o.victimShard, o.victim, o.healthy
+	var err error
 	if len(victim) < 2 || len(healthy) < 2 {
 		t.Fatalf("degenerate placement: %d victim objects, %d healthy", len(victim), len(healthy))
 	}
@@ -635,5 +589,158 @@ func TestReplicaKillRestartSequenceUnderCorruption(t *testing.T) {
 	for _, p := range proxies {
 		p.Close()
 	}
+	checkGoroutines(t, before)
+}
+
+// shardedOutage is three cardsd backends behind New, an Array of objs
+// 4 KiB objects holding 1000+i, and the array's objects split by owner
+// around the victim: the shard owning object 0. The array stripes (a
+// flat pool), so every shard owns some of its objects. BreakerThreshold
+// arms the per-shard breakers; the runtime arms none over a fleet.
+type shardedOutage struct {
+	rt              *Runtime
+	arr             *Array[int64]
+	srvs            []*remote.Server
+	addrs           []string
+	ss              *shardmap.ShardedStore
+	victimShard     int
+	victim, healthy []int
+}
+
+const outageElemsPerObj = 512 // 512 int64s = one 4 KiB object
+
+func newShardedOutage(t *testing.T, cfg Config, objs int) *shardedOutage {
+	t.Helper()
+	o := &shardedOutage{srvs: make([]*remote.Server, 3)}
+	for i := range o.srvs {
+		o.srvs[i] = remote.NewServer()
+		addr, err := o.srvs[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.addrs = append(o.addrs, addr)
+	}
+	cfg.RemoteAddrs = o.addrs
+	cfg.PinnedMemory = 1 << 20
+	cfg.RemoteTimeout = 250 * time.Millisecond
+	cfg.BreakerThreshold = 4
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.rt = rt
+	if o.arr, err = NewArray[int64](rt, "demo", objs*outageElemsPerObj, Remotable); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < objs*outageElemsPerObj; i++ {
+		if err := o.arr.Set(i, int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.ss = rt.tier.(*shardmap.ShardedStore)
+	o.victimShard = o.ss.ShardOf(0, 0)
+	for obj := 0; obj < objs; obj++ {
+		if o.ss.ShardOf(0, obj) == o.victimShard {
+			o.victim = append(o.victim, obj)
+		} else {
+			o.healthy = append(o.healthy, obj)
+		}
+	}
+	return o
+}
+
+// checkContained asserts that the runtime's breaker never counted the
+// victim's failures and that every object on the surviving shards reads
+// back exactly.
+func (o *shardedOutage) checkContained(t *testing.T) {
+	t.Helper()
+	if trips := o.rt.rt.Stats().BreakerTrips; trips != 0 {
+		t.Errorf("runtime breaker tripped %d times during a one-shard outage", trips)
+	}
+	if st := o.rt.rt.BreakerState(); st != farmem.BreakerClosed {
+		t.Errorf("runtime breaker %v during a one-shard outage, want closed", st)
+	}
+	failed := 0
+	for _, obj := range o.healthy {
+		for e := obj * outageElemsPerObj; e < (obj+1)*outageElemsPerObj; e++ {
+			v, err := o.arr.Get(e)
+			if err != nil {
+				failed++
+				break
+			}
+			if v != int64(1000+e) {
+				t.Fatalf("healthy object %d element %d = %d, want %d", obj, e, v, 1000+e)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d healthy-shard objects failed during a one-shard outage", failed, len(o.healthy))
+	}
+}
+
+func (o *shardedOutage) close() {
+	o.rt.Close()
+	for i, srv := range o.srvs {
+		if i != o.victimShard {
+			srv.Close()
+		}
+	}
+}
+
+// TestShardedOutageWithoutRetriesStaysContained: with no retries at
+// either layer, each deref of a dead shard's object is one failure, and
+// only that shard's breaker may count it. A runtime breaker counting
+// the same failures would trip with the shard's and fail the healthy
+// shards' objects with ErrDegraded.
+func TestShardedOutageWithoutRetriesStaysContained(t *testing.T) {
+	before := runtime.NumGoroutine()
+	o := newShardedOutage(t, Config{RemotableMemory: 2 * 4096, RemoteRetries: -1}, 32)
+	// Evict the tail of the fill to the healthy fleet, so the victim's
+	// object is remote.
+	for _, obj := range o.healthy[:2] {
+		if _, err := o.arr.Get(obj * outageElemsPerObj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.srvs[o.victimShard].Drain(20 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		if _, err := o.arr.Get(o.victim[0] * outageElemsPerObj); err == nil {
+			t.Fatal("deref of a dead shard's remote object succeeded")
+		}
+	}
+	o.checkContained(t)
+	o.close()
+	checkGoroutines(t, before)
+}
+
+// TestShardedOutageDirtyWriteBacksStayContained: the cache holds 16
+// dirty objects of the shard that dies, so the healthy reads that follow
+// evict them into failed asynchronous write-backs, one after another.
+// Each parks on its shard; none may count against a runtime-wide
+// breaker, and every healthy object keeps serving.
+func TestShardedOutageDirtyWriteBacksStayContained(t *testing.T) {
+	before := runtime.NumGoroutine()
+	o := newShardedOutage(t, Config{RemotableMemory: 32 * 4096, RemoteRetries: 1}, 128)
+	if len(o.victim) < 16 {
+		t.Fatalf("degenerate placement: %d victim objects", len(o.victim))
+	}
+	for _, obj := range o.victim[:16] {
+		if err := o.arr.Set(obj*outageElemsPerObj+1, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.srvs[o.victimShard].Drain(20 * time.Millisecond)
+	// Evict the dirty objects into staged write-backs, then settle each:
+	// every one fails on the dead shard and parks.
+	for _, obj := range o.healthy {
+		if _, err := o.arr.Get(obj * outageElemsPerObj); err != nil {
+			t.Fatalf("healthy object %d: %v", obj, err)
+		}
+	}
+	if err := o.rt.rt.DrainWriteBacks(); err == nil {
+		t.Fatal("write-backs to a dead shard all landed")
+	}
+	o.checkContained(t)
+	o.close()
 	checkGoroutines(t, before)
 }
