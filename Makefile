@@ -11,8 +11,9 @@ build:
 # the two entry points that assemble it (cards.go + cmd/cardsc/main.go);
 # then DESIGN.md's size in bytes, tracked beside the code it describes;
 # then the number of distinct metric names, the "cards_*" string
-# literals of non-test Go; last, the runtime's own non-test lines
-# (internal/farmem).
+# literals of non-test Go; then the runtime's own non-test lines
+# (internal/farmem); last, the benchmark tooling's non-test lines (the
+# benchmark/ driver, internal/bench's sweeps and cmd/benchguard).
 loc:
 	@ls internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
 	@ls internal/farmem/*.go internal/shardmap/*.go internal/replica/*.go internal/remote/*.go internal/rdma/*.go | grep -v _test.go | xargs cat | wc -l
@@ -20,6 +21,7 @@ loc:
 	@wc -c < DESIGN.md
 	@find . -name '*.go' ! -name '*_test.go' | xargs grep -ohE '"cards_[a-z0-9_]+' | sort -u | wc -l
 	@ls internal/farmem/*.go | grep -v _test.go | xargs cat | wc -l
+	@ls benchmark/*.go internal/bench/*.go cmd/benchguard/*.go | grep -v _test.go | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -100,7 +102,7 @@ fuzz-smoke:
 # itself (internal/faultnet). Schedules are seeded in the tests, so a run
 # is reproducible.
 chaos:
-	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestShardedOutageWithoutRetriesStaysContained|TestShardedOutageDirtyWriteBacksStayContained|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestReplicaKillBackendRangeWriteback|TestChaseOffloadSurvivesBackendKillMidRun' .
+	$(GO) test -v -run 'TestChaos|TestBreaker|TestShardedServerOutageAndRecovery|TestShardedOutageWithoutRetriesStaysContained|TestShardedOutageDirtyWriteBacksStayContained|TestCloseReportsLostWriteBacks|TestReplicaKillRestartSequenceUnderCorruption|TestReplicaKillAnyBackendMidRun|TestReplicaKillBackendRangeWriteback|TestChaseOffloadSurvivesBackendKillMidRun' .
 	$(GO) test -v -run 'TestHandshake|TestDialPipelined|TestPipelined|TestClientGoesDownAndResumes|TestDialIsBoundedByTimeout|TestServerDrain|TestBurst|TestCRCSession' ./internal/remote
 	$(GO) test -v -run 'TestBreaker|TestStoreRetry|TestDegraded|TestHarvest|TestClockSettle|TestFailedAsyncWrite|TestParkedWriteBack|TestScopedDrain|TestShardDegraded|TestShardPlainFailuresNeverTripRuntimeBreaker|TestFailedRangeWrite|TestWriteBackSweepReentrancy|TestFill' ./internal/farmem ./internal/interp
 	$(GO) test -v ./internal/shardmap ./internal/replica

@@ -19,6 +19,7 @@
 package cards
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -282,14 +283,16 @@ func New(cfg Config) (*Runtime, error) {
 	}, nil
 }
 
-// Close stops the runtime's background work (the breaker's recovery
-// prober) and releases the far-tier connection, if any.
+// Close settles the dirty write-backs still staged, stops the runtime's
+// background work (the breaker's recovery prober) and releases the
+// far-tier connection, if any. Write-backs a dead backend still refuses
+// are lost: the error says so, joined with any from the release.
 func (r *Runtime) Close() error {
-	r.rt.Close()
+	err := r.rt.Close()
 	if r.tier != nil {
-		return r.tier.Close()
+		err = errors.Join(err, r.tier.Close())
 	}
-	return nil
+	return err
 }
 
 // Stats is a snapshot of runtime activity.

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -214,17 +215,17 @@ func writeTrace(path string, t *obs.Tracer) error {
 
 // execute runs the compiled program as core.Run does, with optional
 // event tracing (to stderr) and a final per-structure report (to
-// stdout).
-func execute(c *core.Compiled, rc core.RunConfig, trace, report bool) (*core.RunResult, error) {
+// stdout). Write-backs the runtime could not land at close fail the run.
+func execute(c *core.Compiled, rc core.RunConfig, trace, report bool) (res *core.RunResult, err error) {
 	rt, placements, err := c.NewRuntime(rc)
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Close()
+	defer func() { err = errors.Join(err, rt.Close()) }()
 	if trace {
 		rt.SetEventHook(farmem.TraceWriter(os.Stderr))
 	}
-	res, err := c.Execute(rt, placements, rc.MaxSteps)
+	res, err = c.Execute(rt, placements, rc.MaxSteps)
 	if err == nil && report {
 		fmt.Println()
 		rt.Report(os.Stdout)

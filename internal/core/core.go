@@ -17,6 +17,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"cards/internal/analysis"
@@ -287,12 +288,13 @@ func Register(rt *farmem.Runtime, store farmem.Store, id int, meta farmem.DSMeta
 }
 
 // Run executes the compiled program once under the given configuration.
-func (c *Compiled) Run(cfg RunConfig) (*RunResult, error) {
+// Write-backs the runtime could not land at close fail the run.
+func (c *Compiled) Run(cfg RunConfig) (res *RunResult, err error) {
 	rt, placements, err := c.NewRuntime(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Close()
+	defer func() { err = errors.Join(err, rt.Close()) }()
 	return c.Execute(rt, placements, cfg.MaxSteps)
 }
 

@@ -140,6 +140,10 @@ func TestTracedReadPathSteadyStateAllocFree(t *testing.T) {
 // append of images the store already holds in wire form), and
 // client-side segment decode + decompression into a caller buffer.
 // Compression must not put the heap back on the per-frame critical path.
+// The same batch is also built with compression off — every object
+// added raw with tryCompress false, a stored block expanded, only the
+// zero image appended in wire form — as a plain session's reply is: the
+// one assembly path serves it without touching the heap either.
 func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 	reqs := []ReadReq{
 		{DS: 1, Idx: 10, Size: 256},
@@ -177,7 +181,7 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 	var b DataBatchCBuilder
 	defer b.Release()
 
-	iter := func() {
+	iter := func(compress bool) {
 		// Client: issue a compact READBATCH.
 		req := EncodeReadBatchCPooled(42, reqs)
 		c2s.Reset()
@@ -186,7 +190,8 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		}
 		PutBuf(req.Payload)
 
-		// Server: decode, stage each object, compress adaptively.
+		// Server: decode, stage each object, compress adaptively (or not
+		// at all).
 		rd.Reset(c2s.Bytes())
 		fr, err := ReadFrameCRCPooled(&rd)
 		if err != nil {
@@ -200,12 +205,12 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		b.Reset()
 		for i, r := range decReqs {
 			s := b.Stage(int(r.Size))
-			if st, ok := stored[i]; ok {
+			if st, ok := stored[i]; ok && (compress || st.scheme == SchemeZero) {
 				b.AddWire(st.scheme, int(r.Size), s[:copy(s, st.wire)])
 				continue
 			}
 			copy(s, objs[i])
-			b.Add(s, true)
+			b.Add(s, compress)
 		}
 		PutBuf(fr.Payload)
 		out, err := b.Frame(fr.Tag)
@@ -232,6 +237,9 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 			t.Fatalf("bad reply: %d segments", len(segs))
 		}
 		for i, s := range segs {
+			if !compress && SchemePacked(s.Scheme) {
+				t.Fatalf("segment %d is packed (scheme %d) with compression off", i, s.Scheme)
+			}
 			d := dst[:s.RawLen]
 			switch s.Scheme {
 			case SchemeZero:
@@ -254,11 +262,13 @@ func TestCompactReadPathSteadyStateAllocFree(t *testing.T) {
 		PutBuf(fr.Payload)
 	}
 
-	for i := 0; i < 8; i++ {
-		iter()
-	}
-	if avg := testing.AllocsPerRun(200, iter); avg >= 1 {
-		t.Fatalf("steady-state compact read path allocates %.2f times per round trip, want ~0", avg)
+	for _, compress := range []bool{true, false} {
+		for i := 0; i < 8; i++ {
+			iter(compress)
+		}
+		if avg := testing.AllocsPerRun(200, func() { iter(compress) }); avg != 0 {
+			t.Fatalf("steady-state compact read path (compress=%v) allocates %.2f times per round trip, want 0", compress, avg)
+		}
 	}
 }
 

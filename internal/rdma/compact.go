@@ -300,25 +300,19 @@ type dataSegMeta struct {
 // DataBatchCBuilder assembles a DATABATCH-C reply. The server
 // stages each object read into Stage — a slot carved in place out of
 // the blob region — classifies it with Add (one scan, optional
-// compression), and emits the frame once per batch. Raw staged objects
-// commit with no copy; only compressed ones bounce through scratch.
-// All internal buffers are pooled and reused across batches, so a
-// per-connection builder is allocation-free in steady state.
+// compression), and emits the frame once per batch: Frame writes the
+// header and copies the blobs after it into one pooled payload, whatever
+// the segments' schemes. Raw staged objects commit with no copy; only
+// compressed ones bounce through scratch. All internal buffers are
+// pooled and reused across batches, so a per-connection builder is
+// allocation-free in steady state.
 //
-// A batch that will carry no packed segments can additionally start with
-// Begin: the bit-packed header's size is then exact up front (scheme
-// and rawLen cost the same bits for raw and zero segments), so the
-// header region is reserved inside the blob buffer and Frame emits the
-// payload without copy-assembling it — the staged object bytes ARE the
-// frame payload.
-//
-// A batch answering a stamped read starts with BeginEpoch instead and
-// follows every Add with Stamp.
+// A batch answering a stamped read starts with BeginEpoch and follows
+// every Add with Stamp.
 type DataBatchCBuilder struct {
 	metas   []dataSegMeta
 	data    []byte // accumulated wire blobs
 	dlen    int
-	hdr     int    // reserved header prefix length; 0 = copy mode
 	epoch   bool   // stamped reply: segment headers carry epochs
 	scratch []byte // encoder bounce buffer for staged-in-place segments
 }
@@ -327,7 +321,6 @@ type DataBatchCBuilder struct {
 func (b *DataBatchCBuilder) Reset() {
 	b.metas = b.metas[:0]
 	b.dlen = 0
-	b.hdr = 0
 	b.epoch = false
 }
 
@@ -338,34 +331,6 @@ func (b *DataBatchCBuilder) BeginEpoch() { b.epoch = true }
 
 // Stamp records the stored epoch of the segment most recently added.
 func (b *DataBatchCBuilder) Stamp(epoch uint64) { b.metas[len(b.metas)-1].epoch = epoch }
-
-// uvarintBits is the exact bit cost of Uvarint(v): 5 bits per group.
-func uvarintBits(v uint64) int {
-	n := 5
-	for v >= 16 {
-		n += 5
-		v >>= 4
-	}
-	return n
-}
-
-// Begin switches the batch to the reserved-header layout: reqs are the
-// reads the batch will answer, in order, and every segment must commit
-// through Add with tryCompress false (Add enforces this). The exact
-// header prefix is reserved in the blob buffer and staged raw objects
-// become the frame payload with no assembly copy.
-func (b *DataBatchCBuilder) Begin(reqs []ReadReq) {
-	bits := uvarintBits(uint64(len(reqs)))
-	total := 0
-	for _, r := range reqs {
-		bits += 2 + uvarintBits(uint64(r.Size))
-		total += int(r.Size)
-	}
-	b.hdr = (bits + 7) / 8
-	b.dlen = 0
-	b.ensureData(b.hdr + total)
-	b.dlen = b.hdr
-}
 
 // Release returns the builder's internal buffers to the frame pool.
 func (b *DataBatchCBuilder) Release() {
@@ -410,9 +375,6 @@ func (b *DataBatchCBuilder) ensureData(n int) {
 // returns the chosen scheme and the segment's wire length (the
 // compressibility signal the adaptive policy feeds on).
 func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wireLen int) {
-	// The reserved-header layout (Begin) fixed the header size on the
-	// assumption of raw/zero segments only; a packed segment would grow it.
-	tryCompress = tryCompress && b.hdr == 0
 	staged := b.stagedInPlace(src)
 	s, w := ScanWords(src) // the one pass that classifies src: zero, small words, or neither
 	if w == 0 {
@@ -465,8 +427,7 @@ func (b *DataBatchCBuilder) Add(src []byte, tryCompress bool) (scheme uint8, wir
 // bit-packed block of a rawLen-byte object, or — SchemeZero, wire empty
 // — an all-zero one. The bytes are trusted (the server validated the
 // block when it was written) and not looked at; a block sitting in the
-// last Stage slot is committed in place. A Begin batch cannot carry a
-// packed segment.
+// last Stage slot is committed in place.
 func (b *DataBatchCBuilder) AddWire(scheme uint8, rawLen int, wire []byte) {
 	if !b.stagedInPlace(wire) {
 		b.ensureData(len(wire))
@@ -482,37 +443,8 @@ func (b *DataBatchCBuilder) Last() []byte {
 }
 
 // Frame assembles the DATABATCH-C reply with a pooled payload;
-// the caller should PutBuf the payload after writing the frame. A
-// Begin batch hands off the blob buffer itself — the header bits are
-// written into the reserved prefix and the staged bytes ship as-is.
+// the caller should PutBuf the payload after writing the frame.
 func (b *DataBatchCBuilder) Frame(tag uint32) (Frame, error) {
-	if b.hdr > 0 {
-		if b.dlen > MaxFrame {
-			return Frame{}, fmt.Errorf("rdma: DATABATCH-C too large (%d bytes)", b.dlen)
-		}
-		w := NewBitWriter(b.data[:b.hdr])
-		w.Uvarint(uint64(len(b.metas)))
-		for _, m := range b.metas {
-			if SchemePacked(m.scheme) {
-				return Frame{}, fmt.Errorf("rdma: DATABATCH-C packed segment in a reserved-header batch (Begin/AddWire mismatch)")
-			}
-			w.WriteBits(uint64(m.scheme), 2)
-			w.Uvarint(uint64(m.rawLen))
-		}
-		w.Align()
-		if err := w.Err(); err != nil {
-			return Frame{}, err
-		}
-		if w.Len() != b.hdr {
-			return Frame{}, fmt.Errorf("rdma: DATABATCH-C reserved header %d bytes, wrote %d (Begin/Add mismatch)", b.hdr, w.Len())
-		}
-		p := b.data[:b.dlen]
-		// The caller PutBufs the payload, so the builder must forget
-		// the buffer; the next batch draws a fresh one from the pool.
-		b.data = nil
-		b.dlen, b.hdr = 0, 0
-		return Frame{Op: OpDataBatchC, Tag: tag, Payload: p}, nil
-	}
 	hdrBound := BatchHdrBound + len(b.metas)*DataSegBound(0, b.epoch)
 	op := OpDataBatchC
 	if b.epoch {

@@ -297,39 +297,6 @@ func TestDataBatchCBuilderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDataBatchCBuilderBeginRefusesLZ: the reserved-header layout has no
-// room for a block's length, so a Begin batch handed an LZ or bit-packed
-// image fails at Frame instead of emitting a payload that cannot be
-// parsed; a zero image costs the same header bits as a raw one and is
-// fine.
-func TestDataBatchCBuilderBeginRefusesLZ(t *testing.T) {
-	var b DataBatchCBuilder
-	defer b.Release()
-	reqs := []ReadReq{{DS: 1, Idx: 0, Size: 64}, {DS: 1, Idx: 1, Size: 64}}
-	b.Reset()
-	b.Begin(reqs)
-	b.AddWire(SchemeZero, 64, nil)
-	b.Add(bytes.Repeat([]byte{7}, 64), false)
-	fr, err := b.Frame(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs, err := DecodeDataBatchCInto(fr.Payload, nil); err != nil || len(segs) != 2 || segs[0].Scheme != SchemeZero {
-		t.Fatalf("zero image in a Begin batch: %d segments, %v", len(segs), err)
-	}
-	PutBuf(fr.Payload)
-
-	for scheme, block := range map[uint8][]byte{SchemeLZ: {0x1F, 7, 1, 0, 44, 0}, SchemeWords: {0, 1, 0x01, 0x01}} {
-		b.Reset()
-		b.Begin(reqs)
-		b.AddWire(scheme, 64, block)
-		b.Add(bytes.Repeat([]byte{7}, 64), false)
-		if _, err := b.Frame(2); err == nil {
-			t.Fatalf("a Begin batch carrying a scheme-%d segment produced a frame", scheme)
-		}
-	}
-}
-
 // TestDataBatchCBuilderStampedRoundTrip: a BeginEpoch batch comes out
 // as DATABATCH-C|EpochBit, every segment reports the epoch it was
 // stamped with (0 without a Stamp call, and on a zero-length probe),

@@ -262,28 +262,20 @@ func (s *Server) readBatch(f rdma.Frame, w *workerScratch, compress bool) (rdma.
 	if size > rdma.MaxFrame {
 		return rdma.Frame{}, served{}, errReplyTooLarge
 	}
-	// One compression verdict per request, drawn once: the policy counts
-	// draws to pace its re-probes of an incompressible DS, so the layout
-	// decision below and the per-object step must share them.
+	// One compression verdict per request, drawn once and in request
+	// order before the gather: the policy counts draws to pace its
+	// re-probes of an incompressible DS (so each request draws exactly
+	// once), and a batch's verdicts never hang on what its own earlier
+	// objects shrank to.
 	try := w.try[:0]
-	tryBatch := false
 	for _, r := range reqs {
-		t := compress && s.cpolicy.shouldCompress(r.DS)
-		try = append(try, t)
-		tryBatch = tryBatch || t
+		try = append(try, compress && s.cpolicy.shouldCompress(r.DS))
 	}
 	w.try = try
-	// A batch with no compression candidates takes the reserved-header
-	// layout: the staged object bytes become the frame payload directly,
-	// skipping the copy-assembly of the LZ-capable path. (A stamped
-	// reply's header size depends on the epochs, so it never does.)
 	cb := &w.cb
 	cb.Reset()
-	switch {
-	case epoch:
+	if epoch {
 		cb.BeginEpoch()
-	case !tryBatch:
-		cb.Begin(reqs)
 	}
 	for i, r := range reqs {
 		buf := cb.Stage(int(r.Size))

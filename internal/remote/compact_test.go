@@ -2,8 +2,10 @@ package remote
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cards/internal/obs"
@@ -188,6 +190,56 @@ func TestServerReprobesIncompressibleDS(t *testing.T) {
 		} else if i >= 200 {
 			t.Fatalf("read %d of the now-compressible DS still came back raw (%d LZ replies so far, policy EWMA %d)",
 				i, lz, srv.cpolicy.slot(ds).Load()&0xFFFF)
+		}
+	}
+}
+
+// TestUncompressedReplyBytes pins the bytes of a DATABATCH-C that
+// carries only raw and zero segments — every reply of a session that did
+// not ask for compression, and of a Ping on any session: a raw object, a
+// stored all-zero one, an absent one, a read shorter than its object, a
+// size whose length field spans several groups, a block a client wrote
+// packed (expanded for this session), and the empty batch. A diff here
+// is a wire change, whatever moved in how the reply is assembled.
+func TestUncompressedReplyBytes(t *testing.T) {
+	testutil.NoGoroutineLeaks(t)
+	srv := NewServer()
+	plain, packed := dialRaw(t, srv, 0), dialRaw(t, srv, rdma.OptCompress)
+	ramp := make([]byte, 300)
+	for i := range ramp {
+		ramp[i] = byte(i * 7)
+	}
+	srv.Store.Write(1, 0, ramp[:16])
+	srv.Store.Write(1, 1, make([]byte, 24))
+	srv.Store.Write(3, 0, ramp)
+	words := wordsObject()
+	s, w := rdma.ScanWords(words)
+	block := make([]byte, rdma.WordsBound(len(words)))
+	srv.Store.writeWire(4, 0, false, 0, rdma.SchemeWords, uint32(len(words)), block[:rdma.PackWords(block, words, s, w)])
+
+	reply := func(sess *rawSession, reqs ...rdma.ReadReq) string {
+		resp := sess.call(rdma.EncodeReadBatchCPooled(0, reqs))
+		defer rdma.PutBuf(resp.Payload)
+		if resp.Op != rdma.OpDataBatchC {
+			t.Fatalf("read answered with %s", resp.Op)
+		}
+		return hex.EncodeToString(resp.Payload)
+	}
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"mixed", reply(plain,
+			rdma.ReadReq{DS: 1, Idx: 0, Size: 16}, rdma.ReadReq{DS: 1, Idx: 1, Size: 24},
+			rdma.ReadReq{DS: 2, Idx: 5, Size: 8}, rdma.ReadReq{DS: 1, Idx: 0, Size: 8},
+			rdma.ReadReq{DS: 3, Idx: 0, Size: 300}, rdma.ReadReq{DS: 4, Idx: 0, Size: 128}),
+			// The bit-packed header (six segments: raw 16, zero 24, zero 8,
+			// raw 8, raw 300, raw 128, then alignment), then the raw bytes.
+			"8c208c420824174180" + hex.EncodeToString(slices.Concat(ramp[:16], ramp[:8], ramp, words))},
+		{"empty, plain session", reply(plain), "00"},
+		{"empty, compressing session", reply(packed), "00"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: reply payload\n got %s\nwant %s", c.name, c.got, c.want)
 		}
 	}
 }

@@ -27,8 +27,7 @@ func benchServerRamp(b *testing.B) string {
 
 // BenchmarkWireTierReadTCP prices the adaptive compressor on a clean
 // loopback link, ramp (non-zero, LZ-compressible) payloads: "compact"
-// ships them raw through the reserved-header DATABATCH-C fast path,
-// "compact-lz" shows what compression costs when the link is not the
+// ships them raw, on a session with compression off, "compact-lz" shows what compression costs when the link is not the
 // bottleneck (the wire sweep shows the inverse trade).
 func BenchmarkWireTierReadTCP(b *testing.B) {
 	for _, tc := range []struct {

@@ -678,13 +678,16 @@ func (o *shardedOutage) checkContained(t *testing.T) {
 	}
 }
 
-func (o *shardedOutage) close() {
-	o.rt.Close()
+// close closes the runtime, then the surviving backends, and returns
+// the runtime's Close error.
+func (o *shardedOutage) close() error {
+	err := o.rt.Close()
 	for i, srv := range o.srvs {
 		if i != o.victimShard {
 			srv.Close()
 		}
 	}
+	return err
 }
 
 // TestShardedOutageWithoutRetriesStaysContained: with no retries at
@@ -720,6 +723,37 @@ func TestShardedOutageWithoutRetriesStaysContained(t *testing.T) {
 // breaker, and every healthy object keeps serving.
 func TestShardedOutageDirtyWriteBacksStayContained(t *testing.T) {
 	before := runtime.NumGoroutine()
+	o := newDirtyOutage(t)
+	// Settle each write-back: every one fails on the dead shard and parks.
+	if err := o.rt.rt.DrainWriteBacks(); err == nil {
+		t.Fatal("write-backs to a dead shard all landed")
+	}
+	o.checkContained(t)
+	o.close()
+	checkGoroutines(t, before)
+}
+
+// TestCloseReportsLostWriteBacks: Close settles what it can of the
+// write-backs parked on a dead shard, and the ones it cannot land are
+// lost with the runtime, so Close must fail, naming the outage, instead
+// of returning nil.
+func TestCloseReportsLostWriteBacks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	o := newDirtyOutage(t)
+	if err := o.close(); !errors.Is(err, farmem.ErrDegraded) {
+		t.Fatalf("Close with write-backs parked on a dead shard returned %v, want an error wrapping ErrDegraded", err)
+	}
+	if o.rt.rt.StagedWriteBackEntries() == 0 {
+		t.Fatal("Close failed but no write-back stayed parked")
+	}
+	checkGoroutines(t, before)
+}
+
+// newDirtyOutage is a shardedOutage of 128 objects whose 32-object cache
+// holds 16 dirty objects of the victim when it dies; a scan of the
+// healthy objects then evicts them into write-backs to the dead shard.
+func newDirtyOutage(t *testing.T) *shardedOutage {
+	t.Helper()
 	o := newShardedOutage(t, Config{RemotableMemory: 32 * 4096, RemoteRetries: 1}, 128)
 	if len(o.victim) < 16 {
 		t.Fatalf("degenerate placement: %d victim objects", len(o.victim))
@@ -730,17 +764,10 @@ func TestShardedOutageDirtyWriteBacksStayContained(t *testing.T) {
 		}
 	}
 	o.srvs[o.victimShard].Drain(20 * time.Millisecond)
-	// Evict the dirty objects into staged write-backs, then settle each:
-	// every one fails on the dead shard and parks.
 	for _, obj := range o.healthy {
 		if _, err := o.arr.Get(obj * outageElemsPerObj); err != nil {
 			t.Fatalf("healthy object %d: %v", obj, err)
 		}
 	}
-	if err := o.rt.rt.DrainWriteBacks(); err == nil {
-		t.Fatal("write-backs to a dead shard all landed")
-	}
-	o.checkContained(t)
-	o.close()
-	checkGoroutines(t, before)
+	return o
 }
